@@ -13,13 +13,12 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from . import harness
 from .bounds import bound_aggregate, bound_betti, b_ci
 from .homology import INCONCLUSIVE, VIOLATION
-from .quadforms import DeformationParams, QuadraticForm, parse_rational
+from .quadforms import DeformationParams, parse_rational
 
 __all__ = ["main", "build_parser"]
 
@@ -40,24 +39,13 @@ def _parse_range(text: str) -> List[int]:
     return out
 
 
-def _rat(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def _emit(rows: List[Dict], columns: List[str], fmt: str, out) -> None:
+def _emit(fmt: str, out, document: Dict, columns: List[str], rows: List[Dict]) -> None:
+    """Write the CSV table (columns, rows) or the JSON document."""
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
             writer.writerow([row.get(col, "") for col in columns])
-    else:
-        out.write(json.dumps({"rows": rows}, indent=2, sort_keys=True))
-        out.write("\n")
-
-
-def _emit_document(document: Dict, fmt: str, out, rows: List[Dict], columns: List[str]) -> None:
-    if fmt == "csv":
-        _emit(rows, columns, "csv", out)
     else:
         out.write(json.dumps(document, indent=2, sort_keys=True))
         out.write("\n")
@@ -112,7 +100,7 @@ def _cmd_bounds(args, out) -> int:
             }
             for r in rows
         ]
-        _emit(rows if args.format == "csv" else json_rows, columns, args.format, out)
+        _emit(args.format, out, {"rows": json_rows}, columns, rows)
         return 0
     rows = []
     for k in kvals:
@@ -138,18 +126,15 @@ def _cmd_bounds(args, out) -> int:
     columns = ["s", "k", "i", "bound_num", "bound_den"]
     if args.compare_classical:
         columns += ["nonrigorous_sd_pow_k", "nonrigorous_k_pow_s"]
-    if args.format == "csv":
-        _emit(rows, columns, "csv", out)
-    else:
-        json_rows = []
-        for r in rows:
-            jr = {"s": r["s"], "k": r["k"], "i": r["i"],
-                  "bound": f"{r['bound_num']}/{r['bound_den']}"}
-            for key in ("nonrigorous_sd_pow_k", "nonrigorous_k_pow_s"):
-                if key in r:
-                    jr[key] = r[key]
-            json_rows.append(jr)
-        _emit(json_rows, columns, "json", out)
+    json_rows = []
+    for r in rows:
+        jr = {"s": r["s"], "k": r["k"], "i": r["i"],
+              "bound": f"{r['bound_num']}/{r['bound_den']}"}
+        for key in ("nonrigorous_sd_pow_k", "nonrigorous_k_pow_s"):
+            if key in r:
+                jr[key] = r[key]
+        json_rows.append(jr)
+    _emit(args.format, out, {"rows": json_rows}, columns, rows)
     return 0
 
 
@@ -182,88 +167,38 @@ def _cmd_ci(args, out) -> int:
             )
     if not rows:
         raise ValueError("no valid (j, k) combinations in the requested ranges")
-    _emit(rows, ["j", "k", "degrees", "betti_total"], args.format, out)
+    _emit(args.format, out, {"rows": rows}, ["j", "k", "degrees", "betti_total"], rows)
     return 0
 
 
 def _cmd_verify(args, out) -> int:
     results = harness.run_verification_suite(seed=args.seed, full=args.full)
+    document = {
+        "seed": args.seed,
+        "results": [
+            {"name": r.name, "verdict": r.verdict, "note": r.note,
+             **({"document": r.document} if r.document else {})}
+            for r in results
+        ],
+    }
     rows = [{"name": r.name, "verdict": r.verdict, "note": r.note} for r in results]
-    if args.format == "csv":
-        _emit(rows, ["name", "verdict", "note"], "csv", out)
-    else:
-        document = {
-            "seed": args.seed,
-            "results": [
-                {"name": r.name, "verdict": r.verdict, "note": r.note,
-                 **({"document": r.document} if r.document else {})}
-                for r in results
-            ],
-        }
-        out.write(json.dumps(document, indent=2, sort_keys=True))
-        out.write("\n")
+    _emit(args.format, out, document, ["name", "verdict", "note"], rows)
     return _exit_code([r.verdict for r in results])
 
 
-def _audit_by_name(args):
-    name = args.name
-    eps = parse_rational(args.eps)
-    delta = parse_rational(args.delta)
-    params = DeformationParams(eps=eps, delta=delta)
-    sphere_res = parse_rational(args.resolution) if args.resolution else None
-    if name.startswith("products-bounds"):
-        rep = harness.bound_audit(harness.scenario_products(args.k))
-        return rep.overall, rep.to_dict(), [r.to_dict() for r in rep.rows], [
-            "i", "betti", "bound_num", "bound_den", "verdict"]
-    if name.startswith("shell-bounds"):
-        sc = harness.scenario_shell(args.k, parse_rational(args.r_in),
-                                    parse_rational(args.r_out))
-        rep = harness.bound_audit(sc)
-        return rep.overall, rep.to_dict(), [r.to_dict() for r in rep.rows], [
-            "i", "betti", "bound_num", "bound_den", "verdict"]
-    if name == "smith-cone":
-        cone = QuadraticForm.make(3, [[1, 0, 0], [0, 1, 0], [0, 0, -1]])
-        rep = harness.smith_audit([cone], radius=parse_rational(args.radius))
-        doc = rep.to_dict()
-        return rep.verdict, doc, [doc], list(doc.keys())
-    if name == "double-cover-products":
-        rep = harness.double_cover_audit(
-            harness.scenario_products(args.k), params, sphere_resolution=sphere_res
-        )
-        doc = rep.to_dict()
-        return rep.verdict, doc, [doc], list(doc.keys())
-    if name == "deformation-products":
-        ts = [parse_rational(t) for t in args.t_values.split(",")]
-        rep = harness.deformation_audit(
-            harness.scenario_products(args.k), params, t_values=ts,
-            sphere_resolution=sphere_res, seed=args.seed,
-        )
-        doc = rep.to_dict()
-        rows = [{"t": t, "betti": json.dumps(v)} for t, v in doc["betti_by_t"].items()]
-        return rep.verdict, doc, rows, ["t", "betti"]
-    if name == "alexander-equator":
-        rep = harness.alexander_equator_audit()
-        doc = rep.to_dict()
-        return rep.verdict, doc, [doc], list(doc.keys())
-    mv_map = {
-        "mv-wedge": harness.mv_wedge_example,
-        "mv-disjoint": harness.mv_disjoint_example,
-        "mv-three": harness.mv_three_arc_example,
-        "mv-fabricated-violation": harness.mv_fabricated_example,
-    }
-    if name in mv_map:
-        example = mv_map[name]()
-        doc = example.to_dict()
-        rows = [{"name": example.name, "degree": example.degree,
-                 "verdict": example.verdict}]
-        return example.verdict, doc, rows, ["name", "degree", "verdict"]
-    raise ValueError(f"unknown audit {name!r}")
-
-
 def _cmd_audit(args, out) -> int:
-    verdict, document, rows, columns = _audit_by_name(args)
-    _emit_document(document, args.format, out, rows, columns)
-    return _exit_code([verdict])
+    report = harness.AUDIT_REGISTRY[args.name](
+        k=args.k,
+        r_in=parse_rational(args.r_in),
+        r_out=parse_rational(args.r_out),
+        radius=parse_rational(args.radius),
+        params=DeformationParams(eps=parse_rational(args.eps), delta=parse_rational(args.delta)),
+        t_values=[parse_rational(t) for t in args.t_values.split(",")],
+        resolution=parse_rational(args.resolution) if args.resolution else None,
+        seed=args.seed,
+    )
+    _emit(args.format, out, report.to_dict(), *report.csv_table())
+    return _exit_code([report.verdict])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--full", action="store_true", help="include the slow audits")
 
     p_audit = sub.add_parser("audit", help="run one named audit")
-    p_audit.add_argument("--name", required=True)
+    p_audit.add_argument("--name", required=True, choices=harness.AUDIT_REGISTRY)
     p_audit.add_argument("--k", type=int, default=2)
     p_audit.add_argument("--r-in", dest="r_in", default="1/2")
     p_audit.add_argument("--r-out", dest="r_out", default="1")
@@ -328,8 +263,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     text = buffer.getvalue()
     if args.output:
-        with open(args.output, "w") as fp:
-            fp.write(text)
+        try:
+            with open(args.output, "w") as fp:
+                fp.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

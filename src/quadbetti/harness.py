@@ -11,9 +11,9 @@ audit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .bounds import b_ci, bound_aggregate, bound_betti
 from .homology import (
@@ -68,6 +68,7 @@ __all__ = [
     "mv_disjoint_example",
     "mv_three_arc_example",
     "mv_fabricated_example",
+    "AUDIT_REGISTRY",
     "SuiteResult",
     "run_verification_suite",
 ]
@@ -159,26 +160,61 @@ def scenario_shell(k: int, r_in, r_out) -> Scenario:
     )
 
 
+# ---------------------------------------------------------------------------
+# Report serialization, shared by every audit report.
+
+
+def _jsonable(value):
+    if isinstance(value, _Report):
+        return value.to_dict()
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, (tuple, list)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {",".join(map(str, key)) if isinstance(key, tuple) else key: _jsonable(v)
+                for key, v in value.items()}
+    return value
+
+
+class _Report:
+    """Base of the report dataclasses: one serializer and one CSV shape.
+
+    Fields serialize in declaration order; a Fraction becomes "p/q", a tuple
+    a list and a tuple dict key "a,b".  AuditRow.bound splits into
+    numerator and denominator (CSV columns), and SmithReport.probe keeps
+    only its verdict (the float evidence never reaches a document).
+    """
+
+    def to_dict(self) -> Dict:
+        doc: Dict = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(self, AuditRow) and f.name == "bound":
+                doc["bound_num"], doc["bound_den"] = value.numerator, value.denominator
+            elif isinstance(self, SmithReport) and f.name == "probe":
+                if value is not None:
+                    doc["probe_verdict"] = value.verdict
+            else:
+                doc[f.name] = _jsonable(value)
+        return doc
+
+    def csv_table(self) -> Tuple[List[str], List[Dict]]:
+        """Columns and rows of the CSV output; by default the document is the one row."""
+        doc = self.to_dict()
+        return list(doc), [doc]
+
+
 @dataclass(frozen=True)
-class AuditRow:
+class AuditRow(_Report):
     i: int
     betti: int
     bound: Fraction
     verdict: str
-    source: str  # "oracle" | "grid"
-
-    def to_dict(self) -> Dict:
-        return {
-            "i": self.i,
-            "betti": self.betti,
-            "bound_num": self.bound.numerator,
-            "bound_den": self.bound.denominator,
-            "verdict": self.verdict,
-        }
 
 
 @dataclass(frozen=True)
-class BoundAuditReport:
+class BoundAuditReport(_Report):
     scenario: str
     s: int
     k: int
@@ -187,16 +223,12 @@ class BoundAuditReport:
     overall: str
     params: Dict[str, str] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict:
-        return {
-            "scenario": self.scenario,
-            "s": self.s,
-            "k": self.k,
-            "rows": [r.to_dict() for r in self.rows],
-            "total": self.total.to_dict(),
-            "overall": self.overall,
-            "params": dict(self.params),
-        }
+    @property
+    def verdict(self) -> str:
+        return self.overall
+
+    def csv_table(self) -> Tuple[List[str], List[Dict]]:
+        return list(self.total.to_dict()), [r.to_dict() for r in self.rows]
 
 
 def _overall(verdicts: Sequence[str]) -> str:
@@ -226,34 +258,21 @@ def bound_audit(sc: Scenario, spec=USE_ORACLE) -> BoundAuditReport:
         if sc.oracle_betti is None:
             raise ValueError(f"scenario {sc.name} has no oracle Betti vector")
         vec = pad_betti(sc.oracle_betti, sc.k + 1)
-        source = "oracle"
+        fail = VIOLATION
         params["oracle_note"] = sc.oracle_note
     else:
         vec = pad_betti(betti(grid_complex(sc.system, spec)), sc.k + 1)
-        source = "grid"
+        fail = INCONCLUSIVE
         params["resolution"] = format_rational(spec.resolution)
-    fail = VIOLATION if source == "oracle" else INCONCLUSIVE
     rows = []
     for i in range(sc.k):
         bound = bound_betti(sc.s, sc.k, i)
-        rows.append(
-            AuditRow(
-                i=i,
-                betti=vec[i],
-                bound=bound,
-                verdict=PASS if vec[i] <= bound else fail,
-                source=source,
-            )
-        )
+        rows.append(AuditRow(i=i, betti=vec[i], bound=bound,
+                             verdict=PASS if vec[i] <= bound else fail))
     total_bound = bound_aggregate(sc.s, sc.k).total
     total_val = sum(vec)
-    total = AuditRow(
-        i=-1,
-        betti=total_val,
-        bound=total_bound,
-        verdict=PASS if total_val <= total_bound else fail,
-        source=source,
-    )
+    total = AuditRow(i=-1, betti=total_val, bound=total_bound,
+                     verdict=PASS if total_val <= total_bound else fail)
     overall = _overall([r.verdict for r in rows] + [total.verdict])
     if overall == INCONCLUSIVE:
         params["hint"] = "halve the grid resolution or supply an oracle"
@@ -264,7 +283,7 @@ def bound_audit(sc: Scenario, spec=USE_ORACLE) -> BoundAuditReport:
 
 
 @dataclass(frozen=True)
-class SmithReport:
+class SmithReport(_Report):
     verdict: str
     sphere_betti: Tuple[int, ...]
     sphere_total: int
@@ -274,21 +293,6 @@ class SmithReport:
     proj_dim: int
     note: str = ""
     probe: Optional[CiProbeReport] = None
-
-    def to_dict(self) -> Dict:
-        out = {
-            "verdict": self.verdict,
-            "sphere_betti": list(self.sphere_betti),
-            "sphere_total": self.sphere_total,
-            "projective_total": self.projective_total,
-            "bound": self.bound,
-            "codim": self.codim,
-            "proj_dim": self.proj_dim,
-            "note": self.note,
-        }
-        if self.probe is not None:
-            out["probe_verdict"] = self.probe.verdict
-        return out
 
 
 def smith_audit(
@@ -369,7 +373,7 @@ def _lift_spec(eps: Fraction, dim: int, resolution=None) -> Tuple[GridSpec, Frac
 
 
 @dataclass(frozen=True)
-class DoubleCoverReport:
+class DoubleCoverReport(_Report):
     scenario: str
     verdict: str
     base_betti: Tuple[int, ...]
@@ -377,17 +381,6 @@ class DoubleCoverReport:
     lifted_betti: Tuple[int, ...]
     eps: Fraction
     note: str = ""
-
-    def to_dict(self) -> Dict:
-        return {
-            "scenario": self.scenario,
-            "verdict": self.verdict,
-            "base_betti": list(self.base_betti),
-            "base_source": self.base_source,
-            "lifted_betti": list(self.lifted_betti),
-            "eps": format_rational(self.eps),
-            "note": self.note,
-        }
 
 
 def double_cover_audit(
@@ -439,7 +432,7 @@ def double_cover_audit(
 
 
 @dataclass(frozen=True)
-class DeformationReport:
+class DeformationReport(_Report):
     scenario: str
     verdict: str
     betti_by_t: Dict[str, Tuple[int, ...]]
@@ -448,16 +441,8 @@ class DeformationReport:
     delta: Fraction
     note: str = ""
 
-    def to_dict(self) -> Dict:
-        return {
-            "scenario": self.scenario,
-            "verdict": self.verdict,
-            "betti_by_t": {t: list(v) for t, v in self.betti_by_t.items()},
-            "family_scale": format_rational(self.family_scale),
-            "eps": format_rational(self.eps),
-            "delta": format_rational(self.delta),
-            "note": self.note,
-        }
+    def csv_table(self) -> Tuple[List[str], List[Dict]]:
+        return ["t", "betti"], [{"t": t, "betti": list(v)} for t, v in self.betti_by_t.items()]
 
 
 def _family_bound(poly: QuadraticPoly, width: Fraction) -> Fraction:
@@ -553,21 +538,12 @@ def deformation_audit(
 
 
 @dataclass(frozen=True)
-class AlexanderReport:
+class AlexanderReport(_Report):
     verdict: str
     subset_reduced: Tuple[int, ...]
     complement_reduced: Tuple[int, ...]
     sphere_dim: int
     note: str = ""
-
-    def to_dict(self) -> Dict:
-        return {
-            "verdict": self.verdict,
-            "subset_reduced": list(self.subset_reduced),
-            "complement_reduced": list(self.complement_reduced),
-            "sphere_dim": self.sphere_dim,
-            "note": self.note,
-        }
 
 
 def _reduced(vec: Sequence[int]) -> Tuple[int, ...]:
@@ -623,23 +599,16 @@ def alexander_equator_audit(
 
 
 @dataclass(frozen=True)
-class MVExample:
+class MVExample(_Report):
     name: str
     union_betti: Tuple[int, ...]
     pieces: Dict[Tuple[int, ...], Tuple[int, ...]]
     degree: int
     verdict: str
 
-    def to_dict(self) -> Dict:
-        return {
-            "name": self.name,
-            "union_betti": list(self.union_betti),
-            "pieces": {
-                ",".join(map(str, key)): list(vec) for key, vec in self.pieces.items()
-            },
-            "degree": self.degree,
-            "verdict": self.verdict,
-        }
+    def csv_table(self) -> Tuple[List[str], List[Dict]]:
+        return ["name", "degree", "verdict"], [
+            {"name": self.name, "degree": self.degree, "verdict": self.verdict}]
 
 
 def _hollow_square(x: int, y: int) -> CubicalComplex:
@@ -723,6 +692,31 @@ def mv_fabricated_example() -> MVExample:
 
 
 # ---------------------------------------------------------------------------
+# The audit registry: every name `quadbetti audit --name` accepts.  An entry
+# takes the parsed command line values (k, r_in, r_out, radius, params,
+# t_values, resolution, seed) as keywords and ignores those it does not read.
+# Entries reach the audits through this module's globals, so a wrapper
+# installed on a module attribute sees every call.
+
+_CONE = QuadraticForm.make(3, [[1, 0, 0], [0, 1, 0], [0, 0, -1]])  # x^2 + y^2 = z^2
+
+AUDIT_REGISTRY: Dict[str, Callable[..., _Report]] = {
+    "products-bounds": lambda k, **_: bound_audit(scenario_products(k)),
+    "shell-bounds": lambda k, r_in, r_out, **_: bound_audit(scenario_shell(k, r_in, r_out)),
+    "smith-cone": lambda radius, probe=True, **_: smith_audit([_CONE], radius=radius, probe=probe),
+    "double-cover-products": lambda k, params, resolution, **_: double_cover_audit(
+        scenario_products(k), params, sphere_resolution=resolution),
+    "deformation-products": lambda k, params, t_values, resolution, seed, **_: deformation_audit(
+        scenario_products(k), params, t_values=t_values, sphere_resolution=resolution, seed=seed),
+    "alexander-equator": lambda **_: alexander_equator_audit(),
+    "mv-wedge": lambda **_: mv_wedge_example(),
+    "mv-disjoint": lambda **_: mv_disjoint_example(),
+    "mv-three": lambda **_: mv_three_arc_example(),
+    "mv-fabricated-violation": lambda **_: mv_fabricated_example(),
+}
+
+
+# ---------------------------------------------------------------------------
 # Batch runner used by the command line front end.
 
 
@@ -745,62 +739,59 @@ def _grid_matches_oracle(sc: Scenario) -> SuiteResult:
     )
 
 
+# Suite rows the command line does not offer; called like registry entries.
+_SUITE_ONLY: Dict[str, Callable] = {
+    "grid-oracle-products": lambda k, **_: _grid_matches_oracle(scenario_products(k)),
+    "grid-oracle-shell": lambda k, r_in, r_out, **_: _grid_matches_oracle(
+        scenario_shell(k, r_in, r_out)),
+    "double-cover-shell": lambda k, r_in, r_out, params, resolution, **_: double_cover_audit(
+        scenario_shell(k, r_in, r_out), params, sphere_resolution=resolution),
+    "deformation-shell": lambda k, r_in, r_out, params, t_values, resolution, seed, **_:
+        deformation_audit(scenario_shell(k, r_in, r_out), params, t_values=t_values,
+                          sphere_resolution=resolution, seed=seed),
+}
+
+_SHELL = {"r_in": Fraction(1, 2), "r_out": Fraction(1)}
+_LIFT = {"params": DeformationParams(), "t_values": (Fraction(0), Fraction(1, 1000)),
+         "resolution": None}
+
+# (suite name, registry or suite-only entry, fixed arguments); every entry also gets the seed.
+_SUITE = (
+    ("bounds-products-k1", "products-bounds", {"k": 1}),
+    ("bounds-products-k2", "products-bounds", {"k": 2}),
+    ("bounds-products-k3", "products-bounds", {"k": 3}),
+    ("grid-oracle-products-k2", "grid-oracle-products", {"k": 2}),
+    ("bounds-shell-k2", "shell-bounds", {"k": 2, **_SHELL}),
+    ("grid-oracle-shell-k2", "grid-oracle-shell", {"k": 2, **_SHELL}),
+    ("smith-cone", "smith-cone", {"radius": Fraction(1), "probe": False}),
+    ("mv-wedge", "mv-wedge", {}),
+    ("mv-disjoint", "mv-disjoint", {}),
+    ("mv-three-arcs", "mv-three", {}),
+    ("alexander-equator", "alexander-equator", {}),
+    ("double-cover-products-k1", "double-cover-products", {"k": 1, **_LIFT}),
+    ("deformation-products-k1", "deformation-products", {"k": 1, **_LIFT}),
+)
+_SUITE_FULL = (
+    ("grid-oracle-products-k3", "grid-oracle-products", {"k": 3}),
+    ("grid-oracle-products-k4", "grid-oracle-products", {"k": 4}),
+    ("bounds-shell-k3", "shell-bounds", {"k": 3, **_SHELL}),
+    ("grid-oracle-shell-k3", "grid-oracle-shell", {"k": 3, **_SHELL}),
+    ("double-cover-products-k2", "double-cover-products", {"k": 2, **_LIFT}),
+    ("double-cover-shell-k2", "double-cover-shell", {"k": 2, **_SHELL, **_LIFT}),
+    ("deformation-shell-k2", "deformation-shell", {"k": 2, **_SHELL, **_LIFT}),
+)
+
+
 def run_verification_suite(seed: int = 0, full: bool = False) -> List[SuiteResult]:
     """Run the built-in scenario and audit batch; deterministic given seed."""
+    entries = {**AUDIT_REGISTRY, **_SUITE_ONLY}
     results: List[SuiteResult] = []
-
-    for k in (1, 2, 3):
-        rep = bound_audit(scenario_products(k))
-        results.append(
-            SuiteResult(f"bounds-products-k{k}", rep.overall, document=rep.to_dict())
-        )
-    results.append(_grid_matches_oracle(scenario_products(2)))
-
-    shell2 = scenario_shell(2, Fraction(1, 2), 1)
-    rep = bound_audit(shell2)
-    results.append(SuiteResult("bounds-shell-k2", rep.overall, document=rep.to_dict()))
-    results.append(_grid_matches_oracle(shell2))
-
-    cone = QuadraticForm.make(3, [[1, 0, 0], [0, 1, 0], [0, 0, -1]])
-    smith = smith_audit([cone], probe=False)
-    results.append(
-        SuiteResult(
-            "smith-cone",
-            smith.verdict,
-            note=f"projective total {smith.projective_total} vs bound {smith.bound}",
-            document=smith.to_dict(),
-        )
-    )
-
-    for example in (mv_wedge_example(), mv_disjoint_example(), mv_three_arc_example()):
-        results.append(SuiteResult(example.name, example.verdict, document=example.to_dict()))
-
-    alex = alexander_equator_audit()
-    results.append(SuiteResult("alexander-equator", alex.verdict, document=alex.to_dict()))
-
-    dc1 = double_cover_audit(scenario_products(1))
-    results.append(SuiteResult("double-cover-products-k1", dc1.verdict, document=dc1.to_dict()))
-
-    de1 = deformation_audit(scenario_products(1), seed=seed)
-    results.append(SuiteResult("deformation-products-k1", de1.verdict, document=de1.to_dict()))
-
-    if full:
-        results.append(_grid_matches_oracle(scenario_products(3)))
-        results.append(_grid_matches_oracle(scenario_products(4)))
-        shell3 = scenario_shell(3, Fraction(1, 2), 1)
-        rep = bound_audit(shell3)
-        results.append(SuiteResult("bounds-shell-k3", rep.overall, document=rep.to_dict()))
-        results.append(_grid_matches_oracle(shell3))
-        dc2 = double_cover_audit(scenario_products(2))
-        results.append(
-            SuiteResult("double-cover-products-k2", dc2.verdict, document=dc2.to_dict())
-        )
-        dcs = double_cover_audit(shell2)
-        results.append(
-            SuiteResult("double-cover-shell-k2", dcs.verdict, document=dcs.to_dict())
-        )
-        des = deformation_audit(shell2, seed=seed)
-        results.append(
-            SuiteResult("deformation-shell-k2", des.verdict, document=des.to_dict())
-        )
+    for name, entry, args in _SUITE + (_SUITE_FULL if full else ()):
+        report = entries[entry](seed=seed, **args)
+        if isinstance(report, SuiteResult):
+            results.append(report)
+            continue
+        note = (f"projective total {report.projective_total} vs bound {report.bound}"
+                if isinstance(report, SmithReport) else "")
+        results.append(SuiteResult(name, report.verdict, note, report.to_dict()))
     return results

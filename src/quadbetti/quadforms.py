@@ -391,6 +391,13 @@ class DeformationParams:
             raise ValueError(f"need 0 <= t <= 1, got t={self.t}")
 
 
+def _positive_resolution(value) -> Fraction:
+    res = _fr(value)
+    if res <= 0:
+        raise ValueError(f"resolution must be positive, got {res}")
+    return res
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Axis-aligned rational box split into cells of one rational width.
@@ -402,13 +409,10 @@ class GridSpec:
 
     box: Tuple[Tuple[Fraction, Fraction], ...]
     resolution: Fraction
-    rule: str = "center"
 
     def __post_init__(self):
         box = tuple((_fr(lo), _fr(hi)) for lo, hi in self.box)
-        res = _fr(self.resolution)
-        if res <= 0:
-            raise ValueError(f"resolution must be positive, got {res}")
+        res = _positive_resolution(self.resolution)
         for lo, hi in box:
             if hi <= lo:
                 raise ValueError(f"empty axis interval [{lo}, {hi}]")
@@ -416,8 +420,6 @@ class GridSpec:
                 raise ValueError(
                     f"axis width {hi - lo} is not a multiple of resolution {res}"
                 )
-        if self.rule != "center":
-            raise ValueError(f"unsupported membership rule {self.rule!r}")
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "resolution", res)
 
@@ -438,7 +440,7 @@ class GridSpec:
     @staticmethod
     def symmetric(half_width, resolution, dim: int) -> "GridSpec":
         """Box [-H, H]^dim with H snapped up to a multiple of the resolution."""
-        h = _fr(resolution)
+        h = _positive_resolution(resolution)
         half = _fr(half_width)
         n = -((-half) // h)  # ceil division for Fractions
         half = n * h

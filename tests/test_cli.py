@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from quadbetti.cli import main
 
 
@@ -106,6 +108,20 @@ class TestAuditCommand:
         code, _ = run_cli(capsys, "audit", "--name", "nope")
         assert code == 2
 
+    def test_name_prefix_is_not_a_match(self, capsys):
+        code, out = run_cli(capsys, "audit", "--name", "products-bounds-xyz")
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("--name", "smith-cone", "--radius", "0"),
+        ("--name", "double-cover-products", "--resolution", "0"),
+        ("--name", "deformation-products", "--resolution", "0"),
+    ])
+    def test_zero_resolution_is_usage_error(self, capsys, argv):
+        assert main(["audit", *argv]) == 2
+        assert "resolution must be positive" in capsys.readouterr().err
+
     def test_products_bounds_json(self, capsys):
         code, out = run_cli(
             capsys, "audit", "--name", "products-bounds", "--k", "2",
@@ -130,6 +146,13 @@ class TestOutputFile:
         code = main(["ci", "--j", "1", "--k", "3", "--output", str(target)])
         assert code == 0
         assert target.read_text().splitlines()[1] == "1,3,2,4"
+
+    def test_missing_directory_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x"
+        code = main(["ci", "--j", "1", "--k", "3", "--output", str(target)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not target.parent.exists()
 
     def test_usage_error_without_subcommand(self, capsys):
         assert main([]) == 2
