@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence
 
 __all__ = [
@@ -36,28 +35,21 @@ def _check_indices(j: int, k: int) -> None:
         raise ValueError(f"j must not exceed k, got j={j}, k={k}")
 
 
-@lru_cache(maxsize=None)
 def q_quad(j: int, k: int) -> int:
     """Auxiliary sum for smooth intersections of j quadrics in projective k-space.
 
     Three-case recurrence: k + 1 when j = 0, 2**j when j = k, and
-    2*q(j-1, k-1) - q(j, k-1) in between.  Values may be negative.
+    2*q(j-1, k-1) - q(j, k-1) in between.  Values may be negative.  This
+    is `c_ci` with every degree equal to 2.
     """
     _check_indices(j, k)
-    if j == 0:
-        return k + 1
-    if j == k:
-        return 2**j
-    return 2 * q_quad(j - 1, k - 1) - q_quad(j, k - 1)
+    return c_ci(j, k, (2,) * j)
 
 
 def b_quad(j: int, k: int) -> int:
     """Total mod-2 Betti number of a smooth intersection of j quadrics in P^k."""
     _check_indices(j, k)
-    q = q_quad(j, k)
-    b = q if (k - j) % 2 == 0 else 2 * (k - j + 1) - q
-    assert b >= 0, (j, k, b)
-    return b
+    return b_ci(j, k, (2,) * j)
 
 
 def _normalized_degrees(degrees: Sequence[int]) -> tuple:
@@ -68,27 +60,26 @@ def _normalized_degrees(degrees: Sequence[int]) -> tuple:
     return out
 
 
-@lru_cache(maxsize=None)
-def _c_ci(j: int, k: int, degrees: tuple) -> int:
-    if j == 0:
-        return k + 1
-    if j == k:
-        return math.prod(degrees)
-    last = degrees[-1]
-    return last * _c_ci(j - 1, k - 1, degrees[:-1]) - (last - 1) * _c_ci(j, k - 1, degrees)
-
-
 def c_ci(j: int, k: int, degrees: Sequence[int]) -> int:
     """Degree-sequence recurrence underlying complete-intersection Betti totals.
 
     The last degree recurses out: c(j, k, d) = d_j * c(j-1, k-1, d[:-1])
     - (d_j - 1) * c(j, k-1, d), with c(0, k) = k + 1 and c(k, k) = prod(d).
+    Evaluated one degree at a time, without recursion: row i holds
+    c(i, i + t, d[:i]) for t = 0 .. k - j.
     """
     d = _normalized_degrees(degrees)
     _check_indices(j, k)
     if len(d) != j:
         raise ValueError(f"expected {j} degrees, got {len(d)}")
-    return _c_ci(j, k, d)
+    row = list(range(1, k - j + 2))
+    head = 1
+    for dj in d:
+        head *= dj
+        prev, row = row, [head]
+        for t in range(1, k - j + 1):
+            row.append(dj * prev[t] - (dj - 1) * row[t - 1])
+    return row[-1]
 
 
 def b_ci(j: int, k: int, degrees: Sequence[int]) -> int:

@@ -35,6 +35,7 @@ from .quadforms import (
     QuadraticForm,
     QuadraticPoly,
     _GridScale,
+    _fr,
     ci_probe,
     dehomogenize,
     format_rational,
@@ -132,8 +133,8 @@ def scenario_shell(k: int, r_in, r_out) -> Scenario:
     """Spherical shell r_in <= |x| <= r_out, which retracts to the (k-1)-sphere."""
     if not 2 <= k <= 3:
         raise ValueError(f"desk scale is 2 <= k <= 3, got {k}")
-    rin = Fraction(r_in)
-    rout = Fraction(r_out)
+    rin = _fr(r_in)
+    rout = _fr(r_out)
     if not 0 < rin < rout:
         raise ValueError(f"need 0 < r_in < r_out, got {rin}, {rout}")
     neg_identity = [
@@ -296,20 +297,17 @@ class SmithReport(_Report):
 
 
 def smith_audit(
-    forms: Sequence[QuadraticForm],
-    radius=1,
-    spec: Optional[GridSpec] = None,
-    tau=None,
-    probe: bool = True,
+    forms: Sequence[QuadraticForm], radius=1, probe: bool = True
 ) -> SmithReport:
     """Check the projective zero set of a quadric tuple against its bound.
 
-    The zero set is approximated on the sphere of the given radius, its
-    total Betti number is halved (the sphere set double-covers the
-    projective set under the antipodal map; halving can only undercount,
-    which keeps the audited inequality sound), and the result is compared
-    with the exact total for a smooth degree-2 complete intersection of
-    the same codimension.  Grid-based throughout, so the verdict is PASS
+    The zero set is approximated on the sphere of the given radius (grid
+    width radius/8, band half-width tau twice that), its total Betti
+    number is halved (the sphere set double-covers the projective set
+    under the antipodal map; halving can only undercount, which keeps the
+    audited inequality sound), and the result is compared with the exact
+    total for a smooth degree-2 complete intersection of the same
+    codimension.  Grid-based throughout, so the verdict is PASS
     or INCONCLUSIVE, never VIOLATION.  Each input form must be exactly
     nonsingular (invertible Gram matrix) or a ValueError is raised.
     """
@@ -323,14 +321,10 @@ def smith_audit(
     proj_dim = n - 1
     if codim > proj_dim:
         raise ValueError(f"codimension {codim} exceeds projective dimension {proj_dim}")
-    r = Fraction(radius)
-    if spec is None:
-        res = r / 8
-        spec = GridSpec.symmetric(r + 2 * res, res, n)
-    if tau is None:
-        tau = 2 * spec.resolution
-    complex_ = sphere_zero_complex(forms, r, spec, tau)
-    vec = betti(complex_)
+    r = _fr(radius)
+    res = r / 8
+    spec = GridSpec.symmetric(r + 2 * res, res, n)
+    vec = betti(sphere_zero_complex(forms, r, spec, 2 * res))
     total = sum(vec)
     bound = b_ci(codim, proj_dim, (2,) * codim)
     probe_report = ci_probe(forms, samples=8, seed=0) if probe else None
@@ -368,7 +362,7 @@ def _scenario_fits_ball(sc: Scenario, eps: Fraction) -> bool:
 
 def _lift_spec(eps: Fraction, dim: int, resolution=None) -> Tuple[GridSpec, Fraction]:
     r = 2 / eps
-    hs = Fraction(resolution) if resolution is not None else r / 32
+    hs = _fr(resolution) if resolution is not None else r / 32
     return GridSpec.symmetric(r + 2 * hs, hs, dim), r
 
 
@@ -474,7 +468,7 @@ def deformation_audit(
     closed deformed sets.
     """
     params = params or DeformationParams()
-    ts = sorted({Fraction(t) for t in t_values})
+    ts = sorted({_fr(t) for t in t_values})
     for t in ts:
         if not 0 <= t <= params.delta:
             raise ValueError(f"t={t} outside [0, delta={params.delta}]")
@@ -553,26 +547,22 @@ def _reduced(vec: Sequence[int]) -> Tuple[int, ...]:
     return (vec[0] - 1,) + vec[1:]
 
 
-def alexander_equator_audit(
-    radius=1, resolution=Fraction(1, 8), tau=None
-) -> AlexanderReport:
-    """Duality spot-check on the 2-sphere with the equator circle as subset.
+def alexander_equator_audit() -> AlexanderReport:
+    """Duality spot-check on the unit 2-sphere with the equator circle as subset.
 
     Compares reduced homology ranks of the complement (two polar caps)
     with reduced ranks of the subset in complementary degree.  Both sides
     are taken reduced; over a field, cohomology ranks equal homology
     ranks, so reduced homology numbers stand in for reduced cohomology.
+    The grid width is 1/8 and the equator band half-width tau is 1/4.
     """
-    r = Fraction(radius)
-    res = Fraction(resolution)
-    spec = GridSpec.symmetric(r + 2 * res, res, 3)
-    if tau is None:
-        tau = 2 * res
+    res = Fraction(1, 8)
+    spec = GridSpec.symmetric(1 + 2 * res, res, 3)
     equator_form = QuadraticForm.make(
         3, [[0, 0, 0], [0, 0, 0], [0, 0, 1]]
     )  # zero set of X3^2 is the equator plane
-    subset = sphere_zero_complex([equator_form], r, spec, tau)
-    band = sphere_band_complex(r, spec)
+    subset = sphere_zero_complex([equator_form], 1, spec, 2 * res)
+    band = sphere_band_complex(1, spec)
     # complement: band top cells whose closed cube misses the subset entirely
     subset_cells = subset.cells
     complement_tops = [

@@ -103,6 +103,16 @@ def cube_all_faces(cube: Cube) -> List[Cube]:
     return [tuple(c) for c in itertools.product(*choices)]
 
 
+def _group_by_dim(cells: Iterable[Cube]) -> Dict[int, List[Cube]]:
+    """Cells grouped by dimension, each group sorted."""
+    out: Dict[int, List[Cube]] = {}
+    for c in cells:
+        out.setdefault(cube_dim(c), []).append(c)
+    for group in out.values():
+        group.sort()
+    return out
+
+
 class CubicalComplex:
     """Immutable set of elementary cubes sharing one ambient dimension.
 
@@ -138,12 +148,7 @@ class CubicalComplex:
 
     @cached_property
     def _by_dim(self) -> Dict[int, List[Cube]]:
-        out: Dict[int, List[Cube]] = {}
-        for c in self.cells:
-            out.setdefault(cube_dim(c), []).append(c)
-        for cells in out.values():
-            cells.sort()
-        return out
+        return _group_by_dim(self.cells)
 
     @property
     def dim(self) -> int:
@@ -170,29 +175,17 @@ class CubicalComplex:
 def close_under_faces(
     cubes: Iterable[Cube], ambient_dim: Optional[int] = None
 ) -> CubicalComplex:
-    """Smallest face-closed complex containing the given cubes."""
-    seed = list(cubes)
-    if seed:
-        dims = {len(c) for c in seed}
-        if len(dims) > 1:
-            raise ValueError(f"mixed ambient dimensions: {sorted(dims)}")
-        inferred = dims.pop()
-        if ambient_dim is not None and ambient_dim != inferred:
-            raise ValueError(
-                f"cubes have {inferred} axes but ambient_dim={ambient_dim} was given"
-            )
-        ambient_dim = inferred
-    elif ambient_dim is None:
-        ambient_dim = 0
+    """Smallest face-closed complex containing the given cubes.
+
+    The ambient dimension defaults to the axis count of the first cube;
+    `CubicalComplex` rejects any cube with another axis count.
+    """
     cells = set()
-    stack = list(seed)
-    while stack:
-        c = stack.pop()
-        if c in cells:
-            continue
-        cells.add(c)
-        stack.extend(cube_faces(c))
-    return CubicalComplex(ambient_dim, cells)
+    for c in cubes:
+        if ambient_dim is None:
+            ambient_dim = len(c)
+        cells.update(cube_all_faces(c))
+    return CubicalComplex(0 if ambient_dim is None else ambient_dim, cells)
 
 
 def _bitset_rank(vectors: Iterable[int]) -> int:
@@ -240,11 +233,6 @@ class GF2Matrix:
 
     def rank(self) -> int:
         return _bitset_rank(self.columns)
-
-    def to_rows(self) -> List[List[int]]:
-        return [
-            [(col >> r) & 1 for col in self.columns] for r in range(self.n_rows)
-        ]
 
     def __repr__(self):
         return f"GF2Matrix({self.n_rows}x{self.n_cols})"
@@ -382,14 +370,9 @@ def betti(c: CubicalComplex, precollapse: bool = True) -> Tuple[int, ...]:
     """
     if not c.cells:
         return (0,) * (c.ambient_dim + 1)
-    top = c.dim
-    cells = _collapsed_core(c.cells) if precollapse else set(c.cells)
-    by_dim: Dict[int, List[Cube]] = {}
-    for cell in cells:
-        by_dim.setdefault(cube_dim(cell), []).append(cell)
-    for lst in by_dim.values():
-        lst.sort()
-    cc = _chain_from_cells(by_dim, top)
+    top = max(map(cube_dim, c.cells))
+    core = _collapsed_core(c.cells) if precollapse else c.cells
+    cc = _chain_from_cells(_group_by_dim(core), top)
     ranks = [m.rank() for m in cc.boundaries]
     out = []
     for d in range(top + 1):
@@ -414,17 +397,13 @@ def _betti_entry(v: Sequence[int], i: int) -> int:
     return v[i]
 
 
-def mayer_vietoris_audit(
-    union_betti: Sequence[int],
-    piece_betti: Mapping,
-    i: int,
-    ell: Optional[int] = None,
-) -> str:
+def mayer_vietoris_audit(union_betti: Sequence[int], piece_betti: Mapping, i: int) -> str:
     """Check b_i(union) against the Mayer-Vietoris style intersection bound.
 
     `piece_betti` maps each nonempty index set J (tuple or frozenset of
     1-based piece indices, 1 <= |J| <= i+1) to the Betti vector of the
-    corresponding intersection of pieces.  Returns PASS when
+    corresponding intersection of pieces; the piece count is the largest
+    index that occurs.  Returns PASS when
     b_i(union) <= sum_{j=1}^{i+1} sum_{|J|=j} b_{i-j+1}(intersection_J),
     VIOLATION otherwise.  A missing index set raises (no verdict).
     """
@@ -436,8 +415,7 @@ def mayer_vietoris_audit(
         if not fkey or min(fkey) < 1:
             raise ValueError(f"piece index sets must be nonempty sets of 1-based ints, got {key!r}")
         pieces[fkey] = tuple(vec)
-    if ell is None:
-        ell = max(max(J) for J in pieces)
+    ell = max(max(J) for J in pieces)
     bound = 0
     for j in range(1, i + 2):
         for J in itertools.combinations(range(1, ell + 1), j):

@@ -21,11 +21,11 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .homology import Cube, CubicalComplex, close_under_faces
+from .homology import CubicalComplex, close_under_faces
 
 __all__ = [
     "parse_rational",
@@ -463,9 +463,6 @@ class _GridScale:
     def bound(self, axis: int, j: int) -> int:
         return self.lo[axis] + self.step * j
 
-    def center_coord(self, axis: int, j: int) -> int:
-        return self.lo[axis] + self.step * j + self.step // 2
-
     def center_vec(self, jvec: Sequence[int]) -> Tuple[int, ...]:
         half = self.step // 2
         return tuple(
@@ -505,29 +502,38 @@ class _ScaledPoly:
         return total
 
 
-def grid_complex(system: Sequence[QuadraticPoly], spec: GridSpec) -> CubicalComplex:
-    """Face closure of every grid cell whose center satisfies all inequalities.
-
-    Membership is P >= 0 for every polynomial of the system, decided
-    exactly; the empty system keeps the whole box.  Cube coordinates are
-    grid units (cell indices), not box coordinates.
-    """
-    k = spec.dim
-    for p in system:
-        if p.k != k:
-            raise ValueError(f"polynomial has {p.k} variables, grid has {k} axes")
-    gs = _GridScale(spec)
-    evals = [_ScaledPoly(p, gs.scale) for p in system]
-    tops: List[Cube] = []
-    for jvec in itertools.product(*[range(nc) for nc in spec.shape]):
-        u = gs.center_vec(jvec)
-        if all(e.value(u) >= 0 for e in evals):
-            tops.append(tuple(2 * j + 1 for j in jvec))
-    return close_under_faces(tops, ambient_dim=k)
+# Largest grid box, in top cells, that a builder accepts.  It is checked
+# before any cell is visited; the largest grid the audits and the suite build
+# is the 3-D sphere lift of 68**3 = 314,432 cells.
+MAX_GRID_CELLS = 2**22
 
 
-def _sphere_band_cells(spec: GridSpec, radius: Fraction) -> List[Tuple[int, ...]]:
-    """Indices of top cells whose closed cube the radius-r sphere crosses.
+def _evaluators(
+    polys: Sequence[QuadraticPoly], spec: GridSpec, noun: str = "polynomial"
+) -> List[_ScaledPoly]:
+    """Integer evaluators of the polynomials at the grid's scaled cell centers."""
+    for p in polys:
+        if p.k != spec.dim:
+            raise ValueError(f"{noun} has {p.k} variables, grid has {spec.dim} axes")
+    scale = _GridScale(spec).scale
+    return [_ScaledPoly(p, scale) for p in polys]
+
+
+def _sphere_radius(radius, spec: GridSpec) -> Fraction:
+    """The radius as an exact positive rational whose sphere the grid box contains."""
+    r = _fr(radius)
+    if r <= 0:
+        raise ValueError(f"radius must be positive, got {r}")
+    for lo, hi in spec.box:
+        if lo > -r or hi < r:
+            raise ValueError(
+                f"grid box does not contain the radius-{r} sphere on axis [{lo}, {hi}]"
+            )
+    return r
+
+
+def _sphere_band_cells(spec: GridSpec, radius: Fraction) -> Iterator[Tuple[int, ...]]:
+    """Indices of top cells whose closed cube the radius-r sphere crosses, lazily.
 
     Exact per-axis interval arithmetic on x^2: a cell is in the band iff
     sum(min x_i^2) <= r^2 <= sum(max x_i^2) over the closed cube.
@@ -551,34 +557,50 @@ def _sphere_band_cells(spec: GridSpec, radius: Fraction) -> List[Tuple[int, ...]
     suffix_max = [0] * (n + 1)
     for ax in range(n - 1, -1, -1):
         suffix_max[ax] = suffix_max[ax + 1] + max(maxs[ax])
-    out: List[Tuple[int, ...]] = []
     jvec = [0] * n
 
-    def descend(ax: int, msum: int, xsum: int) -> None:
+    def descend(ax: int, msum: int, xsum: int) -> Iterator[Tuple[int, ...]]:
         if msum * td > tn or (xsum + suffix_max[ax]) * td < tn:
             return
+        mrow, xrow = mins[ax], maxs[ax]
         if ax == n - 1:
-            mrow, xrow = mins[ax], maxs[ax]
             for j in range(shape[ax]):
                 if (msum + mrow[j]) * td <= tn <= (xsum + xrow[j]) * td:
                     jvec[ax] = j
-                    out.append(tuple(jvec))
+                    yield tuple(jvec)
             return
-        mrow, xrow = mins[ax], maxs[ax]
         for j in range(shape[ax]):
             jvec[ax] = j
-            descend(ax + 1, msum + mrow[j], xsum + xrow[j])
+            yield from descend(ax + 1, msum + mrow[j], xsum + xrow[j])
 
-    descend(0, 0, 0)
-    return out
+    yield from descend(0, 0, 0)
 
 
-def _check_box_contains_sphere(spec: GridSpec, radius: Fraction) -> None:
-    for lo, hi in spec.box:
-        if lo > -radius or hi < radius:
-            raise ValueError(
-                f"grid box does not contain the radius-{radius} sphere on axis [{lo}, {hi}]"
-            )
+def _build(spec: GridSpec, cells: Iterable[Sequence[int]],
+           keep: Callable[[Tuple[int, ...]], bool]) -> CubicalComplex:
+    """Face closure of the candidate cells whose integer-scaled center passes `keep`.
+
+    `cells` is consumed lazily, so a box above MAX_GRID_CELLS is rejected
+    before any cell is visited.
+    """
+    size = math.prod(spec.shape)
+    if size > MAX_GRID_CELLS:
+        raise ValueError(f"grid has {size} cells, above the limit of {MAX_GRID_CELLS}")
+    center = _GridScale(spec).center_vec
+    tops = [tuple(2 * j + 1 for j in jvec) for jvec in cells if keep(center(jvec))]
+    return close_under_faces(tops, ambient_dim=spec.dim)
+
+
+def grid_complex(system: Sequence[QuadraticPoly], spec: GridSpec) -> CubicalComplex:
+    """Face closure of every grid cell whose center satisfies all inequalities.
+
+    Membership is P >= 0 for every polynomial of the system, decided
+    exactly; the empty system keeps the whole box.  Cube coordinates are
+    grid units (cell indices), not box coordinates.
+    """
+    evals = _evaluators(system, spec)
+    box = itertools.product(*map(range, spec.shape))
+    return _build(spec, box, lambda u: all(e.value(u) >= 0 for e in evals))
 
 
 def sphere_zero_complex(
@@ -590,43 +612,23 @@ def sphere_zero_complex(
     every form; tau should scale with the resolution (the audits default
     to twice the cell width).
     """
-    r = _fr(radius)
+    r = _sphere_radius(radius, spec)
     t = _fr(tau)
-    if r <= 0:
-        raise ValueError(f"radius must be positive, got {r}")
     if t <= 0:
         raise ValueError(f"tau must be positive, got {t}")
-    n = spec.dim
     if not forms:
         raise ValueError("need at least one form")
-    for f in forms:
-        if f.n != n:
-            raise ValueError(f"form has {f.n} variables, grid has {n} axes")
-    _check_box_contains_sphere(spec, r)
-    gs = _GridScale(spec)
-    evals = [_ScaledPoly(f.as_poly(), gs.scale) for f in forms]
+    evals = _evaluators([f.as_poly() for f in forms], spec, "form")
     # |Q(c)| <= tau  <=>  |value| * tau_den <= tau_num * mult
-    bounds = [(t.numerator * e.mult, t.denominator) for e in evals]
-    tops: List[Cube] = []
-    for jvec in _sphere_band_cells(spec, r):
-        u = gs.center_vec(jvec)
-        if all(
-            abs(e.value(u)) * td <= tn for e, (tn, td) in zip(evals, bounds)
-        ):
-            tops.append(tuple(2 * j + 1 for j in jvec))
-    return close_under_faces(tops, ambient_dim=n)
+    bounds = [(e, t.numerator * e.mult, t.denominator) for e in evals]
+    return _build(spec, _sphere_band_cells(spec, r),
+                  lambda u: all(abs(e.value(u)) * td <= tn for e, tn, td in bounds))
 
 
 def sphere_band_complex(radius, spec: GridSpec) -> CubicalComplex:
     """Face closure of every grid cell the radius-r sphere crosses."""
-    r = _fr(radius)
-    if r <= 0:
-        raise ValueError(f"radius must be positive, got {r}")
-    _check_box_contains_sphere(spec, r)
-    tops = [
-        tuple(2 * j + 1 for j in jvec) for jvec in _sphere_band_cells(spec, r)
-    ]
-    return close_under_faces(tops, ambient_dim=spec.dim)
+    r = _sphere_radius(radius, spec)
+    return _build(spec, _sphere_band_cells(spec, r), lambda u: True)
 
 
 def sphere_region_complex(
@@ -644,25 +646,17 @@ def sphere_region_complex(
     e = _fr(eps)
     if e <= 0:
         raise ValueError(f"eps must be positive, got {e}")
-    n = spec.dim
-    for p in polys:
-        if p.k != n:
-            raise ValueError(f"polynomial has {p.k} variables, grid has {n} axes")
-    r = 2 / e
-    _check_box_contains_sphere(spec, r)
-    gs = _GridScale(spec)
-    evals = [_ScaledPoly(p, gs.scale) for p in polys]
+    evals = _evaluators(polys, spec)
+    r = _sphere_radius(2 / e, spec)
     # |x_pre|^2 <= (1/eps)^2 x_last^2  <=>  p^2 * sum(u_i^2) <= q^2 * u_last^2
     p2 = e.numerator * e.numerator
     q2 = e.denominator * e.denominator
-    tops: List[Cube] = []
-    for jvec in _sphere_band_cells(spec, r):
-        u = gs.center_vec(jvec)
-        if p2 * sum(x * x for x in u[:-1]) > q2 * u[-1] * u[-1]:
-            continue
-        if all(ev.value(u) >= 0 for ev in evals):
-            tops.append(tuple(2 * j + 1 for j in jvec))
-    return close_under_faces(tops, ambient_dim=n)
+
+    def keep(u: Tuple[int, ...]) -> bool:
+        return (p2 * sum(x * x for x in u[:-1]) <= q2 * u[-1] * u[-1]
+                and all(ev.value(u) >= 0 for ev in evals))
+
+    return _build(spec, _sphere_band_cells(spec, r), keep)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,12 @@ class TestCiCommand:
         code, _ = run_cli(capsys, "ci", "--j", "2", "--k", "3", "--degrees", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("j, row", [("1", "1,3000,2,3000"), ("2", "2,3000,2;2,6000")])
+    def test_large_k_needs_no_recursion(self, capsys, j, row):
+        code, out = run_cli(capsys, "ci", "--j", j, "--k", "3000")
+        assert code == 0
+        assert out.splitlines()[1:] == [row]
+
 
 class TestBoundsCommand:
     def test_example_row(self, capsys):
@@ -121,6 +127,15 @@ class TestAuditCommand:
     def test_zero_resolution_is_usage_error(self, capsys, argv):
         assert main(["audit", *argv]) == 2
         assert "resolution must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("--name", "double-cover-products", "--k", "6"),
+        ("--name", "deformation-products", "--k", "3"),
+        ("--name", "double-cover-products", "--k", "1", "--resolution", "1/100"),
+    ])
+    def test_oversized_grid_is_usage_error(self, capsys, argv):
+        assert main(["audit", *argv]) == 2
+        assert "above the limit" in capsys.readouterr().err
 
     def test_products_bounds_json(self, capsys):
         code, out = run_cli(

@@ -59,6 +59,10 @@ class TestScenarios:
         with pytest.raises(ValueError):
             scenario_shell(2, 2, 1)
 
+    def test_shell_rejects_float_radii(self):
+        with pytest.raises(TypeError):
+            scenario_shell(2, 0.1, 1)
+
     def test_scenario_validation(self):
         grid = GridSpec(box=((0, 1),), resolution=Fraction(1, 2))
         with pytest.raises(ValueError):
@@ -165,6 +169,10 @@ class TestSmithAudit:
         with pytest.raises(ValueError):
             smith_audit([singular])
 
+    def test_float_radius_rejected(self):
+        with pytest.raises(TypeError):
+            smith_audit([CONE], radius=0.5, probe=False)
+
     def test_probe_attached(self):
         rep = smith_audit([CONE], probe=True)
         assert rep.probe is not None
@@ -199,6 +207,10 @@ class TestDoubleCover:
         assert rep.verdict == INCONCLUSIVE
         assert "shrink eps" in rep.note
 
+    def test_float_resolution_rejected(self):
+        with pytest.raises(TypeError):
+            double_cover_audit(scenario_products(1), sphere_resolution=1.25)
+
     def test_shell2_lift(self):
         rep = double_cover_audit(scenario_shell(2, Fraction(1, 2), 1))
         assert rep.verdict == PASS
@@ -219,6 +231,10 @@ class TestDeformation:
     def test_t_outside_delta_rejected(self):
         with pytest.raises(ValueError):
             deformation_audit(scenario_products(1), t_values=(Fraction(1, 2),))
+
+    def test_float_t_rejected(self):
+        with pytest.raises(TypeError):
+            deformation_audit(scenario_products(1), t_values=(0.0005,))
 
     def test_family_scale_reported(self):
         rep = deformation_audit(scenario_products(1))

@@ -10,6 +10,7 @@ import pytest
 from quadbetti.homology import betti, pad_betti
 from quadbetti.quadforms import (
     DeformationParams,
+    MAX_GRID_CELLS,
     GridSpec,
     QuadraticForm,
     QuadraticPoly,
@@ -342,6 +343,15 @@ class TestSphereComplexes:
         small = GridSpec.symmetric(Fraction(1, 2), Fraction(1, 8), 3)
         with pytest.raises(ValueError):
             sphere_band_complex(1, small)
+
+    def test_oversized_grid_rejected_before_work(self):
+        side = 2**11
+        spec = GridSpec(box=((0, side), (0, side + 1)), resolution=1)
+        assert side * (side + 1) > MAX_GRID_CELLS
+        with pytest.raises(ValueError, match="above the limit"):
+            grid_complex([], spec)
+        with pytest.raises(ValueError, match="above the limit"):
+            sphere_band_complex(1, GridSpec.symmetric(2, Fraction(1, 1024), 2))
 
     def test_region_complex_empty_system_gives_two_caps(self):
         spec = GridSpec.symmetric(21, Fraction(1, 2), 2)
