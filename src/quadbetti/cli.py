@@ -1,7 +1,9 @@
 """Command line front end: bound tables, intersection tables, audits.
 
 Exit codes: 0 all PASS, 1 any VIOLATION, 2 usage error, 3 inconclusive
-results (and no violation).  Rationals are emitted as numerator and
+results (and no violation), 4 internal error: any other exception, such
+as a RecursionError, a MemoryError or a bug, which is never a verdict and
+so never exits 1.  Rationals are emitted as numerator and
 denominator columns in CSV and as "p/q" strings in JSON; outputs are
 byte-identical across reruns with the same flags and seed.
 """
@@ -261,6 +263,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        import traceback  # only on this path, so a normal run does not pay its import
+
+        print(f"error: internal: {exc!r}", file=sys.stderr)
+        traceback.print_exc()
+        return 4
     text = buffer.getvalue()
     if args.output:
         try:

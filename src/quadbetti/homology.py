@@ -1,20 +1,43 @@
 """Cubical complexes and mod-2 homology via bit-packed boundary ranks.
 
 Cells are elementary cubes: products of integer intervals that are either
-degenerate [m, m] or unit [m, m+1].  Internally a cube is a flat tuple of
-per-axis codes, one int per axis:
+degenerate [m, m] or unit [m, m+1].  At the interface a cube is a flat
+tuple of per-axis codes, one int per axis:
 
     code 2*m     -> degenerate interval [m, m]
     code 2*m + 1 -> unit interval [m, m+1]
 
-so the two codim-1 faces along an odd axis are code-1 and code+1, cube
-dimension is the number of odd codes, and cubes hash fast.  Grid units are
-plain ints and may be negative.
+so the two codim-1 faces along an odd axis are code-1 and code+1, and cube
+dimension is the number of odd codes.  Grid units are plain ints and may be
+negative.
+
+Inside a complex each cell is one int on the doubled lattice, the implicit
+cubical complex of Wagner, Chen and Vucini (also used by CubicalRipser).
+Each complex fixes a frame over the bounding box of its codes: per axis an
+even lowest code lo_a, at least two below the smallest code, and a span of
+2^b_a positions reaching at least two above the largest; the last axis has
+stride 1 and stride_a = stride_{a+1} * 2^b_{a+1}.  A cell is
+
+    flat = sum_a (code_a - lo_a) * stride_a
+
+and a complex stores the set of its flat indices.  Since lo_a is even and
+every stride is a power of two, bit log2(stride_a) of a flat index is the
+parity of code_a: the odd-axis mask of a cell is flat & sum_a stride_a, and
+its popcount is the cell dimension.  The codim-1 faces of a cell are
+flat -/+ stride_a over the odd axes a, its cofaces flat -/+ stride_a over
+the even axes; the padding keeps every such neighbour inside the box, so no
+offset wraps onto another cell.  The frame tabulates both offset lists once
+per mask.  Face closure adds, axis by axis, both faces of every cell that
+is odd on that axis.  Flat order is the lexicographic order of the code
+tuples, and code tuples are decoded only on request (`cells`,
+`cells_of_dim`, a missing face in an error message).
 
 Betti numbers are computed over the two-element field: b_d equals
-(#d-cells) - rank(boundary_d) - rank(boundary_{d+1}).  `betti` first
-shrinks the complex by elementary free-face collapses (homotopy
-preserving, so the ranks are unchanged); pass precollapse=False for the
+(#d-cells) - rank(boundary_d) - rank(boundary_{d+1}).  `betti` counts the
+cofaces of every cell in one pass, which also checks face closure, then
+removes free (face, coface) pairs from a queue of flat indices.  These
+elementary collapses preserve the homotopy type, so the boundary ranks of
+the remaining core give the same numbers; pass precollapse=False for the
 direct computation.  Ranks use Gaussian elimination on int bitsets.
 """
 
@@ -24,7 +47,8 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from operator import mul
+from typing import Collection, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "PASS",
@@ -103,11 +127,71 @@ def cube_all_faces(cube: Cube) -> List[Cube]:
     return [tuple(c) for c in itertools.product(*choices)]
 
 
-def _group_by_dim(cells: Iterable[Cube]) -> Dict[int, List[Cube]]:
-    """Cells grouped by dimension, each group sorted."""
-    out: Dict[int, List[Cube]] = {}
-    for c in cells:
-        out.setdefault(cube_dim(c), []).append(c)
+class _Frame:
+    """Power-of-two strides over the padded bounding box of some codes, and per-mask offsets."""
+
+    __slots__ = ("lo", "spans", "strides", "base", "parity", "faces", "cofaces")
+
+    def __init__(self, cols: Sequence[Sequence[int]]):
+        """`cols` holds the codes found on each axis."""
+        lows: List[int] = []
+        spans: List[int] = []
+        strides: List[int] = []
+        stride, base = 1, 0
+        for col in reversed(cols):
+            # An even lo puts each code's parity in bit 0 of its position, and a
+            # margin of two codes keeps every face and coface inside the box.
+            lo = (min(col) - 2) & -2
+            span = (1 << (max(col) + 2 - lo).bit_length()) - 1
+            lows.append(lo)
+            spans.append(span)
+            strides.append(stride)
+            base += lo * stride
+            stride *= span + 1
+        lows.reverse()
+        spans.reverse()
+        strides.reverse()
+        self.lo, self.spans, self.strides, self.base = lows, spans, strides, base
+        self.parity = sum(strides)
+        self.faces: Dict[int, List[int]] = {}
+        self.cofaces: Dict[int, List[int]] = {}
+
+    def decode(self, flats: Collection[int]) -> Iterator[Cube]:
+        """Code tuples of the flat indices, in their order."""
+        if not self.strides:
+            return iter([()] * len(flats))
+        return zip(*[[(f // s & w) + lo for f in flats]
+                     for s, w, lo in zip(self.strides, self.spans, self.lo)])
+
+    def tabulate(self, flats: Iterable[int]) -> set:
+        """Fill the face and coface offsets of the masks of `flats`; returns those masks."""
+        masks = set(map(self.parity.__and__, flats))
+        for m in masks:
+            if m not in self.faces:
+                odd: List[int] = []
+                even: List[int] = []
+                for s in self.strides:
+                    (odd if m & s else even).extend((-s, s))
+                self.faces[m] = odd
+                self.cofaces[m] = even
+        return masks
+
+
+def _encode(cubes: Collection[Cube], ambient_dim: int) -> Tuple[_Frame, set]:
+    """Frame around the cubes, and the set of their flat indices."""
+    if set(map(len, cubes)) - {ambient_dim}:
+        c = next(c for c in cubes if len(c) != ambient_dim)
+        raise ValueError(f"cube {c!r} has {len(c)} axes, ambient dimension is {ambient_dim}")
+    frame = _Frame(list(zip(*cubes)) if cubes else [(0,)] * ambient_dim)
+    strides, base = frame.strides, frame.base
+    return frame, {sum(map(mul, c, strides)) - base for c in cubes}
+
+
+def _sorted_by_dim(flat: Iterable[int], parity: int) -> Dict[int, List[int]]:
+    """Flat indices grouped by cell dimension, each group sorted."""
+    out: Dict[int, List[int]] = {}
+    for f in flat:
+        out.setdefault((f & parity).bit_count(), []).append(f)
     for group in out.values():
         group.sort()
     return out
@@ -117,20 +201,31 @@ class CubicalComplex:
     """Immutable set of elementary cubes sharing one ambient dimension.
 
     Construct through `close_under_faces` to guarantee face-closure; the
-    homology routines assume it.
+    homology routines assume it, and `betti` raises when a face is missing.
     """
 
-    __slots__ = ("ambient_dim", "cells", "__dict__")
+    __slots__ = ("ambient_dim", "_frame", "_flat", "_cells", "__dict__")
 
     def __init__(self, ambient_dim: int, cells: Iterable[Cube]):
         self.ambient_dim = int(ambient_dim)
-        cellset = frozenset(cells)
-        for c in cellset:
-            if len(c) != self.ambient_dim:
-                raise ValueError(
-                    f"cube {c!r} has {len(c)} axes, ambient dimension is {self.ambient_dim}"
-                )
-        self.cells = cellset
+        self._cells = frozenset(cells)
+        self._frame, self._flat = _encode(self._cells, self.ambient_dim)
+
+    @classmethod
+    def _from_flat(cls, ambient_dim: int, frame: _Frame, flat: set) -> "CubicalComplex":
+        self = cls.__new__(cls)
+        self.ambient_dim = ambient_dim
+        self._frame = frame
+        self._flat = flat
+        self._cells = None
+        return self
+
+    @property
+    def cells(self) -> frozenset:
+        """The cells as code tuples, decoded on first use."""
+        if self._cells is None:
+            self._cells = frozenset(self._frame.decode(self._flat))
+        return self._cells
 
     def __eq__(self, other):
         if not isinstance(other, CubicalComplex):
@@ -141,34 +236,34 @@ class CubicalComplex:
         return hash((self.ambient_dim, self.cells))
 
     def __len__(self):
-        return len(self.cells)
+        return len(self._flat)
 
     def __repr__(self):
-        return f"CubicalComplex(ambient_dim={self.ambient_dim}, n_cells={len(self.cells)})"
+        return f"CubicalComplex(ambient_dim={self.ambient_dim}, n_cells={len(self)})"
 
     @cached_property
-    def _by_dim(self) -> Dict[int, List[Cube]]:
-        return _group_by_dim(self.cells)
+    def _dims(self) -> Dict[int, List[int]]:
+        return _sorted_by_dim(self._flat, self._frame.parity)
 
     @property
     def dim(self) -> int:
         """Largest cell dimension present (-1 for the empty complex)."""
-        return max(self._by_dim, default=-1)
+        return max(self._dims, default=-1)
 
     def cells_of_dim(self, d: int) -> List[Cube]:
-        return list(self._by_dim.get(d, ()))
+        return list(self._frame.decode(self._dims.get(d, ())))
 
     def n_cells(self, d: int) -> int:
-        return len(self._by_dim.get(d, ()))
+        return len(self._dims.get(d, ()))
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** d * len(cells) for d, cells in self._by_dim.items())
+        return sum((-1) ** d * len(flats) for d, flats in self._dims.items())
 
     def is_face_closed(self) -> bool:
-        for c in self.cells:
-            for f in cube_faces(c):
-                if f not in self.cells:
-                    return False
+        try:
+            _coface_counts(self)
+        except ValueError:
+            return False
         return True
 
 
@@ -178,14 +273,17 @@ def close_under_faces(
     """Smallest face-closed complex containing the given cubes.
 
     The ambient dimension defaults to the axis count of the first cube;
-    `CubicalComplex` rejects any cube with another axis count.
+    a cube with another axis count raises ValueError.
     """
-    cells = set()
-    for c in cubes:
-        if ambient_dim is None:
-            ambient_dim = len(c)
-        cells.update(cube_all_faces(c))
-    return CubicalComplex(0 if ambient_dim is None else ambient_dim, cells)
+    cubes = list(cubes)
+    if ambient_dim is None:
+        ambient_dim = len(cubes[0]) if cubes else 0
+    frame, cells = _encode(cubes, ambient_dim)
+    for s in frame.strides:
+        for f in [f for f in cells if f & s]:
+            cells.add(f - s)
+            cells.add(f + s)
+    return CubicalComplex._from_flat(ambient_dim, frame, cells)
 
 
 def _bitset_rank(vectors: Iterable[int]) -> int:
@@ -287,78 +385,82 @@ class ChainComplex:
         return True
 
 
-def _chain_from_cells(by_dim: Dict[int, List[Cube]], top: int) -> ChainComplex:
+def _chain(c: CubicalComplex, flat: Iterable[int], top: int) -> ChainComplex:
+    """Boundary matrices of the face-closed subcomplex `flat` of c, cells in sorted order."""
+    faces, parity = c._frame.faces, c._frame.parity
+    by_dim = _sorted_by_dim(flat, parity)
     counts = tuple(len(by_dim.get(d, ())) for d in range(top + 1))
     boundaries = []
     for d in range(1, top + 1):
         lower = by_dim.get(d - 1, [])
         upper = by_dim.get(d, [])
-        index = {c: r for r, c in enumerate(lower)}
+        index = {f: r for r, f in enumerate(lower)}
         columns = []
-        for cell in upper:
+        for f in upper:
             bits = 0
-            for f in cube_faces(cell):
-                try:
-                    bits |= 1 << index[f]
-                except KeyError:
-                    raise ValueError(f"complex is not face-closed: missing {f!r}")
+            for off in faces[f & parity]:
+                bits |= 1 << index[f + off]
             columns.append(bits)
         boundaries.append(GF2Matrix(len(lower), len(upper), columns))
     return ChainComplex(counts=counts, boundaries=tuple(boundaries))
 
 
+def _coface_counts(c: CubicalComplex) -> Dict[int, int]:
+    """Coface count of every cell of c; ValueError if c is not face-closed."""
+    flat = c._flat
+    live = dict.fromkeys(flat, 0)
+    for s in c._frame.strides:
+        for f in flat:
+            if f & s:
+                try:
+                    live[f - s] += 1
+                    live[f + s] += 1
+                except KeyError as exc:
+                    missing = next(c._frame.decode(exc.args))
+                    raise ValueError(f"complex is not face-closed: missing {missing!r}") from None
+    return live
+
+
 def chain_complex(c: CubicalComplex) -> ChainComplex:
     """Boundary matrices of a face-closed complex, cells in sorted order."""
-    top = max(c.dim, 0)
-    by_dim = {d: c.cells_of_dim(d) for d in range(top + 1)}
-    return _chain_from_cells(by_dim, top)
+    _coface_counts(c)
+    c._frame.tabulate(c._flat)
+    return _chain(c, c._flat, max(c.dim, 0))
 
 
-def _unique_coface(cube: Cube, live: set) -> Optional[Cube]:
-    found = None
-    for axis, code in enumerate(cube):
-        if code & 1:
-            continue
-        for delta in (-1, 1):
-            cand = cube[:axis] + (code + delta,) + cube[axis + 1 :]
-            if cand in live:
-                if found is not None:
-                    return None
-                found = cand
-    return found
-
-
-def _collapsed_core(cells: frozenset) -> set:
+def _collapse(c: CubicalComplex, live: Dict[int, int]) -> Dict[int, int]:
     """Remove free (face, coface) pairs until none remain.
 
-    Each removal is an elementary collapse, so the homotopy type (hence
-    every Betti number) of the complex is preserved.
+    `live` maps each cell to its number of cofaces and is reduced in place
+    to the core.  Each removal is an elementary collapse, so the homotopy
+    type (hence every Betti number) of the complex is preserved.
     """
-    live = set(cells)
-    count: Dict[Cube, int] = {}
-    for c in live:
-        for f in cube_faces(c):
-            count[f] = count.get(f, 0) + 1
-    queue = deque(sorted(f for f, n in count.items() if n == 1))
+    faces, cofaces, parity = c._frame.faces, c._frame.cofaces, c._frame.parity
+    queue = deque(sorted(f for f, n in live.items() if n == 1))
+    pop, push = queue.popleft, queue.append
     while queue:
-        f = queue.popleft()
-        if f not in live or count.get(f) != 1:
+        f = pop()
+        if live.get(f) != 1:
             continue
-        coface = _unique_coface(f, live)
-        if coface is None:
-            continue
-        live.discard(f)
-        live.discard(coface)
-        for g in cube_faces(coface):
-            n = count.get(g, 0) - 1
-            count[g] = n
+        for off in cofaces[f & parity]:
+            g = f + off
+            if g in live:
+                break
+        # Every face of a live cell is live; f, a face of g, is deleted last.
+        del live[g]
+        for off in faces[g & parity]:
+            h = g + off
+            n = live[h] - 1
+            live[h] = n
             if n == 1:
-                queue.append(g)
-        for g in cube_faces(f):
-            n = count.get(g, 0) - 1
-            count[g] = n
+                push(h)
+        for off in faces[f & parity]:
+            h = f + off
+            n = live[h] - 1
+            live[h] = n
             if n == 1:
-                queue.append(g)
+                push(h)
+        del live[f]
     return live
 
 
@@ -366,21 +468,16 @@ def betti(c: CubicalComplex, precollapse: bool = True) -> Tuple[int, ...]:
     """Mod-2 Betti numbers b_0 .. b_top of a face-closed complex.
 
     top is the largest cell dimension present; the empty complex yields an
-    all-zero vector of length ambient_dim + 1.
+    all-zero vector of length ambient_dim + 1.  A complex that is not
+    face-closed raises ValueError.
     """
-    if not c.cells:
+    if not c._flat:
         return (0,) * (c.ambient_dim + 1)
-    top = max(map(cube_dim, c.cells))
-    core = _collapsed_core(c.cells) if precollapse else c.cells
-    cc = _chain_from_cells(_group_by_dim(core), top)
-    ranks = [m.rank() for m in cc.boundaries]
-    out = []
-    for d in range(top + 1):
-        n_d = cc.counts[d] if d < len(cc.counts) else 0
-        r_d = ranks[d - 1] if 1 <= d <= len(ranks) else 0
-        r_up = ranks[d] if d < len(ranks) else 0
-        out.append(n_d - r_d - r_up)
-    return tuple(out)
+    top = max(map(int.bit_count, c._frame.tabulate(c._flat)))
+    live = _coface_counts(c)
+    cc = _chain(c, _collapse(c, live) if precollapse else live, top)
+    ranks = [0, *(m.rank() for m in cc.boundaries), 0]
+    return tuple([n - ranks[d] - ranks[d + 1] for d, n in enumerate(cc.counts)])
 
 
 def pad_betti(v: Sequence[int], length: int) -> Tuple[int, ...]:

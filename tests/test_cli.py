@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from quadbetti import cli
 from quadbetti.cli import main
 
 
@@ -171,3 +172,25 @@ class TestOutputFile:
 
     def test_usage_error_without_subcommand(self, capsys):
         assert main([]) == 2
+
+
+class TestInternalError:
+    @pytest.mark.parametrize("exc", [RuntimeError("boom"), RecursionError("deep"), KeyError("k")])
+    def test_crash_exits_4_not_violation(self, capsys, monkeypatch, exc):
+        def crash(args, out):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_audit", crash)
+        code = main(["audit", "--name", "mv-wedge"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.splitlines()[0] == f"error: internal: {exc!r}"
+
+    def test_usage_errors_still_exit_2(self, capsys, monkeypatch):
+        def bad(args, out):
+            raise TypeError("not a rational")
+
+        monkeypatch.setattr(cli, "_cmd_audit", bad)
+        assert main(["audit", "--name", "mv-wedge"]) == 2
+        assert capsys.readouterr().err == "error: not a rational\n"

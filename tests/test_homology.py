@@ -87,7 +87,24 @@ class TestCloseUnderFaces:
     def test_empty(self):
         cx = close_under_faces([])
         assert len(cx) == 0
+        assert cx.ambient_dim == 0 and cx.cells == frozenset() and cx.dim == -1
         assert betti(cx) == (0,)
+
+    def test_empty_with_ambient_dim(self):
+        cx = close_under_faces([], ambient_dim=3)
+        assert cx.ambient_dim == 3 and len(cx) == 0 and cx.dim == -1
+        assert [cx.n_cells(d) for d in range(4)] == [0, 0, 0, 0]
+        assert cx.is_face_closed()
+        assert betti(cx) == betti(cx, precollapse=False) == (0, 0, 0, 0)
+        assert cx == CubicalComplex(3, [])
+
+    def test_ambient_dim_zero(self):
+        cx = close_under_faces([()])
+        assert cx.ambient_dim == 0 and cx.cells == {()} and cx.dim == 0
+        assert cx.n_cells(0) == 1 and cx.euler_characteristic() == 1
+        assert betti(cx) == betti(cx, precollapse=False) == (1,)
+        assert cx == CubicalComplex(0, [()])
+        assert close_under_faces([(), ()], ambient_dim=0) == cx
 
     def test_isolated_vertices(self):
         cx = close_under_faces([make_cube([(0, 0)]), make_cube([(2, 2)])])
@@ -195,6 +212,17 @@ class TestBetti:
 
     def test_empty_complex(self):
         assert betti(CubicalComplex(3, frozenset())) == (0, 0, 0, 0)
+
+    @pytest.mark.parametrize("precollapse", [True, False])
+    @pytest.mark.parametrize("missing", [(0, 0), (1, 0)])
+    def test_not_face_closed_rejected(self, precollapse, missing):
+        # Without the corner (0, 0) collapse once gave (0, 0, 0); without the
+        # bottom edge (1, 0) it gave (2, 0, 0).
+        solid = close_under_faces([make_cube([(0, 1), (0, 1)])])
+        broken = CubicalComplex(2, solid.cells - {missing})
+        assert not broken.is_face_closed()
+        with pytest.raises(ValueError, match=rf"complex is not face-closed: missing \({missing[0]}, {missing[1]}\)"):
+            betti(broken, precollapse=precollapse)
 
 
 class TestPadBetti:

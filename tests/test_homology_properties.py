@@ -5,13 +5,29 @@ compared with a stack-based closure kept here as the reference, and Betti
 numbers with the Euler characteristic of the raw cell counts, with the
 no-collapse path and, for b_0, with `scipy.ndimage.label` on the occupancy
 array under full (vertex) connectivity.
+
+A second set of inputs, cubes of any dimension with negative codes and
+repeats in 1-D to 4-D, compares the flat-index engine with the tuple engine
+it replaced: the stack closure for cells and counts per dimension, and
+free-face collapse on code tuples followed by tuple boundary ranks for the
+Betti numbers.
 """
+
+from collections import deque
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
-from quadbetti.homology import betti, close_under_faces, cube_faces
+from quadbetti.homology import (
+    CubicalComplex,
+    GF2Matrix,
+    betti,
+    close_under_faces,
+    cube_dim,
+    cube_faces,
+    gf2_rank,
+)
 
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
 
@@ -77,3 +93,97 @@ def test_b0_matches_connected_components(case):
         mask[jvec] = True
     _, components = ndimage.label(mask, structure=np.ones((3,) * dim, dtype=bool))
     assert betti(close_under_faces(_cubes(cells), ambient_dim=dim))[0] == components
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the tuple engine the flat-index engine replaced:
+# free-face collapse on code tuples, then boundary ranks of the tuple core.
+
+
+def _unique_coface(cube, live):
+    found = None
+    for axis, code in enumerate(cube):
+        if code & 1:
+            continue
+        for delta in (-1, 1):
+            cand = cube[:axis] + (code + delta,) + cube[axis + 1 :]
+            if cand in live:
+                if found is not None:
+                    return None
+                found = cand
+    return found
+
+
+def _collapsed_core(cells):
+    """Remove free (face, coface) pairs until none remain (tuple reference)."""
+    live = set(cells)
+    count = {}
+    for c in live:
+        for f in cube_faces(c):
+            count[f] = count.get(f, 0) + 1
+    queue = deque(sorted(f for f, n in count.items() if n == 1))
+    while queue:
+        f = queue.popleft()
+        if f not in live or count.get(f) != 1:
+            continue
+        coface = _unique_coface(f, live)
+        if coface is None:
+            continue
+        live.discard(f)
+        live.discard(coface)
+        for g in cube_faces(coface):
+            n = count.get(g, 0) - 1
+            count[g] = n
+            if n == 1:
+                queue.append(g)
+        for g in cube_faces(f):
+            n = count.get(g, 0) - 1
+            count[g] = n
+            if n == 1:
+                queue.append(g)
+    return live
+
+
+def _tuple_betti(cells, top):
+    """b_0 .. b_top from GF(2) boundary ranks of the collapsed tuple core."""
+    by_dim = {}
+    for c in _collapsed_core(cells):
+        by_dim.setdefault(cube_dim(c), []).append(c)
+    ranks = [0] * (top + 2)
+    for d in range(1, top + 1):
+        index = {c: r for r, c in enumerate(by_dim.get(d - 1, []))}
+        columns = [sum(1 << index[f] for f in cube_faces(c)) for c in by_dim.get(d, [])]
+        ranks[d] = gf2_rank(GF2Matrix(len(index), len(columns), columns))
+    return tuple(len(by_dim.get(d, ())) - ranks[d] - ranks[d + 1] for d in range(top + 1))
+
+
+@st.composite
+def mixed_cubes(draw):
+    """(ambient dimension, cubes): 1-D to 4-D, negative codes, any cube dimension, repeats."""
+    dim = draw(st.integers(1, 4))
+    # A narrow code range makes cubes meet, so cycles and voids occur.
+    code = st.integers(-3, 2 if dim < 3 else 1)
+    cubes = draw(st.lists(st.tuples(*[code] * dim), max_size=(16, 16, 12, 6)[dim - 1]))
+    # Boundaries of unit cubes: spheres S^(dim-1), alone or glued to the rest.
+    for corner in draw(st.lists(st.tuples(*[st.integers(-2, 1)] * dim), max_size=2)):
+        cubes += cube_faces(tuple(2 * m + 1 for m in corner))
+    if cubes:
+        cubes += draw(st.lists(st.sampled_from(cubes), max_size=3))
+    return dim, cubes
+
+
+@SETTINGS
+@given(mixed_cubes())
+def test_flat_engine_matches_tuple_engine(case):
+    dim, cubes = case
+    cx = close_under_faces(cubes, ambient_dim=dim)
+    want = _stack_closure(cubes)
+    assert cx.cells == want and len(cx) == len(want)
+    for d in range(-1, dim + 2):
+        assert cx.n_cells(d) == sum(1 for c in want if cube_dim(c) == d)
+    assert cx.dim == max(map(cube_dim, want), default=-1)
+    assert cx == CubicalComplex(dim, want)
+    if want:
+        vec = betti(cx)
+        assert vec == _tuple_betti(want, cx.dim) == betti(cx, precollapse=False)
+        assert vec == betti(CubicalComplex(dim, want))

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadbetti.homology import betti, pad_betti
 from quadbetti.quadforms import (
@@ -14,6 +15,7 @@ from quadbetti.quadforms import (
     GridSpec,
     QuadraticForm,
     QuadraticPoly,
+    _det,
     ci_probe,
     deform,
     dehomogenize,
@@ -219,6 +221,33 @@ class TestDefiniteness:
         assert is_nonsingular_quadric(xy)
         rank_one = QuadraticForm.make(2, [[1, 0], [0, 0]])
         assert not is_nonsingular_quadric(rank_one)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Square rational matrices up to 5x5, many with zero pivots or singular.
+
+    Zero entries are drawn often, so elimination meets zero pivots that need
+    a row swap; a copied multiple of another row makes a matrix singular.
+    """
+    n = draw(st.integers(1, 5))
+    nonzero = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    entry = st.one_of(st.just(Fraction(0)), nonzero, nonzero)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        scale = draw(entry)
+        rows[i] = [scale * x for x in rows[j]]
+    return rows
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_det_matches_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    want = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                         for row in rows]).det()
+    assert _det(rows) == Fraction(int(want.p), int(want.q))
 
 
 class TestCiProbe:
