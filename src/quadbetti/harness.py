@@ -10,7 +10,7 @@ audit.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -22,7 +22,6 @@ from .homology import (
     VIOLATION,
     CubicalComplex,
     betti,
-    cube_all_faces,
     make_cube,
     close_under_faces,
     mayer_vietoris_audit,
@@ -34,8 +33,8 @@ from .quadforms import (
     GridSpec,
     QuadraticForm,
     QuadraticPoly,
-    _GridScale,
     _fr,
+    _sign_granularity,
     ci_probe,
     dehomogenize,
     format_rational,
@@ -454,16 +453,15 @@ def deformation_audit(
     t_values: Sequence = (Fraction(0), Fraction(1, 1000)),
     sphere_resolution=None,
     seed: int = 0,
-    family_scale=None,
 ) -> DeformationReport:
     """Blend the lifted system toward a positive definite family and re-audit.
 
     For each t the system (1-t) * P_h + t * H is lifted onto the sphere
     and its grid Betti vector computed; the verdict is PASS when every
     vector matches the t = 0 vector.  The seeded positive definite family
-    is scaled (unless family_scale overrides it) so that the largest
-    requested t keeps the perturbation below the grid's sign granularity;
-    that makes "sufficiently small" concrete for the given grid.  The
+    is scaled so that the largest requested t keeps the perturbation below
+    the grid's sign granularity; that makes "sufficiently small" concrete
+    for the given grid.  The
     closed-set grid approximation stands in for both the open and the
     closed deformed sets.
     """
@@ -488,17 +486,8 @@ def deformation_audit(
         dehomogenize(random_pd_form(sc.k + 2, seed + i)) for i in range(sc.s)
     ]
     t_max = max(ts, default=Fraction(0))
-    if family_scale is not None:
-        scale = Fraction(family_scale)
-    elif t_max > 0 and family:
-        grid_scale = _GridScale(spec).scale
-        coeff_lcm = 1
-        for p in base_polys:
-            dens = [p.const.denominator]
-            dens.extend(x.denominator for x in p.lin)
-            dens.extend(x.denominator for row in p.quad for x in row)
-            coeff_lcm = math.lcm(coeff_lcm, *dens)
-        granularity = Fraction(1, coeff_lcm * grid_scale * grid_scale)
+    if t_max > 0 and family:
+        granularity = _sign_granularity(base_polys, spec)
         width = max(max(abs(lo), abs(hi)) for lo, hi in spec.box)
         biggest = max(_family_bound(h, width) for h in family)
         scale = granularity / (4 * t_max * biggest)
@@ -507,7 +496,6 @@ def deformation_audit(
     else:
         scale = Fraction(1)
     scaled_family = [scale * h for h in family]
-    reference: Optional[Tuple[int, ...]] = None
     betti_by_t: Dict[str, Tuple[int, ...]] = {}
 
     def region_betti(t: Fraction) -> Tuple[int, ...]:
@@ -563,12 +551,13 @@ def alexander_equator_audit() -> AlexanderReport:
     )  # zero set of X3^2 is the equator plane
     subset = sphere_zero_complex([equator_form], 1, spec, 2 * res)
     band = sphere_band_complex(1, spec)
-    # complement: band top cells whose closed cube misses the subset entirely
-    subset_cells = subset.cells
+    # complement: band top cells whose closed cube misses the subset entirely;
+    # two closed grid cubes meet iff they share a vertex
+    subset_vertices = set(subset.cells_of_dim(0))
     complement_tops = [
         c
         for c in band.cells_of_dim(3)
-        if not any(f in subset_cells for f in cube_all_faces(c))
+        if subset_vertices.isdisjoint(itertools.product(*((x - 1, x + 1) for x in c)))
     ]
     complement = close_under_faces(complement_tops, ambient_dim=3)
     sub_red = _reduced(pad_betti(betti(subset), 3))

@@ -5,11 +5,16 @@ All coefficients are `fractions.Fraction`; floats are rejected everywhere
 are exact.  The one deliberate exception is `ci_probe`, a floating-point
 diagnostic whose verdicts never feed exact PASS / VIOLATION logic.
 
-Grid complexes use the center-point rule: a top-dimensional cell belongs
-to a system of inequalities iff its center satisfies every one of them
-under exact rational evaluation.  Sphere bands consist of the cells whose
-closed cube the sphere actually crosses (exact interval arithmetic on the
-squared radius), which keeps the band free of pinholes at any resolution.
+Grid complexes use the center-point rule.  Every builder is a list of
+quadratics, and a candidate top cell is kept iff each of them is >= 0 at
+its center; the sign is decided exactly, as the sign of an integer value
+at the integer-scaled center.  The candidates are the whole box, or the
+sphere band: the cells whose closed cube the sphere actually crosses
+(exact interval arithmetic on the squared radius), which keeps the band
+free of pinholes at any resolution.  `grid_complex` passes its system,
+`sphere_band_complex` nothing, `sphere_zero_complex` the pair tau - Q and
+tau + Q per form (so |Q| <= tau), and `sphere_region_complex` the
+projective-ball cap (1/eps)^2 x_{k+1}^2 - |x_1..x_k|^2 ahead of its system.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -508,15 +513,14 @@ class _ScaledPoly:
 MAX_GRID_CELLS = 2**22
 
 
-def _evaluators(
-    polys: Sequence[QuadraticPoly], spec: GridSpec, noun: str = "polynomial"
-) -> List[_ScaledPoly]:
-    """Integer evaluators of the polynomials at the grid's scaled cell centers."""
-    for p in polys:
-        if p.k != spec.dim:
-            raise ValueError(f"{noun} has {p.k} variables, grid has {spec.dim} axes")
+def _sign_granularity(polys: Sequence[QuadraticPoly], spec: GridSpec) -> Fraction:
+    """Least |P(c)| over the polynomials P and the cell centers c with P(c) != 0, or less.
+
+    Each such P(c) is a nonzero integer `_ScaledPoly` value over its
+    multiplier, so |P(c)| >= 1 / lcm of the multipliers.
+    """
     scale = _GridScale(spec).scale
-    return [_ScaledPoly(p, scale) for p in polys]
+    return Fraction(1, math.lcm(*(_ScaledPoly(p, scale).mult for p in polys)))
 
 
 def _sphere_radius(radius, spec: GridSpec) -> Fraction:
@@ -532,15 +536,14 @@ def _sphere_radius(radius, spec: GridSpec) -> Fraction:
     return r
 
 
-def _sphere_band_cells(spec: GridSpec, radius: Fraction) -> Iterator[Tuple[int, ...]]:
+def _sphere_band_cells(gs: _GridScale, radius: Fraction) -> Iterator[Tuple[int, ...]]:
     """Indices of top cells whose closed cube the radius-r sphere crosses, lazily.
 
     Exact per-axis interval arithmetic on x^2: a cell is in the band iff
     sum(min x_i^2) <= r^2 <= sum(max x_i^2) over the closed cube.
     """
-    gs = _GridScale(spec)
-    n = spec.dim
-    shape = spec.shape
+    n = gs.spec.dim
+    shape = gs.spec.shape
     thr = radius * radius * gs.scale * gs.scale
     tn, td = thr.numerator, thr.denominator
     mins: List[List[int]] = []
@@ -576,17 +579,30 @@ def _sphere_band_cells(spec: GridSpec, radius: Fraction) -> Iterator[Tuple[int, 
     yield from descend(0, 0, 0)
 
 
-def _build(spec: GridSpec, cells: Iterable[Sequence[int]],
-           keep: Callable[[Tuple[int, ...]], bool]) -> CubicalComplex:
-    """Face closure of the candidate cells whose integer-scaled center passes `keep`.
+def _build(spec: GridSpec, polys: Sequence[QuadraticPoly], radius=None) -> CubicalComplex:
+    """Face closure of the candidate cells where every polynomial is >= 0 at the center.
 
-    `cells` is consumed lazily, so a box above MAX_GRID_CELLS is rejected
-    before any cell is visited.
+    The candidates are the whole box or, given a radius, the cells the
+    radius sphere crosses.  Each center is tested exactly, as the sign of
+    an integer `_ScaledPoly` value at the integer-scaled center.  The
+    candidates are consumed lazily, so a box above MAX_GRID_CELLS is
+    rejected before any cell is visited.
     """
+    for p in polys:
+        if p.k != spec.dim:
+            raise ValueError(f"polynomial has {p.k} variables, grid has {spec.dim} axes")
+    r = None if radius is None else _sphere_radius(radius, spec)
     size = math.prod(spec.shape)
     if size > MAX_GRID_CELLS:
         raise ValueError(f"grid has {size} cells, above the limit of {MAX_GRID_CELLS}")
-    center = _GridScale(spec).center_vec
+    gs = _GridScale(spec)
+    evals = [_ScaledPoly(p, gs.scale) for p in polys]
+    cells = itertools.product(*map(range, spec.shape)) if r is None else _sphere_band_cells(gs, r)
+    center = gs.center_vec
+
+    def keep(u: Tuple[int, ...]) -> bool:
+        return all(e.value(u) >= 0 for e in evals)
+
     tops = [tuple(2 * j + 1 for j in jvec) for jvec in cells if keep(center(jvec))]
     return close_under_faces(tops, ambient_dim=spec.dim)
 
@@ -598,9 +614,7 @@ def grid_complex(system: Sequence[QuadraticPoly], spec: GridSpec) -> CubicalComp
     exactly; the empty system keeps the whole box.  Cube coordinates are
     grid units (cell indices), not box coordinates.
     """
-    evals = _evaluators(system, spec)
-    box = itertools.product(*map(range, spec.shape))
-    return _build(spec, box, lambda u: all(e.value(u) >= 0 for e in evals))
+    return _build(spec, system)
 
 
 def sphere_zero_complex(
@@ -612,23 +626,19 @@ def sphere_zero_complex(
     every form; tau should scale with the resolution (the audits default
     to twice the cell width).
     """
-    r = _sphere_radius(radius, spec)
     t = _fr(tau)
     if t <= 0:
         raise ValueError(f"tau must be positive, got {t}")
     if not forms:
         raise ValueError("need at least one form")
-    evals = _evaluators([f.as_poly() for f in forms], spec, "form")
-    # |Q(c)| <= tau  <=>  |value| * tau_den <= tau_num * mult
-    bounds = [(e, t.numerator * e.mult, t.denominator) for e in evals]
-    return _build(spec, _sphere_band_cells(spec, r),
-                  lambda u: all(abs(e.value(u)) * td <= tn for e, tn, td in bounds))
+    # |Q(c)| <= tau  <=>  tau - Q(c) >= 0 and tau + Q(c) >= 0
+    polys = [QuadraticPoly(g.n, g.gram, _zeros(g.n), t) for f in forms for g in (-1 * f, f)]
+    return _build(spec, polys, radius)
 
 
 def sphere_band_complex(radius, spec: GridSpec) -> CubicalComplex:
     """Face closure of every grid cell the radius-r sphere crosses."""
-    r = _sphere_radius(radius, spec)
-    return _build(spec, _sphere_band_cells(spec, r), lambda u: True)
+    return _build(spec, (), radius)
 
 
 def sphere_region_complex(
@@ -646,17 +656,11 @@ def sphere_region_complex(
     e = _fr(eps)
     if e <= 0:
         raise ValueError(f"eps must be positive, got {e}")
-    evals = _evaluators(polys, spec)
-    r = _sphere_radius(2 / e, spec)
-    # |x_pre|^2 <= (1/eps)^2 x_last^2  <=>  p^2 * sum(u_i^2) <= q^2 * u_last^2
-    p2 = e.numerator * e.numerator
-    q2 = e.denominator * e.denominator
-
-    def keep(u: Tuple[int, ...]) -> bool:
-        return (p2 * sum(x * x for x in u[:-1]) <= q2 * u[-1] * u[-1]
-                and all(ev.value(u) >= 0 for ev in evals))
-
-    return _build(spec, _sphere_band_cells(spec, r), keep)
+    # cap(c) = (1/eps)^2 * c_{k+1}^2 - |c_1..c_k|^2 >= 0 is the truncation
+    n = spec.dim
+    diag = [-1] * (n - 1) + [1 / e**2]
+    cap = QuadraticPoly.make(n, quad=[[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    return _build(spec, [cap, *polys], 2 / e)
 
 
 # ---------------------------------------------------------------------------

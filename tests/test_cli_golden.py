@@ -1,9 +1,14 @@
 """Byte-for-byte replay of recorded `quadbetti audit` / `verify` output.
 
-`data/cli_golden.json` holds, for every audit name the CLI accepts (in CSV
-and JSON) and for `verify --seed 0`, the argv, exit code and stdout of the
-command line before audits were served from one registry.  Any change to a
-column, its order, a key or a verdict shows up here.
+`data/cli_golden.json` holds argv, exit code and stdout of:
+every audit name the CLI accepts, in CSV and JSON, and `verify --seed 0`,
+recorded before audits were served from one registry; then, recorded before
+the grid builders became lists of quadratics over one sign test,
+`verify --seed 0 --full --format json` (which carries the shell-k2 lift),
+two `deformation-products` runs with other seeds, t values, eps, delta and
+resolution, and `smith-cone --radius 2`, which pin `family_scale` and the
+kept cells behind each Betti vector.  Any change to a column, its order, a
+key, a verdict or a Betti vector shows up here.
 """
 
 import json

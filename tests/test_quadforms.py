@@ -1,6 +1,7 @@
 """Unit tests for exact quadratic data, grid complexes and the text format."""
 
 import io
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -329,8 +330,6 @@ class TestGridComplex:
         )
         system = [random_poly(rng, 2) for _ in range(2)]
         cx = grid_complex(system, spec)
-        import itertools
-
         expected_tops = set()
         for jvec in itertools.product(range(12), repeat=2):
             center = spec.center(jvec)
@@ -344,6 +343,64 @@ class TestGridComplex:
         spec = GridSpec(box=((0, 1), (0, 1)), resolution=Fraction(1, 2))
         with pytest.raises(ValueError):
             grid_complex([p], spec)
+
+
+def _band_cells(spec, r):
+    """Cells whose closed cube meets the radius-r sphere, by Fraction interval arithmetic."""
+    h = spec.resolution
+    for jvec in itertools.product(*map(range, spec.shape)):
+        lo_sq = hi_sq = Fraction(0)
+        for (lo, _), j in zip(spec.box, jvec):
+            a, b = lo + j * h, lo + (j + 1) * h
+            lo_sq += 0 if a <= 0 <= b else min(a * a, b * b)
+            hi_sq += max(a * a, b * b)
+        if lo_sq <= r * r <= hi_sq:
+            yield jvec
+
+
+# Centers are odd multiples of 1/4 on both grids, so x^2 - y^2 = +-1/2 at
+# (3/4, 1/4) and (1/4, 3/4), and the eps = 1 cap y^2 - x^2 and y - 5/4 are 0
+# at (5/4, 5/4) on the radius-2 circle.
+_SADDLE = QuadraticForm.make(2, [[1, 0], [0, -1]])
+_HALF_MINUS_SADDLE = QuadraticPoly.make(2, quad=[[-1, 0], [0, 1]], const=Fraction(1, 2))
+_HALF_PLUS_SADDLE = QuadraticPoly.make(2, quad=[[1, 0], [0, -1]], const=Fraction(1, 2))
+_CAP_EPS_1 = QuadraticPoly.make(2, quad=[[-1, 0], [0, 1]])
+_ABOVE_LINE = QuadraticPoly.make(2, lin=[0, 1], const=Fraction(-5, 4))
+_SMALL = GridSpec.symmetric(Fraction(3, 2), Fraction(1, 2), 2)
+_LARGE = GridSpec.symmetric(Fraction(5, 2), Fraction(1, 2), 2)
+
+# builder call, its grid, its sphere radius (None: the whole box), and the
+# quadratics that must be >= 0 at a kept center
+BOUNDARY_CASES = {
+    "grid": (lambda: grid_complex([_HALF_MINUS_SADDLE, _HALF_PLUS_SADDLE], _SMALL),
+             _SMALL, None, [_HALF_MINUS_SADDLE, _HALF_PLUS_SADDLE]),
+    "zero": (lambda: sphere_zero_complex([_SADDLE], 1, _SMALL, Fraction(1, 2)),
+             _SMALL, 1, [_HALF_MINUS_SADDLE, _HALF_PLUS_SADDLE]),
+    "band": (lambda: sphere_band_complex(1, _SMALL), _SMALL, 1, []),
+    "region": (lambda: sphere_region_complex([_ABOVE_LINE], 1, _LARGE),
+               _LARGE, 2, [_CAP_EPS_1, _ABOVE_LINE]),
+}
+
+
+@pytest.mark.parametrize("name", BOUNDARY_CASES)
+def test_center_rule_keeps_centers_on_the_boundary(name):
+    build, spec, radius, polys = BOUNDARY_CASES[name]
+    cells = itertools.product(*map(range, spec.shape)) if radius is None else _band_cells(spec, radius)
+    centers = {jvec: spec.center(jvec) for jvec in cells}
+
+    def tops(strict=None):
+        return {
+            tuple(2 * j + 1 for j in jvec)
+            for jvec, c in centers.items()
+            if all(p.evaluate(c) > 0 if i == strict else p.evaluate(c) >= 0
+                   for i, p in enumerate(polys))
+        }
+
+    expected = tops()
+    assert expected
+    for i in range(len(polys)):
+        assert tops(strict=i) != expected  # each quadratic is 0 at a center that decides a cell
+    assert {c for c in build().cells if all(x & 1 for x in c)} == expected
 
 
 class TestSphereComplexes:
