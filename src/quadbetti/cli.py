@@ -25,9 +25,20 @@ from .quadforms import DeformationParams, parse_rational
 __all__ = ["main", "build_parser"]
 
 
+# Largest table, in requested (s, k, i) or (j, k) combinations, that `bounds`
+# and `ci` accept.  It is counted from the ranges before any value is listed
+# or any bound is computed.
+MAX_TABLE_ROWS = 2**20
+
+
+def _check_table_size(rows: int) -> None:
+    if rows > MAX_TABLE_ROWS:
+        raise ValueError(f"table has {rows} rows, above the limit of {MAX_TABLE_ROWS}")
+
+
 def _parse_range(text: str) -> List[int]:
-    """Accept '3', '2:5' (inclusive) or '1,3,5'."""
-    out: List[int] = []
+    """Accept '3', '2:5' (inclusive) or '1,3,5'; counted before it is listed."""
+    spans = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if ":" in chunk:
@@ -35,10 +46,11 @@ def _parse_range(text: str) -> List[int]:
             lo, hi = int(lo), int(hi)
             if hi < lo:
                 raise ValueError(f"empty range {chunk!r}")
-            out.extend(range(lo, hi + 1))
         else:
-            out.append(int(chunk))
-    return out
+            lo = hi = int(chunk)
+        spans.append((lo, hi))
+    _check_table_size(sum(hi - lo + 1 for lo, hi in spans))
+    return [v for lo, hi in spans for v in range(lo, hi + 1)]
 
 
 def _emit(fmt: str, out, document: Dict, columns: List[str], rows: List[Dict]) -> None:
@@ -65,6 +77,7 @@ def _cmd_bounds(args, out) -> int:
     svals = _parse_range(args.s)
     kvals = _parse_range(args.k)
     if args.aggregate:
+        _check_table_size(len(svals) * len(kvals))
         rows = []
         for k in kvals:
             for s in svals:
@@ -104,9 +117,11 @@ def _cmd_bounds(args, out) -> int:
         ]
         _emit(args.format, out, {"rows": json_rows}, columns, rows)
         return 0
+    given_i = _parse_range(args.i) if args.i else None
+    _check_table_size(len(svals) * sum(max(k, 0) if given_i is None else len(given_i) for k in kvals))
     rows = []
     for k in kvals:
-        ivals = _parse_range(args.i) if args.i else list(range(k))
+        ivals = range(k) if given_i is None else given_i
         for s in svals:
             for i in ivals:
                 if not (1 <= s <= k and 0 <= i <= k - 1):
@@ -153,6 +168,7 @@ def _cmd_ci(args, out) -> int:
             raise ValueError("need --j or --degrees")
         jvals = _parse_range(args.j)
         degrees = None
+    _check_table_size(len(kvals) * len(jvals))
     rows = []
     for k in kvals:
         for j in jvals:

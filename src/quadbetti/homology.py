@@ -9,7 +9,8 @@ tuple of per-axis codes, one int per axis:
 
 so the two codim-1 faces along an odd axis are code-1 and code+1, and cube
 dimension is the number of odd codes.  Grid units are plain ints and may be
-negative.
+negative.  `close_under_faces` also takes an int array of codes, one cube
+per row, so a caller holding many cubes in numpy never builds the tuples.
 
 Inside a complex each cell is one int on the doubled lattice, the implicit
 cubical complex of Wagner, Chen and Vucini (also used by CubicalRipser).
@@ -48,7 +49,9 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
-from typing import Collection, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 __all__ = [
     "PASS",
@@ -132,17 +135,17 @@ class _Frame:
 
     __slots__ = ("lo", "spans", "strides", "base", "parity", "faces", "cofaces")
 
-    def __init__(self, cols: Sequence[Sequence[int]]):
-        """`cols` holds the codes found on each axis."""
+    def __init__(self, bounds: Sequence[Tuple[int, int]]):
+        """`bounds` holds the least and the largest code on each axis."""
         lows: List[int] = []
         spans: List[int] = []
         strides: List[int] = []
         stride, base = 1, 0
-        for col in reversed(cols):
+        for least, largest in reversed(bounds):
             # An even lo puts each code's parity in bit 0 of its position, and a
             # margin of two codes keeps every face and coface inside the box.
-            lo = (min(col) - 2) & -2
-            span = (1 << (max(col) + 2 - lo).bit_length()) - 1
+            lo = (least - 2) & -2
+            span = (1 << (largest + 2 - lo).bit_length()) - 1
             lows.append(lo)
             spans.append(span)
             strides.append(stride)
@@ -177,12 +180,27 @@ class _Frame:
         return masks
 
 
-def _encode(cubes: Collection[Cube], ambient_dim: int) -> Tuple[_Frame, set]:
-    """Frame around the cubes, and the set of their flat indices."""
+def _encode(cubes: Union[Collection[Cube], np.ndarray], ambient_dim: int) -> Tuple[_Frame, set]:
+    """Frame around the cubes, and the set of their flat indices.
+
+    `cubes` holds code tuples, or is an (N, ambient_dim) int array of codes,
+    one cube per row, whose flat indices are one matrix product.
+    """
+    if isinstance(cubes, np.ndarray):
+        if cubes.ndim != 2 or cubes.shape[1] != ambient_dim:
+            raise ValueError(f"code array of shape {cubes.shape} has no {ambient_dim} axes")
+        bounds = zip(cubes.min(0).tolist(), cubes.max(0).tolist()) if len(cubes) else ()
+        frame = _Frame(list(bounds) or [(0, 0)] * ambient_dim)
+        # Every flat index is below the frame's size, so int64 holds each
+        # partial sum of (code - lo) * stride when the size does.
+        size = frame.strides[0] * (frame.spans[0] + 1) if ambient_dim else 1
+        dtype = np.int64 if size < 2**63 else object
+        offsets = cubes.astype(dtype, copy=False) - np.array(frame.lo, dtype=dtype)
+        return frame, set((offsets @ np.array(frame.strides, dtype=dtype)).tolist())
     if set(map(len, cubes)) - {ambient_dim}:
         c = next(c for c in cubes if len(c) != ambient_dim)
         raise ValueError(f"cube {c!r} has {len(c)} axes, ambient dimension is {ambient_dim}")
-    frame = _Frame(list(zip(*cubes)) if cubes else [(0,)] * ambient_dim)
+    frame = _Frame([(min(col), max(col)) for col in zip(*cubes)] if cubes else [(0, 0)] * ambient_dim)
     strides, base = frame.strides, frame.base
     return frame, {sum(map(mul, c, strides)) - base for c in cubes}
 
@@ -268,16 +286,18 @@ class CubicalComplex:
 
 
 def close_under_faces(
-    cubes: Iterable[Cube], ambient_dim: Optional[int] = None
+    cubes: Union[Iterable[Cube], np.ndarray], ambient_dim: Optional[int] = None
 ) -> CubicalComplex:
     """Smallest face-closed complex containing the given cubes.
 
-    The ambient dimension defaults to the axis count of the first cube;
-    a cube with another axis count raises ValueError.
+    The cubes are code tuples, or the rows of an int array of codes.  The
+    ambient dimension defaults to the axis count of the first cube; a cube
+    with another axis count raises ValueError.
     """
-    cubes = list(cubes)
+    if not isinstance(cubes, np.ndarray):
+        cubes = list(cubes)
     if ambient_dim is None:
-        ambient_dim = len(cubes[0]) if cubes else 0
+        ambient_dim = len(cubes[0]) if len(cubes) else 0
     frame, cells = _encode(cubes, ambient_dim)
     for s in frame.strides:
         for f in [f for f in cells if f & s]:

@@ -15,18 +15,25 @@ free of pinholes at any resolution.  `grid_complex` passes its system,
 `sphere_band_complex` nothing, `sphere_zero_complex` the pair tau - Q and
 tau + Q per form (so |Q| <= tau), and `sphere_region_complex` the
 projective-ball cap (1/eps)^2 x_{k+1}^2 - |x_1..x_k|^2 ahead of its system.
+
+The builder decides all candidates in one numpy array pass: the whole box
+by broadcasting per-axis centers, the band as a mask from per-axis min and
+max squares and then the polynomials at its cells.  It computes in int64
+when a bound taken beforehand shows that no value it forms reaches 2**62
+in absolute value, and otherwise runs the same array code on Python ints
+(dtype=object); no float enters.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import json
 import math
 import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -465,18 +472,9 @@ class _GridScale:
         self.step = int(step)
         self.lo = [int(lo * self.scale) for lo, _ in spec.box]
 
-    def bound(self, axis: int, j: int) -> int:
-        return self.lo[axis] + self.step * j
-
-    def center_vec(self, jvec: Sequence[int]) -> Tuple[int, ...]:
-        half = self.step // 2
-        return tuple(
-            self.lo[ax] + self.step * j + half for ax, j in enumerate(jvec)
-        )
-
 
 class _ScaledPoly:
-    """Sign-faithful integer evaluator: value(u) = P(u/scale) * mult, mult > 0."""
+    """Sign-faithful integer evaluator: P(u/scale) * mult at integer points u, mult > 0."""
 
     def __init__(self, poly: QuadraticPoly, scale: int):
         dens = [poly.const.denominator]
@@ -498,19 +496,30 @@ class _ScaledPoly:
         ]
         self.const_term = int(lcm * poly.const) * scale * scale
 
-    def value(self, u: Sequence[int]) -> int:
+    def magnitude(self, u_max: int) -> int:
+        """Bound on every partial sum of `values` at points with |u_i| <= u_max."""
+        return (abs(self.const_term)
+                + sum(abs(a) for _, _, a in self.quad_terms) * u_max * u_max
+                + sum(abs(b) for _, b in self.lin_terms) * u_max)
+
+    def values(self, u: Sequence[np.ndarray]) -> np.ndarray:
+        """Values at the points whose coordinate arrays `u` broadcast together."""
         total = self.const_term
         for i, j, a in self.quad_terms:
-            total += a * u[i] * u[j]
+            total = total + a * u[i] * u[j]
         for i, b in self.lin_terms:
-            total += b * u[i]
+            total = total + b * u[i]
         return total
 
 
 # Largest grid box, in top cells, that a builder accepts.  It is checked
-# before any cell is visited; the largest grid the audits and the suite build
-# is the 3-D sphere lift of 68**3 = 314,432 cells.
+# before any array is allocated; the largest grid the audits and the suite
+# build is the 3-D sphere lift of 68**3 = 314,432 cells.
 MAX_GRID_CELLS = 2**22
+
+# The builder computes in int64 when every value it forms is below this in
+# absolute value, and otherwise in arrays of Python ints (dtype=object).
+_INT64_SAFE = 2**62
 
 
 def _sign_granularity(polys: Sequence[QuadraticPoly], spec: GridSpec) -> Fraction:
@@ -536,47 +545,26 @@ def _sphere_radius(radius, spec: GridSpec) -> Fraction:
     return r
 
 
-def _sphere_band_cells(gs: _GridScale, radius: Fraction) -> Iterator[Tuple[int, ...]]:
-    """Indices of top cells whose closed cube the radius-r sphere crosses, lazily.
+def _band_mask(lows: Sequence[np.ndarray], step: int, thr: Fraction) -> np.ndarray:
+    """Mask of the cells whose closed cube the sphere sum(x_i^2) = thr crosses.
 
-    Exact per-axis interval arithmetic on x^2: a cell is in the band iff
-    sum(min x_i^2) <= r^2 <= sum(max x_i^2) over the closed cube.
+    `lows` holds the scaled lower cell bounds per axis.  Exact interval
+    arithmetic on x^2: a cell is in the band iff
+    sum(min x_i^2) <= thr <= sum(max x_i^2) over the closed cube.  The sums
+    over all axes but the last are compared with the last axis's terms
+    moved to the other side, so no integer array of the full shape is made.
     """
-    n = gs.spec.dim
-    shape = gs.spec.shape
-    thr = radius * radius * gs.scale * gs.scale
-    tn, td = thr.numerator, thr.denominator
-    mins: List[List[int]] = []
-    maxs: List[List[int]] = []
-    for ax in range(n):
-        mrow, xrow = [], []
-        for j in range(shape[ax]):
-            a = gs.bound(ax, j)
-            b = a + gs.step
-            mrow.append(0 if a <= 0 <= b else min(a * a, b * b))
-            xrow.append(max(a * a, b * b))
-        mins.append(mrow)
-        maxs.append(xrow)
-    suffix_max = [0] * (n + 1)
-    for ax in range(n - 1, -1, -1):
-        suffix_max[ax] = suffix_max[ax + 1] + max(maxs[ax])
-    jvec = [0] * n
-
-    def descend(ax: int, msum: int, xsum: int) -> Iterator[Tuple[int, ...]]:
-        if msum * td > tn or (xsum + suffix_max[ax]) * td < tn:
-            return
-        mrow, xrow = mins[ax], maxs[ax]
-        if ax == n - 1:
-            for j in range(shape[ax]):
-                if (msum + mrow[j]) * td <= tn <= (xsum + xrow[j]) * td:
-                    jvec[ax] = j
-                    yield tuple(jvec)
-            return
-        for j in range(shape[ax]):
-            jvec[ax] = j
-            yield from descend(ax + 1, msum + mrow[j], xsum + xrow[j])
-
-    yield from descend(0, 0, 0)
+    if not lows:  # a point lies on no sphere of positive radius
+        return np.zeros((), dtype=bool)
+    mins, maxs = [], []
+    for a in lows:
+        b = a + step
+        sq_a, sq_b = a * a, b * b
+        mins.append(np.where((a <= 0) & (b >= 0), 0, np.minimum(sq_a, sq_b)))
+        maxs.append(np.maximum(sq_a, sq_b))
+    band = np.less_equal.outer(functools.reduce(np.add.outer, mins[:-1], 0), math.floor(thr) - mins[-1])
+    band &= np.greater_equal.outer(functools.reduce(np.add.outer, maxs[:-1], 0), math.ceil(thr) - maxs[-1])
+    return band
 
 
 def _build(spec: GridSpec, polys: Sequence[QuadraticPoly], radius=None) -> CubicalComplex:
@@ -584,27 +572,43 @@ def _build(spec: GridSpec, polys: Sequence[QuadraticPoly], radius=None) -> Cubic
 
     The candidates are the whole box or, given a radius, the cells the
     radius sphere crosses.  Each center is tested exactly, as the sign of
-    an integer `_ScaledPoly` value at the integer-scaled center.  The
-    candidates are consumed lazily, so a box above MAX_GRID_CELLS is
-    rejected before any cell is visited.
+    an integer `_ScaledPoly` value at the integer-scaled center, in one
+    array pass: over the whole box by broadcasting per-axis centers, over
+    the band at its cells.  The arrays are int64 when a bound computed
+    first shows that no value reaches 2**62, and hold Python ints
+    otherwise.  A box above MAX_GRID_CELLS is rejected before any array is
+    allocated.
     """
     for p in polys:
         if p.k != spec.dim:
             raise ValueError(f"polynomial has {p.k} variables, grid has {spec.dim} axes")
     r = None if radius is None else _sphere_radius(radius, spec)
-    size = math.prod(spec.shape)
+    shape = spec.shape
+    size = math.prod(shape)
     if size > MAX_GRID_CELLS:
         raise ValueError(f"grid has {size} cells, above the limit of {MAX_GRID_CELLS}")
     gs = _GridScale(spec)
     evals = [_ScaledPoly(p, gs.scale) for p in polys]
-    cells = itertools.product(*map(range, spec.shape)) if r is None else _sphere_band_cells(gs, r)
-    center = gs.center_vec
-
-    def keep(u: Tuple[int, ...]) -> bool:
-        return all(e.value(u) >= 0 for e in evals)
-
-    tops = [tuple(2 * j + 1 for j in jvec) for jvec in cells if keep(center(jvec))]
-    return close_under_faces(tops, ambient_dim=spec.dim)
+    # Every scaled cell bound and center, and r * scale, is at most u_max in absolute value.
+    u_max = max((max(-lo, lo + gs.step * n) for lo, n in zip(gs.lo, shape)), default=0)
+    wide = any(e.magnitude(u_max) >= _INT64_SAFE for e in evals)
+    if r is not None:
+        wide = wide or spec.dim * u_max * u_max >= _INT64_SAFE
+    dtype = object if wide else np.int64
+    lows = [lo + gs.step * np.arange(n).astype(dtype) for lo, n in zip(gs.lo, shape)]
+    centers = [a + gs.step // 2 for a in lows]
+    if r is None:
+        cand = None
+        u = np.ix_(*centers)
+        keep = np.ones(shape, dtype=bool)
+    else:
+        cand = np.argwhere(_band_mask(lows, gs.step, r * r * gs.scale * gs.scale))
+        u = [c[ix] for c, ix in zip(centers, cand.T)]
+        keep = np.ones(len(cand), dtype=bool)
+    for e in evals:
+        keep &= e.values(u) >= 0
+    kept = np.argwhere(keep) if cand is None else cand[keep]
+    return close_under_faces(2 * kept + 1, ambient_dim=spec.dim)
 
 
 def grid_complex(system: Sequence[QuadraticPoly], spec: GridSpec) -> CubicalComplex:

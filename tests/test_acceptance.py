@@ -99,6 +99,8 @@ def test_criterion_4_bound_chain():
                 agg = bound_aggregate(s, k)
                 assert agg.simple == Fraction(3**s * math.comb(k + 1, s), 2)
                 assert float(agg.simple) <= agg.exp_form * (1 + 1e-9)
+                # exact: 2718/1000 < e, so this right side is below (1/2)(3e(k+1)/s)^s
+                assert agg.simple <= Fraction(1, 2) * (3 * Fraction(2718, 1000) * (k + 1) / s) ** s
                 for i in range(k):
                     assert bound_betti(s, k, i) <= agg.simple
         assert time.perf_counter() - start < 10.0

@@ -156,6 +156,40 @@ class TestAuditCommand:
         assert doc["projective_total"] == 2
 
 
+class TestTableLimit:
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "--s", "2", "--k", "1:1048577"),
+        ("bounds", "--s", "1:2000", "--k", "1:2000"),
+        ("bounds", "--s", "2", "--k", "2000000"),
+        ("bounds", "--s", "2", "--k", "5", "--i", "0:1048576"),
+        ("bounds", "--s", "1:1100", "--k", "1:1000", "--aggregate"),
+        ("ci", "--j", "2", "--k", "1:1048577"),
+        ("ci", "--j", "1:1100", "--k", "1:1000"),
+    ])
+    def test_oversized_table_rejected_before_work(self, capsys, monkeypatch, argv):
+        def no_work(*args):
+            raise AssertionError("a table row was computed")
+
+        for name in ("bound_betti", "bound_aggregate", "b_ci"):
+            monkeypatch.setattr(cli, name, no_work)
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: table has ")
+        assert f"above the limit of {cli.MAX_TABLE_ROWS}" in captured.err
+
+    def test_limit_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_TABLE_ROWS", 6)
+        assert main(["ci", "--j", "1:2", "--k", "1:3"]) == 0
+        assert main(["ci", "--j", "1:2", "--k", "1:4"]) == 2
+        assert main(["bounds", "--s", "1:2", "--k", "3"]) == 0
+        assert main(["bounds", "--s", "1:2", "--k", "1:3"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: table has 8 rows, above the limit of 6",
+            "error: table has 12 rows, above the limit of 6",
+        ]
+
+
 class TestOutputFile:
     def test_writes_file(self, capsys, tmp_path):
         target = tmp_path / "table.csv"

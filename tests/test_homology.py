@@ -115,6 +115,18 @@ class TestCloseUnderFaces:
         with pytest.raises(ValueError):
             close_under_faces([make_cube([(0, 1)]), make_cube([(0, 1), (0, 0)])])
 
+    def test_code_array_past_int64(self):
+        # 22 axes of 8 frame positions each: flat indices reach 2**66
+        cubes = [(0,) * 22, (2,) * 22, (1,) + (2,) * 21, (0,) * 21 + (1,)]
+        cx = close_under_faces(np.array(cubes), ambient_dim=22)
+        assert cx._frame.strides[0] * (cx._frame.spans[0] + 1) == 2**66
+        assert cx == close_under_faces(cubes) and len(cx) == 6
+        assert betti(cx) == (2, 0)
+
+    def test_code_array_axis_count_checked(self):
+        with pytest.raises(ValueError, match="axes"):
+            close_under_faces(np.ones((2, 3), dtype=np.int64), ambient_dim=2)
+
 
 class TestGF2Rank:
     def test_identity(self):

@@ -187,3 +187,13 @@ def test_flat_engine_matches_tuple_engine(case):
         vec = betti(cx)
         assert vec == _tuple_betti(want, cx.dim) == betti(cx, precollapse=False)
         assert vec == betti(CubicalComplex(dim, want))
+
+
+@SETTINGS
+@given(mixed_cubes())
+def test_code_array_matches_code_tuples(case):
+    dim, cubes = case
+    cx = close_under_faces(np.array(cubes, dtype=np.int64).reshape(len(cubes), dim), ambient_dim=dim)
+    ref = close_under_faces(cubes, ambient_dim=dim)
+    assert (cx._frame.lo, cx._frame.strides) == (ref._frame.lo, ref._frame.strides)
+    assert cx._flat == ref._flat

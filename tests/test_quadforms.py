@@ -16,6 +16,8 @@ from quadbetti.quadforms import (
     GridSpec,
     QuadraticForm,
     QuadraticPoly,
+    _INT64_SAFE,
+    _GridScale,
     _det,
     ci_probe,
     deform,
@@ -400,6 +402,100 @@ def test_center_rule_keeps_centers_on_the_boundary(name):
     assert expected
     for i in range(len(polys)):
         assert tops(strict=i) != expected  # each quadratic is 0 at a center that decides a cell
+    assert {c for c in build().cells if all(x & 1 for x in c)} == expected
+
+
+def _abs_at_most(form, tau):
+    """The pair tau - Q, tau + Q, both >= 0 exactly where |Q| <= tau."""
+    return [QuadraticPoly.make(form.n, quad=g.gram, const=tau) for g in (-1 * form, form)]
+
+
+def _cap(eps, n):
+    """(1/eps)^2 x_n^2 - |x_1..x_{n-1}|^2, the projective-ball truncation of a lift."""
+    diag = [-1] * (n - 1) + [1 / Fraction(eps) ** 2]
+    return QuadraticPoly.make(n, quad=[[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def _huge_poly(rng, k):
+    """Random quadratic whose coefficient numerators reach 10**20 over denominators up to 9."""
+    def coeff():
+        return Fraction(rng.randint(-10**20, 10**20), rng.randint(1, 9))
+    quad = [[Fraction(0)] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            quad[i][j] = quad[j][i] = coeff()
+    return QuadraticPoly.make(k, quad=quad, lin=[coeff() for _ in range(k)], const=coeff())
+
+
+_HUGE = 10**20
+# On the diagonals x^2 = y^2 the sign of (3H+1)/3 x^2 - H y^2 - 1/4 is that of
+# x^2/3 - 1/4, which rounding the two terms of size H to floats would lose.
+_WIDE_SADDLE = QuadraticPoly.make(2, quad=[[Fraction(3 * _HUGE + 1, 3), 0], [0, -_HUGE]],
+                                  const=Fraction(-1, 4))
+_WIDE_CONE = QuadraticForm.make(3, [[Fraction(3 * _HUGE + 1, 3), 0, 0], [0, -_HUGE, 0], [0, 0, 0]])
+# Box edges over a large odd denominator P make the grid's integer scale 8P,
+# so the band's bound n U^2 passes 2**62.
+_P = 10**12 + 39
+_OFF_LATTICE = GridSpec(box=((-1 - Fraction(1, _P), 1 - Fraction(1, _P)),) * 2, resolution=Fraction(1, 4))
+_CUBE = GridSpec.symmetric(Fraction(5, 4), Fraction(1, 4), 3)
+_QUARTERS = GridSpec.symmetric(Fraction(3, 2), Fraction(1, 4), 2)
+_rng = random.Random(13)
+_SMALL_POLY = random_poly(_rng, 2)
+_SMALL_FORM = QuadraticForm.make(3, [[1, Fraction(1, 2), 0], [Fraction(1, 2), -1, Fraction(1, 3)],
+                                     [0, Fraction(1, 3), Fraction(-1, 2)]])
+_UPPER = QuadraticPoly.make(2, lin=[0, 1])
+_HUGE_2 = _huge_poly(_rng, 2)
+_SADDLE_2 = QuadraticForm.make(2, [[1, 0], [0, -1]])
+
+# builder call, its grid, its sphere radius (None: the whole box), and the
+# quadratics that must be >= 0 at a kept center; grid_complex with small
+# coefficients is covered by TestGridComplex; the names ending in -wide
+# are inputs whose precomputed bound passes 2**62, so the builder computes
+# with Python ints.
+CENTER_CASES = {
+    "zero": (lambda: sphere_zero_complex([_SMALL_FORM], 1, _CUBE, Fraction(1, 2)),
+             _CUBE, 1, _abs_at_most(_SMALL_FORM, Fraction(1, 2))),
+    "band": (lambda: sphere_band_complex(1, _CUBE), _CUBE, 1, []),
+    # the radius-5/4 circle passes through the grid vertices (3/4, 1) and (1, 3/4),
+    # so it touches cells at their nearest and at their farthest corner
+    "band-corners": (lambda: sphere_band_complex(Fraction(5, 4), _QUARTERS), _QUARTERS,
+                     Fraction(5, 4), []),
+    "region": (lambda: sphere_region_complex([_SMALL_POLY], 1, _LARGE), _LARGE, 2,
+               [_cap(1, 2), _SMALL_POLY]),
+    "grid-coefficients-wide": (lambda: grid_complex([_WIDE_SADDLE, _HUGE_2], _LARGE), _LARGE, None,
+                               [_WIDE_SADDLE, _HUGE_2]),
+    "zero-coefficients-wide": (lambda: sphere_zero_complex([_WIDE_CONE], 1, _CUBE, Fraction(1, 4)),
+                               _CUBE, 1, _abs_at_most(_WIDE_CONE, Fraction(1, 4))),
+    "region-coefficients-wide": (lambda: sphere_region_complex([_WIDE_SADDLE], 1, _LARGE), _LARGE, 2,
+                                 [_cap(1, 2), _WIDE_SADDLE]),
+    "band-grid-wide": (lambda: sphere_band_complex(Fraction(3, 4), _OFF_LATTICE), _OFF_LATTICE,
+                       Fraction(3, 4), []),
+    "zero-grid-wide": (lambda: sphere_zero_complex([_SADDLE_2], Fraction(3, 4), _OFF_LATTICE,
+                                                   Fraction(1, 4)),
+                       _OFF_LATTICE, Fraction(3, 4), _abs_at_most(_SADDLE_2, Fraction(1, 4))),
+    "region-grid-wide": (lambda: sphere_region_complex([_UPPER], Fraction(5, 2), _OFF_LATTICE),
+                         _OFF_LATTICE, Fraction(4, 5), [_cap(Fraction(5, 2), 2), _UPPER]),
+}
+
+
+@pytest.mark.parametrize("name", CENTER_CASES)
+def test_builders_match_fraction_evaluation(name):
+    build, spec, radius, polys = CENTER_CASES[name]
+    if name.endswith("-wide"):
+        scale = _GridScale(spec).scale
+        coeffs = [x for p in polys for x in (p.const, *p.lin, *itertools.chain(*p.quad))]
+        # the builder's bound is at least scale^2 on a band and the largest numerator
+        assert max([scale * scale if radius else 0] + [abs(x.numerator) for x in coeffs]) >= _INT64_SAFE
+    cells = list(itertools.product(*map(range, spec.shape)) if radius is None
+                 else _band_cells(spec, radius))
+    expected = {
+        tuple(2 * j + 1 for j in jvec)
+        for jvec in cells
+        if all(p.evaluate(spec.center(jvec)) >= 0 for p in polys)
+    }
+    assert expected
+    if polys:
+        assert len(expected) < len(cells)
     assert {c for c in build().cells if all(x & 1 for x in c)} == expected
 
 
