@@ -30,10 +30,21 @@ __all__ = ["main", "build_parser"]
 # or any bound is computed.
 MAX_TABLE_ROWS = 2**20
 
+# Largest work of one row, checked over every requested row before any value
+# is computed: binomial terms of one `bounds` sum, and recurrence steps,
+# j * (k - j + 1), of one `ci` total.
+MAX_BOUND_TERMS = 2**11
+MAX_CI_STEPS = 2**20
+
 
 def _check_table_size(rows: int) -> None:
     if rows > MAX_TABLE_ROWS:
         raise ValueError(f"table has {rows} rows, above the limit of {MAX_TABLE_ROWS}")
+
+
+def _check_row_work(work: int, limit: int, unit: str) -> None:
+    if work > limit:
+        raise ValueError(f"one row needs {work} {unit}, above the limit of {limit}")
 
 
 def _parse_range(text: str) -> List[int]:
@@ -65,6 +76,30 @@ def _emit(fmt: str, out, document: Dict, columns: List[str], rows: List[Dict]) -
         out.write("\n")
 
 
+def _emit_table(fmt: str, out, columns: List[str], rows: List[Dict],
+                rationals: Sequence[str] = ()) -> None:
+    """Write rows as a CSV table or as the JSON document {"rows": rows}.
+
+    Each column named in `rationals` holds Fractions: CSV splits it into
+    <name>_num and <name>_den (both empty in a row without it), JSON writes
+    "num/den" with the denominator always present.
+    """
+    if fmt == "json":
+        rows = [{key: f"{v.numerator}/{v.denominator}" if key in rationals else v
+                 for key, v in row.items()} for row in rows]
+        _emit(fmt, out, {"rows": rows}, columns, rows)
+        return
+    split = {col: (f"{col}_num", f"{col}_den") for col in rationals}
+    csv_rows = []
+    for row in rows:
+        flat = dict(row)
+        for col, (num, den) in split.items():
+            if col in row:
+                flat[num], flat[den] = row[col].numerator, row[col].denominator
+        csv_rows.append(flat)
+    _emit(fmt, out, {}, [part for col in columns for part in split.get(col, (col,))], csv_rows)
+
+
 def _exit_code(verdicts: Sequence[str]) -> int:
     if VIOLATION in verdicts:
         return 1
@@ -78,80 +113,39 @@ def _cmd_bounds(args, out) -> int:
     kvals = _parse_range(args.k)
     if args.aggregate:
         _check_table_size(len(svals) * len(kvals))
-        rows = []
-        for k in kvals:
-            for s in svals:
-                if not 1 <= s <= k:
-                    continue
-                agg = bound_aggregate(s, k)
-                row: Dict = {
-                    "s": s,
-                    "k": k,
-                    "total_num": agg.total.numerator,
-                    "total_den": agg.total.denominator,
-                }
-                if agg.simple is not None:
-                    row["simple_num"] = agg.simple.numerator
-                    row["simple_den"] = agg.simple.denominator
-                    row["nonexact_exp_form"] = repr(agg.exp_form)
-                rows.append(row)
-        columns = ["s", "k", "simple_num", "simple_den", "total_num", "total_den",
-                   "nonexact_exp_form"]
-        if not rows:
+        pairs = [(s, k) for k in kvals for s in svals if 1 <= s <= k]
+        if not pairs:
             raise ValueError("no valid (s, k) combinations in the requested ranges")
-        json_rows = [
-            {
-                "s": r["s"],
-                "k": r["k"],
-                "total": f"{r['total_num']}/{r['total_den']}",
-                **(
-                    {
-                        "simple": f"{r['simple_num']}/{r['simple_den']}",
-                        "nonexact_exp_form": r["nonexact_exp_form"],
-                    }
-                    if "simple_num" in r
-                    else {}
-                ),
-            }
-            for r in rows
-        ]
-        _emit(args.format, out, {"rows": json_rows}, columns, rows)
+        _check_row_work(max(s + 1 for s, _ in pairs), MAX_BOUND_TERMS, "terms")
+        rows = []
+        for s, k in pairs:
+            agg = bound_aggregate(s, k)
+            row: Dict = {"s": s, "k": k, "total": agg.total}
+            if agg.simple is not None:
+                row.update(simple=agg.simple, nonexact_exp_form=repr(agg.exp_form))
+            rows.append(row)
+        _emit_table(args.format, out, ["s", "k", "simple", "total", "nonexact_exp_form"],
+                    rows, rationals=("simple", "total"))
         return 0
     given_i = _parse_range(args.i) if args.i else None
     _check_table_size(len(svals) * sum(max(k, 0) if given_i is None else len(given_i) for k in kvals))
-    rows = []
-    for k in kvals:
-        ivals = range(k) if given_i is None else given_i
-        for s in svals:
-            for i in ivals:
-                if not (1 <= s <= k and 0 <= i <= k - 1):
-                    continue
-                bound = bound_betti(s, k, i)
-                row = {
-                    "s": s,
-                    "k": k,
-                    "i": i,
-                    "bound_num": bound.numerator,
-                    "bound_den": bound.denominator,
-                }
-                if args.compare_classical:
-                    row["nonrigorous_sd_pow_k"] = (2 * s) ** k
-                    row["nonrigorous_k_pow_s"] = k**s
-                rows.append(row)
-    if not rows:
+    triples = [(s, k, i) for k in kvals for s in svals
+               for i in (range(k) if given_i is None else given_i)
+               if 1 <= s <= k and 0 <= i <= k - 1]
+    if not triples:
         raise ValueError("no valid (s, k, i) combinations in the requested ranges")
-    columns = ["s", "k", "i", "bound_num", "bound_den"]
+    _check_row_work(max(min(s, k - i) + 1 for s, k, i in triples), MAX_BOUND_TERMS, "terms")
+    columns = ["s", "k", "i", "bound"]
     if args.compare_classical:
         columns += ["nonrigorous_sd_pow_k", "nonrigorous_k_pow_s"]
-    json_rows = []
-    for r in rows:
-        jr = {"s": r["s"], "k": r["k"], "i": r["i"],
-              "bound": f"{r['bound_num']}/{r['bound_den']}"}
-        for key in ("nonrigorous_sd_pow_k", "nonrigorous_k_pow_s"):
-            if key in r:
-                jr[key] = r[key]
-        json_rows.append(jr)
-    _emit(args.format, out, {"rows": json_rows}, columns, rows)
+    rows = []
+    for s, k, i in triples:
+        row = {"s": s, "k": k, "i": i, "bound": bound_betti(s, k, i)}
+        if args.compare_classical:
+            row["nonrigorous_sd_pow_k"] = (2 * s) ** k
+            row["nonrigorous_k_pow_s"] = k**s
+        rows.append(row)
+    _emit_table(args.format, out, columns, rows, rationals=("bound",))
     return 0
 
 
@@ -169,23 +163,16 @@ def _cmd_ci(args, out) -> int:
         jvals = _parse_range(args.j)
         degrees = None
     _check_table_size(len(kvals) * len(jvals))
-    rows = []
-    for k in kvals:
-        for j in jvals:
-            if not 0 <= j <= k:
-                continue
-            degs = degrees if degrees is not None else (2,) * j
-            rows.append(
-                {
-                    "j": j,
-                    "k": k,
-                    "degrees": ";".join(map(str, degs)),
-                    "betti_total": b_ci(j, k, degs),
-                }
-            )
-    if not rows:
+    pairs = [(j, k) for k in kvals for j in jvals if 0 <= j <= k]
+    if not pairs:
         raise ValueError("no valid (j, k) combinations in the requested ranges")
-    _emit(args.format, out, {"rows": rows}, ["j", "k", "degrees", "betti_total"], rows)
+    _check_row_work(max(j * (k - j + 1) for j, k in pairs), MAX_CI_STEPS, "recurrence steps")
+    rows = []
+    for j, k in pairs:
+        degs = degrees if degrees is not None else (2,) * j
+        rows.append({"j": j, "k": k, "degrees": ";".join(map(str, degs)),
+                     "betti_total": b_ci(j, k, degs)})
+    _emit_table(args.format, out, ["j", "k", "degrees", "betti_total"], rows)
     return 0
 
 

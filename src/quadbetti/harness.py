@@ -326,31 +326,25 @@ def smith_audit(
     vec = betti(sphere_zero_complex(forms, r, spec, 2 * res))
     total = sum(vec)
     bound = b_ci(codim, proj_dim, (2,) * codim)
-    probe_report = ci_probe(forms, samples=8, seed=0) if probe else None
-    if total % 2 != 0:
-        return SmithReport(
-            verdict=INCONCLUSIVE,
-            sphere_betti=vec,
-            sphere_total=total,
-            projective_total=total // 2,
-            bound=bound,
-            codim=codim,
-            proj_dim=proj_dim,
-            note="sphere total is odd, antipodal pairing broken; refine the grid",
-            probe=probe_report,
-        )
     projective_total = total // 2
-    ok = projective_total <= bound
+    if total % 2:
+        # Cannot fire on a grid: the box is symmetric and the antipodal map acts freely on
+        # the band cells, so chi is even and so is the GF(2) total.  Kept as a guard.
+        note = "sphere total is odd, antipodal pairing broken; refine the grid"
+    elif projective_total > bound:
+        note = "grid estimate exceeds the bound; refine the grid or tau"
+    else:
+        note = ""
     return SmithReport(
-        verdict=PASS if ok else INCONCLUSIVE,
+        verdict=INCONCLUSIVE if note else PASS,
         sphere_betti=vec,
         sphere_total=total,
         projective_total=projective_total,
         bound=bound,
         codim=codim,
         proj_dim=proj_dim,
-        note="" if ok else "grid estimate exceeds the bound; refine the grid or tau",
-        probe=probe_report,
+        note=note,
+        probe=ci_probe(forms, samples=8, seed=0) if probe else None,
     )
 
 
@@ -363,6 +357,11 @@ def _lift_spec(eps: Fraction, dim: int, resolution=None) -> Tuple[GridSpec, Frac
     r = 2 / eps
     hs = _fr(resolution) if resolution is not None else r / 32
     return GridSpec.symmetric(r + 2 * hs, hs, dim), r
+
+
+def _region_betti(polys, eps: Fraction, spec: GridSpec, k: int) -> Tuple[int, ...]:
+    """Betti vector b_0..b_{k+1} of the lifted region of `polys` on the sphere of radius 2/eps."""
+    return pad_betti(betti(sphere_region_complex(polys, eps, spec)), k + 2)
 
 
 @dataclass(frozen=True)
@@ -408,9 +407,8 @@ def double_cover_audit(
     else:
         base = pad_betti(betti(grid_complex(sc.system, sc.grid)), sc.k + 1)
         base_source = "grid"
-    spec, r = _lift_spec(eps, sc.k + 1, sphere_resolution)
-    lifted_polys = [homogenize(p).as_poly() for p in sc.system]
-    lifted = pad_betti(betti(sphere_region_complex(lifted_polys, eps, spec)), sc.k + 2)
+    spec, _ = _lift_spec(eps, sc.k + 1, sphere_resolution)
+    lifted = _region_betti([homogenize(p).as_poly() for p in sc.system], eps, spec, sc.k)
     expected = pad_betti(tuple(2 * b for b in base), sc.k + 2)
     ok = lifted == expected
     return DoubleCoverReport(
@@ -461,9 +459,8 @@ def deformation_audit(
     vector matches the t = 0 vector.  The seeded positive definite family
     is scaled so that the largest requested t keeps the perturbation below
     the grid's sign granularity; that makes "sufficiently small" concrete
-    for the given grid.  The
-    closed-set grid approximation stands in for both the open and the
-    closed deformed sets.
+    for the given grid.  The closed-set grid approximation stands in for
+    both the open and the closed deformed sets.
     """
     params = params or DeformationParams()
     ts = sorted({_fr(t) for t in t_values})
@@ -480,7 +477,7 @@ def deformation_audit(
             delta=params.delta,
             note="scenario box exceeds the radius-1/eps ball; shrink eps",
         )
-    spec, r = _lift_spec(params.eps, sc.k + 1, sphere_resolution)
+    spec, _ = _lift_spec(params.eps, sc.k + 1, sphere_resolution)
     base_polys = [homogenize(p).as_poly() for p in sc.system]
     family = [
         dehomogenize(random_pd_form(sc.k + 2, seed + i)) for i in range(sc.s)
@@ -490,23 +487,17 @@ def deformation_audit(
         granularity = _sign_granularity(base_polys, spec)
         width = max(max(abs(lo), abs(hi)) for lo, hi in spec.box)
         biggest = max(_family_bound(h, width) for h in family)
-        scale = granularity / (4 * t_max * biggest)
-        if scale > 1:
-            scale = Fraction(1)
+        scale = min(granularity / (4 * t_max * biggest), Fraction(1))
     else:
         scale = Fraction(1)
     scaled_family = [scale * h for h in family]
-    betti_by_t: Dict[str, Tuple[int, ...]] = {}
-
-    def region_betti(t: Fraction) -> Tuple[int, ...]:
-        polys_t = [
-            (1 - t) * p + t * h for p, h in zip(base_polys, scaled_family)
-        ] or list(base_polys)
-        return pad_betti(betti(sphere_region_complex(polys_t, params.eps, spec)), sc.k + 2)
-
-    reference = region_betti(Fraction(0))
-    for t in ts:
-        betti_by_t[format_rational(t)] = reference if t == 0 else region_betti(t)
+    reference = _region_betti(base_polys, params.eps, spec, sc.k)
+    betti_by_t = {
+        format_rational(t): _region_betti(
+            [(1 - t) * p + t * h for p, h in zip(base_polys, scaled_family)],
+            params.eps, spec, sc.k) if t else reference
+        for t in ts
+    }
     constant = all(v == reference for v in betti_by_t.values())
     return DeformationReport(
         scenario=sc.name,
@@ -600,73 +591,53 @@ def _hollow_square(x: int, y: int) -> CubicalComplex:
     return close_under_faces(edges)
 
 
-def _mv_example(name, parts: Dict[Tuple[int, ...], CubicalComplex], union, degree,
-                union_override=None) -> MVExample:
-    union_betti = union_override or betti(union)
-    pieces = {key: betti(cx) for key, cx in parts.items()}
-    verdict = mayer_vietoris_audit(union_betti, pieces, degree)
+def _mv_example(name, pieces: Sequence[CubicalComplex], degree, union_override=None) -> MVExample:
+    """Audit the union of `pieces` against their intersections of up to degree + 1 pieces."""
+    union_betti = union_override or betti(
+        CubicalComplex(2, frozenset().union(*(p.cells for p in pieces))))
+    parts = {}
+    for size in range(1, degree + 2):
+        for J in itertools.combinations(range(len(pieces)), size):
+            cx = pieces[J[0]] if size == 1 else CubicalComplex(
+                2, frozenset.intersection(*(pieces[j].cells for j in J)))
+            parts[tuple(j + 1 for j in J)] = betti(cx)
     return MVExample(
         name=name,
         union_betti=tuple(union_betti),
-        pieces=pieces,
+        pieces=parts,
         degree=degree,
-        verdict=verdict,
+        verdict=mayer_vietoris_audit(union_betti, parts, degree),
     )
 
 
 def mv_wedge_example() -> MVExample:
     """Two circles joined at one point: b_1 = 2 against bound 0 + 0 + 1 + ..."""
-    a = _hollow_square(0, 0)
-    b = _hollow_square(1, 1)
-    union = CubicalComplex(2, a.cells | b.cells)
-    inter = CubicalComplex(2, a.cells & b.cells)
-    return _mv_example(
-        "mv-wedge", {(1,): a, (2,): b, (1, 2): inter}, union, degree=1
-    )
+    return _mv_example("mv-wedge", [_hollow_square(0, 0), _hollow_square(1, 1)], degree=1)
 
 
 def mv_disjoint_example() -> MVExample:
     """Two far-apart circles; checks the degree-1 bound with an empty overlap."""
-    a = _hollow_square(0, 0)
-    b = _hollow_square(3, 0)
-    union = CubicalComplex(2, a.cells | b.cells)
-    inter = CubicalComplex(2, a.cells & b.cells)
-    return _mv_example(
-        "mv-disjoint", {(1,): a, (2,): b, (1, 2): inter}, union, degree=1
-    )
+    return _mv_example("mv-disjoint", [_hollow_square(0, 0), _hollow_square(3, 0)], degree=1)
 
 
-def _three_arc_parts():
-    bottom = make_cube([(0, 1), (0, 0)])
-    top = make_cube([(0, 1), (1, 1)])
-    left = make_cube([(0, 0), (0, 1)])
-    right = make_cube([(1, 1), (0, 1)])
-    a = close_under_faces([bottom, right])
-    b = close_under_faces([top])
-    c = close_under_faces([left])
-    union = CubicalComplex(2, a.cells | b.cells | c.cells)
-    parts = {
-        (1,): a,
-        (2,): b,
-        (3,): c,
-        (1, 2): CubicalComplex(2, a.cells & b.cells),
-        (1, 3): CubicalComplex(2, a.cells & c.cells),
-        (2, 3): CubicalComplex(2, b.cells & c.cells),
-    }
-    return parts, union
+def _three_arcs() -> List[CubicalComplex]:
+    """The unit square's boundary as three arcs: bottom and right, top, left."""
+    return [
+        close_under_faces([make_cube([(0, 1), (0, 0)]), make_cube([(1, 1), (0, 1)])]),
+        close_under_faces([make_cube([(0, 1), (1, 1)])]),
+        close_under_faces([make_cube([(0, 0), (0, 1)])]),
+    ]
 
 
 def mv_three_arc_example() -> MVExample:
     """A circle covered by three arcs meeting pairwise in single vertices."""
-    parts, union = _three_arc_parts()
-    return _mv_example("mv-three-arcs", parts, union, degree=1)
+    return _mv_example("mv-three-arcs", _three_arcs(), degree=1)
 
 
 def mv_fabricated_example() -> MVExample:
     """Deliberately inflated union Betti vector: the checker must flag it."""
-    parts, union = _three_arc_parts()
     return _mv_example(
-        "mv-fabricated-violation", parts, union, degree=1, union_override=(1, 10)
+        "mv-fabricated-violation", _three_arcs(), degree=1, union_override=(1, 10)
     )
 
 

@@ -386,21 +386,17 @@ class DeformationParams:
     """Concrete stand-ins for the 'sufficiently small' deformation scales.
 
     eps sets the sphere radius 2/eps used by lifts, delta caps the
-    deformation time.  Requires 0 < delta < eps and 0 <= t <= 1.
+    deformation time.  Requires 0 < delta < eps.
     """
 
     eps: Fraction = Fraction(1, 10)
     delta: Fraction = Fraction(1, 1000)
-    t: Fraction = Fraction(0)
 
     def __post_init__(self):
         object.__setattr__(self, "eps", _fr(self.eps))
         object.__setattr__(self, "delta", _fr(self.delta))
-        object.__setattr__(self, "t", _fr(self.t))
         if not 0 < self.delta < self.eps:
             raise ValueError(f"need 0 < delta < eps, got delta={self.delta}, eps={self.eps}")
-        if not 0 <= self.t <= 1:
-            raise ValueError(f"need 0 <= t <= 1, got t={self.t}")
 
 
 def _positive_resolution(value) -> Fraction:

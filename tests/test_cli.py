@@ -190,6 +190,50 @@ class TestTableLimit:
         ]
 
 
+class TestRowWorkLimit:
+    @pytest.mark.parametrize("argv, unit, limit", [
+        (("ci", "--j", "1", "--k", "100000000"), "recurrence steps", "MAX_CI_STEPS"),
+        (("ci", "--j", "1:3", "--k", "2000000"), "recurrence steps", "MAX_CI_STEPS"),
+        (("bounds", "--s", "4000", "--k", "4000", "--i", "0"), "terms", "MAX_BOUND_TERMS"),
+        (("bounds", "--s", "2,4000", "--k", "4000"), "terms", "MAX_BOUND_TERMS"),
+        (("bounds", "--s", "4000", "--k", "4000", "--aggregate"), "terms", "MAX_BOUND_TERMS"),
+    ])
+    def test_heavy_row_rejected_before_work(self, capsys, monkeypatch, argv, unit, limit):
+        def no_work(*args):
+            raise AssertionError("a table row was computed")
+
+        for name in ("bound_betti", "bound_aggregate", "b_ci"):
+            monkeypatch.setattr(cli, name, no_work)
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: one row needs ")
+        assert f"{unit}, above the limit of {getattr(cli, limit)}" in captured.err
+
+    @pytest.mark.parametrize("argv, last_row", [
+        (("bounds", "--s", "1", "--k", "100000000", "--i", "0"), "1,100000000,0,200000003,2"),
+        (("ci", "--j", "1", "--k", "1000000"), "1,1000000,2,1000000"),
+    ])
+    def test_light_row_with_huge_k_runs(self, capsys, argv, last_row):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[-1] == last_row
+
+    def test_limit_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_CI_STEPS", 6)
+        monkeypatch.setattr(cli, "MAX_BOUND_TERMS", 3)
+        assert main(["ci", "--j", "2", "--k", "4"]) == 0  # 2 * 3 steps
+        assert main(["ci", "--j", "2", "--k", "5"]) == 2  # 2 * 4 steps
+        assert main(["bounds", "--s", "2", "--k", "5", "--i", "3"]) == 0  # 3 terms
+        assert main(["bounds", "--s", "3", "--k", "5", "--i", "2"]) == 2  # 4 terms
+        assert main(["bounds", "--s", "3", "--k", "6", "--aggregate"]) == 2  # 4 terms
+        assert capsys.readouterr().err.splitlines() == [
+            "error: one row needs 8 recurrence steps, above the limit of 6",
+            "error: one row needs 4 terms, above the limit of 3",
+            "error: one row needs 4 terms, above the limit of 3",
+        ]
+
+
 class TestOutputFile:
     def test_writes_file(self, capsys, tmp_path):
         target = tmp_path / "table.csv"

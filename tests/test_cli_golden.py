@@ -7,8 +7,12 @@ the grid builders became lists of quadratics over one sign test,
 `verify --seed 0 --full --format json` (which carries the shell-k2 lift),
 two `deformation-products` runs with other seeds, t values, eps, delta and
 resolution, and `smith-cone --radius 2`, which pin `family_scale` and the
-kept cells behind each Betti vector.  Any change to a column, its order, a
-key, a verdict or a Betti vector shows up here.
+kept cells behind each Betti vector; then, recorded before every `bounds`
+row became one dict of Fractions written by one table helper, the twelve
+`bounds` and `ci` tables of `perfbench/golden.json` and
+`bounds --s 1 --k 3 --aggregate` in CSV and JSON, whose empty `simple`
+columns pin that rational columns are declared, not inferred.  Any change
+to a column, its order, a key, a verdict or a Betti vector shows up here.
 """
 
 import json

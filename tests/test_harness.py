@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from quadbetti import harness
 from quadbetti.harness import (
     Scenario,
     USE_ORACLE,
@@ -177,6 +178,23 @@ class TestSmithAudit:
         rep = smith_audit([CONE], probe=True)
         assert rep.probe is not None
         assert rep.probe.verdict == "LIKELY_NONSINGULAR"
+
+    def test_coarse_grid_exceeds_bound(self):
+        # Q grows like radius^2 but tau = radius/4 only like radius, so at
+        # radius 5 the band around the cone's two circles breaks into 16 pieces
+        rep = smith_audit([CONE], radius=5, probe=False)
+        assert rep.verdict == INCONCLUSIVE
+        assert rep.sphere_betti == (16, 0, 0, 0)
+        assert (rep.projective_total, rep.bound) == (8, 2)
+        assert rep.note == "grid estimate exceeds the bound; refine the grid or tau"
+
+    def test_odd_sphere_total_mutant(self, monkeypatch):
+        # named mutant: an engine whose sphere vector breaks antipodal pairing
+        monkeypatch.setattr(harness, "betti", lambda cx: (1, 0, 0, 0))
+        rep = smith_audit([CONE], probe=False)
+        assert rep.verdict == INCONCLUSIVE
+        assert rep.sphere_total == 1
+        assert rep.note == "sphere total is odd, antipodal pairing broken; refine the grid"
 
 
 class TestDoubleCover:

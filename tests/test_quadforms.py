@@ -586,7 +586,3 @@ class TestDeformationParams:
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
             DeformationParams(eps=Fraction(1, 1000), delta=Fraction(1, 10))
-
-    def test_t_range(self):
-        with pytest.raises(ValueError):
-            DeformationParams(t=2)
