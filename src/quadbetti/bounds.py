@@ -42,13 +42,11 @@ def q_quad(j: int, k: int) -> int:
     2*q(j-1, k-1) - q(j, k-1) in between.  Values may be negative.  This
     is `c_ci` with every degree equal to 2.
     """
-    _check_indices(j, k)
     return c_ci(j, k, (2,) * j)
 
 
 def b_quad(j: int, k: int) -> int:
     """Total mod-2 Betti number of a smooth intersection of j quadrics in P^k."""
-    _check_indices(j, k)
     return b_ci(j, k, (2,) * j)
 
 
@@ -95,6 +93,11 @@ def b_ci(j: int, k: int, degrees: Sequence[int]) -> int:
     return b
 
 
+def _term_sum(s: int, k: int, top: int) -> int:
+    """sum_{j=0}^{top} C(s, j) * C(k+1, j) * 2**j, the paper's sum before halving."""
+    return sum(math.comb(s, j) * math.comb(k + 1, j) * 2**j for j in range(top + 1))
+
+
 def bound_betti(s: int, k: int, i: int) -> Fraction:
     """Exact upper bound on b_i of a set in R^k cut out by s quadratic inequalities.
 
@@ -105,10 +108,7 @@ def bound_betti(s: int, k: int, i: int) -> Fraction:
         raise ValueError(f"need 1 <= s <= k, got s={s}, k={k}")
     if not 0 <= i <= k - 1:
         raise ValueError(f"need 0 <= i <= k-1, got i={i}, k={k}")
-    total = sum(
-        math.comb(s, j) * math.comb(k + 1, j) * 2**j for j in range(min(s, k - i) + 1)
-    )
-    return Fraction(total, 2)
+    return Fraction(_term_sum(s, k, min(s, k - i)), 2)
 
 
 def bound_betti_floor(s: int, k: int, i: int) -> int:
@@ -121,9 +121,9 @@ class AggregateBounds:
     """Aggregate bound bundle for s quadratic inequalities in R^k.
 
     `simple` is (1/2) * 3**s * C(k+1, s), defined only for 2 <= s <= k/2;
-    `exp_form` is the floating-point comparison value (1/2) * (3e(k+1)/s)**s
-    and is NOT exact; `total` is the exact bound (1/2) * k * sum_{j<=s}
-    C(s, j) * C(k+1, j) * 2**j on the sum of all Betti numbers.
+    `exp_form` is the float comparison value (1/2) * (3e(k+1)/s)**s, NOT exact
+    and math.inf where it overflows; `total` is the exact bound (1/2) * k *
+    sum_{j<=s} C(s, j) * C(k+1, j) * 2**j on the sum of all Betti numbers.
     """
 
     simple: Optional[Fraction]
@@ -139,12 +139,13 @@ def bound_aggregate(s: int, k: int) -> AggregateBounds:
     """
     if not 1 <= s <= k:
         raise ValueError(f"need 1 <= s <= k, got s={s}, k={k}")
-    total = Fraction(
-        k * sum(math.comb(s, j) * math.comb(k + 1, j) * 2**j for j in range(s + 1)), 2
-    )
+    total = Fraction(k * _term_sum(s, k, s), 2)
     simple: Optional[Fraction] = None
     exp_form: Optional[float] = None
     if 2 <= s and 2 * s <= k:
         simple = Fraction(3**s * math.comb(k + 1, s), 2)
-        exp_form = 0.5 * (3.0 * math.e * (k + 1) / s) ** s
+        try:
+            exp_form = 0.5 * (3.0 * math.e * (k + 1) / s) ** s
+        except OverflowError:
+            exp_form = math.inf
     return AggregateBounds(simple=simple, exp_form=exp_form, total=total)

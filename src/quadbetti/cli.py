@@ -101,11 +101,7 @@ def _emit_table(fmt: str, out, columns: List[str], rows: List[Dict],
 
 
 def _exit_code(verdicts: Sequence[str]) -> int:
-    if VIOLATION in verdicts:
-        return 1
-    if INCONCLUSIVE in verdicts:
-        return 3
-    return 0
+    return {VIOLATION: 1, INCONCLUSIVE: 3}.get(harness._overall(verdicts), 0)
 
 
 def _cmd_bounds(args, out) -> int:
@@ -186,8 +182,7 @@ def _cmd_verify(args, out) -> int:
             for r in results
         ],
     }
-    rows = [{"name": r.name, "verdict": r.verdict, "note": r.note} for r in results]
-    _emit(args.format, out, document, ["name", "verdict", "note"], rows)
+    _emit(args.format, out, document, ["name", "verdict", "note"], document["results"])
     return _exit_code([r.verdict for r in results])
 
 

@@ -359,18 +359,22 @@ def _lift_spec(eps: Fraction, dim: int, resolution=None) -> Tuple[GridSpec, Frac
     return GridSpec.symmetric(r + 2 * hs, hs, dim), r
 
 
+# Note of a lift report whose scenario box leaves the ball; its lift fields keep their defaults.
+_BALL_NOTE = "scenario box exceeds the radius-1/eps ball; shrink eps"
+
+
 def _region_betti(polys, eps: Fraction, spec: GridSpec, k: int) -> Tuple[int, ...]:
     """Betti vector b_0..b_{k+1} of the lifted region of `polys` on the sphere of radius 2/eps."""
     return pad_betti(betti(sphere_region_complex(polys, eps, spec)), k + 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DoubleCoverReport(_Report):
     scenario: str
     verdict: str
-    base_betti: Tuple[int, ...]
-    base_source: str
-    lifted_betti: Tuple[int, ...]
+    base_betti: Tuple[int, ...] = ()
+    base_source: str = "none"
+    lifted_betti: Tuple[int, ...] = ()
     eps: Fraction
     note: str = ""
 
@@ -392,15 +396,7 @@ def double_cover_audit(
     params = params or DeformationParams()
     eps = params.eps
     if not _scenario_fits_ball(sc, eps):
-        return DoubleCoverReport(
-            scenario=sc.name,
-            verdict=INCONCLUSIVE,
-            base_betti=(),
-            base_source="none",
-            lifted_betti=(),
-            eps=eps,
-            note="scenario box exceeds the radius-1/eps ball; shrink eps",
-        )
+        return DoubleCoverReport(scenario=sc.name, verdict=INCONCLUSIVE, eps=eps, note=_BALL_NOTE)
     if sc.oracle_betti is not None:
         base = pad_betti(sc.oracle_betti, sc.k + 1)
         base_source = "oracle"
@@ -422,12 +418,12 @@ def double_cover_audit(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DeformationReport(_Report):
     scenario: str
     verdict: str
-    betti_by_t: Dict[str, Tuple[int, ...]]
-    family_scale: Fraction
+    betti_by_t: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
+    family_scale: Fraction = Fraction(0)
     eps: Fraction
     delta: Fraction
     note: str = ""
@@ -468,15 +464,8 @@ def deformation_audit(
         if not 0 <= t <= params.delta:
             raise ValueError(f"t={t} outside [0, delta={params.delta}]")
     if not _scenario_fits_ball(sc, params.eps):
-        return DeformationReport(
-            scenario=sc.name,
-            verdict=INCONCLUSIVE,
-            betti_by_t={},
-            family_scale=Fraction(0),
-            eps=params.eps,
-            delta=params.delta,
-            note="scenario box exceeds the radius-1/eps ball; shrink eps",
-        )
+        return DeformationReport(scenario=sc.name, verdict=INCONCLUSIVE, eps=params.eps,
+                                 delta=params.delta, note=_BALL_NOTE)
     spec, _ = _lift_spec(params.eps, sc.k + 1, sphere_resolution)
     base_polys = [homogenize(p).as_poly() for p in sc.system]
     family = [

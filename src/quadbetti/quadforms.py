@@ -98,6 +98,13 @@ def _fr(value) -> Fraction:
     return Fraction(value)
 
 
+def _positive(value, name: str) -> Fraction:
+    q = _fr(value)
+    if q <= 0:
+        raise ValueError(f"{name} must be positive, got {q}")
+    return q
+
+
 def _symmetric_matrix(rows, n: int) -> Tuple[Tuple[Fraction, ...], ...]:
     mat = tuple(tuple(_fr(x) for x in row) for row in rows)
     if len(mat) != n or any(len(row) != n for row in mat):
@@ -241,9 +248,7 @@ def dehomogenize(f: QuadraticForm) -> QuadraticPoly:
 
 def make_p_eps(eps, k: int) -> QuadraticPoly:
     """Sphere polynomial (2/eps)^2 - sum of squares in k+1 variables."""
-    e = _fr(eps)
-    if e <= 0:
-        raise ValueError(f"eps must be positive, got {e}")
+    e = _positive(eps, "eps")
     n = k + 1
     quad = tuple(
         tuple(Fraction(-1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
@@ -276,8 +281,6 @@ def deform(q: QuadraticForm, h: QuadraticForm, t) -> QuadraticForm:
     tt = _fr(t)
     if not 0 <= tt <= 1:
         raise ValueError(f"t must lie in [0, 1], got {tt}")
-    if q.n != h.n:
-        raise ValueError("variable count mismatch")
     return (1 - tt) * q + tt * h
 
 
@@ -399,13 +402,6 @@ class DeformationParams:
             raise ValueError(f"need 0 < delta < eps, got delta={self.delta}, eps={self.eps}")
 
 
-def _positive_resolution(value) -> Fraction:
-    res = _fr(value)
-    if res <= 0:
-        raise ValueError(f"resolution must be positive, got {res}")
-    return res
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Axis-aligned rational box split into cells of one rational width.
@@ -420,7 +416,7 @@ class GridSpec:
 
     def __post_init__(self):
         box = tuple((_fr(lo), _fr(hi)) for lo, hi in self.box)
-        res = _positive_resolution(self.resolution)
+        res = _positive(self.resolution, "resolution")
         for lo, hi in box:
             if hi <= lo:
                 raise ValueError(f"empty axis interval [{lo}, {hi}]")
@@ -448,7 +444,7 @@ class GridSpec:
     @staticmethod
     def symmetric(half_width, resolution, dim: int) -> "GridSpec":
         """Box [-H, H]^dim with H snapped up to a multiple of the resolution."""
-        h = _positive_resolution(resolution)
+        h = _positive(resolution, "resolution")
         half = _fr(half_width)
         n = -((-half) // h)  # ceil division for Fractions
         half = n * h
@@ -530,9 +526,7 @@ def _sign_granularity(polys: Sequence[QuadraticPoly], spec: GridSpec) -> Fractio
 
 def _sphere_radius(radius, spec: GridSpec) -> Fraction:
     """The radius as an exact positive rational whose sphere the grid box contains."""
-    r = _fr(radius)
-    if r <= 0:
-        raise ValueError(f"radius must be positive, got {r}")
+    r = _positive(radius, "radius")
     for lo, hi in spec.box:
         if lo > -r or hi < r:
             raise ValueError(
@@ -626,9 +620,7 @@ def sphere_zero_complex(
     every form; tau should scale with the resolution (the audits default
     to twice the cell width).
     """
-    t = _fr(tau)
-    if t <= 0:
-        raise ValueError(f"tau must be positive, got {t}")
+    t = _positive(tau, "tau")
     if not forms:
         raise ValueError("need at least one form")
     # |Q(c)| <= tau  <=>  tau - Q(c) >= 0 and tau + Q(c) >= 0
@@ -653,9 +645,7 @@ def sphere_region_complex(
     equator and makes each polar copy correspond to the affine set
     truncated to the ball of radius 1/eps.
     """
-    e = _fr(eps)
-    if e <= 0:
-        raise ValueError(f"eps must be positive, got {e}")
+    e = _positive(eps, "eps")
     # cap(c) = (1/eps)^2 * c_{k+1}^2 - |c_1..c_k|^2 >= 0 is the truncation
     n = spec.dim
     diag = [-1] * (n - 1) + [1 / e**2]

@@ -200,6 +200,15 @@ class TestBoundAggregate:
         assert isinstance(agg.exp_form, float)
         assert isinstance(agg.simple, Fraction)
 
+    @pytest.mark.parametrize("s, k, total_digits", [(400, 800, 420), (2047, 4094, 2141)])
+    def test_exp_form_overflow_is_inf(self, s, k, total_digits):
+        agg = bound_aggregate(s, k)
+        assert agg.exp_form == math.inf
+        assert agg.simple == Fraction(3**s * math.comb(k + 1, s), 2)
+        terms = sum(math.comb(s, j) * math.comb(k + 1, j) * 2**j for j in range(s + 1))
+        assert agg.total == Fraction(k * terms, 2)
+        assert len(str(agg.total.numerator)) == total_digits
+
 
 class TestBoundChain:
     def test_per_degree_below_simple_below_exp_form(self):

@@ -1,10 +1,16 @@
 """Command line behavior: tables, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quadbetti
 from quadbetti import cli
+from quadbetti.bounds import bound_aggregate
 from quadbetti.cli import main
 
 
@@ -77,9 +83,45 @@ class TestBoundsCommand:
         assert "nonrigorous_sd_pow_k" in header and "nonrigorous_k_pow_s" in header
         assert out.splitlines()[1].endswith("64,9")
 
+    @pytest.mark.parametrize("s, k, total_digits", [(400, 800, 420), (2047, 4094, 2141)])
+    def test_aggregate_float_overflow_reads_inf(self, capsys, s, k, total_digits):
+        code, out = run_cli(capsys, "bounds", "--s", str(s), "--k", str(k), "--aggregate")
+        assert code == 0
+        agg = bound_aggregate(s, k)
+        row = out.splitlines()[1].split(",")
+        assert row == [str(s), str(k), str(agg.simple.numerator), str(agg.simple.denominator),
+                       str(agg.total.numerator), str(agg.total.denominator), "inf"]
+        assert len(row[4]) == total_digits
+
     def test_invalid_combo_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "bounds", "--s", "5", "--k", "2")
         assert code == 2
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (("bounds", "--s", "1", "--k", "5:3"), "empty range '5:3'"),
+        (("bounds", "--s", "5", "--k", "3", "--aggregate"),
+         "no valid (s, k) combinations in the requested ranges"),
+        (("ci", "--k", "3"), "need --j or --degrees"),
+        (("ci", "--j", "5", "--k", "3"), "no valid (j, k) combinations in the requested ranges"),
+    ])
+    def test_exits_two_with_error_line(self, capsys, argv, message):
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
+def test_python_dash_m_entry_point():
+    src = str(Path(quadbetti.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "quadbetti", "bounds", "--s", "2", "--k", "4", "--i", "0"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["s,k,i,bound_num,bound_den", "2,4,0,61,2"]
 
 
 class TestVerifyCommand:
@@ -110,6 +152,16 @@ class TestAuditCommand:
             "--eps", "2", "--delta", "1",
         )
         assert code == 3
+
+    def test_deformation_outside_ball_exits_three(self, capsys):
+        code, out = run_cli(
+            capsys, "audit", "--name", "deformation-products", "--k", "2",
+            "--eps", "1/2", "--format", "json",
+        )
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["verdict"] == "INCONCLUSIVE"
+        assert (doc["betti_by_t"], doc["family_scale"]) == ({}, "0")
 
     def test_unknown_name_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "audit", "--name", "nope")

@@ -1,5 +1,6 @@
 """Unit tests for scenarios, audits and report serialization."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -234,6 +235,14 @@ class TestDoubleCover:
         assert rep.verdict == PASS
         assert rep.lifted_betti == (2, 2, 0, 0)
 
+    def test_grid_base_without_oracle(self):
+        sc = dataclasses.replace(scenario_products(1), oracle_betti=None)
+        rep = double_cover_audit(sc)
+        assert rep.verdict == PASS
+        assert rep.base_source == "grid"
+        assert rep.base_betti == (2, 0)
+        assert rep.lifted_betti == (4, 0, 0)
+
 
 class TestDeformation:
     def test_products1_constant(self):
@@ -263,6 +272,13 @@ class TestDeformation:
         b = deformation_audit(scenario_products(1), seed=5)
         assert a == b
 
+    def test_eps_too_large_is_inconclusive(self):
+        rep = deformation_audit(scenario_products(2), DeformationParams(eps=Fraction(1, 2)))
+        assert rep.verdict == INCONCLUSIVE
+        assert rep.betti_by_t == {}
+        assert rep.family_scale == 0
+        assert rep.note == "scenario box exceeds the radius-1/eps ball; shrink eps"
+
 
 class TestAlexander:
     def test_equator_duality(self):
@@ -270,6 +286,20 @@ class TestAlexander:
         assert rep.verdict == PASS
         assert rep.subset_reduced == (0, 1, 0)
         assert rep.complement_reduced == (1, 0, 0)
+
+    def test_inflated_b1_mutant(self, monkeypatch):
+        # named mutant: an engine that adds 1 to every b_1
+        real = harness.betti
+
+        def inflated(cx):
+            vec = pad_betti(real(cx), 3)
+            return vec[:1] + (vec[1] + 1,) + vec[2:]
+
+        monkeypatch.setattr(harness, "betti", inflated)
+        rep = alexander_equator_audit()
+        assert rep.verdict == INCONCLUSIVE
+        assert rep.subset_reduced == (0, 2, 0)
+        assert rep.complement_reduced == (1, 1, 0)
 
 
 class TestMVExamples:

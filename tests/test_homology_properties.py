@@ -3,8 +3,12 @@
 Inputs are random sets of top cells in small 2-D and 3-D boxes.  Closure is
 compared with a stack-based closure kept here as the reference, and Betti
 numbers with the Euler characteristic of the raw cell counts, with the
-no-collapse path and, for b_0, with `scipy.ndimage.label` on the occupancy
-array under full (vertex) connectivity.
+no-collapse path and, for the whole vector, with `scipy.ndimage.label` on
+the occupancy array: b_0 counts components under full (vertex) adjacency,
+b_{d-1} the bounded components of the complement under face adjacency
+(Alexander duality), b_d is 0 and in 3-D b_1 follows from the Euler
+characteristic.  The same duality check runs on the 2-D and 3-D builds of
+`test_builder_snapshot.py`.
 
 A second set of inputs, cubes of any dimension with negative codes and
 repeats in 1-D to 4-D, compares the flat-index engine with the tuple engine
@@ -16,8 +20,10 @@ Betti numbers.
 from collections import deque
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage
+from test_builder_snapshot import BUILDS, SNAPSHOT
 
 from quadbetti.homology import (
     CubicalComplex,
@@ -27,6 +33,7 @@ from quadbetti.homology import (
     cube_dim,
     cube_faces,
     gf2_rank,
+    pad_betti,
 )
 
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
@@ -43,6 +50,28 @@ def top_cells(draw):
 
 def _cubes(cells):
     return [tuple(2 * j + 1 for j in jvec) for jvec in cells]
+
+
+def _chi(cx):
+    return sum((-1) ** d * cx.n_cells(d) for d in range(cx.ambient_dim + 1))
+
+
+def _duality_betti(mask, chi):
+    """b_0 .. b_d of the closed top cells marked in `mask`, without the homology engine.
+
+    b_0 is the number of components of the marked cells under full (vertex)
+    adjacency.  By Alexander duality b_{d-1} is the number of bounded
+    components of the complement: the components of the unmarked cells under
+    face adjacency in the box padded by one cell, less the one that holds the
+    padding.  b_d = 0, and for d = 3, b_1 = b_0 + b_2 - chi.
+    """
+    dim = mask.ndim
+    _, b0 = ndimage.label(mask, structure=np.ones((3,) * dim, dtype=bool))
+    _, outside = ndimage.label(~np.pad(mask, 1))
+    top = outside - 1
+    if dim == 2:
+        return (b0, top, 0)
+    return (b0, b0 + top - chi, top, 0)
 
 
 def _stack_closure(cubes):
@@ -72,8 +101,7 @@ def test_closure_matches_stack_closure(case):
 def test_euler_characteristic_matches_betti(case):
     dim, _, cells = case
     cx = close_under_faces(_cubes(cells), ambient_dim=dim)
-    chi = sum((-1) ** d * cx.n_cells(d) for d in range(dim + 1))
-    assert chi == sum((-1) ** i * b for i, b in enumerate(betti(cx)))
+    assert _chi(cx) == sum((-1) ** i * b for i, b in enumerate(betti(cx)))
 
 
 @SETTINGS
@@ -86,13 +114,23 @@ def test_collapse_preserves_betti(case):
 
 @SETTINGS
 @given(top_cells())
-def test_b0_matches_connected_components(case):
+def test_betti_matches_components_and_duality(case):
     dim, side, cells = case
     mask = np.zeros((side,) * dim, dtype=bool)
     for jvec in cells:
         mask[jvec] = True
-    _, components = ndimage.label(mask, structure=np.ones((3,) * dim, dtype=bool))
-    assert betti(close_under_faces(_cubes(cells), ambient_dim=dim))[0] == components
+    cx = close_under_faces(_cubes(cells), ambient_dim=dim)
+    assert pad_betti(betti(cx), dim + 1) == _duality_betti(mask, _chi(cx))
+
+
+@pytest.mark.parametrize("name", [n for n in BUILDS if len(SNAPSHOT[n]["n_cells"]) in (3, 4)])
+def test_builds_match_duality(name):
+    cx = BUILDS[name][0]()
+    index = (np.array(cx.cells_of_dim(cx.ambient_dim)) - 1) // 2
+    index -= index.min(axis=0)
+    mask = np.zeros(index.max(axis=0) + 1, dtype=bool)
+    mask[tuple(index.T)] = True
+    assert pad_betti(betti(cx), cx.ambient_dim + 1) == _duality_betti(mask, _chi(cx))
 
 
 # ---------------------------------------------------------------------------
