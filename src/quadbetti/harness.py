@@ -34,6 +34,7 @@ from .quadforms import (
     QuadraticForm,
     QuadraticPoly,
     _fr,
+    _positive,
     _sign_granularity,
     ci_probe,
     dehomogenize,
@@ -320,7 +321,7 @@ def smith_audit(
     proj_dim = n - 1
     if codim > proj_dim:
         raise ValueError(f"codimension {codim} exceeds projective dimension {proj_dim}")
-    r = _fr(radius)
+    r = _positive(radius, "radius")
     res = r / 8
     spec = GridSpec.symmetric(r + 2 * res, res, n)
     vec = betti(sphere_zero_complex(forms, r, spec, 2 * res))

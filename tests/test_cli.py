@@ -173,13 +173,18 @@ class TestAuditCommand:
         assert out == ""
 
     @pytest.mark.parametrize("argv", [
-        ("--name", "smith-cone", "--radius", "0"),
+        ("--name", "double-cover-products", "--resolution=-1/4"),
         ("--name", "double-cover-products", "--resolution", "0"),
         ("--name", "deformation-products", "--resolution", "0"),
     ])
     def test_zero_resolution_is_usage_error(self, capsys, argv):
         assert main(["audit", *argv]) == 2
         assert "resolution must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("radius", ["0", "-1"])
+    def test_smith_radius_error_names_the_radius(self, capsys, radius):
+        assert main(["audit", "--name", "smith-cone", "--radius", radius]) == 2
+        assert f"radius must be positive, got {radius}\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ("--name", "double-cover-products", "--k", "6"),

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from quadbetti import homology
 from quadbetti.homology import (
     PASS,
     VIOLATION,
@@ -21,6 +22,12 @@ from quadbetti.homology import (
     mayer_vietoris_audit,
     pad_betti,
 )
+
+
+@pytest.fixture
+def collapse_always(monkeypatch):
+    """Run the free-face collapse rounds on every complex, however small."""
+    monkeypatch.setattr(homology, "_COLLAPSE_MIN_CELLS", 0)
 
 
 def solid_cube_complex(d):
@@ -123,6 +130,12 @@ class TestCloseUnderFaces:
         assert cx == close_under_faces(cubes) and len(cx) == 6
         assert betti(cx) == (2, 0)
 
+    def test_object_frame_collapse(self, collapse_always):
+        cubes = [(0,) * 22, (2,) * 22, (1,) + (2,) * 21, (0,) * 21 + (1,)]
+        cx = close_under_faces(np.array(cubes), ambient_dim=22)
+        assert cx._flat.dtype == object
+        assert betti(cx) == betti(cx, precollapse=False) == (2, 0)
+
     def test_code_array_axis_count_checked(self):
         with pytest.raises(ValueError, match="axes"):
             close_under_faces(np.ones((2, 3), dtype=np.int64), ambient_dim=2)
@@ -216,7 +229,7 @@ class TestBetti:
             euler = sum((-1) ** d * v for d, v in enumerate(vec))
             assert euler == cx.euler_characteristic()
 
-    def test_collapse_agrees_with_direct(self):
+    def test_collapse_agrees_with_direct(self, collapse_always):
         rng = random.Random(23)
         for _ in range(60):
             cx = random_closed_complex(rng)
@@ -235,6 +248,24 @@ class TestBetti:
         assert not broken.is_face_closed()
         with pytest.raises(ValueError, match=rf"complex is not face-closed: missing \({missing[0]}, {missing[1]}\)"):
             betti(broken, precollapse=precollapse)
+
+
+    def test_edge_without_vertices_rejected(self):
+        edge = CubicalComplex(1, [(1,)])
+        assert not edge.is_face_closed()
+        with pytest.raises(ValueError, match=r"complex is not face-closed: missing \(0,\)"):
+            betti(edge)
+
+    def test_large_complex_missing_vertex_rejected(self):
+        # 1,089 cells: enough for betti to build the collapse table, which
+        # checks closure on its own.
+        solid = close_under_faces([(2 * i + 1, 2 * j + 1) for i in range(16) for j in range(16)])
+        assert len(solid) >= homology._COLLAPSE_MIN_CELLS and solid.is_face_closed()
+        broken = CubicalComplex(2, solid.cells - {(10, 10)})
+        assert not broken.is_face_closed()
+        for precollapse in (True, False):
+            with pytest.raises(ValueError, match=r"complex is not face-closed: missing \(10, 10\)"):
+                betti(broken, precollapse=precollapse)
 
 
 class TestPadBetti:

@@ -8,15 +8,22 @@ the occupancy array: b_0 counts components under full (vertex) adjacency,
 b_{d-1} the bounded components of the complement under face adjacency
 (Alexander duality), b_d is 0 and in 3-D b_1 follows from the Euler
 characteristic.  The same duality check runs on the 2-D and 3-D builds of
-`test_builder_snapshot.py`.
+`test_builder_snapshot.py`, and on every complex of dimension 2 or 3 that
+`verify --full` computes Betti numbers of and that is the closure of its top
+cells.
 
 A second set of inputs, cubes of any dimension with negative codes and
 repeats in 1-D to 4-D, compares the flat-index engine with the tuple engine
 it replaced: the stack closure for cells and counts per dimension, and
 free-face collapse on code tuples followed by tuple boundary ranks for the
-Betti numbers.
+Betti numbers.  These inputs are below the size at which `betti` collapses
+first, so the collapse tests force the rounds on.  The collapsed core itself
+is checked for face closure, Euler characteristic, the absence of free faces
+and repeatability, and complexes with 22 extra axes, whose flat indices are
+Python ints, against the same cubes in an int64 frame.
 """
 
+import contextlib
 from collections import deque
 
 import numpy as np
@@ -25,6 +32,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 from test_builder_snapshot import BUILDS, SNAPSHOT
 
+from quadbetti import harness, homology
 from quadbetti.homology import (
     CubicalComplex,
     GF2Matrix,
@@ -37,6 +45,14 @@ from quadbetti.homology import (
 )
 
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
+
+
+@contextlib.contextmanager
+def _collapse_always():
+    """`betti` runs the collapse rounds on every complex, however small."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "_COLLAPSE_MIN_CELLS", 0)
+        yield
 
 
 @st.composite
@@ -109,7 +125,8 @@ def test_euler_characteristic_matches_betti(case):
 def test_collapse_preserves_betti(case):
     dim, _, cells = case
     cx = close_under_faces(_cubes(cells), ambient_dim=dim)
-    assert betti(cx) == betti(cx, precollapse=False)
+    with _collapse_always():
+        assert betti(cx) == betti(cx, precollapse=False)
 
 
 @SETTINGS
@@ -123,14 +140,41 @@ def test_betti_matches_components_and_duality(case):
     assert pad_betti(betti(cx), dim + 1) == _duality_betti(mask, _chi(cx))
 
 
-@pytest.mark.parametrize("name", [n for n in BUILDS if len(SNAPSHOT[n]["n_cells"]) in (3, 4)])
-def test_builds_match_duality(name):
-    cx = BUILDS[name][0]()
+def _top_mask(cx):
+    """Occupancy array of the top cells of cx, over their bounding box."""
     index = (np.array(cx.cells_of_dim(cx.ambient_dim)) - 1) // 2
     index -= index.min(axis=0)
     mask = np.zeros(index.max(axis=0) + 1, dtype=bool)
     mask[tuple(index.T)] = True
-    assert pad_betti(betti(cx), cx.ambient_dim + 1) == _duality_betti(mask, _chi(cx))
+    return mask
+
+
+@pytest.mark.parametrize("name", [n for n in BUILDS if len(SNAPSHOT[n]["n_cells"]) in (3, 4)])
+def test_builds_match_duality(name):
+    cx = BUILDS[name][0]()
+    assert pad_betti(betti(cx), cx.ambient_dim + 1) == _duality_betti(_top_mask(cx), _chi(cx))
+
+
+def test_verify_full_complexes_match_duality(monkeypatch):
+    """Every 2-D and 3-D complex of `verify --full` that is the closure of its top cells."""
+    computed = []
+
+    def recording_betti(cx, *args, **kwargs):
+        vec = betti(cx, *args, **kwargs)
+        computed.append((cx, vec))
+        return vec
+
+    monkeypatch.setattr(harness, "betti", recording_betti)
+    harness.run_verification_suite(0, full=True)
+    checked = 0
+    for cx, vec in computed:
+        if cx.ambient_dim not in (2, 3) or cx.n_cells(cx.ambient_dim) == 0:
+            continue
+        if close_under_faces(cx.cells_of_dim(cx.ambient_dim), ambient_dim=cx.ambient_dim) != cx:
+            continue
+        assert pad_betti(vec, cx.ambient_dim + 1) == _duality_betti(_top_mask(cx), _chi(cx)), cx
+        checked += 1
+    assert checked >= 14, f"only {checked} of {len(computed)} complexes checked"
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +266,10 @@ def test_flat_engine_matches_tuple_engine(case):
     assert cx.dim == max(map(cube_dim, want), default=-1)
     assert cx == CubicalComplex(dim, want)
     if want:
-        vec = betti(cx)
+        with _collapse_always():
+            vec = betti(cx)
+            assert vec == betti(CubicalComplex(dim, want))
         assert vec == _tuple_betti(want, cx.dim) == betti(cx, precollapse=False)
-        assert vec == betti(CubicalComplex(dim, want))
 
 
 @SETTINGS
@@ -234,4 +279,44 @@ def test_code_array_matches_code_tuples(case):
     cx = close_under_faces(np.array(cubes, dtype=np.int64).reshape(len(cubes), dim), ambient_dim=dim)
     ref = close_under_faces(cubes, ambient_dim=dim)
     assert (cx._frame.lo, cx._frame.strides) == (ref._frame.lo, ref._frame.strides)
-    assert cx._flat == ref._flat
+    assert np.array_equal(cx._flat, ref._flat)
+
+
+# ---------------------------------------------------------------------------
+# The collapsed core, and complexes whose flat indices do not fit in int64.
+
+
+def _collapsed(cx):
+    """Indices of the core that the collapse rounds leave, and the core as a complex."""
+    core = homology._core(*homology._neighbours(cx))
+    return core, CubicalComplex._from_flat(cx.ambient_dim, cx._frame, cx._flat[core])
+
+
+@SETTINGS
+@given(st.one_of(top_cells().map(lambda case: (case[0], _cubes(case[2]))), mixed_cubes()))
+def test_collapsed_core_is_a_closed_core_with_the_same_chi(case):
+    dim, cubes = case
+    cx = close_under_faces(cubes, ambient_dim=dim)
+    core, sub = _collapsed(cx)
+    assert sub.is_face_closed()
+    assert sub.euler_characteristic() == cx.euler_characteristic()
+    _, counts, _ = homology._neighbours(sub)
+    assert not (counts[:-1] == 1).any(), "a free face is left"
+    assert np.array_equal(_collapsed(cx)[0], core)
+
+
+@SETTINGS
+@given(mixed_cubes())
+def test_object_frame_matches_int64_frame(case):
+    dim, cubes = case
+    narrow = close_under_faces(cubes, ambient_dim=dim)
+    # 22 more axes, all at code 0, put the frame past 2**63 positions; the
+    # complex is the same up to those constant coordinates.
+    wide = close_under_faces([c + (0,) * 22 for c in cubes], ambient_dim=dim + 22)
+    assert narrow._flat.dtype == np.int64 and wide._flat.dtype == object
+    assert {c[:dim] for c in wide.cells} == narrow.cells and len(wide) == len(narrow)
+    assert [wide.n_cells(d) for d in range(dim + 2)] == [narrow.n_cells(d) for d in range(dim + 2)]
+    if cubes:
+        with _collapse_always():
+            assert betti(wide) == betti(narrow)
+        assert betti(wide, precollapse=False) == betti(narrow)
