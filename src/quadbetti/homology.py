@@ -468,11 +468,9 @@ def _core(table: np.ndarray, counts: np.ndarray, xors: np.ndarray) -> np.ndarray
     `counts` and `xors` hold the number and the XOR of the indices of the
     live cofaces of every cell, so a free face f (one live coface) has its
     coface g at xors[f].  They are used up: a removed cell's count goes
-    negative.  Each round pairs every free face with its coface, keeps one f
-    per g, and removes the pairs.  Such a g has no coface, so no cell is in
-    two pairs, and removing the pairs one by one is a sequence of elementary
-    collapses: the homotopy type, hence every Betti number, is preserved.
-    Only faces of removed cells can become free; they are the next candidates.
+    negative.  Each round removes one (f, g) pair per g, all at once, which
+    the module docstring shows to be exact.  Only faces of removed cells can
+    become free; they are the next round's candidates.
     """
     n, width = table.shape
     pick = np.empty(n, dtype=table.dtype)
