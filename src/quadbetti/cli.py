@@ -201,42 +201,60 @@ def _cmd_audit(args, out) -> int:
     return _exit_code([report.verdict])
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The command line parser.
+
+    Given a subcommand name, only that subcommand is built: parsing its
+    command line reads no other, and building them costs more than the
+    parse.  Help and error output are the same either way.
+    """
     parser = argparse.ArgumentParser(
         prog="quadbetti",
         description="Betti bound tables and verification audits for quadratic systems",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    helps = {
+        "bounds": "per-degree bound table",
+        "ci": "complete-intersection Betti totals",
+        "verify": "run the built-in verification suite",
+        "audit": "run one named audit",
+    }
+    # Usage lines list the subcommands; the metavar keeps the unbuilt ones in them.
+    metavar = "{" + ",".join(helps) + "}" if command else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    subs = {name: sub.add_parser(name, help=helps[name]) for name in ([command] if command else helps)}
 
-    p_bounds = sub.add_parser("bounds", help="per-degree bound table")
-    p_bounds.add_argument("--s", required=True, help="value, a:b range, or comma list")
-    p_bounds.add_argument("--k", required=True)
-    p_bounds.add_argument("--i", default=None, help="defaults to all valid degrees")
-    p_bounds.add_argument("--aggregate", action="store_true",
-                          help="emit aggregate bounds instead of per-degree rows")
-    p_bounds.add_argument("--compare-classical", action="store_true",
-                          help="append illustrative non-rigorous reference columns")
+    if "bounds" in subs:
+        p_bounds = subs["bounds"]
+        p_bounds.add_argument("--s", required=True, help="value, a:b range, or comma list")
+        p_bounds.add_argument("--k", required=True)
+        p_bounds.add_argument("--i", default=None, help="defaults to all valid degrees")
+        p_bounds.add_argument("--aggregate", action="store_true",
+                              help="emit aggregate bounds instead of per-degree rows")
+        p_bounds.add_argument("--compare-classical", action="store_true",
+                              help="append illustrative non-rigorous reference columns")
 
-    p_ci = sub.add_parser("ci", help="complete-intersection Betti totals")
-    p_ci.add_argument("--j", default=None)
-    p_ci.add_argument("--k", required=True)
-    p_ci.add_argument("--degrees", default=None, help="comma list, e.g. 2,2,3")
+    if "ci" in subs:
+        p_ci = subs["ci"]
+        p_ci.add_argument("--j", default=None)
+        p_ci.add_argument("--k", required=True)
+        p_ci.add_argument("--degrees", default=None, help="comma list, e.g. 2,2,3")
 
-    p_verify = sub.add_parser("verify", help="run the built-in verification suite")
-    p_verify.add_argument("--full", action="store_true", help="include the slow audits")
+    if "verify" in subs:
+        subs["verify"].add_argument("--full", action="store_true", help="include the slow audits")
 
-    p_audit = sub.add_parser("audit", help="run one named audit")
-    p_audit.add_argument("--name", required=True, choices=harness.AUDIT_REGISTRY)
-    p_audit.add_argument("--k", type=int, default=2)
-    p_audit.add_argument("--r-in", dest="r_in", default="1/2")
-    p_audit.add_argument("--r-out", dest="r_out", default="1")
-    p_audit.add_argument("--radius", default="1")
-    p_audit.add_argument("--eps", default="1/10")
-    p_audit.add_argument("--delta", default="1/1000")
-    p_audit.add_argument("--t-values", dest="t_values", default="0,1/1000")
-    p_audit.add_argument("--resolution", default=None)
+    if "audit" in subs:
+        p_audit = subs["audit"]
+        p_audit.add_argument("--name", required=True, choices=harness.AUDIT_REGISTRY)
+        p_audit.add_argument("--k", type=int, default=2)
+        p_audit.add_argument("--r-in", dest="r_in", default="1/2")
+        p_audit.add_argument("--r-out", dest="r_out", default="1")
+        p_audit.add_argument("--radius", default="1")
+        p_audit.add_argument("--eps", default="1/10")
+        p_audit.add_argument("--delta", default="1/1000")
+        p_audit.add_argument("--t-values", dest="t_values", default="0,1/1000")
+        p_audit.add_argument("--resolution", default=None)
 
-    for p in (p_bounds, p_ci, p_verify, p_audit):
+    for p in subs.values():
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", default=None, help="file path; defaults to stdout")
         p.add_argument("--seed", type=int, default=0)
@@ -244,17 +262,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    argv = sys.argv[1:] if argv is None else list(argv)
     handlers = {
         "bounds": _cmd_bounds,
         "ci": _cmd_ci,
         "verify": _cmd_verify,
         "audit": _cmd_audit,
     }
+    parser = build_parser(argv[0] if argv and argv[0] in handlers else None)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
     buffer = io.StringIO()
     try:
         code = handlers[args.command](args, buffer)

@@ -34,9 +34,12 @@ are decoded only on request (`cells`, `cells_of_dim`, a missing face in an
 error message).
 
 Face closure runs axis by axis: the cells odd on the axis, shifted by
--stride and by +stride, are appended to the array, which is sorted and
-freed of repeats.  The three parts are sorted runs, and a stable sort
-(timsort) merges them in linear time.
+-stride and by +stride, are merged into the sorted array.  A merge places
+each new value by binary search, so closure itself never sorts; code
+arrays from the grid builders arrive in flat order, and only other input
+is sorted, once, on the way in.  (A stable sort would merge large arrays
+about twice as fast, but numpy loads about 200 KB of sort code the first
+time a process sorts.)
 
 Betti numbers are computed over the two-element field: b_d equals
 (#d-cells) - rank(boundary_d) - rank(boundary_{d+1}).  A binary search
@@ -45,16 +48,15 @@ face closure, and the ranks use Gaussian elimination on int bitsets.
 Before that, `betti` shrinks a complex of at least _COLLAPSE_MIN_CELLS
 cells by free-face collapse, in rounds of array passes; pass
 precollapse=False to rank the whole complex.  One binary search over the
-neighbours of every cell gives a table of faces and, per cell, the number
-and the XOR of the indices of its cofaces.  A round takes the cells with
-one live coface (free faces f), reads that coface g from the XOR, keeps
-one f per g, removes all the pairs at once, and updates the counts and
-XORs of their faces.  This is exact.  If f has exactly one coface g, then
-g has no coface: a coface h of g would have f as a codim-2 face, which
-lies in two facets of h, both cofaces of f.  So no cell is both an f and a
-g, the pairs of a round are disjoint, and removing them one after another
-is a sequence of elementary collapses, which keep the homotopy type and
-every Betti number.
+neighbours of every cell gives a table of its faces and cofaces.  A round
+takes the free faces f, the cells with exactly one live coface g, keeps
+one f per g, removes all the pairs at once, and looks for the next free
+faces among the live faces of the removed cells.  This is exact.  If f
+has exactly one coface g, then g has no coface: a coface h of g would
+have f as a codim-2 face, which lies in two facets of h, both cofaces of
+f.  So no cell is both an f and a g, the pairs of a round are disjoint,
+and removing them one after another is a sequence of elementary collapses,
+which keep the homotopy type and every Betti number.
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ def cube_all_faces(cube: Cube) -> List[Cube]:
 class _Frame:
     """Power-of-two strides over the padded bounding box of some codes."""
 
-    __slots__ = ("lo", "spans", "strides", "base", "dtype")
+    __slots__ = ("lo", "spans", "strides", "shifts", "base", "dtype", "_steps")
 
     def __init__(self, bounds: Sequence[Tuple[int, int]]):
         """`bounds` holds the least and the largest code on each axis."""
@@ -168,16 +170,27 @@ class _Frame:
         spans.reverse()
         strides.reverse()
         self.lo, self.spans, self.strides, self.base = lows, spans, strides, base
+        self.shifts = [s.bit_length() - 1 for s in strides]
         # Every flat index, and every sum or difference of one with a stride
         # that the engine forms, is below the frame's size `stride`.
         self.dtype = np.int64 if stride < 2**63 else object
+        self._steps = None
+
+    def steps(self) -> Tuple[np.ndarray, np.ndarray]:
+        """-stride_a and +stride_a for each axis a, the offsets of a cell's
+        faces and cofaces, and log2(stride_a) for both: the bit of a cell's
+        flat index that tells which of the two they are.  Built on first use."""
+        if self._steps is None:
+            self._steps = (np.array([t for s in self.strides for t in (-s, s)], dtype=self.dtype),
+                           np.array([k for k in self.shifts for _ in "-+"]))
+        return self._steps
 
     def decode(self, flat: np.ndarray) -> Iterator[Cube]:
         """Code tuples of the flat indices, in their order."""
         if not self.strides:
             return iter([()] * len(flat))
-        return zip(*[[v + lo for v in (flat // s & w).tolist()]
-                     for s, w, lo in zip(self.strides, self.spans, self.lo)])
+        return zip(*[[v + lo for v in ((flat >> k) % (w + 1)).tolist()]
+                     for k, w, lo in zip(self.shifts, self.spans, self.lo)])
 
 
 def _encode(cubes: Union[Collection[Cube], np.ndarray], ambient_dim: int) -> Tuple[_Frame, np.ndarray]:
@@ -203,15 +216,35 @@ def _encode(cubes: Union[Collection[Cube], np.ndarray], ambient_dim: int) -> Tup
 
 
 def _sorted_distinct(flat: np.ndarray) -> np.ndarray:
-    """The distinct values of `flat` in ascending order; sorts `flat` in place.
+    """The distinct values of `flat` in ascending order.
 
-    A stable sort is timsort, which merges presorted runs in linear time.
+    The grid builders list their cubes in lexicographic order of the codes,
+    which is flat order, so their arrays pass through without a sort.
     """
-    flat.sort(kind="stable")
-    keep = np.empty(len(flat), dtype=bool)
-    keep[:1] = True
-    np.not_equal(flat[1:], flat[:-1], out=keep[1:])
-    return flat[keep]
+    if np.count_nonzero(flat[1:] <= flat[:-1]):
+        flat = np.sort(flat, kind="stable")
+        flat = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
+    return flat
+
+
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted union of two ascending arrays of distinct values.
+
+    A binary search places each value of b in a; the values already there
+    are dropped, and the rest go in at their place shifted by the number of
+    values of b inserted before them.
+    """
+    at = a.searchsorted(b)
+    if len(a):
+        new = a.take(at, mode="clip") != b
+        b, at = b[new], at[new]
+    at += np.arange(len(b))
+    out = np.empty(len(a) + len(b), dtype=a.dtype)
+    from_b = np.zeros(len(out), dtype=bool)
+    from_b[at] = True
+    out[at] = b
+    out[~from_b] = a
+    return out
 
 
 class CubicalComplex:
@@ -239,9 +272,9 @@ class CubicalComplex:
 
         A cell's dimension is the number of strides whose bit its flat index sets.
         """
-        dims = np.zeros(len(flat), dtype=np.int16)
-        for s in frame.strides:
-            dims += (flat & s) != 0
+        dims = sum(((flat >> k) % 2 for k in frame.shifts), np.zeros(len(flat), dtype=np.int64))
+        # On an object frame the sum holds Python ints.
+        dims = dims.astype(np.int64, copy=False)
         self.ambient_dim, self._frame, self._flat, self._dims = ambient_dim, frame, flat, dims
         self._counts = np.bincount(dims).tolist()
         self._cells = None
@@ -303,10 +336,10 @@ def close_under_faces(
     if ambient_dim is None:
         ambient_dim = len(cubes[0]) if len(cubes) else 0
     frame, flat = _encode(cubes, ambient_dim)
-    for s in frame.strides:
-        odd = flat[(flat & s) != 0]
+    for s, k in zip(frame.strides, frame.shifts):
+        odd = flat[(flat >> k) % 2 == 1]
         if len(odd):
-            flat = _sorted_distinct(np.concatenate((flat, odd - s, odd + s)))
+            flat = _union(_union(flat, odd - s), odd + s)
     return CubicalComplex._from_flat(ambient_dim, frame, flat)
 
 
@@ -409,91 +442,88 @@ class ChainComplex:
         return True
 
 
-# A collapse round costs tens of numpy calls however few cells it removes.
-# Measured on random top-cell sets, ranking the whole complex stays cheaper
-# up to about 500 cells in 3-D and 1,000 in 2-D.
+# Building the neighbour table and running the rounds costs tens of numpy
+# calls however small the complex; below this size ranking it directly is
+# cheaper.  Collapsing every complex instead made the median command of the
+# cli-small benchmark 12% slower (ten alternating runs each).
 _COLLAPSE_MIN_CELLS = 512
 
-# Cells handled per pass when building the face table and removing collapse
-# pairs; bounds the temporaries of a large complex.
+# Cells handled per pass when building the neighbour table and looking for
+# free faces; bounds the temporaries of a large complex.
 _BLOCK = 1 << 10
 
 
-def _steps(frame: _Frame, dtype) -> np.ndarray:
-    """-stride_a, +stride_a for each axis a: the offsets of a cell's faces and cofaces."""
-    return np.array([t for s in frame.strides for t in (-s, s)], dtype=dtype)
+def _neighbours(c: CubicalComplex) -> np.ndarray:
+    """Neighbour table of c; ValueError if c is not face-closed.
 
-
-def _neighbours(c: CubicalComplex) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Face table, coface counts and coface index XORs of c; ValueError if c is not face-closed.
-
-    Row i of the face table holds, for each axis a, the indices of the cells
-    at flat_i - stride_a and flat_i + stride_a when cell i is odd on a (its
-    two faces along a), and n, one past the last cell, when it is even.
-    Counts and XORs run over the cofaces, the cells at those positions along
-    the even axes; both have an entry for n, whose count is negative.  The
-    table and the XORs are int32 when every index fits.
+    Column i holds, for each axis a, the cells at flat_i - stride_a and
+    flat_i + stride_a.  Along the axes where cell i is odd these are its two
+    faces, which must be there, stored as -1 - index; along the others they
+    are its cofaces, stored as their index, or as n (one past the last cell)
+    where there is none.  The table is int32 when every index fits.
     """
     flat, frame = c._flat, c._frame
     n = len(flat)
-    index_type = np.int32 if n < 2**31 else np.int64
-    steps = _steps(frame, flat.dtype)[:, None]
-    bits = abs(steps)
-    table = np.empty((n, len(steps)), dtype=index_type)
-    counts = np.empty(n + 1, dtype=np.int64)
-    xors = np.empty(n + 1, dtype=index_type)
-    counts[n] = xors[n] = -1
+    steps, shifts = (a[:, None] for a in frame.steps())
+    table = np.empty((len(steps), n), dtype=np.int32 if n < 2**31 else np.int64)
     for lo in range(0, n, _BLOCK):
-        rows = slice(lo, min(lo + _BLOCK, n))
+        cells = flat[lo:lo + _BLOCK]
         # One row per step: each row of positions is ascending, which keeps
         # the binary searches local.
-        near = steps + flat[rows]
+        near = steps + cells
         index = flat.searchsorted(near)
         found = flat.take(index, mode="clip") == near
-        even = (bits & flat[rows]) == 0
-        missing = ~(found | even)
-        if missing.any():
+        odd = (cells >> shifts) % 2 == 1
+        missing = odd & ~found
+        if np.count_nonzero(missing):
             raise _missing_face(frame, near.T, missing.T)
-        found &= even
-        np.add.reduce(found, 0, out=counts[rows])
-        np.bitwise_xor.reduce(index, 0, out=xors[rows], where=found)
-        index[even] = n
-        table[rows] = index.T
-    return table, counts, xors
+        index[~found] = n
+        table[:, lo:lo + _BLOCK] = np.where(odd, -1 - index, index)
+    return table
 
 
-def _core(table: np.ndarray, counts: np.ndarray, xors: np.ndarray) -> np.ndarray:
-    """Ascending indices of the cells that rounds of free-face collapse leave.
+def _free_faces(table: np.ndarray, alive: np.ndarray, cells: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The cells among `cells` with exactly one live coface, and that coface.
 
-    `counts` and `xors` hold the number and the XOR of the indices of the
-    live cofaces of every cell, so a free face f (one live coface) has its
-    coface g at xors[f].  They are used up: a removed cell's count goes
-    negative.  Each round removes one (f, g) pair per g, all at once, which
-    the module docstring shows to be exact.  Only faces of removed cells can
-    become free; they are the next round's candidates.
+    A cell has exactly one live coface when the largest and the smallest
+    index among its live cofaces agree.  Face entries are negative; they
+    index `alive` from the end, and the sign test discards what they read.
     """
-    n, width = table.shape
-    pick = np.empty(n, dtype=table.dtype)
-    candidates = (counts == 1).nonzero()[0].astype(table.dtype)
-    while True:
-        free = candidates[counts[candidates] == 1]
-        if not len(free):
-            return (counts[:n] >= 0).nonzero()[0]
-        coface = xors[free]
-        # The last write to pick[g] wins: the free face at that position is g's pair.
-        positions = np.arange(len(free), dtype=pick.dtype)
+    near = table.take(cells, axis=1).astype(np.int64, copy=False)
+    live = alive[near] & (near >= 0)
+    top = np.where(live, near, -1).max(0)
+    one = top == np.where(live, near, len(alive)).min(0)
+    return cells[one], top[one]
+
+
+def _core(c: CubicalComplex) -> np.ndarray:
+    """Ascending indices of the cells of c that rounds of free-face collapse leave.
+
+    Each round takes every free face f, a cell with exactly one live coface
+    g, keeps one f per g, and removes all those pairs at once; the module
+    docstring shows this to be exact.  Only faces of removed cells can become
+    free, so the live ones are the next round's candidates.
+    """
+    table = _neighbours(c)
+    n = len(c)
+    alive = np.ones(n + 1, dtype=bool)
+    alive[n] = False
+    pick = np.empty(n, dtype=np.int64)
+    pairs = [_free_faces(table, alive, np.arange(lo, min(lo + _BLOCK, n))) for lo in range(0, n, _BLOCK)]
+    while pairs:
+        free, coface = map(np.concatenate, zip(*pairs))
+        # One of the writes to pick[g] survives; that free face becomes g's pair.
+        positions = np.arange(len(free))
         pick[coface] = positions
         first = pick[coface] == positions
         gone = np.concatenate((free[first], coface[first]))
-        counts[gone] = -1
-        touched = []
+        alive[gone] = False
+        pairs = []
         for lo in range(0, len(gone), _BLOCK):
-            cells = gone[lo:lo + _BLOCK]
-            faces = table[cells].ravel()
-            np.subtract.at(counts, faces, 1)
-            np.bitwise_xor.at(xors, faces, cells.repeat(width))
-            touched.append(faces[counts[faces] == 1])
-        candidates = np.concatenate(touched)
+            near = table.take(gone[lo:lo + _BLOCK], axis=1).astype(np.int64, copy=False)
+            faces = -1 - near[near < 0]
+            pairs.append(_free_faces(table, alive, faces[alive[faces]]))
+    return alive[:n].nonzero()[0]
 
 
 _bit = (1).__lshift__  # _bit(r) == 1 << r
@@ -510,17 +540,17 @@ def _chain(frame: _Frame, flat: np.ndarray, dims: np.ndarray, top: int) -> Chain
     The faces of the d-cells are looked up among the (d-1)-cells by one
     binary search, which gives their rows and checks that they are there.
     """
-    steps = _steps(frame, flat.dtype)
-    bits = abs(steps)
+    steps, shifts = frame.steps()
     groups = [flat[dims == d] for d in range(top + 1)]
     boundaries = []
     for d in range(1, top + 1):
         cells, lower = groups[d][:, None], groups[d - 1]
         # A face lies along an odd axis, where the step's bit is set in the cell's index.
-        near = (cells + steps)[(cells & bits) != 0].reshape(-1, 2 * d)
+        near = (cells + steps)[(cells >> shifts) % 2 == 1].reshape(-1, 2 * d)
         rows = lower.searchsorted(near)
-        missing = lower.searchsorted(near, side="right") == rows
-        if missing.any():
+        # take() needs a cell to read; with no (d-1)-cells every face is missing.
+        missing = lower.take(rows, mode="clip") != near if len(lower) else np.ones(near.shape, dtype=bool)
+        if np.count_nonzero(missing):
             raise _missing_face(frame, near, missing)
         boundaries.append(GF2Matrix(len(lower), len(cells), [sum(map(_bit, r)) for r in rows.tolist()]))
     return ChainComplex(counts=tuple(map(len, groups)), boundaries=tuple(boundaries))
@@ -542,7 +572,7 @@ def betti(c: CubicalComplex, precollapse: bool = True) -> Tuple[int, ...]:
         return (0,) * (c.ambient_dim + 1)
     flat, dims = c._flat, c._dims
     if precollapse and len(c) >= _COLLAPSE_MIN_CELLS:
-        core = _core(*_neighbours(c))
+        core = _core(c)
         flat, dims = flat[core], dims[core]
     cc = _chain(c._frame, flat, dims, c.dim)
     ranks = [0, *(m.rank() for m in cc.boundaries), 0]

@@ -113,6 +113,28 @@ class TestUsageErrors:
         assert captured.err == f"error: {message}\n"
 
 
+def _parse(parser, argv, capsys):
+    try:
+        result = sorted(vars(parser.parse_args(argv)).items())
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "--help"], ["bounds", "-h"], ["ci", "--help"], ["verify", "--help"],
+    ["audit"], ["audit", "--name", "bogus"], ["audit", "--name", "mv-three", "--k", "x"],
+    ["audit", "--name", "mv-three", "extra"], ["verify", "--bogus"], ["ci", "--k", "3", "--nope", "1"],
+    ["bounds", "--s", "2", "--k", "4", "--format", "xml"],
+    ["audit", "--name", "smith-cone", "--radius", "1/2", "--format", "json"],
+    ["bounds", "--s", "1:3", "--k", "3:6", "--aggregate"], ["verify", "--full", "--seed", "2"],
+])
+def test_one_subcommand_parser_acts_as_the_full_parser(capsys, argv):
+    # main builds only the subcommand it is given; parses, help and errors must not change.
+    assert _parse(cli.build_parser(argv[0]), argv, capsys) == _parse(cli.build_parser(), argv, capsys)
+
+
 def test_python_dash_m_entry_point():
     src = str(Path(quadbetti.__file__).resolve().parents[1])
     done = subprocess.run(

@@ -24,12 +24,6 @@ from quadbetti.homology import (
 )
 
 
-@pytest.fixture
-def collapse_always(monkeypatch):
-    """Run the free-face collapse rounds on every complex, however small."""
-    monkeypatch.setattr(homology, "_COLLAPSE_MIN_CELLS", 0)
-
-
 def solid_cube_complex(d):
     return close_under_faces([make_cube([(0, 1)] * d)])
 

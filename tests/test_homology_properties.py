@@ -23,12 +23,11 @@ and repeatability, and complexes with 22 extra axes, whose flat indices are
 Python ints, against the same cubes in an int64 frame.
 """
 
-import contextlib
 from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy import ndimage
 from test_builder_snapshot import BUILDS, SNAPSHOT
 
@@ -45,14 +44,8 @@ from quadbetti.homology import (
 )
 
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
-
-
-@contextlib.contextmanager
-def _collapse_always():
-    """`betti` runs the collapse rounds on every complex, however small."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(homology, "_COLLAPSE_MIN_CELLS", 0)
-        yield
+# For tests that take the `collapse_always` fixture: its patch holds for every example.
+COLLAPSING = settings(SETTINGS, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 @st.composite
@@ -120,13 +113,12 @@ def test_euler_characteristic_matches_betti(case):
     assert _chi(cx) == sum((-1) ** i * b for i, b in enumerate(betti(cx)))
 
 
-@SETTINGS
+@COLLAPSING
 @given(top_cells())
-def test_collapse_preserves_betti(case):
+def test_collapse_preserves_betti(collapse_always, case):
     dim, _, cells = case
     cx = close_under_faces(_cubes(cells), ambient_dim=dim)
-    with _collapse_always():
-        assert betti(cx) == betti(cx, precollapse=False)
+    assert betti(cx) == betti(cx, precollapse=False)
 
 
 @SETTINGS
@@ -254,9 +246,9 @@ def mixed_cubes(draw):
     return dim, cubes
 
 
-@SETTINGS
+@COLLAPSING
 @given(mixed_cubes())
-def test_flat_engine_matches_tuple_engine(case):
+def test_flat_engine_matches_tuple_engine(collapse_always, case):
     dim, cubes = case
     cx = close_under_faces(cubes, ambient_dim=dim)
     want = _stack_closure(cubes)
@@ -266,9 +258,8 @@ def test_flat_engine_matches_tuple_engine(case):
     assert cx.dim == max(map(cube_dim, want), default=-1)
     assert cx == CubicalComplex(dim, want)
     if want:
-        with _collapse_always():
-            vec = betti(cx)
-            assert vec == betti(CubicalComplex(dim, want))
+        vec = betti(cx)
+        assert vec == betti(CubicalComplex(dim, want))
         assert vec == _tuple_betti(want, cx.dim) == betti(cx, precollapse=False)
 
 
@@ -288,7 +279,7 @@ def test_code_array_matches_code_tuples(case):
 
 def _collapsed(cx):
     """Indices of the core that the collapse rounds leave, and the core as a complex."""
-    core = homology._core(*homology._neighbours(cx))
+    core = homology._core(cx)
     return core, CubicalComplex._from_flat(cx.ambient_dim, cx._frame, cx._flat[core])
 
 
@@ -300,14 +291,14 @@ def test_collapsed_core_is_a_closed_core_with_the_same_chi(case):
     core, sub = _collapsed(cx)
     assert sub.is_face_closed()
     assert sub.euler_characteristic() == cx.euler_characteristic()
-    _, counts, _ = homology._neighbours(sub)
-    assert not (counts[:-1] == 1).any(), "a free face is left"
+    live = sub.cells
+    assert all(_unique_coface(f, live) is None for f in live), "a free face is left"
     assert np.array_equal(_collapsed(cx)[0], core)
 
 
-@SETTINGS
+@COLLAPSING
 @given(mixed_cubes())
-def test_object_frame_matches_int64_frame(case):
+def test_object_frame_matches_int64_frame(collapse_always, case):
     dim, cubes = case
     narrow = close_under_faces(cubes, ambient_dim=dim)
     # 22 more axes, all at code 0, put the frame past 2**63 positions; the
@@ -317,6 +308,4 @@ def test_object_frame_matches_int64_frame(case):
     assert {c[:dim] for c in wide.cells} == narrow.cells and len(wide) == len(narrow)
     assert [wide.n_cells(d) for d in range(dim + 2)] == [narrow.n_cells(d) for d in range(dim + 2)]
     if cubes:
-        with _collapse_always():
-            assert betti(wide) == betti(narrow)
-        assert betti(wide, precollapse=False) == betti(narrow)
+        assert betti(wide) == betti(narrow) == betti(wide, precollapse=False)
