@@ -444,8 +444,9 @@ class ChainComplex:
 
 # Building the neighbour table and running the rounds costs tens of numpy
 # calls however small the complex; below this size ranking it directly is
-# cheaper.  Collapsing every complex instead made the median command of the
-# cli-small benchmark 12% slower (ten alternating runs each).
+# cheaper.  Collapsing every complex instead made the median op of the
+# cli-small benchmark 23% slower and `verify --full` 3% slower (ten
+# alternating runs each, recorded in BENCH_9.json).
 _COLLAPSE_MIN_CELLS = 512
 
 # Cells handled per pass when building the neighbour table and looking for
