@@ -316,7 +316,7 @@ class CubicalComplex:
 
     def is_face_closed(self) -> bool:
         try:
-            _neighbours(self)
+            _check_closed(self._frame, self._flat, *_runs(self._flat))
         except ValueError:
             return False
         return True
@@ -454,16 +454,88 @@ _COLLAPSE_MIN_CELLS = 512
 _BLOCK = 1 << 10
 
 
-def _neighbours(c: CubicalComplex) -> np.ndarray:
-    """Neighbour table of c; ValueError if c is not face-closed.
+def _runs(flat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """First and last position of each run of consecutive values of `flat`.
+
+    The frame pads the last axis by two codes at both ends, so a run never
+    leaves its line: all its cells share their codes off the last axis.
+    """
+    steps = (flat[1:] != flat[:-1] + 1).nonzero()[0] + 1
+    edges = np.concatenate(([0], steps, [len(flat)]) if len(flat) else ([0],))
+    return edges[:-1], edges[1:] - 1
+
+
+def _check_closed(frame: _Frame, flat: np.ndarray, start: np.ndarray, end: np.ndarray) -> None:
+    """Raise ValueError naming a missing face unless the cells `flat` are face-closed.
+
+    `start` and `end` bound the runs of `flat`.  In a face-closed complex a
+    run starts and ends on even last-axis codes, which gives every odd cell
+    of it both its last-axis faces.  Along each other axis where the run's
+    code is odd, the run shifted by -stride and by +stride must be there;
+    `flat` holds distinct sorted values, so its first and last cell decide.
+    """
+    first, last = flat[start], flat[end]
+    for cells, step in ((first, -1), (last, 1)):
+        odd = cells % 2 == 1
+        if np.count_nonzero(odd):
+            raise _missing_face(frame, cells[odd] + step)
+    length = end - start
+    for s, k in zip(frame.strides[:-1], frame.shifts[:-1]):
+        odd = ((first >> k) % 2 == 1).nonzero()[0]
+        for t in (-s, s):
+            at = flat.searchsorted(first[odd] + t)
+            to = at + length[odd]
+            present = (flat.take(at, mode="clip") == first[odd] + t) & (flat.take(to, mode="clip") == last[odd] + t)
+            gone = odd[~(present & (to < len(flat)))]
+            if len(gone):
+                run = flat[start[gone[0]]:end[gone[0]] + 1] + t
+                raise _missing_face(frame, run[flat.take(flat.searchsorted(run), mode="clip") != run])
+
+
+def _sweep(c: CubicalComplex) -> np.ndarray:
+    """Ascending positions of a subcomplex L of c that c collapses onto; ValueError if c is not face-closed.
+
+    L holds an upper part of every run of c, starting on an even last-axis
+    code: at first the top cell of each run.  The faces off the last axis of
+    a run's part lie in the runs next to it, and the lowest of them are the
+    faces of its lowest cell, so each pass adds those faces, with every cell
+    above them in their runs, until no run grows.  The module docstring
+    shows that the rest of each run collapses away.
+    """
+    flat, frame = c._flat, c._frame
+    start, end = _runs(flat)
+    _check_closed(frame, flat, start, end)
+    low = end.copy()
+    grown = np.arange(len(low))
+    mark = np.zeros(len(flat), dtype=bool)
+    while len(grown):
+        head = flat[low[grown]]
+        for s, k in zip(frame.strides[:-1], frame.shifts[:-1]):
+            odd = head[(head >> k) % 2 == 1]
+            mark[flat.searchsorted(odd - s)] = True
+            mark[flat.searchsorted(odd + s)] = True
+        at = mark.nonzero()[0]
+        mark[at] = False
+        run = start.searchsorted(at, side="right") - 1
+        # `at` ascends, so the lowest marked cell of a run comes first.
+        first = run != np.concatenate(([-1], run[:-1]))
+        at, run = at[first], run[first]
+        lower = at < low[run]
+        grown = run[lower]
+        low[grown] = at[lower]
+    keep = end - low + 1
+    return np.repeat(low - np.cumsum(keep) + keep, keep) + np.arange(keep.sum())
+
+
+def _neighbours(frame: _Frame, flat: np.ndarray) -> np.ndarray:
+    """Neighbour table of the face-closed complex of the sorted cells `flat`.
 
     Column i holds, for each axis a, the cells at flat_i - stride_a and
     flat_i + stride_a.  Along the axes where cell i is odd these are its two
-    faces, which must be there, stored as -1 - index; along the others they
-    are its cofaces, stored as their index, or as n (one past the last cell)
-    where there is none.  The table is int32 when every index fits.
+    faces, stored as -1 - index; along the others they are its cofaces,
+    stored as their index, or as n (one past the last cell) where there is
+    none.  The table is int32 when every index fits.
     """
-    flat, frame = c._flat, c._frame
     n = len(flat)
     steps, shifts = (a[:, None] for a in frame.steps())
     table = np.empty((len(steps), n), dtype=np.int32 if n < 2**31 else np.int64)
@@ -473,13 +545,8 @@ def _neighbours(c: CubicalComplex) -> np.ndarray:
         # the binary searches local.
         near = steps + cells
         index = flat.searchsorted(near)
-        found = flat.take(index, mode="clip") == near
-        odd = (cells >> shifts) % 2 == 1
-        missing = odd & ~found
-        if np.count_nonzero(missing):
-            raise _missing_face(frame, near.T, missing.T)
-        index[~found] = n
-        table[:, lo:lo + _BLOCK] = np.where(odd, -1 - index, index)
+        index[flat.take(index, mode="clip") != near] = n
+        table[:, lo:lo + _BLOCK] = np.where((cells >> shifts) % 2 == 1, -1 - index, index)
     return table
 
 
@@ -498,15 +565,18 @@ def _free_faces(table: np.ndarray, alive: np.ndarray, cells: np.ndarray) -> Tupl
 
 
 def _core(c: CubicalComplex) -> np.ndarray:
-    """Ascending indices of the cells of c that rounds of free-face collapse leave.
+    """Ascending positions in c of the cells that the sweep and free-face collapse leave.
 
-    Each round takes every free face f, a cell with exactly one live coface
-    g, keeps one f per g, and removes all those pairs at once; the module
-    docstring shows this to be exact.  Only faces of removed cells can become
-    free, so the live ones are the next round's candidates.
+    The sweep takes c onto a subcomplex L, and the neighbour table is built
+    on L alone.  Then each round takes every free face f, a cell of L with
+    exactly one live coface g, keeps one f per g, and removes all those
+    pairs at once; the module docstring shows this to be exact.  Only faces
+    of removed cells can become free, so the live ones are the next round's
+    candidates.
     """
-    table = _neighbours(c)
-    n = len(c)
+    sub = _sweep(c)
+    table = _neighbours(c._frame, c._flat[sub])
+    n = len(sub)
     alive = np.ones(n + 1, dtype=bool)
     alive[n] = False
     pick = np.empty(n, dtype=np.int64)
@@ -524,14 +594,14 @@ def _core(c: CubicalComplex) -> np.ndarray:
             near = table.take(gone[lo:lo + _BLOCK], axis=1).astype(np.int64, copy=False)
             faces = -1 - near[near < 0]
             pairs.append(_free_faces(table, alive, faces[alive[faces]]))
-    return alive[:n].nonzero()[0]
+    return sub[alive[:n].nonzero()[0]]
 
 
 _bit = (1).__lshift__  # _bit(r) == 1 << r
 
 
-def _missing_face(frame: _Frame, near: np.ndarray, missing: np.ndarray) -> ValueError:
-    face = next(frame.decode(near[missing][:1]))
+def _missing_face(frame: _Frame, faces: np.ndarray) -> ValueError:
+    face = next(frame.decode(faces[:1]))
     return ValueError(f"complex is not face-closed: missing {face!r}")
 
 
@@ -552,7 +622,7 @@ def _chain(frame: _Frame, flat: np.ndarray, dims: np.ndarray, top: int) -> Chain
         # take() needs a cell to read; with no (d-1)-cells every face is missing.
         missing = lower.take(rows, mode="clip") != near if len(lower) else np.ones(near.shape, dtype=bool)
         if np.count_nonzero(missing):
-            raise _missing_face(frame, near, missing)
+            raise _missing_face(frame, near[missing])
         boundaries.append(GF2Matrix(len(lower), len(cells), [sum(map(_bit, r)) for r in rows.tolist()]))
     return ChainComplex(counts=tuple(map(len, groups)), boundaries=tuple(boundaries))
 

@@ -250,15 +250,16 @@ class TestBetti:
         with pytest.raises(ValueError, match=r"complex is not face-closed: missing \(0,\)"):
             betti(edge)
 
-    def test_large_complex_missing_vertex_rejected(self):
-        # 1,089 cells: enough for betti to build the collapse table, which
-        # checks closure on its own.
+    @pytest.mark.parametrize("missing", [(10, 10), (9, 10), (10, 9)], ids=["vertex", "axis-0-edge", "last-axis-edge"])
+    def test_large_complex_missing_face_rejected(self, missing):
+        # 1,089 cells: enough for betti to sweep and collapse first, which
+        # checks closure run by run.  The sweep pairs (9, 10) off with (9, 11).
         solid = close_under_faces([(2 * i + 1, 2 * j + 1) for i in range(16) for j in range(16)])
         assert len(solid) >= homology._COLLAPSE_MIN_CELLS and solid.is_face_closed()
-        broken = CubicalComplex(2, solid.cells - {(10, 10)})
+        broken = CubicalComplex(2, solid.cells - {missing})
         assert not broken.is_face_closed()
         for precollapse in (True, False):
-            with pytest.raises(ValueError, match=r"complex is not face-closed: missing \(10, 10\)"):
+            with pytest.raises(ValueError, match=rf"complex is not face-closed: missing \({missing[0]}, {missing[1]}\)"):
                 betti(broken, precollapse=precollapse)
 
 

@@ -20,7 +20,10 @@ Betti numbers.  These inputs are below the size at which `betti` collapses
 first, so the collapse tests force the rounds on.  The collapsed core itself
 is checked for face closure, Euler characteristic, the absence of free faces
 and repeatability, and complexes with 22 extra axes, whose flat indices are
-Python ints, against the same cubes in an int64 frame.
+Python ints, against the same cubes in an int64 frame.  The subcomplex that
+the sweep along the last axis leaves is checked for face closure, Euler
+characteristic and Betti numbers, and what it removes for being pairs of
+cells next to each other on that axis.
 """
 
 from collections import deque
@@ -309,3 +312,56 @@ def test_object_frame_matches_int64_frame(collapse_always, case):
     assert [wide.n_cells(d) for d in range(dim + 2)] == [narrow.n_cells(d) for d in range(dim + 2)]
     if cubes:
         assert betti(wide) == betti(narrow) == betti(wide, precollapse=False)
+
+
+# ---------------------------------------------------------------------------
+# The sweep along the last axis.
+
+
+def _check_sweep(cx):
+    """The subcomplex L that `_sweep` leaves of cx, after checking it.
+
+    L is face-closed with the Euler characteristic and Betti numbers of cx,
+    and cx minus L is disjoint pairs (s, s + 1) with s even on the last axis.
+    """
+    keep = homology._sweep(cx)
+    assert np.array_equal(keep, np.unique(keep))
+    sub = CubicalComplex._from_flat(cx.ambient_dim, cx._frame, cx._flat[keep])
+    assert sub.is_face_closed()
+    gone = np.delete(cx._flat, keep).tolist()
+    assert len(gone) % 2 == 0
+    assert all(s % 2 == 0 and t == s + 1 for s, t in zip(gone[0::2], gone[1::2]))
+    assert sub.euler_characteristic() == cx.euler_characteristic()
+    n = cx.ambient_dim + 1
+    assert pad_betti(betti(sub, precollapse=False), n) == pad_betti(betti(cx, precollapse=False), n)
+    return sub
+
+
+@SETTINGS
+@given(st.one_of(top_cells().map(lambda case: (case[0], _cubes(case[2]))), mixed_cubes()))
+def test_sweep_leaves_a_closed_subcomplex_with_the_same_homology(case):
+    dim, cubes = case
+    _check_sweep(close_under_faces(cubes, ambient_dim=dim))
+
+
+# Cube [1,2]x[0,1]x[0,1], and one unit higher, over empty space, the cubes
+# [1,2]x[1,2]x[1,2] and [2,3]x[0,1]x[1,2], which share the edge x = 2, y = 1.
+OVERHANG = [(3, 1, 1), (3, 3, 3), (5, 1, 3)]
+
+
+def test_sweep_of_an_overhang_takes_a_second_pass():
+    cx = close_under_faces(OVERHANG)
+    sub = _check_sweep(cx)
+    # The first pass adds the faces of the low cube's top: its edges at y = 1
+    # and at x = 2, whose lines run on up the two high cubes.  Only then is
+    # the point (2, 1, 1) a face of L, and the second pass adds it.
+    assert (4, 2, 2) in sub.cells
+    assert len(sub) == 31 and betti(sub) == (1, 0, 0)
+
+
+def test_sweep_on_an_object_frame():
+    # 22 constant axes in front put the frame past 2**63 positions and leave
+    # the overhang's z axis last.
+    cx = close_under_faces([(0,) * 22 + c for c in OVERHANG])
+    assert cx._flat.dtype == object
+    assert {c[22:] for c in _check_sweep(cx).cells} == _check_sweep(close_under_faces(OVERHANG)).cells
