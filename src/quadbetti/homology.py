@@ -45,18 +45,43 @@ Betti numbers are computed over the two-element field: b_d equals
 (#d-cells) - rank(boundary_d) - rank(boundary_{d+1}).  A binary search
 finds the faces of the d-cells among the (d-1)-cells, which also checks
 face closure, and the ranks use Gaussian elimination on int bitsets.
-Before that, `betti` shrinks a complex of at least _COLLAPSE_MIN_CELLS
-cells by free-face collapse, in rounds of array passes; pass
-precollapse=False to rank the whole complex.  One binary search over the
-neighbours of every cell gives a table of its faces and cofaces.  A round
-takes the free faces f, the cells with exactly one live coface g, keeps
-one f per g, removes all the pairs at once, and looks for the next free
-faces among the live faces of the removed cells.  This is exact.  If f
-has exactly one coface g, then g has no coface: a coface h of g would
-have f as a codim-2 face, which lies in two facets of h, both cofaces of
-f.  So no cell is both an f and a g, the pairs of a round are disjoint,
-and removing them one after another is a sequence of elementary collapses,
-which keep the homotopy type and every Betti number.
+Before that, `betti` shrinks a complex K of at least _COLLAPSE_MIN_CELLS
+cells, by a sweep along the last axis and then by free-face collapse;
+pass precollapse=False to rank the whole complex.
+
+The sweep works on runs, the maximal stretches of consecutive flat indices.
+A line along the last axis (stride 1) starts and ends with two padding
+codes that hold no cell, so a run never reaches the next line: all its
+cells share their codes on the other axes.  In a face-closed complex a run
+starts and ends on an even code, as an odd cell's two faces on the last
+axis are its neighbours in the line.  So closure is checked run by run: the
+ends of every run must be even, and along each axis where a run's code is
+odd, the run shifted by -stride and by +stride must be there.
+
+The sweep then finds a face-closed subcomplex L that holds, of every run,
+the cells from some even code to its top.  L starts as the top cell of
+every run, and two steps repeat until L stops growing: close L under faces,
+and add every cell above the lowest L cell of its run.  The rest of each run
+pairs off as (s, s + 1), s even on the last axis.  Removing these pairs in
+order of rising last-axis code of s, and at equal code falling dimension, is
+a sequence of elementary collapses.  A coface of s + 1 differs from it off
+the last axis; if it were in L, so would s + 1 be, as L is face-closed, so
+it lies in a pair with the same code and a higher dimension, removed
+earlier.  The cofaces of s are s + 1, s - 1, which lies in a pair of lower
+code, and cells off the last axis, removed earlier for the same reason as
+before.  So K collapses onto L, and every Betti number is kept.  This is the
+acyclic matching along a fixed axis of discrete Morse theory (R. Forman,
+"Morse theory for cell complexes", Adv. Math. 134, 1998).
+
+Free-face collapse runs on L alone, in rounds of array passes.  A table
+holds the faces and cofaces of every cell of L.  A round takes the free
+faces f, the cells with exactly one live coface g, keeps one f per g,
+removes all the pairs at once, and looks for the next free faces among the
+live faces of the removed cells.  This is exact.  If f has exactly one
+coface g, then g has no coface: a coface h of g would have f as a codim-2
+face, which lies in two facets of h, both cofaces of f.  So no cell is both
+an f and a g, the pairs of a round are disjoint, and removing them one
+after another is a sequence of elementary collapses.
 """
 
 from __future__ import annotations
@@ -468,25 +493,21 @@ def _runs(flat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def _check_closed(frame: _Frame, flat: np.ndarray, start: np.ndarray, end: np.ndarray) -> None:
     """Raise ValueError naming a missing face unless the cells `flat` are face-closed.
 
-    `start` and `end` bound the runs of `flat`.  In a face-closed complex a
-    run starts and ends on even last-axis codes, which gives every odd cell
-    of it both its last-axis faces.  Along each other axis where the run's
-    code is odd, the run shifted by -stride and by +stride must be there;
-    `flat` holds distinct sorted values, so its first and last cell decide.
+    `start` and `end` bound the runs of `flat`; the module docstring gives
+    the conditions.  `flat` holds distinct sorted ints, so a shifted run is
+    there when the value as many places past the place of its first cell as
+    the run is long is its last cell.
     """
     first, last = flat[start], flat[end]
     for cells, step in ((first, -1), (last, 1)):
         odd = cells % 2 == 1
         if np.count_nonzero(odd):
             raise _missing_face(frame, cells[odd] + step)
-    length = end - start
     for s, k in zip(frame.strides[:-1], frame.shifts[:-1]):
         odd = ((first >> k) % 2 == 1).nonzero()[0]
         for t in (-s, s):
-            at = flat.searchsorted(first[odd] + t)
-            to = at + length[odd]
-            present = (flat.take(at, mode="clip") == first[odd] + t) & (flat.take(to, mode="clip") == last[odd] + t)
-            gone = odd[~(present & (to < len(flat)))]
+            at = flat.searchsorted(first[odd] + t) + (end - start)[odd]
+            gone = odd[~((at < len(flat)) & (flat.take(at, mode="clip") == last[odd] + t))]
             if len(gone):
                 run = flat[start[gone[0]]:end[gone[0]] + 1] + t
                 raise _missing_face(frame, run[flat.take(flat.searchsorted(run), mode="clip") != run])
