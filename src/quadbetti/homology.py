@@ -467,11 +467,11 @@ class ChainComplex:
         return True
 
 
-# Building the neighbour table and running the rounds costs tens of numpy
-# calls however small the complex; below this size ranking it directly is
-# cheaper.  Collapsing every complex instead made the median op of the
-# cli-small benchmark 23% slower and `verify --full` 3% slower (ten
-# alternating runs each, recorded in BENCH_9.json).
+# The sweep, the neighbour table and the rounds cost a few dozen numpy calls
+# however small the complex; below this size ranking it directly is cheaper.
+# Collapsing every complex instead made the median op of the cli-small
+# benchmark 52% slower (512 faster in 10 of 10 alternating pairs) and left
+# `verify --full` even (4 of 10); recorded in BENCH_10.json.
 _COLLAPSE_MIN_CELLS = 512
 
 # Cells handled per pass when building the neighbour table and looking for
