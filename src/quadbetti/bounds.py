@@ -19,6 +19,7 @@ __all__ = [
     "b_quad",
     "c_ci",
     "b_ci",
+    "b_ci_bound",
     "bound_betti",
     "bound_betti_floor",
     "AggregateBounds",
@@ -91,6 +92,31 @@ def b_ci(j: int, k: int, degrees: Sequence[int]) -> int:
     b = c if (k - j) % 2 == 0 else 2 * (k - j + 1) - c
     assert b >= 0, (j, k, degrees, b)
     return b
+
+
+def b_ci_bound(j: int, k: int, top: int = 2) -> int:
+    """Upper bound on `b_ci(j, k, d)` for degrees d of largest value `top`, without the recurrence.
+
+    With D = max(top, 2): |c_ci(j, k, d)| <= D**j * (D - 1)**(k - j) * C(k + 1, j + 1),
+    and b_ci is c_ci or 2 (k - j + 1) - c_ci, so the bound adds 2 (k + 1).
+    For degree 2 it reads 2**j * C(k + 1, j + 1) + 2 (k + 1).
+
+    Proof.  Write e_i(t) = c(i, i + t, d[:i]), the rows of `c_ci`.  Then
+    e_0(t) = t + 1, e_i(0) = d_i e_{i-1}(0), and for t >= 1
+    e_i(t) = d_i e_{i-1}(t) - (d_i - 1) e_i(t - 1).  In generating functions
+    E_i(x) = sum_t e_i(t) x^t this is E_i(x) (1 + (d_i - 1) x) = d_i E_{i-1}(x)
+    with E_0(x) = (1 - x)**-2, so E_j(x) = prod(d) (1 - x)**-2 prod_i
+    (1 + (d_i - 1) x)**-1.  The coefficients of (1 + a x)**-1 are (-a)**t, so
+    each |e_j(t)| is at most the coefficient of x^t in the same product with
+    every sign made positive: prod(d) (1 - x)**-2 prod_i (1 - (d_i - 1) x)**-1.
+    Coefficientwise, 1 - (d_i - 1) x and 1 - x may both be replaced by
+    1 - (D - 1) x (as D - 1 >= 1 and D - 1 >= d_i - 1), and prod(d) by D**j,
+    which leaves D**j [x^t] (1 - (D - 1) x)**-(j + 2) =
+    D**j (D - 1)**t C(t + j + 1, j + 1).  Put t = k - j.
+    """
+    _check_indices(j, k)
+    d = max(int(top), 2)
+    return d**j * (d - 1) ** (k - j) * math.comb(k + 1, j + 1) + 2 * (k + 1)
 
 
 def _term_sum(s: int, k: int, top: int) -> int:

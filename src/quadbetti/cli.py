@@ -18,7 +18,7 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from . import harness
-from .bounds import bound_aggregate, bound_betti, b_ci
+from .bounds import bound_aggregate, bound_betti, b_ci, b_ci_bound
 from .homology import INCONCLUSIVE, VIOLATION
 from .quadforms import DeformationParams, parse_rational
 
@@ -45,6 +45,27 @@ def _check_table_size(rows: int) -> None:
 def _check_row_work(work: int, limit: int, unit: str) -> None:
     if work > limit:
         raise ValueError(f"one row needs {work} {unit}, above the limit of {limit}")
+
+
+def _check_ci_digits(pairs: Sequence[tuple], top: int) -> None:
+    """Refuse a `ci` table whose totals might not print, before any is computed.
+
+    Python refuses to write an int of more than `sys.get_int_max_str_digits()`
+    decimal digits (0 means no limit; interpreters before that limit have
+    none).  A total is accepted only when
+    `bounds.b_ci_bound`, whose proof is in its docstring, shows it is below
+    10**limit.  When the bound's powers alone reach 2**(4 * limit) > 10**limit,
+    that is decided from their exponents, without forming them.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+    d = max(top, 2)
+    for j, k in pairs:
+        if (j * (d.bit_length() - 1) + (k - j) * ((d - 1).bit_length() - 1) >= 4 * limit
+                or b_ci_bound(j, k, d) >= 10**limit):
+            raise ValueError(f"the total for j={j}, k={k} may exceed {limit} digits, "
+                             "the limit of sys.get_int_max_str_digits()")
 
 
 def _parse_range(text: str) -> List[int]:
@@ -163,6 +184,7 @@ def _cmd_ci(args, out) -> int:
     if not pairs:
         raise ValueError("no valid (j, k) combinations in the requested ranges")
     _check_row_work(max(j * (k - j + 1) for j, k in pairs), MAX_CI_STEPS, "recurrence steps")
+    _check_ci_digits(pairs, max(degrees, default=2) if degrees is not None else 2)
     rows = []
     for j, k in pairs:
         degs = degrees if degrees is not None else (2,) * j

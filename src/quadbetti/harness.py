@@ -28,7 +28,6 @@ from .homology import (
     pad_betti,
 )
 from .quadforms import (
-    CiProbeReport,
     DeformationParams,
     GridSpec,
     QuadraticForm,
@@ -36,7 +35,7 @@ from .quadforms import (
     _fr,
     _positive,
     _sign_granularity,
-    ci_probe,
+    check_smooth_pencil,
     dehomogenize,
     format_rational,
     grid_complex,
@@ -183,8 +182,7 @@ class _Report:
 
     Fields serialize in declaration order; a Fraction becomes "p/q", a tuple
     a list and a tuple dict key "a,b".  AuditRow.bound splits into
-    numerator and denominator (CSV columns), and SmithReport.probe keeps
-    only its verdict (the float evidence never reaches a document).
+    numerator and denominator (CSV columns).
     """
 
     def to_dict(self) -> Dict:
@@ -193,9 +191,6 @@ class _Report:
             value = getattr(self, f.name)
             if isinstance(self, AuditRow) and f.name == "bound":
                 doc["bound_num"], doc["bound_den"] = value.numerator, value.denominator
-            elif isinstance(self, SmithReport) and f.name == "probe":
-                if value is not None:
-                    doc["probe_verdict"] = value.verdict
             else:
                 doc[f.name] = _jsonable(value)
         return doc
@@ -293,12 +288,9 @@ class SmithReport(_Report):
     codim: int
     proj_dim: int
     note: str = ""
-    probe: Optional[CiProbeReport] = None
 
 
-def smith_audit(
-    forms: Sequence[QuadraticForm], radius=1, probe: bool = True
-) -> SmithReport:
+def smith_audit(forms: Sequence[QuadraticForm], radius=1) -> SmithReport:
     """Check the projective zero set of a quadric tuple against its bound.
 
     The zero set is approximated on the sphere of the given radius (grid
@@ -308,8 +300,17 @@ def smith_audit(
     audited inequality sound), and the result is compared with the exact
     total for a smooth degree-2 complete intersection of the same
     codimension.  Grid-based throughout, so the verdict is PASS
-    or INCONCLUSIVE, never VIOLATION.  Each input form must be exactly
-    nonsingular (invertible Gram matrix) or a ValueError is raised.
+    or INCONCLUSIVE, never VIOLATION.
+
+    The bound holds for smooth complete intersections only, so that
+    hypothesis is checked exactly, with no float, before any grid work; a
+    ValueError is raised when it fails.  Every form must be nonsingular
+    (invertible Gram matrix), which for one form is the whole hypothesis.
+    Two forms A, B must also pass Segre's criterion: det(A + tB) has n
+    distinct roots (`quadforms.check_smooth_pencil`; M. Reid, *The complete
+    intersection of two or more quadrics*, PhD thesis, Cambridge 1972).
+    Codimension 3 and above is rejected, since no exact check is
+    implemented there.
     """
     if not forms:
         raise ValueError("need at least one form")
@@ -321,6 +322,11 @@ def smith_audit(
     proj_dim = n - 1
     if codim > proj_dim:
         raise ValueError(f"codimension {codim} exceeds projective dimension {proj_dim}")
+    if codim == 2:
+        check_smooth_pencil(*forms)
+    elif codim > 2:
+        raise ValueError(f"codimension {codim} rejected: smoothness is checked exactly "
+                         "only up to codimension 2")
     r = _positive(radius, "radius")
     res = r / 8
     spec = GridSpec.symmetric(r + 2 * res, res, n)
@@ -345,7 +351,6 @@ def smith_audit(
         codim=codim,
         proj_dim=proj_dim,
         note=note,
-        probe=ci_probe(forms, samples=8, seed=0) if probe else None,
     )
 
 
@@ -643,7 +648,7 @@ _CONE = QuadraticForm.make(3, [[1, 0, 0], [0, 1, 0], [0, 0, -1]])  # x^2 + y^2 =
 AUDIT_REGISTRY: Dict[str, Callable[..., _Report]] = {
     "products-bounds": lambda k, **_: bound_audit(scenario_products(k)),
     "shell-bounds": lambda k, r_in, r_out, **_: bound_audit(scenario_shell(k, r_in, r_out)),
-    "smith-cone": lambda radius, probe=True, **_: smith_audit([_CONE], radius=radius, probe=probe),
+    "smith-cone": lambda radius, **_: smith_audit([_CONE], radius=radius),
     "double-cover-products": lambda k, params, resolution, **_: double_cover_audit(
         scenario_products(k), params, sphere_resolution=resolution),
     "deformation-products": lambda k, params, t_values, resolution, seed, **_: deformation_audit(
@@ -703,7 +708,7 @@ _SUITE = (
     ("grid-oracle-products-k2", "grid-oracle-products", {"k": 2}),
     ("bounds-shell-k2", "shell-bounds", {"k": 2, **_SHELL}),
     ("grid-oracle-shell-k2", "grid-oracle-shell", {"k": 2, **_SHELL}),
-    ("smith-cone", "smith-cone", {"radius": Fraction(1), "probe": False}),
+    ("smith-cone", "smith-cone", {"radius": Fraction(1)}),
     ("mv-wedge", "mv-wedge", {}),
     ("mv-disjoint", "mv-disjoint", {}),
     ("mv-three-arcs", "mv-three", {}),

@@ -3,7 +3,8 @@
 All coefficients are `fractions.Fraction`; floats are rejected everywhere
 (including the text format) so that membership tests and sign evaluations
 are exact.  The one deliberate exception is `ci_probe`, a floating-point
-diagnostic whose verdicts never feed exact PASS / VIOLATION logic.
+diagnostic that no audit calls: the Smith audit checks the smoothness of
+its intersection exactly (`is_nonsingular_quadric`, `check_smooth_pencil`).
 
 Grid complexes use the center-point rule.  Every builder is a list of
 quadratics, and a candidate top cell is kept iff each of them is >= 0 at
@@ -51,6 +52,7 @@ __all__ = [
     "deform",
     "is_positive_definite",
     "is_nonsingular_quadric",
+    "check_smooth_pencil",
     "CiProbeReport",
     "ci_probe",
     "DeformationParams",
@@ -318,6 +320,69 @@ def is_positive_definite(f: QuadraticForm) -> bool:
 def is_nonsingular_quadric(f: QuadraticForm) -> bool:
     """A quadric hypersurface is nonsingular iff its Gram matrix is invertible."""
     return _det(f.gram) != 0
+
+
+def _poly_rem(f: List[Fraction], g: List[Fraction]) -> List[Fraction]:
+    """Remainder of f by g; coefficients lowest degree first, no trailing zeros."""
+    r = list(f)
+    while len(r) >= len(g):
+        q, shift = r[-1] / g[-1], len(r) - len(g)
+        for m, c in enumerate(g):
+            r[shift + m] -= q * c
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def _poly_text(p: Sequence[Fraction]) -> str:
+    terms = [(m, c) for m, c in enumerate(p) if c][::-1]
+    text = ""
+    for m, c in terms:
+        coef = format_rational(abs(c)) if abs(c) != 1 or m == 0 else ""
+        power = "" if m == 0 else "t" if m == 1 else f"t^{m}"
+        sign = ("-" if c < 0 else "") if not text else (" - " if c < 0 else " + ")
+        text += sign + coef + ("*" if coef and power else "") + power
+    return text
+
+
+def check_smooth_pencil(a: QuadraticForm, b: QuadraticForm) -> None:
+    """Raise ValueError unless V(A, B) is a smooth codimension-2 complete intersection.
+
+    Segre's criterion: for nonsingular A and B, the intersection of the two
+    quadrics is smooth of codimension 2 iff f(t) = det(A + tB) has n distinct
+    complex roots (M. Reid, *The complete intersection of two or more
+    quadrics*, PhD thesis, Cambridge 1972).  Since det B != 0, f has degree n
+    and the pencil has no singular member at t = infinity, so the test is
+    that f is squarefree over Q: gcd(f, f') is a constant.  f is interpolated
+    exactly from its values at t = 0..n (Newton's divided differences) and
+    the gcd is taken by Euclid on Fractions.  The error names the repeated
+    root, or the polynomial whose roots the repeated roots are.
+    """
+    n = a.n
+    if b.n != n:
+        raise ValueError("variable count mismatch")
+    coef = [
+        _det([[x + t * y for x, y in zip(ra, rb)] for ra, rb in zip(a.gram, b.gram)])
+        for t in range(n + 1)
+    ]
+    for level in range(1, n + 1):
+        for i in range(n, level - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / level
+    # Newton form sum_i coef[i] * t (t - 1) ... (t - i + 1), expanded by Horner.
+    f = [coef[n]]
+    for i in range(n - 1, -1, -1):
+        f = [coef[i] - i * f[0]] + [f[m - 1] - i * f[m] for m in range(1, len(f))] + [f[-1]]
+    if f[0] == 0 or f[-1] == 0:  # det A, det B
+        raise ValueError("singular quadric rejected (Gram matrix not invertible)")
+    g, h = f, [m * c for m, c in enumerate(f)][1:]
+    while h:
+        g, h = h, _poly_rem(g, h)
+    if len(g) > 1:
+        g = [c / g[-1] for c in g]
+        where = (f"the repeated root t = {format_rational(-g[0])}" if len(g) == 2
+                 else f"repeated roots, those of {_poly_text(g)}")
+        raise ValueError(f"singular intersection rejected: det(A + tB) = {_poly_text(f)} "
+                         f"has {where}")
 
 
 @dataclass(frozen=True)

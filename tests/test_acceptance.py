@@ -180,7 +180,7 @@ def test_criterion_7_shell_scenarios():
 def test_criterion_8_projective_audits():
     with criterion(8, "projective halving, double cover, deformation"):
         cone = QuadraticForm.make(3, [[1, 0, 0], [0, 1, 0], [0, 0, -1]])
-        rep = smith_audit([cone], probe=False)
+        rep = smith_audit([cone])
         assert rep.verdict == PASS
         assert rep.projective_total == 2 == b_ci(1, 2, (2,))
         for k in (1, 2):

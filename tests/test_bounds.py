@@ -1,5 +1,6 @@
 """Unit tests for the exact bound formulas and recurrences."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from quadbetti.bounds import (
     AggregateBounds,
     b_ci,
+    b_ci_bound,
     b_quad,
     bound_aggregate,
     bound_betti,
@@ -119,6 +121,22 @@ class TestBCi:
             assert b_ci(j, k, degrees) >= 0
 
 
+    def test_size_bound_holds_on_every_degree_tuple(self):
+        # b_ci_bound's generating-function proof, checked on all ordered degree
+        # tuples from 1..4 for k <= 7, with and without a larger declared top degree.
+        for k in range(8):
+            for j in range(k + 1):
+                for degrees in itertools.product(range(1, 5), repeat=j):
+                    top = max(degrees, default=1)
+                    assert b_ci(j, k, degrees) <= b_ci_bound(j, k, top) <= b_ci_bound(j, k, top + 1)
+
+    def test_size_bound_is_tight_for_quadrics_of_full_codimension(self):
+        # j = k: b = 2^k points, and the bound is 2^k * C(k+1, k+1) + 2(k+1)
+        for k in range(12):
+            assert b_ci_bound(k, k) - b_quad(k, k) == 2 * (k + 1)
+        assert b_ci_bound(2, 9100) < 10**13 and b_quad(2, 9100) == 18200
+
+
 class TestQClosedForms:
     def test_degree_one_closed_form(self):
         for k in range(1, 201):
@@ -154,6 +172,33 @@ class TestBQuadBounds:
         for k in range(2, 61):
             for j in range(2, k + 1):
                 assert b_quad(j, k) <= 2 ** (j - 1) * math.comb(k, j - 1)
+
+
+class TestFormulaLink:
+    """The lemma tying the complete-intersection totals to the paper's sum.
+
+    For 1 <= j <= k, b_quad(j, k) <= 2^(j-1) C(k+1, j), with equality exactly
+    at j = 1 for odd k.  So each term C(s, j) C(k+1, j) 2^j / 2 of
+    `bound_betti` covers C(s, j) smooth complete intersections of j quadrics:
+    bound_betti(s, k, i) >= 1/2 + sum_{j=1}^{min(s, k-i)} C(s, j) b_quad(j, k).
+    A change to either formula breaks one of these without reference to the
+    other's recorded values.  Checked exactly for k < 40.
+    """
+
+    B = {(j, k): b_quad(j, k) for k in range(1, 40) for j in range(1, k + 1)}
+
+    def test_term_bound_and_its_equality_case(self):
+        for (j, k), b in self.B.items():
+            cap = 2 ** (j - 1) * math.comb(k + 1, j)
+            assert b <= cap, (j, k)
+            assert (b == cap) == (j == 1 and k % 2 == 1), (j, k)
+
+    def test_bound_betti_covers_complete_intersection_totals(self):
+        for k in range(1, 40):
+            for s in range(1, k + 1):
+                for i in range(k):
+                    cover = sum(math.comb(s, j) * self.B[j, k] for j in range(1, min(s, k - i) + 1))
+                    assert bound_betti(s, k, i) >= Fraction(1, 2) + cover, (s, k, i)
 
 
 class TestBoundBetti:

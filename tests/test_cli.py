@@ -313,6 +313,82 @@ class TestRowWorkLimit:
         ]
 
 
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no int-to-str limit")
+
+
+@needs_digit_limit
+class TestCiDigitLimit:
+    @pytest.mark.parametrize("argv, j, k", [
+        (("ci", "--j", "100000", "--k", "100000"), 100000, 100000),
+        (("ci", "--j", "1000000", "--k", "1000000"), 1000000, 1000000),
+        (("ci", "--j", "1", "--k", "1000000", "--degrees", "1000000000000"), 1, 1000000),
+    ])
+    def test_unprintable_total_rejected_before_work(self, capsys, monkeypatch, argv, j, k):
+        def no_work(*args):
+            raise AssertionError("a table row was computed")
+
+        monkeypatch.setattr(cli, "b_ci", no_work)
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: the total for j={j}, k={k} may exceed {sys.get_int_max_str_digits()} "
+            "digits, the limit of sys.get_int_max_str_digits()\n")
+
+    def test_limit_follows_the_interpreter_setting(self, capsys):
+        old = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            assert run_cli(capsys, "ci", "--j", "1000", "--k", "1000")[0] == 0  # 302 digits
+            assert run_cli(capsys, "ci", "--j", "2200", "--k", "2200")[0] == 2  # 663 digits
+            sys.set_int_max_str_digits(0)  # no limit
+            code, out = run_cli(capsys, "ci", "--j", "20000", "--k", "20000")
+            assert code == 0
+            assert out.splitlines()[-1].rsplit(",", 1)[1] == str(2**20000)
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize("argv, last_row", [
+        # (k + 1) * 3^k would pass 4300 digits at k = 9100; the total has five
+        (("ci", "--j", "2", "--k", "9100"), "2,9100,2;2,18200"),
+        (("ci", "--j", "0", "--k", "100000"), "0,100000,,100001"),
+    ])
+    def test_small_total_with_large_k_prints(self, capsys, argv, last_row):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[-1] == last_row
+
+
+def test_audit_and_verify_leave_numpy_random_unloaded():
+    # numpy loads numpy.random lazily; only a float probe used to pull it in.
+    src = str(Path(quadbetti.__file__).resolve().parents[1])
+    script = (
+        "import contextlib, io, sys\n"
+        "from quadbetti import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['audit', '--name', 'smith-cone']), cli.main(['verify', '--full'])]\n"
+        "print(codes, 'numpy.random' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[0, 0] False\n"
+
+
+def test_audit_and_verify_call_no_float_linear_algebra(capsys, monkeypatch):
+    import numpy.linalg
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in ("norm", "lstsq", "svd"):
+        monkeypatch.setattr(numpy.linalg, name, forbidden)
+    assert main(["audit", "--name", "smith-cone"]) == 0
+    assert main(["verify", "--full"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 class TestOutputFile:
     def test_writes_file(self, capsys, tmp_path):
         target = tmp_path / "table.csv"

@@ -11,8 +11,11 @@ kept cells behind each Betti vector; then, recorded before every `bounds`
 row became one dict of Fractions written by one table helper, the twelve
 `bounds` and `ci` tables of `perfbench/golden.json` and
 `bounds --s 1 --k 3 --aggregate` in CSV and JSON, whose empty `simple`
-columns pin that rational columns are declared, not inferred.  Any change
-to a column, its order, a key, a verdict or a Betti vector shows up here.
+columns pin that rational columns are declared, not inferred.  The three
+`smith-cone` cases were re-recorded when the audit stopped running the
+float `ci_probe`: their only change is the dropped `probe_verdict` key and
+CSV column.  Any change to a column, its order, a key, a verdict or a
+Betti vector shows up here.
 """
 
 import json

@@ -35,6 +35,11 @@ from quadbetti.quadforms import (
 CONE = QuadraticForm.make(3, [[1, 0, 0], [0, 1, 0], [0, 0, -1]])
 
 
+def diagonal_form(*diag):
+    n = len(diag)
+    return QuadraticForm.make(n, [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+
 class TestScenarios:
     def test_products_oracles(self):
         assert scenario_products(1).oracle_betti == (2, 0)
@@ -145,7 +150,7 @@ class TestBoundAudit:
 
 class TestSmithAudit:
     def test_cone_equality_case(self):
-        rep = smith_audit([CONE], probe=False)
+        rep = smith_audit([CONE])
         assert rep.verdict == PASS
         assert rep.sphere_total == 4
         assert rep.projective_total == 2
@@ -155,14 +160,14 @@ class TestSmithAudit:
     def test_point_pair_on_circle(self):
         # x1^2 - 2 x2^2 cuts the circle in four points, two projectively
         f = QuadraticForm.make(2, [[1, 0], [0, -2]])
-        rep = smith_audit([f], probe=False)
+        rep = smith_audit([f])
         assert rep.verdict == PASS
         assert rep.sphere_total == 4
         assert rep.projective_total == 2 == rep.bound
 
     def test_empty_real_zero_set(self):
         pos = QuadraticForm.make(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        rep = smith_audit([pos], probe=False)
+        rep = smith_audit([pos])
         assert rep.verdict == PASS
         assert rep.sphere_total == 0
 
@@ -173,17 +178,43 @@ class TestSmithAudit:
 
     def test_float_radius_rejected(self):
         with pytest.raises(TypeError):
-            smith_audit([CONE], radius=0.5, probe=False)
+            smith_audit([CONE], radius=0.5)
 
-    def test_probe_attached(self):
-        rep = smith_audit([CONE], probe=True)
-        assert rep.probe is not None
-        assert rep.probe.verdict == "LIKELY_NONSINGULAR"
+    def test_singular_pencil_rejected(self):
+        # Each form is nonsingular, but det(A + tB) = (t^2 - 1)^2: V(A, B) is four real
+        # lines meeting in a cycle, outside the theorem (Segre's criterion).
+        a, b = diagonal_form(1, 1, -1, -1), diagonal_form(1, -1, 1, -1)
+        with pytest.raises(ValueError, match=r"repeated roots, those of t\^2 - 1"):
+            smith_audit([a, b])
+
+    def test_pencil_repeated_rational_root_named(self):
+        # det(A + tB) = (1 + t)^2 (1 + 2t)(1 + 3t)
+        with pytest.raises(ValueError, match="repeated root t = -1$"):
+            smith_audit([diagonal_form(1, 1, 1, 1), diagonal_form(1, 1, 2, 3)])
+
+    def test_smooth_pencil_accepted(self):
+        # det(A + tB) has the distinct roots -1, -1/2, -1/3, -1/4; the real locus is empty
+        a, b = diagonal_form(1, 1, -1, -1), diagonal_form(1, 2, -3, -4)
+        assert smith_audit([a, b]).codim == 2
+        rep = smith_audit([a, b], radius=2)
+        assert (rep.verdict, rep.sphere_total, rep.bound) == (PASS, 0, 4)
+
+    def test_smooth_pencil_with_real_curve(self):
+        rep = smith_audit([diagonal_form(1, -1, 1, -1), diagonal_form(1, -2, 3, -4)])
+        assert rep.verdict == PASS
+        assert rep.sphere_betti == (2, 2, 0, 0, 0)
+        assert (rep.projective_total, rep.bound) == (2, 4)
+
+    def test_codimension_three_rejected(self):
+        forms = [diagonal_form(1, 1, -1, -1, 1), diagonal_form(1, 2, -3, -4, 1),
+                 diagonal_form(1, 1, 1, 1, -1)]
+        with pytest.raises(ValueError, match="codimension 3 rejected"):
+            smith_audit(forms)
 
     def test_coarse_grid_exceeds_bound(self):
         # Q grows like radius^2 but tau = radius/4 only like radius, so at
         # radius 5 the band around the cone's two circles breaks into 16 pieces
-        rep = smith_audit([CONE], radius=5, probe=False)
+        rep = smith_audit([CONE], radius=5)
         assert rep.verdict == INCONCLUSIVE
         assert rep.sphere_betti == (16, 0, 0, 0)
         assert (rep.projective_total, rep.bound) == (8, 2)
@@ -192,7 +223,7 @@ class TestSmithAudit:
     def test_odd_sphere_total_mutant(self, monkeypatch):
         # named mutant: an engine whose sphere vector breaks antipodal pairing
         monkeypatch.setattr(harness, "betti", lambda cx: (1, 0, 0, 0))
-        rep = smith_audit([CONE], probe=False)
+        rep = smith_audit([CONE])
         assert rep.verdict == INCONCLUSIVE
         assert rep.sphere_total == 1
         assert rep.note == "sphere total is odd, antipodal pairing broken; refine the grid"

@@ -19,6 +19,7 @@ from quadbetti.quadforms import (
     _INT64_SAFE,
     _GridScale,
     _det,
+    check_smooth_pencil,
     ci_probe,
     deform,
     dehomogenize,
@@ -251,6 +252,71 @@ def test_det_matches_sympy(rows):
     want = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
                          for row in rows]).det()
     assert _det(rows) == Fraction(int(want.p), int(want.q))
+
+
+@st.composite
+def congruent_diagonal_pencils(draw):
+    """(A, B, repeated): P^T diag(a) P and P^T diag(b) P for a unimodular integer P.
+
+    det(A + tB) = det(P)^2 prod(a_i + t b_i), so it has a repeated root iff two
+    of the ratios a_i / b_i are equal, which is the independent answer.
+    """
+    n = draw(st.integers(3, 6))
+    nonzero = st.integers(-4, 4).filter(bool)
+    a = [draw(nonzero) for _ in range(n)]
+    b = [draw(nonzero) for _ in range(n)]
+    if draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        scale = draw(nonzero)
+        a[j], b[j] = scale * a[i], scale * b[i]
+    # P = L U, unit triangular with small integer entries, so det P = 1
+    small = st.integers(-2, 2)
+    low = [[1 if r == c else draw(small) if r > c else 0 for c in range(n)] for r in range(n)]
+    up = [[1 if r == c else draw(small) if r < c else 0 for c in range(n)] for r in range(n)]
+    p = [[sum(low[r][m] * up[m][c] for m in range(n)) for c in range(n)] for r in range(n)]
+
+    def congruent(diag):
+        return QuadraticForm.make(n, [[sum(p[m][r] * diag[m] * p[m][c] for m in range(n))
+                                       for c in range(n)] for r in range(n)])
+
+    ratios = {Fraction(x, y) for x, y in zip(a, b)}
+    return congruent(a), congruent(b), len(ratios) < n
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(congruent_diagonal_pencils())
+def test_smooth_pencil_check_matches_diagonal_ratios(pencil):
+    a, b, repeated = pencil
+    if repeated:
+        with pytest.raises(ValueError, match="singular intersection rejected"):
+            check_smooth_pencil(a, b)
+    else:
+        check_smooth_pencil(a, b)
+
+
+class TestSmoothPencil:
+    def test_singular_member_rejected(self):
+        cone = QuadraticForm.make(3, [[1, 0, 0], [0, 1, 0], [0, 0, -1]])
+        rank_two = QuadraticForm.make(3, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+        for a, b in ((cone, rank_two), (rank_two, cone)):
+            with pytest.raises(ValueError, match="singular quadric rejected"):
+                check_smooth_pencil(a, b)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="variable count mismatch"):
+            check_smooth_pencil(random_pd_form(3, 0), random_pd_form(4, 0))
+
+    def test_polynomial_written_exactly(self):
+        # det(A + tB) = (1 + t)(1 + t/2)(1 + t/2)(1/3 + t): coefficients stay rational
+        a = QuadraticForm.make(4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                                   [0, 0, 0, Fraction(1, 3)]])
+        b = QuadraticForm.make(4, [[1, 0, 0, 0], [0, Fraction(1, 2), 0, 0],
+                                   [0, 0, Fraction(1, 2), 0], [0, 0, 0, 1]])
+        with pytest.raises(ValueError) as info:
+            check_smooth_pencil(a, b)
+        assert str(info.value) == (
+            "singular intersection rejected: det(A + tB) = 1/4*t^4 + 4/3*t^3 + 29/12*t^2"
+            " + 5/3*t + 1/3 has the repeated root t = -2")
 
 
 class TestCiProbe:
