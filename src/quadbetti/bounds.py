@@ -95,7 +95,7 @@ def b_ci(j: int, k: int, degrees: Sequence[int]) -> int:
 
 
 def b_ci_bound(j: int, k: int, top: int = 2) -> int:
-    """Upper bound on `b_ci(j, k, d)` for degrees d of largest value `top`, without the recurrence.
+    """Upper bound on `b_ci(j, k, d)` for degrees d at most `top`, without the recurrence.
 
     With D = max(top, 2): |c_ci(j, k, d)| <= D**j * (D - 1)**(k - j) * C(k + 1, j + 1),
     and b_ci is c_ci or 2 (k - j + 1) - c_ci, so the bound adds 2 (k + 1).

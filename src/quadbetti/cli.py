@@ -52,10 +52,10 @@ def _check_ci_digits(pairs: Sequence[tuple], top: int) -> None:
 
     Python refuses to write an int of more than `sys.get_int_max_str_digits()`
     decimal digits (0 means no limit; interpreters before that limit have
-    none).  A total is accepted only when
-    `bounds.b_ci_bound`, whose proof is in its docstring, shows it is below
-    10**limit.  When the bound's powers alone reach 2**(4 * limit) > 10**limit,
-    that is decided from their exponents, without forming them.
+    none).  A total is accepted only when `bounds.b_ci_bound`, whose proof
+    is in its docstring, shows it is below 10**limit.  When the bound's
+    powers alone reach 2**(4 * limit) > 10**limit, that is decided from
+    their exponents, without forming them.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
@@ -184,7 +184,7 @@ def _cmd_ci(args, out) -> int:
     if not pairs:
         raise ValueError("no valid (j, k) combinations in the requested ranges")
     _check_row_work(max(j * (k - j + 1) for j, k in pairs), MAX_CI_STEPS, "recurrence steps")
-    _check_ci_digits(pairs, max(degrees, default=2) if degrees is not None else 2)
+    _check_ci_digits(pairs, max(degrees or (2,)))
     rows = []
     for j, k in pairs:
         degs = degrees if degrees is not None else (2,) * j
