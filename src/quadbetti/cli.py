@@ -53,17 +53,24 @@ def _check_ci_digits(pairs: Sequence[tuple], top: int) -> None:
     Python refuses to write an int of more than `sys.get_int_max_str_digits()`
     decimal digits (0 means no limit; interpreters before that limit have
     none).  A total is accepted only when `bounds.b_ci_bound`, whose proof
-    is in its docstring, shows it is below 10**limit.  When the bound's
-    powers alone reach 2**(4 * limit) > 10**limit, that is decided from
-    their exponents, without forming them.
+    is in its docstring, shows it is below 10**limit.  Bit lengths decide
+    most cases without forming that power, since 2**(3 * limit) < 10**limit
+    < 2**(4 * limit): a bound under 3 * limit bits is accepted at once, and
+    when the bound's powers alone reach 4 * limit bits they are not formed.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
         return
     d = max(top, 2)
-    for j, k in pairs:
-        if (j * (d.bit_length() - 1) + (k - j) * ((d - 1).bit_length() - 1) >= 4 * limit
-                or b_ci_bound(j, k, d) >= 10**limit):
+    largest_k: Dict[int, int] = {}
+    for j, k in pairs:  # the bound grows with k, so the largest k of each j decides
+        largest_k[j] = max(k, largest_k.get(j, k))
+    for j, k in largest_k.items():
+        if j * (d.bit_length() - 1) + (k - j) * ((d - 1).bit_length() - 1) >= 4 * limit:
+            bound = None
+        else:
+            bound = b_ci_bound(j, k, d)
+        if bound is None or bound.bit_length() > 3 * limit and bound >= 10**limit:
             raise ValueError(f"the total for j={j}, k={k} may exceed {limit} digits, "
                              "the limit of sys.get_int_max_str_digits()")
 
