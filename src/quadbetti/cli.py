@@ -66,13 +66,12 @@ def _check_ci_digits(pairs: Sequence[tuple], top: int) -> None:
     for j, k in pairs:  # the bound grows with k, so the largest k of each j decides
         largest_k[j] = max(k, largest_k.get(j, k))
     for j, k in largest_k.items():
-        if j * (d.bit_length() - 1) + (k - j) * ((d - 1).bit_length() - 1) >= 4 * limit:
-            bound = None
-        else:
+        if j * (d.bit_length() - 1) + (k - j) * ((d - 1).bit_length() - 1) < 4 * limit:
             bound = b_ci_bound(j, k, d)
-        if bound is None or bound.bit_length() > 3 * limit and bound >= 10**limit:
-            raise ValueError(f"the total for j={j}, k={k} may exceed {limit} digits, "
-                             "the limit of sys.get_int_max_str_digits()")
+            if bound.bit_length() <= 3 * limit or bound < 10**limit:
+                continue
+        raise ValueError(f"the total for j={j}, k={k} may exceed {limit} digits, "
+                         "the limit of sys.get_int_max_str_digits()")
 
 
 def _parse_range(text: str) -> List[int]:
