@@ -1,81 +1,9 @@
 """Exact Betti bounds for quadratic semi-algebraic sets, with a mod-2 cubical
 homology engine and a verification harness that checks the bounds at desk
-scale."""
+scale.
 
-from .bounds import (
-    AggregateBounds,
-    b_ci,
-    b_quad,
-    bound_aggregate,
-    bound_betti,
-    bound_betti_floor,
-    c_ci,
-    q_quad,
-)
-from .homology import (
-    INCONCLUSIVE,
-    PASS,
-    VIOLATION,
-    ChainComplex,
-    CubicalComplex,
-    GF2Matrix,
-    betti,
-    chain_complex,
-    close_under_faces,
-    cube_dim,
-    cube_faces,
-    cube_intervals,
-    gf2_rank,
-    make_cube,
-    mayer_vietoris_audit,
-    pad_betti,
-)
-from .quadforms import (
-    CiProbeReport,
-    DeformationParams,
-    GridSpec,
-    QuadraticForm,
-    QuadraticPoly,
-    ci_probe,
-    deform,
-    dehomogenize,
-    dump_system,
-    format_rational,
-    grid_complex,
-    homogenize,
-    is_nonsingular_quadric,
-    is_positive_definite,
-    load_system,
-    make_p_eps,
-    parse_rational,
-    random_pd_form,
-    sphere_band_complex,
-    sphere_region_complex,
-    sphere_zero_complex,
-    system_from_dict,
-    system_to_dict,
-)
-from .harness import (
-    BoundAuditReport,
-    DeformationReport,
-    DoubleCoverReport,
-    MVExample,
-    Scenario,
-    SmithReport,
-    SuiteResult,
-    USE_ORACLE,
-    alexander_equator_audit,
-    bound_audit,
-    deformation_audit,
-    double_cover_audit,
-    mv_disjoint_example,
-    mv_fabricated_example,
-    mv_three_arc_example,
-    mv_wedge_example,
-    run_verification_suite,
-    scenario_products,
-    scenario_shell,
-    smith_audit,
-)
+The package root exports only `__version__`; import the submodules
+(`bounds`, `homology`, `quadforms`, `harness`, `cli`) by name.  That keeps
+`quadbetti bounds` and `quadbetti ci` from loading numpy."""
 
 __version__ = "0.1.0"

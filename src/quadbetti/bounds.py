@@ -3,8 +3,8 @@
 Everything in this module is pure integer / rational arithmetic.  The
 recurrences return plain Python ints (arbitrary precision; binomials blow
 past 64 bits well inside the tested ranges) and the halved binomial sums
-are returned as `fractions.Fraction`, never silently floored.  Use
-`bound_betti_floor` when an integer ceiling on a Betti number is wanted.
+are returned as `fractions.Fraction`, never silently floored.  The module
+imports only the standard library.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "b_ci",
     "b_ci_bound",
     "bound_betti",
-    "bound_betti_floor",
     "AggregateBounds",
     "bound_aggregate",
 ]
@@ -71,7 +70,7 @@ def c_ci(j: int, k: int, degrees: Sequence[int]) -> int:
     _check_indices(j, k)
     if len(d) != j:
         raise ValueError(f"expected {j} degrees, got {len(d)}")
-    row = list(range(1, k - j + 2))
+    row = range(1, k - j + 2)  # c(0, t) = t + 1, a range so that j = 0 lists nothing
     head = 1
     for dj in d:
         head *= dj
@@ -135,11 +134,6 @@ def bound_betti(s: int, k: int, i: int) -> Fraction:
     if not 0 <= i <= k - 1:
         raise ValueError(f"need 0 <= i <= k-1, got i={i}, k={k}")
     return Fraction(_term_sum(s, k, min(s, k - i)), 2)
-
-
-def bound_betti_floor(s: int, k: int, i: int) -> int:
-    """Floor of `bound_betti`; Betti numbers are integers so this loses nothing."""
-    return math.floor(bound_betti(s, k, i))
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,9 @@ import json
 import sys
 from typing import Dict, List, Optional, Sequence
 
-from . import harness
+# Only `bounds` at import: `verify` and `audit` import the grid engine, and with
+# it numpy, where they use it, so `bounds` and `ci` never load numpy.
 from .bounds import bound_aggregate, bound_betti, b_ci, b_ci_bound
-from .homology import INCONCLUSIVE, VIOLATION
-from .quadforms import DeformationParams, parse_rational
 
 __all__ = ["main", "build_parser"]
 
@@ -128,6 +127,9 @@ def _emit_table(fmt: str, out, columns: List[str], rows: List[Dict],
 
 
 def _exit_code(verdicts: Sequence[str]) -> int:
+    from . import harness
+    from .homology import INCONCLUSIVE, VIOLATION
+
     return {VIOLATION: 1, INCONCLUSIVE: 3}.get(harness._overall(verdicts), 0)
 
 
@@ -201,6 +203,8 @@ def _cmd_ci(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    from . import harness
+
     results = harness.run_verification_suite(seed=args.seed, full=args.full)
     document = {
         "seed": args.seed,
@@ -215,6 +219,9 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_audit(args, out) -> int:
+    from . import harness
+    from .quadforms import DeformationParams, parse_rational
+
     report = harness.AUDIT_REGISTRY[args.name](
         k=args.k,
         r_in=parse_rational(args.r_in),
@@ -271,8 +278,10 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         subs["verify"].add_argument("--full", action="store_true", help="include the slow audits")
 
     if "audit" in subs:
+        from .harness import AUDIT_REGISTRY
+
         p_audit = subs["audit"]
-        p_audit.add_argument("--name", required=True, choices=harness.AUDIT_REGISTRY)
+        p_audit.add_argument("--name", required=True, choices=AUDIT_REGISTRY)
         p_audit.add_argument("--k", type=int, default=2)
         p_audit.add_argument("--r-in", dest="r_in", default="1/2")
         p_audit.add_argument("--r-out", dest="r_out", default="1")

@@ -48,7 +48,6 @@ from .quadforms import (
 )
 
 __all__ = [
-    "USE_ORACLE",
     "Scenario",
     "scenario_products",
     "scenario_shell",
@@ -72,8 +71,6 @@ __all__ = [
     "SuiteResult",
     "run_verification_suite",
 ]
-
-USE_ORACLE = "use-oracle"
 
 
 @dataclass(frozen=True)
@@ -235,11 +232,11 @@ def _overall(verdicts: Sequence[str]) -> str:
     return PASS
 
 
-def bound_audit(sc: Scenario, spec=USE_ORACLE) -> BoundAuditReport:
+def bound_audit(sc: Scenario, spec: Optional[GridSpec] = None) -> BoundAuditReport:
     """Compare per-degree Betti numbers of a scenario against the exact bounds.
 
-    With spec == "use-oracle" the hardcoded oracle vector is audited and a
-    failed comparison is a VIOLATION.  With a GridSpec the Betti numbers
+    Without a spec the hardcoded oracle vector is audited and a failed
+    comparison is a VIOLATION.  With a GridSpec the Betti numbers
     come from grid homology, and a failed comparison is only INCONCLUSIVE
     (grid values approximate; they cannot falsify a bound).
     """
@@ -248,9 +245,7 @@ def bound_audit(sc: Scenario, spec=USE_ORACLE) -> BoundAuditReport:
     if sc.s > sc.k:
         raise ValueError(f"hypothesis s <= k fails: s={sc.s}, k={sc.k}")
     params: Dict[str, str] = {}
-    if isinstance(spec, str):
-        if spec != USE_ORACLE:
-            raise ValueError(f"unknown spec {spec!r}")
+    if spec is None:
         if sc.oracle_betti is None:
             raise ValueError(f"scenario {sc.name} has no oracle Betti vector")
         vec = pad_betti(sc.oracle_betti, sc.k + 1)

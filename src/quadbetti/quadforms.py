@@ -1,8 +1,7 @@
 """Exact quadratic polynomials and forms, plus grid approximation of their sets.
 
 All coefficients are `fractions.Fraction`; floats are rejected everywhere
-(including the text format) so that membership tests and sign evaluations
-are exact.  The one deliberate exception is `ci_probe`, a floating-point
+so that membership tests and sign evaluations are exact.  The one deliberate exception is `ci_probe`, a floating-point
 diagnostic that no audit calls: the Smith audit checks the smoothness of
 its intersection exactly (`is_nonsingular_quadric`, `check_smooth_pencil`).
 
@@ -28,13 +27,12 @@ in absolute value, and otherwise runs the same array code on Python ints
 from __future__ import annotations
 
 import functools
-import json
 import math
 import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,10 +45,7 @@ __all__ = [
     "QuadraticForm",
     "homogenize",
     "dehomogenize",
-    "make_p_eps",
     "random_pd_form",
-    "deform",
-    "is_positive_definite",
     "is_nonsingular_quadric",
     "check_smooth_pencil",
     "CiProbeReport",
@@ -61,10 +56,6 @@ __all__ = [
     "sphere_zero_complex",
     "sphere_band_complex",
     "sphere_region_complex",
-    "system_to_dict",
-    "system_from_dict",
-    "dump_system",
-    "load_system",
 ]
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?")
@@ -204,16 +195,6 @@ class QuadraticForm:
     def as_poly(self) -> QuadraticPoly:
         return QuadraticPoly(self.n, self.gram, _zeros(self.n), Fraction(0))
 
-    def __add__(self, other: "QuadraticForm") -> "QuadraticForm":
-        if not isinstance(other, QuadraticForm):
-            return NotImplemented
-        if other.n != self.n:
-            raise ValueError("variable count mismatch")
-        gram = tuple(
-            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.gram, other.gram)
-        )
-        return QuadraticForm(self.n, gram)
-
     def scaled(self, factor) -> "QuadraticForm":
         f = _fr(factor)
         return QuadraticForm(self.n, tuple(tuple(f * a for a in row) for row in self.gram))
@@ -248,16 +229,6 @@ def dehomogenize(f: QuadraticForm) -> QuadraticPoly:
     return QuadraticPoly(k, quad, lin, f.gram[k][k])
 
 
-def make_p_eps(eps, k: int) -> QuadraticPoly:
-    """Sphere polynomial (2/eps)^2 - sum of squares in k+1 variables."""
-    e = _positive(eps, "eps")
-    n = k + 1
-    quad = tuple(
-        tuple(Fraction(-1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )
-    return QuadraticPoly(n, quad, _zeros(n), (2 / e) ** 2)
-
-
 def random_pd_form(n: int, seed: int) -> QuadraticForm:
     """Seeded positive definite form with exact rational (integer) coefficients.
 
@@ -276,14 +247,6 @@ def random_pd_form(n: int, seed: int) -> QuadraticForm:
         for i in range(n)
     ]
     return QuadraticForm(n, tuple(tuple(row) for row in gram))
-
-
-def deform(q: QuadraticForm, h: QuadraticForm, t) -> QuadraticForm:
-    """Coefficientwise convex combination (1-t) q + t h."""
-    tt = _fr(t)
-    if not 0 <= tt <= 1:
-        raise ValueError(f"t must lie in [0, 1], got {tt}")
-    return (1 - tt) * q + tt * h
 
 
 def _det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -306,15 +269,6 @@ def _det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
                 for c in range(col, n):
                     m[r][c] -= f * m[col][c]
     return det
-
-
-def is_positive_definite(f: QuadraticForm) -> bool:
-    """Sylvester test: every leading principal minor is > 0, exactly."""
-    for t in range(1, f.n + 1):
-        sub = [row[:t] for row in f.gram[:t]]
-        if _det(sub) <= 0:
-            return False
-    return True
 
 
 def is_nonsingular_quadric(f: QuadraticForm) -> bool:
@@ -717,50 +671,3 @@ def sphere_region_complex(
     cap = QuadraticPoly.make(n, quad=[[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
     return _build(spec, [cap, *polys], 2 / e)
 
-
-# ---------------------------------------------------------------------------
-# Text format: structured key-value document for quadratic systems.
-# Rationals travel as decimal-free strings ("p/q" or "p"); floats rejected.
-
-
-def system_to_dict(system: Sequence[QuadraticPoly]) -> Dict:
-    if not system:
-        raise ValueError("cannot serialize an empty system")
-    k = system[0].k
-    if any(p.k != k for p in system):
-        raise ValueError("variable count mismatch in system")
-    return {
-        "k": k,
-        "polys": [
-            {
-                "quad": [[format_rational(x) for x in row] for row in p.quad],
-                "lin": [format_rational(x) for x in p.lin],
-                "const": format_rational(p.const),
-            }
-            for p in system
-        ],
-    }
-
-
-def system_from_dict(doc: Dict) -> List[QuadraticPoly]:
-    if not isinstance(doc, dict) or "k" not in doc or "polys" not in doc:
-        raise ValueError("system document needs 'k' and 'polys' fields")
-    k = doc["k"]
-    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-        raise ValueError(f"'k' must be a nonnegative integer, got {k!r}")
-    polys = []
-    for rec in doc["polys"]:
-        quad = [[parse_rational(x) for x in row] for row in rec["quad"]]
-        lin = [parse_rational(x) for x in rec["lin"]]
-        const = parse_rational(rec["const"])
-        polys.append(QuadraticPoly.make(k, quad=quad, lin=lin, const=const))
-    return polys
-
-
-def dump_system(system: Sequence[QuadraticPoly], fp) -> None:
-    json.dump(system_to_dict(system), fp, indent=2, sort_keys=True)
-    fp.write("\n")
-
-
-def load_system(fp) -> List[QuadraticPoly]:
-    return system_from_dict(json.load(fp))

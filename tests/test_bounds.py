@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,6 @@ from quadbetti.bounds import (
     b_quad,
     bound_aggregate,
     bound_betti,
-    bound_betti_floor,
     c_ci,
     q_quad,
 )
@@ -84,6 +84,17 @@ class TestCCi:
     def test_bad_degree(self):
         with pytest.raises(ValueError):
             c_ci(1, 2, (0,))
+
+    def test_no_degrees_lists_nothing(self):
+        # The cli's row-work limit counts j * (k - j + 1) = 0 steps for j = 0,
+        # so the first row must not be listed: that would take k + 1 ints.
+        tracemalloc.start()
+        try:
+            assert c_ci(0, 10**6, ()) == 10**6 + 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestBCi:
@@ -209,10 +220,6 @@ class TestBoundBetti:
         assert bound_betti(3, 6, 5) == Fraction(43, 2)
         assert bound_betti(3, 3, 0) == Fraction(129, 2)
         assert bound_betti(2, 2, 1) == Fraction(13, 2)
-
-    def test_floor_accessor(self):
-        assert bound_betti_floor(1, 1, 0) == 2
-        assert bound_betti_floor(2, 4, 0) == 30
 
     @pytest.mark.parametrize("s,k,i", [(0, 3, 0), (4, 3, 0), (2, 3, -1), (2, 3, 3)])
     def test_domain_errors(self, s, k, i):

@@ -360,20 +360,34 @@ class TestCiDigitLimit:
         assert out.splitlines()[-1] == last_row
 
 
-def test_audit_and_verify_leave_numpy_random_unloaded():
-    # numpy loads numpy.random lazily; only a float probe used to pull it in.
+def _fresh_process(argvs, module):
+    """Run each argv through cli.main in one new interpreter: its exit codes and
+    whether `module` was loaded, as printed."""
     src = str(Path(quadbetti.__file__).resolve().parents[1])
     script = (
         "import contextlib, io, sys\n"
         "from quadbetti import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [cli.main(['audit', '--name', 'smith-cone']), cli.main(['verify', '--full'])]\n"
-        "print(codes, 'numpy.random' in sys.modules)\n"
+        f"    codes = [cli.main(argv) for argv in {argvs!r}]\n"
+        f"print(codes, {module!r} in sys.modules)\n"
     )
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[0, 0] False\n"
+    return done.stdout
+
+
+def test_audit_and_verify_leave_numpy_random_unloaded():
+    # numpy loads numpy.random lazily; only a float probe used to pull it in.
+    argvs = [["audit", "--name", "smith-cone"], ["verify", "--full"]]
+    assert _fresh_process(argvs, "numpy.random") == "[0, 0] False\n"
+
+
+@pytest.mark.parametrize("argv", [["bounds", "--s", "1:3", "--k", "6"], ["ci", "--j", "2", "--k", "6"]],
+                         ids=["bounds", "ci"])
+def test_exact_commands_leave_numpy_unloaded(argv):
+    # Neither the package root nor cli imports the grid engine for these.
+    assert _fresh_process([argv], "numpy") == "[0] False\n"
 
 
 def test_audit_and_verify_call_no_float_linear_algebra(capsys, monkeypatch):

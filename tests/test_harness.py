@@ -9,7 +9,6 @@ import pytest
 from quadbetti import harness
 from quadbetti.harness import (
     Scenario,
-    USE_ORACLE,
     alexander_equator_audit,
     bound_audit,
     deformation_audit,
@@ -131,7 +130,7 @@ class TestBoundAudit:
             name="n", system=sc.system, s=1, k=1, grid=sc.grid
         )
         with pytest.raises(ValueError):
-            bound_audit(no_oracle, USE_ORACLE)
+            bound_audit(no_oracle)
 
     def test_report_field_names(self):
         doc = bound_audit(scenario_products(2)).to_dict()

@@ -1,8 +1,6 @@
-"""Unit tests for exact quadratic data, grid complexes and the text format."""
+"""Unit tests for exact quadratic data and grid complexes."""
 
-import io
 import itertools
-import json
 import random
 from fractions import Fraction
 
@@ -21,24 +19,22 @@ from quadbetti.quadforms import (
     _det,
     check_smooth_pencil,
     ci_probe,
-    deform,
     dehomogenize,
-    dump_system,
     format_rational,
     grid_complex,
     homogenize,
     is_nonsingular_quadric,
-    is_positive_definite,
-    load_system,
-    make_p_eps,
     parse_rational,
     random_pd_form,
     sphere_band_complex,
     sphere_region_complex,
     sphere_zero_complex,
-    system_from_dict,
-    system_to_dict,
 )
+
+
+def is_positive_definite(f: QuadraticForm) -> bool:
+    """Sylvester's test: every leading principal minor is positive, exactly."""
+    return all(_det([row[:t] for row in f.gram[:t]]) > 0 for t in range(1, f.n + 1))
 
 
 def random_poly(rng, k):
@@ -128,28 +124,6 @@ class TestHomogenize:
         assert f.evaluate(point + [Fraction(1)]) == p.evaluate(point)
 
 
-class TestMakePEps:
-    def test_example(self):
-        p = make_p_eps(Fraction(1, 10), 1)
-        assert p.k == 2
-        assert p.const == 400
-        assert p.quad == ((-1, 0), (0, -1))
-
-    def test_origin_value(self):
-        eps = Fraction(2, 7)
-        p = make_p_eps(eps, 3)
-        assert p.evaluate([0, 0, 0, 0]) == (2 / eps) ** 2
-
-    def test_zero_set_is_sphere(self):
-        p = make_p_eps(Fraction(1, 10), 1)
-        assert p.evaluate([20, 0]) == 0
-        assert p.evaluate([0, -20]) == 0
-
-    def test_rejects_nonpositive_eps(self):
-        with pytest.raises(ValueError):
-            make_p_eps(0, 2)
-
-
 class TestPDForms:
     def test_always_positive_definite(self):
         for seed in range(12):
@@ -173,42 +147,43 @@ class TestPDForms:
 
 
 class TestDeform:
+    """The family (1 - t) * P + t * H that `harness.deformation_audit` lifts."""
+
+    @staticmethod
+    def family(p, h, t):
+        return (1 - t) * p + t * h
+
     def test_endpoints(self):
-        q = QuadraticForm.make(2, [[1, 0], [0, 0]])
-        h = QuadraticForm.make(2, [[0, 0], [0, 1]])
-        assert deform(q, h, 0) == q
-        assert deform(q, h, 1) == h
+        p = QuadraticPoly.make(2, quad=[[1, 0], [0, 0]], const=-1)
+        h = QuadraticPoly.make(2, quad=[[0, 0], [0, 1]], lin=[1, 0])
+        assert self.family(p, h, Fraction(0)) == p
+        assert self.family(p, h, Fraction(1)) == h
 
     def test_halfway(self):
-        q = QuadraticForm.make(2, [[1, 0], [0, 0]])
-        h = QuadraticForm.make(2, [[0, 0], [0, 1]])
-        mid = deform(q, h, Fraction(1, 2))
-        assert mid.gram == ((Fraction(1, 2), 0), (0, Fraction(1, 2)))
+        p = QuadraticPoly.make(2, quad=[[1, 0], [0, 0]], const=-1)
+        h = QuadraticPoly.make(2, quad=[[0, 0], [0, 1]], lin=[1, 0])
+        mid = self.family(p, h, Fraction(1, 2))
+        assert mid.quad == ((Fraction(1, 2), 0), (0, Fraction(1, 2)))
+        assert (mid.lin, mid.const) == ((Fraction(1, 2), 0), Fraction(-1, 2))
 
     def test_linearity_in_t(self):
         rng = random.Random(4)
-        q = random_pd_form(3, 1)
-        h = random_pd_form(3, 2)
+        p = random_poly(rng, 3)
+        h = dehomogenize(random_pd_form(4, 2))
         for _ in range(10):
             a = Fraction(rng.randint(0, 8), 8)
             b = Fraction(rng.randint(0, 8), 8)
-            mid = deform(q, h, (a + b) / 2)
-            avg_gram = tuple(
-                tuple((x + y) / 2 for x, y in zip(ra, rb))
-                for ra, rb in zip(deform(q, h, a).gram, deform(q, h, b).gram)
-            )
-            assert mid.gram == avg_gram
+            mid = self.family(p, h, (a + b) / 2)
+            assert mid == self.family(self.family(p, h, a), self.family(p, h, b), Fraction(1, 2))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            deform(random_pd_form(2, 0), random_pd_form(3, 0), 0)
-
-    def test_t_out_of_range(self):
-        with pytest.raises(ValueError):
-            deform(random_pd_form(2, 0), random_pd_form(2, 1), 2)
+            self.family(random_poly(random.Random(0), 2), random_poly(random.Random(0), 3), Fraction(1, 2))
 
 
 class TestDefiniteness:
+    """Sylvester's test, the oracle of `TestPDForms`, can fail."""
+
     def test_identity_pd(self):
         assert is_positive_definite(QuadraticForm.make(2, [[1, 0], [0, 1]]))
 
@@ -605,42 +580,6 @@ class TestSphereComplexes:
         spec = GridSpec.symmetric(21, Fraction(1, 2), 2)
         cx = sphere_region_complex([], Fraction(1, 10), spec)
         assert betti(cx)[0] == 2
-
-
-class TestSystemFormat:
-    def test_roundtrip(self):
-        rng = random.Random(21)
-        system = [random_poly(rng, 3) for _ in range(2)]
-        doc = system_to_dict(system)
-        assert system_from_dict(json.loads(json.dumps(doc))) == system
-
-    def test_file_roundtrip(self):
-        rng = random.Random(22)
-        system = [random_poly(rng, 2)]
-        buf = io.StringIO()
-        dump_system(system, buf)
-        buf.seek(0)
-        assert load_system(buf) == system
-
-    def test_rejects_float_entries(self):
-        doc = {
-            "k": 1,
-            "polys": [{"quad": [[0.5]], "lin": ["0"], "const": "0"}],
-        }
-        with pytest.raises(TypeError):
-            system_from_dict(doc)
-
-    def test_rejects_decimal_strings(self):
-        doc = {
-            "k": 1,
-            "polys": [{"quad": [["0.5"]], "lin": ["0"], "const": "0"}],
-        }
-        with pytest.raises(ValueError):
-            system_from_dict(doc)
-
-    def test_rejects_missing_fields(self):
-        with pytest.raises(ValueError):
-            system_from_dict({"polys": []})
 
 
 class TestDeformationParams:
