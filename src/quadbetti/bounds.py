@@ -10,9 +10,8 @@ imports only the standard library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 __all__ = [
     "q_quad",
@@ -136,8 +135,7 @@ def bound_betti(s: int, k: int, i: int) -> Fraction:
     return Fraction(_term_sum(s, k, min(s, k - i)), 2)
 
 
-@dataclass(frozen=True)
-class AggregateBounds:
+class AggregateBounds(NamedTuple):
     """Aggregate bound bundle for s quadratic inequalities in R^k.
 
     `simple` is (1/2) * 3**s * C(k+1, s), defined only for 2 <= s <= k/2;

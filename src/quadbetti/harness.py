@@ -15,6 +15,8 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .bounds import b_ci, bound_aggregate, bound_betti
 from .homology import (
     INCONCLUSIVE,
@@ -35,6 +37,8 @@ from .quadforms import (
     _fr,
     _positive,
     _sign_granularity,
+    _top_cells,
+    _zero_polys,
     check_smooth_pencil,
     dehomogenize,
     format_rational,
@@ -42,7 +46,6 @@ from .quadforms import (
     homogenize,
     is_nonsingular_quadric,
     random_pd_form,
-    sphere_band_complex,
     sphere_region_complex,
     sphere_zero_complex,
 )
@@ -516,6 +519,34 @@ def _reduced(vec: Sequence[int]) -> Tuple[int, ...]:
     return (vec[0] - 1,) + vec[1:]
 
 
+def _equator_split(res: Fraction, tau: Fraction) -> Tuple[CubicalComplex, CubicalComplex]:
+    """The equator band of the unit 2-sphere and the rest of the sphere band.
+
+    The grid has width `res` on the box [-(1 + 2 res), 1 + 2 res]^3, and the
+    equator band keeps the sphere cells whose center has |X3^2| <= tau.
+    The complement holds the sphere band's top cells whose closed cube
+    misses every top cell of the equator band.  Two closed grid cubes meet
+    iff their indices differ by at most 1 on every axis, so the equator
+    cells are marked on the grid padded by one, the marks are grown by one
+    step along each axis in turn, and the unmarked band cells are kept.
+    """
+    spec = GridSpec.symmetric(1 + 2 * res, res, 3)
+    equator_form = QuadraticForm.make(
+        3, [[0, 0, 0], [0, 0, 0], [0, 0, 1]]
+    )  # zero set of X3^2 is the equator plane
+    band = _top_cells(spec, (), 1)
+    subset = _top_cells(spec, _zero_polys([equator_form], tau), 1)
+    near = np.zeros([n + 2 for n in spec.shape], dtype=bool)
+    near[tuple(subset.T + 1)] = True
+    # Along each axis the padding is empty until this axis is grown, so no
+    # mark rolls around the end.
+    for axis in range(spec.dim):
+        near = near | np.roll(near, 1, axis) | np.roll(near, -1, axis)
+    complement = band[~near[tuple(band.T + 1)]]
+    return (close_under_faces(2 * subset + 1, ambient_dim=spec.dim),
+            close_under_faces(2 * complement + 1, ambient_dim=spec.dim))
+
+
 def alexander_equator_audit() -> AlexanderReport:
     """Duality spot-check on the unit 2-sphere with the equator circle as subset.
 
@@ -526,21 +557,7 @@ def alexander_equator_audit() -> AlexanderReport:
     The grid width is 1/8 and the equator band half-width tau is 1/4.
     """
     res = Fraction(1, 8)
-    spec = GridSpec.symmetric(1 + 2 * res, res, 3)
-    equator_form = QuadraticForm.make(
-        3, [[0, 0, 0], [0, 0, 0], [0, 0, 1]]
-    )  # zero set of X3^2 is the equator plane
-    subset = sphere_zero_complex([equator_form], 1, spec, 2 * res)
-    band = sphere_band_complex(1, spec)
-    # complement: band top cells whose closed cube misses the subset entirely;
-    # two closed grid cubes meet iff they share a vertex
-    subset_vertices = set(subset.cells_of_dim(0))
-    complement_tops = [
-        c
-        for c in band.cells_of_dim(3)
-        if subset_vertices.isdisjoint(itertools.product(*((x - 1, x + 1) for x in c)))
-    ]
-    complement = close_under_faces(complement_tops, ambient_dim=3)
+    subset, complement = _equator_split(res, 2 * res)
     sub_red = _reduced(pad_betti(betti(subset), 3))
     comp_red = _reduced(pad_betti(betti(complement), 3))
     k = 2

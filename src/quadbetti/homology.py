@@ -34,20 +34,19 @@ are decoded only on request (`cells`, `cells_of_dim`, a missing face in an
 error message).
 
 Face closure runs axis by axis: the cells odd on the axis, shifted by
--stride and by +stride, are merged into the sorted array.  A merge places
-each new value by binary search, so closure itself never sorts; code
-arrays from the grid builders arrive in flat order, and only other input
-is sorted, once, on the way in.  (A stable sort would merge large arrays
-about twice as fast, but numpy loads about 200 KB of sort code the first
-time a process sorts.)
+-stride and by +stride, are appended to the sorted array, and one stable
+sort merges the three ascending runs and drops the repeats.  Code arrays
+from the grid builders arrive in flat order, so they enter the frame
+without a sort.
 
 Betti numbers are computed over the two-element field: b_d equals
 (#d-cells) - rank(boundary_d) - rank(boundary_{d+1}).  A binary search
 finds the faces of the d-cells among the (d-1)-cells, which also checks
 face closure, and the ranks use Gaussian elimination on int bitsets.
 Before that, `betti` shrinks a complex K of at least _COLLAPSE_MIN_CELLS
-cells, by a sweep along the last axis and then by free-face collapse;
-pass precollapse=False to rank the whole complex.
+cells by a sweep along the last axis onto a subcomplex L, and then, when L
+still has that many cells, by free-face collapse; pass precollapse=False to
+rank the whole complex.
 
 The sweep works on runs, the maximal stretches of consecutive flat indices.
 A line along the last axis (stride 1) starts and ends with two padding
@@ -243,33 +242,15 @@ def _encode(cubes: Union[Collection[Cube], np.ndarray], ambient_dim: int) -> Tup
 def _sorted_distinct(flat: np.ndarray) -> np.ndarray:
     """The distinct values of `flat` in ascending order.
 
-    The grid builders list their cubes in lexicographic order of the codes,
-    which is flat order, so their arrays pass through without a sort.
+    A strictly ascending array passes through without a sort: the grid
+    builders list their cubes in lexicographic order of the codes, which is
+    flat order.  Otherwise one stable sort, which merges ascending runs in
+    a single pass, and a drop of adjacent repeats.
     """
     if np.count_nonzero(flat[1:] <= flat[:-1]):
         flat = np.sort(flat, kind="stable")
         flat = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
     return flat
-
-
-def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sorted union of two ascending arrays of distinct values.
-
-    A binary search places each value of b in a; the values already there
-    are dropped, and the rest go in at their place shifted by the number of
-    values of b inserted before them.
-    """
-    at = a.searchsorted(b)
-    if len(a):
-        new = a.take(at, mode="clip") != b
-        b, at = b[new], at[new]
-    at += np.arange(len(b))
-    out = np.empty(len(a) + len(b), dtype=a.dtype)
-    from_b = np.zeros(len(out), dtype=bool)
-    from_b[at] = True
-    out[at] = b
-    out[~from_b] = a
-    return out
 
 
 class CubicalComplex:
@@ -364,7 +345,7 @@ def close_under_faces(
     for s, k in zip(frame.strides, frame.shifts):
         odd = flat[(flat >> k) % 2 == 1]
         if len(odd):
-            flat = _union(_union(flat, odd - s), odd + s)
+            flat = _sorted_distinct(np.concatenate((flat, odd - s, odd + s)))
     return CubicalComplex._from_flat(ambient_dim, frame, flat)
 
 
@@ -467,11 +448,15 @@ class ChainComplex:
         return True
 
 
-# The sweep, the neighbour table and the rounds cost a few dozen numpy calls
-# however small the complex; below this size ranking it directly is cheaper.
-# Collapsing every complex instead made the median op of the cli-small
-# benchmark 52% slower (512 faster in 10 of 10 alternating pairs) and left
-# `verify --full` even (4 of 10); recorded in BENCH_10.json.
+# `betti` sweeps a complex of at least this many cells, and runs the
+# free-face rounds on the swept subcomplex L only when L is as large; below
+# it, ranking directly is cheaper.  The sweep, the neighbour table and the
+# rounds cost a few dozen numpy calls however small the complex, and a round
+# peels a path by only one pair at each end.  Sweeping and collapsing every
+# complex made the median op of the cli-small benchmark 52% slower (512
+# faster in 10 of 10 alternating pairs; BENCH_10.json).  On the 1,092-cell
+# products-k1 lift, whose L has 346 cells, `betti` took 1.32 ms with the
+# rounds and takes 0.46 ms ranking L (timeit, min of 5, 2-core VM).
 _COLLAPSE_MIN_CELLS = 512
 
 # Cells handled per pass when building the neighbour table and looking for
@@ -585,17 +570,19 @@ def _free_faces(table: np.ndarray, alive: np.ndarray, cells: np.ndarray) -> Tupl
     return cells[one], top[one]
 
 
-def _core(c: CubicalComplex) -> np.ndarray:
+def _core(c: CubicalComplex, sub: Optional[np.ndarray] = None) -> np.ndarray:
     """Ascending positions in c of the cells that the sweep and free-face collapse leave.
 
-    The sweep takes c onto a subcomplex L, and the neighbour table is built
-    on L alone.  Then each round takes every free face f, a cell of L with
+    The sweep takes c onto a subcomplex L, whose positions `sub` are, when
+    given, those `_sweep(c)` returned; the neighbour table is built on L
+    alone.  Then each round takes every free face f, a cell of L with
     exactly one live coface g, keeps one f per g, and removes all those
     pairs at once; the module docstring shows this to be exact.  Only faces
     of removed cells can become free, so the live ones are the next round's
     candidates.
     """
-    sub = _sweep(c)
+    if sub is None:
+        sub = _sweep(c)
     table = _neighbours(c._frame, c._flat[sub])
     n = len(sub)
     alive = np.ones(n + 1, dtype=bool)
@@ -664,7 +651,9 @@ def betti(c: CubicalComplex, precollapse: bool = True) -> Tuple[int, ...]:
         return (0,) * (c.ambient_dim + 1)
     flat, dims = c._flat, c._dims
     if precollapse and len(c) >= _COLLAPSE_MIN_CELLS:
-        core = _core(c)
+        core = _sweep(c)
+        if len(core) >= _COLLAPSE_MIN_CELLS:
+            core = _core(c, core)
         flat, dims = flat[core], dims[core]
     cc = _chain(c._frame, flat, dims, c.dim)
     ranks = [0, *(m.rank() for m in cc.boundaries), 0]

@@ -21,7 +21,8 @@ by broadcasting per-axis centers, the band as a mask from per-axis min and
 max squares and then the polynomials at its cells.  It computes in int64
 when a bound taken beforehand shows that no value it forms reaches 2**62
 in absolute value, and otherwise runs the same array code on Python ints
-(dtype=object); no float enters.
+(dtype=object); no float enters.  `_top_cells` returns the grid indices of
+the kept cells, one row per cell, and `_build` closes them under faces.
 """
 
 from __future__ import annotations
@@ -576,8 +577,9 @@ def _band_mask(lows: Sequence[np.ndarray], step: int, thr: Fraction) -> np.ndarr
     return band
 
 
-def _build(spec: GridSpec, polys: Sequence[QuadraticPoly], radius=None) -> CubicalComplex:
-    """Face closure of the candidate cells where every polynomial is >= 0 at the center.
+def _top_cells(spec: GridSpec, polys: Sequence[QuadraticPoly], radius=None) -> np.ndarray:
+    """Grid indices, one cell per row in lexicographic order, of the candidate
+    cells where every polynomial is >= 0 at the center.
 
     The candidates are the whole box or, given a radius, the cells the
     radius sphere crosses.  Each center is tested exactly, as the sign of
@@ -616,8 +618,12 @@ def _build(spec: GridSpec, polys: Sequence[QuadraticPoly], radius=None) -> Cubic
         keep = np.ones(len(cand), dtype=bool)
     for e in evals:
         keep &= e.values(u) >= 0
-    kept = np.argwhere(keep) if cand is None else cand[keep]
-    return close_under_faces(2 * kept + 1, ambient_dim=spec.dim)
+    return np.argwhere(keep) if cand is None else cand[keep]
+
+
+def _build(spec: GridSpec, polys: Sequence[QuadraticPoly], radius=None) -> CubicalComplex:
+    """Face closure of the cells `_top_cells` keeps."""
+    return close_under_faces(2 * _top_cells(spec, polys, radius) + 1, ambient_dim=spec.dim)
 
 
 def grid_complex(system: Sequence[QuadraticPoly], spec: GridSpec) -> CubicalComplex:
@@ -639,12 +645,16 @@ def sphere_zero_complex(
     every form; tau should scale with the resolution (the audits default
     to twice the cell width).
     """
+    return _build(spec, _zero_polys(forms, tau), radius)
+
+
+def _zero_polys(forms: Sequence[QuadraticForm], tau) -> List[QuadraticPoly]:
+    """Polynomials whose common nonnegative set is |Q| <= tau for every form Q."""
     t = _positive(tau, "tau")
     if not forms:
         raise ValueError("need at least one form")
     # |Q(c)| <= tau  <=>  tau - Q(c) >= 0 and tau + Q(c) >= 0
-    polys = [QuadraticPoly(g.n, g.gram, _zeros(g.n), t) for f in forms for g in (-1 * f, f)]
-    return _build(spec, polys, radius)
+    return [QuadraticPoly(g.n, g.gram, _zeros(g.n), t) for f in forms for g in (-1 * f, f)]
 
 
 def sphere_band_complex(radius, spec: GridSpec) -> CubicalComplex:

@@ -1,6 +1,7 @@
 """Unit tests for scenarios, audits and report serialization."""
 
 import dataclasses
+import itertools
 import json
 from fractions import Fraction
 
@@ -28,6 +29,8 @@ from quadbetti.quadforms import (
     GridSpec,
     QuadraticForm,
     grid_complex,
+    sphere_band_complex,
+    sphere_zero_complex,
 )
 
 
@@ -310,7 +313,46 @@ class TestDeformation:
         assert rep.note == "scenario box exceeds the radius-1/eps ball; shrink eps"
 
 
+EQUATOR = QuadraticForm.make(3, [[0, 0, 0], [0, 0, 0], [0, 0, 1]])
+
+
+def _vertex_disjoint_split(res, tau):
+    """Band, equator band and complement top cells by the rule on code tuples.
+
+    The complement holds the band's 3-cells none of whose vertices is a
+    vertex of the equator band: two closed cubes meet iff they share one.
+    """
+    spec = GridSpec.symmetric(1 + 2 * res, res, 3)
+    band = sphere_band_complex(1, spec)
+    subset = sphere_zero_complex([EQUATOR], 1, spec, tau)
+    subset_vertices = set(subset.cells_of_dim(0))
+    complement_tops = [
+        c
+        for c in band.cells_of_dim(3)
+        if subset_vertices.isdisjoint(itertools.product(*((x - 1, x + 1) for x in c)))
+    ]
+    return band, subset, complement_tops
+
+
 class TestAlexander:
+    @pytest.mark.parametrize("res, tau", [(Fraction(1, 8), Fraction(1, 4)), (Fraction(1, 6), Fraction(1, 5))])
+    def test_complement_matches_vertex_disjoint_rule(self, res, tau):
+        band, subset, complement_tops = _vertex_disjoint_split(res, tau)
+        split_subset, complement = harness._equator_split(res, tau)
+        assert split_subset == subset
+        assert set(complement.cells_of_dim(3)) == set(complement_tops)
+        assert 0 < len(complement_tops) < band.n_cells(3)
+
+    def test_euler_characteristics(self):
+        # At the audit's grid: the sphere band and the two caps have chi = 2,
+        # the equator circle chi = 0, each the alternating sum of its Betti vector.
+        res = Fraction(1, 8)
+        band = sphere_band_complex(1, GridSpec.symmetric(1 + 2 * res, res, 3))
+        subset, complement = harness._equator_split(res, 2 * res)
+        for cx, chi in ((band, 2), (subset, 0), (complement, 2)):
+            alternating = sum((-1) ** i * b for i, b in enumerate(betti(cx)))
+            assert sum((-1) ** d * cx.n_cells(d) for d in range(4)) == alternating == chi
+
     def test_equator_duality(self):
         rep = alexander_equator_audit()
         assert rep.verdict == PASS

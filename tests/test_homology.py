@@ -263,6 +263,43 @@ class TestBetti:
                 betti(broken, precollapse=precollapse)
 
 
+class _Rounds(Exception):
+    """Raised in place of building the neighbour table of the free-face rounds."""
+
+
+class TestSweptCore:
+    """`betti` sweeps a complex of _COLLAPSE_MIN_CELLS cells or more, and runs
+    the free-face rounds only when the swept subcomplex is that large too."""
+
+    @pytest.fixture
+    def no_rounds(self, monkeypatch):
+        def neighbours(*args):
+            raise _Rounds
+        monkeypatch.setattr(homology, "_neighbours", neighbours)
+
+    def test_small_swept_core_is_ranked_directly(self, no_rounds):
+        from quadbetti.harness import _lift_spec, scenario_products
+        from quadbetti.quadforms import DeformationParams, homogenize, sphere_region_complex
+
+        eps = DeformationParams().eps
+        polys = [homogenize(p).as_poly() for p in scenario_products(1).system]
+        lift = sphere_region_complex(polys, eps, _lift_spec(eps, 2)[0])
+        assert len(lift) == 1092 and len(homology._sweep(lift)) == 346
+        assert betti(lift) == betti(lift, precollapse=False) == (4, 0, 0)
+
+    def test_large_swept_core_reaches_the_rounds(self, no_rounds):
+        from fractions import Fraction
+
+        from quadbetti.harness import scenario_shell
+        from quadbetti.quadforms import grid_complex
+
+        sc = scenario_shell(3, Fraction(1, 2), 1)
+        grid = grid_complex(sc.system, sc.grid)
+        assert len(homology._sweep(grid)) >= homology._COLLAPSE_MIN_CELLS
+        with pytest.raises(_Rounds):
+            betti(grid)
+
+
 class TestPadBetti:
     def test_pads_and_guards(self):
         assert pad_betti((1, 1), 4) == (1, 1, 0, 0)
