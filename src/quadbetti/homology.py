@@ -573,9 +573,9 @@ def _free_faces(table: np.ndarray, alive: np.ndarray, cells: np.ndarray) -> Tupl
 def _core(c: CubicalComplex, sub: Optional[np.ndarray] = None) -> np.ndarray:
     """Ascending positions in c of the cells that the sweep and free-face collapse leave.
 
-    The sweep takes c onto a subcomplex L, whose positions `sub` are, when
-    given, those `_sweep(c)` returned; the neighbour table is built on L
-    alone.  Then each round takes every free face f, a cell of L with
+    The sweep takes c onto a subcomplex L, at the positions `sub` when the
+    caller has already swept, and the neighbour table is built on L alone.
+    Then each round takes every free face f, a cell of L with
     exactly one live coface g, keeps one f per g, and removes all those
     pairs at once; the module docstring shows this to be exact.  Only faces
     of removed cells can become free, so the live ones are the next round's
