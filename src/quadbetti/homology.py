@@ -24,11 +24,12 @@ stride 1 and stride_a = stride_{a+1} * 2^b_{a+1}.  A cell is
 and a complex stores the sorted numpy array of its distinct flat indices,
 int64 when the frame holds fewer than 2^63 positions and Python ints
 (dtype object) otherwise; one code path serves both.  Since lo_a is even
-and every stride is a power of two, bit log2(stride_a) of a flat index is
-the parity of code_a, and a cell's dimension is the number of stride bits
-it sets.  The codim-1 faces of a cell are flat -/+ stride_a over the odd
-axes a, its cofaces flat -/+ stride_a over the even axes; the padding keeps
-every such neighbour inside the box, so no offset wraps onto another cell.
+and every stride is a power of two, flat & stride_a is nonzero exactly when
+code_a is odd, and a cell's dimension is the popcount of flat & parity,
+where parity is the sum of the strides.  The codim-1 faces of a cell are
+flat -/+ stride_a over the odd axes a, its cofaces flat -/+ stride_a over
+the even axes; the padding keeps every such neighbour inside the box, so no
+offset wraps onto another cell.
 Flat order is the lexicographic order of the code tuples, and code tuples
 are decoded only on request (`cells`, `cells_of_dim`, a missing face in an
 error message).
@@ -47,6 +48,16 @@ Before that, `betti` shrinks a complex K of at least _COLLAPSE_MIN_CELLS
 cells by a sweep along the last axis onto a subcomplex L, and then, when L
 still has that many cells, by free-face collapse; pass precollapse=False to
 rank the whole complex.
+
+The boundary maps are ranked from the top dimension down, with clearing
+(C. Chen and M. Kerber, "Persistent homology computation with a twist",
+EuroCG 2011).  Elimination keys each basis vector of the span of the
+columns of boundary_{d+1} by its top row, a d-cell e.  That vector is
+e + (lower d-cells) = boundary_{d+1}(z) for some chain z, and its boundary
+is zero, so the column of e in boundary_d is the sum of columns of lower
+d-cells.  By induction on e, dropping the columns of all these pivot rows
+keeps the span of boundary_d, and so its rank; they are ranked as zero
+columns.  Their faces are still looked up, so a missing face still raises.
 
 The sweep works on runs, the maximal stretches of consecutive flat indices.
 A line along the last axis (stride 1) starts and ends with two padding
@@ -73,7 +84,9 @@ acyclic matching along a fixed axis of discrete Morse theory (R. Forman,
 "Morse theory for cell complexes", Adv. Math. 134, 1998).
 
 Free-face collapse runs on L alone, in rounds of array passes.  A table
-holds the faces and cofaces of every cell of L.  A round takes the free
+holds the faces and cofaces of every cell of L: along the last axis the
+cells next to a cell in sorted order, when their flat index is one apart,
+and along the other axes a binary search.  A round takes the free
 faces f, the cells with exactly one live coface g, keeps one f per g,
 removes all the pairs at once, and looks for the next free faces among the
 live faces of the removed cells.  This is exact.  If f has exactly one
@@ -172,7 +185,7 @@ def cube_all_faces(cube: Cube) -> List[Cube]:
 class _Frame:
     """Power-of-two strides over the padded bounding box of some codes."""
 
-    __slots__ = ("lo", "spans", "strides", "shifts", "base", "dtype", "_steps")
+    __slots__ = ("lo", "spans", "strides", "shifts", "parity", "base", "dtype", "_steps")
 
     def __init__(self, bounds: Sequence[Tuple[int, int]]):
         """`bounds` holds the least and the largest code on each axis."""
@@ -195,6 +208,8 @@ class _Frame:
         strides.reverse()
         self.lo, self.spans, self.strides, self.base = lows, spans, strides, base
         self.shifts = [s.bit_length() - 1 for s in strides]
+        # The stride bits: a cell's dimension is the popcount of its flat index masked by them.
+        self.parity = sum(strides)
         # Every flat index, and every sum or difference of one with a stride
         # that the engine forms, is below the frame's size `stride`.
         self.dtype = np.int64 if stride < 2**63 else object
@@ -202,18 +217,18 @@ class _Frame:
 
     def steps(self) -> Tuple[np.ndarray, np.ndarray]:
         """-stride_a and +stride_a for each axis a, the offsets of a cell's
-        faces and cofaces, and log2(stride_a) for both: the bit of a cell's
-        flat index that tells which of the two they are.  Built on first use."""
+        faces and cofaces, and stride_a for both: the bit of a cell's flat
+        index that tells which of the two they are.  Built on first use."""
         if self._steps is None:
             self._steps = (np.array([t for s in self.strides for t in (-s, s)], dtype=self.dtype),
-                           np.array([k for k in self.shifts for _ in "-+"]))
+                           np.array([s for s in self.strides for _ in "-+"], dtype=self.dtype))
         return self._steps
 
     def decode(self, flat: np.ndarray) -> Iterator[Cube]:
         """Code tuples of the flat indices, in their order."""
         if not self.strides:
             return iter([()] * len(flat))
-        return zip(*[[v + lo for v in ((flat >> k) % (w + 1)).tolist()]
+        return zip(*[[v + lo for v in ((flat >> k) & w).tolist()]
                      for k, w, lo in zip(self.shifts, self.spans, self.lo)])
 
 
@@ -278,9 +293,8 @@ class CubicalComplex:
 
         A cell's dimension is the number of strides whose bit its flat index sets.
         """
-        dims = sum(((flat >> k) % 2 for k in frame.shifts), np.zeros(len(flat), dtype=np.int64))
-        # On an object frame the sum holds Python ints.
-        dims = dims.astype(np.int64, copy=False)
+        # On an object frame the popcounts are Python ints.
+        dims = np.bitwise_count(flat & frame.parity).astype(np.int64, copy=False)
         self.ambient_dim, self._frame, self._flat, self._dims = ambient_dim, frame, flat, dims
         self._counts = np.bincount(dims).tolist()
         self._cells = None
@@ -342,33 +356,35 @@ def close_under_faces(
     if ambient_dim is None:
         ambient_dim = len(cubes[0]) if len(cubes) else 0
     frame, flat = _encode(cubes, ambient_dim)
-    for s, k in zip(frame.strides, frame.shifts):
-        odd = flat[(flat >> k) % 2 == 1]
+    for s in frame.strides:
+        odd = flat[(flat & s) != 0]
         if len(odd):
             flat = _sorted_distinct(np.concatenate((flat, odd - s, odd + s)))
     return CubicalComplex._from_flat(ambient_dim, frame, flat)
 
 
-def _bitset_rank(vectors: Iterable[int]) -> int:
-    """Rank over GF(2) of int-encoded vectors, by incremental elimination."""
+def _bitset_pivots(vectors: Iterable[int]) -> Dict[int, int]:
+    """Basis of the span over GF(2) of int-encoded vectors, by incremental elimination.
+
+    Each basis vector is keyed by its top bit, which no other one has; their
+    count is the rank.
+    """
     pivots: Dict[int, int] = {}
-    rank = 0
     for v in vectors:
         while v:
             top = v.bit_length() - 1
             p = pivots.get(top)
             if p is None:
                 pivots[top] = v
-                rank += 1
                 break
             v ^= p
-    return rank
+    return pivots
 
 
 class GF2Matrix:
     """GF(2) matrix stored as column bitsets (bit r of column c = entry r, c)."""
 
-    __slots__ = ("n_rows", "n_cols", "columns")
+    __slots__ = ("n_rows", "n_cols", "columns", "pivot_rows")
 
     def __init__(self, n_rows: int, n_cols: int, columns: Sequence[int]):
         if len(columns) != n_cols:
@@ -376,6 +392,7 @@ class GF2Matrix:
         self.n_rows = n_rows
         self.n_cols = n_cols
         self.columns = tuple(columns)
+        self.pivot_rows: Optional[List[int]] = None
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "GF2Matrix":
@@ -393,7 +410,10 @@ class GF2Matrix:
         return cls(n_rows, n_cols, columns)
 
     def rank(self) -> int:
-        return _bitset_rank(self.columns)
+        """Rank over GF(2).  Records in `pivot_rows` the top row of each
+        vector of a basis of the column span, one per pivot."""
+        self.pivot_rows = list(_bitset_pivots(self.columns))
+        return len(self.pivot_rows)
 
     def __repr__(self):
         return f"GF2Matrix({self.n_rows}x{self.n_cols})"
@@ -485,11 +505,11 @@ def _check_closed(frame: _Frame, flat: np.ndarray, start: np.ndarray, end: np.nd
     """
     first, last = flat[start], flat[end]
     for cells, step in ((first, -1), (last, 1)):
-        odd = cells % 2 == 1
+        odd = (cells & 1) != 0
         if np.count_nonzero(odd):
             raise _missing_face(frame, cells[odd] + step)
-    for s, k in zip(frame.strides[:-1], frame.shifts[:-1]):
-        odd = ((first >> k) % 2 == 1).nonzero()[0]
+    for s in frame.strides[:-1]:
+        odd = ((first & s) != 0).nonzero()[0]
         for t in (-s, s):
             at = flat.searchsorted(first[odd] + t) + (end - start)[odd]
             gone = odd[~((at < len(flat)) & (flat.take(at, mode="clip") == last[odd] + t))]
@@ -516,8 +536,8 @@ def _sweep(c: CubicalComplex) -> np.ndarray:
     mark = np.zeros(len(flat), dtype=bool)
     while len(grown):
         head = flat[low[grown]]
-        for s, k in zip(frame.strides[:-1], frame.shifts[:-1]):
-            odd = head[(head >> k) % 2 == 1]
+        for s in frame.strides[:-1]:
+            odd = head[(head & s) != 0]
             mark[flat.searchsorted(odd - s)] = True
             mark[flat.searchsorted(odd + s)] = True
         at = mark.nonzero()[0]
@@ -540,11 +560,15 @@ def _neighbours(frame: _Frame, flat: np.ndarray) -> np.ndarray:
     flat_i + stride_a.  Along the axes where cell i is odd these are its two
     faces, stored as -1 - index; along the others they are its cofaces,
     stored as their index, or as n (one past the last cell) where there is
-    none.  The table is int32 when every index fits.
+    none.  The table is int32 when every index fits.  The cells along the
+    last axis, of stride 1, are found by adjacency: flat_i -/+ 1 is a cell
+    exactly when it is cell i -/+ 1, next to cell i in sorted order.  The
+    other axes take a binary search.
     """
     n = len(flat)
-    steps, shifts = (a[:, None] for a in frame.steps())
-    table = np.empty((len(steps), n), dtype=np.int32 if n < 2**31 else np.int64)
+    # The steps of every axis but the last, whose two rows come last.
+    steps, strides = (a[:-2, None] for a in frame.steps())
+    table = np.empty((2 * len(frame.strides), n), dtype=np.int32 if n < 2**31 else np.int64)
     for lo in range(0, n, _BLOCK):
         cells = flat[lo:lo + _BLOCK]
         # One row per step: each row of positions is ascending, which keeps
@@ -552,7 +576,15 @@ def _neighbours(frame: _Frame, flat: np.ndarray) -> np.ndarray:
         near = steps + cells
         index = flat.searchsorted(near)
         index[flat.take(index, mode="clip") != near] = n
-        table[:, lo:lo + _BLOCK] = np.where((cells >> shifts) % 2 == 1, -1 - index, index)
+        table[:-2, lo:lo + _BLOCK] = np.where((cells & strides) != 0, -1 - index, index)
+    if frame.strides:  # a frame of ambient dimension 0 has no axis
+        joined = (flat[1:] == flat[:-1] + 1).nonzero()[0]
+        below, above = np.full(n, n), np.full(n, n)
+        below[joined + 1] = joined
+        above[joined] = joined + 1
+        odd = (flat & 1) != 0
+        table[-2] = np.where(odd, -1 - below, below)
+        table[-1] = np.where(odd, -1 - above, above)
     return table
 
 
@@ -562,11 +594,12 @@ def _free_faces(table: np.ndarray, alive: np.ndarray, cells: np.ndarray) -> Tupl
     A cell has exactly one live coface when the largest and the smallest
     index among its live cofaces agree.  Face entries are negative; they
     index `alive` from the end, and the sign test discards what they read.
+    A table with no rows, of a complex with no axis, has no free face.
     """
     near = table.take(cells, axis=1).astype(np.int64, copy=False)
     live = alive[near] & (near >= 0)
-    top = np.where(live, near, -1).max(0)
-    one = top == np.where(live, near, len(alive)).min(0)
+    top = np.where(live, near, -1).max(0, initial=-1)
+    one = top == np.where(live, near, len(alive)).min(0, initial=len(alive))
     return cells[one], top[one]
 
 
@@ -613,31 +646,34 @@ def _missing_face(frame: _Frame, faces: np.ndarray) -> ValueError:
     return ValueError(f"complex is not face-closed: missing {face!r}")
 
 
-def _chain(frame: _Frame, flat: np.ndarray, dims: np.ndarray, top: int) -> ChainComplex:
-    """Boundary matrices of the complex of the sorted flat indices `flat`, of dimensions `dims`.
+def _boundary(frame: _Frame, groups: Sequence[np.ndarray], d: int, cleared: Iterable[int] = ()) -> GF2Matrix:
+    """Boundary matrix from the d-cells to the (d-1)-cells, `groups[d]` and `groups[d - 1]` as sorted flat indices.
 
     The faces of the d-cells are looked up among the (d-1)-cells by one
     binary search, which gives their rows and checks that they are there.
+    The columns of the d-cells at the positions `cleared` are left zero;
+    their faces are looked up all the same.
     """
-    steps, shifts = frame.steps()
-    groups = [flat[dims == d] for d in range(top + 1)]
-    boundaries = []
-    for d in range(1, top + 1):
-        cells, lower = groups[d][:, None], groups[d - 1]
-        # A face lies along an odd axis, where the step's bit is set in the cell's index.
-        near = (cells + steps)[(cells >> shifts) % 2 == 1].reshape(-1, 2 * d)
-        rows = lower.searchsorted(near)
-        # take() needs a cell to read; with no (d-1)-cells every face is missing.
-        missing = lower.take(rows, mode="clip") != near if len(lower) else np.ones(near.shape, dtype=bool)
-        if np.count_nonzero(missing):
-            raise _missing_face(frame, near[missing])
-        boundaries.append(GF2Matrix(len(lower), len(cells), [sum(map(_bit, r)) for r in rows.tolist()]))
-    return ChainComplex(counts=tuple(map(len, groups)), boundaries=tuple(boundaries))
+    steps, strides = frame.steps()
+    cells, lower = groups[d][:, None], groups[d - 1]
+    # A face lies along an odd axis, where the step's stride bit is set in the cell's index.
+    near = (cells + steps)[(cells & strides) != 0].reshape(-1, 2 * d)
+    rows = lower.searchsorted(near)
+    # take() needs a cell to read; with no (d-1)-cells every face is missing.
+    missing = lower.take(rows, mode="clip") != near if len(lower) else np.ones(near.shape, dtype=bool)
+    if np.count_nonzero(missing):
+        raise _missing_face(frame, near[missing])
+    rows = rows.tolist()
+    for r in cleared:
+        rows[r] = ()
+    return GF2Matrix(len(lower), len(rows), [sum(map(_bit, r)) for r in rows])
 
 
 def chain_complex(c: CubicalComplex) -> ChainComplex:
     """Boundary matrices of a face-closed complex, cells in sorted order."""
-    return _chain(c._frame, c._flat, c._dims, max(c.dim, 0))
+    groups = [c._flat[c._dims == d] for d in range(max(c.dim, 0) + 1)]
+    return ChainComplex(counts=tuple(map(len, groups)),
+                        boundaries=tuple(_boundary(c._frame, groups, d) for d in range(1, len(groups))))
 
 
 def betti(c: CubicalComplex, precollapse: bool = True) -> Tuple[int, ...]:
@@ -645,7 +681,9 @@ def betti(c: CubicalComplex, precollapse: bool = True) -> Tuple[int, ...]:
 
     top is the largest cell dimension present; the empty complex yields an
     all-zero vector of length ambient_dim + 1.  A complex that is not
-    face-closed raises ValueError.
+    face-closed raises ValueError.  The boundary maps are ranked from the
+    top dimension down, each with the columns of the pivot rows of the one
+    above cleared (module docstring).
     """
     if not len(c):
         return (0,) * (c.ambient_dim + 1)
@@ -655,9 +693,14 @@ def betti(c: CubicalComplex, precollapse: bool = True) -> Tuple[int, ...]:
         if len(core) >= _COLLAPSE_MIN_CELLS:
             core = _core(c, core)
         flat, dims = flat[core], dims[core]
-    cc = _chain(c._frame, flat, dims, c.dim)
-    ranks = [0, *(m.rank() for m in cc.boundaries), 0]
-    return tuple([n - ranks[d] - ranks[d + 1] for d, n in enumerate(cc.counts)])
+    groups = [flat[dims == d] for d in range(c.dim + 1)]
+    ranks = [0] * (len(groups) + 1)
+    cleared: Sequence[int] = ()
+    for d in range(len(groups) - 1, 0, -1):
+        boundary = _boundary(c._frame, groups, d, cleared)
+        ranks[d] = boundary.rank()
+        cleared = boundary.pivot_rows
+    return tuple([len(g) - ranks[d] - ranks[d + 1] for d, g in enumerate(groups)])
 
 
 def pad_betti(v: Sequence[int], length: int) -> Tuple[int, ...]:

@@ -1,6 +1,7 @@
 """Unit tests for the cubical complex and GF(2) homology engine."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -42,6 +43,11 @@ def cube_surface():
     solid = solid_cube_complex(3)
     top = make_cube([(0, 1)] * 3)
     return CubicalComplex(3, solid.cells - {top})
+
+
+def solid_block():
+    """The 2x2x2 block of unit cubes."""
+    return close_under_faces([(2 * i + 1, 2 * j + 1, 2 * k + 1) for i in range(2) for j in range(2) for k in range(2)])
 
 
 def random_closed_complex(rng, max_ambient=4, max_cubes=6):
@@ -106,6 +112,11 @@ class TestCloseUnderFaces:
         assert betti(cx) == betti(cx, precollapse=False) == (1,)
         assert cx == CubicalComplex(0, [()])
         assert close_under_faces([(), ()], ambient_dim=0) == cx
+
+    def test_ambient_dim_zero_collapse(self, collapse_always):
+        cx = close_under_faces([()])
+        assert homology._neighbours(cx._frame, cx._flat).shape == (0, 1)
+        assert betti(cx) == (1,)
 
     def test_isolated_vertices(self):
         cx = close_under_faces([make_cube([(0, 0)]), make_cube([(2, 2)])])
@@ -261,6 +272,37 @@ class TestBetti:
         for precollapse in (True, False):
             with pytest.raises(ValueError, match=rf"complex is not face-closed: missing \({missing[0]}, {missing[1]}\)"):
                 betti(broken, precollapse=precollapse)
+
+
+class TestClearedColumns:
+    """`betti` gives the columns of the pivot rows of the map above zero
+    columns, but still looks up their faces."""
+
+    @pytest.mark.parametrize("precollapse", [True, False])
+    @pytest.mark.parametrize("build", [solid_block, cube_surface])
+    def test_every_missing_face_is_named(self, build, precollapse):
+        # The cube surface is the 2-sphere, whose edge columns clearing blanks most.
+        cells = build().cells
+        faces = {f for c in cells for f in cube_faces(c)}
+        assert faces < cells
+        for face in sorted(faces):
+            broken = CubicalComplex(3, cells - {face})
+            with pytest.raises(ValueError, match=rf"complex is not face-closed: missing {re.escape(repr(face))}$"):
+                betti(broken, precollapse=precollapse)
+
+    def test_cube_surface_clears_its_edges(self, monkeypatch):
+        # The 2-sphere's 12 edges: ranking the 6 squares leaves 5 pivot rows,
+        # so 5 edge columns are zero and rank the same as the full map.
+        seen = []
+        rank = homology.GF2Matrix.rank
+
+        def recording(m):
+            seen.append((m.n_rows, m.n_cols, sum(1 for col in m.columns if col)))
+            return rank(m)
+
+        monkeypatch.setattr(homology.GF2Matrix, "rank", recording)
+        assert betti(cube_surface()) == (1, 0, 1)
+        assert seen == [(12, 6, 6), (8, 12, 7)]
 
 
 class _Rounds(Exception):

@@ -23,9 +23,12 @@ and repeatability, and complexes with 22 extra axes, whose flat indices are
 Python ints, against the same cubes in an int64 frame.  The subcomplex that
 the sweep along the last axis leaves is checked for face closure, Euler
 characteristic and Betti numbers, and what it removes for being pairs of
-cells next to each other on that axis.
+cells next to each other on that axis.  The neighbour table of the
+free-face rounds, whose last-axis rows come from adjacency in sorted order,
+is checked against one found by binary search on every row.
 """
 
+from bisect import bisect_left
 from collections import deque
 
 import numpy as np
@@ -312,6 +315,35 @@ def test_object_frame_matches_int64_frame(collapse_always, case):
     assert [wide.n_cells(d) for d in range(dim + 2)] == [narrow.n_cells(d) for d in range(dim + 2)]
     if cubes:
         assert betti(wide) == betti(narrow) == betti(wide, precollapse=False)
+
+
+def _searched_neighbours(cx):
+    """The neighbour table of cx with every row, the last axis's included,
+    found by binary search."""
+    flat, n = cx._flat.tolist(), len(cx)
+
+    def index(v):
+        i = bisect_left(flat, v)
+        return i if i < n and flat[i] == v else n
+
+    rows = [[-1 - index(v + t) if v & s else index(v + t) for v in flat]
+            for s in cx._frame.strides for t in (-s, s)]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+
+
+@SETTINGS
+@given(mixed_cubes())
+def test_neighbour_table_matches_searched_table(case):
+    dim, cubes = case
+    narrow = close_under_faces(cubes, ambient_dim=dim)
+    # 22 constant axes in front put the frame past 2**63 positions and keep
+    # the cubes' own last axis last.
+    wide = close_under_faces([(0,) * 22 + c for c in cubes], ambient_dim=dim + 22)
+    assert narrow._flat.dtype == np.int64 and wide._flat.dtype == object
+    for cx in (narrow, wide):
+        table = homology._neighbours(cx._frame, cx._flat)
+        assert table.shape == (2 * cx.ambient_dim, len(cx))
+        assert np.array_equal(table, _searched_neighbours(cx))
 
 
 # ---------------------------------------------------------------------------
