@@ -10,6 +10,7 @@ audit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -23,6 +24,7 @@ from .homology import (
     PASS,
     VIOLATION,
     CubicalComplex,
+    _shared_frame,
     betti,
     make_cube,
     close_under_faces,
@@ -599,14 +601,23 @@ def _hollow_square(x: int, y: int) -> CubicalComplex:
 
 
 def _mv_example(name, pieces: Sequence[CubicalComplex], degree, union_override=None) -> MVExample:
-    """Audit the union of `pieces` against their intersections of up to degree + 1 pieces."""
-    union_betti = union_override or betti(
-        CubicalComplex(2, frozenset().union(*(p.cells for p in pieces))))
+    """Audit the union of `pieces` against their intersections of up to degree + 1 pieces.
+
+    The union and the intersections are merged from the pieces' sorted flat
+    indices in one frame; unions and intersections of face-closed complexes
+    are face-closed.
+    """
+    frame, flats = _shared_frame(pieces)
+
+    def complex_of(flat):
+        return CubicalComplex._from_flat(2, frame, flat)
+
+    union_betti = union_override or betti(complex_of(np.unique(np.concatenate(flats))))
     parts = {}
     for size in range(1, degree + 2):
         for J in itertools.combinations(range(len(pieces)), size):
-            cx = pieces[J[0]] if size == 1 else CubicalComplex(
-                2, frozenset.intersection(*(pieces[j].cells for j in J)))
+            cx = pieces[J[0]] if size == 1 else complex_of(functools.reduce(
+                lambda a, b: np.intersect1d(a, b, assume_unique=True), [flats[j] for j in J]))
             parts[tuple(j + 1 for j in J)] = betti(cx)
     return MVExample(
         name=name,

@@ -44,10 +44,7 @@ Betti numbers are computed over the two-element field: b_d equals
 (#d-cells) - rank(boundary_d) - rank(boundary_{d+1}).  A binary search
 finds the faces of the d-cells among the (d-1)-cells, which also checks
 face closure, and the ranks use Gaussian elimination on int bitsets.
-Before that, `betti` shrinks a complex K of at least _COLLAPSE_MIN_CELLS
-cells by a sweep along the last axis onto a subcomplex L, and then, when L
-still has that many cells, by free-face collapse; pass precollapse=False to
-rank the whole complex.
+A large complex is ranked through its run complex instead (below).
 
 The boundary maps are ranked from the top dimension down, with clearing
 (C. Chen and M. Kerber, "Persistent homology computation with a twist",
@@ -58,48 +55,51 @@ is zero, so the column of e in boundary_d is the sum of columns of lower
 d-cells.  By induction on e, dropping the columns of all these pivot rows
 keeps the span of boundary_d, and so its rank; they are ranked as zero
 columns.  Their faces are still looked up, so a missing face still raises.
+The run complex below is ranked the same way.
 
-The sweep works on runs, the maximal stretches of consecutive flat indices.
-A line along the last axis (stride 1) starts and ends with two padding
-codes that hold no cell, so a run never reaches the next line: all its
-cells share their codes on the other axes.  In a face-closed complex a run
-starts and ends on an even code, as an odd cell's two faces on the last
-axis are its neighbours in the line.  So closure is checked run by run: the
-ends of every run must be even, and along each axis where a run's code is
-odd, the run shifted by -stride and by +stride must be there.
+Before ranking, `betti` replaces a complex K of at least _COLLAPSE_MIN_CELLS
+cells by its run complex, the Morse complex of a matching along the last
+axis (R. Forman, "Morse theory for cell complexes", Adv. Math. 134, 1998);
+pass precollapse=False to rank K itself.  A run is a maximal stretch of
+consecutive flat indices.  A line along the last axis (stride 1) starts and
+ends with two padding codes that hold no cell, so a run never reaches the
+next line: all its cells share their codes on the other axes.  In a
+face-closed complex a run starts and ends on an even code, as an odd cell's
+two faces on the last axis are its neighbours in the line.  So closure is
+checked run by run: the ends of every run must be even, and along each axis
+where a run's code is odd, the run shifted by -stride and by +stride must be
+there.
 
-The sweep then finds a face-closed subcomplex L that holds, of every run,
-the cells from some even code to its top.  L starts as the top cell of
-every run, and two steps repeat until L stops growing: close L under faces,
-and add every cell above the lowest L cell of its run.  The rest of each run
-pairs off as (s, s + 1), s even on the last axis.  Removing these pairs in
-order of rising last-axis code of s, and at equal code falling dimension, is
-a sequence of elementary collapses.  A coface of s + 1 differs from it off
-the last axis; if it were in L, so would s + 1 be, as L is face-closed, so
-it lies in a pair with the same code and a higher dimension, removed
-earlier.  The cofaces of s are s + 1, s - 1, which lies in a pair of lower
-code, and cells off the last axis, removed earlier for the same reason as
-before.  So K collapses onto L, and every Betti number is kept.  This is the
-acyclic matching along a fixed axis of discrete Morse theory (R. Forman,
-"Morse theory for cell complexes", Adv. Math. 134, 1998).
+The matching pairs e with e + 1 in every run, e even on the last axis.  It
+leaves one critical cell per run, its top t_r, even on the last axis, whose
+dimension is the number of other axes where the run's code is odd.  A
+gradient path goes from a cell e to its partner e + 1 and on to a facet of
+e + 1 other than e.  The facets e + 1 -/+ stride_a off the last axis are odd
+on it, so they are paired downward and end the path; only e + 2 goes on.
+So paths climb their own run, and the matching is acyclic.  A facet
+t_r -/+ stride_a of a top, along an axis a where t_r is odd, is even on the
+last axis: it is the top of its run, or the one path from it climbs to that
+top.  The 2p facets of a p-dimensional top lie on 2p distinct lines, hence
+in 2p distinct runs, so over GF(2) the boundary of run r in the Morse
+complex is the set of runs that hold t_r -/+ stride_a for the axes a off the
+last where t_r is odd, and the run complex has the homology of K.
 
-Free-face collapse runs on L alone, in rounds of array passes.  A table
-holds the faces and cofaces of every cell of L: along the last axis the
-cells next to a cell in sorted order, when their flat index is one apart,
-and along the other axes a binary search.  A round takes the free
-faces f, the cells with exactly one live coface g, keeps one f per g,
-removes all the pairs at once, and looks for the next free faces among the
-live faces of the removed cells.  This is exact.  If f has exactly one
-coface g, then g has no coface: a coface h of g would have f as a codim-2
-face, which lies in two facets of h, both cofaces of f.  So no cell is both
-an f and a g, the pairs of a round are disjoint, and removing them one
-after another is a sequence of elementary collapses.
+When the run complex itself has at least _COLLAPSE_MIN_CELLS runs, free-face
+rounds shrink it.  A round takes the free runs f, those with exactly one
+live coface g, keeps one f per g, and removes all those pairs at once.  If g
+had a live coface h, the coefficient of f in the boundary of the boundary of
+h would count the live cofaces of f in the boundary of h: g alone, so it
+would be 1, yet the boundary of a boundary is zero.  So g has no live
+coface, no run is both an f and a g, and the pairs of a round are disjoint.
+Each pair (f, g) spans a quotient g -> f of the live complex that is
+acyclic, and the live runs left form a subcomplex with the same homology.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from operator import mul
 from typing import Collection, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -224,12 +224,27 @@ class _Frame:
                            np.array([s for s in self.strides for _ in "-+"], dtype=self.dtype))
         return self._steps
 
+    def codes(self, flat: np.ndarray) -> np.ndarray:
+        """The codes of the flat indices, one cube per row."""
+        shifts, spans, lo = (np.array(v, dtype=self.dtype) for v in (self.shifts, self.spans, self.lo))
+        return ((flat[:, None] >> shifts) & spans) + lo
+
+    def flat(self, codes: np.ndarray) -> np.ndarray:
+        """The flat indices of the rows of an int array of codes, in their order."""
+        dtype = self.dtype
+        return (codes.astype(dtype, copy=False) - np.array(self.lo, dtype=dtype)) @ np.array(self.strides, dtype=dtype)
+
     def decode(self, flat: np.ndarray) -> Iterator[Cube]:
         """Code tuples of the flat indices, in their order."""
         if not self.strides:
             return iter([()] * len(flat))
-        return zip(*[[v + lo for v in ((flat >> k) & w).tolist()]
-                     for k, w, lo in zip(self.shifts, self.spans, self.lo)])
+        return zip(*self.codes(flat).T.tolist())
+
+
+def _frame_around(codes: np.ndarray, ambient_dim: int) -> _Frame:
+    """Frame around the rows of an int array of codes."""
+    bounds = zip(codes.min(0).tolist(), codes.max(0).tolist()) if len(codes) else ()
+    return _Frame(list(bounds) or [(0, 0)] * ambient_dim)
 
 
 def _encode(cubes: Union[Collection[Cube], np.ndarray], ambient_dim: int) -> Tuple[_Frame, np.ndarray]:
@@ -241,11 +256,8 @@ def _encode(cubes: Union[Collection[Cube], np.ndarray], ambient_dim: int) -> Tup
     if isinstance(cubes, np.ndarray):
         if cubes.ndim != 2 or cubes.shape[1] != ambient_dim:
             raise ValueError(f"code array of shape {cubes.shape} has no {ambient_dim} axes")
-        bounds = zip(cubes.min(0).tolist(), cubes.max(0).tolist()) if len(cubes) else ()
-        frame = _Frame(list(bounds) or [(0, 0)] * ambient_dim)
-        dtype = frame.dtype
-        offsets = cubes.astype(dtype, copy=False) - np.array(frame.lo, dtype=dtype)
-        return frame, _sorted_distinct(offsets @ np.array(frame.strides, dtype=dtype))
+        frame = _frame_around(cubes, ambient_dim)
+        return frame, _sorted_distinct(frame.flat(cubes))
     if set(map(len, cubes)) - {ambient_dim}:
         c = next(c for c in cubes if len(c) != ambient_dim)
         raise ValueError(f"cube {c!r} has {len(c)} axes, ambient dimension is {ambient_dim}")
@@ -340,6 +352,18 @@ class CubicalComplex:
         except ValueError:
             return False
         return True
+
+
+def _shared_frame(complexes: Sequence[CubicalComplex]) -> Tuple[_Frame, List[np.ndarray]]:
+    """One frame around the cells of all `complexes`, which share an ambient
+    dimension, and the sorted flat indices of each one's cells in it.
+
+    Flat order is the order of the code tuples in every frame, so the
+    indices stay sorted; `CubicalComplex._from_flat` takes them back.
+    """
+    codes = [c._frame.codes(c._flat) for c in complexes]
+    frame = _frame_around(np.concatenate(codes), complexes[0].ambient_dim)
+    return frame, [frame.flat(x) for x in codes]
 
 
 def close_under_faces(
@@ -468,20 +492,16 @@ class ChainComplex:
         return True
 
 
-# `betti` sweeps a complex of at least this many cells, and runs the
-# free-face rounds on the swept subcomplex L only when L is as large; below
-# it, ranking directly is cheaper.  The sweep, the neighbour table and the
-# rounds cost a few dozen numpy calls however small the complex, and a round
-# peels a path by only one pair at each end.  Sweeping and collapsing every
-# complex made the median op of the cli-small benchmark 52% slower (512
-# faster in 10 of 10 alternating pairs; BENCH_10.json).  On the 1,092-cell
-# products-k1 lift, whose L has 346 cells, `betti` took 1.32 ms with the
-# rounds and takes 0.46 ms ranking L (timeit, min of 5, 2-core VM).
+# `betti` ranks a complex of at least this many cells through its run
+# complex, and runs the free-face rounds on the run complex only when it has
+# this many runs; below it, ranking directly is cheaper.  Timeit, min of 7,
+# 2-core VM: a 3-cell Mayer-Vietoris piece ranks in 8 us directly and in
+# 44 us through the run complex and its rounds; the 324-cell products-k2 grid
+# in 98 us directly and in 44 us through its 36 runs; the 1,092-cell
+# products-k1 lift in 324 us directly, 74 us through its 172 runs, and
+# 193 us with the rounds on them.  Summed over the 43 complexes of
+# `verify --full` and three audits, thresholds from 128 to 512 are within 2%.
 _COLLAPSE_MIN_CELLS = 512
-
-# Cells handled per pass when building the neighbour table and looking for
-# free faces; bounds the temporaries of a large complex.
-_BLOCK = 1 << 10
 
 
 def _runs(flat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -518,124 +538,68 @@ def _check_closed(frame: _Frame, flat: np.ndarray, start: np.ndarray, end: np.nd
                 raise _missing_face(frame, run[flat.take(flat.searchsorted(run), mode="clip") != run])
 
 
-def _sweep(c: CubicalComplex) -> np.ndarray:
-    """Ascending positions of a subcomplex L of c that c collapses onto; ValueError if c is not face-closed.
+def _run_complex(c: CubicalComplex) -> Tuple[np.ndarray, np.ndarray]:
+    """Position in c of the top of each run, and the face table of the run complex; ValueError if c is not face-closed.
 
-    L holds an upper part of every run of c, starting on an even last-axis
-    code: at first the top cell of each run.  The faces off the last axis of
-    a run's part lie in the runs next to it, and the lowest of them are the
-    faces of its lowest cell, so each pass adds those faces, with every cell
-    above them in their runs, until no run grows.  The module docstring
-    shows that the rest of each run collapses away.
+    Row 2a of the table holds, for each run r, the run that holds
+    t_r - stride_a, and row 2a + 1 the run that holds t_r + stride_a, along
+    each axis a but the last; where t_r is even on axis a the entry is the
+    run count R.  A run holds the values from its first cell to its top, so
+    the run that holds a cell is the first one whose top is not below it.
     """
     flat, frame = c._flat, c._frame
     start, end = _runs(flat)
     _check_closed(frame, flat, start, end)
-    low = end.copy()
-    grown = np.arange(len(low))
-    mark = np.zeros(len(flat), dtype=bool)
-    while len(grown):
-        head = flat[low[grown]]
-        for s in frame.strides[:-1]:
-            odd = head[(head & s) != 0]
-            mark[flat.searchsorted(odd - s)] = True
-            mark[flat.searchsorted(odd + s)] = True
-        at = mark.nonzero()[0]
-        mark[at] = False
-        run = start.searchsorted(at, side="right") - 1
-        # `at` ascends, so the lowest marked cell of a run comes first.
-        first = run != np.concatenate(([-1], run[:-1]))
-        at, run = at[first], run[first]
-        lower = at < low[run]
-        grown = run[lower]
-        low[grown] = at[lower]
-    keep = end - low + 1
-    return np.repeat(low - np.cumsum(keep) + keep, keep) + np.arange(keep.sum())
+    tops = flat[end]
+    n = len(tops)
+    table = np.full((2 * len(frame.strides[:-1]), n), n, dtype=np.int32 if n < 2**31 else np.int64)
+    for a, s in enumerate(frame.strides[:-1]):
+        odd = ((tops & s) != 0).nonzero()[0]
+        table[2 * a, odd] = tops.searchsorted(tops[odd] - s)
+        table[2 * a + 1, odd] = tops.searchsorted(tops[odd] + s)
+    return end, table
 
 
-def _neighbours(frame: _Frame, flat: np.ndarray) -> np.ndarray:
-    """Neighbour table of the face-closed complex of the sorted cells `flat`.
+def _collapse(table: np.ndarray) -> np.ndarray:
+    """Ascending indices of the runs that free-face rounds leave of the run complex with face table `table`.
 
-    Column i holds, for each axis a, the cells at flat_i - stride_a and
-    flat_i + stride_a.  Along the axes where cell i is odd these are its two
-    faces, stored as -1 - index; along the others they are its cofaces,
-    stored as their index, or as n (one past the last cell) where there is
-    none.  The table is int32 when every index fits.  The cells along the
-    last axis, of stride 1, are found by adjacency: flat_i -/+ 1 is a cell
-    exactly when it is cell i -/+ 1, next to cell i in sorted order.  The
-    other axes take a binary search.
+    Each run keeps its number of live cofaces and the sum of their indices,
+    which is the index of its one live coface when it has exactly one.  A
+    round removes the pairs (f, g) of free runs f and their cofaces g, one f
+    per g, which the module docstring shows to be exact, and updates the two
+    counts of the faces of the removed runs; those faces are the only runs
+    that can become free.
     """
-    n = len(flat)
-    # The steps of every axis but the last, whose two rows come last.
-    steps, strides = (a[:-2, None] for a in frame.steps())
-    table = np.empty((2 * len(frame.strides), n), dtype=np.int32 if n < 2**31 else np.int64)
-    for lo in range(0, n, _BLOCK):
-        cells = flat[lo:lo + _BLOCK]
-        # One row per step: each row of positions is ascending, which keeps
-        # the binary searches local.
-        near = steps + cells
-        index = flat.searchsorted(near)
-        index[flat.take(index, mode="clip") != near] = n
-        table[:-2, lo:lo + _BLOCK] = np.where((cells & strides) != 0, -1 - index, index)
-    if frame.strides:  # a frame of ambient dimension 0 has no axis
-        joined = (flat[1:] == flat[:-1] + 1).nonzero()[0]
-        below, above = np.full(n, n), np.full(n, n)
-        below[joined + 1] = joined
-        above[joined] = joined + 1
-        odd = (flat & 1) != 0
-        table[-2] = np.where(odd, -1 - below, below)
-        table[-1] = np.where(odd, -1 - above, above)
-    return table
-
-
-def _free_faces(table: np.ndarray, alive: np.ndarray, cells: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The cells among `cells` with exactly one live coface, and that coface.
-
-    A cell has exactly one live coface when the largest and the smallest
-    index among its live cofaces agree.  Face entries are negative; they
-    index `alive` from the end, and the sign test discards what they read.
-    A table with no rows, of a complex with no axis, has no free face.
-    """
-    near = table.take(cells, axis=1).astype(np.int64, copy=False)
-    live = alive[near] & (near >= 0)
-    top = np.where(live, near, -1).max(0, initial=-1)
-    one = top == np.where(live, near, len(alive)).min(0, initial=len(alive))
-    return cells[one], top[one]
-
-
-def _core(c: CubicalComplex, sub: Optional[np.ndarray] = None) -> np.ndarray:
-    """Ascending positions in c of the cells that the sweep and free-face collapse leave.
-
-    The sweep takes c onto a subcomplex L, at the positions `sub` when the
-    caller has already swept, and the neighbour table is built on L alone.
-    Then each round takes every free face f, a cell of L with
-    exactly one live coface g, keeps one f per g, and removes all those
-    pairs at once; the module docstring shows this to be exact.  Only faces
-    of removed cells can become free, so the live ones are the next round's
-    candidates.
-    """
-    if sub is None:
-        sub = _sweep(c)
-    table = _neighbours(c._frame, c._flat[sub])
-    n = len(sub)
-    alive = np.ones(n + 1, dtype=bool)
-    alive[n] = False
-    pick = np.empty(n, dtype=np.int64)
-    pairs = [_free_faces(table, alive, np.arange(lo, min(lo + _BLOCK, n))) for lo in range(0, n, _BLOCK)]
-    while pairs:
-        free, coface = map(np.concatenate, zip(*pairs))
-        # One of the writes to pick[g] survives; that free face becomes g's pair.
+    n = table.shape[1]
+    # np.add.at and np.subtract.at get 1-D intp indices and values of the
+    # same length.  On numpy 2.4.6, 2-D intp indices with 1-D values broadcast
+    # over them read past the values: a 2 x 3 case gave wrong sums, and an
+    # 8 x 13,448 one crashed the interpreter.  2-D int32 indices take 8 to 25
+    # times as long (1.0 to 3.1 against 0.12 ms over 8 x 13,448 entries, the
+    # size of the products-k2 lift's face table).
+    row, coface = (table < n).nonzero()
+    face = table[row, coface].astype(np.intp)
+    count = np.bincount(face, minlength=n)
+    total = np.zeros(n, dtype=np.intp)
+    np.add.at(total, face, coface)
+    alive = np.ones(n, dtype=bool)
+    pick = np.empty(n, dtype=np.intp)
+    free = (count == 1).nonzero()[0]
+    while len(free):
+        coface = total[free]
+        # One of the writes to pick[g] survives; that free run becomes g's pair.
         positions = np.arange(len(free))
         pick[coface] = positions
         first = pick[coface] == positions
         gone = np.concatenate((free[first], coface[first]))
         alive[gone] = False
-        pairs = []
-        for lo in range(0, len(gone), _BLOCK):
-            near = table.take(gone[lo:lo + _BLOCK], axis=1).astype(np.int64, copy=False)
-            faces = -1 - near[near < 0]
-            pairs.append(_free_faces(table, alive, faces[alive[faces]]))
-    return sub[alive[:n].nonzero()[0]]
+        row, at = (table[:, gone] < n).nonzero()
+        face = table[row, gone[at]].astype(np.intp)
+        np.subtract.at(count, face, np.ones(len(face), dtype=count.dtype))
+        np.subtract.at(total, face, gone[at])
+        # A removed f lost its one live coface with g, so no removed run counts 1.
+        free = face[count[face] == 1]
+    return alive.nonzero()[0]
 
 
 _bit = (1).__lshift__  # _bit(r) == 1 << r
@@ -663,10 +627,33 @@ def _boundary(frame: _Frame, groups: Sequence[np.ndarray], d: int, cleared: Iter
     missing = lower.take(rows, mode="clip") != near if len(lower) else np.ones(near.shape, dtype=bool)
     if np.count_nonzero(missing):
         raise _missing_face(frame, near[missing])
+    return _columns(rows, len(lower), cleared)
+
+
+def _run_boundary(table: np.ndarray, groups: Sequence[np.ndarray], d: int, cleared: Iterable[int] = ()) -> GF2Matrix:
+    """Boundary matrix of the run complex with face table `table` from the live d-runs to the live (d-1)-runs.
+
+    `groups[d]` holds the ascending indices of the live d-runs.  A live run
+    whose face is not live raises ValueError: the free-face rounds remove a
+    face only with its last live coface.
+    """
+    n = table.shape[1]
+    faces = table.T[groups[d]]
+    faces = faces[faces < n].reshape(-1, 2 * d)
+    lower = groups[d - 1]
+    rows = lower.searchsorted(faces)
+    gone = lower.take(rows, mode="clip") != faces if len(lower) else np.ones(faces.shape, dtype=bool)
+    if np.count_nonzero(gone):
+        raise ValueError(f"run complex is not closed: a live run has the removed face {faces[gone][0]}")
+    return _columns(rows, len(lower), cleared)
+
+
+def _columns(rows: np.ndarray, n_rows: int, cleared: Iterable[int]) -> GF2Matrix:
+    """GF(2) matrix whose column j holds ones in the rows `rows[j]`, with the columns at the positions `cleared` zero."""
     rows = rows.tolist()
     for r in cleared:
         rows[r] = ()
-    return GF2Matrix(len(lower), len(rows), [sum(map(_bit, r)) for r in rows])
+    return GF2Matrix(n_rows, len(rows), [sum(map(_bit, r)) for r in rows])
 
 
 def chain_complex(c: CubicalComplex) -> ChainComplex:
@@ -687,19 +674,21 @@ def betti(c: CubicalComplex, precollapse: bool = True) -> Tuple[int, ...]:
     """
     if not len(c):
         return (0,) * (c.ambient_dim + 1)
-    flat, dims = c._flat, c._dims
     if precollapse and len(c) >= _COLLAPSE_MIN_CELLS:
-        core = _sweep(c)
-        if len(core) >= _COLLAPSE_MIN_CELLS:
-            core = _core(c, core)
-        flat, dims = flat[core], dims[core]
-    groups = [flat[dims == d] for d in range(c.dim + 1)]
+        end, table = _run_complex(c)
+        runs = _collapse(table) if len(end) >= _COLLAPSE_MIN_CELLS else np.arange(len(end))
+        dims = c._dims[end[runs]]
+        groups = [runs[dims == d] for d in range(c.dim + 1)]
+        boundary = partial(_run_boundary, table, groups)
+    else:
+        groups = [c._flat[c._dims == d] for d in range(c.dim + 1)]
+        boundary = partial(_boundary, c._frame, groups)
     ranks = [0] * (len(groups) + 1)
     cleared: Sequence[int] = ()
     for d in range(len(groups) - 1, 0, -1):
-        boundary = _boundary(c._frame, groups, d, cleared)
-        ranks[d] = boundary.rank()
-        cleared = boundary.pivot_rows
+        matrix = boundary(d, cleared)
+        ranks[d] = matrix.rank()
+        cleared = matrix.pivot_rows
     return tuple([len(g) - ranks[d] - ranks[d + 1] for d, g in enumerate(groups)])
 
 

@@ -113,9 +113,11 @@ class TestCloseUnderFaces:
         assert cx == CubicalComplex(0, [()])
         assert close_under_faces([(), ()], ambient_dim=0) == cx
 
-    def test_ambient_dim_zero_collapse(self, collapse_always):
+    def test_ambient_dim_zero_run_complex(self, collapse_always):
         cx = close_under_faces([()])
-        assert homology._neighbours(cx._frame, cx._flat).shape == (0, 1)
+        end, table = homology._run_complex(cx)
+        assert end.tolist() == [0] and table.shape == (0, 1)
+        assert homology._collapse(table).tolist() == [0]
         assert betti(cx) == (1,)
 
     def test_isolated_vertices(self):
@@ -306,30 +308,31 @@ class TestClearedColumns:
 
 
 class _Rounds(Exception):
-    """Raised in place of building the neighbour table of the free-face rounds."""
+    """Raised in place of the free-face rounds on the run complex."""
 
 
-class TestSweptCore:
-    """`betti` sweeps a complex of _COLLAPSE_MIN_CELLS cells or more, and runs
-    the free-face rounds only when the swept subcomplex is that large too."""
+class TestRunComplex:
+    """`betti` ranks a complex of _COLLAPSE_MIN_CELLS cells or more through its
+    run complex, and runs the free-face rounds only when the run complex has
+    that many runs too."""
 
     @pytest.fixture
     def no_rounds(self, monkeypatch):
-        def neighbours(*args):
+        def collapse(table):
             raise _Rounds
-        monkeypatch.setattr(homology, "_neighbours", neighbours)
+        monkeypatch.setattr(homology, "_collapse", collapse)
 
-    def test_small_swept_core_is_ranked_directly(self, no_rounds):
+    def test_small_run_complex_is_ranked_directly(self, no_rounds):
         from quadbetti.harness import _lift_spec, scenario_products
         from quadbetti.quadforms import DeformationParams, homogenize, sphere_region_complex
 
         eps = DeformationParams().eps
         polys = [homogenize(p).as_poly() for p in scenario_products(1).system]
         lift = sphere_region_complex(polys, eps, _lift_spec(eps, 2)[0])
-        assert len(lift) == 1092 and len(homology._sweep(lift)) == 346
+        assert len(lift) == 1092 and len(homology._run_complex(lift)[0]) == 172
         assert betti(lift) == betti(lift, precollapse=False) == (4, 0, 0)
 
-    def test_large_swept_core_reaches_the_rounds(self, no_rounds):
+    def test_large_run_complex_reaches_the_rounds(self, no_rounds):
         from fractions import Fraction
 
         from quadbetti.harness import scenario_shell
@@ -337,9 +340,20 @@ class TestSweptCore:
 
         sc = scenario_shell(3, Fraction(1, 2), 1)
         grid = grid_complex(sc.system, sc.grid)
-        assert len(homology._sweep(grid)) >= homology._COLLAPSE_MIN_CELLS
+        assert len(homology._run_complex(grid)[0]) >= homology._COLLAPSE_MIN_CELLS
         with pytest.raises(_Rounds):
             betti(grid)
+
+    def test_live_run_with_a_removed_face_raises(self, monkeypatch, collapse_always):
+        # The unit square has three runs, along x = 0, 1 and 2; the edge x = 1
+        # between them is the top of the middle run.  Rounds that dropped the
+        # run x = 0 and kept that edge would be wrong, and ranking must say so.
+        square = solid_cube_complex(2)
+        end, table = homology._run_complex(square)
+        assert table.tolist() == [[3, 0, 3], [3, 2, 3]]
+        monkeypatch.setattr(homology, "_collapse", lambda table: np.array([1, 2]))
+        with pytest.raises(ValueError, match="run complex is not closed: a live run has the removed face 0$"):
+            betti(square)
 
 
 class TestPadBetti:

@@ -17,18 +17,15 @@ repeats in 1-D to 4-D, compares the flat-index engine with the tuple engine
 it replaced: the stack closure for cells and counts per dimension, and
 free-face collapse on code tuples followed by tuple boundary ranks for the
 Betti numbers.  These inputs are below the size at which `betti` collapses
-first, so the collapse tests force the rounds on.  The collapsed core itself
-is checked for face closure, Euler characteristic, the absence of free faces
-and repeatability, and complexes with 22 extra axes, whose flat indices are
-Python ints, against the same cubes in an int64 frame.  The subcomplex that
-the sweep along the last axis leaves is checked for face closure, Euler
-characteristic and Betti numbers, and what it removes for being pairs of
-cells next to each other on that axis.  The neighbour table of the
-free-face rounds, whose last-axis rows come from adjacency in sorted order,
-is checked against one found by binary search on every row.
+first, so the collapse tests force the rounds on.  The face table of the
+run complex is checked against one built from code tuples, also with 22
+extra axes, whose flat indices are Python ints; the run complex for its
+Euler characteristic and for Betti numbers ranked from that table; and what
+the free-face rounds leave of it for closure, Euler characteristic, the
+absence of free runs and repeatability.  Complexes with 22 extra axes are
+also compared with the same cubes in an int64 frame.
 """
 
-from bisect import bisect_left
 from collections import deque
 
 import numpy as np
@@ -280,26 +277,93 @@ def test_code_array_matches_code_tuples(case):
 
 
 # ---------------------------------------------------------------------------
-# The collapsed core, and complexes whose flat indices do not fit in int64.
+# The run complex, its free-face rounds, and complexes whose flat indices do
+# not fit in int64.
 
 
-def _collapsed(cx):
-    """Indices of the core that the collapse rounds leave, and the core as a complex."""
-    core = homology._core(cx)
-    return core, CubicalComplex._from_flat(cx.ambient_dim, cx._frame, cx._flat[core])
+def _tuple_runs(cells):
+    """The runs of the code tuples `cells` in flat order: the maximal lists of
+    cells that share their codes off the last axis and step by one on it."""
+    runs = []
+    for c in sorted(cells):
+        if runs and runs[-1][-1][:-1] == c[:-1] and runs[-1][-1][-1] + 1 == c[-1]:
+            runs[-1].append(c)
+        else:
+            runs.append([c])
+    return runs
+
+
+def _tuple_face_table(cells, dim):
+    """The top of every run, and the face table of the run complex built from code tuples."""
+    runs = _tuple_runs(cells)
+    run_of = {c: r for r, run in enumerate(runs) for c in run}
+    tops = [run[-1] for run in runs]
+    rows = [[run_of[t[:a] + (t[a] + delta,) + t[a + 1:]] if t[a] & 1 else len(runs) for t in tops]
+            for a in range(dim - 1) for delta in (-1, 1)]
+    return tops, np.array(rows, dtype=np.int64).reshape(len(rows), len(runs))
+
+
+def _run_dims(cx, end):
+    return cx._dims[end].tolist()
+
+
+def _table_betti(table, dims, top):
+    """b_0 .. b_top of the run complex with face table `table` and run dimensions `dims`."""
+    n = table.shape[1]
+    by_dim = [[r for r in range(n) if dims[r] == d] for d in range(top + 1)]
+    ranks = [0] * (top + 2)
+    for d in range(1, top + 1):
+        index = {r: i for i, r in enumerate(by_dim[d - 1])}
+        columns = [sum(1 << index[f] for f in table[:, r].tolist() if f < n) for r in by_dim[d]]
+        ranks[d] = gf2_rank(GF2Matrix(len(index), len(columns), columns))
+    return tuple(len(by_dim[d]) - ranks[d] - ranks[d + 1] for d in range(top + 1))
+
+
+@SETTINGS
+@given(mixed_cubes())
+def test_run_face_table_matches_tuple_runs(case):
+    dim, cubes = case
+    narrow = close_under_faces(cubes, ambient_dim=dim)
+    # 22 constant axes in front put the frame past 2**63 positions and keep
+    # the cubes' own last axis last.
+    wide = close_under_faces([(0,) * 22 + c for c in cubes], ambient_dim=dim + 22)
+    assert narrow._flat.dtype == np.int64 and wide._flat.dtype == object
+    for cx in (narrow, wide):
+        end, table = homology._run_complex(cx)
+        tops, want = _tuple_face_table(cx.cells, cx.ambient_dim)
+        assert list(cx._frame.decode(cx._flat[end])) == tops
+        assert table.shape == want.shape and np.array_equal(table, want)
 
 
 @SETTINGS
 @given(st.one_of(top_cells().map(lambda case: (case[0], _cubes(case[2]))), mixed_cubes()))
-def test_collapsed_core_is_a_closed_core_with_the_same_chi(case):
+def test_run_complex_has_the_chi_and_homology_of_the_complex(case):
     dim, cubes = case
     cx = close_under_faces(cubes, ambient_dim=dim)
-    core, sub = _collapsed(cx)
-    assert sub.is_face_closed()
-    assert sub.euler_characteristic() == cx.euler_characteristic()
-    live = sub.cells
-    assert all(_unique_coface(f, live) is None for f in live), "a free face is left"
-    assert np.array_equal(_collapsed(cx)[0], core)
+    end, table = homology._run_complex(cx)
+    dims = _run_dims(cx, end)
+    assert sum((-1) ** d for d in dims) == cx.euler_characteristic()
+    if cubes:
+        assert _table_betti(table, dims, cx.dim) == betti(cx, precollapse=False)
+
+
+@SETTINGS
+@given(st.one_of(top_cells().map(lambda case: (case[0], _cubes(case[2]))), mixed_cubes()))
+def test_collapsed_run_complex_is_closed_with_no_free_run_and_the_same_chi(case):
+    dim, cubes = case
+    cx = close_under_faces(cubes, ambient_dim=dim)
+    end, table = homology._run_complex(cx)
+    live = homology._collapse(table)
+    alive = set(live.tolist())
+    cofaces = dict.fromkeys(alive, 0)
+    for g in alive:
+        for f in table[:, g].tolist():
+            if f < len(end):
+                assert f in alive, "a live run has a removed face"
+                cofaces[f] += 1
+    assert 1 not in cofaces.values(), "a free run is left"
+    assert sum((-1) ** d for d in _run_dims(cx, end[live])) == cx.euler_characteristic()
+    assert np.array_equal(homology._collapse(table), live)
 
 
 @COLLAPSING
@@ -317,83 +381,32 @@ def test_object_frame_matches_int64_frame(collapse_always, case):
         assert betti(wide) == betti(narrow) == betti(wide, precollapse=False)
 
 
-def _searched_neighbours(cx):
-    """The neighbour table of cx with every row, the last axis's included,
-    found by binary search."""
-    flat, n = cx._flat.tolist(), len(cx)
-
-    def index(v):
-        i = bisect_left(flat, v)
-        return i if i < n and flat[i] == v else n
-
-    rows = [[-1 - index(v + t) if v & s else index(v + t) for v in flat]
-            for s in cx._frame.strides for t in (-s, s)]
-    return np.array(rows, dtype=np.int64).reshape(len(rows), n)
-
-
-@SETTINGS
-@given(mixed_cubes())
-def test_neighbour_table_matches_searched_table(case):
-    dim, cubes = case
-    narrow = close_under_faces(cubes, ambient_dim=dim)
-    # 22 constant axes in front put the frame past 2**63 positions and keep
-    # the cubes' own last axis last.
-    wide = close_under_faces([(0,) * 22 + c for c in cubes], ambient_dim=dim + 22)
-    assert narrow._flat.dtype == np.int64 and wide._flat.dtype == object
-    for cx in (narrow, wide):
-        table = homology._neighbours(cx._frame, cx._flat)
-        assert table.shape == (2 * cx.ambient_dim, len(cx))
-        assert np.array_equal(table, _searched_neighbours(cx))
-
-
-# ---------------------------------------------------------------------------
-# The sweep along the last axis.
-
-
-def _check_sweep(cx):
-    """The subcomplex L that `_sweep` leaves of cx, after checking it.
-
-    L is face-closed with the Euler characteristic and Betti numbers of cx,
-    and cx minus L is disjoint pairs (s, s + 1) with s even on the last axis.
-    """
-    keep = homology._sweep(cx)
-    assert np.array_equal(keep, np.unique(keep))
-    sub = CubicalComplex._from_flat(cx.ambient_dim, cx._frame, cx._flat[keep])
-    assert sub.is_face_closed()
-    gone = np.delete(cx._flat, keep).tolist()
-    assert len(gone) % 2 == 0
-    assert all(s % 2 == 0 and t == s + 1 for s, t in zip(gone[0::2], gone[1::2]))
-    assert sub.euler_characteristic() == cx.euler_characteristic()
-    n = cx.ambient_dim + 1
-    assert pad_betti(betti(sub, precollapse=False), n) == pad_betti(betti(cx, precollapse=False), n)
-    return sub
-
-
-@SETTINGS
-@given(st.one_of(top_cells().map(lambda case: (case[0], _cubes(case[2]))), mixed_cubes()))
-def test_sweep_leaves_a_closed_subcomplex_with_the_same_homology(case):
-    dim, cubes = case
-    _check_sweep(close_under_faces(cubes, ambient_dim=dim))
-
-
 # Cube [1,2]x[0,1]x[0,1], and one unit higher, over empty space, the cubes
 # [1,2]x[1,2]x[1,2] and [2,3]x[0,1]x[1,2], which share the edge x = 2, y = 1.
 OVERHANG = [(3, 1, 1), (3, 3, 3), (5, 1, 3)]
 
 
-def test_sweep_of_an_overhang_takes_a_second_pass():
+def test_run_complex_of_an_overhang_follows_paths_up_their_runs(collapse_always):
     cx = close_under_faces(OVERHANG)
-    sub = _check_sweep(cx)
-    # The first pass adds the faces of the low cube's top: its edges at y = 1
-    # and at x = 2, whose lines run on up the two high cubes.  Only then is
-    # the point (2, 1, 1) a face of L, and the second pass adds it.
-    assert (4, 2, 2) in sub.cells
-    assert len(sub) == 31 and betti(sub) == (1, 0, 0)
+    end, table = homology._run_complex(cx)
+    tops, want = _tuple_face_table(cx.cells, 3)
+    assert list(cx._frame.decode(cx._flat[end])) == tops and np.array_equal(table, want)
+    # The low cube's top square is the top of its run.  Its faces at x = 2 and
+    # y = 1 are the lowest of the lines that run on up the two high cubes, so
+    # its boundary names the tops of those runs.
+    low = tops.index((3, 1, 2))
+    assert {tops[f] for f in table[:, low].tolist() if f < len(tops)} == {(2, 1, 2), (4, 1, 4), (3, 0, 2), (3, 2, 4)}
+    assert betti(cx) == betti(cx, precollapse=False) == (1, 0, 0, 0)
 
 
-def test_sweep_on_an_object_frame():
+def test_run_complex_on_an_object_frame(collapse_always):
     # 22 constant axes in front put the frame past 2**63 positions and leave
     # the overhang's z axis last.
-    cx = close_under_faces([(0,) * 22 + c for c in OVERHANG])
-    assert cx._flat.dtype == object
-    assert {c[22:] for c in _check_sweep(cx).cells} == _check_sweep(close_under_faces(OVERHANG)).cells
+    narrow = close_under_faces(OVERHANG)
+    wide = close_under_faces([(0,) * 22 + c for c in OVERHANG])
+    assert wide._flat.dtype == object
+    (narrow_end, narrow_table), (wide_end, wide_table) = map(homology._run_complex, (narrow, wide))
+    assert np.array_equal(wide_end, narrow_end)
+    assert (wide_table[:44] == len(wide_end)).all() and np.array_equal(wide_table[44:], narrow_table)
+    assert np.array_equal(homology._collapse(wide_table), homology._collapse(narrow_table))
+    assert betti(wide) == betti(narrow) == (1, 0, 0, 0)
