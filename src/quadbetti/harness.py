@@ -10,7 +10,6 @@ audit.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -24,12 +23,12 @@ from .homology import (
     PASS,
     VIOLATION,
     CubicalComplex,
-    _shared_frame,
     betti,
     make_cube,
     close_under_faces,
     mayer_vietoris_audit,
     pad_betti,
+    union_and_intersections,
 )
 from .quadforms import (
     DeformationParams,
@@ -601,24 +600,11 @@ def _hollow_square(x: int, y: int) -> CubicalComplex:
 
 
 def _mv_example(name, pieces: Sequence[CubicalComplex], degree, union_override=None) -> MVExample:
-    """Audit the union of `pieces` against their intersections of up to degree + 1 pieces.
-
-    The union and the intersections are merged from the pieces' sorted flat
-    indices in one frame; unions and intersections of face-closed complexes
-    are face-closed.
-    """
-    frame, flats = _shared_frame(pieces)
-
-    def complex_of(flat):
-        return CubicalComplex._from_flat(2, frame, flat)
-
-    union_betti = union_override or betti(complex_of(np.unique(np.concatenate(flats))))
-    parts = {}
-    for size in range(1, degree + 2):
-        for J in itertools.combinations(range(len(pieces)), size):
-            cx = pieces[J[0]] if size == 1 else complex_of(functools.reduce(
-                lambda a, b: np.intersect1d(a, b, assume_unique=True), [flats[j] for j in J]))
-            parts[tuple(j + 1 for j in J)] = betti(cx)
+    """Audit the union of `pieces` against their intersections of up to degree + 1 pieces."""
+    index_sets = [J for size in range(1, degree + 2) for J in itertools.combinations(range(len(pieces)), size)]
+    union, meets = union_and_intersections(pieces, index_sets)
+    union_betti = union_override or betti(union)
+    parts = {tuple(j + 1 for j in J): betti(cx) for J, cx in zip(index_sets, meets)}
     return MVExample(
         name=name,
         union_betti=tuple(union_betti),

@@ -101,7 +101,7 @@ import itertools
 from dataclasses import dataclass
 from functools import partial
 from operator import mul
-from typing import Collection, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Collection, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -117,6 +117,7 @@ __all__ = [
     "cube_all_faces",
     "CubicalComplex",
     "close_under_faces",
+    "union_and_intersections",
     "GF2Matrix",
     "gf2_rank",
     "ChainComplex",
@@ -354,18 +355,6 @@ class CubicalComplex:
         return True
 
 
-def _shared_frame(complexes: Sequence[CubicalComplex]) -> Tuple[_Frame, List[np.ndarray]]:
-    """One frame around the cells of all `complexes`, which share an ambient
-    dimension, and the sorted flat indices of each one's cells in it.
-
-    Flat order is the order of the code tuples in every frame, so the
-    indices stay sorted; `CubicalComplex._from_flat` takes them back.
-    """
-    codes = [c._frame.codes(c._flat) for c in complexes]
-    frame = _frame_around(np.concatenate(codes), complexes[0].ambient_dim)
-    return frame, [frame.flat(x) for x in codes]
-
-
 def close_under_faces(
     cubes: Union[Iterable[Cube], np.ndarray], ambient_dim: Optional[int] = None
 ) -> CubicalComplex:
@@ -385,6 +374,34 @@ def close_under_faces(
         if len(odd):
             flat = _sorted_distinct(np.concatenate((flat, odd - s, odd + s)))
     return CubicalComplex._from_flat(ambient_dim, frame, flat)
+
+
+def union_and_intersections(
+    pieces: Sequence[CubicalComplex], index_sets: Iterable[Sequence[int]]
+) -> Tuple[CubicalComplex, List[CubicalComplex]]:
+    """The union of the face-closed `pieces`, and the intersection of the pieces of each index set.
+
+    The pieces share an ambient dimension.  Their cells are put in one frame
+    around all of them, where flat order is still the order of the code
+    tuples, so the results are merges of sorted flat index arrays: a stable
+    sort for the union and binary searches for the intersections.  Unions
+    and intersections of face-closed complexes are face-closed.  An index
+    set of one piece gives that piece.
+    """
+    ambient_dim = pieces[0].ambient_dim
+    codes = [c._frame.codes(c._flat) for c in pieces]
+    frame = _frame_around(np.concatenate(codes), ambient_dim)
+    flats = [frame.flat(x) for x in codes]
+    meets = []
+    for first, *rest in index_sets:
+        if not rest:
+            meets.append(pieces[first])
+            continue
+        flat = flats[first]
+        for other in (flats[j] for j in rest):
+            flat = flat[other.take(other.searchsorted(flat), mode="clip") == flat] if len(other) else other
+        meets.append(CubicalComplex._from_flat(ambient_dim, frame, flat))
+    return CubicalComplex._from_flat(ambient_dim, frame, _sorted_distinct(np.concatenate(flats))), meets
 
 
 def _bitset_pivots(vectors: Iterable[int]) -> Dict[int, int]:
@@ -610,6 +627,10 @@ def _missing_face(frame: _Frame, faces: np.ndarray) -> ValueError:
     return ValueError(f"complex is not face-closed: missing {face!r}")
 
 
+def _removed_face(runs: np.ndarray) -> ValueError:
+    return ValueError(f"run complex is not closed: a live run has the removed face {runs[0]}")
+
+
 def _boundary(frame: _Frame, groups: Sequence[np.ndarray], d: int, cleared: Iterable[int] = ()) -> GF2Matrix:
     """Boundary matrix from the d-cells to the (d-1)-cells, `groups[d]` and `groups[d - 1]` as sorted flat indices.
 
@@ -619,15 +640,10 @@ def _boundary(frame: _Frame, groups: Sequence[np.ndarray], d: int, cleared: Iter
     their faces are looked up all the same.
     """
     steps, strides = frame.steps()
-    cells, lower = groups[d][:, None], groups[d - 1]
+    cells = groups[d][:, None]
     # A face lies along an odd axis, where the step's stride bit is set in the cell's index.
     near = (cells + steps)[(cells & strides) != 0].reshape(-1, 2 * d)
-    rows = lower.searchsorted(near)
-    # take() needs a cell to read; with no (d-1)-cells every face is missing.
-    missing = lower.take(rows, mode="clip") != near if len(lower) else np.ones(near.shape, dtype=bool)
-    if np.count_nonzero(missing):
-        raise _missing_face(frame, near[missing])
-    return _columns(rows, len(lower), cleared)
+    return _matrix(near, groups[d - 1], cleared, partial(_missing_face, frame))
 
 
 def _run_boundary(table: np.ndarray, groups: Sequence[np.ndarray], d: int, cleared: Iterable[int] = ()) -> GF2Matrix:
@@ -637,23 +653,26 @@ def _run_boundary(table: np.ndarray, groups: Sequence[np.ndarray], d: int, clear
     whose face is not live raises ValueError: the free-face rounds remove a
     face only with its last live coface.
     """
-    n = table.shape[1]
     faces = table.T[groups[d]]
-    faces = faces[faces < n].reshape(-1, 2 * d)
-    lower = groups[d - 1]
-    rows = lower.searchsorted(faces)
-    gone = lower.take(rows, mode="clip") != faces if len(lower) else np.ones(faces.shape, dtype=bool)
-    if np.count_nonzero(gone):
-        raise ValueError(f"run complex is not closed: a live run has the removed face {faces[gone][0]}")
-    return _columns(rows, len(lower), cleared)
+    return _matrix(faces[faces < table.shape[1]].reshape(-1, 2 * d), groups[d - 1], cleared, _removed_face)
 
 
-def _columns(rows: np.ndarray, n_rows: int, cleared: Iterable[int]) -> GF2Matrix:
-    """GF(2) matrix whose column j holds ones in the rows `rows[j]`, with the columns at the positions `cleared` zero."""
+def _matrix(near: np.ndarray, lower: np.ndarray, cleared: Iterable[int],
+            error: Callable[[np.ndarray], ValueError]) -> GF2Matrix:
+    """GF(2) matrix whose column j has a one in each row i where lower[i] is in near[j].
+
+    `lower` is sorted.  The columns at the positions `cleared` are zero.
+    The entries of `near` that `lower` lacks raise error(those entries).
+    """
+    rows = lower.searchsorted(near)
+    # take() needs a value to read; with `lower` empty every entry is missing.
+    missing = lower.take(rows, mode="clip") != near if len(lower) else np.ones(near.shape, dtype=bool)
+    if np.count_nonzero(missing):
+        raise error(near[missing])
     rows = rows.tolist()
     for r in cleared:
         rows[r] = ()
-    return GF2Matrix(n_rows, len(rows), [sum(map(_bit, r)) for r in rows])
+    return GF2Matrix(len(lower), len(rows), [sum(map(_bit, r)) for r in rows])
 
 
 def chain_complex(c: CubicalComplex) -> ChainComplex:
