@@ -82,7 +82,10 @@ last axis: it is the top of its run, or the one path from it climbs to that
 top.  The 2p facets of a p-dimensional top lie on 2p distinct lines, hence
 in 2p distinct runs, so over GF(2) the boundary of run r in the Morse
 complex is the set of runs that hold t_r -/+ stride_a for the axes a off the
-last where t_r is odd, and the run complex has the homology of K.
+last where t_r is odd, and the run complex has the homology of K.  One
+binary search of the run tops per axis and sign finds these runs and checks
+closure: a shifted run is there when the first run whose top is not below
+its top starts at or below its first cell.
 
 When the run complex itself has at least _COLLAPSE_MIN_CELLS runs, free-face
 rounds shrink it.  A round takes the free runs f, those with exactly one
@@ -349,7 +352,7 @@ class CubicalComplex:
 
     def is_face_closed(self) -> bool:
         try:
-            _check_closed(self._frame, self._flat, *_runs(self._flat))
+            _run_complex(self)
         except ValueError:
             return False
         return True
@@ -513,11 +516,12 @@ class ChainComplex:
 # complex, and runs the free-face rounds on the run complex only when it has
 # this many runs; below it, ranking directly is cheaper.  Timeit, min of 7,
 # 2-core VM: a 3-cell Mayer-Vietoris piece ranks in 8 us directly and in
-# 44 us through the run complex and its rounds; the 324-cell products-k2 grid
-# in 98 us directly and in 44 us through its 36 runs; the 1,092-cell
-# products-k1 lift in 324 us directly, 74 us through its 172 runs, and
-# 193 us with the rounds on them.  Summed over the 43 complexes of
-# `verify --full` and three audits, thresholds from 128 to 512 are within 2%.
+# 39 us through the run complex and its rounds; the 324-cell products-k2 grid
+# in 98 us directly and in 38 us through its 36 runs; the 1,092-cell
+# products-k1 lift in 323 us directly, 66 us through its 172 runs, and
+# 184 us with the rounds on them.  Summed over the 43 complexes of
+# `verify --full` and three audits, thresholds from 64 to 1,024 are within 5%
+# of each other, 256 and 512 within 1%.
 _COLLAPSE_MIN_CELLS = 512
 
 
@@ -532,49 +536,40 @@ def _runs(flat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return edges[:-1], edges[1:] - 1
 
 
-def _check_closed(frame: _Frame, flat: np.ndarray, start: np.ndarray, end: np.ndarray) -> None:
-    """Raise ValueError naming a missing face unless the cells `flat` are face-closed.
+def _check_closed(frame: _Frame, flat: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Face table of the run complex of the cells `flat`; ValueError naming a missing face unless they are face-closed.
 
     `start` and `end` bound the runs of `flat`; the module docstring gives
-    the conditions.  `flat` holds distinct sorted ints, so a shifted run is
-    there when the value as many places past the place of its first cell as
-    the run is long is its last cell.
+    the conditions.  Row 2a of the table holds, for each run r, the run that
+    holds t_r - stride_a, and row 2a + 1 the run that holds t_r + stride_a,
+    along each axis a but the last; where t_r is even on axis a the entry is
+    the run count R.  A shifted run is there when the first run whose top is
+    not below its top starts at or below its first cell; that run holds the
+    shifted top.
     """
     first, last = flat[start], flat[end]
     for cells, step in ((first, -1), (last, 1)):
         odd = (cells & 1) != 0
         if np.count_nonzero(odd):
             raise _missing_face(frame, cells[odd] + step)
-    for s in frame.strides[:-1]:
-        odd = ((first & s) != 0).nonzero()[0]
-        for t in (-s, s):
-            at = flat.searchsorted(first[odd] + t) + (end - start)[odd]
-            gone = odd[~((at < len(flat)) & (flat.take(at, mode="clip") == last[odd] + t))]
+    n = len(last)
+    table = np.full((2 * len(frame.strides[:-1]), n), n, dtype=np.int32 if n < 2**31 else np.int64)
+    for a, s in enumerate(frame.strides[:-1]):
+        odd = ((last & s) != 0).nonzero()[0]
+        for row, t in ((2 * a, -s), (2 * a + 1, s)):
+            runs = last.searchsorted(last[odd] + t)
+            gone = odd[~((runs < n) & (first.take(runs, mode="clip") <= first[odd] + t))]
             if len(gone):
                 run = flat[start[gone[0]]:end[gone[0]] + 1] + t
                 raise _missing_face(frame, run[flat.take(flat.searchsorted(run), mode="clip") != run])
+            table[row, odd] = runs
+    return table
 
 
 def _run_complex(c: CubicalComplex) -> Tuple[np.ndarray, np.ndarray]:
-    """Position in c of the top of each run, and the face table of the run complex; ValueError if c is not face-closed.
-
-    Row 2a of the table holds, for each run r, the run that holds
-    t_r - stride_a, and row 2a + 1 the run that holds t_r + stride_a, along
-    each axis a but the last; where t_r is even on axis a the entry is the
-    run count R.  A run holds the values from its first cell to its top, so
-    the run that holds a cell is the first one whose top is not below it.
-    """
-    flat, frame = c._flat, c._frame
-    start, end = _runs(flat)
-    _check_closed(frame, flat, start, end)
-    tops = flat[end]
-    n = len(tops)
-    table = np.full((2 * len(frame.strides[:-1]), n), n, dtype=np.int32 if n < 2**31 else np.int64)
-    for a, s in enumerate(frame.strides[:-1]):
-        odd = ((tops & s) != 0).nonzero()[0]
-        table[2 * a, odd] = tops.searchsorted(tops[odd] - s)
-        table[2 * a + 1, odd] = tops.searchsorted(tops[odd] + s)
-    return end, table
+    """Position in c of the top of each run, and the face table of the run complex; ValueError if c is not face-closed."""
+    start, end = _runs(c._flat)
+    return end, _check_closed(c._frame, c._flat, start, end)
 
 
 def _collapse(table: np.ndarray) -> np.ndarray:
