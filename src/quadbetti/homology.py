@@ -44,7 +44,6 @@ Betti numbers are computed over the two-element field: b_d equals
 (#d-cells) - rank(boundary_d) - rank(boundary_{d+1}).  A binary search
 finds the faces of the d-cells among the (d-1)-cells, which also checks
 face closure, and the ranks use Gaussian elimination on int bitsets.
-A large complex is ranked through its run complex instead (below).
 
 The boundary maps are ranked from the top dimension down, with clearing
 (C. Chen and M. Kerber, "Persistent homology computation with a twist",
@@ -55,11 +54,10 @@ is zero, so the column of e in boundary_d is the sum of columns of lower
 d-cells.  By induction on e, dropping the columns of all these pivot rows
 keeps the span of boundary_d, and so its rank; they are ranked as zero
 columns.  Their faces are still looked up, so a missing face still raises.
-The run complex below is ranked the same way.
 
-Before ranking, `betti` replaces a complex K of at least _COLLAPSE_MIN_CELLS
-cells by its run complex, the Morse complex of a matching along the last
-axis (R. Forman, "Morse theory for cell complexes", Adv. Math. 134, 1998);
+`betti` ranks a complex K of at least _COLLAPSE_MIN_CELLS cells through its
+run complex, the Morse complex of a matching along the last axis (R. Forman,
+"Morse theory for cell complexes", Adv. Math. 134, 1998), in the same way;
 pass precollapse=False to rank K itself.  A run is a maximal stretch of
 consecutive flat indices.  A line along the last axis (stride 1) starts and
 ends with two padding codes that hold no cell, so a run never reaches the
@@ -519,9 +517,7 @@ class ChainComplex:
 # 39 us through the run complex and its rounds; the 324-cell products-k2 grid
 # in 98 us directly and in 38 us through its 36 runs; the 1,092-cell
 # products-k1 lift in 323 us directly, 66 us through its 172 runs, and
-# 184 us with the rounds on them.  Summed over the 43 complexes of
-# `verify --full` and three audits, thresholds from 64 to 1,024 are within 5%
-# of each other, 256 and 512 within 1%.
+# 184 us with the rounds on them.
 _COLLAPSE_MIN_CELLS = 512
 
 
@@ -540,12 +536,10 @@ def _check_closed(frame: _Frame, flat: np.ndarray, start: np.ndarray, end: np.nd
     """Face table of the run complex of the cells `flat`; ValueError naming a missing face unless they are face-closed.
 
     `start` and `end` bound the runs of `flat`; the module docstring gives
-    the conditions.  Row 2a of the table holds, for each run r, the run that
-    holds t_r - stride_a, and row 2a + 1 the run that holds t_r + stride_a,
-    along each axis a but the last; where t_r is even on axis a the entry is
-    the run count R.  A shifted run is there when the first run whose top is
-    not below its top starts at or below its first cell; that run holds the
-    shifted top.
+    the conditions and the search.  Row 2a of the table holds, for each run
+    r, the run that holds t_r - stride_a, and row 2a + 1 the run that holds
+    t_r + stride_a, along each axis a but the last; where t_r is even on
+    axis a the entry is the run count R.
     """
     first, last = flat[start], flat[end]
     for cells, step in ((first, -1), (last, 1)):
@@ -585,10 +579,9 @@ def _collapse(table: np.ndarray) -> np.ndarray:
     n = table.shape[1]
     # np.add.at and np.subtract.at get 1-D intp indices and values of the
     # same length.  On numpy 2.4.6, 2-D intp indices with 1-D values broadcast
-    # over them read past the values: a 2 x 3 case gave wrong sums, and an
-    # 8 x 13,448 one crashed the interpreter.  2-D int32 indices take 8 to 25
-    # times as long (1.0 to 3.1 against 0.12 ms over 8 x 13,448 entries, the
-    # size of the products-k2 lift's face table).
+    # over them read past the values (wrong sums at 2 x 3, a crash at
+    # 8 x 13,448), and 2-D int32 indices take 8 times as long (1.0 against
+    # 0.12 ms over 8 x 13,448 entries, the products-k2 lift's face table).
     row, coface = (table < n).nonzero()
     face = table[row, coface].astype(np.intp)
     count = np.bincount(face, minlength=n)
@@ -622,10 +615,6 @@ def _missing_face(frame: _Frame, faces: np.ndarray) -> ValueError:
     return ValueError(f"complex is not face-closed: missing {face!r}")
 
 
-def _removed_face(runs: np.ndarray) -> ValueError:
-    return ValueError(f"run complex is not closed: a live run has the removed face {runs[0]}")
-
-
 def _boundary(frame: _Frame, groups: Sequence[np.ndarray], d: int, cleared: Iterable[int] = ()) -> GF2Matrix:
     """Boundary matrix from the d-cells to the (d-1)-cells, `groups[d]` and `groups[d - 1]` as sorted flat indices.
 
@@ -649,7 +638,8 @@ def _run_boundary(table: np.ndarray, groups: Sequence[np.ndarray], d: int, clear
     face only with its last live coface.
     """
     faces = table.T[groups[d]]
-    return _matrix(faces[faces < table.shape[1]].reshape(-1, 2 * d), groups[d - 1], cleared, _removed_face)
+    return _matrix(faces[faces < table.shape[1]].reshape(-1, 2 * d), groups[d - 1], cleared,
+                   lambda runs: ValueError(f"run complex is not closed: a live run has the removed face {runs[0]}"))
 
 
 def _matrix(near: np.ndarray, lower: np.ndarray, cleared: Iterable[int],
