@@ -345,9 +345,11 @@ class TestRunComplex:
             betti(grid)
 
     def test_live_run_with_a_removed_face_raises(self, monkeypatch, collapse_always):
-        # The unit square has three runs, along x = 0, 1 and 2; the edge x = 1
-        # between them is the top of the middle run.  Rounds that dropped the
-        # run x = 0 and kept that edge would be wrong, and ranking must say so.
+        # The unit square's cells form three runs along y: the left side, the
+        # bottom edge with the square and the top edge, and the right side.
+        # The top edge tops the middle run, and its ends top the other two.
+        # Rounds that dropped the left side's run and kept the top edge would
+        # be wrong, and ranking must say so.
         square = solid_cube_complex(2)
         end, table = homology._run_complex(square)
         assert table.tolist() == [[3, 0, 3], [3, 2, 3]]
