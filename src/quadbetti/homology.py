@@ -21,24 +21,36 @@ stride 1 and stride_a = stride_{a+1} * 2^b_{a+1}.  A cell is
 
     flat = sum_a (code_a - lo_a) * stride_a
 
-and a complex stores the sorted numpy array of its distinct flat indices,
-int64 when the frame holds fewer than 2^63 positions and Python ints
+int64 when the frame holds fewer than 2^63 positions and a Python int
 (dtype object) otherwise; one code path serves both.  Since lo_a is even
 and every stride is a power of two, flat & stride_a is nonzero exactly when
 code_a is odd, and a cell's dimension is the popcount of flat & parity,
 where parity is the sum of the strides.  The codim-1 faces of a cell are
 flat -/+ stride_a over the odd axes a, its cofaces flat -/+ stride_a over
 the even axes; the padding keeps every such neighbour inside the box, so no
-offset wraps onto another cell.
-Flat order is the lexicographic order of the code tuples, and code tuples
-are decoded only on request (`cells`, `cells_of_dim`, a missing face in an
-error message).
+offset wraps onto another cell.  Flat order is the lexicographic order of
+the code tuples.
 
-Face closure runs axis by axis: the cells odd on the axis, shifted by
--stride and by +stride, are appended to the sorted array, and one stable
-sort merges the three ascending runs and drops the repeats.  Code arrays
-from the grid builders arrive in flat order, so they enter the frame
-without a sort.
+A complex stores its runs: the maximal stretches of consecutive flat
+indices, as two sorted arrays of the first and the last index of each.  A
+line along the last axis (stride 1) starts and ends with two padding codes
+that hold no cell, so a run never reaches the next line: all its cells
+share their codes on the other axes, and with p the popcount of those
+parities its cells even on the last axis have dimension p and the odd ones
+p + 1.  So the count of cells per dimension follows from each run's length
+and the parity of its ends.  The cells themselves are expanded from the
+runs only to rank a small complex directly, to decode code tuples (`cells`,
+`cells_of_dim`, a missing face in an error message) and to merge the
+pieces of `union_and_intersections`.
+
+Face closure works on runs.  An odd cell's two faces on the last axis are
+its neighbours in the line, so every run end odd on the last axis widens by
+one; then all ends are even.  Then, axis by axis off the last, the runs odd
+on the axis are appended shifted by -stride and by +stride and merged
+again: the first and the last indices are sorted each on their own, and a
+run ends at the i-th last index exactly when the (i + 1)-th first index lies
+more than one beyond it.  Code arrays from the grid builders arrive in flat
+order, so they enter the frame without a sort.
 
 Betti numbers are computed over the two-element field: b_d equals
 (#d-cells) - rank(boundary_d) - rank(boundary_{d+1}).  A binary search
@@ -58,15 +70,11 @@ columns.  Their faces are still looked up, so a missing face still raises.
 `betti` ranks a complex K of at least _COLLAPSE_MIN_CELLS cells through its
 run complex, the Morse complex of a matching along the last axis (R. Forman,
 "Morse theory for cell complexes", Adv. Math. 134, 1998), in the same way;
-pass precollapse=False to rank K itself.  A run is a maximal stretch of
-consecutive flat indices.  A line along the last axis (stride 1) starts and
-ends with two padding codes that hold no cell, so a run never reaches the
-next line: all its cells share their codes on the other axes.  In a
-face-closed complex a run starts and ends on an even code, as an odd cell's
-two faces on the last axis are its neighbours in the line.  So closure is
-checked run by run: the ends of every run must be even, and along each axis
-where a run's code is odd, the run shifted by -stride and by +stride must be
-there.
+pass precollapse=False to rank K itself.  In a face-closed complex a run
+starts and ends on an even code, as an odd cell's two faces on the last
+axis are its neighbours in the line.  So closure is checked run by run: the
+ends of every run must be even, and along each axis where a run's code is
+odd, the run shifted by -stride and by +stride must be there.
 
 The matching pairs e with e + 1 in every run, e even on the last axis.  It
 leaves one critical cell per run, its top t_r, even on the last axis, whose
@@ -99,7 +107,6 @@ acyclic, and the live runs left form a subcomplex with the same homology.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import partial
 from operator import mul
 from typing import Callable, Collection, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
@@ -112,17 +119,11 @@ __all__ = [
     "INCONCLUSIVE",
     "Cube",
     "make_cube",
-    "cube_intervals",
     "cube_dim",
-    "cube_faces",
-    "cube_all_faces",
     "CubicalComplex",
     "close_under_faces",
     "union_and_intersections",
     "GF2Matrix",
-    "gf2_rank",
-    "ChainComplex",
-    "chain_complex",
     "betti",
     "pad_betti",
     "mayer_vietoris_audit",
@@ -150,38 +151,8 @@ def make_cube(intervals: Iterable[Tuple[int, int]]) -> Cube:
     return tuple(codes)
 
 
-def cube_intervals(cube: Cube) -> Tuple[Tuple[int, int], ...]:
-    """Decode a cube back into per-axis (lo, hi) interval pairs."""
-    out = []
-    for code in cube:
-        m = code >> 1
-        out.append((m, m + (code & 1)))
-    return tuple(out)
-
-
 def cube_dim(cube: Cube) -> int:
     return sum(code & 1 for code in cube)
-
-
-def cube_faces(cube: Cube) -> List[Cube]:
-    """Codim-1 faces: both endpoints of every unit axis."""
-    out = []
-    for axis, code in enumerate(cube):
-        if code & 1:
-            out.append(cube[:axis] + (code - 1,) + cube[axis + 1 :])
-            out.append(cube[:axis] + (code + 1,) + cube[axis + 1 :])
-    return out
-
-
-def cube_all_faces(cube: Cube) -> List[Cube]:
-    """All faces of every dimension, the cube itself included."""
-    choices = []
-    for code in cube:
-        if code & 1:
-            choices.append((code - 1, code, code + 1))
-        else:
-            choices.append((code,))
-    return [tuple(c) for c in itertools.product(*choices)]
 
 
 class _Frame:
@@ -226,6 +197,10 @@ class _Frame:
                            np.array([s for s in self.strides for _ in "-+"], dtype=self.dtype))
         return self._steps
 
+    def dims(self, flat: np.ndarray) -> np.ndarray:
+        """The dimension of each cell: the number of stride bits its flat index sets."""
+        return np.bitwise_count(flat & self.parity)
+
     def codes(self, flat: np.ndarray) -> np.ndarray:
         """The codes of the flat indices, one cube per row."""
         shifts, spans, lo = (np.array(v, dtype=self.dtype) for v in (self.shifts, self.spans, self.lo))
@@ -250,7 +225,7 @@ def _frame_around(codes: np.ndarray, ambient_dim: int) -> _Frame:
 
 
 def _encode(cubes: Union[Collection[Cube], np.ndarray], ambient_dim: int) -> Tuple[_Frame, np.ndarray]:
-    """Frame around the cubes, and the sorted array of their distinct flat indices.
+    """Frame around the cubes, and the sorted array of their flat indices.
 
     `cubes` holds code tuples, or is an (N, ambient_dim) int array of codes,
     one cube per row, whose flat indices are one matrix product.
@@ -259,7 +234,7 @@ def _encode(cubes: Union[Collection[Cube], np.ndarray], ambient_dim: int) -> Tup
         if cubes.ndim != 2 or cubes.shape[1] != ambient_dim:
             raise ValueError(f"code array of shape {cubes.shape} has no {ambient_dim} axes")
         frame = _frame_around(cubes, ambient_dim)
-        return frame, _sorted_distinct(frame.flat(cubes))
+        return frame, _sorted(frame.flat(cubes))
     if set(map(len, cubes)) - {ambient_dim}:
         c = next(c for c in cubes if len(c) != ambient_dim)
         raise ValueError(f"cube {c!r} has {len(c)} axes, ambient dimension is {ambient_dim}")
@@ -268,18 +243,39 @@ def _encode(cubes: Union[Collection[Cube], np.ndarray], ambient_dim: int) -> Tup
     return frame, np.array(sorted({sum(map(mul, c, strides)) - base for c in cubes}), dtype=frame.dtype)
 
 
-def _sorted_distinct(flat: np.ndarray) -> np.ndarray:
-    """The distinct values of `flat` in ascending order.
+def _sorted(flat: np.ndarray) -> np.ndarray:
+    """`flat` in ascending order.
 
-    A strictly ascending array passes through without a sort: the grid
-    builders list their cubes in lexicographic order of the codes, which is
-    flat order.  Otherwise one stable sort, which merges ascending runs in
-    a single pass, and a drop of adjacent repeats.
+    An ascending array passes through without a sort: the grid builders
+    list their cubes in lexicographic order of the codes, which is flat
+    order.  Otherwise one stable sort, which merges ascending runs in a
+    single pass.
     """
-    if np.count_nonzero(flat[1:] <= flat[:-1]):
+    if np.count_nonzero(flat[1:] < flat[:-1]):
         flat = np.sort(flat, kind="stable")
-        flat = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
     return flat
+
+
+def _merge(first: np.ndarray, last: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The maximal runs covering stretches of flat indices, given the sorted
+    first indices and, sorted on their own, the last indices of the stretches.
+
+    A cell x with last[i] < x < first[i + 1] lies in no stretch: the i + 1
+    stretches that start below x all end below it.  Every other cell from
+    first[0] to last[-1] lies in one, so the runs start at first[0] and after
+    each such gap, and end before each gap and at last[-1].
+    """
+    if not len(first):
+        return first, last
+    gap = first[1:] > last[:-1] + 1
+    return first[np.concatenate(([True], gap))], last[np.concatenate((gap, [True]))]
+
+
+def _expand(first: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """The flat indices of the cells of the runs [first, last], in ascending order."""
+    lengths = (last - first + 1).astype(np.intp, copy=False)
+    starts = (first + lengths - lengths.cumsum()).repeat(lengths)
+    return starts + np.arange(len(starts))
 
 
 class CubicalComplex:
@@ -289,35 +285,53 @@ class CubicalComplex:
     homology routines assume it, and `betti` raises when a face is missing.
     """
 
-    __slots__ = ("ambient_dim", "_frame", "_flat", "_dims", "_counts", "_cells")
+    __slots__ = ("ambient_dim", "_frame", "_first", "_last", "_counts", "_cells")
 
     def __init__(self, ambient_dim: int, cells: Iterable[Cube]):
         cells = frozenset(cells)
-        self._store(int(ambient_dim), *_encode(cells, int(ambient_dim)))
+        frame, flat = _encode(cells, int(ambient_dim))
+        self._store(int(ambient_dim), frame, *_merge(flat, flat))
         self._cells = cells
 
     @classmethod
-    def _from_flat(cls, ambient_dim: int, frame: _Frame, flat: np.ndarray) -> "CubicalComplex":
+    def _from_runs(cls, ambient_dim: int, frame: _Frame, first: np.ndarray, last: np.ndarray) -> "CubicalComplex":
         self = cls.__new__(cls)
-        self._store(ambient_dim, frame, flat)
+        self._store(ambient_dim, frame, first, last)
         return self
 
-    def _store(self, ambient_dim: int, frame: _Frame, flat: np.ndarray) -> None:
-        """Keep the sorted flat indices with the dimension of each cell and the count per dimension.
+    def _store(self, ambient_dim: int, frame: _Frame, first: np.ndarray, last: np.ndarray) -> None:
+        """Keep the runs; the cells are counted and decoded on first use."""
+        self.ambient_dim, self._frame, self._first, self._last = ambient_dim, frame, first, last
+        self._counts = self._cells = None
 
-        A cell's dimension is the number of strides whose bit its flat index sets.
+    def _flat(self) -> np.ndarray:
+        return _expand(self._first, self._last)
+
+    def _dim_counts(self) -> List[int]:
+        """The number of cells of each dimension up to the top one.
+
+        The cells of a run even on the last axis have the dimension p of its
+        first cell with the last axis masked off, and the odd ones p + 1.
         """
-        # On an object frame the popcounts are Python ints.
-        dims = np.bitwise_count(flat & frame.parity).astype(np.int64, copy=False)
-        self.ambient_dim, self._frame, self._flat, self._dims = ambient_dim, frame, flat, dims
-        self._counts = np.bincount(dims).tolist()
-        self._cells = None
+        if self._counts is None:
+            first, last = self._first, self._last
+            # On an object frame the popcounts are Python ints.
+            p = self._frame.dims(first & -2).astype(np.intp)
+            odd = (((last + 1) >> 1) - (first >> 1)).astype(np.int64, copy=False)
+            counts = np.zeros(self.ambient_dim + 2, dtype=np.int64)
+            np.add.at(counts, p, (last - first + 1).astype(np.int64, copy=False) - odd)
+            np.add.at(counts, p + 1, odd)
+            counts = counts.tolist()
+            while counts and not counts[-1]:
+                counts.pop()
+            self._counts = counts
+        return self._counts
 
     @property
     def cells(self) -> frozenset:
         """The cells as code tuples, decoded on first use."""
         if self._cells is None:
-            self._cells = frozenset(self._frame.decode(self._flat))
+            self._cells = frozenset(self._frame.decode(self._flat()))
         return self._cells
 
     def __eq__(self, other):
@@ -329,7 +343,7 @@ class CubicalComplex:
         return hash((self.ambient_dim, self.cells))
 
     def __len__(self):
-        return len(self._flat)
+        return int((self._last - self._first).sum()) + len(self._first)
 
     def __repr__(self):
         return f"CubicalComplex(ambient_dim={self.ambient_dim}, n_cells={len(self)})"
@@ -337,16 +351,18 @@ class CubicalComplex:
     @property
     def dim(self) -> int:
         """Largest cell dimension present (-1 for the empty complex)."""
-        return len(self._counts) - 1
+        return len(self._dim_counts()) - 1
 
     def cells_of_dim(self, d: int) -> List[Cube]:
-        return list(self._frame.decode(self._flat[self._dims == d]))
+        flat = self._flat()
+        return list(self._frame.decode(flat[self._frame.dims(flat) == d]))
 
     def n_cells(self, d: int) -> int:
-        return self._counts[d] if 0 <= d < len(self._counts) else 0
+        counts = self._dim_counts()
+        return counts[d] if 0 <= d < len(counts) else 0
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** d * n for d, n in enumerate(self._counts))
+        return sum((-1) ** d * n for d, n in enumerate(self._dim_counts()))
 
     def is_face_closed(self) -> bool:
         try:
@@ -363,18 +379,22 @@ def close_under_faces(
 
     The cubes are code tuples, or the rows of an int array of codes.  The
     ambient dimension defaults to the axis count of the first cube; a cube
-    with another axis count raises ValueError.
+    with another axis count raises ValueError.  The closure is built on
+    runs, as the module docstring describes.
     """
     if not isinstance(cubes, np.ndarray):
         cubes = list(cubes)
     if ambient_dim is None:
         ambient_dim = len(cubes[0]) if len(cubes) else 0
     frame, flat = _encode(cubes, ambient_dim)
-    for s in frame.strides:
-        odd = flat[(flat & s) != 0]
-        if len(odd):
-            flat = _sorted_distinct(np.concatenate((flat, odd - s, odd + s)))
-    return CubicalComplex._from_flat(ambient_dim, frame, flat)
+    odd = flat & 1
+    first, last = _merge(flat - odd, flat + odd)
+    for s in frame.strides[:-1]:
+        odd = (first & s) != 0
+        if np.count_nonzero(odd):
+            first, last = (np.sort(np.concatenate((x, x[odd] - s, x[odd] + s)), kind="stable") for x in (first, last))
+            first, last = _merge(first, last)
+    return CubicalComplex._from_runs(ambient_dim, frame, first, last)
 
 
 def union_and_intersections(
@@ -384,13 +404,13 @@ def union_and_intersections(
 
     The pieces share an ambient dimension.  Their cells are put in one frame
     around all of them, where flat order is still the order of the code
-    tuples, so the results are merges of sorted flat index arrays: a stable
-    sort for the union and binary searches for the intersections.  Unions
-    and intersections of face-closed complexes are face-closed.  An index
-    set of one piece gives that piece.
+    tuples, so the results are merges of sorted flat index arrays, a stable
+    sort for the union and binary searches for the intersections, kept as
+    their runs.  Unions and intersections of face-closed complexes are
+    face-closed.  An index set of one piece gives that piece.
     """
     ambient_dim = pieces[0].ambient_dim
-    codes = [c._frame.codes(c._flat) for c in pieces]
+    codes = [c._frame.codes(c._flat()) for c in pieces]
     frame = _frame_around(np.concatenate(codes), ambient_dim)
     flats = [frame.flat(x) for x in codes]
     meets = []
@@ -401,8 +421,9 @@ def union_and_intersections(
         flat = flats[first]
         for other in (flats[j] for j in rest):
             flat = flat[other.take(other.searchsorted(flat), mode="clip") == flat] if len(other) else other
-        meets.append(CubicalComplex._from_flat(ambient_dim, frame, flat))
-    return CubicalComplex._from_flat(ambient_dim, frame, _sorted_distinct(np.concatenate(flats))), meets
+        meets.append(CubicalComplex._from_runs(ambient_dim, frame, *_merge(flat, flat)))
+    union = _sorted(np.concatenate(flats))
+    return CubicalComplex._from_runs(ambient_dim, frame, *_merge(union, union)), meets
 
 
 def _bitset_pivots(vectors: Iterable[int]) -> Dict[int, int]:
@@ -436,21 +457,6 @@ class GF2Matrix:
         self.columns = tuple(columns)
         self.pivot_rows: Optional[List[int]] = None
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "GF2Matrix":
-        rows = [[int(x) & 1 for x in row] for row in rows]
-        n_rows = len(rows)
-        n_cols = len(rows[0]) if rows else 0
-        if any(len(row) != n_cols for row in rows):
-            raise ValueError("ragged rows")
-        columns = [0] * n_cols
-        for r, row in enumerate(rows):
-            bit = 1 << r
-            for c, x in enumerate(row):
-                if x:
-                    columns[c] |= bit
-        return cls(n_rows, n_cols, columns)
-
     def rank(self) -> int:
         """Rank over GF(2).  Records in `pivot_rows` the top row of each
         vector of a basis of the column span, one per pivot."""
@@ -459,55 +465,6 @@ class GF2Matrix:
 
     def __repr__(self):
         return f"GF2Matrix({self.n_rows}x{self.n_cols})"
-
-
-def gf2_rank(matrix) -> int:
-    """Rank over the two-element field.
-
-    Accepts a GF2Matrix, or any matrix-like of 0/1 entries (list of rows or
-    a numpy array).  Deterministic, and invariant under row/column order.
-    """
-    if isinstance(matrix, GF2Matrix):
-        return matrix.rank()
-    rows = [list(row) for row in matrix]
-    if not rows:
-        return 0
-    return GF2Matrix.from_rows(rows).rank()
-
-
-@dataclass(frozen=True)
-class ChainComplex:
-    """Counts of cells per dimension plus boundary matrices over GF(2).
-
-    boundaries[d] is the boundary map from (d+1)-cells to d-cells for
-    d = 0 .. top-1, i.e. the matrix usually written as boundary_{d+1};
-    its columns are indexed by (d+1)-cells and rows by d-cells.
-    """
-
-    counts: Tuple[int, ...]
-    boundaries: Tuple[GF2Matrix, ...]
-
-    def boundary(self, d: int) -> Optional[GF2Matrix]:
-        """Boundary map out of d-cells (None for d = 0 or d beyond top)."""
-        if 1 <= d <= len(self.boundaries):
-            return self.boundaries[d - 1]
-        return None
-
-    def dd_is_zero(self) -> bool:
-        """Check that composing consecutive boundary maps gives zero."""
-        for d in range(1, len(self.boundaries)):
-            lower = self.boundaries[d - 1]
-            upper = self.boundaries[d]
-            for col in upper.columns:
-                acc = 0
-                c = col
-                while c:
-                    b = c & (-c)
-                    acc ^= lower.columns[b.bit_length() - 1]
-                    c ^= b
-                if acc:
-                    return False
-        return True
 
 
 # `betti` ranks a complex of at least this many cells through its run
@@ -521,31 +478,19 @@ class ChainComplex:
 _COLLAPSE_MIN_CELLS = 512
 
 
-def _runs(flat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """First and last position of each run of consecutive values of `flat`.
+def _run_complex(c: CubicalComplex) -> np.ndarray:
+    """Face table of the run complex of c; ValueError naming a missing face unless c is face-closed.
 
-    The frame pads the last axis by two codes at both ends, so a run never
-    leaves its line: all its cells share their codes off the last axis.
+    The module docstring gives the conditions and the search.  Row 2a of
+    the table holds, for each run r, the run that holds t_r - stride_a, and
+    row 2a + 1 the run that holds t_r + stride_a, along each axis a but the
+    last; where t_r is even on axis a the entry is the run count R.
     """
-    steps = (flat[1:] != flat[:-1] + 1).nonzero()[0] + 1
-    edges = np.concatenate(([0], steps, [len(flat)]) if len(flat) else ([0],))
-    return edges[:-1], edges[1:] - 1
-
-
-def _check_closed(frame: _Frame, flat: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """Face table of the run complex of the cells `flat`; ValueError naming a missing face unless they are face-closed.
-
-    `start` and `end` bound the runs of `flat`; the module docstring gives
-    the conditions and the search.  Row 2a of the table holds, for each run
-    r, the run that holds t_r - stride_a, and row 2a + 1 the run that holds
-    t_r + stride_a, along each axis a but the last; where t_r is even on
-    axis a the entry is the run count R.
-    """
-    first, last = flat[start], flat[end]
-    for cells, step in ((first, -1), (last, 1)):
-        odd = (cells & 1) != 0
+    frame, first, last = c._frame, c._first, c._last
+    for ends, step in ((first, -1), (last, 1)):
+        odd = (ends & 1) != 0
         if np.count_nonzero(odd):
-            raise _missing_face(frame, cells[odd] + step)
+            raise _missing_face(frame, ends[odd] + step)
     n = len(last)
     table = np.full((2 * len(frame.strides[:-1]), n), n, dtype=np.int32 if n < 2**31 else np.int64)
     for a, s in enumerate(frame.strides[:-1]):
@@ -554,16 +499,11 @@ def _check_closed(frame: _Frame, flat: np.ndarray, start: np.ndarray, end: np.nd
             runs = last.searchsorted(last[odd] + t)
             gone = odd[~((runs < n) & (first.take(runs, mode="clip") <= first[odd] + t))]
             if len(gone):
-                run = flat[start[gone[0]]:end[gone[0]] + 1] + t
-                raise _missing_face(frame, run[flat.take(flat.searchsorted(run), mode="clip") != run])
+                cells = _expand(first[gone[:1]], last[gone[:1]]) + t
+                holder = last.searchsorted(cells)
+                raise _missing_face(frame, cells[(holder == n) | (first.take(holder, mode="clip") > cells)])
             table[row, odd] = runs
     return table
-
-
-def _run_complex(c: CubicalComplex) -> Tuple[np.ndarray, np.ndarray]:
-    """Position in c of the top of each run, and the face table of the run complex; ValueError if c is not face-closed."""
-    start, end = _runs(c._flat)
-    return end, _check_closed(c._frame, c._flat, start, end)
 
 
 def _collapse(table: np.ndarray) -> np.ndarray:
@@ -660,13 +600,6 @@ def _matrix(near: np.ndarray, lower: np.ndarray, cleared: Iterable[int],
     return GF2Matrix(len(lower), len(rows), [sum(map(_bit, r)) for r in rows])
 
 
-def chain_complex(c: CubicalComplex) -> ChainComplex:
-    """Boundary matrices of a face-closed complex, cells in sorted order."""
-    groups = [c._flat[c._dims == d] for d in range(max(c.dim, 0) + 1)]
-    return ChainComplex(counts=tuple(map(len, groups)),
-                        boundaries=tuple(_boundary(c._frame, groups, d) for d in range(1, len(groups))))
-
-
 def betti(c: CubicalComplex, precollapse: bool = True) -> Tuple[int, ...]:
     """Mod-2 Betti numbers b_0 .. b_top of a face-closed complex.
 
@@ -676,21 +609,23 @@ def betti(c: CubicalComplex, precollapse: bool = True) -> Tuple[int, ...]:
     top dimension down, each with the columns of the pivot rows of the one
     above cleared (module docstring).
     """
-    if not len(c):
+    n_cells = len(c)
+    if not n_cells:
         return (0,) * (c.ambient_dim + 1)
-    if precollapse and len(c) >= _COLLAPSE_MIN_CELLS:
-        end, table = _run_complex(c)
-        runs = _collapse(table) if len(end) >= _COLLAPSE_MIN_CELLS else np.arange(len(end))
-        dims = c._dims[end[runs]]
-        groups = [runs[dims == d] for d in range(c.dim + 1)]
-        boundary = partial(_run_boundary, table, groups)
+    if precollapse and n_cells >= _COLLAPSE_MIN_CELLS:
+        table = _run_complex(c)
+        n = table.shape[1]
+        cells = _collapse(table) if n >= _COLLAPSE_MIN_CELLS else np.arange(n)
+        dims, top, boundary = c._frame.dims(c._last[cells]), c.dim, partial(_run_boundary, table)
     else:
-        groups = [c._flat[c._dims == d] for d in range(c.dim + 1)]
-        boundary = partial(_boundary, c._frame, groups)
+        cells = c._flat()
+        dims = c._frame.dims(cells)
+        top, boundary = int(dims.max()), partial(_boundary, c._frame)
+    groups = [cells[dims == d] for d in range(top + 1)]
     ranks = [0] * (len(groups) + 1)
     cleared: Sequence[int] = ()
     for d in range(len(groups) - 1, 0, -1):
-        matrix = boundary(d, cleared)
+        matrix = boundary(groups, d, cleared)
         ranks[d] = matrix.rank()
         cleared = matrix.pivot_rows
     return tuple([len(g) - ranks[d] - ranks[d + 1] for d, g in enumerate(groups)])

@@ -96,6 +96,25 @@ class TestCCi:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_hirzebruch_euler_characteristic(self):
+        # By Lefschetz, c(j, k, d) is the Euler characteristic of a smooth
+        # complete intersection of degrees d in P^k.  Hirzebruch's formula
+        # (Topological Methods in Algebraic Geometry, section 22) derives it
+        # independently of the recurrence: prod(d) * [h^(k - j)] of
+        # (1 + h)^(k + 1) / prod(1 + d_i h), with the power series in exact ints.
+        cases = 0
+        for j in range(5):
+            for degrees in itertools.combinations_with_replacement(range(1, 6), j):
+                for k in range(j, 26):
+                    series = [math.comb(k + 1, i) for i in range(k - j + 1)]
+                    for d in degrees:
+                        # Divide by 1 + d h: each coefficient less d times the one below it.
+                        for i in range(1, len(series)):
+                            series[i] -= d * series[i - 1]
+                    assert c_ci(j, k, degrees) == math.prod(degrees) * series[-1], (j, k, degrees)
+                    cases += 1
+        assert cases == 2856
+
 
 class TestBCi:
     def test_known_varieties(self):

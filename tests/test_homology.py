@@ -11,18 +11,48 @@ from quadbetti.homology import (
     PASS,
     VIOLATION,
     CubicalComplex,
+    GF2Matrix,
     betti,
-    chain_complex,
     close_under_faces,
-    cube_all_faces,
     cube_dim,
-    cube_faces,
-    cube_intervals,
-    gf2_rank,
     make_cube,
     mayer_vietoris_audit,
     pad_betti,
 )
+
+
+def cube_faces(cube):
+    """Codim-1 faces of a code tuple, both ends of every odd axis: the reference the engine's faces are checked against."""
+    return [cube[:a] + (code + step,) + cube[a + 1:] for a, code in enumerate(cube) if code & 1 for step in (-1, 1)]
+
+
+def gf2_rank(rows):
+    """`GF2Matrix.rank` of a 0/1 matrix given as rows."""
+    rows = [[int(x) & 1 for x in row] for row in rows]
+    columns = [sum(row[c] << r for r, row in enumerate(rows)) for c in range(len(rows[0]) if rows else 0)]
+    return GF2Matrix(len(rows), len(columns), columns).rank()
+
+
+def boundaries(cx):
+    """The boundary maps of cx from `homology._boundary`, cells in flat order; entry d - 1 maps the d-cells."""
+    flat = cx._flat()
+    dims = cx._frame.dims(flat)
+    groups = [flat[dims == d] for d in range(max(cx.dim, 0) + 1)]
+    return [homology._boundary(cx._frame, groups, d) for d in range(1, len(groups))]
+
+
+def dd_is_zero(cx):
+    """Whether the boundary of every boundary column of cx is zero."""
+    maps = boundaries(cx)
+    for lower, upper in zip(maps, maps[1:]):
+        for col in upper.columns:
+            acc = 0
+            for r in range(col.bit_length()):
+                if col >> r & 1:
+                    acc ^= lower.columns[r]
+            if acc:
+                return False
+    return True
 
 
 def solid_cube_complex(d):
@@ -65,7 +95,7 @@ def random_closed_complex(rng, max_ambient=4, max_cubes=6):
 class TestCubeEncoding:
     def test_roundtrip(self):
         c = make_cube([(0, 1), (2, 2), (-3, -2)])
-        assert cube_intervals(c) == ((0, 1), (2, 2), (-3, -2))
+        assert c == (1, 4, -5)
         assert cube_dim(c) == 2
 
     def test_rejects_wide_interval(self):
@@ -74,13 +104,13 @@ class TestCubeEncoding:
 
     def test_faces_of_square(self):
         sq = make_cube([(0, 1), (0, 1)])
-        faces = cube_faces(sq)
-        assert len(faces) == 4
+        faces = close_under_faces([sq]).cells_of_dim(1)
+        assert faces == sorted(cube_faces(sq)) and len(faces) == 4
         assert all(cube_dim(f) == 1 for f in faces)
 
     def test_all_faces_count(self):
         sq = make_cube([(0, 1), (0, 1)])
-        assert len(cube_all_faces(sq)) == 9  # 4 vertices + 4 edges + itself
+        assert len(close_under_faces([sq])) == 9  # 4 vertices + 4 edges + itself
 
 
 class TestCloseUnderFaces:
@@ -115,8 +145,8 @@ class TestCloseUnderFaces:
 
     def test_ambient_dim_zero_run_complex(self, collapse_always):
         cx = close_under_faces([()])
-        end, table = homology._run_complex(cx)
-        assert end.tolist() == [0] and table.shape == (0, 1)
+        table = homology._run_complex(cx)
+        assert cx._first.tolist() == cx._last.tolist() == [0] and table.shape == (0, 1)
         assert homology._collapse(table).tolist() == [0]
         assert betti(cx) == (1,)
 
@@ -140,7 +170,7 @@ class TestCloseUnderFaces:
     def test_object_frame_collapse(self, collapse_always):
         cubes = [(0,) * 22, (2,) * 22, (1,) + (2,) * 21, (0,) * 21 + (1,)]
         cx = close_under_faces(np.array(cubes), ambient_dim=22)
-        assert cx._flat.dtype == object
+        assert cx._first.dtype == cx._last.dtype == object
         assert betti(cx) == betti(cx, precollapse=False) == (2, 0)
 
     def test_code_array_axis_count_checked(self):
@@ -187,22 +217,20 @@ class TestGF2Rank:
 
 class TestChainComplex:
     def test_shapes_of_square(self):
-        cc = chain_complex(close_under_faces([make_cube([(0, 1), (0, 1)])]))
-        assert cc.counts == (4, 4, 1)
-        assert cc.boundaries[0].n_rows == 4 and cc.boundaries[0].n_cols == 4
-        assert cc.boundaries[1].n_rows == 4 and cc.boundaries[1].n_cols == 1
+        maps = boundaries(close_under_faces([make_cube([(0, 1), (0, 1)])]))
+        assert [(m.n_rows, m.n_cols) for m in maps] == [(4, 4), (4, 1)]
 
     def test_dd_zero_on_randoms(self):
         rng = random.Random(5)
         for _ in range(100):
             cx = random_closed_complex(rng)
-            assert chain_complex(cx).dd_is_zero()
+            assert dd_is_zero(cx)
 
     def test_not_face_closed_detected(self):
         solid = close_under_faces([make_cube([(0, 1), (0, 1)])])
         broken = CubicalComplex(2, solid.cells - {make_cube([(0, 0), (0, 0)])})
         with pytest.raises(ValueError):
-            chain_complex(broken)
+            boundaries(broken)
 
 
 class TestBetti:
@@ -265,8 +293,8 @@ class TestBetti:
 
     @pytest.mark.parametrize("missing", [(10, 10), (9, 10), (10, 9)], ids=["vertex", "axis-0-edge", "last-axis-edge"])
     def test_large_complex_missing_face_rejected(self, missing):
-        # 1,089 cells: enough for betti to sweep and collapse first, which
-        # checks closure run by run.  The sweep pairs (9, 10) off with (9, 11).
+        # 1,089 cells: enough for betti to rank the run complex, which checks
+        # closure run by run.  Each missing cell splits the run of its line.
         solid = close_under_faces([(2 * i + 1, 2 * j + 1) for i in range(16) for j in range(16)])
         assert len(solid) >= homology._COLLAPSE_MIN_CELLS and solid.is_face_closed()
         broken = CubicalComplex(2, solid.cells - {missing})
@@ -329,7 +357,7 @@ class TestRunComplex:
         eps = DeformationParams().eps
         polys = [homogenize(p).as_poly() for p in scenario_products(1).system]
         lift = sphere_region_complex(polys, eps, _lift_spec(eps, 2)[0])
-        assert len(lift) == 1092 and len(homology._run_complex(lift)[0]) == 172
+        assert len(lift) == 1092 and len(lift._first) == 172
         assert betti(lift) == betti(lift, precollapse=False) == (4, 0, 0)
 
     def test_large_run_complex_reaches_the_rounds(self, no_rounds):
@@ -340,7 +368,7 @@ class TestRunComplex:
 
         sc = scenario_shell(3, Fraction(1, 2), 1)
         grid = grid_complex(sc.system, sc.grid)
-        assert len(homology._run_complex(grid)[0]) >= homology._COLLAPSE_MIN_CELLS
+        assert len(grid._first) >= homology._COLLAPSE_MIN_CELLS
         with pytest.raises(_Rounds):
             betti(grid)
 
@@ -351,7 +379,7 @@ class TestRunComplex:
         # Rounds that dropped the left side's run and kept the top edge would
         # be wrong, and ranking must say so.
         square = solid_cube_complex(2)
-        end, table = homology._run_complex(square)
+        table = homology._run_complex(square)
         assert table.tolist() == [[3, 0, 3], [3, 2, 3]]
         monkeypatch.setattr(homology, "_collapse", lambda table: np.array([1, 2]))
         with pytest.raises(ValueError, match="run complex is not closed: a live run has the removed face 0$"):

@@ -24,15 +24,25 @@ Euler characteristic and for Betti numbers ranked from that table; and what
 the free-face rounds leave of it for closure, Euler characteristic, the
 absence of free runs and repeatability.  Complexes with 22 extra axes are
 also compared with the same cubes in an int64 frame.
+
+A complex stores its runs, so two more checks read them directly: the
+closed runs of a code array against the runs of the stack closure, and the
+counts per dimension, which come from run lengths and end parities, against
+the dimensions of the cells on complexes that are not face-closed, whose
+runs may start or end odd on the last axis.  Both run in an int64 frame and
+with 22 extra axes.  A large complex with faces removed must make `betti`
+name one of them.
 """
 
-from collections import deque
+import re
+from collections import Counter, deque
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from scipy import ndimage
 from test_builder_snapshot import BUILDS, SNAPSHOT
+from test_homology import cube_faces
 
 from quadbetti import harness, homology
 from quadbetti.homology import (
@@ -41,8 +51,6 @@ from quadbetti.homology import (
     betti,
     close_under_faces,
     cube_dim,
-    cube_faces,
-    gf2_rank,
     pad_betti,
 )
 
@@ -230,7 +238,7 @@ def _tuple_betti(cells, top):
     for d in range(1, top + 1):
         index = {c: r for r, c in enumerate(by_dim.get(d - 1, []))}
         columns = [sum(1 << index[f] for f in cube_faces(c)) for c in by_dim.get(d, [])]
-        ranks[d] = gf2_rank(GF2Matrix(len(index), len(columns), columns))
+        ranks[d] = GF2Matrix(len(index), len(columns), columns).rank()
     return tuple(len(by_dim.get(d, ())) - ranks[d] - ranks[d + 1] for d in range(top + 1))
 
 
@@ -273,7 +281,7 @@ def test_code_array_matches_code_tuples(case):
     cx = close_under_faces(np.array(cubes, dtype=np.int64).reshape(len(cubes), dim), ambient_dim=dim)
     ref = close_under_faces(cubes, ambient_dim=dim)
     assert (cx._frame.lo, cx._frame.strides) == (ref._frame.lo, ref._frame.strides)
-    assert np.array_equal(cx._flat, ref._flat)
+    assert np.array_equal(cx._first, ref._first) and np.array_equal(cx._last, ref._last)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +311,8 @@ def _tuple_face_table(cells, dim):
     return tops, np.array(rows, dtype=np.int64).reshape(len(rows), len(runs))
 
 
-def _run_dims(cx, end):
-    return cx._dims[end].tolist()
+def _run_dims(cx, runs):
+    return cx._frame.dims(cx._last[runs]).tolist()
 
 
 def _table_betti(table, dims, top):
@@ -315,7 +323,7 @@ def _table_betti(table, dims, top):
     for d in range(1, top + 1):
         index = {r: i for i, r in enumerate(by_dim[d - 1])}
         columns = [sum(1 << index[f] for f in table[:, r].tolist() if f < n) for r in by_dim[d]]
-        ranks[d] = gf2_rank(GF2Matrix(len(index), len(columns), columns))
+        ranks[d] = GF2Matrix(len(index), len(columns), columns).rank()
     return tuple(len(by_dim[d]) - ranks[d] - ranks[d + 1] for d in range(top + 1))
 
 
@@ -327,11 +335,11 @@ def test_run_face_table_matches_tuple_runs(case):
     # 22 constant axes in front put the frame past 2**63 positions and keep
     # the cubes' own last axis last.
     wide = close_under_faces([(0,) * 22 + c for c in cubes], ambient_dim=dim + 22)
-    assert narrow._flat.dtype == np.int64 and wide._flat.dtype == object
+    assert narrow._last.dtype == np.int64 and wide._last.dtype == object
     for cx in (narrow, wide):
-        end, table = homology._run_complex(cx)
+        table = homology._run_complex(cx)
         tops, want = _tuple_face_table(cx.cells, cx.ambient_dim)
-        assert list(cx._frame.decode(cx._flat[end])) == tops
+        assert list(cx._frame.decode(cx._last)) == tops
         assert table.shape == want.shape and np.array_equal(table, want)
 
 
@@ -340,8 +348,8 @@ def test_run_face_table_matches_tuple_runs(case):
 def test_run_complex_has_the_chi_and_homology_of_the_complex(case):
     dim, cubes = case
     cx = close_under_faces(cubes, ambient_dim=dim)
-    end, table = homology._run_complex(cx)
-    dims = _run_dims(cx, end)
+    table = homology._run_complex(cx)
+    dims = _run_dims(cx, slice(None))
     assert sum((-1) ** d for d in dims) == cx.euler_characteristic()
     if cubes:
         assert _table_betti(table, dims, cx.dim) == betti(cx, precollapse=False)
@@ -352,17 +360,17 @@ def test_run_complex_has_the_chi_and_homology_of_the_complex(case):
 def test_collapsed_run_complex_is_closed_with_no_free_run_and_the_same_chi(case):
     dim, cubes = case
     cx = close_under_faces(cubes, ambient_dim=dim)
-    end, table = homology._run_complex(cx)
+    table = homology._run_complex(cx)
     live = homology._collapse(table)
     alive = set(live.tolist())
     cofaces = dict.fromkeys(alive, 0)
     for g in alive:
         for f in table[:, g].tolist():
-            if f < len(end):
+            if f < table.shape[1]:
                 assert f in alive, "a live run has a removed face"
                 cofaces[f] += 1
     assert 1 not in cofaces.values(), "a free run is left"
-    assert sum((-1) ** d for d in _run_dims(cx, end[live])) == cx.euler_characteristic()
+    assert sum((-1) ** d for d in _run_dims(cx, live)) == cx.euler_characteristic()
     assert np.array_equal(homology._collapse(table), live)
 
 
@@ -374,7 +382,7 @@ def test_object_frame_matches_int64_frame(collapse_always, case):
     # 22 more axes, all at code 0, put the frame past 2**63 positions; the
     # complex is the same up to those constant coordinates.
     wide = close_under_faces([c + (0,) * 22 for c in cubes], ambient_dim=dim + 22)
-    assert narrow._flat.dtype == np.int64 and wide._flat.dtype == object
+    assert narrow._last.dtype == np.int64 and wide._last.dtype == object
     assert {c[:dim] for c in wide.cells} == narrow.cells and len(wide) == len(narrow)
     assert [wide.n_cells(d) for d in range(dim + 2)] == [narrow.n_cells(d) for d in range(dim + 2)]
     if cubes:
@@ -388,9 +396,9 @@ OVERHANG = [(3, 1, 1), (3, 3, 3), (5, 1, 3)]
 
 def test_run_complex_of_an_overhang_follows_paths_up_their_runs(collapse_always):
     cx = close_under_faces(OVERHANG)
-    end, table = homology._run_complex(cx)
+    table = homology._run_complex(cx)
     tops, want = _tuple_face_table(cx.cells, 3)
-    assert list(cx._frame.decode(cx._flat[end])) == tops and np.array_equal(table, want)
+    assert list(cx._frame.decode(cx._last)) == tops and np.array_equal(table, want)
     # The low cube's top square is the top of its run.  Its faces at x = 2 and
     # y = 1 are the lowest of the lines that run on up the two high cubes, so
     # its boundary names the tops of those runs.
@@ -404,9 +412,58 @@ def test_run_complex_on_an_object_frame(collapse_always):
     # the overhang's z axis last.
     narrow = close_under_faces(OVERHANG)
     wide = close_under_faces([(0,) * 22 + c for c in OVERHANG])
-    assert wide._flat.dtype == object
-    (narrow_end, narrow_table), (wide_end, wide_table) = map(homology._run_complex, (narrow, wide))
-    assert np.array_equal(wide_end, narrow_end)
-    assert (wide_table[:44] == len(wide_end)).all() and np.array_equal(wide_table[44:], narrow_table)
+    assert wide._last.dtype == object
+    narrow_table, wide_table = map(homology._run_complex, (narrow, wide))
+    assert len(wide._last) == len(narrow._last)
+    assert (wide_table[:44] == len(wide._last)).all() and np.array_equal(wide_table[44:], narrow_table)
     assert np.array_equal(homology._collapse(wide_table), homology._collapse(narrow_table))
     assert betti(wide) == betti(narrow) == (1, 0, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# Runs as the stored form: closure on runs, counts from runs, and the missing
+# face of a large complex.
+
+
+@SETTINGS
+@given(mixed_cubes())
+def test_closed_runs_of_a_code_array_match_the_stack_closure(case):
+    dim, cubes = case
+    for extra in (0, 22):
+        padded = [(0,) * extra + c for c in cubes]
+        cx = close_under_faces(np.array(padded, dtype=np.int64).reshape(len(cubes), dim + extra), ambient_dim=dim + extra)
+        assert cx._first.dtype == cx._last.dtype == (object if extra else np.int64)
+        runs = _tuple_runs(_stack_closure(padded))
+        assert list(zip(cx._frame.decode(cx._first), cx._frame.decode(cx._last))) == [(r[0], r[-1]) for r in runs]
+
+
+@SETTINGS
+@given(mixed_cubes())
+# A run that starts odd, (1,) to (2,), and one that ends odd, (4,) to (5,).
+@example((1, [(1,), (2,), (4,), (5,)]))
+def test_counts_from_runs_match_the_cell_dimensions(case):
+    dim, cubes = case
+    want = Counter(map(cube_dim, set(cubes)))
+    for extra in (0, 22):
+        cx = CubicalComplex(dim + extra, [(0,) * extra + c for c in cubes])
+        assert cx._last.dtype == (object if extra else np.int64)
+        assert [cx.n_cells(d) for d in range(-1, dim + 2)] == [want[d] for d in range(-1, dim + 2)]
+        assert cx.dim == max(want, default=-1) and len(cx) == len(set(cubes))
+        assert cx.euler_characteristic() == sum((-1) ** d * n for d, n in want.items())
+
+
+# The 16 x 16 square of unit squares, 1,089 cells: `betti` ranks its run complex.
+SOLID = close_under_faces([(2 * i + 1, 2 * j + 1) for i in range(16) for j in range(16)])
+
+
+@SETTINGS
+@given(st.sets(st.sampled_from(sorted(c for c in SOLID.cells if cube_dim(c) < 2)), min_size=1, max_size=6),
+       st.sampled_from([0, 22]))
+def test_large_complex_with_missing_faces_names_one(gone, extra):
+    cells = {(0,) * extra + c for c in SOLID.cells - gone}
+    broken = CubicalComplex(2 + extra, cells)
+    assert len(broken) >= homology._COLLAPSE_MIN_CELLS and broken._last.dtype == (object if extra else np.int64)
+    with pytest.raises(ValueError, match=r"complex is not face-closed: missing ") as info:
+        betti(broken)
+    face = tuple(map(int, re.findall(r"-?\d+", str(info.value).split("missing ")[1])))
+    assert face not in cells and any(face in cube_faces(c) for c in cells)
