@@ -38,10 +38,10 @@ that hold no cell, so a run never reaches the next line: all its cells
 share their codes on the other axes, and with p the popcount of those
 parities its cells even on the last axis have dimension p and the odd ones
 p + 1.  So the count of cells per dimension follows from each run's length
-and the parity of its ends.  The cells themselves are expanded from the
-runs only to rank a small complex directly, to decode code tuples (`cells`,
-`cells_of_dim`, a missing face in an error message) and to merge the
-pieces of `union_and_intersections`.
+and the parity of its ends.  The cells themselves are listed from the runs
+only to rank a small complex directly and to decode code tuples (`cells`,
+`cells_of_dim`, a missing face in an error message, the set operations of
+`union_and_intersections`).
 
 Face closure works on runs.  An odd cell's two faces on the last axis are
 its neighbours in the line, so every run end odd on the last axis widens by
@@ -234,26 +234,19 @@ def _encode(cubes: Union[Collection[Cube], np.ndarray], ambient_dim: int) -> Tup
         if cubes.ndim != 2 or cubes.shape[1] != ambient_dim:
             raise ValueError(f"code array of shape {cubes.shape} has no {ambient_dim} axes")
         frame = _frame_around(cubes, ambient_dim)
-        return frame, _sorted(frame.flat(cubes))
+        flat = frame.flat(cubes)
+        # The grid builders list their cubes in lexicographic order of the
+        # codes, which is flat order; otherwise one stable sort merges the
+        # ascending runs in a single pass.
+        if np.count_nonzero(flat[1:] < flat[:-1]):
+            flat = np.sort(flat, kind="stable")
+        return frame, flat
     if set(map(len, cubes)) - {ambient_dim}:
         c = next(c for c in cubes if len(c) != ambient_dim)
         raise ValueError(f"cube {c!r} has {len(c)} axes, ambient dimension is {ambient_dim}")
     frame = _Frame([(min(col), max(col)) for col in zip(*cubes)] if cubes else [(0, 0)] * ambient_dim)
     strides, base = frame.strides, frame.base
     return frame, np.array(sorted({sum(map(mul, c, strides)) - base for c in cubes}), dtype=frame.dtype)
-
-
-def _sorted(flat: np.ndarray) -> np.ndarray:
-    """`flat` in ascending order.
-
-    An ascending array passes through without a sort: the grid builders
-    list their cubes in lexicographic order of the codes, which is flat
-    order.  Otherwise one stable sort, which merges ascending runs in a
-    single pass.
-    """
-    if np.count_nonzero(flat[1:] < flat[:-1]):
-        flat = np.sort(flat, kind="stable")
-    return flat
 
 
 def _merge(first: np.ndarray, last: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -271,11 +264,14 @@ def _merge(first: np.ndarray, last: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
     return first[np.concatenate(([True], gap))], last[np.concatenate((gap, [True]))]
 
 
-def _expand(first: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """The flat indices of the cells of the runs [first, last], in ascending order."""
-    lengths = (last - first + 1).astype(np.intp, copy=False)
-    starts = (first + lengths - lengths.cumsum()).repeat(lengths)
-    return starts + np.arange(len(starts))
+def _cells(first: np.ndarray, last: np.ndarray) -> Iterator[int]:
+    """The flat indices of the cells of the runs [first, last], in ascending order.
+
+    A Python iterator: the complexes whose cells are listed are small, or
+    are decoded into a Python tuple per cell anyway, and on them a few numpy
+    calls cost more than a pass over the cells.
+    """
+    return itertools.chain.from_iterable(map(range, first.tolist(), map((1).__add__, last.tolist())))
 
 
 class CubicalComplex:
@@ -285,27 +281,27 @@ class CubicalComplex:
     homology routines assume it, and `betti` raises when a face is missing.
     """
 
-    __slots__ = ("ambient_dim", "_frame", "_first", "_last", "_counts", "_cells")
+    __slots__ = ("ambient_dim", "_frame", "_first", "_last", "_len", "_counts", "_cells")
 
     def __init__(self, ambient_dim: int, cells: Iterable[Cube]):
         cells = frozenset(cells)
         frame, flat = _encode(cells, int(ambient_dim))
-        self._store(int(ambient_dim), frame, *_merge(flat, flat))
+        self._store(int(ambient_dim), frame, *_merge(flat, flat), len(flat))
         self._cells = cells
 
     @classmethod
     def _from_runs(cls, ambient_dim: int, frame: _Frame, first: np.ndarray, last: np.ndarray) -> "CubicalComplex":
         self = cls.__new__(cls)
-        self._store(ambient_dim, frame, first, last)
+        self._store(ambient_dim, frame, first, last, int(np.add.reduce(last - first)) + len(first))
         return self
 
-    def _store(self, ambient_dim: int, frame: _Frame, first: np.ndarray, last: np.ndarray) -> None:
-        """Keep the runs; the cells are counted and decoded on first use."""
+    def _store(self, ambient_dim: int, frame: _Frame, first: np.ndarray, last: np.ndarray, n_cells: int) -> None:
+        """Keep the runs and the number of cells; the cells are counted by dimension and decoded on first use."""
         self.ambient_dim, self._frame, self._first, self._last = ambient_dim, frame, first, last
-        self._counts = self._cells = None
+        self._len, self._counts, self._cells = n_cells, None, None
 
     def _flat(self) -> np.ndarray:
-        return _expand(self._first, self._last)
+        return np.fromiter(_cells(self._first, self._last), self._frame.dtype, len(self))
 
     def _dim_counts(self) -> List[int]:
         """The number of cells of each dimension up to the top one.
@@ -343,7 +339,7 @@ class CubicalComplex:
         return hash((self.ambient_dim, self.cells))
 
     def __len__(self):
-        return int((self._last - self._first).sum()) + len(self._first)
+        return self._len
 
     def __repr__(self):
         return f"CubicalComplex(ambient_dim={self.ambient_dim}, n_cells={len(self)})"
@@ -392,8 +388,11 @@ def close_under_faces(
     for s in frame.strides[:-1]:
         odd = (first & s) != 0
         if np.count_nonzero(odd):
-            first, last = (np.sort(np.concatenate((x, x[odd] - s, x[odd] + s)), kind="stable") for x in (first, last))
-            first, last = _merge(first, last)
+            ends = []
+            for x in (first, last):
+                y = x[odd]
+                ends.append(np.sort(np.concatenate((x, y - s, y + s)), kind="stable"))
+            first, last = _merge(*ends)
     return CubicalComplex._from_runs(ambient_dim, frame, first, last)
 
 
@@ -402,28 +401,17 @@ def union_and_intersections(
 ) -> Tuple[CubicalComplex, List[CubicalComplex]]:
     """The union of the face-closed `pieces`, and the intersection of the pieces of each index set.
 
-    The pieces share an ambient dimension.  Their cells are put in one frame
-    around all of them, where flat order is still the order of the code
-    tuples, so the results are merges of sorted flat index arrays, a stable
-    sort for the union and binary searches for the intersections, kept as
-    their runs.  Unions and intersections of face-closed complexes are
-    face-closed.  An index set of one piece gives that piece.
+    The pieces share an ambient dimension.  The results are set operations
+    on the pieces' decoded cells; the pieces are small, so that costs fewer
+    numpy calls than merging them in a common frame.  Unions and
+    intersections of face-closed complexes are face-closed.  An index set of
+    one piece gives that piece.
     """
     ambient_dim = pieces[0].ambient_dim
-    codes = [c._frame.codes(c._flat()) for c in pieces]
-    frame = _frame_around(np.concatenate(codes), ambient_dim)
-    flats = [frame.flat(x) for x in codes]
-    meets = []
-    for first, *rest in index_sets:
-        if not rest:
-            meets.append(pieces[first])
-            continue
-        flat = flats[first]
-        for other in (flats[j] for j in rest):
-            flat = flat[other.take(other.searchsorted(flat), mode="clip") == flat] if len(other) else other
-        meets.append(CubicalComplex._from_runs(ambient_dim, frame, *_merge(flat, flat)))
-    union = _sorted(np.concatenate(flats))
-    return CubicalComplex._from_runs(ambient_dim, frame, *_merge(union, union)), meets
+    cells = [c.cells for c in pieces]
+    meets = [pieces[J[0]] if len(J) == 1 else CubicalComplex(ambient_dim, frozenset.intersection(*(cells[j] for j in J)))
+             for J in index_sets]
+    return CubicalComplex(ambient_dim, frozenset().union(*cells)), meets
 
 
 def _bitset_pivots(vectors: Iterable[int]) -> Dict[int, int]:
@@ -499,7 +487,7 @@ def _run_complex(c: CubicalComplex) -> np.ndarray:
             runs = last.searchsorted(last[odd] + t)
             gone = odd[~((runs < n) & (first.take(runs, mode="clip") <= first[odd] + t))]
             if len(gone):
-                cells = _expand(first[gone[:1]], last[gone[:1]]) + t
+                cells = np.fromiter(_cells(first[gone[:1]] + t, last[gone[:1]] + t), frame.dtype)
                 holder = last.searchsorted(cells)
                 raise _missing_face(frame, cells[(holder == n) | (first.take(holder, mode="clip") > cells)])
             table[row, odd] = runs
@@ -615,13 +603,20 @@ def betti(c: CubicalComplex, precollapse: bool = True) -> Tuple[int, ...]:
     if precollapse and n_cells >= _COLLAPSE_MIN_CELLS:
         table = _run_complex(c)
         n = table.shape[1]
-        cells = _collapse(table) if n >= _COLLAPSE_MIN_CELLS else np.arange(n)
-        dims, top, boundary = c._frame.dims(c._last[cells]), c.dim, partial(_run_boundary, table)
+        runs = _collapse(table) if n >= _COLLAPSE_MIN_CELLS else np.arange(n)
+        dims = c._frame.dims(c._last[runs])
+        groups = [runs[dims == d] for d in range(c.dim + 1)]
+        boundary = partial(_run_boundary, table)
     else:
-        cells = c._flat()
-        dims = c._frame.dims(cells)
-        top, boundary = int(dims.max()), partial(_boundary, c._frame)
-    groups = [cells[dims == d] for d in range(top + 1)]
+        # Fewer than _COLLAPSE_MIN_CELLS cells, or precollapse is off: one
+        # pass in Python sorts the cells by dimension.
+        groups = [[] for _ in range(c.ambient_dim + 1)]
+        for x in _cells(c._first, c._last):
+            groups[(x & c._frame.parity).bit_count()].append(x)
+        while not groups[-1]:
+            groups.pop()
+        groups = [np.array(g, dtype=c._frame.dtype) for g in groups]
+        boundary = partial(_boundary, c._frame)
     ranks = [0] * (len(groups) + 1)
     cleared: Sequence[int] = ()
     for d in range(len(groups) - 1, 0, -1):
