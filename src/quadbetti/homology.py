@@ -458,11 +458,11 @@ class GF2Matrix:
 # `betti` ranks a complex of at least this many cells through its run
 # complex, and runs the free-face rounds on the run complex only when it has
 # this many runs; below it, ranking directly is cheaper.  Timeit, min of 7,
-# 2-core VM: a 3-cell Mayer-Vietoris piece ranks in 8 us directly and in
-# 39 us through the run complex and its rounds; the 324-cell products-k2 grid
-# in 98 us directly and in 38 us through its 36 runs; the 1,092-cell
-# products-k1 lift in 323 us directly, 66 us through its 172 runs, and
-# 184 us with the rounds on them.
+# 2-core VM, through the run complex with the rounds on: an 8-cell hollow
+# square ranks in 29 us directly and in 76 us through its 4 runs; the
+# 324-cell products-k2 grid in 304 us directly and in 136 us through its 36
+# runs; the 1,092-cell products-k1 lift in 1,075 us directly and in 481 us
+# through its 172 runs.
 _COLLAPSE_MIN_CELLS = 512
 
 
