@@ -21,8 +21,8 @@ stride 1 and stride_a = stride_{a+1} * 2^b_{a+1}.  A cell is
 
     flat = sum_a (code_a - lo_a) * stride_a
 
-int64 when the frame holds fewer than 2^63 positions and a Python int
-(dtype object) otherwise; one code path serves both.  Since lo_a is even
+stored as int64 when the frame holds fewer than 2^63 positions and as a
+Python int (dtype object) otherwise; one code path serves both.  Since lo_a is even
 and every stride is a power of two, flat & stride_a is nonzero exactly when
 code_a is odd, and a cell's dimension is the popcount of flat & parity,
 where parity is the sum of the strides.  The codim-1 faces of a cell are
