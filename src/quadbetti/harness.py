@@ -358,19 +358,19 @@ def _scenario_fits_ball(sc: Scenario, eps: Fraction) -> bool:
     return corner_sq <= (1 / eps) ** 2
 
 
-def _lift_spec(eps: Fraction, dim: int, resolution=None) -> Tuple[GridSpec, Fraction]:
+def _lift_spec(eps: Fraction, dim: int, resolution=None) -> GridSpec:
     r = 2 / eps
     hs = _fr(resolution) if resolution is not None else r / 32
-    return GridSpec.symmetric(r + 2 * hs, hs, dim), r
+    return GridSpec.symmetric(r + 2 * hs, hs, dim)
 
 
 # Note of a lift report whose scenario box leaves the ball; its lift fields keep their defaults.
 _BALL_NOTE = "scenario box exceeds the radius-1/eps ball; shrink eps"
 
 
-def _region_betti(polys, eps: Fraction, spec: GridSpec, k: int) -> Tuple[int, ...]:
-    """Betti vector b_0..b_{k+1} of the lifted region of `polys` on the sphere of radius 2/eps."""
-    return pad_betti(betti(sphere_region_complex(polys, eps, spec)), k + 2)
+def _region_betti(polys, eps: Fraction, spec: GridSpec) -> Tuple[int, ...]:
+    """Betti vector b_0..b_{spec.dim} of the lifted region of `polys` on the sphere of radius 2/eps."""
+    return pad_betti(betti(sphere_region_complex(polys, eps, spec)), spec.dim + 1)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -408,8 +408,8 @@ def double_cover_audit(
     else:
         base = pad_betti(betti(grid_complex(sc.system, sc.grid)), sc.k + 1)
         base_source = "grid"
-    spec, _ = _lift_spec(eps, sc.k + 1, sphere_resolution)
-    lifted = _region_betti([homogenize(p).as_poly() for p in sc.system], eps, spec, sc.k)
+    spec = _lift_spec(eps, sc.k + 1, sphere_resolution)
+    lifted = _region_betti([homogenize(p).as_poly() for p in sc.system], eps, spec)
     expected = pad_betti(tuple(2 * b for b in base), sc.k + 2)
     ok = lifted == expected
     return DoubleCoverReport(
@@ -471,7 +471,7 @@ def deformation_audit(
     if not _scenario_fits_ball(sc, params.eps):
         return DeformationReport(scenario=sc.name, verdict=INCONCLUSIVE, eps=params.eps,
                                  delta=params.delta, note=_BALL_NOTE)
-    spec, _ = _lift_spec(params.eps, sc.k + 1, sphere_resolution)
+    spec = _lift_spec(params.eps, sc.k + 1, sphere_resolution)
     base_polys = [homogenize(p).as_poly() for p in sc.system]
     family = [
         dehomogenize(random_pd_form(sc.k + 2, seed + i)) for i in range(sc.s)
@@ -485,11 +485,11 @@ def deformation_audit(
     else:
         scale = Fraction(1)
     scaled_family = [scale * h for h in family]
-    reference = _region_betti(base_polys, params.eps, spec, sc.k)
+    reference = _region_betti(base_polys, params.eps, spec)
     betti_by_t = {
         format_rational(t): _region_betti(
             [(1 - t) * p + t * h for p, h in zip(base_polys, scaled_family)],
-            params.eps, spec, sc.k) if t else reference
+            params.eps, spec) if t else reference
         for t in ts
     }
     constant = all(v == reference for v in betti_by_t.values())

@@ -39,8 +39,8 @@ share their codes on the other axes, and with p the popcount of those
 parities its cells even on the last axis have dimension p and the odd ones
 p + 1.  So the count of cells per dimension follows from each run's length
 and the parity of its ends.  The cells themselves are listed from the runs
-only to rank a small complex directly and to decode code tuples (`cells`,
-`cells_of_dim`, a missing face in an error message, the set operations of
+only to rank a small complex directly and to decode code tuples (`cells`, a
+missing face in an error message, the set operations of
 `union_and_intersections`).
 
 Face closure works on runs.  An odd cell's two faces on the last axis are
@@ -69,12 +69,13 @@ columns.  Their faces are still looked up, so a missing face still raises.
 
 `betti` ranks a complex K of at least _COLLAPSE_MIN_CELLS cells through its
 run complex, the Morse complex of a matching along the last axis (R. Forman,
-"Morse theory for cell complexes", Adv. Math. 134, 1998), in the same way;
-pass precollapse=False to rank K itself.  In a face-closed complex a run
-starts and ends on an even code, as an odd cell's two faces on the last
-axis are its neighbours in the line.  So closure is checked run by run: the
-ends of every run must be even, and along each axis where a run's code is
-odd, the run shifted by -stride and by +stride must be there.
+"Morse theory for cell complexes", Adv. Math. 134, 1998), in the same way,
+and a smaller complex cell by cell; that cell count is the one switch
+between the two.  In a face-closed complex a run starts and ends on an even
+code, as an odd cell's two faces on the last axis are its neighbours in the
+line.  So closure is checked run by run: the ends of every run must be even,
+and along each axis where a run's code is odd, the run shifted by -stride
+and by +stride must be there.
 
 The matching pairs e with e + 1 in every run, e even on the last axis.  It
 leaves one critical cell per run, its top t_r, even on the last axis, whose
@@ -218,12 +219,6 @@ class _Frame:
         return zip(*self.codes(flat).T.tolist())
 
 
-def _frame_around(codes: np.ndarray, ambient_dim: int) -> _Frame:
-    """Frame around the rows of an int array of codes."""
-    bounds = zip(codes.min(0).tolist(), codes.max(0).tolist()) if len(codes) else ()
-    return _Frame(list(bounds) or [(0, 0)] * ambient_dim)
-
-
 def _encode(cubes: Union[Collection[Cube], np.ndarray], ambient_dim: int) -> Tuple[_Frame, np.ndarray]:
     """Frame around the cubes, and the sorted array of their flat indices.
 
@@ -233,7 +228,7 @@ def _encode(cubes: Union[Collection[Cube], np.ndarray], ambient_dim: int) -> Tup
     if isinstance(cubes, np.ndarray):
         if cubes.ndim != 2 or cubes.shape[1] != ambient_dim:
             raise ValueError(f"code array of shape {cubes.shape} has no {ambient_dim} axes")
-        frame = _frame_around(cubes, ambient_dim)
+        frame = _Frame(list(zip(cubes.min(0).tolist(), cubes.max(0).tolist())) if len(cubes) else [(0, 0)] * ambient_dim)
         flat = frame.flat(cubes)
         # The grid builders list their cubes in lexicographic order of the
         # codes, which is flat order; otherwise one stable sort merges the
@@ -330,14 +325,6 @@ class CubicalComplex:
             self._cells = frozenset(self._frame.decode(self._flat()))
         return self._cells
 
-    def __eq__(self, other):
-        if not isinstance(other, CubicalComplex):
-            return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.cells == other.cells
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.cells))
-
     def __len__(self):
         return self._len
 
@@ -349,23 +336,12 @@ class CubicalComplex:
         """Largest cell dimension present (-1 for the empty complex)."""
         return len(self._dim_counts()) - 1
 
-    def cells_of_dim(self, d: int) -> List[Cube]:
-        flat = self._flat()
-        return list(self._frame.decode(flat[self._frame.dims(flat) == d]))
-
     def n_cells(self, d: int) -> int:
         counts = self._dim_counts()
         return counts[d] if 0 <= d < len(counts) else 0
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * n for d, n in enumerate(self._dim_counts()))
-
-    def is_face_closed(self) -> bool:
-        try:
-            _run_complex(self)
-        except ValueError:
-            return False
-        return True
 
 
 def close_under_faces(
@@ -414,45 +390,34 @@ def union_and_intersections(
     return CubicalComplex(ambient_dim, frozenset().union(*cells)), meets
 
 
-def _bitset_pivots(vectors: Iterable[int]) -> Dict[int, int]:
-    """Basis of the span over GF(2) of int-encoded vectors, by incremental elimination.
-
-    Each basis vector is keyed by its top bit, which no other one has; their
-    count is the rank.
-    """
-    pivots: Dict[int, int] = {}
-    for v in vectors:
-        while v:
-            top = v.bit_length() - 1
-            p = pivots.get(top)
-            if p is None:
-                pivots[top] = v
-                break
-            v ^= p
-    return pivots
-
-
 class GF2Matrix:
     """GF(2) matrix stored as column bitsets (bit r of column c = entry r, c)."""
 
     __slots__ = ("n_rows", "n_cols", "columns", "pivot_rows")
 
-    def __init__(self, n_rows: int, n_cols: int, columns: Sequence[int]):
-        if len(columns) != n_cols:
-            raise ValueError("column count mismatch")
+    def __init__(self, n_rows: int, columns: Iterable[int]):
         self.n_rows = n_rows
-        self.n_cols = n_cols
         self.columns = tuple(columns)
+        self.n_cols = len(self.columns)
         self.pivot_rows: Optional[List[int]] = None
 
     def rank(self) -> int:
-        """Rank over GF(2).  Records in `pivot_rows` the top row of each
-        vector of a basis of the column span, one per pivot."""
-        self.pivot_rows = list(_bitset_pivots(self.columns))
-        return len(self.pivot_rows)
+        """Rank over GF(2), by incremental elimination of the columns.
 
-    def __repr__(self):
-        return f"GF2Matrix({self.n_rows}x{self.n_cols})"
+        Each vector of the basis built is keyed by its top row, which no
+        other one has; `pivot_rows` records those rows, one per pivot.
+        """
+        pivots: Dict[int, int] = {}
+        for v in self.columns:
+            while v:
+                top = v.bit_length() - 1
+                p = pivots.get(top)
+                if p is None:
+                    pivots[top] = v
+                    break
+                v ^= p
+        self.pivot_rows = list(pivots)
+        return len(pivots)
 
 
 # `betti` ranks a complex of at least this many cells through its run
@@ -585,10 +550,10 @@ def _matrix(near: np.ndarray, lower: np.ndarray, cleared: Iterable[int],
     rows = rows.tolist()
     for r in cleared:
         rows[r] = ()
-    return GF2Matrix(len(lower), len(rows), [sum(map(_bit, r)) for r in rows])
+    return GF2Matrix(len(lower), [sum(map(_bit, r)) for r in rows])
 
 
-def betti(c: CubicalComplex, precollapse: bool = True) -> Tuple[int, ...]:
+def betti(c: CubicalComplex) -> Tuple[int, ...]:
     """Mod-2 Betti numbers b_0 .. b_top of a face-closed complex.
 
     top is the largest cell dimension present; the empty complex yields an
@@ -600,7 +565,7 @@ def betti(c: CubicalComplex, precollapse: bool = True) -> Tuple[int, ...]:
     n_cells = len(c)
     if not n_cells:
         return (0,) * (c.ambient_dim + 1)
-    if precollapse and n_cells >= _COLLAPSE_MIN_CELLS:
+    if n_cells >= _COLLAPSE_MIN_CELLS:
         table = _run_complex(c)
         n = table.shape[1]
         runs = _collapse(table) if n >= _COLLAPSE_MIN_CELLS else np.arange(n)
@@ -608,8 +573,8 @@ def betti(c: CubicalComplex, precollapse: bool = True) -> Tuple[int, ...]:
         groups = [runs[dims == d] for d in range(c.dim + 1)]
         boundary = partial(_run_boundary, table)
     else:
-        # Fewer than _COLLAPSE_MIN_CELLS cells, or precollapse is off: one
-        # pass in Python sorts the cells by dimension.
+        # Fewer than _COLLAPSE_MIN_CELLS cells: one pass in Python sorts the
+        # cells by dimension.
         groups = [[] for _ in range(c.ambient_dim + 1)]
         for x in _cells(c._first, c._last):
             groups[(x & c._frame.parity).bit_count()].append(x)

@@ -478,7 +478,6 @@ class _GridScale:
         dens = [spec.resolution.denominator]
         dens.extend(lo.denominator for lo, _ in spec.box)
         self.scale = 2 * math.lcm(*dens)
-        self.spec = spec
         step = spec.resolution * self.scale
         assert step.denominator == 1 and step.numerator % 2 == 0
         self.step = int(step)

@@ -40,7 +40,7 @@ def _affine(sc):
 
 def _lift(sc):
     polys = [homogenize(p).as_poly() for p in sc.system]
-    return lambda: sphere_region_complex(polys, EPS, _lift_spec(EPS, sc.k + 1)[0])
+    return lambda: sphere_region_complex(polys, EPS, _lift_spec(EPS, sc.k + 1))
 
 
 SHELL2 = scenario_shell(2, Fraction(1, 2), 1)

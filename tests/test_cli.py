@@ -386,8 +386,10 @@ def test_audit_and_verify_leave_numpy_random_unloaded():
 @pytest.mark.parametrize("argv", [["bounds", "--s", "1:3", "--k", "6"], ["ci", "--j", "2", "--k", "6"]],
                          ids=["bounds", "ci"])
 def test_exact_commands_leave_numpy_unloaded(argv):
-    # Neither the package root nor cli imports the grid engine for these.
-    assert _fresh_process([argv], "numpy") == "[0] False\n"
+    # Neither the package root nor cli imports the grid engine or the report
+    # dataclasses for these.
+    for module in ("numpy", "dataclasses"):
+        assert _fresh_process([argv], module) == "[0] False\n", module
 
 
 def test_audit_and_verify_call_no_float_linear_algebra(capsys, monkeypatch):

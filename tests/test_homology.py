@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import betti_by_cells
 
 from quadbetti import homology
 from quadbetti.homology import (
@@ -30,7 +31,17 @@ def gf2_rank(rows):
     """`GF2Matrix.rank` of a 0/1 matrix given as rows."""
     rows = [[int(x) & 1 for x in row] for row in rows]
     columns = [sum(row[c] << r for r, row in enumerate(rows)) for c in range(len(rows[0]) if rows else 0)]
-    return GF2Matrix(len(rows), len(columns), columns).rank()
+    return GF2Matrix(len(rows), columns).rank()
+
+
+def cells_of_dim(cx, d):
+    """The d-cells of cx as code tuples, in flat order."""
+    return sorted(c for c in cx.cells if cube_dim(c) == d)
+
+
+def same_complex(a, b):
+    """Whether two complexes have the same ambient dimension and the same cells."""
+    return a.ambient_dim == b.ambient_dim and a.cells == b.cells
 
 
 def boundaries(cx):
@@ -104,7 +115,7 @@ class TestCubeEncoding:
 
     def test_faces_of_square(self):
         sq = make_cube([(0, 1), (0, 1)])
-        faces = close_under_faces([sq]).cells_of_dim(1)
+        faces = cells_of_dim(close_under_faces([sq]), 1)
         assert faces == sorted(cube_faces(sq)) and len(faces) == 4
         assert all(cube_dim(f) == 1 for f in faces)
 
@@ -119,7 +130,7 @@ class TestCloseUnderFaces:
         assert cx.n_cells(0) == 4
         assert cx.n_cells(1) == 4
         assert cx.n_cells(2) == 1
-        assert cx.is_face_closed()
+        homology._run_complex(cx)  # raises unless cx is face-closed
 
     def test_empty(self):
         cx = close_under_faces([])
@@ -131,17 +142,17 @@ class TestCloseUnderFaces:
         cx = close_under_faces([], ambient_dim=3)
         assert cx.ambient_dim == 3 and len(cx) == 0 and cx.dim == -1
         assert [cx.n_cells(d) for d in range(4)] == [0, 0, 0, 0]
-        assert cx.is_face_closed()
-        assert betti(cx) == betti(cx, precollapse=False) == (0, 0, 0, 0)
-        assert cx == CubicalComplex(3, [])
+        homology._run_complex(cx)
+        assert betti(cx) == betti_by_cells(cx) == (0, 0, 0, 0)
+        assert same_complex(cx, CubicalComplex(3, []))
 
     def test_ambient_dim_zero(self):
         cx = close_under_faces([()])
         assert cx.ambient_dim == 0 and cx.cells == {()} and cx.dim == 0
         assert cx.n_cells(0) == 1 and cx.euler_characteristic() == 1
-        assert betti(cx) == betti(cx, precollapse=False) == (1,)
-        assert cx == CubicalComplex(0, [()])
-        assert close_under_faces([(), ()], ambient_dim=0) == cx
+        assert betti(cx) == betti_by_cells(cx) == (1,)
+        assert same_complex(cx, CubicalComplex(0, [()]))
+        assert same_complex(close_under_faces([(), ()], ambient_dim=0), cx)
 
     def test_ambient_dim_zero_run_complex(self, collapse_always):
         cx = close_under_faces([()])
@@ -164,14 +175,14 @@ class TestCloseUnderFaces:
         cubes = [(0,) * 22, (2,) * 22, (1,) + (2,) * 21, (0,) * 21 + (1,)]
         cx = close_under_faces(np.array(cubes), ambient_dim=22)
         assert cx._frame.strides[0] * (cx._frame.spans[0] + 1) == 2**66
-        assert cx == close_under_faces(cubes) and len(cx) == 6
+        assert same_complex(cx, close_under_faces(cubes)) and len(cx) == 6
         assert betti(cx) == (2, 0)
 
     def test_object_frame_collapse(self, collapse_always):
         cubes = [(0,) * 22, (2,) * 22, (1,) + (2,) * 21, (0,) * 21 + (1,)]
         cx = close_under_faces(np.array(cubes), ambient_dim=22)
         assert cx._first.dtype == cx._last.dtype == object
-        assert betti(cx) == betti(cx, precollapse=False) == (2, 0)
+        assert betti(cx) == betti_by_cells(cx) == (2, 0)
 
     def test_code_array_axis_count_checked(self):
         with pytest.raises(ValueError, match="axes"):
@@ -268,26 +279,27 @@ class TestBetti:
         rng = random.Random(23)
         for _ in range(60):
             cx = random_closed_complex(rng)
-            assert betti(cx, precollapse=True) == betti(cx, precollapse=False)
+            assert betti(cx) == betti_by_cells(cx)
 
     def test_empty_complex(self):
         assert betti(CubicalComplex(3, frozenset())) == (0, 0, 0, 0)
 
-    @pytest.mark.parametrize("precollapse", [True, False])
+    @pytest.mark.parametrize("collapse", [True, False])
     @pytest.mark.parametrize("missing", [(0, 0), (1, 0)])
-    def test_not_face_closed_rejected(self, precollapse, missing):
+    def test_not_face_closed_rejected(self, monkeypatch, collapse, missing):
         # Without the corner (0, 0) collapse once gave (0, 0, 0); without the
         # bottom edge (1, 0) it gave (2, 0, 0).
+        monkeypatch.setattr(homology, "_COLLAPSE_MIN_CELLS", 0 if collapse else float("inf"))
         solid = close_under_faces([make_cube([(0, 1), (0, 1)])])
         broken = CubicalComplex(2, solid.cells - {missing})
-        assert not broken.is_face_closed()
         with pytest.raises(ValueError, match=rf"complex is not face-closed: missing \({missing[0]}, {missing[1]}\)"):
-            betti(broken, precollapse=precollapse)
+            betti(broken)
 
 
     def test_edge_without_vertices_rejected(self):
         edge = CubicalComplex(1, [(1,)])
-        assert not edge.is_face_closed()
+        with pytest.raises(ValueError, match=r"complex is not face-closed: missing \(0,\)"):
+            homology._run_complex(edge)
         with pytest.raises(ValueError, match=r"complex is not face-closed: missing \(0,\)"):
             betti(edge)
 
@@ -296,29 +308,30 @@ class TestBetti:
         # 1,089 cells: enough for betti to rank the run complex, which checks
         # closure run by run.  Each missing cell splits the run of its line.
         solid = close_under_faces([(2 * i + 1, 2 * j + 1) for i in range(16) for j in range(16)])
-        assert len(solid) >= homology._COLLAPSE_MIN_CELLS and solid.is_face_closed()
+        assert len(solid) >= homology._COLLAPSE_MIN_CELLS
+        homology._run_complex(solid)
         broken = CubicalComplex(2, solid.cells - {missing})
-        assert not broken.is_face_closed()
-        for precollapse in (True, False):
+        for rank in (betti, betti_by_cells):
             with pytest.raises(ValueError, match=rf"complex is not face-closed: missing \({missing[0]}, {missing[1]}\)"):
-                betti(broken, precollapse=precollapse)
+                rank(broken)
 
 
 class TestClearedColumns:
     """`betti` gives the columns of the pivot rows of the map above zero
     columns, but still looks up their faces."""
 
-    @pytest.mark.parametrize("precollapse", [True, False])
+    @pytest.mark.parametrize("collapse", [True, False])
     @pytest.mark.parametrize("build", [solid_block, cube_surface])
-    def test_every_missing_face_is_named(self, build, precollapse):
+    def test_every_missing_face_is_named(self, monkeypatch, build, collapse):
         # The cube surface is the 2-sphere, whose edge columns clearing blanks most.
+        monkeypatch.setattr(homology, "_COLLAPSE_MIN_CELLS", 0 if collapse else float("inf"))
         cells = build().cells
         faces = {f for c in cells for f in cube_faces(c)}
         assert faces < cells
         for face in sorted(faces):
             broken = CubicalComplex(3, cells - {face})
             with pytest.raises(ValueError, match=rf"complex is not face-closed: missing {re.escape(repr(face))}$"):
-                betti(broken, precollapse=precollapse)
+                betti(broken)
 
     def test_cube_surface_clears_its_edges(self, monkeypatch):
         # The 2-sphere's 12 edges: ranking the 6 squares leaves 5 pivot rows,
@@ -350,15 +363,35 @@ class TestRunComplex:
             raise _Rounds
         monkeypatch.setattr(homology, "_collapse", collapse)
 
+    @pytest.fixture
+    def run_complexes(self, monkeypatch):
+        """The complexes `betti` builds the run complex of, in call order."""
+        seen = []
+        run_complex = homology._run_complex
+        monkeypatch.setattr(homology, "_run_complex", lambda c: seen.append(c) or run_complex(c))
+        return seen
+
+    def test_complex_below_the_switch_is_ranked_cell_by_cell(self, run_complexes):
+        n = homology._COLLAPSE_MIN_CELLS - 1
+        vertices = CubicalComplex(1, [(2 * i,) for i in range(n)])
+        assert len(vertices) == n and betti(vertices) == (n,)
+        assert run_complexes == []
+
+    def test_complex_at_the_switch_is_ranked_through_its_runs(self, run_complexes):
+        n = homology._COLLAPSE_MIN_CELLS
+        vertices = CubicalComplex(1, [(2 * i,) for i in range(n)])
+        assert len(vertices) == n and betti(vertices) == (n,)
+        assert len(run_complexes) == 1 and run_complexes[0] is vertices
+
     def test_small_run_complex_is_ranked_directly(self, no_rounds):
         from quadbetti.harness import _lift_spec, scenario_products
         from quadbetti.quadforms import DeformationParams, homogenize, sphere_region_complex
 
         eps = DeformationParams().eps
         polys = [homogenize(p).as_poly() for p in scenario_products(1).system]
-        lift = sphere_region_complex(polys, eps, _lift_spec(eps, 2)[0])
+        lift = sphere_region_complex(polys, eps, _lift_spec(eps, 2))
         assert len(lift) == 1092 and len(lift._first) == 172
-        assert betti(lift) == betti(lift, precollapse=False) == (4, 0, 0)
+        assert betti(lift) == betti_by_cells(lift) == (4, 0, 0)
 
     def test_large_run_complex_reaches_the_rounds(self, no_rounds):
         from fractions import Fraction
