@@ -18,7 +18,10 @@ projective-ball cap (1/eps)^2 x_{k+1}^2 - |x_1..x_k|^2 ahead of its system.
 
 The builder decides all candidates in one numpy array pass: the whole box
 by broadcasting per-axis centers, the band as a mask from per-axis min and
-max squares and then the polynomials at its cells.  It computes in int64
+max squares and then the polynomials at its cells.  The band depends only
+on the grid and the radius, so it is computed once per (grid, radius) in a
+process and shared read-only, its indices kept at the narrowest unsigned
+dtype that holds them (`_sphere_band`).  The builder computes in int64
 when a bound taken beforehand shows that no value it forms reaches 2**62
 in absolute value, and otherwise runs the same array code on Python ints
 (dtype=object); no float enters.  `_top_cells` returns the grid indices of
@@ -576,18 +579,55 @@ def _band_mask(lows: Sequence[np.ndarray], step: int, thr: Fraction) -> np.ndarr
     return band
 
 
+def _scaled_lows(gs: _GridScale, shape: Tuple[int, ...], wide: bool) -> List[np.ndarray]:
+    """Scaled lower cell bounds per axis, in int64 or, if `wide`, Python ints."""
+    dtype = object if wide else np.int64
+    return [lo + gs.step * np.arange(n).astype(dtype) for lo, n in zip(gs.lo, shape)]
+
+
+def _u_max(gs: _GridScale, shape: Tuple[int, ...]) -> int:
+    """Bound on every scaled cell bound and center, and on r * scale for a sphere in the box."""
+    return max((max(-lo, lo + gs.step * n) for lo, n in zip(gs.lo, shape)), default=0)
+
+
+@functools.lru_cache(maxsize=4)
+def _sphere_band(spec: GridSpec, r: Fraction) -> np.ndarray:
+    """Read-only grid indices, one cell per row in lexicographic order, of
+    the cells the radius-r sphere crosses.
+
+    Computed once per (grid, radius) and shared by every caller.  Four
+    entries cover the distinct bands of one `verify --full`: the 2-D and
+    3-D lifts, and the unit sphere that the Smith cone and the Alexander
+    audit share.  The mask is exact in int64 when its own bound
+    dim * u_max**2 stays below 2**62, and uses Python ints otherwise.  The
+    cache keeps its bands for the life of the process, so their indices
+    are stored at the narrowest unsigned dtype that holds the longest axis
+    (uint8 on every audit's grid).
+    """
+    gs = _GridScale(spec)
+    shape = spec.shape
+    u_max = _u_max(gs, shape)
+    lows = _scaled_lows(gs, shape, spec.dim * u_max * u_max >= _INT64_SAFE)
+    mask = _band_mask(lows, gs.step, r * r * gs.scale * gs.scale)
+    band = np.argwhere(mask).astype(np.min_scalar_type(max(shape, default=1) - 1))
+    band.flags.writeable = False
+    return band
+
+
 def _top_cells(spec: GridSpec, polys: Sequence[QuadraticPoly], radius=None) -> np.ndarray:
     """Grid indices, one cell per row in lexicographic order, of the candidate
     cells where every polynomial is >= 0 at the center.
 
     The candidates are the whole box or, given a radius, the cells the
-    radius sphere crosses.  Each center is tested exactly, as the sign of
-    an integer `_ScaledPoly` value at the integer-scaled center, in one
-    array pass: over the whole box by broadcasting per-axis centers, over
-    the band at its cells.  The arrays are int64 when a bound computed
-    first shows that no value reaches 2**62, and hold Python ints
-    otherwise.  A box above MAX_GRID_CELLS is rejected before any array is
-    allocated.
+    radius sphere crosses.  The band is computed once per (grid, radius)
+    by `_sphere_band`, shared read-only and kept at a narrow dtype; the
+    rows returned are a fresh intp array.  Each center is tested exactly,
+    as the sign of an integer `_ScaledPoly` value at the integer-scaled
+    center, in one array pass: over the whole box by broadcasting per-axis
+    centers, over the band at its cells.  The arrays are int64 when a
+    bound computed first shows that no value reaches 2**62, and hold
+    Python ints otherwise.  A box above MAX_GRID_CELLS is rejected before
+    any array is allocated or any band is looked up.
     """
     for p in polys:
         if p.k != spec.dim:
@@ -599,25 +639,22 @@ def _top_cells(spec: GridSpec, polys: Sequence[QuadraticPoly], radius=None) -> n
         raise ValueError(f"grid has {size} cells, above the limit of {MAX_GRID_CELLS}")
     gs = _GridScale(spec)
     evals = [_ScaledPoly(p, gs.scale) for p in polys]
-    # Every scaled cell bound and center, and r * scale, is at most u_max in absolute value.
-    u_max = max((max(-lo, lo + gs.step * n) for lo, n in zip(gs.lo, shape)), default=0)
+    u_max = _u_max(gs, shape)
     wide = any(e.magnitude(u_max) >= _INT64_SAFE for e in evals)
     if r is not None:
         wide = wide or spec.dim * u_max * u_max >= _INT64_SAFE
-    dtype = object if wide else np.int64
-    lows = [lo + gs.step * np.arange(n).astype(dtype) for lo, n in zip(gs.lo, shape)]
-    centers = [a + gs.step // 2 for a in lows]
+    centers = [a + gs.step // 2 for a in _scaled_lows(gs, shape, wide)]
     if r is None:
-        cand = None
         u = np.ix_(*centers)
         keep = np.ones(shape, dtype=bool)
     else:
-        cand = np.argwhere(_band_mask(lows, gs.step, r * r * gs.scale * gs.scale))
+        cand = _sphere_band(spec, r)
         u = [c[ix] for c, ix in zip(centers, cand.T)]
         keep = np.ones(len(cand), dtype=bool)
     for e in evals:
         keep &= e.values(u) >= 0
-    return np.argwhere(keep) if cand is None else cand[keep]
+    # intp keeps the codes 2*j + 1 of a uint8 band from wrapping.
+    return np.argwhere(keep) if r is None else cand[keep].astype(np.intp)
 
 
 def _build(spec: GridSpec, polys: Sequence[QuadraticPoly], radius=None) -> CubicalComplex:

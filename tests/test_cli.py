@@ -12,6 +12,7 @@ import quadbetti
 from quadbetti import cli
 from quadbetti.bounds import bound_aggregate
 from quadbetti.cli import main
+from quadbetti.quadforms import _sphere_band
 
 
 def run_cli(capsys, *argv):
@@ -152,10 +153,14 @@ class TestVerifyCommand:
         assert code == 0
         assert "bounds-products-k3,PASS" in out
 
-    def test_byte_identical_rerun(self, capsys):
-        _, first = run_cli(capsys, "verify", "--seed", "0", "--format", "json")
-        _, second = run_cli(capsys, "verify", "--seed", "0", "--format", "json")
+    @pytest.mark.parametrize("argv", [["--seed", "0"], ["--full"]], ids=["seed-0", "full"])
+    def test_byte_identical_rerun(self, capsys, argv):
+        _, first = run_cli(capsys, "verify", *argv, "--format", "json")
+        misses = _sphere_band.cache_info().misses
+        _, second = run_cli(capsys, "verify", *argv, "--format", "json")
         assert first == second
+        # the second run builds no sphere band: every one is a cache hit
+        assert _sphere_band.cache_info().misses == misses
 
 
 class TestAuditCommand:

@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +17,10 @@ from quadbetti.quadforms import (
     QuadraticPoly,
     _INT64_SAFE,
     _GridScale,
+    _band_mask,
     _det,
+    _sphere_band,
+    _top_cells,
     check_smooth_pencil,
     ci_probe,
     dehomogenize,
@@ -540,6 +544,55 @@ def test_builders_match_fraction_evaluation(name):
     assert {c for c in build().cells if all(x & 1 for x in c)} == expected
 
 
+@pytest.mark.parametrize("name", ["band", "band-corners", "band-grid-wide"])
+def test_shared_band_matches_fraction_reference(name):
+    _, spec, radius, _ = CENTER_CASES[name]
+    r = Fraction(radius)
+    expected = np.array(list(_band_cells(spec, r)))
+    _sphere_band.cache_clear()
+    first = _sphere_band(spec, r)
+    assert _sphere_band.cache_info().misses == 1
+    again = _sphere_band(spec, r)
+    assert _sphere_band.cache_info().hits == 1 and again is first
+    for band in (first, again):
+        assert np.array_equal(band, expected)
+        assert not band.flags.writeable
+        with pytest.raises(ValueError):
+            band[0, 0] = 0
+    assert np.array_equal(_top_cells(spec, (), r), expected)
+
+
+def test_top_cells_returns_a_private_intp_array():
+    spec, r = _QUARTERS, Fraction(5, 4)
+    first = _top_cells(spec, (), r)
+    assert first.dtype == np.intp and first.flags.writeable
+    expected = first.copy()
+    first[:] = 0
+    assert np.array_equal(_top_cells(spec, (), r), expected)
+    assert np.array_equal(_sphere_band(spec, r), expected)
+
+
+# Unit circles on grids whose long axis passes 128 and 256 cells, so the
+# shared band is stored as uint8 and uint16 and its codes 2*j + 1 pass 255.
+@pytest.mark.parametrize("res, dtype, cells_above", [(Fraction(1, 64), np.uint8, 128),
+                                                     (Fraction(1, 128), np.uint16, 256)])
+def test_narrow_band_indices_do_not_wrap(res, dtype, cells_above):
+    spec = GridSpec.symmetric(1 + 4 * res, res, 2)
+    assert max(spec.shape) > cells_above
+    band = _sphere_band(spec, Fraction(1))
+    assert band.dtype == dtype
+    if dtype == np.uint8:
+        expected = np.array(list(_band_cells(spec, Fraction(1))))
+    else:  # the reference loop is slow at this size; the mask over Python ints is exact
+        gs = _GridScale(spec)
+        lows = [lo + gs.step * np.arange(n).astype(object) for lo, n in zip(gs.lo, spec.shape)]
+        expected = np.argwhere(_band_mask(lows, gs.step, Fraction(gs.scale) ** 2))
+    assert np.array_equal(band, expected)
+    tops = _top_cells(spec, (), 1)
+    assert np.array_equal(tops, expected) and (2 * tops + 1).max() > 255
+    assert betti(sphere_band_complex(1, spec)) == (1, 1, 0)
+
+
 class TestSphereComplexes:
     def setup_method(self):
         self.spec = GridSpec.symmetric(Fraction(5, 4), Fraction(1, 8), 3)
@@ -563,18 +616,23 @@ class TestSphereComplexes:
         assert betti(sphere_band_complex(1, self.spec)) == (1, 0, 1, 0)
 
     def test_box_must_contain_sphere(self):
+        # a valid band on the same grid is cached first; the check still runs on every call
         small = GridSpec.symmetric(Fraction(1, 2), Fraction(1, 8), 3)
-        with pytest.raises(ValueError):
-            sphere_band_complex(1, small)
+        assert betti(sphere_band_complex(Fraction(1, 2), small)) == (1, 0, 1, 0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="does not contain"):
+                sphere_band_complex(1, small)
 
     def test_oversized_grid_rejected_before_work(self):
         side = 2**11
         spec = GridSpec(box=((0, side), (0, side + 1)), resolution=1)
         assert side * (side + 1) > MAX_GRID_CELLS
-        with pytest.raises(ValueError, match="above the limit"):
-            grid_complex([], spec)
-        with pytest.raises(ValueError, match="above the limit"):
-            sphere_band_complex(1, GridSpec.symmetric(2, Fraction(1, 1024), 2))
+        sphere_band_complex(1, GridSpec.symmetric(2, Fraction(1, 4), 2))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="above the limit"):
+                grid_complex([], spec)
+            with pytest.raises(ValueError, match="above the limit"):
+                sphere_band_complex(1, GridSpec.symmetric(2, Fraction(1, 1024), 2))
 
     def test_region_complex_empty_system_gives_two_caps(self):
         spec = GridSpec.symmetric(21, Fraction(1, 2), 2)
