@@ -153,14 +153,14 @@ class TestVerifyCommand:
         assert code == 0
         assert "bounds-products-k3,PASS" in out
 
-    @pytest.mark.parametrize("argv", [["--seed", "0"], ["--full"]], ids=["seed-0", "full"])
-    def test_byte_identical_rerun(self, capsys, argv):
-        _, first = run_cli(capsys, "verify", *argv, "--format", "json")
-        misses = _sphere_band.cache_info().misses
-        _, second = run_cli(capsys, "verify", *argv, "--format", "json")
-        assert first == second
-        # the second run builds no sphere band: every one is a cache hit
-        assert _sphere_band.cache_info().misses == misses
+    def test_byte_identical_rerun(self, capsys):
+        for argv in (["--seed", "0"], ["--full"]):
+            _, first = run_cli(capsys, "verify", *argv, "--format", "json")
+            misses = _sphere_band.cache_info().misses
+            _, second = run_cli(capsys, "verify", *argv, "--format", "json")
+            assert first == second, argv
+            # the second run builds no sphere band: every one is a cache hit
+            assert _sphere_band.cache_info().misses == misses, argv
 
 
 class TestAuditCommand:

@@ -627,6 +627,7 @@ class TestSphereComplexes:
         side = 2**11
         spec = GridSpec(box=((0, side), (0, side + 1)), resolution=1)
         assert side * (side + 1) > MAX_GRID_CELLS
+        # a valid band at the same radius is cached first; the limit is still checked on every call
         sphere_band_complex(1, GridSpec.symmetric(2, Fraction(1, 4), 2))
         for _ in range(2):
             with pytest.raises(ValueError, match="above the limit"):
