@@ -3,7 +3,7 @@
 Verdict vocabulary: VIOLATION is reserved for exact contradictions (an
 oracle Betti number exceeding an exact bound, which would mean a bug);
 every approximation-sourced mismatch is INCONCLUSIVE and comes with a
-refinement hint (finer grid, smaller eps or delta).  Oracle Betti vectors
+refinement hint (finer grid, smaller eps or t).  Oracle Betti vectors
 are hardcoded with a provenance note and never computed by the code under
 audit.
 """
@@ -37,7 +37,6 @@ from .quadforms import (
     QuadraticPoly,
     _fr,
     _positive,
-    _sign_granularity,
     _top_cells,
     _zero_polys,
     check_smooth_pencil,
@@ -428,22 +427,12 @@ class DeformationReport(_Report):
     scenario: str
     verdict: str
     betti_by_t: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
-    family_scale: Fraction = Fraction(0)
     eps: Fraction
     delta: Fraction
     note: str = ""
 
     def csv_table(self) -> Tuple[List[str], List[Dict]]:
         return ["t", "betti"], [{"t": t, "betti": list(v)} for t, v in self.betti_by_t.items()]
-
-
-def _family_bound(poly: QuadraticPoly, width: Fraction) -> Fraction:
-    total = abs(poly.const)
-    for i in range(poly.k):
-        total += abs(poly.lin[i]) * width
-        for j in range(poly.k):
-            total += abs(poly.quad[i][j]) * width * width
-    return total
 
 
 def deformation_audit(
@@ -455,13 +444,14 @@ def deformation_audit(
 ) -> DeformationReport:
     """Blend the lifted system toward a positive definite family and re-audit.
 
-    For each t the system (1-t) * P_h + t * H is lifted onto the sphere
-    and its grid Betti vector computed; the verdict is PASS when every
-    vector matches the t = 0 vector.  The seeded positive definite family
-    is scaled so that the largest requested t keeps the perturbation below
-    the grid's sign granularity; that makes "sufficiently small" concrete
-    for the given grid.  The closed-set grid approximation stands in for
-    both the open and the closed deformed sets.
+    For each t the system (1-t) * P_h + t * H, with H the seeded positive
+    definite family, is lifted onto the sphere and its grid Betti vector
+    computed; the verdict is PASS when every vector matches the t = 0
+    vector, and INCONCLUSIVE otherwise.  "Sufficiently small" is the
+    requested t values: a t past a sign change at some cell center can
+    change the cell set and its Betti vector (products-k2 at t = 1/1000
+    reads (2, 2, 0, 0) against (8, 0, 0, 0) at t = 0).  The closed-set grid
+    approximation stands in for both the open and the closed deformed sets.
     """
     params = params or DeformationParams()
     ts = sorted({_fr(t) for t in t_values})
@@ -476,19 +466,10 @@ def deformation_audit(
     family = [
         dehomogenize(random_pd_form(sc.k + 2, seed + i)) for i in range(sc.s)
     ]
-    t_max = max(ts, default=Fraction(0))
-    if t_max > 0 and family:
-        granularity = _sign_granularity(base_polys, spec)
-        width = max(max(abs(lo), abs(hi)) for lo, hi in spec.box)
-        biggest = max(_family_bound(h, width) for h in family)
-        scale = min(granularity / (4 * t_max * biggest), Fraction(1))
-    else:
-        scale = Fraction(1)
-    scaled_family = [scale * h for h in family]
     reference = _region_betti(base_polys, params.eps, spec)
     betti_by_t = {
         format_rational(t): _region_betti(
-            [(1 - t) * p + t * h for p, h in zip(base_polys, scaled_family)],
+            [(1 - t) * p + t * h for p, h in zip(base_polys, family)],
             params.eps, spec) if t else reference
         for t in ts
     }
@@ -497,10 +478,9 @@ def deformation_audit(
         scenario=sc.name,
         verdict=PASS if constant else INCONCLUSIVE,
         betti_by_t=betti_by_t,
-        family_scale=scale,
         eps=params.eps,
         delta=params.delta,
-        note="" if constant else "Betti drift across t; shrink delta or refine the grid",
+        note="" if constant else "Betti drift across t; try smaller --t-values",
     )
 
 

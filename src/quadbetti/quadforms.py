@@ -488,14 +488,13 @@ class _GridScale:
 
 
 class _ScaledPoly:
-    """Sign-faithful integer evaluator: P(u/scale) * mult at integer points u, mult > 0."""
+    """Sign-faithful integer evaluator: a positive multiple of P(u/scale) at integer points u."""
 
     def __init__(self, poly: QuadraticPoly, scale: int):
         dens = [poly.const.denominator]
         dens.extend(x.denominator for x in poly.lin)
         dens.extend(x.denominator for row in poly.quad for x in row)
         lcm = math.lcm(*dens)
-        self.mult = lcm * scale * scale
         qt = []
         for i in range(poly.k):
             row = poly.quad[i]
@@ -534,16 +533,6 @@ MAX_GRID_CELLS = 2**22
 # The builder computes in int64 when every value it forms is below this in
 # absolute value, and otherwise in arrays of Python ints (dtype=object).
 _INT64_SAFE = 2**62
-
-
-def _sign_granularity(polys: Sequence[QuadraticPoly], spec: GridSpec) -> Fraction:
-    """Least |P(c)| over the polynomials P and the cell centers c with P(c) != 0, or less.
-
-    Each such P(c) is a nonzero integer `_ScaledPoly` value over its
-    multiplier, so |P(c)| >= 1 / lcm of the multipliers.
-    """
-    scale = _GridScale(spec).scale
-    return Fraction(1, math.lcm(*(_ScaledPoly(p, scale).mult for p in polys)))
 
 
 def _sphere_radius(radius, spec: GridSpec) -> Fraction:
@@ -640,9 +629,8 @@ def _top_cells(spec: GridSpec, polys: Sequence[QuadraticPoly], radius=None) -> n
     gs = _GridScale(spec)
     evals = [_ScaledPoly(p, gs.scale) for p in polys]
     u_max = _u_max(gs, shape)
-    wide = any(e.magnitude(u_max) >= _INT64_SAFE for e in evals)
-    if r is not None:
-        wide = wide or spec.dim * u_max * u_max >= _INT64_SAFE
+    # every center is at most u_max, and every value at most a magnitude
+    wide = u_max >= _INT64_SAFE or any(e.magnitude(u_max) >= _INT64_SAFE for e in evals)
     centers = [a + gs.step // 2 for a in _scaled_lows(gs, shape, wide)]
     if r is None:
         u = np.ix_(*centers)

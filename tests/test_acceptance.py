@@ -25,6 +25,7 @@ from quadbetti.harness import (
     smith_audit,
 )
 from quadbetti.homology import (
+    INCONCLUSIVE,
     PASS,
     VIOLATION,
     CubicalComplex,
@@ -190,11 +191,18 @@ def test_criterion_8_projective_audits():
                 tuple(2 * b for b in dc.base_betti), k + 2
             )
         ts = (Fraction(0), Fraction(1, 1000))
-        for sc in (scenario_products(1), scenario_products(2),
-                   scenario_shell(2, Fraction(1, 2), 1)):
+        for sc in (scenario_products(1), scenario_shell(2, Fraction(1, 2), 1)):
             de = deformation_audit(sc, t_values=ts)
             assert de.verdict == PASS
             assert len(set(de.betti_by_t.values())) == 1
+        # products-k2's first sign change is at t = 25/353358: below it no
+        # cell moves, and by t = 1/1000 the Betti vector has moved too.
+        de = deformation_audit(scenario_products(2), t_values=ts)
+        assert de.verdict == INCONCLUSIVE
+        assert de.betti_by_t == {"0": (8, 0, 0, 0), "1/1000": (2, 2, 0, 0)}
+        de = deformation_audit(scenario_products(2), t_values=(Fraction(0), Fraction(1, 100000)))
+        assert de.verdict == PASS
+        assert de.betti_by_t == {"0": (8, 0, 0, 0), "1/100000": (8, 0, 0, 0)}
 
 
 def test_criterion_9_mayer_vietoris_and_exit_code():

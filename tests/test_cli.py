@@ -188,7 +188,7 @@ class TestAuditCommand:
         assert code == 3
         doc = json.loads(out)
         assert doc["verdict"] == "INCONCLUSIVE"
-        assert (doc["betti_by_t"], doc["family_scale"]) == ({}, "0")
+        assert doc["betti_by_t"] == {}
 
     def test_unknown_name_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "audit", "--name", "nope")

@@ -327,10 +327,6 @@ class TestDeformation:
         with pytest.raises(TypeError):
             deformation_audit(scenario_products(1), t_values=(0.0005,))
 
-    def test_family_scale_reported(self):
-        rep = deformation_audit(scenario_products(1))
-        assert 0 < rep.family_scale < 1
-
     def test_seeded_determinism(self):
         a = deformation_audit(scenario_products(1), seed=5)
         b = deformation_audit(scenario_products(1), seed=5)
@@ -340,7 +336,6 @@ class TestDeformation:
         rep = deformation_audit(scenario_products(2), DeformationParams(eps=Fraction(1, 2)))
         assert rep.verdict == INCONCLUSIVE
         assert rep.betti_by_t == {}
-        assert rep.family_scale == 0
         assert rep.note == "scenario box exceeds the radius-1/eps ball; shrink eps"
 
 
@@ -440,15 +435,18 @@ class TestSuite:
 
 # Every `AUDIT_REGISTRY` name, driven off PASS through `quadbetti audit` at
 # the command line's defaults: registry name -> (the `harness` global the
-# mutant replaces, the mutant, the verdict the audit must give).  The
-# command line cannot reach an input that fails these audits, so engine
-# mutants stand in; mv-fabricated-violation fails on its own input.
+# mutant replaces, the mutant, the verdict the audit must give).  Where the
+# command line cannot reach an input that fails an audit, an engine mutant
+# stands in.  Two audits fail on their own default input and run unmutated:
+# mv-fabricated-violation, and deformation-products, whose default
+# t = 1/1000 lies past a sign change that moves the products-k2 Betti
+# vector (8, 0, 0, 0) to (2, 2, 0, 0).
 NEGATIVE_CONTROLS = {
     "products-bounds": ("bound_betti", zero_bound, VIOLATION),
     "shell-bounds": ("bound_betti", zero_bound, VIOLATION),
     "smith-cone": ("betti", odd_sphere_total, INCONCLUSIVE),
     "double-cover-products": ("betti", inflated_b1, INCONCLUSIVE),
-    "deformation-products": ("betti", inflated_b1, INCONCLUSIVE),
+    "deformation-products": (None, None, INCONCLUSIVE),
     "alexander-equator": ("betti", inflated_b1, INCONCLUSIVE),
     "mv-wedge": ("betti", b1_per_cell, VIOLATION),
     "mv-disjoint": ("betti", b1_per_cell, VIOLATION),
@@ -456,20 +454,12 @@ NEGATIVE_CONTROLS = {
     "mv-fabricated-violation": (None, None, VIOLATION),
 }
 
-# ROADMAP item 3: the default deformation audit scales its family below the
-# grid's sign granularity, so the cell sets at t = 0 and t > 0 are identical
-# and no `betti` mutant can tell them apart.
-_PASSES_BY_CONSTRUCTION = pytest.mark.xfail(
-    strict=True, reason="the scaled deformation family leaves every cell set unchanged (ROADMAP item 3)")
-
 
 def test_every_audit_name_has_a_negative_control():
     assert sorted(NEGATIVE_CONTROLS) == sorted(harness.AUDIT_REGISTRY)
 
 
-@pytest.mark.parametrize("name", [
-    pytest.param(name, marks=_PASSES_BY_CONSTRUCTION if name == "deformation-products" else ())
-    for name in NEGATIVE_CONTROLS])
+@pytest.mark.parametrize("name", NEGATIVE_CONTROLS)
 def test_negative_control_drives_audit_off_pass(name, monkeypatch, capsys):
     target, mutant, verdict = NEGATIVE_CONTROLS[name]
     if mutant is not None:
@@ -478,3 +468,13 @@ def test_negative_control_drives_audit_off_pass(name, monkeypatch, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc.get("verdict", doc.get("overall")) == verdict
     assert code == {VIOLATION: 1, INCONCLUSIVE: 3}[verdict]
+
+
+def test_deformation_audit_sees_cell_changes_under_a_mutant(monkeypatch):
+    """shell-k2's cell sets at t = 0 and t = 1/1000 differ while their Betti
+    vectors agree, so the audit passes, and an engine whose b_1 grows with
+    the cell count drives it off PASS."""
+    sc = scenario_shell(2, Fraction(1, 2), 1)
+    assert deformation_audit(sc).verdict == PASS
+    monkeypatch.setattr(harness, "betti", b1_per_cell(harness.betti))
+    assert deformation_audit(sc).verdict == INCONCLUSIVE

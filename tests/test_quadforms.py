@@ -529,7 +529,8 @@ def test_builders_match_fraction_evaluation(name):
     if name.endswith("-wide"):
         scale = _GridScale(spec).scale
         coeffs = [x for p in polys for x in (p.const, *p.lin, *itertools.chain(*p.quad))]
-        # the builder's bound is at least scale^2 on a band and the largest numerator
+        # a band's mask bound is at least scale^2 and the centers' bound, the
+        # polynomials' magnitude, at least their largest numerator
         assert max([scale * scale if radius else 0] + [abs(x.numerator) for x in coeffs]) >= _INT64_SAFE
     cells = list(itertools.product(*map(range, spec.shape)) if radius is None
                  else _band_cells(spec, radius))
@@ -591,6 +592,15 @@ def test_narrow_band_indices_do_not_wrap(res, dtype, cells_above):
     tops = _top_cells(spec, (), 1)
     assert np.array_equal(tops, expected) and (2 * tops + 1).max() > 255
     assert betti(sphere_band_complex(1, spec)) == (1, 1, 0)
+
+
+def test_centers_past_int64_with_no_polynomial():
+    """Scaled centers past 2**63 are held as Python ints even when no
+    polynomial, whose magnitude would bound them, is evaluated."""
+    spec = GridSpec(box=((-2**63, 2**63),) * 2, resolution=2**62)
+    assert _GridScale(spec).lo[0] < -2**63
+    assert np.array_equal(_top_cells(spec, ()), np.argwhere(np.ones(spec.shape, dtype=bool)))
+    assert np.array_equal(_top_cells(spec, (), 2**62), np.array(list(_band_cells(spec, Fraction(2**62)))))
 
 
 class TestSphereComplexes:
