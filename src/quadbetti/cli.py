@@ -3,9 +3,11 @@
 Exit codes: 0 all PASS, 1 any VIOLATION, 2 usage error, 3 inconclusive
 results (and no violation), 4 internal error: any other exception, such
 as a RecursionError, a MemoryError or a bug, which is never a verdict and
-so never exits 1.  Rationals are emitted as numerator and
-denominator columns in CSV and as "p/q" strings in JSON; outputs are
-byte-identical across reruns with the same flags and seed.
+so never exits 1.  In an audit report a bound row's bound is the ints
+bound_num, bound_den and any other rational a "p/q" string, in CSV and
+JSON alike; the `bounds` and `ci` tables split a rational column into
+<name>_num and <name>_den in CSV and write "num/den" in JSON.  Outputs
+are byte-identical across reruns with the same flags and seed.
 """
 
 from __future__ import annotations
@@ -206,16 +208,8 @@ def _cmd_verify(args, out) -> int:
     from . import harness
 
     results = harness.run_verification_suite(seed=args.seed, full=args.full)
-    document = {
-        "seed": args.seed,
-        "results": [
-            {"name": r.name, "verdict": r.verdict, "note": r.note,
-             **({"document": r.document} if r.document else {})}
-            for r in results
-        ],
-    }
-    _emit(args.format, out, document, ["name", "verdict", "note"], document["results"])
-    return _exit_code([r.verdict for r in results])
+    _emit(args.format, out, {"seed": args.seed, "results": results}, ["name", "verdict", "note"], results)
+    return _exit_code([r["verdict"] for r in results])
 
 
 def _cmd_audit(args, out) -> int:

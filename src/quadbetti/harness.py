@@ -71,7 +71,6 @@ __all__ = [
     "mv_three_arc_example",
     "mv_fabricated_example",
     "AUDIT_REGISTRY",
-    "SuiteResult",
     "run_verification_suite",
 ]
 
@@ -452,12 +451,17 @@ def deformation_audit(
     change the cell set and its Betti vector (products-k2 at t = 1/1000
     reads (2, 2, 0, 0) against (8, 0, 0, 0) at t = 0).  The closed-set grid
     approximation stands in for both the open and the closed deformed sets.
+    A t outside [0, delta], or a list with no t in (0, delta], which would
+    compare nothing, raises ValueError.
     """
     params = params or DeformationParams()
     ts = sorted({_fr(t) for t in t_values})
     for t in ts:
         if not 0 <= t <= params.delta:
             raise ValueError(f"t={t} outside [0, delta={params.delta}]")
+    if not any(ts):
+        raise ValueError(f"t values [{', '.join(map(format_rational, ts))}] hold no t in "
+                         f"(0, delta={params.delta}], so the audit would compare nothing")
     if not _scenario_fits_ball(sc, params.eps):
         return DeformationReport(scenario=sc.name, verdict=INCONCLUSIVE, eps=params.eps,
                                  delta=params.delta, note=_BALL_NOTE)
@@ -654,23 +658,11 @@ AUDIT_REGISTRY: Dict[str, Callable[..., _Report]] = {
 # Batch runner used by the command line front end.
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    verdict: str
-    note: str = ""
-    document: Optional[Dict] = None
-
-
-def _grid_matches_oracle(sc: Scenario) -> SuiteResult:
+def _grid_matches_oracle(sc: Scenario) -> Dict:
     vec = pad_betti(betti(grid_complex(sc.system, sc.grid)), sc.k + 1)
     oracle = pad_betti(sc.oracle_betti, sc.k + 1)
-    ok = vec == oracle
-    return SuiteResult(
-        name=f"grid-oracle-{sc.name}",
-        verdict=PASS if ok else INCONCLUSIVE,
-        note=f"grid {list(vec)} vs oracle {list(oracle)}",
-    )
+    return {"name": f"grid-oracle-{sc.name}", "verdict": PASS if vec == oracle else INCONCLUSIVE,
+            "note": f"grid {list(vec)} vs oracle {list(oracle)}"}
 
 
 # Suite rows the command line does not offer; called like registry entries.
@@ -716,16 +708,16 @@ _SUITE_FULL = (
 )
 
 
-def run_verification_suite(seed: int = 0, full: bool = False) -> List[SuiteResult]:
-    """Run the built-in scenario and audit batch; deterministic given seed."""
+def run_verification_suite(seed: int = 0, full: bool = False) -> List[Dict]:
+    """The rows `verify` writes for the built-in scenario and audit batch, deterministic given
+    seed: name, verdict, note and, for an audit report, the report's `document`."""
     entries = {**AUDIT_REGISTRY, **_SUITE_ONLY}
-    results: List[SuiteResult] = []
+    rows: List[Dict] = []
     for name, entry, args in _SUITE + (_SUITE_FULL if full else ()):
         report = entries[entry](seed=seed, **args)
-        if isinstance(report, SuiteResult):
-            results.append(report)
-            continue
-        note = (f"projective total {report.projective_total} vs bound {report.bound}"
-                if isinstance(report, SmithReport) else "")
-        results.append(SuiteResult(name, report.verdict, note, report.to_dict()))
-    return results
+        if not isinstance(report, dict):
+            note = (f"projective total {report.projective_total} vs bound {report.bound}"
+                    if isinstance(report, SmithReport) else "")
+            report = {"name": name, "verdict": report.verdict, "note": note, "document": report.to_dict()}
+        rows.append(report)
+    return rows

@@ -53,9 +53,10 @@ more than one beyond it.  Code arrays from the grid builders arrive in flat
 order, so they enter the frame without a sort.
 
 Betti numbers are computed over the two-element field: b_d equals
-(#d-cells) - rank(boundary_d) - rank(boundary_{d+1}).  A binary search
-finds the faces of the d-cells among the (d-1)-cells, which also checks
-face closure, and the ranks use Gaussian elimination on int bitsets.
+(#d-cells) - rank(boundary_d) - rank(boundary_{d+1}), with the ranks by
+Gaussian elimination on int bitsets.  Cell by cell, a dict of the
+(d-1)-cells finds the faces of the d-cells and checks face closure; the
+run complex (below) finds its faces by binary searches of sorted runs.
 
 The boundary maps are ranked from the top dimension down, with clearing
 (C. Chen and M. Kerber, "Persistent homology computation with a twist",
@@ -110,7 +111,7 @@ from __future__ import annotations
 import itertools
 from functools import partial
 from operator import mul
-from typing import Callable, Collection, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Collection, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -159,7 +160,7 @@ def cube_dim(cube: Cube) -> int:
 class _Frame:
     """Power-of-two strides over the padded bounding box of some codes."""
 
-    __slots__ = ("lo", "spans", "strides", "shifts", "parity", "base", "dtype", "_steps")
+    __slots__ = ("lo", "spans", "strides", "shifts", "parity", "base", "dtype")
 
     def __init__(self, bounds: Sequence[Tuple[int, int]]):
         """`bounds` holds the least and the largest code on each axis."""
@@ -187,16 +188,6 @@ class _Frame:
         # Every flat index, and every sum or difference of one with a stride
         # that the engine forms, is below the frame's size `stride`.
         self.dtype = np.int64 if stride < 2**63 else object
-        self._steps = None
-
-    def steps(self) -> Tuple[np.ndarray, np.ndarray]:
-        """-stride_a and +stride_a for each axis a, the offsets of a cell's
-        faces and cofaces, and stride_a for both: the bit of a cell's flat
-        index that tells which of the two they are.  Built on first use."""
-        if self._steps is None:
-            self._steps = (np.array([t for s in self.strides for t in (-s, s)], dtype=self.dtype),
-                           np.array([s for s in self.strides for _ in "-+"], dtype=self.dtype))
-        return self._steps
 
     def dims(self, flat: np.ndarray) -> np.ndarray:
         """The dimension of each cell: the number of stride bits its flat index sets."""
@@ -422,12 +413,11 @@ class GF2Matrix:
 
 # `betti` ranks a complex of at least this many cells through its run
 # complex, and runs the free-face rounds on the run complex only when it has
-# this many runs; below it, ranking directly is cheaper.  Timeit, min of 7,
-# 2-core VM, through the run complex with the rounds on: an 8-cell hollow
-# square ranks in 29 us directly and in 76 us through its 4 runs; the
-# 324-cell products-k2 grid in 304 us directly and in 136 us through its 36
-# runs; the 1,092-cell products-k1 lift in 1,075 us directly and in 481 us
-# through its 172 runs.
+# this many runs.  Timeit, min of 7, 2-core VM, through the run complex with
+# the rounds on: an 8-cell hollow square ranks in 10 us directly and in 54 us
+# through its 4 runs; the 324-cell products-k2 grid in 211 us directly and in
+# 105 us through its 36 runs; the 1,092-cell products-k1 lift in 738 us
+# directly and in 412 us through its 172 runs.
 _COLLAPSE_MIN_CELLS = 512
 
 
@@ -508,45 +498,48 @@ def _missing_face(frame: _Frame, faces: np.ndarray) -> ValueError:
     return ValueError(f"complex is not face-closed: missing {face!r}")
 
 
-def _boundary(frame: _Frame, groups: Sequence[np.ndarray], d: int, cleared: Iterable[int] = ()) -> GF2Matrix:
-    """Boundary matrix from the d-cells to the (d-1)-cells, `groups[d]` and `groups[d - 1]` as sorted flat indices.
+def _boundary(frame: _Frame, groups: Sequence[Sequence[int]], d: int, cleared: Iterable[int] = ()) -> GF2Matrix:
+    """Boundary matrix from the d-cells to the (d-1)-cells, `groups[d]` and `groups[d - 1]` as ascending flat indices.
 
-    The faces of the d-cells are looked up among the (d-1)-cells by one
-    binary search, which gives their rows and checks that they are there.
-    The columns of the d-cells at the positions `cleared` are left zero;
-    their faces are looked up all the same.
+    The faces x - stride_a and x + stride_a of each d-cell x, along each
+    axis a where x is odd, are looked up in a dict of the (d-1)-cells, which
+    gives their rows and checks that they are there; the first face missing,
+    cell by cell and axis by axis, raises.  The columns of the d-cells at the
+    positions `cleared` are zero; their faces are looked up all the same.
     """
-    steps, strides = frame.steps()
-    cells = groups[d][:, None]
-    # A face lies along an odd axis, where the step's stride bit is set in the cell's index.
-    near = (cells + steps)[(cells & strides) != 0].reshape(-1, 2 * d)
-    return _matrix(near, groups[d - 1], cleared, partial(_missing_face, frame))
+    rows = {x: _bit(i) for i, x in enumerate(groups[d - 1])}
+    columns = []
+    for x in groups[d]:
+        column = 0
+        for s in frame.strides:
+            if x & s:
+                for face in (x - s, x + s):
+                    if face not in rows:
+                        raise _missing_face(frame, np.array([face], dtype=frame.dtype))
+                    column |= rows[face]
+        columns.append(column)
+    for j in cleared:
+        columns[j] = 0
+    return GF2Matrix(len(rows), columns)
 
 
 def _run_boundary(table: np.ndarray, groups: Sequence[np.ndarray], d: int, cleared: Iterable[int] = ()) -> GF2Matrix:
     """Boundary matrix of the run complex with face table `table` from the live d-runs to the live (d-1)-runs.
 
-    `groups[d]` holds the ascending indices of the live d-runs.  A live run
+    `groups[d]` holds the ascending indices of the live d-runs.  Their faces
+    are found among the live (d-1)-runs by one binary search.  A live run
     whose face is not live raises ValueError: the free-face rounds remove a
-    face only with its last live coface.
+    face only with its last live coface.  The columns of the d-runs at the
+    positions `cleared` are zero.
     """
     faces = table.T[groups[d]]
-    return _matrix(faces[faces < table.shape[1]].reshape(-1, 2 * d), groups[d - 1], cleared,
-                   lambda runs: ValueError(f"run complex is not closed: a live run has the removed face {runs[0]}"))
-
-
-def _matrix(near: np.ndarray, lower: np.ndarray, cleared: Iterable[int],
-            error: Callable[[np.ndarray], ValueError]) -> GF2Matrix:
-    """GF(2) matrix whose column j has a one in each row i where lower[i] is in near[j].
-
-    `lower` is sorted.  The columns at the positions `cleared` are zero.
-    The entries of `near` that `lower` lacks raise error(those entries).
-    """
-    rows = lower.searchsorted(near)
-    # take() needs a value to read; with `lower` empty every entry is missing.
-    missing = lower.take(rows, mode="clip") != near if len(lower) else np.ones(near.shape, dtype=bool)
+    faces = faces[faces < table.shape[1]].reshape(-1, 2 * d)
+    lower = groups[d - 1]
+    rows = lower.searchsorted(faces)
+    # take() needs a value to read; with `lower` empty every face is missing.
+    missing = lower.take(rows, mode="clip") != faces if len(lower) else np.ones(faces.shape, dtype=bool)
     if np.count_nonzero(missing):
-        raise error(near[missing])
+        raise ValueError(f"run complex is not closed: a live run has the removed face {faces[missing][0]}")
     rows = rows.tolist()
     for r in cleared:
         rows[r] = ()
@@ -580,7 +573,6 @@ def betti(c: CubicalComplex) -> Tuple[int, ...]:
             groups[(x & c._frame.parity).bit_count()].append(x)
         while not groups[-1]:
             groups.pop()
-        groups = [np.array(g, dtype=c._frame.dtype) for g in groups]
         boundary = partial(_boundary, c._frame)
     ranks = [0] * (len(groups) + 1)
     cleared: Sequence[int] = ()

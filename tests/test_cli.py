@@ -190,6 +190,12 @@ class TestAuditCommand:
         assert doc["verdict"] == "INCONCLUSIVE"
         assert doc["betti_by_t"] == {}
 
+    def test_deformation_without_positive_t_is_usage_error(self, capsys):
+        assert main(["audit", "--name", "deformation-products", "--k", "1", "--t-values", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: t values [0] hold no t in (0, delta=1/1000], so the audit would compare nothing\n"
+
     def test_unknown_name_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "audit", "--name", "nope")
         assert code == 2

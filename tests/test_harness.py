@@ -315,9 +315,11 @@ class TestDeformation:
         assert len(rep.betti_by_t) == 2
         assert len(set(rep.betti_by_t.values())) == 1
 
-    def test_single_t_zero_trivially_passes(self):
-        rep = deformation_audit(scenario_products(1), t_values=(Fraction(0),))
-        assert rep.verdict == PASS
+    @pytest.mark.parametrize("t_values", [(Fraction(0),), ()], ids=["t-zero", "empty"])
+    def test_no_positive_t_rejected(self, t_values):
+        # With no t > 0 the audit would compare the t = 0 vector with itself.
+        with pytest.raises(ValueError, match=r"^t values \[0?\] hold no t in \(0, delta=1/1000\]"):
+            deformation_audit(scenario_products(1), t_values=t_values)
 
     def test_t_outside_delta_rejected(self):
         with pytest.raises(ValueError):
@@ -419,18 +421,18 @@ class TestSuite:
     def test_default_suite_all_pass(self):
         results = run_verification_suite(seed=0)
         assert results
-        assert all(r.verdict == PASS for r in results)
+        assert all(r["verdict"] == PASS for r in results)
 
     def test_deterministic(self):
         a = run_verification_suite(seed=0)
         b = run_verification_suite(seed=0)
-        assert [(r.name, r.verdict) for r in a] == [(r.name, r.verdict) for r in b]
+        assert [(r["name"], r["verdict"]) for r in a] == [(r["name"], r["verdict"]) for r in b]
 
     def test_full_suite_all_pass(self):
         results = run_verification_suite(seed=0, full=True)
-        names = {r.name for r in results}
+        names = {r["name"] for r in results}
         assert "double-cover-products-k2" in names
-        assert all(r.verdict == PASS for r in results)
+        assert all(r["verdict"] == PASS for r in results)
 
 
 # Every `AUDIT_REGISTRY` name, driven off PASS through `quadbetti audit` at

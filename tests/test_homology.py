@@ -393,6 +393,26 @@ class TestRunComplex:
         assert len(lift) == 1092 and len(lift._first) == 172
         assert betti(lift) == betti_by_cells(lift) == (4, 0, 0)
 
+    def test_the_two_ways_share_no_assembly_code(self, monkeypatch):
+        # Each way ranks the 1,092-cell products-k1 lift with the other's
+        # assembly removed, so a fault in one way's face lookup cannot bend
+        # the other's vector too.
+        from quadbetti.harness import _lift_spec, scenario_products
+        from quadbetti.quadforms import DeformationParams, homogenize, sphere_region_complex
+
+        def removed(*args):
+            raise AssertionError("the other way's assembly ran")
+
+        eps = DeformationParams().eps
+        polys = [homogenize(p).as_poly() for p in scenario_products(1).system]
+        lift = sphere_region_complex(polys, eps, _lift_spec(eps, 2))
+        with monkeypatch.context() as patch:
+            for name in ("_run_complex", "_collapse", "_run_boundary"):
+                patch.setattr(homology, name, removed)
+            assert betti_by_cells(lift) == (4, 0, 0)
+        monkeypatch.setattr(homology, "_boundary", removed)
+        assert betti(lift) == (4, 0, 0)
+
     def test_large_run_complex_reaches_the_rounds(self, no_rounds):
         from fractions import Fraction
 
