@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import shutil
 import sys
 from typing import Dict, List, Optional, Sequence
 
@@ -36,6 +38,22 @@ MAX_TABLE_ROWS = 2**20
 # j * (k - j + 1), of one `ci` total.
 MAX_BOUND_TERMS = 2**11
 MAX_CI_STEPS = 2**20
+
+# The names `audit --name` accepts, in the order of `harness.AUDIT_REGISTRY`
+# (a test checks that they agree).  Listing them here keeps `harness`, and
+# with it numpy, out of `--help` and of every usage error.
+AUDIT_NAMES = (
+    "products-bounds",
+    "shell-bounds",
+    "smith-cone",
+    "double-cover-products",
+    "deformation-products",
+    "alexander-equator",
+    "mv-wedge",
+    "mv-disjoint",
+    "mv-three",
+    "mv-fabricated-violation",
+)
 
 
 def _check_table_size(rows: int) -> None:
@@ -235,11 +253,15 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
     Given a subcommand name, only that subcommand is built: parsing its
     command line reads no other, and building them costs more than the
-    parse.  Help and error output are the same either way.
+    parse.  Help and error output are the same either way.  The terminal
+    width is read once, here, rather than by each of the help formatters
+    argparse makes per argument; the width is argparse's own default.
     """
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="quadbetti",
         description="Betti bound tables and verification audits for quadratic systems",
+        formatter_class=formatter,
     )
     helps = {
         "bounds": "per-degree bound table",
@@ -250,7 +272,8 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     # Usage lines list the subcommands; the metavar keeps the unbuilt ones in them.
     metavar = "{" + ",".join(helps) + "}" if command else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    subs = {name: sub.add_parser(name, help=helps[name]) for name in ([command] if command else helps)}
+    subs = {name: sub.add_parser(name, help=helps[name], formatter_class=formatter)
+            for name in ([command] if command else helps)}
 
     if "bounds" in subs:
         p_bounds = subs["bounds"]
@@ -272,10 +295,8 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         subs["verify"].add_argument("--full", action="store_true", help="include the slow audits")
 
     if "audit" in subs:
-        from .harness import AUDIT_REGISTRY
-
         p_audit = subs["audit"]
-        p_audit.add_argument("--name", required=True, choices=AUDIT_REGISTRY)
+        p_audit.add_argument("--name", required=True, choices=AUDIT_NAMES)
         p_audit.add_argument("--k", type=int, default=2)
         p_audit.add_argument("--r-in", dest="r_in", default="1/2")
         p_audit.add_argument("--r-out", dest="r_out", default="1")

@@ -519,8 +519,8 @@ def _equator_split(res: Fraction, tau: Fraction) -> Tuple[CubicalComplex, Cubica
     equator_form = QuadraticForm.make(
         3, [[0, 0, 0], [0, 0, 0], [0, 0, 1]]
     )  # zero set of X3^2 is the equator plane
-    band = _top_cells(spec, (), 1)
-    subset = _top_cells(spec, _zero_polys([equator_form], tau), 1)
+    band, _ = _top_cells(spec, (), 1)
+    subset, run_axis = _top_cells(spec, _zero_polys([equator_form], tau), 1)
     near = np.zeros([n + 2 for n in spec.shape], dtype=bool)
     near[tuple(subset.T + 1)] = True
     # Along each axis the padding is empty until this axis is grown, so no
@@ -528,7 +528,7 @@ def _equator_split(res: Fraction, tau: Fraction) -> Tuple[CubicalComplex, Cubica
     for axis in range(spec.dim):
         near = near | np.roll(near, 1, axis) | np.roll(near, -1, axis)
     complement = band[~near[tuple(band.T + 1)]]
-    return (close_under_faces(2 * subset + 1, ambient_dim=spec.dim),
+    return (close_under_faces(2 * subset + 1, ambient_dim=spec.dim, run_axis=run_axis),
             close_under_faces(2 * complement + 1, ambient_dim=spec.dim))
 
 

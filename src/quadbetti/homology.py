@@ -16,8 +16,12 @@ Inside a complex each cell is one int on the doubled lattice, the implicit
 cubical complex of Wagner, Chen and Vucini (also used by CubicalRipser).
 Each complex fixes a frame over the bounding box of its codes: per axis an
 even lowest code lo_a, at least two below the smallest code, and a span of
-2^b_a positions reaching at least two above the largest; the last axis has
-stride 1 and stride_a = stride_{a+1} * 2^b_{a+1}.  A cell is
+2^b_a positions reaching at least two above the largest.  One axis, the run
+axis, has stride 1; the others keep their order above it, each stride the
+product of the spans of the axes below it.  The run axis is the last one
+unless the caller of `close_under_faces` picks another: the grid builders
+pick the axis along which the most pairs of their top cells are adjacent.
+A cell is
 
     flat = sum_a (code_a - lo_a) * stride_a
 
@@ -29,28 +33,30 @@ where parity is the sum of the strides.  The codim-1 faces of a cell are
 flat -/+ stride_a over the odd axes a, its cofaces flat -/+ stride_a over
 the even axes; the padding keeps every such neighbour inside the box, so no
 offset wraps onto another cell.  Flat order is the lexicographic order of
-the code tuples.
+the code tuples with the run axis moved last.
 
 A complex stores its runs: the maximal stretches of consecutive flat
 indices, as two sorted arrays of the first and the last index of each.  A
-line along the last axis (stride 1) starts and ends with two padding codes
+line along the run axis (stride 1) starts and ends with two padding codes
 that hold no cell, so a run never reaches the next line: all its cells
 share their codes on the other axes, and with p the popcount of those
-parities its cells even on the last axis have dimension p and the odd ones
+parities its cells even on the run axis have dimension p and the odd ones
 p + 1.  So the count of cells per dimension follows from each run's length
 and the parity of its ends.  The cells themselves are listed from the runs
 only to rank a small complex directly and to decode code tuples (`cells`, a
 missing face in an error message, the set operations of
 `union_and_intersections`).
 
-Face closure works on runs.  An odd cell's two faces on the last axis are
-its neighbours in the line, so every run end odd on the last axis widens by
-one; then all ends are even.  Then, axis by axis off the last, the runs odd
-on the axis are appended shifted by -stride and by +stride and merged
+Face closure works on runs.  An odd cell's two faces on the run axis are
+its neighbours in the line, so every run end odd on the run axis widens by
+one; then all ends are even.  Then, axis by axis off the run axis, the runs
+odd on the axis are appended shifted by -stride and by +stride and merged
 again: the first and the last indices are sorted each on their own, and a
 run ends at the i-th last index exactly when the (i + 1)-th first index lies
-more than one beyond it.  Code arrays from the grid builders arrive in flat
-order, so they enter the frame without a sort.
+more than one beyond it.  Code arrays from the grid builders arrive in
+lexicographic order, which is flat order when the run axis is the last, so
+they enter such a frame without a sort; on another run axis one stable sort
+orders them.
 
 Betti numbers are computed over the two-element field: b_d equals
 (#d-cells) - rank(boundary_d) - rank(boundary_{d+1}), with the ranks by
@@ -69,28 +75,28 @@ keeps the span of boundary_d, and so its rank; they are ranked as zero
 columns.  Their faces are still looked up, so a missing face still raises.
 
 `betti` ranks a complex K of at least _COLLAPSE_MIN_CELLS cells through its
-run complex, the Morse complex of a matching along the last axis (R. Forman,
+run complex, the Morse complex of a matching along the run axis (R. Forman,
 "Morse theory for cell complexes", Adv. Math. 134, 1998), in the same way,
 and a smaller complex cell by cell; that cell count is the one switch
 between the two.  In a face-closed complex a run starts and ends on an even
-code, as an odd cell's two faces on the last axis are its neighbours in the
+code, as an odd cell's two faces on the run axis are its neighbours in the
 line.  So closure is checked run by run: the ends of every run must be even,
 and along each axis where a run's code is odd, the run shifted by -stride
 and by +stride must be there.
 
-The matching pairs e with e + 1 in every run, e even on the last axis.  It
-leaves one critical cell per run, its top t_r, even on the last axis, whose
+The matching pairs e with e + 1 in every run, e even on the run axis.  It
+leaves one critical cell per run, its top t_r, even on the run axis, whose
 dimension is the number of other axes where the run's code is odd.  A
 gradient path goes from a cell e to its partner e + 1 and on to a facet of
-e + 1 other than e.  The facets e + 1 -/+ stride_a off the last axis are odd
+e + 1 other than e.  The facets e + 1 -/+ stride_a off the run axis are odd
 on it, so they are paired downward and end the path; only e + 2 goes on.
 So paths climb their own run, and the matching is acyclic.  A facet
 t_r -/+ stride_a of a top, along an axis a where t_r is odd, is even on the
-last axis: it is the top of its run, or the one path from it climbs to that
+run axis: it is the top of its run, or the one path from it climbs to that
 top.  The 2p facets of a p-dimensional top lie on 2p distinct lines, hence
 in 2p distinct runs, so over GF(2) the boundary of run r in the Morse
 complex is the set of runs that hold t_r -/+ stride_a for the axes a off the
-last where t_r is odd, and the run complex has the homology of K.  One
+run axis where t_r is odd, and the run complex has the homology of K.  One
 binary search of the run tops per axis and sign finds these runs and checks
 closure: a shifted run is there when the first run whose top is not below
 its top starts at or below its first cell.
@@ -160,28 +166,30 @@ def cube_dim(cube: Cube) -> int:
 class _Frame:
     """Power-of-two strides over the padded bounding box of some codes."""
 
-    __slots__ = ("lo", "spans", "strides", "shifts", "parity", "base", "dtype")
+    __slots__ = ("lo", "spans", "strides", "cross", "shifts", "parity", "base", "dtype")
 
-    def __init__(self, bounds: Sequence[Tuple[int, int]]):
-        """`bounds` holds the least and the largest code on each axis."""
-        lows: List[int] = []
-        spans: List[int] = []
-        strides: List[int] = []
+    def __init__(self, bounds: Sequence[Tuple[int, int]], run_axis: int = -1):
+        """`bounds` holds the least and the largest code on each axis.
+
+        The run axis gets stride 1; the other axes keep their order above it.
+        """
+        order = list(range(len(bounds)))
+        if order:
+            order.append(order.pop(run_axis))
+        lows, spans, strides = [0] * len(order), [0] * len(order), [0] * len(order)
         stride, base = 1, 0
-        for least, largest in reversed(bounds):
+        for a in reversed(order):
+            least, largest = bounds[a]
             # An even lo puts each code's parity in bit 0 of its position, and a
             # margin of two codes keeps every face and coface inside the box.
             lo = (least - 2) & -2
             span = (1 << (largest + 2 - lo).bit_length()) - 1
-            lows.append(lo)
-            spans.append(span)
-            strides.append(stride)
+            lows[a], spans[a], strides[a] = lo, span, stride
             base += lo * stride
             stride *= span + 1
-        lows.reverse()
-        spans.reverse()
-        strides.reverse()
         self.lo, self.spans, self.strides, self.base = lows, spans, strides, base
+        # The strides of the axes off the run axis, in axis order.
+        self.cross = [strides[a] for a in order[:-1]]
         self.shifts = [s.bit_length() - 1 for s in strides]
         # The stride bits: a cell's dimension is the popcount of its flat index masked by them.
         self.parity = sum(strides)
@@ -210,8 +218,10 @@ class _Frame:
         return zip(*self.codes(flat).T.tolist())
 
 
-def _encode(cubes: Union[Collection[Cube], np.ndarray], ambient_dim: int) -> Tuple[_Frame, np.ndarray]:
-    """Frame around the cubes, and the sorted array of their flat indices.
+def _encode(
+    cubes: Union[Collection[Cube], np.ndarray], ambient_dim: int, run_axis: int = -1
+) -> Tuple[_Frame, np.ndarray]:
+    """Frame around the cubes with stride 1 on `run_axis`, and the sorted array of their flat indices.
 
     `cubes` holds code tuples, or is an (N, ambient_dim) int array of codes,
     one cube per row, whose flat indices are one matrix product.
@@ -219,18 +229,19 @@ def _encode(cubes: Union[Collection[Cube], np.ndarray], ambient_dim: int) -> Tup
     if isinstance(cubes, np.ndarray):
         if cubes.ndim != 2 or cubes.shape[1] != ambient_dim:
             raise ValueError(f"code array of shape {cubes.shape} has no {ambient_dim} axes")
-        frame = _Frame(list(zip(cubes.min(0).tolist(), cubes.max(0).tolist())) if len(cubes) else [(0, 0)] * ambient_dim)
+        bounds = list(zip(cubes.min(0).tolist(), cubes.max(0).tolist())) if len(cubes) else [(0, 0)] * ambient_dim
+        frame = _Frame(bounds, run_axis)
         flat = frame.flat(cubes)
         # The grid builders list their cubes in lexicographic order of the
-        # codes, which is flat order; otherwise one stable sort merges the
-        # ascending runs in a single pass.
+        # codes, which is flat order when the run axis is the last;
+        # otherwise one stable sort merges the ascending runs in a single pass.
         if np.count_nonzero(flat[1:] < flat[:-1]):
             flat = np.sort(flat, kind="stable")
         return frame, flat
     if set(map(len, cubes)) - {ambient_dim}:
         c = next(c for c in cubes if len(c) != ambient_dim)
         raise ValueError(f"cube {c!r} has {len(c)} axes, ambient dimension is {ambient_dim}")
-    frame = _Frame([(min(col), max(col)) for col in zip(*cubes)] if cubes else [(0, 0)] * ambient_dim)
+    frame = _Frame([(min(col), max(col)) for col in zip(*cubes)] if cubes else [(0, 0)] * ambient_dim, run_axis)
     strides, base = frame.strides, frame.base
     return frame, np.array(sorted({sum(map(mul, c, strides)) - base for c in cubes}), dtype=frame.dtype)
 
@@ -292,8 +303,8 @@ class CubicalComplex:
     def _dim_counts(self) -> List[int]:
         """The number of cells of each dimension up to the top one.
 
-        The cells of a run even on the last axis have the dimension p of its
-        first cell with the last axis masked off, and the odd ones p + 1.
+        The cells of a run even on the run axis have the dimension p of its
+        first cell with the run axis, bit 0, masked off, and the odd ones p + 1.
         """
         if self._counts is None:
             first, last = self._first, self._last
@@ -336,23 +347,27 @@ class CubicalComplex:
 
 
 def close_under_faces(
-    cubes: Union[Iterable[Cube], np.ndarray], ambient_dim: Optional[int] = None
+    cubes: Union[Iterable[Cube], np.ndarray], ambient_dim: Optional[int] = None, *, run_axis: int = -1
 ) -> CubicalComplex:
     """Smallest face-closed complex containing the given cubes.
 
     The cubes are code tuples, or the rows of an int array of codes.  The
     ambient dimension defaults to the axis count of the first cube; a cube
     with another axis count raises ValueError.  The closure is built on
-    runs, as the module docstring describes.
+    runs along `run_axis`, by default the last axis, as the module
+    docstring describes; the run axis changes how the cells are stored and
+    ranked, not which cells there are.
     """
     if not isinstance(cubes, np.ndarray):
         cubes = list(cubes)
     if ambient_dim is None:
         ambient_dim = len(cubes[0]) if len(cubes) else 0
-    frame, flat = _encode(cubes, ambient_dim)
+    if ambient_dim and not -ambient_dim <= run_axis < ambient_dim:
+        raise ValueError(f"run axis {run_axis} is not one of the {ambient_dim} axes")
+    frame, flat = _encode(cubes, ambient_dim, run_axis)
     odd = flat & 1
     first, last = _merge(flat - odd, flat + odd)
-    for s in frame.strides[:-1]:
+    for s in frame.cross:
         odd = (first & s) != 0
         if np.count_nonzero(odd):
             ends = []
@@ -426,8 +441,8 @@ def _run_complex(c: CubicalComplex) -> np.ndarray:
 
     The module docstring gives the conditions and the search.  Row 2a of
     the table holds, for each run r, the run that holds t_r - stride_a, and
-    row 2a + 1 the run that holds t_r + stride_a, along each axis a but the
-    last; where t_r is even on axis a the entry is the run count R.
+    row 2a + 1 the run that holds t_r + stride_a, along the a-th axis off the
+    run axis; where t_r is even on that axis the entry is the run count R.
     """
     frame, first, last = c._frame, c._first, c._last
     for ends, step in ((first, -1), (last, 1)):
@@ -435,8 +450,8 @@ def _run_complex(c: CubicalComplex) -> np.ndarray:
         if np.count_nonzero(odd):
             raise _missing_face(frame, ends[odd] + step)
     n = len(last)
-    table = np.full((2 * len(frame.strides[:-1]), n), n, dtype=np.int32 if n < 2**31 else np.int64)
-    for a, s in enumerate(frame.strides[:-1]):
+    table = np.full((2 * len(frame.cross), n), n, dtype=np.int32 if n < 2**31 else np.int64)
+    for a, s in enumerate(frame.cross):
         odd = ((last & s) != 0).nonzero()[0]
         for row, t in ((2 * a, -s), (2 * a + 1, s)):
             runs = last.searchsorted(last[odd] + t)

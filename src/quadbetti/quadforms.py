@@ -580,32 +580,50 @@ def _u_max(gs: _GridScale, shape: Tuple[int, ...]) -> int:
 
 
 @functools.lru_cache(maxsize=4)
-def _sphere_band(spec: GridSpec, r: Fraction) -> np.ndarray:
+def _sphere_band(spec: GridSpec, r: Fraction) -> Tuple[np.ndarray, np.ndarray]:
     """Read-only grid indices, one cell per row in lexicographic order, of
-    the cells the radius-r sphere crosses.
+    the cells the radius-r sphere crosses, and their successor table.
 
-    Computed once per (grid, radius) and shared by every caller.  Four
-    entries cover the distinct bands of one `verify --full`: the 2-D and
-    3-D lifts, and the unit sphere that the Smith cone and the Alexander
-    audit share.  The mask is exact in int64 when its own bound
+    Row a of the successor table holds, for each band cell, the row of its
+    +1 neighbour along axis a, or the band's cell count where that
+    neighbour is not in the band; `_top_cells` counts adjacent kept cells
+    through it.  Computed once per (grid, radius) and shared by every
+    caller.  Four entries cover the distinct bands of one `verify --full`:
+    the 2-D and 3-D lifts, and the unit sphere that the Smith cone and the
+    Alexander audit share.  The mask is exact in int64 when its own bound
     dim * u_max**2 stays below 2**62, and uses Python ints otherwise.  The
-    cache keeps its bands for the life of the process, so their indices
-    are stored at the narrowest unsigned dtype that holds the longest axis
-    (uint8 on every audit's grid).
+    cache keeps its bands for the life of the process, so both arrays are
+    stored at the narrowest unsigned dtype that holds them: the indices at
+    that of the longest axis (uint8 on every audit's grid), the successor
+    table at that of the cell count (uint16 for the 19,256 cells of the
+    68**3 lift grid: 3 x 19,256 entries, 115,536 bytes).
     """
     gs = _GridScale(spec)
     shape = spec.shape
     u_max = _u_max(gs, shape)
     lows = _scaled_lows(gs, shape, spec.dim * u_max * u_max >= _INT64_SAFE)
     mask = _band_mask(lows, gs.step, r * r * gs.scale * gs.scale)
-    band = np.argwhere(mask).astype(np.min_scalar_type(max(shape, default=1) - 1))
-    band.flags.writeable = False
-    return band
+    band = np.argwhere(mask)
+    n = len(band)
+    succ = np.full((spec.dim, n), n, dtype=np.min_scalar_type(n))
+    if n:
+        # The rows are in lexicographic order, so their grid keys ascend.
+        keys = np.ravel_multi_index(tuple(band.T), shape)
+        stride = 1
+        for a in reversed(range(spec.dim)):
+            after = keys + stride
+            at = keys.searchsorted(after)
+            there = (band[:, a] < shape[a] - 1) & (keys.take(at, mode="clip") == after)
+            succ[a, there] = at[there]
+            stride *= shape[a]
+    band = band.astype(np.min_scalar_type(max(shape, default=1) - 1))
+    band.flags.writeable = succ.flags.writeable = False
+    return band, succ
 
 
-def _top_cells(spec: GridSpec, polys: Sequence[QuadraticPoly], radius=None) -> np.ndarray:
+def _top_cells(spec: GridSpec, polys: Sequence[QuadraticPoly], radius=None) -> Tuple[np.ndarray, int]:
     """Grid indices, one cell per row in lexicographic order, of the candidate
-    cells where every polynomial is >= 0 at the center.
+    cells where every polynomial is >= 0 at the center, and their run axis.
 
     The candidates are the whole box or, given a radius, the cells the
     radius sphere crosses.  The band is computed once per (grid, radius)
@@ -617,6 +635,12 @@ def _top_cells(spec: GridSpec, polys: Sequence[QuadraticPoly], radius=None) -> n
     bound computed first shows that no value reaches 2**62, and hold
     Python ints otherwise.  A box above MAX_GRID_CELLS is rejected before
     any array is allocated or any band is looked up.
+
+    The run axis is the axis along which the most pairs of kept cells are
+    adjacent, the highest one among ties: closure and `betti` work run by
+    run, and runs along it are the longest on average.  The pairs are
+    counted on the kept mask of the box, or through the band's successor
+    table.
     """
     for p in polys:
         if p.k != spec.dim:
@@ -636,18 +660,28 @@ def _top_cells(spec: GridSpec, polys: Sequence[QuadraticPoly], radius=None) -> n
         u = np.ix_(*centers)
         keep = np.ones(shape, dtype=bool)
     else:
-        cand = _sphere_band(spec, r)
+        cand, succ = _sphere_band(spec, r)
         u = [c[ix] for c, ix in zip(centers, cand.T)]
         keep = np.ones(len(cand), dtype=bool)
     for e in evals:
         keep &= e.values(u) >= 0
-    # intp keeps the codes 2*j + 1 of a uint8 band from wrapping.
-    return np.argwhere(keep) if r is None else cand[keep].astype(np.intp)
+    if r is None:
+        pairs = [np.count_nonzero(keep[(slice(None),) * a + (slice(1, None),)] & keep[(slice(None),) * a + (slice(-1),)])
+                 for a in range(spec.dim)]
+        cells = np.argwhere(keep)
+    else:
+        # A last False stands for the neighbours outside the band.
+        after = np.append(keep, False)
+        pairs = [np.count_nonzero(keep & after.take(s)) for s in succ]
+        # intp keeps the codes 2*j + 1 of a uint8 band from wrapping.
+        cells = cand[keep].astype(np.intp)
+    return cells, max(range(spec.dim), key=lambda a: (pairs[a], a), default=-1)
 
 
 def _build(spec: GridSpec, polys: Sequence[QuadraticPoly], radius=None) -> CubicalComplex:
-    """Face closure of the cells `_top_cells` keeps."""
-    return close_under_faces(2 * _top_cells(spec, polys, radius) + 1, ambient_dim=spec.dim)
+    """Face closure of the cells `_top_cells` keeps, with the run axis it picks."""
+    cells, run_axis = _top_cells(spec, polys, radius)
+    return close_under_faces(2 * cells + 1, ambient_dim=spec.dim, run_axis=run_axis)
 
 
 def grid_complex(system: Sequence[QuadraticPoly], spec: GridSpec) -> CubicalComplex:

@@ -394,13 +394,32 @@ def test_audit_and_verify_leave_numpy_random_unloaded():
     assert _fresh_process(argvs, "numpy.random") == "[0, 0] False\n"
 
 
-@pytest.mark.parametrize("argv", [["bounds", "--s", "1:3", "--k", "6"], ["ci", "--j", "2", "--k", "6"]],
-                         ids=["bounds", "ci"])
+@pytest.mark.parametrize("argv", [["bounds", "--s", "1:3", "--k", "6"], ["ci", "--j", "2", "--k", "6"],
+                                  ["--help"], ["audit", "--help"]],
+                         ids=["bounds", "ci", "help", "audit-help"])
 def test_exact_commands_leave_numpy_unloaded(argv):
     # Neither the package root nor cli imports the grid engine or the report
-    # dataclasses for these.
+    # dataclasses for these; help takes the audit names from cli.AUDIT_NAMES.
     for module in ("numpy", "dataclasses"):
         assert _fresh_process([argv], module) == "[0] False\n", module
+
+
+def test_audit_names_are_the_registry_names_in_order():
+    from quadbetti import harness
+
+    assert cli.AUDIT_NAMES == tuple(harness.AUDIT_REGISTRY)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["audit", "--name", "mv-wedge"], ["bounds", "--k", "3"]])
+def test_parser_reads_the_terminal_width_once(capsys, monkeypatch, argv):
+    import shutil
+
+    calls = []
+    size = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or size(*a))
+    main(argv)
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_audit_and_verify_call_no_float_linear_algebra(capsys, monkeypatch):

@@ -18,16 +18,26 @@ a deformation report were re-recorded when the audit stopped scaling its
 family below the grid's sign granularity: each new stdout is the old one
 minus its `family_scale` line (two lines in `verify --full`).  Any change to
 a column, its order, a key, a verdict or a Betti vector shows up here.
+
+`data/cli_help.json` holds argv, terminal width (COLUMNS), exit code,
+stdout and stderr of the top-level and each subcommand's `--help` and of
+three usage errors, at widths 40, 80 and 200, recorded before the parser
+read the terminal width once per build and took the audit names from a
+static list.  argparse's layout is the same from Python 3.10 to 3.12;
+3.13 changed it, so the replay runs before 3.13.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from quadbetti.cli import main
 
-CASES = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+DATA = Path(__file__).parent / "data"
+CASES = json.loads((DATA / "cli_golden.json").read_text())
+HELP_CASES = json.loads((DATA / "cli_help.json").read_text())
 
 
 @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
@@ -35,3 +45,12 @@ def test_cli_output_matches_recording(capsys, case):
     code = main(case["argv"])
     assert capsys.readouterr().out == case["stdout"]
     assert code == case["code"]
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13), reason="recorded with the argparse layout of Python 3.10-3.12")
+@pytest.mark.parametrize("case", HELP_CASES, ids=[f"{' '.join(c['argv']) or '(none)'} @{c['columns']}" for c in HELP_CASES])
+def test_help_and_usage_errors_match_recording(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", str(case["columns"]))
+    code = main(case["argv"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (case["code"], case["stdout"], case["stderr"])

@@ -453,6 +453,50 @@ def test_counts_from_runs_match_the_cell_dimensions(case):
         assert cx.euler_characteristic() == sum((-1) ** d * n for d, n in want.items())
 
 
+# ---------------------------------------------------------------------------
+# The run axis: any axis can be the frame's stride-1 axis.
+
+
+def _on_run_axis(cells, dim, run_axis):
+    """The complex of the code tuples `cells`, face-closed or not, in a frame with stride 1 on `run_axis`."""
+    frame, flat = homology._encode(list(cells), dim, run_axis)
+    return CubicalComplex._from_runs(dim, frame, *homology._merge(flat, flat))
+
+
+@SETTINGS
+@given(mixed_cubes(), st.sampled_from([0, 22]), st.data())
+def test_every_run_axis_gives_the_complex_of_the_last_axis(case, extra, data):
+    dim, cubes = case
+    n = dim + extra
+    codes = np.array([(0,) * extra + c for c in cubes], dtype=np.int64).reshape(len(cubes), n)
+    ref = close_under_faces(codes, ambient_dim=n)
+    assert ref._last.dtype == (object if extra else np.int64)
+
+    def summary(cx):
+        return betti(cx), len(cx), [cx.n_cells(d) for d in range(-1, n + 2)], cx.euler_characteristic(), cx.cells
+
+    want = summary(ref)
+    faces = sorted({f for c in ref.cells for f in cube_faces(c)})
+    gone = data.draw(st.sampled_from(faces)) if faces else None
+    for run_axis in (0, *range(extra, n)):
+        cx = close_under_faces(codes, ambient_dim=n, run_axis=run_axis)
+        assert cx._frame.strides[run_axis] == 1
+        assert summary(cx) == want
+        if gone is None:
+            continue
+        # One face removed: both ways of ranking name it, in its codes.
+        broken = _on_run_axis(ref.cells - {gone}, n, run_axis)
+        for rank in (betti, homology._run_complex):
+            with pytest.raises(ValueError, match=re.escape(f"complex is not face-closed: missing {gone!r}")):
+                rank(broken)
+
+
+def test_run_axis_out_of_range_is_rejected():
+    with pytest.raises(ValueError, match="run axis 2 is not one of the 2 axes"):
+        close_under_faces([(1, 1)], run_axis=2)
+    assert close_under_faces([(1, 1)], run_axis=-2)._frame.strides[0] == 1
+
+
 # The 16 x 16 square of unit squares, 1,089 cells: `betti` ranks its run complex.
 SOLID = close_under_faces([(2 * i + 1, 2 * j + 1) for i in range(16) for j in range(16)])
 

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadbetti.homology import _run_complex, betti, pad_betti
+from quadbetti.harness import _lift_spec, scenario_products, scenario_shell
+from quadbetti.homology import _run_complex, betti, close_under_faces, pad_betti
 from quadbetti.quadforms import (
     DeformationParams,
     MAX_GRID_CELLS,
@@ -555,22 +556,29 @@ def test_shared_band_matches_fraction_reference(name):
     assert _sphere_band.cache_info().misses == 1
     again = _sphere_band(spec, r)
     assert _sphere_band.cache_info().hits == 1 and again is first
-    for band in (first, again):
-        assert np.array_equal(band, expected)
-        assert not band.flags.writeable
+    band, succ = first
+    assert np.array_equal(band, expected)
+    for table in (band, succ):
+        assert not table.flags.writeable
         with pytest.raises(ValueError):
-            band[0, 0] = 0
-    assert np.array_equal(_top_cells(spec, (), r), expected)
+            table[0, 0] = 0
+    # Row a of the successor table: the row of each cell's +1 neighbour
+    # along axis a, or the cell count where the neighbour is not in the band.
+    row_of = {tuple(c): i for i, c in enumerate(expected.tolist())}
+    want = [[row_of.get(tuple(c[:a] + [c[a] + 1] + c[a + 1:]), len(expected)) for c in expected.tolist()]
+            for a in range(spec.dim)]
+    assert succ.dtype == np.min_scalar_type(len(expected)) and succ.tolist() == want
+    assert np.array_equal(_top_cells(spec, (), r)[0], expected)
 
 
 def test_top_cells_returns_a_private_intp_array():
     spec, r = _QUARTERS, Fraction(5, 4)
-    first = _top_cells(spec, (), r)
+    first, _ = _top_cells(spec, (), r)
     assert first.dtype == np.intp and first.flags.writeable
     expected = first.copy()
     first[:] = 0
-    assert np.array_equal(_top_cells(spec, (), r), expected)
-    assert np.array_equal(_sphere_band(spec, r), expected)
+    assert np.array_equal(_top_cells(spec, (), r)[0], expected)
+    assert np.array_equal(_sphere_band(spec, r)[0], expected)
 
 
 # Unit circles on grids whose long axis passes 128 and 256 cells, so the
@@ -580,7 +588,7 @@ def test_top_cells_returns_a_private_intp_array():
 def test_narrow_band_indices_do_not_wrap(res, dtype, cells_above):
     spec = GridSpec.symmetric(1 + 4 * res, res, 2)
     assert max(spec.shape) > cells_above
-    band = _sphere_band(spec, Fraction(1))
+    band, _ = _sphere_band(spec, Fraction(1))
     assert band.dtype == dtype
     if dtype == np.uint8:
         expected = np.array(list(_band_cells(spec, Fraction(1))))
@@ -589,7 +597,7 @@ def test_narrow_band_indices_do_not_wrap(res, dtype, cells_above):
         lows = [lo + gs.step * np.arange(n).astype(object) for lo, n in zip(gs.lo, spec.shape)]
         expected = np.argwhere(_band_mask(lows, gs.step, Fraction(gs.scale) ** 2))
     assert np.array_equal(band, expected)
-    tops = _top_cells(spec, (), 1)
+    tops, _ = _top_cells(spec, (), 1)
     assert np.array_equal(tops, expected) and (2 * tops + 1).max() > 255
     assert betti(sphere_band_complex(1, spec)) == (1, 1, 0)
 
@@ -599,8 +607,8 @@ def test_centers_past_int64_with_no_polynomial():
     polynomial, whose magnitude would bound them, is evaluated."""
     spec = GridSpec(box=((-2**63, 2**63),) * 2, resolution=2**62)
     assert _GridScale(spec).lo[0] < -2**63
-    assert np.array_equal(_top_cells(spec, ()), np.argwhere(np.ones(spec.shape, dtype=bool)))
-    assert np.array_equal(_top_cells(spec, (), 2**62), np.array(list(_band_cells(spec, Fraction(2**62)))))
+    assert np.array_equal(_top_cells(spec, ())[0], np.argwhere(np.ones(spec.shape, dtype=bool)))
+    assert np.array_equal(_top_cells(spec, (), 2**62)[0], np.array(list(_band_cells(spec, Fraction(2**62)))))
 
 
 class TestSphereComplexes:
@@ -649,6 +657,22 @@ class TestSphereComplexes:
         spec = GridSpec.symmetric(21, Fraction(1, 2), 2)
         cx = sphere_region_complex([], Fraction(1, 10), spec)
         assert betti(cx)[0] == 2
+
+    # The lifts `double_cover_audit` builds at its defaults.  The shell-k2 lift
+    # is a thin ring near each pole, so its top cells are adjacent least often
+    # along the last axis, the homogenizing one.
+    @pytest.mark.parametrize("scenario, run_axis, runs, last_axis_runs", [
+        (scenario_shell(2, Fraction(1, 2), 1), 1, 4472, 8720),
+        (scenario_products(2), 2, 13448, 13448),
+        (scenario_products(1), 1, 172, 172),
+    ], ids=["shell-k2", "products-k2", "products-k1"])
+    def test_lift_runs_along_the_axis_of_most_adjacent_top_cells(self, scenario, run_axis, runs, last_axis_runs):
+        eps = Fraction(1, 10)
+        polys = [homogenize(p).as_poly() for p in scenario.system]
+        cx = sphere_region_complex(polys, eps, _lift_spec(eps, scenario.k + 1))
+        assert cx._frame.strides.index(1) == run_axis and len(cx._first) == runs
+        last = close_under_faces(np.array(sorted(cx.cells)), ambient_dim=scenario.k + 1)
+        assert last.cells == cx.cells and len(last._first) == last_axis_runs
 
 
 class TestDeformationParams:
