@@ -666,8 +666,12 @@ def _top_cells(spec: GridSpec, polys: Sequence[QuadraticPoly], radius=None) -> T
     for e in evals:
         keep &= e.values(u) >= 0
     if r is None:
-        pairs = [np.count_nonzero(keep[(slice(None),) * a + (slice(1, None),)] & keep[(slice(None),) * a + (slice(-1),)])
-                 for a in range(spec.dim)]
+        # In the box padded by one empty cell per axis, the pairs along axis a
+        # are the kept x with x + stride_a kept, and none wraps onto a line.
+        padded = np.zeros([n + 1 for n in shape], dtype=bool)
+        padded[tuple(map(slice, shape))] = keep
+        flat = padded.ravel()
+        pairs = [np.count_nonzero(flat[s:] & flat[:-s]) for s in padded.strides]
         cells = np.argwhere(keep)
     else:
         # A last False stands for the neighbours outside the band.
