@@ -25,7 +25,8 @@ dtype that holds them (`_sphere_band`).  The builder computes in int64
 when a bound taken beforehand shows that no value it forms reaches 2**62
 in absolute value, and otherwise runs the same array code on Python ints
 (dtype=object); no float enters.  `_top_cells` returns the grid indices of
-the kept cells, one row per cell, and `_build` closes them under faces.
+the kept cells, one row per cell, and the axis along which the most of them
+are adjacent; `_build` closes them under faces with runs along that axis.
 """
 
 from __future__ import annotations
@@ -674,11 +675,12 @@ def _top_cells(spec: GridSpec, polys: Sequence[QuadraticPoly], radius=None) -> T
         pairs = [np.count_nonzero(flat[s:] & flat[:-s]) for s in padded.strides]
         cells = np.argwhere(keep)
     else:
+        kept = keep.nonzero()[0]
         # A last False stands for the neighbours outside the band.
         after = np.append(keep, False)
-        pairs = [np.count_nonzero(keep & after.take(s)) for s in succ]
+        pairs = [np.count_nonzero(after.take(s.take(kept))) for s in succ]
         # intp keeps the codes 2*j + 1 of a uint8 band from wrapping.
-        cells = cand[keep].astype(np.intp)
+        cells = cand[kept].astype(np.intp)
     return cells, max(range(spec.dim), key=lambda a: (pairs[a], a), default=-1)
 
 
