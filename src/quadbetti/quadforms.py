@@ -669,6 +669,7 @@ def _top_cells(spec: GridSpec, polys: Sequence[QuadraticPoly], radius=None) -> T
     if r is None:
         # In the box padded by one empty cell per axis, the pairs along axis a
         # are the kept x with x + stride_a kept, and none wraps onto a line.
+        # A bool array's byte strides are its strides in cells.
         padded = np.zeros([n + 1 for n in shape], dtype=bool)
         padded[tuple(map(slice, shape))] = keep
         flat = padded.ravel()

@@ -352,6 +352,17 @@ class TestGridComplex:
         spec = GridSpec(box=((-1, 1), (-1, 1)), resolution=Fraction(1, 2))
         assert betti(grid_complex([], spec)) == (1, 0, 0)
 
+    def test_runs_follow_the_axis_of_most_adjacent_kept_cells(self):
+        spec = GridSpec.symmetric(2, Fraction(1, 4), 2)
+        # y^2 <= 1/16 keeps two rows of 16 cells: 30 adjacent pairs along
+        # axis 0, 16 along axis 1.
+        strip = QuadraticPoly.make(2, quad=[[0, 0], [0, -1]], const=Fraction(1, 16))
+        assert _top_cells(spec, [strip])[1] == 0
+        cx = grid_complex([strip], spec)
+        assert cx._frame.strides[0] == 1 and len(cx._first) == 5 and betti(cx) == (1, 0, 0)
+        # The whole box ties, and the tie goes to the last axis.
+        assert _top_cells(spec, [])[1] == 1 and grid_complex([], spec)._frame.strides[1] == 1
+
     def test_infeasible_system(self):
         p = QuadraticPoly.make(2, quad=[[-1, 0], [0, -1]], const=-1)
         spec = GridSpec(box=((-1, 1), (-1, 1)), resolution=Fraction(1, 2))
