@@ -25,8 +25,9 @@ dtype that holds them (`_sphere_band`).  The builder computes in int64
 when a bound taken beforehand shows that no value it forms reaches 2**62
 in absolute value, and otherwise runs the same array code on Python ints
 (dtype=object); no float enters.  `_top_cells` returns the grid indices of
-the kept cells, one row per cell, and the axis along which the most of them
-are adjacent; `_build` closes them under faces with runs along that axis.
+the kept cells, one row per cell, and their run axis: the last axis on the
+whole box, and on a band the axis along which the most of them are
+adjacent; `_build` closes them under faces with runs along that axis.
 """
 
 from __future__ import annotations
@@ -637,11 +638,11 @@ def _top_cells(spec: GridSpec, polys: Sequence[QuadraticPoly], radius=None) -> T
     Python ints otherwise.  A box above MAX_GRID_CELLS is rejected before
     any array is allocated or any band is looked up.
 
-    The run axis is the axis along which the most pairs of kept cells are
-    adjacent, the highest one among ties: closure and `betti` work run by
-    run, and runs along it are the longest on average.  The pairs are
-    counted on the kept mask of the box, or through the band's successor
-    table.
+    The run axis is -1, the last axis, on the whole box.  On a band it is
+    the axis along which the most pairs of kept cells are adjacent, the
+    highest one among ties, counted through the band's successor table:
+    closure and `betti` work run by run, and runs along it are the longest
+    on average.
     """
     for p in polys:
         if p.k != spec.dim:
@@ -667,22 +668,13 @@ def _top_cells(spec: GridSpec, polys: Sequence[QuadraticPoly], radius=None) -> T
     for e in evals:
         keep &= e.values(u) >= 0
     if r is None:
-        # In the box padded by one empty cell per axis, the pairs along axis a
-        # are the kept x with x + stride_a kept, and none wraps onto a line.
-        # A bool array's byte strides are its strides in cells.
-        padded = np.zeros([n + 1 for n in shape], dtype=bool)
-        padded[tuple(map(slice, shape))] = keep
-        flat = padded.ravel()
-        pairs = [np.count_nonzero(flat[s:] & flat[:-s]) for s in padded.strides]
-        cells = np.argwhere(keep)
-    else:
-        kept = keep.nonzero()[0]
-        # A last False stands for the neighbours outside the band.
-        after = np.append(keep, False)
-        pairs = [np.count_nonzero(after.take(s.take(kept))) for s in succ]
-        # intp keeps the codes 2*j + 1 of a uint8 band from wrapping.
-        cells = cand[kept].astype(np.intp)
-    return cells, max(range(spec.dim), key=lambda a: (pairs[a], a), default=-1)
+        return np.argwhere(keep), -1
+    kept = keep.nonzero()[0]
+    # A last False stands for the neighbours outside the band.
+    after = np.append(keep, False)
+    pairs = [np.count_nonzero(after.take(s.take(kept))) for s in succ]
+    # intp keeps the codes 2*j + 1 of a uint8 band from wrapping.
+    return cand[kept].astype(np.intp), max(range(spec.dim), key=lambda a: (pairs[a], a), default=-1)
 
 
 def _build(spec: GridSpec, polys: Sequence[QuadraticPoly], radius=None) -> CubicalComplex:

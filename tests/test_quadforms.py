@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -352,16 +353,28 @@ class TestGridComplex:
         spec = GridSpec(box=((-1, 1), (-1, 1)), resolution=Fraction(1, 2))
         assert betti(grid_complex([], spec)) == (1, 0, 0)
 
-    def test_runs_follow_the_axis_of_most_adjacent_kept_cells(self):
+    def test_whole_box_runs_along_the_last_axis(self):
         spec = GridSpec.symmetric(2, Fraction(1, 4), 2)
         # y^2 <= 1/16 keeps two rows of 16 cells: 30 adjacent pairs along
-        # axis 0, 16 along axis 1.
+        # axis 0, 16 along axis 1; the box still runs along the last axis.
         strip = QuadraticPoly.make(2, quad=[[0, 0], [0, -1]], const=Fraction(1, 16))
-        assert _top_cells(spec, [strip])[1] == 0
+        assert _top_cells(spec, [strip])[1] == -1
         cx = grid_complex([strip], spec)
-        assert cx._frame.strides[0] == 1 and len(cx._first) == 5 and betti(cx) == (1, 0, 0)
-        # The whole box ties, and the tie goes to the last axis.
-        assert _top_cells(spec, [])[1] == 1 and grid_complex([], spec)._frame.strides[1] == 1
+        assert cx._frame.strides[1] == 1 and len(cx._first) == 33 and betti(cx) == (1, 0, 0)
+        assert _top_cells(spec, [])[1] == -1 and grid_complex([], spec)._frame.strides[1] == 1
+
+    def test_whole_box_allocates_no_more_than_its_cells(self):
+        # One cell on 20 axes: a mask padded by one cell per axis would
+        # take 2**20 bytes.
+        spec = GridSpec(box=((0, 1),) * 20, resolution=1)
+        tracemalloc.start()
+        try:
+            cells, run_axis = _top_cells(spec, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cells.tolist() == [[0] * 20] and run_axis == -1
+        assert peak < 2**16
 
     def test_infeasible_system(self):
         p = QuadraticPoly.make(2, quad=[[-1, 0], [0, -1]], const=-1)
