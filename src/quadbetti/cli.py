@@ -147,10 +147,9 @@ def _emit_table(fmt: str, out, columns: List[str], rows: List[Dict],
 
 
 def _exit_code(verdicts: Sequence[str]) -> int:
-    from . import harness
-    from .homology import INCONCLUSIVE, VIOLATION
+    from .harness import INCONCLUSIVE, VIOLATION, _overall
 
-    return {VIOLATION: 1, INCONCLUSIVE: 3}.get(harness._overall(verdicts), 0)
+    return {VIOLATION: 1, INCONCLUSIVE: 3}.get(_overall(verdicts), 0)
 
 
 def _cmd_bounds(args, out) -> int:

@@ -13,23 +13,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bounds import b_ci, bound_aggregate, bound_betti
-from .homology import (
-    INCONCLUSIVE,
-    PASS,
-    VIOLATION,
-    CubicalComplex,
-    betti,
-    make_cube,
-    close_under_faces,
-    mayer_vietoris_audit,
-    pad_betti,
-    union_and_intersections,
-)
+from .homology import CubicalComplex, betti, close_under_faces, make_cube
 from .quadforms import (
     DeformationParams,
     GridSpec,
@@ -51,6 +40,11 @@ from .quadforms import (
 )
 
 __all__ = [
+    "PASS",
+    "VIOLATION",
+    "INCONCLUSIVE",
+    "pad_betti",
+    "mayer_vietoris_audit",
     "Scenario",
     "scenario_products",
     "scenario_shell",
@@ -74,6 +68,18 @@ __all__ = [
     "run_verification_suite",
 ]
 
+PASS = "PASS"
+VIOLATION = "VIOLATION"
+INCONCLUSIVE = "INCONCLUSIVE"
+
+
+def pad_betti(v: Sequence[int], length: int) -> Tuple[int, ...]:
+    """Right-pad a Betti vector with zeros (error if nonzero entries are cut)."""
+    v = tuple(v)
+    if len(v) > length and any(v[length:]):
+        raise ValueError(f"cannot truncate nonzero Betti entries from {v}")
+    return (v + (0,) * length)[:length]
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -90,6 +96,13 @@ class Scenario:
     def __post_init__(self):
         if self.s != len(self.system):
             raise ValueError(f"s={self.s} but system has {len(self.system)} polynomials")
+        # The audits read b_0..b_k from grid complexes unpadded, so the grid
+        # and every polynomial must have k axes.
+        if self.grid.dim != self.k:
+            raise ValueError(f"grid has {self.grid.dim} axes, scenario has k={self.k}")
+        for p in self.system:
+            if p.k != self.k:
+                raise ValueError(f"polynomial has {p.k} variables, scenario has k={self.k}")
         if self.oracle_betti is not None and len(self.oracle_betti) != self.k + 1:
             raise ValueError(
                 f"oracle must list b_0..b_{self.k} ({self.k + 1} entries), "
@@ -180,19 +193,11 @@ class _Report:
     """Base of the report dataclasses: one serializer and one CSV shape.
 
     Fields serialize in declaration order; a Fraction becomes "p/q", a tuple
-    a list and a tuple dict key "a,b".  AuditRow.bound splits into
-    numerator and denominator (CSV columns).
+    a list and a tuple dict key "a,b".
     """
 
     def to_dict(self) -> Dict:
-        doc: Dict = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(self, AuditRow) and f.name == "bound":
-                doc["bound_num"], doc["bound_den"] = value.numerator, value.denominator
-            else:
-                doc[f.name] = _jsonable(value)
-        return doc
+        return {f.name: _jsonable(getattr(self, f.name)) for f in fields(self)}
 
     def csv_table(self) -> Tuple[List[str], List[Dict]]:
         """Columns and rows of the CSV output; by default the document is the one row."""
@@ -206,6 +211,11 @@ class AuditRow(_Report):
     betti: int
     bound: Fraction
     verdict: str
+
+    def to_dict(self) -> Dict:
+        """The bound splits into the ints bound_num and bound_den (CSV columns)."""
+        return {"i": self.i, "betti": self.betti, "bound_num": self.bound.numerator,
+                "bound_den": self.bound.denominator, "verdict": self.verdict}
 
 
 @dataclass(frozen=True)
@@ -250,11 +260,11 @@ def bound_audit(sc: Scenario, spec: Optional[GridSpec] = None) -> BoundAuditRepo
     if spec is None:
         if sc.oracle_betti is None:
             raise ValueError(f"scenario {sc.name} has no oracle Betti vector")
-        vec = pad_betti(sc.oracle_betti, sc.k + 1)
+        vec = sc.oracle_betti
         fail = VIOLATION
         params["oracle_note"] = sc.oracle_note
     else:
-        vec = pad_betti(betti(grid_complex(sc.system, spec)), sc.k + 1)
+        vec = betti(grid_complex(sc.system, spec))
         fail = INCONCLUSIVE
         params["resolution"] = format_rational(spec.resolution)
     rows = []
@@ -367,8 +377,12 @@ _BALL_NOTE = "scenario box exceeds the radius-1/eps ball; shrink eps"
 
 
 def _region_betti(polys, eps: Fraction, spec: GridSpec) -> Tuple[int, ...]:
-    """Betti vector b_0..b_{spec.dim} of the lifted region of `polys` on the sphere of radius 2/eps."""
-    return pad_betti(betti(sphere_region_complex(polys, eps, spec)), spec.dim + 1)
+    """Betti vector b_0..b_{spec.dim} of the lifted region of `polys` on the sphere of radius 2/eps.
+
+    A builder's complex is empty or has top cells of the grid's dimension,
+    so `betti` gives every entry; the same holds for the affine grids.
+    """
+    return betti(sphere_region_complex(polys, eps, spec))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -401,10 +415,10 @@ def double_cover_audit(
     if not _scenario_fits_ball(sc, eps):
         return DoubleCoverReport(scenario=sc.name, verdict=INCONCLUSIVE, eps=eps, note=_BALL_NOTE)
     if sc.oracle_betti is not None:
-        base = pad_betti(sc.oracle_betti, sc.k + 1)
+        base = sc.oracle_betti
         base_source = "oracle"
     else:
-        base = pad_betti(betti(grid_complex(sc.system, sc.grid)), sc.k + 1)
+        base = betti(grid_complex(sc.system, sc.grid))
         base_source = "grid"
     spec = _lift_spec(eps, sc.k + 1, sphere_resolution)
     lifted = _region_betti([homogenize(p).as_poly() for p in sc.system], eps, spec)
@@ -557,7 +571,44 @@ def alexander_equator_audit() -> AlexanderReport:
 
 
 # ---------------------------------------------------------------------------
-# Mayer-Vietoris example inputs, generated with the homology engine.
+# The Mayer-Vietoris check, and example inputs generated with the homology engine.
+
+
+def mayer_vietoris_audit(union_betti: Sequence[int], piece_betti: Mapping, i: int) -> str:
+    """Check b_i(union) against the Mayer-Vietoris style intersection bound.
+
+    `piece_betti` maps each nonempty index set J (tuple or frozenset of
+    1-based piece indices, 1 <= |J| <= i+1) to the Betti vector of the
+    corresponding intersection of pieces; the piece count is the largest
+    index that occurs.  Returns PASS when
+    b_i(union) <= sum_{j=1}^{i+1} sum_{|J|=j} b_{i-j+1}(intersection_J),
+    VIOLATION otherwise.  A vector shorter than a degree it is read at
+    reads 0 there.  No piece data, or a missing index set, raises (no
+    verdict).
+    """
+    if i < 0:
+        raise ValueError(f"homology degree must be nonnegative, got {i}")
+    # Every degree read is at most i, so i + 1 zeros extend each vector far enough.
+    zeros = (0,) * (i + 1)
+    pieces = {}
+    for key, vec in piece_betti.items():
+        fkey = frozenset(int(x) for x in key)
+        if not fkey or min(fkey) < 1:
+            raise ValueError(f"piece index sets must be nonempty sets of 1-based ints, got {key!r}")
+        pieces[fkey] = tuple(vec) + zeros
+    if not pieces:
+        raise ValueError("no piece Betti data given; audit is inconclusive")
+    ell = max(max(J) for J in pieces)
+    bound = 0
+    for j in range(1, i + 2):
+        for J in itertools.combinations(range(1, ell + 1), j):
+            key = frozenset(J)
+            if key not in pieces:
+                raise ValueError(
+                    f"missing Betti data for intersection {list(J)}; audit is inconclusive"
+                )
+            bound += pieces[key][i - j + 1]
+    return PASS if (tuple(union_betti) + zeros)[i] <= bound else VIOLATION
 
 
 @dataclass(frozen=True)
@@ -584,11 +635,23 @@ def _hollow_square(x: int, y: int) -> CubicalComplex:
 
 
 def _mv_example(name, pieces: Sequence[CubicalComplex], degree, union_override=None) -> MVExample:
-    """Audit the union of `pieces` against their intersections of up to degree + 1 pieces."""
-    index_sets = [J for size in range(1, degree + 2) for J in itertools.combinations(range(len(pieces)), size)]
-    union, meets = union_and_intersections(pieces, index_sets)
-    union_betti = union_override or betti(union)
-    parts = {tuple(j + 1 for j in J): betti(cx) for J, cx in zip(index_sets, meets)}
+    """Audit the union of `pieces` against their intersections of up to degree + 1 pieces.
+
+    The face-closed pieces share an ambient dimension.  The union and the
+    intersections are set operations on the pieces' decoded cells; the
+    pieces are small, so that costs fewer numpy calls than merging them in
+    a common frame.  Unions and intersections of face-closed complexes are
+    face-closed, and the intersection of one piece is that piece.
+    """
+    ambient_dim = pieces[0].ambient_dim
+    cells = [c.cells for c in pieces]
+    union_betti = union_override or betti(CubicalComplex(ambient_dim, frozenset().union(*cells)))
+    parts = {}
+    for size in range(1, degree + 2):
+        for J in itertools.combinations(range(len(pieces)), size):
+            meet = pieces[J[0]] if size == 1 else CubicalComplex(
+                ambient_dim, frozenset.intersection(*(cells[j] for j in J)))
+            parts[tuple(j + 1 for j in J)] = betti(meet)
     return MVExample(
         name=name,
         union_betti=tuple(union_betti),
@@ -659,10 +722,9 @@ AUDIT_REGISTRY: Dict[str, Callable[..., _Report]] = {
 
 
 def _grid_matches_oracle(sc: Scenario) -> Dict:
-    vec = pad_betti(betti(grid_complex(sc.system, sc.grid)), sc.k + 1)
-    oracle = pad_betti(sc.oracle_betti, sc.k + 1)
-    return {"name": f"grid-oracle-{sc.name}", "verdict": PASS if vec == oracle else INCONCLUSIVE,
-            "note": f"grid {list(vec)} vs oracle {list(oracle)}"}
+    vec = betti(grid_complex(sc.system, sc.grid))
+    return {"name": f"grid-oracle-{sc.name}", "verdict": PASS if vec == sc.oracle_betti else INCONCLUSIVE,
+            "note": f"grid {list(vec)} vs oracle {list(sc.oracle_betti)}"}
 
 
 # Suite rows the command line does not offer; called like registry entries.

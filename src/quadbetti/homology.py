@@ -44,8 +44,7 @@ parities its cells even on the run axis have dimension p and the odd ones
 p + 1.  So the count of cells per dimension follows from each run's length
 and the parity of its ends.  The cells themselves are listed from the runs
 only to rank a small complex directly and to decode code tuples (`cells`, a
-missing face in an error message, the set operations of
-`union_and_intersections`).
+missing face in an error message).
 
 Face closure works on runs.  An odd cell's two faces on the run axis are
 its neighbours in the line, so every run end odd on the run axis widens by
@@ -117,29 +116,19 @@ from __future__ import annotations
 import itertools
 from functools import partial
 from operator import mul
-from typing import Collection, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 __all__ = [
-    "PASS",
-    "VIOLATION",
-    "INCONCLUSIVE",
     "Cube",
     "make_cube",
     "cube_dim",
     "CubicalComplex",
     "close_under_faces",
-    "union_and_intersections",
     "GF2Matrix",
     "betti",
-    "pad_betti",
-    "mayer_vietoris_audit",
 ]
-
-PASS = "PASS"
-VIOLATION = "VIOLATION"
-INCONCLUSIVE = "INCONCLUSIVE"
 
 Cube = Tuple[int, ...]
 
@@ -378,24 +367,6 @@ def close_under_faces(
     return CubicalComplex._from_runs(ambient_dim, frame, first, last)
 
 
-def union_and_intersections(
-    pieces: Sequence[CubicalComplex], index_sets: Iterable[Sequence[int]]
-) -> Tuple[CubicalComplex, List[CubicalComplex]]:
-    """The union of the face-closed `pieces`, and the intersection of the pieces of each index set.
-
-    The pieces share an ambient dimension.  The results are set operations
-    on the pieces' decoded cells; the pieces are small, so that costs fewer
-    numpy calls than merging them in a common frame.  Unions and
-    intersections of face-closed complexes are face-closed.  An index set of
-    one piece gives that piece.
-    """
-    ambient_dim = pieces[0].ambient_dim
-    cells = [c.cells for c in pieces]
-    meets = [pieces[J[0]] if len(J) == 1 else CubicalComplex(ambient_dim, frozenset.intersection(*(cells[j] for j in J)))
-             for J in index_sets]
-    return CubicalComplex(ambient_dim, frozenset().union(*cells)), meets
-
-
 class GF2Matrix:
     """GF(2) matrix stored as column bitsets (bit r of column c = entry r, c)."""
 
@@ -596,48 +567,3 @@ def betti(c: CubicalComplex) -> Tuple[int, ...]:
         ranks[d] = matrix.rank()
         cleared = matrix.pivot_rows
     return tuple([len(g) - ranks[d] - ranks[d + 1] for d, g in enumerate(groups)])
-
-
-def pad_betti(v: Sequence[int], length: int) -> Tuple[int, ...]:
-    """Right-pad a Betti vector with zeros (error if nonzero entries are cut)."""
-    v = tuple(v)
-    if len(v) > length and any(v[length:]):
-        raise ValueError(f"cannot truncate nonzero Betti entries from {v}")
-    return (v + (0,) * length)[:length]
-
-
-def _betti_entry(v: Sequence[int], i: int) -> int:
-    if i < 0 or i >= len(v):
-        return 0
-    return v[i]
-
-
-def mayer_vietoris_audit(union_betti: Sequence[int], piece_betti: Mapping, i: int) -> str:
-    """Check b_i(union) against the Mayer-Vietoris style intersection bound.
-
-    `piece_betti` maps each nonempty index set J (tuple or frozenset of
-    1-based piece indices, 1 <= |J| <= i+1) to the Betti vector of the
-    corresponding intersection of pieces; the piece count is the largest
-    index that occurs.  Returns PASS when
-    b_i(union) <= sum_{j=1}^{i+1} sum_{|J|=j} b_{i-j+1}(intersection_J),
-    VIOLATION otherwise.  A missing index set raises (no verdict).
-    """
-    if i < 0:
-        raise ValueError(f"homology degree must be nonnegative, got {i}")
-    pieces = {}
-    for key, vec in piece_betti.items():
-        fkey = frozenset(int(x) for x in key)
-        if not fkey or min(fkey) < 1:
-            raise ValueError(f"piece index sets must be nonempty sets of 1-based ints, got {key!r}")
-        pieces[fkey] = tuple(vec)
-    ell = max(max(J) for J in pieces)
-    bound = 0
-    for j in range(1, i + 2):
-        for J in itertools.combinations(range(1, ell + 1), j):
-            key = frozenset(J)
-            if key not in pieces:
-                raise ValueError(
-                    f"missing Betti data for intersection {list(J)}; audit is inconclusive"
-                )
-            bound += _betti_entry(pieces[key], i - j + 1)
-    return PASS if _betti_entry(tuple(union_betti), i) <= bound else VIOLATION

@@ -1,9 +1,10 @@
 """Exact quadratic polynomials and forms, plus grid approximation of their sets.
 
 All coefficients are `fractions.Fraction`; floats are rejected everywhere
-so that membership tests and sign evaluations are exact.  The one deliberate exception is `ci_probe`, a floating-point
-diagnostic that no audit calls: the Smith audit checks the smoothness of
-its intersection exactly (`is_nonsingular_quadric`, `check_smooth_pencil`).
+so that membership tests and sign evaluations are exact.  The one
+deliberate exception is `ci_probe`, a floating-point diagnostic that no
+audit calls: the Smith audit checks the smoothness of its intersection
+exactly (`is_nonsingular_quadric`, `check_smooth_pencil`).
 
 Grid complexes use the center-point rule.  Every builder is a list of
 quadratics, and a candidate top cell is kept iff each of them is >= 0 at

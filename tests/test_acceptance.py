@@ -13,6 +13,9 @@ from fractions import Fraction
 from quadbetti.bounds import b_ci, b_quad, bound_aggregate, bound_betti, q_quad
 from quadbetti.cli import main as cli_main
 from quadbetti.harness import (
+    INCONCLUSIVE,
+    PASS,
+    VIOLATION,
     bound_audit,
     deformation_audit,
     double_cover_audit,
@@ -20,20 +23,12 @@ from quadbetti.harness import (
     mv_fabricated_example,
     mv_three_arc_example,
     mv_wedge_example,
+    pad_betti,
     scenario_products,
     scenario_shell,
     smith_audit,
 )
-from quadbetti.homology import (
-    INCONCLUSIVE,
-    PASS,
-    VIOLATION,
-    CubicalComplex,
-    betti,
-    close_under_faces,
-    make_cube,
-    pad_betti,
-)
+from quadbetti.homology import CubicalComplex, betti, close_under_faces, make_cube
 from quadbetti.quadforms import QuadraticForm, grid_complex
 from test_homology import dd_is_zero
 

@@ -394,14 +394,16 @@ def test_audit_and_verify_leave_numpy_random_unloaded():
     assert _fresh_process(argvs, "numpy.random") == "[0, 0] False\n"
 
 
-@pytest.mark.parametrize("argv", [["bounds", "--s", "1:3", "--k", "6"], ["ci", "--j", "2", "--k", "6"],
-                                  ["--help"], ["audit", "--help"]],
-                         ids=["bounds", "ci", "help", "audit-help"])
-def test_exact_commands_leave_numpy_unloaded(argv):
+@pytest.mark.parametrize("argv, code", [(["bounds", "--s", "1:3", "--k", "6"], 0), (["ci", "--j", "2", "--k", "6"], 0),
+                                        (["--help"], 0), (["audit", "--help"], 0),
+                                        (["audit", "--name", "bogus"], 2), (["bounds", "--k", "3"], 2)],
+                         ids=["bounds", "ci", "help", "audit-help", "audit-unknown-name", "bounds-without-s"])
+def test_exact_commands_leave_numpy_unloaded(argv, code):
     # Neither the package root nor cli imports the grid engine or the report
-    # dataclasses for these; help takes the audit names from cli.AUDIT_NAMES.
+    # dataclasses for these; help and the usage errors take the audit names
+    # from cli.AUDIT_NAMES.
     for module in ("numpy", "dataclasses"):
-        assert _fresh_process([argv], module) == "[0] False\n", module
+        assert _fresh_process([argv], module) == f"[{code}] False\n", module
 
 
 def test_audit_names_are_the_registry_names_in_order():

@@ -11,6 +11,9 @@ from test_homology import cells_of_dim, same_complex
 from quadbetti import harness
 from quadbetti.cli import main
 from quadbetti.harness import (
+    INCONCLUSIVE,
+    PASS,
+    VIOLATION,
     Scenario,
     alexander_equator_audit,
     bound_audit,
@@ -20,12 +23,13 @@ from quadbetti.harness import (
     mv_fabricated_example,
     mv_three_arc_example,
     mv_wedge_example,
+    pad_betti,
     run_verification_suite,
     scenario_products,
     scenario_shell,
     smith_audit,
 )
-from quadbetti.homology import INCONCLUSIVE, PASS, VIOLATION, betti, pad_betti
+from quadbetti.homology import betti
 from quadbetti.quadforms import (
     DeformationParams,
     GridSpec,
@@ -110,6 +114,13 @@ class TestScenarios:
             Scenario(name="bad", system=(), s=1, k=1, grid=grid)
         with pytest.raises(ValueError):
             Scenario(name="bad", system=(), s=0, k=1, grid=grid, oracle_betti=(1,))
+
+    def test_scenario_axes_must_be_k(self):
+        sc = scenario_products(1)
+        with pytest.raises(ValueError, match="^grid has 1 axes, scenario has k=3$"):
+            Scenario(name="bad", system=sc.system, s=1, k=3, grid=sc.grid)
+        with pytest.raises(ValueError, match="^polynomial has 1 variables, scenario has k=2$"):
+            Scenario(name="bad", system=sc.system, s=1, k=2, grid=scenario_products(2).grid)
 
 
 class TestBoundAudit:

@@ -8,17 +8,14 @@ import pytest
 from conftest import betti_by_cells
 
 from quadbetti import homology
+from quadbetti.harness import PASS, VIOLATION, mayer_vietoris_audit, pad_betti
 from quadbetti.homology import (
-    PASS,
-    VIOLATION,
     CubicalComplex,
     GF2Matrix,
     betti,
     close_under_faces,
     cube_dim,
     make_cube,
-    mayer_vietoris_audit,
-    pad_betti,
 )
 
 
@@ -468,3 +465,8 @@ class TestMayerVietoris:
     def test_short_vectors_read_as_zero(self):
         pieces = {(1,): (1,), (2,): (1,), (1, 2): (0,)}
         assert mayer_vietoris_audit((2,), pieces, 1) == PASS
+
+    def test_no_piece_data_is_an_error(self):
+        for i in (0, 2):
+            with pytest.raises(ValueError, match="^no piece Betti data given; audit is inconclusive$"):
+                mayer_vietoris_audit((1, 0, 0), {}, i)

@@ -46,13 +46,13 @@ from test_builder_snapshot import BUILDS, SNAPSHOT
 from test_homology import cells_of_dim, cube_faces, same_complex
 
 from quadbetti import harness, homology
+from quadbetti.harness import pad_betti
 from quadbetti.homology import (
     CubicalComplex,
     GF2Matrix,
     betti,
     close_under_faces,
     cube_dim,
-    pad_betti,
 )
 
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)

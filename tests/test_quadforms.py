@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import betti_by_cells
 from hypothesis import given, settings, strategies as st
 
-from quadbetti.harness import _lift_spec, scenario_products, scenario_shell
-from quadbetti.homology import _run_complex, betti, close_under_faces, pad_betti
+from quadbetti.harness import _lift_spec, pad_betti, scenario_products, scenario_shell
+from quadbetti.homology import _run_complex, betti, close_under_faces
 from quadbetti.quadforms import (
     DeformationParams,
     MAX_GRID_CELLS,
@@ -697,6 +698,39 @@ class TestSphereComplexes:
         assert cx._frame.strides.index(1) == run_axis and len(cx._first) == runs
         last = close_under_faces(np.array(sorted(cx.cells)), ambient_dim=scenario.k + 1)
         assert last.cells == cx.cells and len(last._first) == last_axis_runs
+
+
+# Each builder on a nonempty and on an empty input: the unit circle on a
+# 2-D grid, a zero-axis grid on which no sphere passes a cell, and the lift
+# of the empty system and of -1 >= 0.
+_CIRCLE_GRID = GridSpec.symmetric(Fraction(5, 4), Fraction(1, 8), 2)
+_POINT_GRID = GridSpec(box=(), resolution=1)
+_LIFT_GRID = _lift_spec(Fraction(1, 10), 2)
+_CONE_2D = QuadraticForm.make(2, [[1, 0], [0, -1]])
+_SQUARES_2D = QuadraticForm.make(2, [[1, 0], [0, 1]])
+_NEVER = QuadraticPoly.make(2, const=-1)
+BUILDER_LENGTH_CASES = {
+    "grid": (lambda: grid_complex([_SQUARES_2D.as_poly() + _NEVER], _CIRCLE_GRID), _CIRCLE_GRID, False),
+    "grid-empty": (lambda: grid_complex([_NEVER], _CIRCLE_GRID), _CIRCLE_GRID, True),
+    "zero": (lambda: sphere_zero_complex([_CONE_2D], 1, _CIRCLE_GRID, Fraction(1, 4)), _CIRCLE_GRID, False),
+    "zero-empty": (lambda: sphere_zero_complex([_SQUARES_2D], 1, _CIRCLE_GRID, Fraction(1, 4)),
+                   _CIRCLE_GRID, True),
+    "band": (lambda: sphere_band_complex(1, _CIRCLE_GRID), _CIRCLE_GRID, False),
+    "band-empty": (lambda: sphere_band_complex(1, _POINT_GRID), _POINT_GRID, True),
+    "region": (lambda: sphere_region_complex([], Fraction(1, 10), _LIFT_GRID), _LIFT_GRID, False),
+    "region-empty": (lambda: sphere_region_complex([_NEVER], Fraction(1, 10), _LIFT_GRID), _LIFT_GRID, True),
+}
+
+
+@pytest.mark.parametrize("case", BUILDER_LENGTH_CASES)
+def test_builder_betti_has_an_entry_per_grid_axis_and_one_more(case):
+    """A builder's complex is empty or its top cells span every grid axis, so
+    `betti` gives b_0..b_dim on either rank path; `harness` reads builder
+    vectors without padding them."""
+    build, spec, empty = BUILDER_LENGTH_CASES[case]
+    cx = build()
+    assert (len(cx) == 0) == empty
+    assert len(betti(cx)) == len(betti_by_cells(cx)) == spec.dim + 1
 
 
 class TestDeformationParams:
