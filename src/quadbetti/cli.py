@@ -39,21 +39,26 @@ MAX_TABLE_ROWS = 2**20
 MAX_BOUND_TERMS = 2**11
 MAX_CI_STEPS = 2**20
 
-# The names `audit --name` accepts, in the order of `harness.AUDIT_REGISTRY`
-# (a test checks that they agree).  Listing them here keeps `harness`, and
-# with it numpy, out of `--help` and of every usage error.
-AUDIT_NAMES = (
-    "products-bounds",
-    "shell-bounds",
-    "smith-cone",
-    "double-cover-products",
-    "deformation-products",
-    "alexander-equator",
-    "mv-wedge",
-    "mv-disjoint",
-    "mv-three",
-    "mv-fabricated-violation",
-)
+# The audits `audit --name` runs.  Each entry takes the `harness` module and
+# the parsed flags.  `_cmd_audit` imports `harness` only when an audit runs,
+# so `--help` and every usage error load no numpy.  Entries look the audits
+# up on the module when called, so a wrapper installed on a `harness`
+# attribute sees every call.
+AUDITS = {
+    "products-bounds": lambda h, a: h.bound_audit(h.scenario_products(a.k)),
+    "shell-bounds": lambda h, a: h.bound_audit(h.scenario_shell(a.k, a.r_in, a.r_out)),
+    "smith-cone": lambda h, a: h.smith_audit([h.CONE], radius=a.radius),
+    "double-cover-products": lambda h, a: h.double_cover_audit(
+        h.scenario_products(a.k), a.params, sphere_resolution=a.resolution),
+    "deformation-products": lambda h, a: h.deformation_audit(
+        h.scenario_products(a.k), a.params, t_values=a.t_values, sphere_resolution=a.resolution,
+        seed=a.seed),
+    "alexander-equator": lambda h, a: h.alexander_equator_audit(),
+    "mv-wedge": lambda h, a: h.mv_wedge_example(),
+    "mv-disjoint": lambda h, a: h.mv_disjoint_example(),
+    "mv-three": lambda h, a: h.mv_three_arc_example(),
+    "mv-fabricated-violation": lambda h, a: h.mv_fabricated_example(),
+}
 
 
 def _check_table_size(rows: int) -> None:
@@ -233,16 +238,17 @@ def _cmd_audit(args, out) -> int:
     from . import harness
     from .quadforms import DeformationParams, parse_rational
 
-    report = harness.AUDIT_REGISTRY[args.name](
+    flags = argparse.Namespace(
         k=args.k,
         r_in=parse_rational(args.r_in),
         r_out=parse_rational(args.r_out),
         radius=parse_rational(args.radius),
         params=DeformationParams(eps=parse_rational(args.eps), delta=parse_rational(args.delta)),
         t_values=[parse_rational(t) for t in args.t_values.split(",")],
-        resolution=parse_rational(args.resolution) if args.resolution else None,
+        resolution=None if args.resolution is None else parse_rational(args.resolution),
         seed=args.seed,
     )
+    report = AUDITS[args.name](harness, flags)
     _emit(args.format, out, report.to_dict(), *report.csv_table())
     return _exit_code([report.verdict])
 
@@ -295,7 +301,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
     if "audit" in subs:
         p_audit = subs["audit"]
-        p_audit.add_argument("--name", required=True, choices=AUDIT_NAMES)
+        p_audit.add_argument("--name", required=True, choices=AUDITS)
         p_audit.add_argument("--k", type=int, default=2)
         p_audit.add_argument("--r-in", dest="r_in", default="1/2")
         p_audit.add_argument("--r-out", dest="r_out", default="1")

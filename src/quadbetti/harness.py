@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,7 +64,7 @@ __all__ = [
     "mv_disjoint_example",
     "mv_three_arc_example",
     "mv_fabricated_example",
-    "AUDIT_REGISTRY",
+    "CONE",
     "run_verification_suite",
 ]
 
@@ -376,15 +376,6 @@ def _lift_spec(eps: Fraction, dim: int, resolution=None) -> GridSpec:
 _BALL_NOTE = "scenario box exceeds the radius-1/eps ball; shrink eps"
 
 
-def _region_betti(polys, eps: Fraction, spec: GridSpec) -> Tuple[int, ...]:
-    """Betti vector b_0..b_{spec.dim} of the lifted region of `polys` on the sphere of radius 2/eps.
-
-    A builder's complex is empty or has top cells of the grid's dimension,
-    so `betti` gives every entry; the same holds for the affine grids.
-    """
-    return betti(sphere_region_complex(polys, eps, spec))
-
-
 @dataclass(frozen=True, kw_only=True)
 class DoubleCoverReport(_Report):
     scenario: str
@@ -421,7 +412,7 @@ def double_cover_audit(
         base = betti(grid_complex(sc.system, sc.grid))
         base_source = "grid"
     spec = _lift_spec(eps, sc.k + 1, sphere_resolution)
-    lifted = _region_betti([homogenize(p).as_poly() for p in sc.system], eps, spec)
+    lifted = betti(sphere_region_complex([homogenize(p).as_poly() for p in sc.system], eps, spec))
     expected = pad_betti(tuple(2 * b for b in base), sc.k + 2)
     ok = lifted == expected
     return DoubleCoverReport(
@@ -484,11 +475,11 @@ def deformation_audit(
     family = [
         dehomogenize(random_pd_form(sc.k + 2, seed + i)) for i in range(sc.s)
     ]
-    reference = _region_betti(base_polys, params.eps, spec)
+    reference = betti(sphere_region_complex(base_polys, params.eps, spec))
     betti_by_t = {
-        format_rational(t): _region_betti(
+        format_rational(t): betti(sphere_region_complex(
             [(1 - t) * p + t * h for p, h in zip(base_polys, family)],
-            params.eps, spec) if t else reference
+            params.eps, spec)) if t else reference
         for t in ts
     }
     constant = all(v == reference for v in betti_by_t.values())
@@ -693,32 +684,10 @@ def mv_fabricated_example() -> MVExample:
 
 
 # ---------------------------------------------------------------------------
-# The audit registry: every name `quadbetti audit --name` accepts.  An entry
-# takes the parsed command line values (k, r_in, r_out, radius, params,
-# t_values, resolution, seed) as keywords and ignores those it does not read.
-# Entries reach the audits through this module's globals, so a wrapper
-# installed on a module attribute sees every call.
-
-_CONE = QuadraticForm.make(3, [[1, 0, 0], [0, 1, 0], [0, 0, -1]])  # x^2 + y^2 = z^2
-
-AUDIT_REGISTRY: Dict[str, Callable[..., _Report]] = {
-    "products-bounds": lambda k, **_: bound_audit(scenario_products(k)),
-    "shell-bounds": lambda k, r_in, r_out, **_: bound_audit(scenario_shell(k, r_in, r_out)),
-    "smith-cone": lambda radius, **_: smith_audit([_CONE], radius=radius),
-    "double-cover-products": lambda k, params, resolution, **_: double_cover_audit(
-        scenario_products(k), params, sphere_resolution=resolution),
-    "deformation-products": lambda k, params, t_values, resolution, seed, **_: deformation_audit(
-        scenario_products(k), params, t_values=t_values, sphere_resolution=resolution, seed=seed),
-    "alexander-equator": lambda **_: alexander_equator_audit(),
-    "mv-wedge": lambda **_: mv_wedge_example(),
-    "mv-disjoint": lambda **_: mv_disjoint_example(),
-    "mv-three": lambda **_: mv_three_arc_example(),
-    "mv-fabricated-violation": lambda **_: mv_fabricated_example(),
-}
-
-
-# ---------------------------------------------------------------------------
 # Batch runner used by the command line front end.
+
+# The smith-cone audit's form, x^2 + y^2 = z^2; `cli.AUDITS` reads it too.
+CONE = QuadraticForm.make(3, [[1, 0, 0], [0, 1, 0], [0, 0, -1]])
 
 
 def _grid_matches_oracle(sc: Scenario) -> Dict:
@@ -727,56 +696,41 @@ def _grid_matches_oracle(sc: Scenario) -> Dict:
             "note": f"grid {list(vec)} vs oracle {list(sc.oracle_betti)}"}
 
 
-# Suite rows the command line does not offer; called like registry entries.
-_SUITE_ONLY: Dict[str, Callable] = {
-    "grid-oracle-products": lambda k, **_: _grid_matches_oracle(scenario_products(k)),
-    "grid-oracle-shell": lambda k, r_in, r_out, **_: _grid_matches_oracle(
-        scenario_shell(k, r_in, r_out)),
-    "double-cover-shell": lambda k, r_in, r_out, params, resolution, **_: double_cover_audit(
-        scenario_shell(k, r_in, r_out), params, sphere_resolution=resolution),
-    "deformation-shell": lambda k, r_in, r_out, params, t_values, resolution, seed, **_:
-        deformation_audit(scenario_shell(k, r_in, r_out), params, t_values=t_values,
-                          sphere_resolution=resolution, seed=seed),
-}
-
-_SHELL = {"r_in": Fraction(1, 2), "r_out": Fraction(1)}
-_LIFT = {"params": DeformationParams(), "t_values": (Fraction(0), Fraction(1, 1000)),
-         "resolution": None}
-
-# (suite name, registry or suite-only entry, fixed arguments); every entry also gets the seed.
+# (row name, audit call given the seed); every audit runs at its own defaults.
+# Rows reach the audits through this module's globals, so a wrapper installed
+# on a module attribute sees every call.
 _SUITE = (
-    ("bounds-products-k1", "products-bounds", {"k": 1}),
-    ("bounds-products-k2", "products-bounds", {"k": 2}),
-    ("bounds-products-k3", "products-bounds", {"k": 3}),
-    ("grid-oracle-products-k2", "grid-oracle-products", {"k": 2}),
-    ("bounds-shell-k2", "shell-bounds", {"k": 2, **_SHELL}),
-    ("grid-oracle-shell-k2", "grid-oracle-shell", {"k": 2, **_SHELL}),
-    ("smith-cone", "smith-cone", {"radius": Fraction(1)}),
-    ("mv-wedge", "mv-wedge", {}),
-    ("mv-disjoint", "mv-disjoint", {}),
-    ("mv-three-arcs", "mv-three", {}),
-    ("alexander-equator", "alexander-equator", {}),
-    ("double-cover-products-k1", "double-cover-products", {"k": 1, **_LIFT}),
-    ("deformation-products-k1", "deformation-products", {"k": 1, **_LIFT}),
+    ("bounds-products-k1", lambda seed: bound_audit(scenario_products(1))),
+    ("bounds-products-k2", lambda seed: bound_audit(scenario_products(2))),
+    ("bounds-products-k3", lambda seed: bound_audit(scenario_products(3))),
+    ("grid-oracle-products-k2", lambda seed: _grid_matches_oracle(scenario_products(2))),
+    ("bounds-shell-k2", lambda seed: bound_audit(scenario_shell(2, Fraction(1, 2), 1))),
+    ("grid-oracle-shell-k2", lambda seed: _grid_matches_oracle(scenario_shell(2, Fraction(1, 2), 1))),
+    ("smith-cone", lambda seed: smith_audit([CONE])),
+    ("mv-wedge", lambda seed: mv_wedge_example()),
+    ("mv-disjoint", lambda seed: mv_disjoint_example()),
+    ("mv-three-arcs", lambda seed: mv_three_arc_example()),
+    ("alexander-equator", lambda seed: alexander_equator_audit()),
+    ("double-cover-products-k1", lambda seed: double_cover_audit(scenario_products(1))),
+    ("deformation-products-k1", lambda seed: deformation_audit(scenario_products(1), seed=seed)),
 )
 _SUITE_FULL = (
-    ("grid-oracle-products-k3", "grid-oracle-products", {"k": 3}),
-    ("grid-oracle-products-k4", "grid-oracle-products", {"k": 4}),
-    ("bounds-shell-k3", "shell-bounds", {"k": 3, **_SHELL}),
-    ("grid-oracle-shell-k3", "grid-oracle-shell", {"k": 3, **_SHELL}),
-    ("double-cover-products-k2", "double-cover-products", {"k": 2, **_LIFT}),
-    ("double-cover-shell-k2", "double-cover-shell", {"k": 2, **_SHELL, **_LIFT}),
-    ("deformation-shell-k2", "deformation-shell", {"k": 2, **_SHELL, **_LIFT}),
+    ("grid-oracle-products-k3", lambda seed: _grid_matches_oracle(scenario_products(3))),
+    ("grid-oracle-products-k4", lambda seed: _grid_matches_oracle(scenario_products(4))),
+    ("bounds-shell-k3", lambda seed: bound_audit(scenario_shell(3, Fraction(1, 2), 1))),
+    ("grid-oracle-shell-k3", lambda seed: _grid_matches_oracle(scenario_shell(3, Fraction(1, 2), 1))),
+    ("double-cover-products-k2", lambda seed: double_cover_audit(scenario_products(2))),
+    ("double-cover-shell-k2", lambda seed: double_cover_audit(scenario_shell(2, Fraction(1, 2), 1))),
+    ("deformation-shell-k2", lambda seed: deformation_audit(scenario_shell(2, Fraction(1, 2), 1), seed=seed)),
 )
 
 
 def run_verification_suite(seed: int = 0, full: bool = False) -> List[Dict]:
     """The rows `verify` writes for the built-in scenario and audit batch, deterministic given
     seed: name, verdict, note and, for an audit report, the report's `document`."""
-    entries = {**AUDIT_REGISTRY, **_SUITE_ONLY}
     rows: List[Dict] = []
-    for name, entry, args in _SUITE + (_SUITE_FULL if full else ()):
-        report = entries[entry](seed=seed, **args)
+    for name, audit in _SUITE + (_SUITE_FULL if full else ()):
+        report = audit(seed)
         if not isinstance(report, dict):
             note = (f"projective total {report.projective_total} vs bound {report.bound}"
                     if isinstance(report, SmithReport) else "")

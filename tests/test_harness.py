@@ -1,6 +1,7 @@
 """Unit tests for scenarios, audits and report serialization."""
 
 import dataclasses
+import inspect
 import itertools
 import json
 from fractions import Fraction
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 from test_homology import cells_of_dim, same_complex
 
-from quadbetti import harness
+from quadbetti import cli, harness
 from quadbetti.cli import main
 from quadbetti.harness import (
     INCONCLUSIVE,
@@ -71,6 +72,11 @@ def b1_per_cell(real):
 def zero_bound(real):
     """A per-degree bound of 0."""
     return lambda s, k, i: Fraction(0)
+
+
+def huge_family(real):
+    """A deformation family a million times too large, so t = 1/1000 is no small step."""
+    return lambda n, seed: 10**6 * real(n, seed)
 
 
 def diagonal_form(*diag):
@@ -446,8 +452,8 @@ class TestSuite:
         assert all(r["verdict"] == PASS for r in results)
 
 
-# Every `AUDIT_REGISTRY` name, driven off PASS through `quadbetti audit` at
-# the command line's defaults: registry name -> (the `harness` global the
+# Every `cli.AUDITS` name, driven off PASS through `quadbetti audit` at
+# the command line's defaults: audit name -> (the `harness` global the
 # mutant replaces, the mutant, the verdict the audit must give).  Where the
 # command line cannot reach an input that fails an audit, an engine mutant
 # stands in.  Two audits fail on their own default input and run unmutated:
@@ -469,7 +475,7 @@ NEGATIVE_CONTROLS = {
 
 
 def test_every_audit_name_has_a_negative_control():
-    assert sorted(NEGATIVE_CONTROLS) == sorted(harness.AUDIT_REGISTRY)
+    assert sorted(NEGATIVE_CONTROLS) == sorted(cli.AUDITS)
 
 
 @pytest.mark.parametrize("name", NEGATIVE_CONTROLS)
@@ -481,6 +487,65 @@ def test_negative_control_drives_audit_off_pass(name, monkeypatch, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc.get("verdict", doc.get("overall")) == verdict
     assert code == {VIOLATION: 1, INCONCLUSIVE: 3}[verdict]
+
+
+# Every row of `verify --full`, driven off PASS: row name -> (the `harness`
+# global the mutant replaces, the mutant, the verdict the row must read).
+# products-k1's lifted cell sets at t = 0 and t = 1/1000 are the same, so no
+# engine mutant moves its deformation row; an oversized family does.
+SUITE_CONTROLS = {
+    "bounds-products-k1": ("bound_betti", zero_bound, VIOLATION),
+    "bounds-products-k2": ("bound_betti", zero_bound, VIOLATION),
+    "bounds-products-k3": ("bound_betti", zero_bound, VIOLATION),
+    "grid-oracle-products-k2": ("betti", inflated_b1, INCONCLUSIVE),
+    "bounds-shell-k2": ("bound_betti", zero_bound, VIOLATION),
+    "grid-oracle-shell-k2": ("betti", inflated_b1, INCONCLUSIVE),
+    "smith-cone": ("betti", odd_sphere_total, INCONCLUSIVE),
+    "mv-wedge": ("betti", b1_per_cell, VIOLATION),
+    "mv-disjoint": ("betti", b1_per_cell, VIOLATION),
+    "mv-three-arcs": ("betti", b1_per_cell, VIOLATION),
+    "alexander-equator": ("betti", inflated_b1, INCONCLUSIVE),
+    "double-cover-products-k1": ("betti", inflated_b1, INCONCLUSIVE),
+    "deformation-products-k1": ("random_pd_form", huge_family, INCONCLUSIVE),
+    "grid-oracle-products-k3": ("betti", inflated_b1, INCONCLUSIVE),
+    "grid-oracle-products-k4": ("betti", inflated_b1, INCONCLUSIVE),
+    "bounds-shell-k3": ("bound_betti", zero_bound, VIOLATION),
+    "grid-oracle-shell-k3": ("betti", inflated_b1, INCONCLUSIVE),
+    "double-cover-products-k2": ("betti", inflated_b1, INCONCLUSIVE),
+    "double-cover-shell-k2": ("betti", inflated_b1, INCONCLUSIVE),
+    "deformation-shell-k2": ("random_pd_form", huge_family, INCONCLUSIVE),
+}
+
+
+def test_every_suite_row_has_a_negative_control():
+    assert [r["name"] for r in run_verification_suite(full=True)] == list(SUITE_CONTROLS)
+
+
+@pytest.mark.parametrize("mutant", list(dict.fromkeys(m for _, m, _ in SUITE_CONTROLS.values())),
+                         ids=lambda m: m.__name__)
+def test_suite_negative_controls_drive_rows_off_pass(mutant, monkeypatch):
+    rows = {name: (target, verdict) for name, (target, m, verdict) in SUITE_CONTROLS.items() if m is mutant}
+    (target,) = {target for target, _ in rows.values()}
+    monkeypatch.setattr(harness, target, mutant(getattr(harness, target)))
+    verdicts = {r["name"]: r["verdict"] for r in run_verification_suite(full=True)}
+    assert {name: verdicts[name] for name in rows} == {name: v for name, (_, v) in rows.items()}
+
+
+def test_suite_passes_the_seed_to_its_deformation_rows(monkeypatch):
+    # The rows call `deformation_audit` through this module's globals, so the
+    # recorder sees both; seeds 0-9 give the same output, so no golden case would.
+    real = harness.deformation_audit
+    calls = []
+
+    def recording(*args, **kwargs):
+        bound = inspect.signature(real).bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append((bound.arguments["sc"].name, bound.arguments["seed"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "deformation_audit", recording)
+    run_verification_suite(seed=3, full=True)
+    assert calls == [("products-k1", 3), ("shell-k2", 3)]
 
 
 def test_deformation_audit_sees_cell_changes_under_a_mutant(monkeypatch):
