@@ -35,6 +35,7 @@ from .quadforms import (
     homogenize,
     is_nonsingular_quadric,
     random_pd_form,
+    sphere_region_cap,
     sphere_region_complex,
     sphere_zero_complex,
 )
@@ -372,6 +373,22 @@ def _lift_spec(eps: Fraction, dim: int, resolution=None) -> GridSpec:
     return GridSpec.symmetric(r + 2 * hs, hs, dim)
 
 
+def _lift_betti(polys: Sequence[QuadraticPoly], eps: Fraction, spec: GridSpec) -> Tuple[int, ...]:
+    """Betti vector of `sphere_region_complex(polys, eps, spec)`.
+
+    When `sphere_region_cap` shows the lift to be its upper polar cap plus
+    that cap's point reflection, with disjoint closures, it is twice the
+    cap's vector; otherwise the whole lift is built and ranked.  The Smith
+    and Alexander audits build their whole sphere sets: Smith's odd-total
+    guard needs both antipodal halves, and the equator band straddles
+    x_3 = 0.
+    """
+    cap = sphere_region_cap(polys, eps, spec)
+    if cap is None:
+        return betti(sphere_region_complex(polys, eps, spec))
+    return tuple(2 * b for b in betti(cap))
+
+
 # Note of a lift report whose scenario box leaves the ball; its lift fields keep their defaults.
 _BALL_NOTE = "scenario box exceeds the radius-1/eps ball; shrink eps"
 
@@ -412,7 +429,7 @@ def double_cover_audit(
         base = betti(grid_complex(sc.system, sc.grid))
         base_source = "grid"
     spec = _lift_spec(eps, sc.k + 1, sphere_resolution)
-    lifted = betti(sphere_region_complex([homogenize(p).as_poly() for p in sc.system], eps, spec))
+    lifted = _lift_betti([homogenize(p).as_poly() for p in sc.system], eps, spec)
     expected = pad_betti(tuple(2 * b for b in base), sc.k + 2)
     ok = lifted == expected
     return DoubleCoverReport(
@@ -475,11 +492,11 @@ def deformation_audit(
     family = [
         dehomogenize(random_pd_form(sc.k + 2, seed + i)) for i in range(sc.s)
     ]
-    reference = betti(sphere_region_complex(base_polys, params.eps, spec))
+    reference = _lift_betti(base_polys, params.eps, spec)
     betti_by_t = {
-        format_rational(t): betti(sphere_region_complex(
+        format_rational(t): _lift_betti(
             [(1 - t) * p + t * h for p, h in zip(base_polys, family)],
-            params.eps, spec)) if t else reference
+            params.eps, spec) if t else reference
         for t in ts
     }
     constant = all(v == reference for v in betti_by_t.values())

@@ -15,7 +15,8 @@ sphere band: the cells whose closed cube the sphere actually crosses
 free of pinholes at any resolution.  `grid_complex` passes its system,
 `sphere_band_complex` nothing, `sphere_zero_complex` the pair tau - Q and
 tau + Q per form (so |Q| <= tau), and `sphere_region_complex` the
-projective-ball cap (1/eps)^2 x_{k+1}^2 - |x_1..x_k|^2 ahead of its system.
+projective-ball truncation (1/eps)^2 x_{k+1}^2 - |x_1..x_k|^2 ahead of
+its system.
 
 The builder decides all candidates in one numpy array pass: the whole box
 by broadcasting per-axis centers, the band as a mask from per-axis min and
@@ -29,6 +30,33 @@ in absolute value, and otherwise runs the same array code on Python ints
 the kept cells, one row per cell, and their run axis: the last axis on the
 whole box, and on a band the axis along which the most of them are
 adjacent; `_build` closes them under faces with runs along that axis.
+
+An undeformed lift is two antipodal copies of one set, and
+`sphere_region_cap` builds only the upper one.  It returns the closed upper
+polar cap of `sphere_region_complex(polys, eps, spec)`, the face closure
+of its top cells above x_{k+1} = 0, when all three of these hold, each
+checked exactly, and None otherwise:
+
+1. the box is symmetric about 0 on every axis;
+2. no polynomial of the lifted system, the truncation included, has a
+   linear part, so P(-c) = P(c) at every integer-scaled center c;
+3. no kept top cell's closed cube meets x_{k+1} = 0, that is, lies in
+   the layers floor((m - 1) / 2) .. floor(m / 2) of the m cells of the
+   last axis.  The truncation keeps them empty unless the grid is coarse.
+
+Proof that the lift is then the cap plus its point reflection, with
+disjoint closures.  The reflection j -> n - 1 - j on every axis maps the
+grid onto itself and negates every center (1).  It leaves the band
+unchanged, since `_band_mask` reads only per-axis minimum and maximum
+squares, and it keeps the sign of every polynomial (2).  So the kept top
+cells are symmetric, and by (3) they split into those above the middle
+layers and their reflections below, whose closed cubes lie in x_{k+1} > 0
+and x_{k+1} < 0.  The homology of a disjoint union adds up, so every Betti
+number of the lift and its Euler characteristic are twice the cap's.  No
+two kept cells are adjacent across the middle layers, so the adjacent
+pairs that pick the run axis halve, and the cap keeps the lift's run axis.
+Only the band cells of the upper half are evaluated, which halves the
+center evaluation, the closure and the ranking.
 """
 
 from __future__ import annotations
@@ -63,6 +91,7 @@ __all__ = [
     "sphere_zero_complex",
     "sphere_band_complex",
     "sphere_region_complex",
+    "sphere_region_cap",
 ]
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?")
@@ -624,12 +653,16 @@ def _sphere_band(spec: GridSpec, r: Fraction) -> Tuple[np.ndarray, np.ndarray]:
     return band, succ
 
 
-def _top_cells(spec: GridSpec, polys: Sequence[QuadraticPoly], radius=None) -> Tuple[np.ndarray, int]:
+def _top_cells(
+    spec: GridSpec, polys: Sequence[QuadraticPoly], radius=None, upper: bool = False
+) -> Tuple[np.ndarray, int]:
     """Grid indices, one cell per row in lexicographic order, of the candidate
     cells where every polynomial is >= 0 at the center, and their run axis.
 
     The candidates are the whole box or, given a radius, the cells the
-    radius sphere crosses.  The band is computed once per (grid, radius)
+    radius sphere crosses; with `upper` only the band cells whose last
+    index is at least floor((m - 1) / 2), m the cell count of the last
+    axis.  The band is computed once per (grid, radius)
     by `_sphere_band`, shared read-only and kept at a narrow dtype; the
     rows returned are a fresh intp array.  Each center is tested exactly,
     as the sign of an integer `_ScaledPoly` value at the integer-scaled
@@ -664,15 +697,18 @@ def _top_cells(spec: GridSpec, polys: Sequence[QuadraticPoly], radius=None) -> T
         keep = np.ones(shape, dtype=bool)
     else:
         cand, succ = _sphere_band(spec, r)
-        u = [c[ix] for c, ix in zip(centers, cand.T)]
-        keep = np.ones(len(cand), dtype=bool)
+        rows = (cand[:, -1] >= (shape[-1] - 1) // 2).nonzero()[0] if upper else slice(None)
+        sub = cand[rows]
+        u = [c[ix] for c, ix in zip(centers, sub.T)]
+        keep = np.ones(len(sub), dtype=bool)
     for e in evals:
         keep &= e.values(u) >= 0
     if r is None:
         return np.argwhere(keep), -1
-    kept = keep.nonzero()[0]
-    # A last False stands for the neighbours outside the band.
-    after = np.append(keep, False)
+    # The band rows kept; a last False stands for the neighbours outside the band.
+    after = np.zeros(len(cand) + 1, dtype=bool)
+    after[:-1][rows] = keep
+    kept = after.nonzero()[0]
     pairs = [np.count_nonzero(after.take(s.take(kept))) for s in succ]
     # intp keeps the codes 2*j + 1 of a uint8 band from wrapping.
     return cand[kept].astype(np.intp), max(range(spec.dim), key=lambda a: (pairs[a], a), default=-1)
@@ -720,6 +756,15 @@ def sphere_band_complex(radius, spec: GridSpec) -> CubicalComplex:
     return _build(spec, (), radius)
 
 
+def _lift_system(polys: Sequence[QuadraticPoly], eps, dim: int) -> Tuple[List[QuadraticPoly], Fraction]:
+    """The lift's system, the projective-ball truncation ahead of `polys`, and its radius 2/eps."""
+    e = _positive(eps, "eps")
+    # (1/eps)^2 * c_{k+1}^2 - |c_1..c_k|^2 >= 0 is the truncation
+    diag = [-1] * (dim - 1) + [1 / e**2]
+    truncation = QuadraticPoly.make(dim, quad=[[diag[i] if i == j else 0 for j in range(dim)] for i in range(dim)])
+    return [truncation, *polys], 2 / e
+
+
 def sphere_region_complex(
     polys: Sequence[QuadraticPoly], eps, spec: GridSpec
 ) -> CubicalComplex:
@@ -732,10 +777,30 @@ def sphere_region_complex(
     equator and makes each polar copy correspond to the affine set
     truncated to the ball of radius 1/eps.
     """
-    e = _positive(eps, "eps")
-    # cap(c) = (1/eps)^2 * c_{k+1}^2 - |c_1..c_k|^2 >= 0 is the truncation
-    n = spec.dim
-    diag = [-1] * (n - 1) + [1 / e**2]
-    cap = QuadraticPoly.make(n, quad=[[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
-    return _build(spec, [cap, *polys], 2 / e)
+    system, r = _lift_system(polys, eps, spec.dim)
+    return _build(spec, system, r)
 
+
+def sphere_region_cap(
+    polys: Sequence[QuadraticPoly], eps, spec: GridSpec
+) -> Optional[CubicalComplex]:
+    """The closed upper polar cap of `sphere_region_complex(polys, eps, spec)`
+    when that lift is the cap plus its point reflection with disjoint
+    closures, and None otherwise.
+
+    The cap is the face closure of the lift's top cells above x_{k+1} = 0,
+    with the lift's run axis; every Betti number and the Euler
+    characteristic of the lift are then twice the cap's.  Only the band
+    cells with last index at least floor((m - 1) / 2), m the cell count of
+    the last axis, are evaluated.  See the module docstring for the three
+    conditions and the proof.  A grid
+    with no axes has no last axis, and no cap.
+    """
+    system, r = _lift_system(polys, eps, spec.dim)
+    if not spec.dim or any(lo != -hi for lo, hi in spec.box) or any(any(p.lin) for p in system):
+        return None
+    cells, run_axis = _top_cells(spec, system, r, upper=True)
+    # The layers whose closed cubes meet x_{k+1} = 0 are floor((m - 1) / 2) .. floor(m / 2).
+    if np.any(cells[:, -1] <= spec.shape[-1] // 2):
+        return None
+    return close_under_faces(2 * cells + 1, ambient_dim=spec.dim, run_axis=run_axis)

@@ -16,8 +16,13 @@ the audit stopped running the float `ci_probe`: their only change is the
 dropped `probe_verdict` key and CSV column.  The five JSON cases that carry
 a deformation report were re-recorded when the audit stopped scaling its
 family below the grid's sign granularity: each new stdout is the old one
-minus its `family_scale` line (two lines in `verify --full`).  Any change to
-a column, its order, a key, a verdict or a Betti vector shows up here.
+minus its `family_scale` line (two lines in `verify --full`).  Recorded
+before undeformed lifts were ranked as one polar cap: `double-cover-products
+--k 2 --format json`, which passes on the 122,208-cell lift, and three
+coarse lifts that exit 3 because cells on the equator keep the lift whole,
+`--k 1 --resolution 20` (lifted (1, 0, 0)), `--k 2 --resolution 5`
+((1, 1, 0, 0)) and `--k 1 --resolution 5` ((2, 0, 0)).  Any change to a
+column, its order, a key, a verdict or a Betti vector shows up here.
 
 `data/cli_help.json` holds argv, terminal width (COLUMNS), exit code,
 stdout and stderr of the top-level and each subcommand's `--help` and of

@@ -556,3 +556,41 @@ def test_deformation_audit_sees_cell_changes_under_a_mutant(monkeypatch):
     assert deformation_audit(sc).verdict == PASS
     monkeypatch.setattr(harness, "betti", b1_per_cell(harness.betti))
     assert deformation_audit(sc).verdict == INCONCLUSIVE
+
+
+# The t values and family seeds of the sphere-lift benchmark's deformation ops.
+_MENU_T = tuple(Fraction(1, 4000) * n for n in range(1, 5))
+_MENU_SEEDS = range(8)
+
+
+def test_undeformed_lifts_take_the_cap_and_deformed_lifts_do_not(monkeypatch):
+    """Each lift of `verify --full` and of the sphere-lift benchmark's ops, in
+    call order: the double covers and every deformation audit's t = 0 lift
+    are built as one polar cap; every t > 0 lift, whose seeded family has
+    linear terms, is built whole."""
+    real = harness.sphere_region_cap
+    calls = []
+
+    def recording(*args):
+        cap = real(*args)
+        calls.append(cap is not None)
+        return cap
+
+    monkeypatch.setattr(harness, "sphere_region_cap", recording)
+
+    def caps(audit):
+        calls.clear()
+        assert audit().verdict == PASS
+        return calls[:]
+
+    calls.clear()
+    run_verification_suite(full=True)
+    # double-cover and deformation products-k1, double-cover products-k2 and
+    # shell-k2, deformation shell-k2
+    assert calls == [True, True, False, True, True, True, False]
+    shell = scenario_shell(2, Fraction(1, 2), 1)
+    for sc in (scenario_products(1), scenario_products(2), shell):
+        assert caps(lambda: double_cover_audit(sc)) == [True]
+    for sc in (scenario_products(1), shell):
+        for seed in _MENU_SEEDS:
+            assert caps(lambda: deformation_audit(sc, t_values=(0,) + _MENU_T, seed=seed)) == [True] + [False] * 4

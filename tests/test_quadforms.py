@@ -1,6 +1,7 @@
 """Unit tests for exact quadratic data and grid complexes."""
 
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -34,6 +35,7 @@ from quadbetti.quadforms import (
     parse_rational,
     random_pd_form,
     sphere_band_complex,
+    sphere_region_cap,
     sphere_region_complex,
     sphere_zero_complex,
 )
@@ -698,6 +700,93 @@ class TestSphereComplexes:
         assert cx._frame.strides.index(1) == run_axis and len(cx._first) == runs
         last = close_under_faces(np.array(sorted(cx.cells)), ambient_dim=scenario.k + 1)
         assert last.cells == cx.cells and len(last._first) == last_axis_runs
+
+
+def _lift_polys(scenario):
+    return [homogenize(p).as_poly() for p in scenario.system]
+
+
+def _check_cap(polys, eps, spec) -> bool:
+    """Whether `sphere_region_cap` returns a cap; if it does, the whole lift
+    must be that cap plus its point reflection, with disjoint closures, so
+    its Betti numbers and Euler characteristic are twice the cap's and it
+    runs along the cap's axis."""
+    cap = sphere_region_cap(polys, eps, spec)
+    if cap is None:
+        return False
+    whole = sphere_region_complex(polys, eps, spec)
+    assert tuple(2 * b for b in betti(cap)) == betti(whole)
+    assert 2 * cap.euler_characteristic() == whole.euler_characteristic()
+    # Cell codes run from 0 to 2n on an axis of n cells; the reflection maps x to 2n - x.
+    mirror = {tuple(2 * n - x for x, n in zip(c, spec.shape)) for c in cap.cells}
+    assert cap.cells.isdisjoint(mirror) and cap.cells | mirror == whole.cells
+    assert cap._frame.strides.index(1) == whole._frame.strides.index(1)
+    return True
+
+
+@pytest.mark.parametrize("scenario", [scenario_products(1), scenario_products(2),
+                                      scenario_shell(2, Fraction(1, 2), 1)],
+                         ids=["products-k1", "products-k2", "shell-k2"])
+def test_undeformed_lift_is_its_cap_and_the_reflection(scenario):
+    eps = Fraction(1, 10)
+    assert _check_cap(_lift_polys(scenario), eps, _lift_spec(eps, scenario.k + 1))
+
+
+@st.composite
+def even_lifts(draw):
+    """Systems with no linear part on small lift grids symmetric about 0,
+    with an even or odd cell count per axis, coarse enough at the largest
+    widths that the truncation keeps cells on the middle layers."""
+    dim = draw(st.integers(2, 3))
+    eps = draw(st.sampled_from([Fraction(1), Fraction(1, 2)]))
+    h = draw(st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)]))
+    m = math.ceil(4 / eps / h) + draw(st.integers(0, 3))  # the box holds the radius-2/eps sphere
+    spec = GridSpec(box=((-m * h / 2, m * h / 2),) * dim, resolution=h)
+    polys = []
+    for _ in range(draw(st.integers(0, 2))):
+        quad = [[0] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i, dim):
+                quad[i][j] = quad[j][i] = draw(st.integers(-3, 3))
+        polys.append(QuadraticPoly.make(dim, quad=quad, const=draw(st.integers(-16, 16))))
+    return polys, eps, spec
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(even_lifts())
+def test_cap_of_an_even_system_matches_the_whole_lift(lift):
+    _check_cap(*lift)
+
+
+class TestCapRefusals:
+    """Each condition of `sphere_region_cap`, broken once on an input whose
+    repaired twin does take the cap."""
+
+    eps = Fraction(1, 10)
+
+    def test_linear_term(self):
+        sc = scenario_products(1)
+        polys = _lift_polys(sc)
+        family = [dehomogenize(random_pd_form(sc.k + 2, 0))]
+        t = Fraction(1, 1000)  # the deformation audit's default t
+        deformed = [(1 - t) * p + t * h for p, h in zip(polys, family)]
+        spec = _lift_spec(self.eps, sc.k + 1)
+        assert sphere_region_cap(deformed, self.eps, spec) is None
+        assert _check_cap(polys, self.eps, spec)
+
+    def test_box_off_centre(self):
+        h = Fraction(1, 2)
+        off = GridSpec(box=((-21, 22), (-21, 22)), resolution=h)
+        assert sphere_region_cap([], self.eps, off) is None
+        assert betti(sphere_region_complex([], self.eps, off)) == (2, 0, 0)
+        assert _check_cap([], self.eps, GridSpec.symmetric(22, h, 2))
+
+    def test_kept_cell_on_the_middle_layer(self):
+        polys = _lift_polys(scenario_products(1))
+        coarse = _lift_spec(self.eps, 2, 20)
+        assert sphere_region_cap(polys, self.eps, coarse) is None
+        assert betti(sphere_region_complex(polys, self.eps, coarse)) == (1, 0, 0)
+        assert _check_cap(polys, self.eps, _lift_spec(self.eps, 2))
 
 
 # Each builder on a nonempty and on an empty input: the unit circle on a
