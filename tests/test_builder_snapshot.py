@@ -4,7 +4,11 @@
 count per dimension and a sha256 of `repr(sorted(cells))`, plus the Betti
 vector of the affine grids.  The values were recorded before the four grid
 builders were folded into one builder core, so any change to which cells a
-builder keeps, or to face closure, shows up here.
+builder keeps, or to face closure, shows up here.  Every entry also
+records its run axis, the stride-1 axis of the complex.  The run axes, the
+three undeformed caps and the deformed shell-k2 lift were recorded before
+the sphere band was stored axis-major and the code arrays were read column
+by column.
 """
 
 import hashlib
@@ -19,9 +23,12 @@ from quadbetti.homology import betti
 from quadbetti.quadforms import (
     GridSpec,
     QuadraticForm,
+    dehomogenize,
     grid_complex,
     homogenize,
+    random_pd_form,
     sphere_band_complex,
+    sphere_region_cap,
     sphere_region_complex,
     sphere_zero_complex,
 )
@@ -38,8 +45,15 @@ def _affine(sc):
     return lambda: grid_complex(sc.system, sc.grid)
 
 
-def _lift(sc):
+def _lift(sc, builder=sphere_region_complex):
     polys = [homogenize(p).as_poly() for p in sc.system]
+    return lambda: builder(polys, EPS, _lift_spec(EPS, sc.k + 1))
+
+
+def _deformed_lift(sc, t, seed):
+    """The lift `deformation_audit` builds at t for the family seed `seed`."""
+    family = [dehomogenize(random_pd_form(sc.k + 2, seed + i)) for i in range(sc.s)]
+    polys = [(1 - t) * homogenize(p).as_poly() + t * h for p, h in zip(sc.system, family)]
     return lambda: sphere_region_complex(polys, EPS, _lift_spec(EPS, sc.k + 1))
 
 
@@ -56,6 +70,10 @@ BUILDS = {
     "lift-products-k1": (_lift(scenario_products(1)), False),
     "lift-products-k2": (_lift(scenario_products(2)), False),
     "lift-shell-k2": (_lift(SHELL2), False),
+    "cap-products-k1": (_lift(scenario_products(1), sphere_region_cap), False),
+    "cap-products-k2": (_lift(scenario_products(2), sphere_region_cap), False),
+    "cap-shell-k2": (_lift(SHELL2, sphere_region_cap), False),
+    "deformed-lift-shell-k2": (_deformed_lift(SHELL2, Fraction(1, 2000), 1), False),
 }
 
 
@@ -65,6 +83,7 @@ def snapshot(name):
     rec = {
         "n_cells": [cx.n_cells(d) for d in range(cx.ambient_dim + 1)],
         "sha256": hashlib.sha256(repr(sorted(cx.cells)).encode()).hexdigest(),
+        "run_axis": cx._frame.strides.index(1),
     }
     if affine:
         rec["betti"] = list(betti(cx))
