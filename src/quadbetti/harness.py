@@ -10,6 +10,7 @@ audit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -367,7 +368,13 @@ def _scenario_fits_ball(sc: Scenario, eps: Fraction) -> bool:
     return corner_sq <= (1 / eps) ** 2
 
 
+@functools.lru_cache(maxsize=4, typed=True)
 def _lift_spec(eps: Fraction, dim: int, resolution=None) -> GridSpec:
+    """The lift grid for (eps, dim, resolution), built once and shared.
+
+    The cache is typed: a float resolution equal to a cached Fraction still
+    reaches `_fr`, which rejects it.
+    """
     r = 2 / eps
     hs = _fr(resolution) if resolution is not None else r / 32
     return GridSpec.symmetric(r + 2 * hs, hs, dim)

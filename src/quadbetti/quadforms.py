@@ -22,14 +22,20 @@ The builder decides all candidates in one numpy array pass: the whole box
 by broadcasting per-axis centers, the band as a mask from per-axis min and
 max squares and then the polynomials at its cells.  The band depends only
 on the grid and the radius, so it is computed once per (grid, radius) in a
-process and shared read-only, its indices kept at the narrowest unsigned
-dtype that holds them (`_sphere_band`).  The builder computes in int64
+process and shared read-only (`_sphere_band`): axis-major, one contiguous
+row of cell indices per axis, at the narrowest unsigned dtype that holds
+them, so the centers of an axis are gathered in one pass.  A spec keeps
+the cell count per axis that its width check computes, its integer view
+(`_GridScale`) takes int arithmetic alone, and a lift's truncation is
+built once per (eps, dimension), so a repeated lift pays little beyond its
+cells and its own polynomials.  The builder computes in int64
 when a bound taken beforehand shows that no value it forms reaches 2**62
 in absolute value, and otherwise runs the same array code on Python ints
 (dtype=object); no float enters.  `_top_cells` returns the grid indices of
-the kept cells, one row per cell, and their run axis: the last axis on the
-whole box, and on a band the axis along which the most of them are
-adjacent; `_build` closes them under faces with runs along that axis.
+the kept cells, one row per cell and one contiguous column per axis, and
+their run axis: the last axis on the whole box, and on a band the axis
+along which the most of them are adjacent; `_build` closes them under
+faces with runs along that axis.
 
 An undeformed lift is two antipodal copies of one set, and
 `sphere_region_cap` builds only the upper one.  It returns the closed upper
@@ -65,7 +71,7 @@ import functools
 import math
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -468,27 +474,30 @@ class GridSpec:
 
     box: Tuple[Tuple[Fraction, Fraction], ...]
     resolution: Fraction
+    # The cell count per axis, kept from the width check: derived, so it
+    # takes no part in init, eq, hash or repr.
+    shape: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         box = tuple((_fr(lo), _fr(hi)) for lo, hi in self.box)
         res = _positive(self.resolution, "resolution")
+        shape = []
         for lo, hi in box:
             if hi <= lo:
                 raise ValueError(f"empty axis interval [{lo}, {hi}]")
-            if ((hi - lo) / res).denominator != 1:
+            cells = (hi - lo) / res
+            if cells.denominator != 1:
                 raise ValueError(
                     f"axis width {hi - lo} is not a multiple of resolution {res}"
                 )
+            shape.append(cells.numerator)
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "resolution", res)
+        object.__setattr__(self, "shape", tuple(shape))
 
     @property
     def dim(self) -> int:
         return len(self.box)
-
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        return tuple(int((hi - lo) / self.resolution) for lo, hi in self.box)
 
     def center(self, jvec: Sequence[int]) -> Tuple[Fraction, ...]:
         h = self.resolution
@@ -507,16 +516,31 @@ class GridSpec:
 
 
 class _GridScale:
-    """Integer view of a grid: all cell bounds and centers scaled to ints."""
+    """Integer view of a grid: all cell bounds and centers scaled to ints.
+
+    It is built per call in int arithmetic alone: the scale is a multiple
+    of every denominator, so each scaled value is numerator * (scale //
+    denominator).  Kept on the spec instead, it would stay alive with every
+    spec a caller holds.
+    """
 
     def __init__(self, spec: GridSpec):
-        dens = [spec.resolution.denominator]
-        dens.extend(lo.denominator for lo, _ in spec.box)
-        self.scale = 2 * math.lcm(*dens)
-        step = spec.resolution * self.scale
-        assert step.denominator == 1 and step.numerator % 2 == 0
-        self.step = int(step)
-        self.lo = [int(lo * self.scale) for lo, _ in spec.box]
+        res = spec.resolution
+        self.scale = 2 * math.lcm(res.denominator, *(lo.denominator for lo, _ in spec.box))
+        self.step = res.numerator * (self.scale // res.denominator)
+        assert self.step % 2 == 0
+        self.lo = [lo.numerator * (self.scale // lo.denominator) for lo, _ in spec.box]
+        self.shape = spec.shape
+        # Bound on every scaled cell bound and center, and on r * scale for a sphere in the box.
+        self.u_max = max((max(-lo, lo + self.step * n) for lo, n in zip(self.lo, self.shape)), default=0)
+
+    def lows(self, wide: bool, offset: int = 0) -> List[np.ndarray]:
+        """Scaled lower cell bounds per axis plus `offset`, in int64 or, if `wide`, Python ints.
+
+        The centers are the lower bounds plus step // 2.
+        """
+        dtype = object if wide else np.int64
+        return [lo + offset + self.step * np.arange(n, dtype=dtype) for lo, n in zip(self.lo, self.shape)]
 
 
 class _ScaledPoly:
@@ -527,19 +551,24 @@ class _ScaledPoly:
         dens.extend(x.denominator for x in poly.lin)
         dens.extend(x.denominator for row in poly.quad for x in row)
         lcm = math.lcm(*dens)
+
+        def times_lcm(x: Fraction) -> int:
+            # lcm * x in integers: lcm is a multiple of every denominator.
+            return x.numerator * (lcm // x.denominator)
+
         qt = []
         for i in range(poly.k):
             row = poly.quad[i]
             if row[i]:
-                qt.append((i, i, int(lcm * row[i])))
+                qt.append((i, i, times_lcm(row[i])))
             for j in range(i + 1, poly.k):
                 if row[j]:
-                    qt.append((i, j, int(2 * lcm * row[j])))
+                    qt.append((i, j, 2 * times_lcm(row[j])))
         self.quad_terms = qt
         self.lin_terms = [
-            (i, int(lcm * b * scale)) for i, b in enumerate(poly.lin) if b
+            (i, times_lcm(b) * scale) for i, b in enumerate(poly.lin) if b
         ]
-        self.const_term = int(lcm * poly.const) * scale * scale
+        self.const_term = times_lcm(poly.const) * scale * scale
 
     def magnitude(self, u_max: int) -> int:
         """Bound on every partial sum of `values` at points with |u_i| <= u_max."""
@@ -600,55 +629,49 @@ def _band_mask(lows: Sequence[np.ndarray], step: int, thr: Fraction) -> np.ndarr
     return band
 
 
-def _scaled_lows(gs: _GridScale, shape: Tuple[int, ...], wide: bool) -> List[np.ndarray]:
-    """Scaled lower cell bounds per axis, in int64 or, if `wide`, Python ints."""
-    dtype = object if wide else np.int64
-    return [lo + gs.step * np.arange(n).astype(dtype) for lo, n in zip(gs.lo, shape)]
-
-
-def _u_max(gs: _GridScale, shape: Tuple[int, ...]) -> int:
-    """Bound on every scaled cell bound and center, and on r * scale for a sphere in the box."""
-    return max((max(-lo, lo + gs.step * n) for lo, n in zip(gs.lo, shape)), default=0)
-
-
 @functools.lru_cache(maxsize=4)
 def _sphere_band(spec: GridSpec, r: Fraction) -> Tuple[np.ndarray, np.ndarray]:
-    """Read-only grid indices, one cell per row in lexicographic order, of
-    the cells the radius-r sphere crosses, and their successor table.
+    """Read-only grid indices of the cells the radius-r sphere crosses, axis
+    by axis, and their successor table.
 
-    Row a of the successor table holds, for each band cell, the row of its
-    +1 neighbour along axis a, or the band's cell count where that
-    neighbour is not in the band; `_top_cells` counts adjacent kept cells
-    through it.  Computed once per (grid, radius) and shared by every
-    caller.  Four entries cover the distinct bands of one `verify --full`:
-    the 2-D and 3-D lifts, and the unit sphere that the Smith cone and the
-    Alexander audit share.  The mask is exact in int64 when its own bound
+    The band is a (dim, n) array, row a holding the axis-a index of each
+    of the n band cells, in lexicographic order of the cells: one
+    contiguous row per axis, so `_top_cells` gathers an axis's centers in
+    one pass.  Row a of the successor table holds, for each band cell, the
+    index of its +1 neighbour along axis a, or n where that neighbour is
+    not in the band; `_top_cells` counts adjacent kept cells through it.
+    Computed once per (grid, radius) and shared by every caller.  Four
+    entries cover the distinct bands of one `verify --full`: the 2-D and
+    3-D lifts, and the unit sphere that the Smith cone and the Alexander
+    audit share.  The mask is exact in int64 when its own bound
     dim * u_max**2 stays below 2**62, and uses Python ints otherwise.  The
     cache keeps its bands for the life of the process, so both arrays are
     stored at the narrowest unsigned dtype that holds them: the indices at
     that of the longest axis (uint8 on every audit's grid), the successor
-    table at that of the cell count (uint16 for the 19,256 cells of the
-    68**3 lift grid: 3 x 19,256 entries, 115,536 bytes).
+    table at that of the cell count.  On the 68**3 lift grid, whose band
+    has 19,256 cells, that is 3 x 19,256 bytes (57,768) of indices and
+    3 x 19,256 uint16 entries (115,536 bytes) of successors.
     """
     gs = _GridScale(spec)
-    shape = spec.shape
-    u_max = _u_max(gs, shape)
-    lows = _scaled_lows(gs, shape, spec.dim * u_max * u_max >= _INT64_SAFE)
-    mask = _band_mask(lows, gs.step, r * r * gs.scale * gs.scale)
-    band = np.argwhere(mask)
-    n = len(band)
+    shape = gs.shape
+    mask = _band_mask(gs.lows(spec.dim * gs.u_max**2 >= _INT64_SAFE), gs.step, r * r * gs.scale * gs.scale)
+    # numpy has no nonzero() of a 0-d array; a grid with no axes has no band cell.
+    at = mask.nonzero() if spec.dim else ()
+    n = len(at[0]) if at else 0
     succ = np.full((spec.dim, n), n, dtype=np.min_scalar_type(n))
     if n:
-        # The rows are in lexicographic order, so their grid keys ascend.
-        keys = np.ravel_multi_index(tuple(band.T), shape)
+        # The cells are in lexicographic order, so their grid keys ascend.
+        keys = np.ravel_multi_index(at, shape)
         stride = 1
         for a in reversed(range(spec.dim)):
             after = keys + stride
-            at = keys.searchsorted(after)
-            there = (band[:, a] < shape[a] - 1) & (keys.take(at, mode="clip") == after)
-            succ[a, there] = at[there]
+            pos = keys.searchsorted(after)
+            there = (at[a] < shape[a] - 1) & (keys.take(pos, mode="clip") == after)
+            succ[a, there] = pos[there]
             stride *= shape[a]
-    band = band.astype(np.min_scalar_type(max(shape, default=1) - 1))
+    band = np.empty((spec.dim, n), dtype=np.min_scalar_type(max(shape, default=1) - 1))
+    for row, index in zip(band, at):
+        row[:] = index
     band.flags.writeable = succ.flags.writeable = False
     return band, succ
 
@@ -662,9 +685,10 @@ def _top_cells(
     The candidates are the whole box or, given a radius, the cells the
     radius sphere crosses; with `upper` only the band cells whose last
     index is at least floor((m - 1) / 2), m the cell count of the last
-    axis.  The band is computed once per (grid, radius)
-    by `_sphere_band`, shared read-only and kept at a narrow dtype; the
-    rows returned are a fresh intp array.  Each center is tested exactly,
+    axis.  The band is computed once per (grid, radius) by `_sphere_band`,
+    shared read-only and kept at a narrow dtype; the indices returned are
+    a fresh intp array with one contiguous column per axis, the layout
+    `np.argwhere` gives the whole box.  Each center is tested exactly,
     as the sign of an integer `_ScaledPoly` value at the integer-scaled
     center, in one array pass: over the whole box by broadcasting per-axis
     centers, over the band at its cells.  The arrays are int64 when a
@@ -688,30 +712,32 @@ def _top_cells(
         raise ValueError(f"grid has {size} cells, above the limit of {MAX_GRID_CELLS}")
     gs = _GridScale(spec)
     evals = [_ScaledPoly(p, gs.scale) for p in polys]
-    u_max = _u_max(gs, shape)
     # every center is at most u_max, and every value at most a magnitude
-    wide = u_max >= _INT64_SAFE or any(e.magnitude(u_max) >= _INT64_SAFE for e in evals)
-    centers = [a + gs.step // 2 for a in _scaled_lows(gs, shape, wide)]
+    wide = gs.u_max >= _INT64_SAFE or any(e.magnitude(gs.u_max) >= _INT64_SAFE for e in evals)
+    centers = gs.lows(wide, gs.step // 2)
     if r is None:
         u = np.ix_(*centers)
         keep = np.ones(shape, dtype=bool)
     else:
-        cand, succ = _sphere_band(spec, r)
-        rows = (cand[:, -1] >= (shape[-1] - 1) // 2).nonzero()[0] if upper else slice(None)
-        sub = cand[rows]
-        u = [c[ix] for c, ix in zip(centers, sub.T)]
-        keep = np.ones(len(sub), dtype=bool)
+        band, succ = _sphere_band(spec, r)
+        if upper:
+            rows = (band[-1] >= (shape[-1] - 1) // 2).nonzero()[0]
+            cand = band.take(rows, axis=1)
+        else:
+            rows, cand = slice(None), band
+        u = [c.take(ix) for c, ix in zip(centers, cand)]
+        keep = np.ones(cand.shape[1], dtype=bool)
     for e in evals:
         keep &= e.values(u) >= 0
     if r is None:
         return np.argwhere(keep), -1
-    # The band rows kept; a last False stands for the neighbours outside the band.
-    after = np.zeros(len(cand) + 1, dtype=bool)
+    # The band cells kept; a last False stands for the neighbours outside the band.
+    after = np.zeros(band.shape[1] + 1, dtype=bool)
     after[:-1][rows] = keep
     kept = after.nonzero()[0]
     pairs = [np.count_nonzero(after.take(s.take(kept))) for s in succ]
     # intp keeps the codes 2*j + 1 of a uint8 band from wrapping.
-    return cand[kept].astype(np.intp), max(range(spec.dim), key=lambda a: (pairs[a], a), default=-1)
+    return band.take(kept, axis=1).astype(np.intp).T, max(range(spec.dim), key=lambda a: (pairs[a], a), default=-1)
 
 
 def _build(spec: GridSpec, polys: Sequence[QuadraticPoly], radius=None) -> CubicalComplex:
@@ -756,13 +782,18 @@ def sphere_band_complex(radius, spec: GridSpec) -> CubicalComplex:
     return _build(spec, (), radius)
 
 
+@functools.lru_cache(maxsize=4)
+def _truncation(e: Fraction, dim: int) -> QuadraticPoly:
+    """The projective-ball truncation (1/e)^2 * c_dim^2 - |c_1..c_{dim-1}|^2,
+    built once per (eps, grid dimension)."""
+    diag = [-1] * (dim - 1) + [1 / e**2]
+    return QuadraticPoly.make(dim, quad=[[diag[i] if i == j else 0 for j in range(dim)] for i in range(dim)])
+
+
 def _lift_system(polys: Sequence[QuadraticPoly], eps, dim: int) -> Tuple[List[QuadraticPoly], Fraction]:
     """The lift's system, the projective-ball truncation ahead of `polys`, and its radius 2/eps."""
     e = _positive(eps, "eps")
-    # (1/eps)^2 * c_{k+1}^2 - |c_1..c_k|^2 >= 0 is the truncation
-    diag = [-1] * (dim - 1) + [1 / e**2]
-    truncation = QuadraticPoly.make(dim, quad=[[diag[i] if i == j else 0 for j in range(dim)] for i in range(dim)])
-    return [truncation, *polys], 2 / e
+    return [_truncation(e, dim), *polys], 2 / e
 
 
 def sphere_region_complex(

@@ -311,6 +311,12 @@ class TestDoubleCover:
         with pytest.raises(TypeError):
             double_cover_audit(scenario_products(1), sphere_resolution=1.25)
 
+    def test_float_resolution_rejected_after_an_equal_fraction(self):
+        # The lift grid is cached; 1/8 and 0.125 compare and hash equal.
+        assert double_cover_audit(scenario_products(1), sphere_resolution=Fraction(1, 8)).verdict == PASS
+        with pytest.raises(TypeError):
+            double_cover_audit(scenario_products(1), sphere_resolution=0.125)
+
     def test_shell2_lift(self):
         rep = double_cover_audit(scenario_shell(2, Fraction(1, 2), 1))
         assert rep.verdict == PASS

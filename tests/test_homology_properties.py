@@ -25,13 +25,15 @@ the free-face rounds leave of it for closure, Euler characteristic, the
 absence of free runs and repeatability.  Complexes with 22 extra axes are
 also compared with the same cubes in an int64 frame.
 
-A complex stores its runs, so two more checks read them directly: the
-closed runs of a code array against the runs of the stack closure, and the
-counts per dimension, which come from run lengths and end parities, against
-the dimensions of the cells on complexes that are not face-closed, whose
-runs may start or end odd on the last axis.  Both run in an int64 frame and
-with 22 extra axes.  A large complex with faces removed must make `betti`
-name one of them.
+Code arrays are read column by column, so the same codes as a C-ordered
+array, a Fortran-ordered array and code tuples must give one complex on
+every run axis.  A complex stores its runs, so two more checks read them
+directly: the closed runs of a code array against the runs of the stack
+closure, and the counts per dimension, which come from run lengths and end
+parities, against the dimensions of the cells on complexes that are not
+face-closed, whose runs may start or end odd on the last axis.  Both run
+in an int64 frame and with 22 extra axes.  A large complex with faces
+removed must make `betti` name one of them.
 """
 
 import re
@@ -283,6 +285,26 @@ def test_code_array_matches_code_tuples(case):
     ref = close_under_faces(cubes, ambient_dim=dim)
     assert (cx._frame.lo, cx._frame.strides) == (ref._frame.lo, ref._frame.strides)
     assert np.array_equal(cx._first, ref._first) and np.array_equal(cx._last, ref._last)
+
+
+@SETTINGS
+@given(mixed_cubes(), st.sampled_from([0, 22]))
+def test_code_layouts_give_one_complex_on_every_run_axis(case, extra):
+    """The codes as a C-ordered array, a Fortran-ordered array and code
+    tuples give one frame, runs, cells and Betti vector on every run axis,
+    in an int64 frame and, with 22 extra axes, in an object frame."""
+    dim, cubes = case
+    n = dim + extra
+    tuples = [(0,) * extra + c for c in cubes]
+    codes = np.array(tuples, dtype=np.int64).reshape(len(cubes), n)
+    for run_axis in (0, *range(extra, n)):
+        ref = close_under_faces(tuples, ambient_dim=n, run_axis=run_axis)
+        want = betti(ref)
+        for layout in (codes, np.asfortranarray(codes)):
+            cx = close_under_faces(layout, ambient_dim=n, run_axis=run_axis)
+            assert (cx._frame.lo, cx._frame.strides) == (ref._frame.lo, ref._frame.strides)
+            assert np.array_equal(cx._first, ref._first) and np.array_equal(cx._last, ref._last)
+            assert cx.cells == ref.cells and betti(cx) == want
 
 
 # ---------------------------------------------------------------------------

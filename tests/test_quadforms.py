@@ -21,6 +21,7 @@ from quadbetti.quadforms import (
     QuadraticPoly,
     _INT64_SAFE,
     _GridScale,
+    _ScaledPoly,
     _band_mask,
     _det,
     _sphere_band,
@@ -584,7 +585,11 @@ def test_shared_band_matches_fraction_reference(name):
     again = _sphere_band(spec, r)
     assert _sphere_band.cache_info().hits == 1 and again is first
     band, succ = first
-    assert np.array_equal(band, expected)
+    # Axis-major: one contiguous row per axis, at the narrowest dtype, in
+    # no more bytes than one index per cell and axis.
+    assert band.flags.c_contiguous and np.array_equal(band.T, expected)
+    assert band.dtype == np.min_scalar_type(max(spec.shape) - 1)
+    assert band.base is None and band.nbytes == expected.size * band.itemsize
     for table in (band, succ):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
@@ -601,11 +606,12 @@ def test_shared_band_matches_fraction_reference(name):
 def test_top_cells_returns_a_private_intp_array():
     spec, r = _QUARTERS, Fraction(5, 4)
     first, _ = _top_cells(spec, (), r)
-    assert first.dtype == np.intp and first.flags.writeable
+    # One contiguous column per axis, as np.argwhere gives the whole box.
+    assert first.dtype == np.intp and first.flags.writeable and first.flags.f_contiguous
     expected = first.copy()
     first[:] = 0
     assert np.array_equal(_top_cells(spec, (), r)[0], expected)
-    assert np.array_equal(_sphere_band(spec, r)[0], expected)
+    assert np.array_equal(_sphere_band(spec, r)[0].T, expected)
 
 
 # Unit circles on grids whose long axis passes 128 and 256 cells, so the
@@ -623,7 +629,7 @@ def test_narrow_band_indices_do_not_wrap(res, dtype, cells_above):
         gs = _GridScale(spec)
         lows = [lo + gs.step * np.arange(n).astype(object) for lo, n in zip(gs.lo, spec.shape)]
         expected = np.argwhere(_band_mask(lows, gs.step, Fraction(gs.scale) ** 2))
-    assert np.array_equal(band, expected)
+    assert np.array_equal(band.T, expected)
     tops, _ = _top_cells(spec, (), 1)
     assert np.array_equal(tops, expected) and (2 * tops + 1).max() > 255
     assert betti(sphere_band_complex(1, spec)) == (1, 1, 0)
@@ -636,6 +642,84 @@ def test_centers_past_int64_with_no_polynomial():
     assert _GridScale(spec).lo[0] < -2**63
     assert np.array_equal(_top_cells(spec, ())[0], np.argwhere(np.ones(spec.shape, dtype=bool)))
     assert np.array_equal(_top_cells(spec, (), 2**62)[0], np.array(list(_band_cells(spec, Fraction(2**62)))))
+
+
+@st.composite
+def scaled_poly_cases(draw):
+    """(a rational polynomial in 1-4 variables, a grid scale, integer points as columns, their bound)."""
+    k = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-60, max_value=60, max_denominator=24))
+    quad = [[Fraction(0)] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            quad[i][j] = quad[j][i] = draw(entry)
+    poly = QuadraticPoly.make(k, quad=quad, lin=[draw(entry) for _ in range(k)], const=draw(entry))
+    # Small scales and points keep every value inside int64; large ones pass it.
+    scale = draw(st.one_of(st.integers(1, 1000), st.integers(1, 2**40)))
+    bound = draw(st.sampled_from([10**3, 2**33]))
+    point = st.lists(st.integers(-bound, bound), min_size=k, max_size=k)
+    points = draw(st.lists(point, min_size=1, max_size=6))
+    return poly, scale, [list(c) for c in zip(*points)], bound
+
+
+def _old_scaled_terms(poly, scale):
+    """The integer terms as `_ScaledPoly` formed them in Fraction arithmetic, int(lcm * x)."""
+    dens = [x.denominator for x in (poly.const, *poly.lin, *itertools.chain(*poly.quad))]
+    lcm = math.lcm(*dens)
+    quad = []
+    for i in range(poly.k):
+        for j in range(i, poly.k):
+            if poly.quad[i][j]:
+                quad.append((i, j, int((1 if i == j else 2) * lcm * poly.quad[i][j])))
+    lin = [(i, int(lcm * b * scale)) for i, b in enumerate(poly.lin) if b]
+    return quad, lin, int(lcm * poly.const) * scale * scale, lcm
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(scaled_poly_cases())
+def test_scaled_poly_terms_and_signs_match_fraction_arithmetic(case):
+    """`_ScaledPoly` forms its terms in integers: they equal int(lcm * x) of
+    the Fraction coefficients, and its values are lcm * scale**2 * P(u / scale)
+    exactly, so their signs are those of P, on int64 arrays when the
+    magnitude bound allows them and always on Python-int arrays."""
+    poly, scale, columns, bound = case
+    e = _ScaledPoly(poly, scale)
+    quad, lin, const, lcm = _old_scaled_terms(poly, scale)
+    assert (e.quad_terms, e.lin_terms, e.const_term) == (quad, lin, const)
+    dtypes = [object] + ([np.int64] if e.magnitude(bound) < _INT64_SAFE else [])
+    for dtype in dtypes:
+        values = e.values([np.array(c, dtype=dtype) for c in columns])
+        for v, point in zip(np.broadcast_to(values, (len(columns[0]),)).tolist(), zip(*columns)):
+            exact = poly.evaluate([Fraction(u, scale) for u in point])
+            assert v == lcm * scale * scale * exact
+            assert (v > 0) - (v < 0) == (exact > 0) - (exact < 0)
+
+
+@st.composite
+def grid_specs(draw):
+    """A grid of 0-3 axes with rational bounds and resolution."""
+    res = draw(st.fractions(min_value=Fraction(1, 60), max_value=5, max_denominator=60))
+    box = []
+    for _ in range(draw(st.integers(0, 3))):
+        lo = draw(st.fractions(min_value=-40, max_value=40, max_denominator=36))
+        box.append((lo, lo + res * draw(st.integers(1, 30))))
+    return GridSpec(box=tuple(box), resolution=res)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(grid_specs())
+def test_grid_shape_and_integer_view_match_fraction_arithmetic(spec):
+    """A spec's shape, kept from its width check, is (hi - lo) / h per axis
+    and takes no part in eq, hash or repr; `_GridScale` forms its scale,
+    step and lower bounds in integers, equal to the Fraction products."""
+    assert spec.shape == tuple(int((hi - lo) / spec.resolution) for lo, hi in spec.box)
+    twin = GridSpec(box=spec.box, resolution=spec.resolution)
+    assert twin == spec and hash(twin) == hash(spec) and "shape" not in repr(spec)
+    gs = _GridScale(spec)
+    assert gs.scale == 2 * math.lcm(spec.resolution.denominator, *(lo.denominator for lo, _ in spec.box))
+    assert gs.step == spec.resolution * gs.scale and gs.step % 2 == 0
+    assert gs.lo == [lo * gs.scale for lo, _ in spec.box]
+    assert gs.u_max == max((abs(b * gs.scale) for axis in spec.box for b in axis), default=0)
 
 
 class TestSphereComplexes:
