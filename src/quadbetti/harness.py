@@ -502,7 +502,7 @@ def deformation_audit(
     reference = _lift_betti(base_polys, params.eps, spec)
     betti_by_t = {
         format_rational(t): _lift_betti(
-            [(1 - t) * p + t * h for p, h in zip(base_polys, family)],
+            [p.blend(h, t) for p, h in zip(base_polys, family)],
             params.eps, spec) if t else reference
         for t in ts
     }

@@ -109,6 +109,16 @@ would be 1, yet the boundary of a boundary is zero.  So g has no live
 coface, no run is both an f and a g, and the pairs of a round are disjoint.
 Each pair (f, g) spans a quotient g -> f of the live complex that is
 acyclic, and the live runs left form a subcomplex with the same homology.
+
+The run complex is one face table with a row per run: the runs that hold
+t_r - stride_a and t_r + stride_a, two columns per axis off the run axis,
+or the run count n in both where t_r is even on the axis.  The rounds keep
+their counts in n + 1 slots, so every such filler entry lands in slot n
+and a round reads the rows of its removed runs whole, with no filtering.
+Along each axis a run names a face on both sides, where t_r is odd, or on
+neither, where it is even.  So each row holds an even number of filler
+entries, the count in slot n starts even and stays even as rows are
+removed, and it never reads as free.
 """
 
 from __future__ import annotations
@@ -417,21 +427,23 @@ class GF2Matrix:
 
 # `betti` ranks a complex of at least this many cells through its run
 # complex, and runs the free-face rounds on the run complex only when it has
-# this many runs.  Timeit, min of 7, 2-core VM, through the run complex with
-# the rounds on: an 8-cell hollow square ranks in 10 us directly and in 54 us
-# through its 4 runs; the 324-cell products-k2 grid in 211 us directly and in
-# 105 us through its 36 runs; the 1,092-cell products-k1 lift in 738 us
-# directly and in 412 us through its 172 runs.
+# this many runs.  Timeit, min of 7 x 200 in each of 3 processes, 2-core VM,
+# through the run complex with the rounds on: an 8-cell hollow square ranks
+# in 8-13 us directly and in 44-65 us through its 4 runs; the 324-cell
+# products-k2 grid in 225-352 us directly and in 76-109 us through its 36
+# runs; the 1,092-cell products-k1 lift in 829-1,263 us directly and in
+# 224-330 us through its 172 runs.
 _COLLAPSE_MIN_CELLS = 512
 
 
 def _run_complex(c: CubicalComplex) -> np.ndarray:
     """Face table of the run complex of c; ValueError naming a missing face unless c is face-closed.
 
-    The module docstring gives the conditions and the search.  Row 2a of
-    the table holds, for each run r, the run that holds t_r - stride_a, and
-    row 2a + 1 the run that holds t_r + stride_a, along the a-th axis off the
-    run axis; where t_r is even on that axis the entry is the run count R.
+    The module docstring gives the conditions and the search.  The table is
+    one C-contiguous intp array with a row per run.  Column 2a of row r
+    holds the run that holds t_r - stride_a, and column 2a + 1 the run that
+    holds t_r + stride_a, along the a-th axis off the run axis; where t_r is
+    even on that axis both entries are the run count n, which names no run.
     """
     frame, first, last = c._frame, c._first, c._last
     for ends, step in ((first, -1), (last, 1)):
@@ -439,17 +451,18 @@ def _run_complex(c: CubicalComplex) -> np.ndarray:
         if np.count_nonzero(odd):
             raise _missing_face(frame, ends[odd] + step)
     n = len(last)
-    table = np.full((2 * len(frame.cross), n), n, dtype=np.int32 if n < 2**31 else np.int64)
+    table = np.full((n, 2 * len(frame.cross)), n, dtype=np.intp)
     for a, s in enumerate(frame.cross):
         odd = ((last & s) != 0).nonzero()[0]
-        for row, t in ((2 * a, -s), (2 * a + 1, s)):
-            runs = last.searchsorted(last[odd] + t)
-            gone = odd[~((runs < n) & (first.take(runs, mode="clip") <= first[odd] + t))]
+        starts, tops = first[odd], last[odd]
+        for column, t in ((2 * a, -s), (2 * a + 1, s)):
+            runs = last.searchsorted(tops + t)
+            gone = odd[~((runs < n) & (first.take(runs, mode="clip") <= starts + t))]
             if len(gone):
                 cells = np.fromiter(_cells(first[gone[:1]] + t, last[gone[:1]] + t), frame.dtype)
                 holder = last.searchsorted(cells)
                 raise _missing_face(frame, cells[(holder == n) | (first.take(holder, mode="clip") > cells)])
-            table[row, odd] = runs
+            table[odd, column] = runs
     return table
 
 
@@ -461,36 +474,40 @@ def _collapse(table: np.ndarray) -> np.ndarray:
     round removes the pairs (f, g) of free runs f and their cofaces g, one f
     per g, which the module docstring shows to be exact, and updates the two
     counts of the faces of the removed runs; those faces are the only runs
-    that can become free.
+    that can become free.  The counts have one more slot, n, where every
+    filler entry of the table lands; its count stays even, so it never
+    reads free.
     """
-    n = table.shape[1]
-    # np.add.at and np.subtract.at get 1-D intp indices and values of the
-    # same length.  On numpy 2.4.6, 2-D intp indices with 1-D values broadcast
-    # over them read past the values (wrong sums at 2 x 3, a crash at
-    # 8 x 13,448), and 2-D int32 indices take 8 times as long (1.0 against
-    # 0.12 ms over 8 x 13,448 entries, the products-k2 lift's face table).
-    row, coface = (table < n).nonzero()
-    face = table[row, coface].astype(np.intp)
-    count = np.bincount(face, minlength=n)
-    total = np.zeros(n, dtype=np.intp)
-    np.add.at(total, face, coface)
+    n, width = table.shape
+    # np.add.at and np.subtract.at get 1-D intp indices, and values of the
+    # same length or one scalar.  On numpy 2.4.6, 2-D intp indices with 1-D
+    # values broadcast over them read past the values (wrong sums at 2 x 3,
+    # a crash at 8 x 13,448).
+    faces = table.ravel()
+    count = np.bincount(faces, minlength=n + 1)
+    total = np.zeros(n + 1, dtype=np.intp)
+    np.add.at(total, faces, np.arange(n).repeat(width))
     alive = np.ones(n, dtype=bool)
     pick = np.empty(n, dtype=np.intp)
     free = (count == 1).nonzero()[0]
+    # The rounds gather with take and compress, which skip the general
+    # indexing machinery: most rounds touch a few runs, so per-call cost
+    # dominates.  On the products-k2 lift the 33 rounds took a median
+    # 1.78 ms this way against 2.24 ms with subscripts (timeit, 21 x min of
+    # 3 x 10, 2-core VM).
     while len(free):
-        coface = total[free]
+        coface = total.take(free)
         # One of the writes to pick[g] survives; that free run becomes g's pair.
         positions = np.arange(len(free))
         pick[coface] = positions
-        first = pick[coface] == positions
-        gone = np.concatenate((free[first], coface[first]))
+        first = pick.take(coface) == positions
+        gone = np.concatenate((free.compress(first), coface.compress(first)))
         alive[gone] = False
-        row, at = (table[:, gone] < n).nonzero()
-        face = table[row, gone[at]].astype(np.intp)
-        np.subtract.at(count, face, np.ones(len(face), dtype=count.dtype))
-        np.subtract.at(total, face, gone[at])
+        faces = table.take(gone, axis=0).ravel()
+        np.subtract.at(count, faces, 1)
+        np.subtract.at(total, faces, gone.repeat(width))
         # A removed f lost its one live coface with g, so no removed run counts 1.
-        free = face[count[face] == 1]
+        free = faces.compress(count.take(faces) == 1)
     return alive.nonzero()[0]
 
 
@@ -536,8 +553,8 @@ def _run_boundary(table: np.ndarray, groups: Sequence[np.ndarray], d: int, clear
     face only with its last live coface.  The columns of the d-runs at the
     positions `cleared` are zero.
     """
-    faces = table.T[groups[d]]
-    faces = faces[faces < table.shape[1]].reshape(-1, 2 * d)
+    faces = table[groups[d]]
+    faces = faces[faces < len(table)].reshape(-1, 2 * d)
     lower = groups[d - 1]
     rows = lower.searchsorted(faces)
     # take() needs a value to read; with `lower` empty every face is missing.
@@ -564,10 +581,14 @@ def betti(c: CubicalComplex) -> Tuple[int, ...]:
         return (0,) * (c.ambient_dim + 1)
     if n_cells >= _COLLAPSE_MIN_CELLS:
         table = _run_complex(c)
-        n = table.shape[1]
+        n = len(table)
         runs = _collapse(table) if n >= _COLLAPSE_MIN_CELLS else np.arange(n)
-        dims = c._frame.dims(c._last[runs])
-        groups = [runs[dims == d] for d in range(c.dim + 1)]
+        # A run's cells have the dimension p of its top and, when it holds
+        # more than one cell, p + 1 for the odd ones.
+        dims = c._frame.dims(c._last)
+        top = int((dims + (c._last > c._first)).max())
+        dims = dims[runs]
+        groups = [runs[dims == d] for d in range(top + 1)]
         boundary = partial(_run_boundary, table)
     else:
         # Fewer than _COLLAPSE_MIN_CELLS cells: one pass in Python sorts the

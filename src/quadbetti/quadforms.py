@@ -216,6 +216,32 @@ class QuadraticPoly:
     def __rmul__(self, factor) -> "QuadraticPoly":
         return self.scaled(factor)
 
+    def blend(self, other: "QuadraticPoly", t) -> "QuadraticPoly":
+        """(1 - t) * self + t * other, each coefficient formed once as one Fraction.
+
+        With t = u / v, the coefficient blended from a and b is
+        ((v - u) a_n b_d + u b_n a_d) / (v a_d b_d), reduced once, and the
+        lower triangle of `quad` mirrors the upper one.  The operator form
+        reduces three Fractions per coefficient, on both triangles.
+        """
+        if other.k != self.k:
+            raise ValueError("variable count mismatch")
+        t = _fr(t)
+        u, v = t.numerator, t.denominator
+        w = v - u
+
+        def mix(a: Fraction, b: Fraction) -> Fraction:
+            return Fraction(w * a.numerator * b.denominator + u * b.numerator * a.denominator,
+                            v * a.denominator * b.denominator)
+
+        k = self.k
+        quad = [[None] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                quad[i][j] = quad[j][i] = mix(self.quad[i][j], other.quad[i][j])
+        return QuadraticPoly(k, tuple(map(tuple, quad)), tuple(map(mix, self.lin, other.lin)),
+                             mix(self.const, other.const))
+
 
 @dataclass(frozen=True)
 class QuadraticForm:

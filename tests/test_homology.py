@@ -154,7 +154,7 @@ class TestCloseUnderFaces:
     def test_ambient_dim_zero_run_complex(self, collapse_always):
         cx = close_under_faces([()])
         table = homology._run_complex(cx)
-        assert cx._first.tolist() == cx._last.tolist() == [0] and table.shape == (0, 1)
+        assert cx._first.tolist() == cx._last.tolist() == [0] and table.shape == (1, 0)
         assert homology._collapse(table).tolist() == [0]
         assert betti(cx) == (1,)
 
@@ -422,6 +422,57 @@ class TestRunComplex:
         with pytest.raises(_Rounds):
             betti(grid)
 
+    def test_isolated_vertex_runs_are_all_kept(self, monkeypatch):
+        # 23 x 23 isolated vertices in the plane: 529 runs of one cell, even on
+        # both axes, so every entry of the face table is the filler.  `betti`
+        # calls the rounds on them, and the filler's count, 2 per run, never
+        # reads free, so no run is removed.
+        side = 23
+        assert side * side >= homology._COLLAPSE_MIN_CELLS
+        vertices = close_under_faces([(2 * i, 2 * j) for i in range(side) for j in range(side)])
+        table = homology._run_complex(vertices)
+        n = side * side
+        assert table.shape == (n, 2) and (table == n).all()
+        kept = []
+        collapse = homology._collapse
+        monkeypatch.setattr(homology, "_collapse", lambda table: kept.append(collapse(table)) or kept[-1])
+        assert betti(vertices) == (n,)
+        assert len(kept) == 1 and kept[0].tolist() == list(range(n))
+
+    def test_every_ufunc_at_call_gets_1d_intp_indices(self, monkeypatch):
+        # 2-D indices in np.add.at and np.subtract.at gave wrong sums and a
+        # crash on numpy 2.4.6, and int32 ones ran 8 times as long.
+        calls = []
+
+        class At:
+            def __init__(self, ufunc):
+                self.ufunc = ufunc
+
+            def __getattr__(self, name):
+                return getattr(self.ufunc, name)
+
+            def at(self, a, indices, values):
+                indices = np.asarray(indices)
+                calls.append((self.ufunc.__name__, indices.ndim, indices.dtype, len(indices), np.shape(values)))
+                return self.ufunc.at(a, indices, values)
+
+        class Numpy:
+            add, subtract = At(np.add), At(np.subtract)
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        # An 11 x 11 x 11 block: 23 x 23 lines along the run axis, one run each.
+        solid = close_under_faces([(2 * i + 1, 2 * j + 1, 2 * k + 1) for i in range(11) for j in range(11)
+                                   for k in range(11)])
+        assert len(solid._first) >= homology._COLLAPSE_MIN_CELLS
+        monkeypatch.setattr(homology, "np", Numpy())
+        assert betti(solid) == (1, 0, 0, 0)
+        assert {name for name, *_ in calls} == {"add", "subtract"}
+        for call in calls:
+            _, ndim, dtype, length, shape = call
+            assert ndim == 1 and dtype == np.intp and shape in ((), (length,)), call
+
     def test_live_run_with_a_removed_face_raises(self, monkeypatch, collapse_always):
         # The unit square's cells form three runs along y: the left side, the
         # bottom edge with the square and the top edge, and the right side.
@@ -430,7 +481,7 @@ class TestRunComplex:
         # be wrong, and ranking must say so.
         square = solid_cube_complex(2)
         table = homology._run_complex(square)
-        assert table.tolist() == [[3, 0, 3], [3, 2, 3]]
+        assert table.tolist() == [[3, 3], [0, 2], [3, 3]]
         monkeypatch.setattr(homology, "_collapse", lambda table: np.array([1, 2]))
         with pytest.raises(ValueError, match="run complex is not closed: a live run has the removed face 0$"):
             betti(square)

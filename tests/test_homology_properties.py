@@ -329,9 +329,9 @@ def _tuple_face_table(cells, dim):
     runs = _tuple_runs(cells)
     run_of = {c: r for r, run in enumerate(runs) for c in run}
     tops = [run[-1] for run in runs]
-    rows = [[run_of[t[:a] + (t[a] + delta,) + t[a + 1:]] if t[a] & 1 else len(runs) for t in tops]
-            for a in range(dim - 1) for delta in (-1, 1)]
-    return tops, np.array(rows, dtype=np.int64).reshape(len(rows), len(runs))
+    rows = [[run_of[t[:a] + (t[a] + delta,) + t[a + 1:]] if t[a] & 1 else len(runs)
+             for a in range(dim - 1) for delta in (-1, 1)] for t in tops]
+    return tops, np.array(rows, dtype=np.intp).reshape(len(runs), 2 * max(dim - 1, 0))
 
 
 def _run_dims(cx, runs):
@@ -340,12 +340,12 @@ def _run_dims(cx, runs):
 
 def _table_betti(table, dims, top):
     """b_0 .. b_top of the run complex with face table `table` and run dimensions `dims`."""
-    n = table.shape[1]
+    n = len(table)
     by_dim = [[r for r in range(n) if dims[r] == d] for d in range(top + 1)]
     ranks = [0] * (top + 2)
     for d in range(1, top + 1):
         index = {r: i for i, r in enumerate(by_dim[d - 1])}
-        columns = [sum(1 << index[f] for f in table[:, r].tolist() if f < n) for r in by_dim[d]]
+        columns = [sum(1 << index[f] for f in table[r].tolist() if f < n) for r in by_dim[d]]
         ranks[d] = GF2Matrix(len(index), columns).rank()
     return tuple(len(by_dim[d]) - ranks[d] - ranks[d + 1] for d in range(top + 1))
 
@@ -364,6 +364,41 @@ def test_run_face_table_matches_tuple_runs(case):
         tops, want = _tuple_face_table(cx.cells, cx.ambient_dim)
         assert list(cx._frame.decode(cx._last)) == tops
         assert table.shape == want.shape and np.array_equal(table, want)
+
+
+@SETTINGS
+@given(mixed_cubes())
+def test_face_table_is_one_run_major_intp_array(case):
+    # Row r holds run r's faces, columns 2a and 2a + 1 the two sides of the
+    # a-th axis off the run axis, both filler or both a run.  The tops grow
+    # with r, so down a column the runs named never decrease.
+    dim, cubes = case
+    for extra in (0, 22):
+        cx = close_under_faces([(0,) * extra + c for c in cubes], ambient_dim=dim + extra)
+        table = homology._run_complex(cx)
+        n = len(cx._last)
+        assert table.shape == (n, 2 * (dim + extra - 1)) and table.dtype == np.intp
+        assert table.flags.c_contiguous
+        filler = table == n
+        assert np.array_equal(filler[:, 0::2], filler[:, 1::2]) and (table <= n).all()
+        for column, is_filler in zip(table.T, filler.T):
+            runs = column[~is_filler]
+            assert (runs[1:] >= runs[:-1]).all()
+
+
+@COLLAPSING
+@given(mixed_cubes())
+# An edge along the run axis: one run, whose top is a vertex.
+@example((2, [(0, 1)]))
+@example((3, [(0, 0, 2)]))
+def test_betti_reads_the_top_dimension_from_the_runs(collapse_always, case):
+    dim, cubes = case
+    for extra in (0, 22):
+        cx = close_under_faces([(0,) * extra + c for c in cubes], ambient_dim=dim + extra)
+        assert cx._last.dtype == (object if extra else np.int64)
+        vector = betti(cx)
+        assert cx._counts is None, "betti counted the cells per dimension"
+        assert len(vector) == (cx.dim + 1 if len(cx) else dim + extra + 1)
 
 
 @SETTINGS
@@ -388,8 +423,8 @@ def test_collapsed_run_complex_is_closed_with_no_free_run_and_the_same_chi(case)
     alive = set(live.tolist())
     cofaces = dict.fromkeys(alive, 0)
     for g in alive:
-        for f in table[:, g].tolist():
-            if f < table.shape[1]:
+        for f in table[g].tolist():
+            if f < len(table):
                 assert f in alive, "a live run has a removed face"
                 cofaces[f] += 1
     assert 1 not in cofaces.values(), "a free run is left"
@@ -426,7 +461,7 @@ def test_run_complex_of_an_overhang_follows_paths_up_their_runs(collapse_always)
     # y = 1 are the lowest of the lines that run on up the two high cubes, so
     # its boundary names the tops of those runs.
     low = tops.index((3, 1, 2))
-    assert {tops[f] for f in table[:, low].tolist() if f < len(tops)} == {(2, 1, 2), (4, 1, 4), (3, 0, 2), (3, 2, 4)}
+    assert {tops[f] for f in table[low].tolist() if f < len(tops)} == {(2, 1, 2), (4, 1, 4), (3, 0, 2), (3, 2, 4)}
     assert betti(cx) == betti_by_cells(cx) == (1, 0, 0, 0)
 
 
@@ -438,7 +473,7 @@ def test_run_complex_on_an_object_frame(collapse_always):
     assert wide._last.dtype == object
     narrow_table, wide_table = map(homology._run_complex, (narrow, wide))
     assert len(wide._last) == len(narrow._last)
-    assert (wide_table[:44] == len(wide._last)).all() and np.array_equal(wide_table[44:], narrow_table)
+    assert (wide_table[:, :44] == len(wide._last)).all() and np.array_equal(wide_table[:, 44:], narrow_table)
     assert np.array_equal(homology._collapse(wide_table), homology._collapse(narrow_table))
     assert betti(wide) == betti(narrow) == (1, 0, 0, 0)
 

@@ -190,6 +190,23 @@ class TestDeform:
         with pytest.raises(ValueError):
             self.family(random_poly(random.Random(0), 2), random_poly(random.Random(0), 3), Fraction(1, 2))
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(0, 4), st.integers(0, 2**32), st.fractions())
+    def test_blend_is_the_family(self, k, seed, t):
+        # Any rational t, and coefficients whose numerators and denominators pass 2**64.
+        rng = random.Random(seed)
+        p, h = random_poly(rng, k), dehomogenize(random_pd_form(k + 1, seed))
+        p = p.scaled(Fraction(rng.randint(1, 2**70), rng.randint(1, 2**70)))
+        assert p.blend(h, t) == self.family(p, h, t)
+        assert h.blend(p, t) == self.family(h, p, t)
+
+    def test_blend_rejects_a_dimension_mismatch_and_floats(self):
+        p, h = random_poly(random.Random(0), 2), random_poly(random.Random(0), 3)
+        with pytest.raises(ValueError, match="variable count mismatch"):
+            p.blend(h, Fraction(1, 2))
+        with pytest.raises(TypeError, match="floats"):
+            p.blend(p, 0.5)
+
 
 class TestDefiniteness:
     """Sylvester's test, the oracle of `TestPDForms`, can fail."""
