@@ -152,9 +152,9 @@ def _emit_table(fmt: str, out, columns: List[str], rows: List[Dict],
 
 
 def _exit_code(verdicts: Sequence[str]) -> int:
-    from .harness import INCONCLUSIVE, VIOLATION, _overall
+    from .harness import INCONCLUSIVE, VIOLATION, overall
 
-    return {VIOLATION: 1, INCONCLUSIVE: 3}.get(_overall(verdicts), 0)
+    return {VIOLATION: 1, INCONCLUSIVE: 3}.get(overall(verdicts), 0)
 
 
 def _cmd_bounds(args, out) -> int:

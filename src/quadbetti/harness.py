@@ -16,8 +16,6 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .bounds import b_ci, bound_aggregate, bound_betti
 from .homology import CubicalComplex, betti, close_under_faces, make_cube
 from .quadforms import (
@@ -25,26 +23,25 @@ from .quadforms import (
     GridSpec,
     QuadraticForm,
     QuadraticPoly,
-    _fr,
-    _positive,
-    _top_cells,
-    _zero_polys,
     check_smooth_pencil,
     dehomogenize,
     format_rational,
     grid_complex,
     homogenize,
     is_nonsingular_quadric,
+    parse_rational,
     random_pd_form,
     sphere_region_cap,
     sphere_region_complex,
     sphere_zero_complex,
+    sphere_zero_split,
 )
 
 __all__ = [
     "PASS",
     "VIOLATION",
     "INCONCLUSIVE",
+    "overall",
     "pad_betti",
     "mayer_vietoris_audit",
     "Scenario",
@@ -146,8 +143,8 @@ def scenario_shell(k: int, r_in, r_out) -> Scenario:
     """Spherical shell r_in <= |x| <= r_out, which retracts to the (k-1)-sphere."""
     if not 2 <= k <= 3:
         raise ValueError(f"desk scale is 2 <= k <= 3, got {k}")
-    rin = _fr(r_in)
-    rout = _fr(r_out)
+    rin = parse_rational(r_in)
+    rout = parse_rational(r_out)
     if not 0 < rin < rout:
         raise ValueError(f"need 0 < r_in < r_out, got {rin}, {rout}")
     neg_identity = [
@@ -238,7 +235,8 @@ class BoundAuditReport(_Report):
         return list(self.total.to_dict()), [r.to_dict() for r in self.rows]
 
 
-def _overall(verdicts: Sequence[str]) -> str:
+def overall(verdicts: Sequence[str]) -> str:
+    """The worst of the verdicts: VIOLATION, then INCONCLUSIVE, then PASS."""
     if VIOLATION in verdicts:
         return VIOLATION
     if INCONCLUSIVE in verdicts:
@@ -278,12 +276,12 @@ def bound_audit(sc: Scenario, spec: Optional[GridSpec] = None) -> BoundAuditRepo
     total_val = sum(vec)
     total = AuditRow(i=-1, betti=total_val, bound=total_bound,
                      verdict=PASS if total_val <= total_bound else fail)
-    overall = _overall([r.verdict for r in rows] + [total.verdict])
-    if overall == INCONCLUSIVE:
+    verdict = overall([r.verdict for r in rows] + [total.verdict])
+    if verdict == INCONCLUSIVE:
         params["hint"] = "halve the grid resolution or supply an oracle"
     return BoundAuditReport(
         scenario=sc.name, s=sc.s, k=sc.k, rows=tuple(rows), total=total,
-        overall=overall, params=params,
+        overall=verdict, params=params,
     )
 
 
@@ -336,7 +334,9 @@ def smith_audit(forms: Sequence[QuadraticForm], radius=1) -> SmithReport:
     elif codim > 2:
         raise ValueError(f"codimension {codim} rejected: smoothness is checked exactly "
                          "only up to codimension 2")
-    r = _positive(radius, "radius")
+    r = parse_rational(radius)
+    if r <= 0:
+        raise ValueError(f"radius must be positive, got {r}")
     res = r / 8
     spec = GridSpec.symmetric(r + 2 * res, res, n)
     vec = betti(sphere_zero_complex(forms, r, spec, 2 * res))
@@ -372,11 +372,11 @@ def _scenario_fits_ball(sc: Scenario, eps: Fraction) -> bool:
 def _lift_spec(eps: Fraction, dim: int, resolution=None) -> GridSpec:
     """The lift grid for (eps, dim, resolution), built once and shared.
 
-    The cache is typed: a float resolution equal to a cached Fraction still
-    reaches `_fr`, which rejects it.
+    The cache is typed: a float or bool resolution equal to a cached value
+    still reaches `parse_rational`, which rejects it.
     """
     r = 2 / eps
-    hs = _fr(resolution) if resolution is not None else r / 32
+    hs = parse_rational(resolution) if resolution is not None else r / 32
     return GridSpec.symmetric(r + 2 * hs, hs, dim)
 
 
@@ -484,7 +484,7 @@ def deformation_audit(
     compare nothing, raises ValueError.
     """
     params = params or DeformationParams()
-    ts = sorted({_fr(t) for t in t_values})
+    ts = sorted({parse_rational(t) for t in t_values})
     for t in ts:
         if not 0 <= t <= params.delta:
             raise ValueError(f"t={t} outside [0, delta={params.delta}]")
@@ -533,34 +533,6 @@ def _reduced(vec: Sequence[int]) -> Tuple[int, ...]:
     return (vec[0] - 1,) + vec[1:]
 
 
-def _equator_split(res: Fraction, tau: Fraction) -> Tuple[CubicalComplex, CubicalComplex]:
-    """The equator band of the unit 2-sphere and the rest of the sphere band.
-
-    The grid has width `res` on the box [-(1 + 2 res), 1 + 2 res]^3, and the
-    equator band keeps the sphere cells whose center has |X3^2| <= tau.
-    The complement holds the sphere band's top cells whose closed cube
-    misses every top cell of the equator band.  Two closed grid cubes meet
-    iff their indices differ by at most 1 on every axis, so the equator
-    cells are marked on the grid padded by one, the marks are grown by one
-    step along each axis in turn, and the unmarked band cells are kept.
-    """
-    spec = GridSpec.symmetric(1 + 2 * res, res, 3)
-    equator_form = QuadraticForm.make(
-        3, [[0, 0, 0], [0, 0, 0], [0, 0, 1]]
-    )  # zero set of X3^2 is the equator plane
-    band, _ = _top_cells(spec, (), 1)
-    subset, run_axis = _top_cells(spec, _zero_polys([equator_form], tau), 1)
-    near = np.zeros([n + 2 for n in spec.shape], dtype=bool)
-    near[tuple(subset.T + 1)] = True
-    # Along each axis the padding is empty until this axis is grown, so no
-    # mark rolls around the end.
-    for axis in range(spec.dim):
-        near = near | np.roll(near, 1, axis) | np.roll(near, -1, axis)
-    complement = band[~near[tuple(band.T + 1)]]
-    return (close_under_faces(2 * subset + 1, ambient_dim=spec.dim, run_axis=run_axis),
-            close_under_faces(2 * complement + 1, ambient_dim=spec.dim))
-
-
 def alexander_equator_audit() -> AlexanderReport:
     """Duality spot-check on the unit 2-sphere with the equator circle as subset.
 
@@ -571,7 +543,8 @@ def alexander_equator_audit() -> AlexanderReport:
     The grid width is 1/8 and the equator band half-width tau is 1/4.
     """
     res = Fraction(1, 8)
-    subset, complement = _equator_split(res, 2 * res)
+    equator = QuadraticForm.make(3, [[0, 0, 0], [0, 0, 0], [0, 0, 1]])  # X3^2 vanishes on the equator plane
+    subset, complement = sphere_zero_split([equator], 1, GridSpec.symmetric(1 + 2 * res, res, 3), 2 * res)
     sub_red = _reduced(pad_betti(betti(subset), 3))
     comp_red = _reduced(pad_betti(betti(complement), 3))
     k = 2

@@ -1,10 +1,10 @@
 """Exact quadratic polynomials and forms, plus grid approximation of their sets.
 
-All coefficients are `fractions.Fraction`; floats are rejected everywhere
-so that membership tests and sign evaluations are exact.  The one
-deliberate exception is `ci_probe`, a floating-point diagnostic that no
-audit calls: the Smith audit checks the smoothness of its intersection
-exactly (`is_nonsingular_quadric`, `check_smooth_pencil`).
+All coefficients are `fractions.Fraction`, read by `parse_rational`, which
+refuses floats everywhere so that membership tests and sign evaluations
+are exact.  The one deliberate exception is `ci_probe`, a floating-point
+diagnostic that no audit calls: the Smith audit checks the smoothness of
+its intersection exactly (`is_nonsingular_quadric`, `check_smooth_pencil`).
 
 Grid complexes use the center-point rule.  Every builder is a list of
 quadratics, and a candidate top cell is kept iff each of them is >= 0 at
@@ -16,7 +16,9 @@ free of pinholes at any resolution.  `grid_complex` passes its system,
 `sphere_band_complex` nothing, `sphere_zero_complex` the pair tau - Q and
 tau + Q per form (so |Q| <= tau), and `sphere_region_complex` the
 projective-ball truncation (1/eps)^2 x_{k+1}^2 - |x_1..x_k|^2 ahead of
-its system.
+its system.  `sphere_zero_split` returns `sphere_zero_complex`'s set
+together with its closed complement on the sphere, the band cells whose
+closed cube misses every kept cell.
 
 The builder decides all candidates in one numpy array pass: the whole box
 by broadcasting per-axis centers, the band as a mask from per-axis min and
@@ -69,6 +71,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import random
 import re
 from dataclasses import dataclass, field
@@ -95,6 +98,7 @@ __all__ = [
     "GridSpec",
     "grid_complex",
     "sphere_zero_complex",
+    "sphere_zero_split",
     "sphere_band_complex",
     "sphere_region_complex",
     "sphere_region_cap",
@@ -104,13 +108,17 @@ _RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?")
 
 
 def parse_rational(value) -> Fraction:
-    """Parse an exact rational from an int or a "p/q" string; floats rejected."""
+    """Read an exact input: a Fraction as it is, any other rational number
+    (numpy ints too) or a "p/q" string; floats, bools, decimal strings and
+    every other type are refused, in library calls as on the command line."""
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, bool):
         raise TypeError(f"expected rational, got bool {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, Fraction):
-        return value
+    if isinstance(value, numbers.Rational):
+        return Fraction(int(value.numerator), int(value.denominator))
     if isinstance(value, float):
         raise TypeError(f"floats are not exact rationals: {value!r}")
     if isinstance(value, str):
@@ -126,22 +134,15 @@ def format_rational(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def _fr(value) -> Fraction:
-    """Coerce to Fraction, rejecting floats to protect exactness."""
-    if isinstance(value, float):
-        raise TypeError(f"floats are not allowed in exact data: {value!r}")
-    return Fraction(value)
-
-
 def _positive(value, name: str) -> Fraction:
-    q = _fr(value)
+    q = parse_rational(value)
     if q <= 0:
         raise ValueError(f"{name} must be positive, got {q}")
     return q
 
 
 def _symmetric_matrix(rows, n: int) -> Tuple[Tuple[Fraction, ...], ...]:
-    mat = tuple(tuple(_fr(x) for x in row) for row in rows)
+    mat = tuple(tuple(parse_rational(x) for x in row) for row in rows)
     if len(mat) != n or any(len(row) != n for row in mat):
         raise ValueError(f"expected a {n}x{n} matrix")
     for i in range(n):
@@ -174,13 +175,13 @@ class QuadraticPoly:
         if k < 0:
             raise ValueError("variable count must be nonnegative")
         qm = _symmetric_matrix(quad, k) if quad is not None else tuple(_zeros(k) for _ in range(k))
-        lv = tuple(_fr(x) for x in lin) if lin is not None else _zeros(k)
+        lv = tuple(parse_rational(x) for x in lin) if lin is not None else _zeros(k)
         if len(lv) != k:
             raise ValueError(f"linear part must have {k} entries")
-        return cls(k=k, quad=qm, lin=lv, const=_fr(const))
+        return cls(k=k, quad=qm, lin=lv, const=parse_rational(const))
 
     def evaluate(self, point: Sequence) -> Fraction:
-        pt = [_fr(x) for x in point]
+        pt = [parse_rational(x) for x in point]
         if len(pt) != self.k:
             raise ValueError(f"expected {self.k} coordinates, got {len(pt)}")
         total = self.const
@@ -208,7 +209,7 @@ class QuadraticPoly:
         return QuadraticPoly(self.k, quad, lin, self.const + other.const)
 
     def scaled(self, factor) -> "QuadraticPoly":
-        f = _fr(factor)
+        f = parse_rational(factor)
         quad = tuple(tuple(f * a for a in row) for row in self.quad)
         lin = tuple(f * a for a in self.lin)
         return QuadraticPoly(self.k, quad, lin, f * self.const)
@@ -226,7 +227,7 @@ class QuadraticPoly:
         """
         if other.k != self.k:
             raise ValueError("variable count mismatch")
-        t = _fr(t)
+        t = parse_rational(t)
         u, v = t.numerator, t.denominator
         w = v - u
 
@@ -264,7 +265,7 @@ class QuadraticForm:
         return QuadraticPoly(self.n, self.gram, _zeros(self.n), Fraction(0))
 
     def scaled(self, factor) -> "QuadraticForm":
-        f = _fr(factor)
+        f = parse_rational(factor)
         return QuadraticForm(self.n, tuple(tuple(f * a for a in row) for row in self.gram))
 
     def __rmul__(self, factor) -> "QuadraticForm":
@@ -483,8 +484,8 @@ class DeformationParams:
     delta: Fraction = Fraction(1, 1000)
 
     def __post_init__(self):
-        object.__setattr__(self, "eps", _fr(self.eps))
-        object.__setattr__(self, "delta", _fr(self.delta))
+        object.__setattr__(self, "eps", parse_rational(self.eps))
+        object.__setattr__(self, "delta", parse_rational(self.delta))
         if not 0 < self.delta < self.eps:
             raise ValueError(f"need 0 < delta < eps, got delta={self.delta}, eps={self.eps}")
 
@@ -505,7 +506,9 @@ class GridSpec:
     shape: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        box = tuple((_fr(lo), _fr(hi)) for lo, hi in self.box)
+        if not self.box:
+            raise ValueError("a grid needs at least one axis")
+        box = tuple((parse_rational(lo), parse_rational(hi)) for lo, hi in self.box)
         res = _positive(self.resolution, "resolution")
         shape = []
         for lo, hi in box:
@@ -535,7 +538,7 @@ class GridSpec:
     def symmetric(half_width, resolution, dim: int) -> "GridSpec":
         """Box [-H, H]^dim with H snapped up to a multiple of the resolution."""
         h = _positive(resolution, "resolution")
-        half = _fr(half_width)
+        half = parse_rational(half_width)
         n = -((-half) // h)  # ceil division for Fractions
         half = n * h
         return GridSpec(box=((-half, half),) * dim, resolution=h)
@@ -558,7 +561,7 @@ class _GridScale:
         self.lo = [lo.numerator * (self.scale // lo.denominator) for lo, _ in spec.box]
         self.shape = spec.shape
         # Bound on every scaled cell bound and center, and on r * scale for a sphere in the box.
-        self.u_max = max((max(-lo, lo + self.step * n) for lo, n in zip(self.lo, self.shape)), default=0)
+        self.u_max = max(max(-lo, lo + self.step * n) for lo, n in zip(self.lo, self.shape))
 
     def lows(self, wide: bool, offset: int = 0) -> List[np.ndarray]:
         """Scaled lower cell bounds per axis plus `offset`, in int64 or, if `wide`, Python ints.
@@ -642,8 +645,6 @@ def _band_mask(lows: Sequence[np.ndarray], step: int, thr: Fraction) -> np.ndarr
     over all axes but the last are compared with the last axis's terms
     moved to the other side, so no integer array of the full shape is made.
     """
-    if not lows:  # a point lies on no sphere of positive radius
-        return np.zeros((), dtype=bool)
     mins, maxs = [], []
     for a in lows:
         b = a + step
@@ -681,9 +682,8 @@ def _sphere_band(spec: GridSpec, r: Fraction) -> Tuple[np.ndarray, np.ndarray]:
     gs = _GridScale(spec)
     shape = gs.shape
     mask = _band_mask(gs.lows(spec.dim * gs.u_max**2 >= _INT64_SAFE), gs.step, r * r * gs.scale * gs.scale)
-    # numpy has no nonzero() of a 0-d array; a grid with no axes has no band cell.
-    at = mask.nonzero() if spec.dim else ()
-    n = len(at[0]) if at else 0
+    at = mask.nonzero()
+    n = len(at[0])
     succ = np.full((spec.dim, n), n, dtype=np.min_scalar_type(n))
     if n:
         # The cells are in lexicographic order, so their grid keys ascend.
@@ -695,7 +695,7 @@ def _sphere_band(spec: GridSpec, r: Fraction) -> Tuple[np.ndarray, np.ndarray]:
             there = (at[a] < shape[a] - 1) & (keys.take(pos, mode="clip") == after)
             succ[a, there] = pos[there]
             stride *= shape[a]
-    band = np.empty((spec.dim, n), dtype=np.min_scalar_type(max(shape, default=1) - 1))
+    band = np.empty((spec.dim, n), dtype=np.min_scalar_type(max(shape) - 1))
     for row, index in zip(band, at):
         row[:] = index
     band.flags.writeable = succ.flags.writeable = False
@@ -763,7 +763,7 @@ def _top_cells(
     kept = after.nonzero()[0]
     pairs = [np.count_nonzero(after.take(s.take(kept))) for s in succ]
     # intp keeps the codes 2*j + 1 of a uint8 band from wrapping.
-    return band.take(kept, axis=1).astype(np.intp).T, max(range(spec.dim), key=lambda a: (pairs[a], a), default=-1)
+    return band.take(kept, axis=1).astype(np.intp).T, max(range(spec.dim), key=lambda a: (pairs[a], a))
 
 
 def _build(spec: GridSpec, polys: Sequence[QuadraticPoly], radius=None) -> CubicalComplex:
@@ -792,6 +792,28 @@ def sphere_zero_complex(
     to twice the cell width).
     """
     return _build(spec, _zero_polys(forms, tau), radius)
+
+
+def sphere_zero_split(forms: Sequence[QuadraticForm], radius, spec: GridSpec,
+                      tau) -> Tuple[CubicalComplex, CubicalComplex]:
+    """`sphere_zero_complex(forms, radius, spec, tau)` and its closed complement
+    on the sphere, the face closure of the band cells whose closed cube misses
+    every kept cell.  Two closed grid cubes meet iff their indices differ by at
+    most 1 on every axis, so the kept cells are marked on the grid padded by
+    one, and the marks are grown by one step along each axis in turn.
+    """
+    cells, run_axis = _top_cells(spec, _zero_polys(forms, tau), radius)
+    near = np.zeros([n + 2 for n in spec.shape], dtype=bool)
+    near[tuple(cells.T + 1)] = True
+    # Along each axis the padding is empty until this axis is grown, so no
+    # mark rolls around the end.
+    for axis in range(spec.dim):
+        near = near | np.roll(near, 1, axis) | np.roll(near, -1, axis)
+    # intp keeps the padding offset of a uint8 band from wrapping.
+    band = _sphere_band(spec, _sphere_radius(radius, spec))[0].astype(np.intp)
+    rest = band[:, ~near[tuple(band + 1)]]
+    return (close_under_faces(2 * cells + 1, ambient_dim=spec.dim, run_axis=run_axis),
+            close_under_faces(2 * rest.T + 1, ambient_dim=spec.dim))
 
 
 def _zero_polys(forms: Sequence[QuadraticForm], tau) -> List[QuadraticPoly]:
@@ -850,11 +872,10 @@ def sphere_region_cap(
     characteristic of the lift are then twice the cap's.  Only the band
     cells with last index at least floor((m - 1) / 2), m the cell count of
     the last axis, are evaluated.  See the module docstring for the three
-    conditions and the proof.  A grid
-    with no axes has no last axis, and no cap.
+    conditions and the proof.
     """
     system, r = _lift_system(polys, eps, spec.dim)
-    if not spec.dim or any(lo != -hi for lo, hi in spec.box) or any(any(p.lin) for p in system):
+    if any(lo != -hi for lo, hi in spec.box) or any(any(p.lin) for p in system):
         return None
     cells, run_axis = _top_cells(spec, system, r, upper=True)
     # The layers whose closed cubes meet x_{k+1} = 0 are floor((m - 1) / 2) .. floor(m / 2).

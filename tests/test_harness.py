@@ -4,8 +4,10 @@ import dataclasses
 import inspect
 import itertools
 import json
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from test_homology import cells_of_dim, same_complex
 
@@ -35,9 +37,11 @@ from quadbetti.quadforms import (
     DeformationParams,
     GridSpec,
     QuadraticForm,
+    QuadraticPoly,
     grid_complex,
     sphere_band_complex,
     sphere_zero_complex,
+    sphere_zero_split,
 )
 
 
@@ -127,6 +131,44 @@ class TestScenarios:
             Scenario(name="bad", system=sc.system, s=1, k=3, grid=sc.grid)
         with pytest.raises(ValueError, match="^polynomial has 1 variables, scenario has k=2$"):
             Scenario(name="bad", system=sc.system, s=1, k=2, grid=scenario_products(2).grid)
+
+
+# Each public entry point that takes a rational, called with one value in
+# the place it reads.  Every other argument leaves room for all the
+# accepted values: the deformation t sits below a delta of 4, and its
+# scenario box then leaves the ball, so the audit stops before any grid.
+RATIONAL_ENTRY_POINTS = {
+    "poly-quad": lambda v: QuadraticPoly.make(1, quad=[[v]]),
+    "poly-lin": lambda v: QuadraticPoly.make(1, lin=[v]),
+    "poly-const": lambda v: QuadraticPoly.make(1, const=v),
+    "grid-box": lambda v: GridSpec(box=((0, v),), resolution=Fraction(1, 2)),
+    "grid-resolution": lambda v: GridSpec(box=((0, 3),), resolution=v),
+    "symmetric-half-width": lambda v: GridSpec.symmetric(v, Fraction(1, 2), 1),
+    "symmetric-resolution": lambda v: GridSpec.symmetric(1, v, 1),
+    "params-eps": lambda v: DeformationParams(eps=v, delta=Fraction(1, 4)),
+    "params-delta": lambda v: DeformationParams(eps=4, delta=v),
+    "shell-r-in": lambda v: scenario_shell(2, v, 4),
+    "shell-r-out": lambda v: scenario_shell(2, Fraction(1, 4), v),
+    "smith-radius": lambda v: smith_audit([CONE], radius=v),
+    "deformation-t": lambda v: deformation_audit(scenario_products(1), DeformationParams(eps=5, delta=4),
+                                                 t_values=(0, v)),
+    "double-cover-resolution": lambda v: double_cover_audit(scenario_products(1), sphere_resolution=v),
+}
+
+
+@pytest.mark.parametrize("value", [0.5, "0.5", "1e3", True, Decimal("0.5")], ids=repr)
+@pytest.mark.parametrize("entry", RATIONAL_ENTRY_POINTS)
+def test_rational_entry_points_refuse_inexact_values(entry, value):
+    """The library reads rationals as the command line does: every message
+    below is one of `parse_rational`'s."""
+    with pytest.raises((TypeError, ValueError), match="rational"):
+        RATIONAL_ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("value", ["1/2", Fraction(1, 2), 3, np.int64(3)], ids=repr)
+@pytest.mark.parametrize("entry", RATIONAL_ENTRY_POINTS)
+def test_rational_entry_points_accept_exact_values(entry, value):
+    RATIONAL_ENTRY_POINTS[entry](value)
 
 
 class TestBoundAudit:
@@ -389,7 +431,7 @@ class TestAlexander:
     @pytest.mark.parametrize("res, tau", [(Fraction(1, 8), Fraction(1, 4)), (Fraction(1, 6), Fraction(1, 5))])
     def test_complement_matches_vertex_disjoint_rule(self, res, tau):
         band, subset, complement_tops = _vertex_disjoint_split(res, tau)
-        split_subset, complement = harness._equator_split(res, tau)
+        split_subset, complement = sphere_zero_split([EQUATOR], 1, GridSpec.symmetric(1 + 2 * res, res, 3), tau)
         assert same_complex(split_subset, subset)
         assert set(cells_of_dim(complement, 3)) == set(complement_tops)
         assert 0 < len(complement_tops) < band.n_cells(3)
@@ -398,8 +440,9 @@ class TestAlexander:
         # At the audit's grid: the sphere band and the two caps have chi = 2,
         # the equator circle chi = 0, each the alternating sum of its Betti vector.
         res = Fraction(1, 8)
-        band = sphere_band_complex(1, GridSpec.symmetric(1 + 2 * res, res, 3))
-        subset, complement = harness._equator_split(res, 2 * res)
+        spec = GridSpec.symmetric(1 + 2 * res, res, 3)
+        band = sphere_band_complex(1, spec)
+        subset, complement = sphere_zero_split([EQUATOR], 1, spec, 2 * res)
         for cx, chi in ((band, 2), (subset, 0), (complement, 2)):
             alternating = sum((-1) ** i * b for i, b in enumerate(betti(cx)))
             assert sum((-1) ** d * cx.n_cells(d) for d in range(4)) == alternating == chi
