@@ -253,69 +253,64 @@ def _cmd_audit(args, out) -> int:
     return _exit_code([report.verdict])
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The command line parser.
+def build_parser(columns: Optional[int] = None) -> argparse.ArgumentParser:
+    """A fresh command line parser for a terminal `columns` wide.
 
-    Given a subcommand name, only that subcommand is built: parsing its
-    command line reads no other, and building them costs more than the
-    parse.  Help and error output are the same either way.  The terminal
-    width is read once, here, rather than by each of the help formatters
-    argparse makes per argument; the width is argparse's own default.
+    `columns` is read here when not given, and `columns - 2` is the help
+    width argparse itself would use; reading it once per build spares each
+    help formatter argparse makes per argument from reading it again.
+    `main` reads it once per call and keeps one parser per width for the
+    life of the process, since building the four subcommands costs about
+    ten parses and parsing leaves a parser unchanged.
     """
-    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    columns = shutil.get_terminal_size().columns if columns is None else columns
+    formatter = functools.partial(argparse.HelpFormatter, width=columns - 2)
     parser = argparse.ArgumentParser(
         prog="quadbetti",
         description="Betti bound tables and verification audits for quadratic systems",
         formatter_class=formatter,
     )
-    helps = {
-        "bounds": "per-degree bound table",
-        "ci": "complete-intersection Betti totals",
-        "verify": "run the built-in verification suite",
-        "audit": "run one named audit",
-    }
-    # Usage lines list the subcommands; the metavar keeps the unbuilt ones in them.
-    metavar = "{" + ",".join(helps) + "}" if command else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    subs = {name: sub.add_parser(name, help=helps[name], formatter_class=formatter)
-            for name in ([command] if command else helps)}
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    if "bounds" in subs:
-        p_bounds = subs["bounds"]
-        p_bounds.add_argument("--s", required=True, help="value, a:b range, or comma list")
-        p_bounds.add_argument("--k", required=True)
-        p_bounds.add_argument("--i", default=None, help="defaults to all valid degrees")
-        p_bounds.add_argument("--aggregate", action="store_true",
-                              help="emit aggregate bounds instead of per-degree rows")
-        p_bounds.add_argument("--compare-classical", action="store_true",
-                              help="append illustrative non-rigorous reference columns")
+    p_bounds = sub.add_parser("bounds", help="per-degree bound table", formatter_class=formatter)
+    p_bounds.add_argument("--s", required=True, help="value, a:b range, or comma list")
+    p_bounds.add_argument("--k", required=True)
+    p_bounds.add_argument("--i", default=None, help="defaults to all valid degrees")
+    p_bounds.add_argument("--aggregate", action="store_true",
+                          help="emit aggregate bounds instead of per-degree rows")
+    p_bounds.add_argument("--compare-classical", action="store_true",
+                          help="append illustrative non-rigorous reference columns")
 
-    if "ci" in subs:
-        p_ci = subs["ci"]
-        p_ci.add_argument("--j", default=None)
-        p_ci.add_argument("--k", required=True)
-        p_ci.add_argument("--degrees", default=None, help="comma list, e.g. 2,2,3")
+    p_ci = sub.add_parser("ci", help="complete-intersection Betti totals", formatter_class=formatter)
+    p_ci.add_argument("--j", default=None)
+    p_ci.add_argument("--k", required=True)
+    p_ci.add_argument("--degrees", default=None, help="comma list, e.g. 2,2,3")
 
-    if "verify" in subs:
-        subs["verify"].add_argument("--full", action="store_true", help="include the slow audits")
+    p_verify = sub.add_parser("verify", help="run the built-in verification suite",
+                              formatter_class=formatter)
+    p_verify.add_argument("--full", action="store_true", help="include the slow audits")
 
-    if "audit" in subs:
-        p_audit = subs["audit"]
-        p_audit.add_argument("--name", required=True, choices=AUDITS)
-        p_audit.add_argument("--k", type=int, default=2)
-        p_audit.add_argument("--r-in", dest="r_in", default="1/2")
-        p_audit.add_argument("--r-out", dest="r_out", default="1")
-        p_audit.add_argument("--radius", default="1")
-        p_audit.add_argument("--eps", default="1/10")
-        p_audit.add_argument("--delta", default="1/1000")
-        p_audit.add_argument("--t-values", dest="t_values", default="0,1/1000")
-        p_audit.add_argument("--resolution", default=None)
+    p_audit = sub.add_parser("audit", help="run one named audit", formatter_class=formatter)
+    p_audit.add_argument("--name", required=True, choices=AUDITS)
+    p_audit.add_argument("--k", type=int, default=2)
+    p_audit.add_argument("--r-in", dest="r_in", default="1/2")
+    p_audit.add_argument("--r-out", dest="r_out", default="1")
+    p_audit.add_argument("--radius", default="1")
+    p_audit.add_argument("--eps", default="1/10")
+    p_audit.add_argument("--delta", default="1/1000")
+    p_audit.add_argument("--t-values", dest="t_values", default="0,1/1000")
+    p_audit.add_argument("--resolution", default=None)
 
-    for p in subs.values():
+    for p in (p_bounds, p_ci, p_verify, p_audit):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", default=None, help="file path; defaults to stdout")
         p.add_argument("--seed", type=int, default=0)
     return parser
+
+
+@functools.lru_cache(maxsize=4)
+def _parser(columns: int) -> argparse.ArgumentParser:
+    return build_parser(columns)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -326,7 +321,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "verify": _cmd_verify,
         "audit": _cmd_audit,
     }
-    parser = build_parser(argv[0] if argv and argv[0] in handlers else None)
+    parser = _parser(shutil.get_terminal_size().columns)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,10 @@ from quadbetti import cli
 from quadbetti.bounds import bound_aggregate
 from quadbetti.cli import main
 from quadbetti.quadforms import _sphere_band
+
+DATA = Path(__file__).parent / "data"
+GOLDEN_CASES = json.loads((DATA / "cli_golden.json").read_text())
+HELP_CASES = json.loads((DATA / "cli_help.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -135,8 +140,63 @@ def _parse(parser, argv, capsys):
     ["bounds", "--s", "1:3", "--k", "3:6", "--aggregate"], ["verify", "--full", "--seed", "2"],
 ])
 def test_one_subcommand_parser_acts_as_the_full_parser(capsys, argv):
-    # main builds only the subcommand it is given; parses, help and errors must not change.
-    assert _parse(cli.build_parser(argv[0]), argv, capsys) == _parse(cli.build_parser(), argv, capsys)
+    # main reuses one parser per terminal width; every parse through it, the
+    # first and any later one, must read as a parse by a freshly built parser.
+    reused = cli._parser(shutil.get_terminal_size().columns)
+    fresh = _parse(cli.build_parser(), argv, capsys)
+    assert _parse(reused, argv, capsys) == fresh
+    assert _parse(reused, argv, capsys) == fresh
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13), reason="recorded with the argparse layout of Python 3.10-3.12")
+def test_reused_parser_keeps_no_state(capsys, monkeypatch):
+    # Help, a bad choice and a bad format exit through the parser; the recorded
+    # runs after them must read as in a process that ran nothing before.
+    monkeypatch.setenv("COLUMNS", "80")
+    help_cases = {(tuple(c["argv"]), c["columns"]): c for c in HELP_CASES}
+    for argv in (["audit", "--help"], ["audit", "--name", "bogus"]):
+        case = help_cases[tuple(argv), 80]
+        assert main(argv) == case["code"]
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (case["stdout"], case["stderr"])
+    assert main(["bounds", "--s", "2", "--k", "4", "--format", "xml"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --format: invalid choice: 'xml'" in captured.err
+    golden = {tuple(c["argv"]): c for c in GOLDEN_CASES}
+    for argv in (["audit", "--name", "mv-three", "--format", "json"], ["bounds", "--s", "1:3", "--k", "3:6"]):
+        case = golden[tuple(argv)]
+        assert main(argv) == case["code"]
+        assert capsys.readouterr() == (case["stdout"], "")
+
+
+def test_main_builds_one_parser_per_terminal_width(capsys, monkeypatch):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda columns: builds.append(columns) or build(columns))
+    cli._parser.cache_clear()
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(20):
+        assert main(["bounds", "--s", "2", "--k", "4", "--i", "0"]) == 0
+    assert builds == [80]
+    monkeypatch.setenv("COLUMNS", "120")
+    assert main(["bounds", "--s", "2", "--k", "4", "--i", "0"]) == 0
+    assert builds == [80, 120]
+
+
+def test_per_process_caches_leave_output_unchanged(capsys):
+    # Sphere bands, lift specs, truncations and the parser are kept per process;
+    # a run that finds them filled must print what a fresh process prints.
+    argv = ["verify", "--seed", "3", "--full", "--format", "json"]
+    outputs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    src = str(Path(quadbetti.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "quadbetti", *argv], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert outputs == [done.stdout, done.stdout]
 
 
 def test_python_dash_m_entry_point():
@@ -411,8 +471,6 @@ def test_exact_commands_leave_numpy_unloaded(argv, code):
 
 @pytest.mark.parametrize("argv", [["--help"], ["audit", "--name", "mv-wedge"], ["bounds", "--k", "3"]])
 def test_parser_reads_the_terminal_width_once(capsys, monkeypatch, argv):
-    import shutil
-
     calls = []
     size = shutil.get_terminal_size
     monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or size(*a))
