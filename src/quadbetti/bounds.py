@@ -117,22 +117,19 @@ def b_ci_bound(j: int, k: int, top: int = 2) -> int:
     return d**j * (d - 1) ** (k - j) * math.comb(k + 1, j + 1) + 2 * (k + 1)
 
 
-def _term_sum(s: int, k: int, top: int) -> int:
-    """sum_{j=0}^{top} C(s, j) * C(k+1, j) * 2**j, the paper's sum before halving."""
-    return sum(math.comb(s, j) * math.comb(k + 1, j) * 2**j for j in range(top + 1))
-
-
 def bound_betti(s: int, k: int, i: int) -> Fraction:
     """Exact upper bound on b_i of a set in R^k cut out by s quadratic inequalities.
 
     Returns (1/2) * sum_{j=0}^{min(s, k-i)} C(s, j) * C(k+1, j) * 2**j as an
-    exact rational; the half is kept unrounded.
+    exact rational; the half is kept unrounded.  The theorem holds for any
+    s >= 1 and 0 <= i <= k-1; s may exceed k.
     """
-    if not 1 <= s <= k:
-        raise ValueError(f"need 1 <= s <= k, got s={s}, k={k}")
+    if s < 1:
+        raise ValueError(f"need s >= 1, got s={s}")
     if not 0 <= i <= k - 1:
         raise ValueError(f"need 0 <= i <= k-1, got i={i}, k={k}")
-    return Fraction(_term_sum(s, k, min(s, k - i)), 2)
+    return Fraction(sum(math.comb(s, j) * math.comb(k + 1, j) * 2**j
+                        for j in range(min(s, k - i) + 1)), 2)
 
 
 class AggregateBounds(NamedTuple):
@@ -140,8 +137,9 @@ class AggregateBounds(NamedTuple):
 
     `simple` is (1/2) * 3**s * C(k+1, s), defined only for 2 <= s <= k/2;
     `exp_form` is the float comparison value (1/2) * (3e(k+1)/s)**s, NOT exact
-    and math.inf where it overflows; `total` is the exact bound (1/2) * k *
-    sum_{j<=s} C(s, j) * C(k+1, j) * 2**j on the sum of all Betti numbers.
+    and math.inf where it overflows; `total` is the exact bound
+    k * bound_betti(s, k, 0) = (1/2) * k * sum_{j<=min(s, k)} C(s, j) *
+    C(k+1, j) * 2**j on the sum of all Betti numbers.
     """
 
     simple: Optional[Fraction]
@@ -152,12 +150,10 @@ class AggregateBounds(NamedTuple):
 def bound_aggregate(s: int, k: int) -> AggregateBounds:
     """Aggregate bounds for s quadratic inequalities in R^k.
 
-    Raises outside 1 <= s <= k.  The `simple` / `exp_form` fields are gated
+    Raises for s < 1 and k < 1.  The `simple` / `exp_form` fields are gated
     independently on 2 <= s <= k/2 and are None when that fails.
     """
-    if not 1 <= s <= k:
-        raise ValueError(f"need 1 <= s <= k, got s={s}, k={k}")
-    total = Fraction(k * _term_sum(s, k, s), 2)
+    total = k * bound_betti(s, k, 0)
     simple: Optional[Fraction] = None
     exp_form: Optional[float] = None
     if 2 <= s and 2 * s <= k:

@@ -162,10 +162,10 @@ def _cmd_bounds(args, out) -> int:
     kvals = _parse_range(args.k)
     if args.aggregate:
         _check_table_size(len(svals) * len(kvals))
-        pairs = [(s, k) for k in kvals for s in svals if 1 <= s <= k]
+        pairs = [(s, k) for k in kvals for s in svals if 1 <= s and 1 <= k]
         if not pairs:
             raise ValueError("no valid (s, k) combinations in the requested ranges")
-        _check_row_work(max(s + 1 for s, _ in pairs), MAX_BOUND_TERMS, "terms")
+        _check_row_work(max(min(s, k) + 1 for s, k in pairs), MAX_BOUND_TERMS, "terms")
         rows = []
         for s, k in pairs:
             agg = bound_aggregate(s, k)
@@ -180,7 +180,7 @@ def _cmd_bounds(args, out) -> int:
     _check_table_size(len(svals) * sum(max(k, 0) if given_i is None else len(given_i) for k in kvals))
     triples = [(s, k, i) for k in kvals for s in svals
                for i in (range(k) if given_i is None else given_i)
-               if 1 <= s <= k and 0 <= i <= k - 1]
+               if 1 <= s and 0 <= i <= k - 1]
     if not triples:
         raise ValueError("no valid (s, k, i) combinations in the requested ranges")
     _check_row_work(max(min(s, k - i) + 1 for s, k, i in triples), MAX_BOUND_TERMS, "terms")

@@ -252,10 +252,6 @@ def bound_audit(sc: Scenario, spec: Optional[GridSpec] = None) -> BoundAuditRepo
     come from grid homology, and a failed comparison is only INCONCLUSIVE
     (grid values approximate; they cannot falsify a bound).
     """
-    if sc.s < 1:
-        raise ValueError("bound audit needs at least one inequality")
-    if sc.s > sc.k:
-        raise ValueError(f"hypothesis s <= k fails: s={sc.s}, k={sc.k}")
     params: Dict[str, str] = {}
     if spec is None:
         if sc.oracle_betti is None:

@@ -197,33 +197,12 @@ class QuadraticPoly:
                 total += self.lin[i] * xi
         return total
 
-    def __add__(self, other: "QuadraticPoly") -> "QuadraticPoly":
-        if not isinstance(other, QuadraticPoly):
-            return NotImplemented
-        if other.k != self.k:
-            raise ValueError("variable count mismatch")
-        quad = tuple(
-            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.quad, other.quad)
-        )
-        lin = tuple(a + b for a, b in zip(self.lin, other.lin))
-        return QuadraticPoly(self.k, quad, lin, self.const + other.const)
-
-    def scaled(self, factor) -> "QuadraticPoly":
-        f = parse_rational(factor)
-        quad = tuple(tuple(f * a for a in row) for row in self.quad)
-        lin = tuple(f * a for a in self.lin)
-        return QuadraticPoly(self.k, quad, lin, f * self.const)
-
-    def __rmul__(self, factor) -> "QuadraticPoly":
-        return self.scaled(factor)
-
     def blend(self, other: "QuadraticPoly", t) -> "QuadraticPoly":
         """(1 - t) * self + t * other, each coefficient formed once as one Fraction.
 
         With t = u / v, the coefficient blended from a and b is
         ((v - u) a_n b_d + u b_n a_d) / (v a_d b_d), reduced once, and the
-        lower triangle of `quad` mirrors the upper one.  The operator form
-        reduces three Fractions per coefficient, on both triangles.
+        lower triangle of `quad` mirrors the upper one.
         """
         if other.k != self.k:
             raise ValueError("variable count mismatch")

@@ -212,7 +212,8 @@ class TestFormulaLink:
     `bound_betti` covers C(s, j) smooth complete intersections of j quadrics:
     bound_betti(s, k, i) >= 1/2 + sum_{j=1}^{min(s, k-i)} C(s, j) b_quad(j, k).
     A change to either formula breaks one of these without reference to the
-    other's recorded values.  Checked exactly for k < 40.
+    other's recorded values.  Checked exactly for k < 40 and s <= 2k: the
+    claim does not need s <= k.
     """
 
     B = {(j, k): b_quad(j, k) for k in range(1, 40) for j in range(1, k + 1)}
@@ -225,7 +226,7 @@ class TestFormulaLink:
 
     def test_bound_betti_covers_complete_intersection_totals(self):
         for k in range(1, 40):
-            for s in range(1, k + 1):
+            for s in range(1, 2 * k + 1):
                 for i in range(k):
                     cover = sum(math.comb(s, j) * self.B[j, k] for j in range(1, min(s, k - i) + 1))
                     assert bound_betti(s, k, i) >= Fraction(1, 2) + cover, (s, k, i)
@@ -240,7 +241,18 @@ class TestBoundBetti:
         assert bound_betti(3, 3, 0) == Fraction(129, 2)
         assert bound_betti(2, 2, 1) == Fraction(13, 2)
 
-    @pytest.mark.parametrize("s,k,i", [(0, 3, 0), (4, 3, 0), (2, 3, -1), (2, 3, 3)])
+    def test_s_above_k(self):
+        assert bound_betti(4, 3, 0) == Fraction(305, 2)
+        assert bound_betti(5, 2, 0) == Fraction(151, 2)
+        assert bound_betti(5, 2, 1) == Fraction(31, 2)
+
+    def test_nondecreasing_in_s(self):
+        for k in range(1, 13):
+            for i in range(k):
+                bounds = [bound_betti(s, k, i) for s in range(1, 3 * k + 1)]
+                assert bounds == sorted(bounds), (k, i)
+
+    @pytest.mark.parametrize("s,k,i", [(0, 3, 0), (2, 3, -1), (2, 3, 3)])
     def test_domain_errors(self, s, k, i):
         with pytest.raises(ValueError):
             bound_betti(s, k, i)
@@ -264,7 +276,18 @@ class TestBoundAggregate:
         with pytest.raises(ValueError):
             bound_aggregate(0, 4)
         with pytest.raises(ValueError):
-            bound_aggregate(5, 4)
+            bound_aggregate(1, 0)
+
+    def test_s_above_k(self):
+        # No j = k + 1 term: that would read 3366, above k times the b_0 bound.
+        assert bound_aggregate(5, 4).total == 3302 == 4 * bound_betti(5, 4, 0)
+        assert bound_aggregate(10**6, 3) == (None, None, Fraction(15999988000020000003, 2))
+
+    def test_total_sums_to_min_s_k(self):
+        for k in range(1, 20):
+            for s in range(1, 3 * k + 1):
+                terms = sum(math.comb(s, j) * math.comb(k + 1, j) * 2**j for j in range(min(s, k) + 1))
+                assert bound_aggregate(s, k).total == Fraction(k * terms, 2), (s, k)
 
     def test_exp_form_flagged_float(self):
         agg = bound_aggregate(2, 4)

@@ -53,7 +53,7 @@ def _lift(sc, builder=sphere_region_complex):
 def _deformed_lift(sc, t, seed):
     """The lift `deformation_audit` builds at t for the family seed `seed`."""
     family = [dehomogenize(random_pd_form(sc.k + 2, seed + i)) for i in range(sc.s)]
-    polys = [(1 - t) * homogenize(p).as_poly() + t * h for p, h in zip(sc.system, family)]
+    polys = [homogenize(p).as_poly().blend(h, t) for p, h in zip(sc.system, family)]
     return lambda: sphere_region_complex(polys, EPS, _lift_spec(EPS, sc.k + 1))
 
 

@@ -99,21 +99,27 @@ class TestBoundsCommand:
                        str(agg.total.numerator), str(agg.total.denominator), "inf"]
         assert len(row[4]) == total_digits
 
-    def test_invalid_combo_is_usage_error(self, capsys):
-        code, _ = run_cli(capsys, "bounds", "--s", "5", "--k", "2")
-        assert code == 2
+    def test_s_above_k_prints_the_bound(self, capsys):
+        code, out = run_cli(capsys, "bounds", "--s", "5", "--k", "2")
+        assert code == 0
+        assert out.splitlines() == ["s,k,i,bound_num,bound_den", "5,2,0,151,2", "5,2,1,31,2"]
+        code, out = run_cli(capsys, "bounds", "--s", "5", "--k", "3", "--aggregate")
+        assert code == 0
+        # total = 3 * bound_betti(5, 3, 0) = (3/2) * (1 + 40 + 240 + 320)
+        assert out.splitlines()[1] == "5,3,,,1803,2,"
 
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv, message", [
         (("bounds", "--s", "1", "--k", "5:3"), "empty range '5:3'"),
-        (("bounds", "--s", "5", "--k", "3", "--aggregate"),
+        (("bounds", "--s", "0", "--k", "3", "--aggregate"),
          "no valid (s, k) combinations in the requested ranges"),
         (("ci", "--k", "3"), "need --j or --degrees"),
         (("ci", "--j", "5", "--k", "3"), "no valid (j, k) combinations in the requested ranges"),
         (("audit", "--name", "double-cover-products", "--k", "1", "--resolution", ""),
          "not a decimal-free rational string: ''"),
         (("audit", "--name", "mv-wedge", "--resolution", ""), "not a decimal-free rational string: ''"),
+        (("bounds", "--s", "0", "--k", "3"), "no valid (s, k, i) combinations in the requested ranges"),
     ])
     def test_exits_two_with_error_line(self, capsys, argv, message):
         assert main(list(argv)) == 2

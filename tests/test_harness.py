@@ -210,13 +210,39 @@ class TestBoundAudit:
         verdicts = {r.verdict for r in rep.rows} | {rep.total.verdict}
         assert VIOLATION not in verdicts
 
-    def test_hypothesis_s_le_k(self):
-        sc = scenario_shell(2, Fraction(1, 2), 1)
-        bad = Scenario(
-            name="bad", system=sc.system + sc.system[:1], s=3, k=2, grid=sc.grid
-        )
-        with pytest.raises(ValueError):
-            bound_audit(bad)
+    @staticmethod
+    def boxed_products2(oracle=(4, 0, 0)):
+        """products-k2 with its box [-1, 2]^2 as two more rows (x_t + 1)(2 - x_t) >= 0: s = 4 > k."""
+        sc = scenario_products(2)
+        box_rows = (QuadraticPoly.make(2, quad=[[-1, 0], [0, 0]], lin=[1, 0], const=2),
+                    QuadraticPoly.make(2, quad=[[0, 0], [0, -1]], lin=[0, 1], const=2))
+        return Scenario(name="boxed-products-k2", system=sc.system + box_rows, s=4, k=2,
+                        grid=sc.grid, oracle_betti=oracle, oracle_note="4 squares")
+
+    def test_boxed_set_with_s_above_k(self):
+        sc = self.boxed_products2()
+        assert [p.evaluate((3, 0)) for p in sc.system[2:]] == [-4, 2]  # (3 + 1)(2 - 3), (0 + 1)(2 - 0)
+        for spec in (None, sc.grid):
+            rep = bound_audit(sc, spec)
+            assert rep.overall == PASS
+            assert [r.bound for r in rep.rows] == [Fraction(97, 2), Fraction(25, 2)]
+        assert betti(grid_complex(sc.system, sc.grid)) == (4, 0, 0)
+
+    def test_three_intervals_with_s_above_k(self):
+        polys = tuple(QuadraticPoly.make(1, quad=[[1]], lin=[-a - b], const=a * b) for a, b in ((0, 1), (2, 3)))
+        grid = GridSpec(box=((-1, 4),), resolution=Fraction(1, 4))
+        sc = Scenario(name="three-intervals", system=polys, s=2, k=1, grid=grid,
+                      oracle_betti=(3, 0), oracle_note="(-inf, 0], [1, 2], [3, inf)")
+        for spec in (None, grid):
+            rep = bound_audit(sc, spec)
+            assert rep.overall == PASS
+            assert (rep.rows[0].betti, rep.rows[0].bound) == (3, Fraction(9, 2))
+        assert betti(grid_complex(polys, grid)) == (3, 0)
+
+    def test_inflated_oracle_violates_with_s_above_k(self):
+        rep = bound_audit(self.boxed_products2(oracle=(49, 0, 0)))  # b_0 bound 97/2
+        assert rep.overall == VIOLATION
+        assert rep.rows[0].verdict == VIOLATION
 
     def test_missing_oracle(self):
         sc = scenario_products(1)

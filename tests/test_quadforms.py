@@ -164,22 +164,27 @@ class TestPDForms:
 
 
 class TestDeform:
-    """The family (1 - t) * P + t * H that `harness.deformation_audit` lifts."""
+    """The family (1 - t) * P + t * H that `harness.deformation_audit` lifts with `QuadraticPoly.blend`."""
 
     @staticmethod
     def family(p, h, t):
-        return (1 - t) * p + t * h
+        """The reference for `blend`: each coefficient (1 - t) a + t b in plain Fraction arithmetic."""
+        def mix(a, b):
+            return (1 - t) * a + t * b
+
+        return QuadraticPoly(p.k, tuple(tuple(map(mix, ra, rb)) for ra, rb in zip(p.quad, h.quad)),
+                             tuple(map(mix, p.lin, h.lin)), mix(p.const, h.const))
 
     def test_endpoints(self):
         p = QuadraticPoly.make(2, quad=[[1, 0], [0, 0]], const=-1)
         h = QuadraticPoly.make(2, quad=[[0, 0], [0, 1]], lin=[1, 0])
-        assert self.family(p, h, Fraction(0)) == p
-        assert self.family(p, h, Fraction(1)) == h
+        assert p.blend(h, Fraction(0)) == p
+        assert p.blend(h, Fraction(1)) == h
 
     def test_halfway(self):
         p = QuadraticPoly.make(2, quad=[[1, 0], [0, 0]], const=-1)
         h = QuadraticPoly.make(2, quad=[[0, 0], [0, 1]], lin=[1, 0])
-        mid = self.family(p, h, Fraction(1, 2))
+        mid = p.blend(h, Fraction(1, 2))
         assert mid.quad == ((Fraction(1, 2), 0), (0, Fraction(1, 2)))
         assert (mid.lin, mid.const) == ((Fraction(1, 2), 0), Fraction(-1, 2))
 
@@ -190,12 +195,12 @@ class TestDeform:
         for _ in range(10):
             a = Fraction(rng.randint(0, 8), 8)
             b = Fraction(rng.randint(0, 8), 8)
-            mid = self.family(p, h, (a + b) / 2)
-            assert mid == self.family(self.family(p, h, a), self.family(p, h, b), Fraction(1, 2))
+            mid = p.blend(h, (a + b) / 2)
+            assert mid == p.blend(h, a).blend(p.blend(h, b), Fraction(1, 2))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            self.family(random_poly(random.Random(0), 2), random_poly(random.Random(0), 3), Fraction(1, 2))
+            random_poly(random.Random(0), 3).blend(random_poly(random.Random(0), 2), Fraction(1, 2))
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(st.integers(0, 4), st.integers(0, 2**32), st.fractions())
@@ -203,7 +208,9 @@ class TestDeform:
         # Any rational t, and coefficients whose numerators and denominators pass 2**64.
         rng = random.Random(seed)
         p, h = random_poly(rng, k), dehomogenize(random_pd_form(k + 1, seed))
-        p = p.scaled(Fraction(rng.randint(1, 2**70), rng.randint(1, 2**70)))
+        f = Fraction(rng.randint(1, 2**70), rng.randint(1, 2**70))
+        p = QuadraticPoly.make(k, quad=[[f * a for a in row] for row in p.quad],
+                               lin=[f * a for a in p.lin], const=f * p.const)
         assert p.blend(h, t) == self.family(p, h, t)
         assert h.blend(p, t) == self.family(h, p, t)
 
@@ -883,7 +890,7 @@ class TestCapRefusals:
         polys = _lift_polys(sc)
         family = [dehomogenize(random_pd_form(sc.k + 2, 0))]
         t = Fraction(1, 1000)  # the deformation audit's default t
-        deformed = [(1 - t) * p + t * h for p, h in zip(polys, family)]
+        deformed = [p.blend(h, t) for p, h in zip(polys, family)]
         spec = _lift_spec(self.eps, sc.k + 1)
         assert sphere_region_cap(deformed, self.eps, spec) is None
         assert _check_cap(polys, self.eps, spec)
@@ -912,7 +919,8 @@ _CONE_2D = QuadraticForm.make(2, [[1, 0], [0, -1]])
 _SQUARES_2D = QuadraticForm.make(2, [[1, 0], [0, 1]])
 _NEVER = QuadraticPoly.make(2, const=-1)
 BUILDER_LENGTH_CASES = {
-    "grid": (lambda: grid_complex([_SQUARES_2D.as_poly() + _NEVER], _CIRCLE_GRID), _CIRCLE_GRID, False),
+    "grid": (lambda: grid_complex([QuadraticPoly.make(2, quad=[[1, 0], [0, 1]], const=-1)], _CIRCLE_GRID),
+             _CIRCLE_GRID, False),
     "grid-empty": (lambda: grid_complex([_NEVER], _CIRCLE_GRID), _CIRCLE_GRID, True),
     "zero": (lambda: sphere_zero_complex([_CONE_2D], 1, _CIRCLE_GRID, Fraction(1, 4)), _CIRCLE_GRID, False),
     "zero-empty": (lambda: sphere_zero_complex([_SQUARES_2D], 1, _CIRCLE_GRID, Fraction(1, 4)),
