@@ -3,7 +3,7 @@ homology engine and a verification harness that checks the bounds at desk
 scale.
 
 The package root exports only `__version__`; import the submodules
-(`bounds`, `homology`, `quadforms`, `harness`, `cli`) by name.  That keeps
-`quadbetti bounds` and `quadbetti ci` from loading numpy."""
+(`bounds`, `exact`, `homology`, `quadforms`, `harness`, `cli`) by name.
+That keeps `quadbetti bounds`, `quadbetti ci` and `exact` from loading numpy."""
 
 __version__ = "0.1.0"

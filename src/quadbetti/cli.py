@@ -236,7 +236,8 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_audit(args, out) -> int:
     from . import harness
-    from .quadforms import DeformationParams, parse_rational
+    from .exact import parse_rational
+    from .quadforms import DeformationParams
 
     flags = argparse.Namespace(
         k=args.k,

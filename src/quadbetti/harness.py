@@ -17,20 +17,23 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .bounds import b_ci, bound_aggregate, bound_betti
-from .homology import CubicalComplex, betti, close_under_faces, make_cube
-from .quadforms import (
-    DeformationParams,
-    GridSpec,
+from .exact import (
     QuadraticForm,
     QuadraticPoly,
     check_smooth_pencil,
     dehomogenize,
     format_rational,
-    grid_complex,
     homogenize,
     is_nonsingular_quadric,
     parse_rational,
+    positive,
     random_pd_form,
+)
+from .homology import CubicalComplex, betti, close_under_faces, make_cube
+from .quadforms import (
+    DeformationParams,
+    GridSpec,
+    grid_complex,
     sphere_region_cap,
     sphere_region_complex,
     sphere_zero_complex,
@@ -310,7 +313,7 @@ def smith_audit(forms: Sequence[QuadraticForm], radius=1) -> SmithReport:
     ValueError is raised when it fails.  Every form must be nonsingular
     (invertible Gram matrix), which for one form is the whole hypothesis.
     Two forms A, B must also pass Segre's criterion: det(A + tB) has n
-    distinct roots (`quadforms.check_smooth_pencil`; M. Reid, *The complete
+    distinct roots (`exact.check_smooth_pencil`; M. Reid, *The complete
     intersection of two or more quadrics*, PhD thesis, Cambridge 1972).
     Codimension 3 and above is rejected, since no exact check is
     implemented there.
@@ -330,9 +333,7 @@ def smith_audit(forms: Sequence[QuadraticForm], radius=1) -> SmithReport:
     elif codim > 2:
         raise ValueError(f"codimension {codim} rejected: smoothness is checked exactly "
                          "only up to codimension 2")
-    r = parse_rational(radius)
-    if r <= 0:
-        raise ValueError(f"radius must be positive, got {r}")
+    r = positive(radius, "radius")
     res = r / 8
     spec = GridSpec.symmetric(r + 2 * res, res, n)
     vec = betti(sphere_zero_complex(forms, r, spec, 2 * res))

@@ -126,9 +126,11 @@ from __future__ import annotations
 import itertools
 from functools import partial
 from operator import mul
-from typing import Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Collection, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+
+from .exact import GF2Matrix
 
 __all__ = [
     "Cube",
@@ -136,7 +138,6 @@ __all__ = [
     "cube_dim",
     "CubicalComplex",
     "close_under_faces",
-    "GF2Matrix",
     "betti",
 ]
 
@@ -393,36 +394,6 @@ def close_under_faces(
                 ends.append(np.sort(np.concatenate((x, y - s, y + s)), kind="stable"))
             first, last = _merge(*ends)
     return CubicalComplex._from_runs(ambient_dim, frame, first, last)
-
-
-class GF2Matrix:
-    """GF(2) matrix stored as column bitsets (bit r of column c = entry r, c)."""
-
-    __slots__ = ("n_rows", "n_cols", "columns", "pivot_rows")
-
-    def __init__(self, n_rows: int, columns: Iterable[int]):
-        self.n_rows = n_rows
-        self.columns = tuple(columns)
-        self.n_cols = len(self.columns)
-        self.pivot_rows: Optional[List[int]] = None
-
-    def rank(self) -> int:
-        """Rank over GF(2), by incremental elimination of the columns.
-
-        Each vector of the basis built is keyed by its top row, which no
-        other one has; `pivot_rows` records those rows, one per pivot.
-        """
-        pivots: Dict[int, int] = {}
-        for v in self.columns:
-            while v:
-                top = v.bit_length() - 1
-                p = pivots.get(top)
-                if p is None:
-                    pivots[top] = v
-                    break
-                v ^= p
-        self.pivot_rows = list(pivots)
-        return len(pivots)
 
 
 # `betti` ranks a complex of at least this many cells through its run

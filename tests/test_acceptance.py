@@ -28,8 +28,9 @@ from quadbetti.harness import (
     scenario_shell,
     smith_audit,
 )
+from quadbetti.exact import QuadraticForm
 from quadbetti.homology import CubicalComplex, betti, close_under_faces, make_cube
-from quadbetti.quadforms import QuadraticForm, grid_complex
+from quadbetti.quadforms import grid_complex
 from test_homology import dd_is_zero
 
 

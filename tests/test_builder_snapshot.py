@@ -18,15 +18,12 @@ from pathlib import Path
 
 import pytest
 
+from quadbetti.exact import QuadraticForm, dehomogenize, homogenize, random_pd_form
 from quadbetti.harness import _lift_spec, scenario_products, scenario_shell
 from quadbetti.homology import betti
 from quadbetti.quadforms import (
     GridSpec,
-    QuadraticForm,
-    dehomogenize,
     grid_complex,
-    homogenize,
-    random_pd_form,
     sphere_band_complex,
     sphere_region_cap,
     sphere_region_complex,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from test_homology import cells_of_dim, same_complex
 
-from quadbetti import cli, harness
+from quadbetti import cli, exact, harness, homology, quadforms
 from quadbetti.cli import main
 from quadbetti.harness import (
     INCONCLUSIVE,
@@ -32,12 +32,11 @@ from quadbetti.harness import (
     scenario_shell,
     smith_audit,
 )
+from quadbetti.exact import QuadraticForm, QuadraticPoly, positive
 from quadbetti.homology import betti
 from quadbetti.quadforms import (
     DeformationParams,
     GridSpec,
-    QuadraticForm,
-    QuadraticPoly,
     grid_complex,
     sphere_band_complex,
     sphere_zero_complex,
@@ -80,7 +79,7 @@ def zero_bound(real):
 
 def huge_family(real):
     """A deformation family a million times too large, so t = 1/1000 is no small step."""
-    return lambda n, seed: 10**6 * real(n, seed)
+    return lambda n, seed: QuadraticForm.make(n, [[10**6 * a for a in row] for row in real(n, seed).gram])
 
 
 def diagonal_form(*diag):
@@ -138,6 +137,10 @@ class TestScenarios:
 # accepted values: the deformation t sits below a delta of 4, and its
 # scenario box then leaves the ball, so the audit stops before any grid.
 RATIONAL_ENTRY_POINTS = {
+    "positive": lambda v: positive(v, "value"),
+    "form-gram": lambda v: QuadraticForm.make(1, [[v]]),
+    "blend-t": lambda v: QuadraticPoly.make(1).blend(QuadraticPoly.make(1, const=1), v),
+    "evaluate-point": lambda v: QuadraticPoly.make(1, quad=[[1]]).evaluate([v]),
     "poly-quad": lambda v: QuadraticPoly.make(1, quad=[[v]]),
     "poly-lin": lambda v: QuadraticPoly.make(1, lin=[v]),
     "poly-const": lambda v: QuadraticPoly.make(1, const=v),
@@ -169,6 +172,25 @@ def test_rational_entry_points_refuse_inexact_values(entry, value):
 @pytest.mark.parametrize("entry", RATIONAL_ENTRY_POINTS)
 def test_rational_entry_points_accept_exact_values(entry, value):
     RATIONAL_ENTRY_POINTS[entry](value)
+
+
+def test_perfbench_reads_the_exact_names_from_their_old_homes(monkeypatch):
+    """`perfbench` imports `QuadraticPoly` from `quadforms` and patches `rank`
+    on `homology.GF2Matrix`: both are the `exact` objects, so a patched rank
+    sees every rank `betti` takes, cell by cell and run by run."""
+    assert quadforms.QuadraticPoly is exact.QuadraticPoly
+    assert homology.GF2Matrix is exact.GF2Matrix
+    rank = exact.GF2Matrix.rank
+    seen = []
+    monkeypatch.setattr(exact.GF2Matrix, "rank", lambda m: seen.append(m.n_cols) or rank(m))
+    circle = sphere_band_complex(1, GridSpec.symmetric(2, Fraction(1, 4), 2))
+    sc = scenario_shell(3, Fraction(1, 2), 1)
+    shell = grid_complex(sc.system, sc.grid)
+    assert len(circle) < homology._COLLAPSE_MIN_CELLS <= len(shell)
+    for cx, vec in ((circle, (1, 1, 0)), (shell, (1, 0, 1, 0))):
+        seen.clear()
+        assert betti(cx) == vec
+        assert seen
 
 
 class TestBoundAudit:

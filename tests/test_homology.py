@@ -8,10 +8,10 @@ import pytest
 from conftest import betti_by_cells
 
 from quadbetti import homology
+from quadbetti.exact import GF2Matrix
 from quadbetti.harness import PASS, VIOLATION, mayer_vietoris_audit, pad_betti
 from quadbetti.homology import (
     CubicalComplex,
-    GF2Matrix,
     betti,
     close_under_faces,
     cube_dim,
@@ -381,8 +381,9 @@ class TestRunComplex:
         assert len(run_complexes) == 1 and run_complexes[0] is vertices
 
     def test_small_run_complex_is_ranked_directly(self, no_rounds):
+        from quadbetti.exact import homogenize
         from quadbetti.harness import _lift_spec, scenario_products
-        from quadbetti.quadforms import DeformationParams, homogenize, sphere_region_complex
+        from quadbetti.quadforms import DeformationParams, sphere_region_complex
 
         eps = DeformationParams().eps
         polys = [homogenize(p).as_poly() for p in scenario_products(1).system]
@@ -394,8 +395,9 @@ class TestRunComplex:
         # Each way ranks the 1,092-cell products-k1 lift with the other's
         # assembly removed, so a fault in one way's face lookup cannot bend
         # the other's vector too.
+        from quadbetti.exact import homogenize
         from quadbetti.harness import _lift_spec, scenario_products
-        from quadbetti.quadforms import DeformationParams, homogenize, sphere_region_complex
+        from quadbetti.quadforms import DeformationParams, sphere_region_complex
 
         def removed(*args):
             raise AssertionError("the other way's assembly ran")

@@ -48,10 +48,10 @@ from test_builder_snapshot import BUILDS, SNAPSHOT
 from test_homology import cells_of_dim, cube_faces, same_complex
 
 from quadbetti import harness, homology
+from quadbetti.exact import GF2Matrix
 from quadbetti.harness import pad_betti
 from quadbetti.homology import (
     CubicalComplex,
-    GF2Matrix,
     betti,
     close_under_faces,
     cube_dim,

@@ -3,10 +3,15 @@
 No module imports another module's underscore name: what one module needs
 of another is public there.  `bounds`, `cli` and `harness` import no numpy
 when they load: `bounds`, `ci` and `--help` never load it, and `harness`
-reaches grid cells only through the `quadforms` builders.
+reaches grid cells only through the `quadforms` builders.  `exact` and
+`bounds` are leaves that import nothing of the package, and `exact`
+imports numpy nowhere, so exact work in a fresh process loads no numpy.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +19,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "quadbetti"
 MODULES = sorted(path.stem for path in SRC.glob("*.py"))
 NO_MODULE_LEVEL_NUMPY = ("harness", "cli", "bounds")
+LEAVES = ("exact", "bounds")
 
 
 def _tree(module):
@@ -30,8 +36,17 @@ def _load_time_imports(node):
         yield from _load_time_imports(child)
 
 
+def _imported_modules(nodes):
+    """The absolute names, or the dots of a relative one, that import statements name."""
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield "." * node.level + (node.module or "")
+
+
 def test_every_module_is_read():
-    assert {"bounds", "cli", "harness", "homology", "quadforms"} <= set(MODULES)
+    assert {"bounds", "cli", "exact", "harness", "homology", "quadforms"} <= set(MODULES)
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -49,10 +64,25 @@ def test_no_private_name_is_imported_from_another_module(module):
 
 @pytest.mark.parametrize("module", NO_MODULE_LEVEL_NUMPY)
 def test_no_numpy_import_at_module_level(module):
-    numpy = [
-        f"line {node.lineno}"
-        for node in _load_time_imports(_tree(module))
-        if any(name.split(".")[0] == "numpy" for name in (
-            [alias.name for alias in node.names] if isinstance(node, ast.Import) else [node.module or ""]))
-    ]
+    numpy = [name for name in _imported_modules(_load_time_imports(_tree(module))) if name.split(".")[0] == "numpy"]
     assert not numpy, f"{module} imports numpy at module level: {numpy}"
+
+
+@pytest.mark.parametrize("module", LEAVES)
+def test_leaf_imports_nothing_of_the_package(module):
+    package = [name for name in _imported_modules(ast.walk(_tree(module)))
+               if name.startswith(".") or name.split(".")[0] == "quadbetti"]
+    assert not package, f"{module} imports {package}"
+
+
+def test_exact_imports_no_numpy_anywhere():
+    numpy = [name for name in _imported_modules(ast.walk(_tree("exact"))) if name.split(".")[0] == "numpy"]
+    assert not numpy, f"exact imports {numpy}"
+
+
+def test_exact_loads_no_numpy_in_a_fresh_process():
+    done = subprocess.run([sys.executable, "-c", "import sys, quadbetti.exact; print('numpy' in sys.modules)"],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

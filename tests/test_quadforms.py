@@ -11,30 +11,32 @@ import pytest
 from conftest import betti_by_cells
 from hypothesis import given, settings, strategies as st
 
+from quadbetti.exact import (
+    QuadraticForm,
+    QuadraticPoly,
+    check_smooth_pencil,
+    dehomogenize,
+    det,
+    format_rational,
+    homogenize,
+    is_nonsingular_quadric,
+    parse_rational,
+    random_pd_form,
+)
 from quadbetti.harness import _lift_spec, pad_betti, scenario_products, scenario_shell
 from quadbetti.homology import _run_complex, betti, close_under_faces
 from quadbetti.quadforms import (
     DeformationParams,
     MAX_GRID_CELLS,
     GridSpec,
-    QuadraticForm,
-    QuadraticPoly,
     _INT64_SAFE,
     _GridScale,
     _ScaledPoly,
     _band_mask,
-    _det,
     _sphere_band,
     _top_cells,
-    check_smooth_pencil,
     ci_probe,
-    dehomogenize,
-    format_rational,
     grid_complex,
-    homogenize,
-    is_nonsingular_quadric,
-    parse_rational,
-    random_pd_form,
     sphere_band_complex,
     sphere_region_cap,
     sphere_region_complex,
@@ -44,7 +46,7 @@ from quadbetti.quadforms import (
 
 def is_positive_definite(f: QuadraticForm) -> bool:
     """Sylvester's test: every leading principal minor is positive, exactly."""
-    return all(_det([row[:t] for row in f.gram[:t]]) > 0 for t in range(1, f.n + 1))
+    return all(det([row[:t] for row in f.gram[:t]]) > 0 for t in range(1, f.n + 1))
 
 
 def random_poly(rng, k):
@@ -267,7 +269,7 @@ def test_det_matches_sympy(rows):
     sympy = pytest.importorskip("sympy")
     want = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
                          for row in rows]).det()
-    assert _det(rows) == Fraction(int(want.p), int(want.q))
+    assert det(rows) == Fraction(int(want.p), int(want.q))
 
 
 @st.composite
@@ -518,7 +520,8 @@ def test_center_rule_keeps_centers_on_the_boundary(name):
 
 def _abs_at_most(form, tau):
     """The pair tau - Q, tau + Q, both >= 0 exactly where |Q| <= tau."""
-    return [QuadraticPoly.make(form.n, quad=g.gram, const=tau) for g in (-1 * form, form)]
+    return [QuadraticPoly.make(form.n, quad=gram, const=tau)
+            for gram in ([[-a for a in row] for row in form.gram], form.gram)]
 
 
 def _cap(eps, n):
