@@ -28,8 +28,10 @@ process and shared read-only (`_sphere_band`): axis-major, one contiguous
 row of cell indices per axis, at the narrowest unsigned dtype that holds
 them, so the centers of an axis are gathered in one pass.  A spec keeps
 the cell count per axis that its width check computes, its integer view
-(`_GridScale`) takes int arithmetic alone, and a lift's truncation is
-built once per (eps, dimension), so a repeated lift pays little beyond its
+(`_GridScale`) takes int arithmetic alone, a lift's truncation is built
+once per (eps, dimension), and a polar cap's candidates, the upper band
+cells the truncation keeps and their centers, once per (grid, radius,
+truncation) (`_cap_candidates`), so a repeated lift pays little beyond its
 cells and its own polynomials.  The builder computes in int64
 when a bound taken beforehand shows that no value it forms reaches 2**62
 in absolute value, and otherwise runs the same array code on Python ints
@@ -63,8 +65,8 @@ and x_{k+1} < 0.  The homology of a disjoint union adds up, so every Betti
 number of the lift and its Euler characteristic are twice the cap's.  No
 two kept cells are adjacent across the middle layers, so the adjacent
 pairs that pick the run axis halve, and the cap keeps the lift's run axis.
-Only the band cells of the upper half are evaluated, which halves the
-center evaluation, the closure and the ranking.
+A build evaluates only its own polynomials, on the upper half's band
+cells the truncation keeps, found once; it closes and ranks half the lift.
 """
 
 from __future__ import annotations
@@ -352,18 +354,19 @@ def _sphere_band(spec: GridSpec, r: Fraction) -> Tuple[np.ndarray, np.ndarray]:
     contiguous row per axis, so `_top_cells` gathers an axis's centers in
     one pass.  Row a of the successor table holds, for each band cell, the
     index of its +1 neighbour along axis a, or n where that neighbour is
-    not in the band; `_top_cells` counts adjacent kept cells through it.
+    not in the band; `_band_tops` counts adjacent kept cells through it.
     Computed once per (grid, radius) and shared by every caller.  Four
-    entries cover the distinct bands of one `verify --full`: the 2-D and
-    3-D lifts, and the unit sphere that the Smith cone and the Alexander
-    audit share.  The mask is exact in int64 when its own bound
-    dim * u_max**2 stays below 2**62, and uses Python ints otherwise.  The
-    cache keeps its bands for the life of the process, so both arrays are
-    stored at the narrowest unsigned dtype that holds them: the indices at
-    that of the longest axis (uint8 on every audit's grid), the successor
-    table at that of the cell count.  On the 68**3 lift grid, whose band
-    has 19,256 cells, that is 3 x 19,256 bytes (57,768) of indices and
-    3 x 19,256 uint16 entries (115,536 bytes) of successors.
+    entries cover the three bands of one `verify --full`: the 2-D and 3-D
+    lifts, each also with a `_cap_candidates` entry, and the unit sphere
+    of the Smith cone and the Alexander audit.  The mask is exact in int64
+    when its own bound dim * u_max**2 stays below 2**62, and uses Python
+    ints otherwise.  The cache keeps its bands for the life of the process,
+    so both arrays are stored at the narrowest unsigned dtype that holds
+    them: the indices at that of the longest axis (uint8 on every audit's
+    grid), the successor table at that of the cell count.  On the 68**3
+    lift grid, whose band has 19,256 cells, that is 3 x 19,256 bytes
+    (57,768) of indices and 3 x 19,256 uint16 entries (115,536 bytes) of
+    successors.
     """
     gs = _GridScale(spec)
     shape = gs.shape
@@ -388,68 +391,70 @@ def _sphere_band(spec: GridSpec, r: Fraction) -> Tuple[np.ndarray, np.ndarray]:
     return band, succ
 
 
-def _top_cells(
-    spec: GridSpec, polys: Sequence[QuadraticPoly], radius=None, upper: bool = False
-) -> Tuple[np.ndarray, int]:
-    """Grid indices, one cell per row in lexicographic order, of the candidate
-    cells where every polynomial is >= 0 at the center, and their run axis.
-
-    The candidates are the whole box or, given a radius, the cells the
-    radius sphere crosses; with `upper` only the band cells whose last
-    index is at least floor((m - 1) / 2), m the cell count of the last
-    axis.  The band is computed once per (grid, radius) by `_sphere_band`,
-    shared read-only and kept at a narrow dtype; the indices returned are
-    a fresh intp array with one contiguous column per axis, the layout
-    `np.argwhere` gives the whole box.  Each center is tested exactly,
-    as the sign of an integer `_ScaledPoly` value at the integer-scaled
-    center, in one array pass: over the whole box by broadcasting per-axis
-    centers, over the band at its cells.  The arrays are int64 when a
-    bound computed first shows that no value reaches 2**62, and hold
-    Python ints otherwise.  A box above MAX_GRID_CELLS is rejected before
-    any array is allocated or any band is looked up.
-
-    The run axis is -1, the last axis, on the whole box.  On a band it is
-    the axis along which the most pairs of kept cells are adjacent, the
-    highest one among ties, counted through the band's successor table:
-    closure and `betti` work run by run, and runs along it are the longest
-    on average.
-    """
+def _checked(spec: GridSpec, polys: Sequence[QuadraticPoly], radius
+             ) -> Tuple[Optional[Fraction], _GridScale, List[_ScaledPoly], bool]:
+    """A build's checks, before any array or cache lookup: variable counts,
+    radius, then MAX_GRID_CELLS.  Returns the exact radius or None, the
+    integer view, an evaluator per polynomial and whether values need Python
+    ints: every center is at most u_max, and every value at most a magnitude."""
     for p in polys:
         if p.k != spec.dim:
             raise ValueError(f"polynomial has {p.k} variables, grid has {spec.dim} axes")
     r = None if radius is None else _sphere_radius(radius, spec)
-    shape = spec.shape
-    size = math.prod(shape)
+    size = math.prod(spec.shape)
     if size > MAX_GRID_CELLS:
         raise ValueError(f"grid has {size} cells, above the limit of {MAX_GRID_CELLS}")
     gs = _GridScale(spec)
     evals = [_ScaledPoly(p, gs.scale) for p in polys]
-    # every center is at most u_max, and every value at most a magnitude
     wide = gs.u_max >= _INT64_SAFE or any(e.magnitude(gs.u_max) >= _INT64_SAFE for e in evals)
+    return r, gs, evals, wide
+
+
+def _top_cells(spec: GridSpec, polys: Sequence[QuadraticPoly], radius=None) -> Tuple[np.ndarray, int]:
+    """Grid indices, one cell per row in lexicographic order, of the candidate
+    cells where every polynomial is >= 0 at the center, and their run axis.
+
+    The candidates are the whole box or, given a radius, the cells the
+    radius sphere crosses.  The band is computed once per (grid, radius) by
+    `_sphere_band`, shared read-only and kept at a narrow dtype; the indices
+    returned are a fresh intp array with one contiguous column per axis,
+    the layout `np.argwhere` gives the whole box.  Each center is tested
+    exactly, as the sign of an integer `_ScaledPoly` value at the
+    integer-scaled center, in one array pass: over the whole box by
+    broadcasting per-axis centers, over the band at its cells.  The arrays
+    are int64 when a bound computed first shows that no value reaches
+    2**62, and hold Python ints otherwise.  The run axis is -1, the last
+    axis, on the whole box, and on a band the one `_band_tops` picks.
+    """
+    r, gs, evals, wide = _checked(spec, polys, radius)
     centers = gs.lows(wide, gs.step // 2)
     if r is None:
         u = np.ix_(*centers)
-        keep = np.ones(shape, dtype=bool)
+        keep = np.ones(spec.shape, dtype=bool)
     else:
         band, succ = _sphere_band(spec, r)
-        if upper:
-            rows = (band[-1] >= (shape[-1] - 1) // 2).nonzero()[0]
-            cand = band.take(rows, axis=1)
-        else:
-            rows, cand = slice(None), band
-        u = [c.take(ix) for c, ix in zip(centers, cand)]
-        keep = np.ones(cand.shape[1], dtype=bool)
+        u = [c.take(ix) for c, ix in zip(centers, band)]
+        keep = np.ones(band.shape[1], dtype=bool)
     for e in evals:
         keep &= e.values(u) >= 0
     if r is None:
         return np.argwhere(keep), -1
+    return _band_tops(band, succ, slice(None), keep)
+
+
+def _band_tops(band: np.ndarray, succ: np.ndarray, rows, keep: np.ndarray) -> Tuple[np.ndarray, int]:
+    """The cells of the band rows `rows` that `keep` marks, as a fresh intp
+    array with one contiguous column per axis, and their run axis: the axis
+    along which the most pairs of them are adjacent, the highest one among
+    ties, counted through the band's successor table.  Closure and `betti`
+    work run by run, and runs along it are the longest on average."""
     # The band cells kept; a last False stands for the neighbours outside the band.
     after = np.zeros(band.shape[1] + 1, dtype=bool)
     after[:-1][rows] = keep
     kept = after.nonzero()[0]
     pairs = [np.count_nonzero(after.take(s.take(kept))) for s in succ]
     # intp keeps the codes 2*j + 1 of a uint8 band from wrapping.
-    return band.take(kept, axis=1).astype(np.intp).T, max(range(spec.dim), key=lambda a: (pairs[a], a))
+    return band.take(kept, axis=1).astype(np.intp).T, max(range(len(succ)), key=lambda a: (pairs[a], a))
 
 
 def _build(spec: GridSpec, polys: Sequence[QuadraticPoly], radius=None) -> CubicalComplex:
@@ -547,6 +552,30 @@ def sphere_region_complex(
     return _build(spec, system, r)
 
 
+@functools.lru_cache(maxsize=4)
+def _cap_candidates(spec: GridSpec, r: Fraction, trunc: QuadraticPoly) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only polar-cap candidates, once per (grid, radius, truncation):
+    the rows of the radius-r band with last index >= floor((m - 1) / 2), m
+    the last axis's cell count, where `trunc` is >= 0 at the center, at the
+    narrowest unsigned dtype, and their integer-scaled centers as one
+    (dim, n) array, int64 unless the grid's own bound u_max reaches 2**62.
+    On the 68**3 lift grid an entry holds 8,840 candidates in 229,840 bytes."""
+    band, _ = _sphere_band(spec, r)
+    gs = _GridScale(spec)
+    axes = gs.lows(gs.u_max >= _INT64_SAFE, gs.step // 2)
+    t = _ScaledPoly(trunc, gs.scale)
+    wide = t.magnitude(gs.u_max) >= _INT64_SAFE
+    upper = (band[-1] >= (spec.shape[-1] - 1) // 2).nonzero()[0]
+    # The kept centers are gathered afresh rather than filtered out of those
+    # of `upper`: a sphere-lift run then peaks about 0.25 MB lower.
+    rows = upper[t.values([c.take(ix).astype(object) if wide else c.take(ix)
+                           for c, ix in zip(axes, band.take(upper, axis=1))]) >= 0]
+    centers = np.stack([c.take(ix) for c, ix in zip(axes, band.take(rows, axis=1))])
+    rows = rows.astype(np.min_scalar_type(band.shape[1]))
+    rows.flags.writeable = centers.flags.writeable = False
+    return rows, centers
+
+
 def sphere_region_cap(
     polys: Sequence[QuadraticPoly], eps, spec: GridSpec
 ) -> Optional[CubicalComplex]:
@@ -556,15 +585,21 @@ def sphere_region_cap(
 
     The cap is the face closure of the lift's top cells above x_{k+1} = 0,
     with the lift's run axis; every Betti number and the Euler
-    characteristic of the lift are then twice the cap's.  Only the band
-    cells with last index at least floor((m - 1) / 2), m the cell count of
-    the last axis, are evaluated.  See the module docstring for the three
-    conditions and the proof.
+    characteristic of the lift are then twice the cap's.  Only `polys` are
+    evaluated, on the candidates of `_cap_candidates`.  See the module
+    docstring for the three conditions and the proof.
     """
     system, r = _lift_system(polys, eps, spec.dim)
     if any(lo != -hi for lo, hi in spec.box) or any(any(p.lin) for p in system):
         return None
-    cells, run_axis = _top_cells(spec, system, r, upper=True)
+    r, _, evals, wide = _checked(spec, polys, r)
+    rows, u = _cap_candidates(spec, r, system[0])
+    if wide:
+        u = u.astype(object)
+    keep = np.ones(len(rows), dtype=bool)
+    for e in evals:
+        keep &= e.values(u) >= 0
+    cells, run_axis = _band_tops(*_sphere_band(spec, r), rows, keep)
     # The layers whose closed cubes meet x_{k+1} = 0 are floor((m - 1) / 2) .. floor(m / 2).
     if np.any(cells[:, -1] <= spec.shape[-1] // 2):
         return None

@@ -13,7 +13,7 @@ import quadbetti
 from quadbetti import cli
 from quadbetti.bounds import bound_aggregate
 from quadbetti.cli import main
-from quadbetti.quadforms import _sphere_band
+from quadbetti.quadforms import _cap_candidates, _sphere_band
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_CASES = json.loads((DATA / "cli_golden.json").read_text())
@@ -226,10 +226,13 @@ class TestVerifyCommand:
         for argv in (["--seed", "0"], ["--full"]):
             _, first = run_cli(capsys, "verify", *argv, "--format", "json")
             misses = _sphere_band.cache_info().misses
+            cap_misses = _cap_candidates.cache_info().misses
             _, second = run_cli(capsys, "verify", *argv, "--format", "json")
             assert first == second, argv
-            # the second run builds no sphere band: every one is a cache hit
+            # the second run builds no sphere band and no cap candidates:
+            # every one is a cache hit
             assert _sphere_band.cache_info().misses == misses, argv
+            assert _cap_candidates.cache_info().misses == cap_misses, argv
 
 
 class TestAuditCommand:

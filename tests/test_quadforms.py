@@ -33,6 +33,8 @@ from quadbetti.quadforms import (
     _GridScale,
     _ScaledPoly,
     _band_mask,
+    _band_tops,
+    _cap_candidates,
     _sphere_band,
     _top_cells,
     ci_probe,
@@ -652,6 +654,80 @@ def test_top_cells_returns_a_private_intp_array():
     first[:] = 0
     assert np.array_equal(_top_cells(spec, (), r)[0], expected)
     assert np.array_equal(_sphere_band(spec, r)[0].T, expected)
+    # The cap's top cells, built from the cached candidates, are private too.
+    eps = Fraction(1, 10)
+    lift = _lift_spec(eps, 2)
+    cap = sphere_region_cap([], eps, lift)
+    rows, _ = _cap_candidates(lift, 2 / eps, _cap(eps, 2))
+    cells, _ = _band_tops(*_sphere_band(lift, 2 / eps), rows, np.ones(len(rows), dtype=bool))
+    assert cells.dtype == np.intp and cells.flags.writeable and cells.flags.f_contiguous
+    assert {tuple(c) for c in (2 * cells + 1).tolist()} == {c for c in cap.cells if all(x & 1 for x in c)}
+    cells[:] = 0
+    assert sphere_region_cap([], eps, lift).cells == cap.cells
+
+
+# A symmetric grid whose box edges over a denominator past 2**62 make its
+# own bound u_max pass 2**62, so its cap candidates hold Python ints; and
+# an eps so small that the truncation's own magnitude passes 2**62.
+_WIDE_HALF = 3 + Fraction(1, 2**63 + 1)
+_SYMMETRIC_WIDE = GridSpec(box=((-_WIDE_HALF, _WIDE_HALF),) * 2, resolution=_WIDE_HALF / 4)
+
+
+@pytest.mark.parametrize("spec, eps, dtype, truncation_wide", [
+    (_lift_spec(Fraction(1, 10), 2), Fraction(1, 10), np.int64, False),
+    (_SYMMETRIC_WIDE, Fraction(1), object, True),
+    (GridSpec.symmetric(2**32, 2**30, 2), Fraction(1, 2**31), np.int64, True),
+], ids=["lift", "grid-wide", "truncation-wide"])
+def test_cap_candidates_match_fraction_reference(spec, eps, dtype, truncation_wide):
+    r, trunc = 2 / eps, _cap(eps, spec.dim)
+    gs = _GridScale(spec)
+    assert (gs.u_max >= _INT64_SAFE) == (dtype is object)
+    assert (_ScaledPoly(trunc, gs.scale).magnitude(gs.u_max) >= _INT64_SAFE) == truncation_wide
+    cells = list(_band_cells(spec, r))
+    want = [i for i, jvec in enumerate(cells)
+            if jvec[-1] >= (spec.shape[-1] - 1) // 2 and trunc.evaluate(spec.center(jvec)) >= 0]
+    assert 0 < len(want) < len(cells)
+    _cap_candidates.cache_clear()
+    first = _cap_candidates(spec, r, trunc)
+    assert _cap_candidates.cache_info().misses == 1
+    again = _cap_candidates(spec, r, trunc)
+    assert _cap_candidates.cache_info().hits == 1 and again is first
+    rows, centers = first
+    assert rows.dtype == np.min_scalar_type(len(cells)) and rows.tolist() == want
+    assert centers.dtype == dtype and centers.shape == (spec.dim, len(want))
+    assert centers.T.tolist() == [[x * gs.scale for x in spec.center(cells[i])] for i in want]
+    for table in first:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[..., 0] = 0
+
+
+def test_cap_candidates_one_entry_per_eps():
+    spec = _lift_spec(Fraction(1, 10), 2)
+    _cap_candidates.cache_clear()
+    caps = [sphere_region_cap([], eps, spec).cells for eps in (Fraction(1, 10), Fraction(1, 9))]
+    assert _cap_candidates.cache_info().misses == _cap_candidates.cache_info().currsize == 2
+    assert [sphere_region_cap([], eps, spec).cells for eps in (Fraction(1, 10), Fraction(1, 9))] == caps
+    assert _cap_candidates.cache_info().misses == 2 and caps[0] != caps[1]
+
+
+def test_cap_with_wide_polynomial_matches_fraction_reference():
+    """A polynomial whose magnitude passes 2**62 is evaluated on Python ints,
+    converted exactly from the cached int64 centers."""
+    eps = Fraction(1, 10)
+    spec, r = _lift_spec(eps, 2), 2 / eps
+    gs = _GridScale(spec)
+    assert _ScaledPoly(_WIDE_SADDLE, gs.scale).magnitude(gs.u_max) >= _INT64_SAFE
+    cap = sphere_region_cap([_WIDE_SADDLE], eps, spec)
+    assert _cap_candidates(spec, r, _cap(eps, 2))[1].dtype == np.int64
+    expected = {
+        tuple(2 * j + 1 for j in jvec)
+        for jvec in _band_cells(spec, r)
+        if jvec[-1] >= (spec.shape[-1] - 1) // 2
+        and all(p.evaluate(spec.center(jvec)) >= 0 for p in (_cap(eps, 2), _WIDE_SADDLE))
+    }
+    assert expected and {c for c in cap.cells if all(x & 1 for x in c)} == expected
+    assert _check_cap([_WIDE_SADDLE], eps, spec)
 
 
 # Unit circles on grids whose long axis passes 128 and 256 cells, so the
@@ -796,13 +872,22 @@ class TestSphereComplexes:
         side = 2**11
         spec = GridSpec(box=((0, side), (0, side + 1)), resolution=1)
         assert side * (side + 1) > MAX_GRID_CELLS
-        # a valid band at the same radius is cached first; the limit is still checked on every call
-        sphere_band_complex(1, GridSpec.symmetric(2, Fraction(1, 4), 2))
+        # a valid band and cap at the same radius are cached first; the limit
+        # and eps are still checked on every call, before any cap lookup
+        small = GridSpec.symmetric(2, Fraction(1, 4), 2)
+        sphere_band_complex(1, small)
+        assert sphere_region_cap([], 1, small) is not None
+        misses = _cap_candidates.cache_info().misses
         for _ in range(2):
             with pytest.raises(ValueError, match="above the limit"):
                 grid_complex([], spec)
             with pytest.raises(ValueError, match="above the limit"):
                 sphere_band_complex(1, GridSpec.symmetric(2, Fraction(1, 1024), 2))
+            with pytest.raises(ValueError, match="above the limit"):
+                sphere_region_cap([], 1, GridSpec.symmetric(2, Fraction(1, 1024), 2))
+            with pytest.raises(TypeError, match="floats"):
+                sphere_region_cap([], 1.0, small)
+        assert _cap_candidates.cache_info().misses == misses
 
     def test_region_complex_empty_system_gives_two_caps(self):
         spec = GridSpec.symmetric(21, Fraction(1, 2), 2)
