@@ -67,6 +67,21 @@ two kept cells are adjacent across the middle layers, so the adjacent
 pairs that pick the run axis halve, and the cap keeps the lift's run axis.
 A build evaluates only its own polynomials, on the upper half's band
 cells the truncation keeps, found once; it closes and ranks half the lift.
+
+A box grid folds the same way, read off its kept-cell mask alone, with no
+float and no look at the polynomials.  `grid_block` takes `grid_complex`'s
+mask and, for each axis in turn, with m its current cell count, keeps the
+layers 0 .. floor(m / 2) - 1 and doubles its count of copies when no kept
+cell lies in the layers floor((m - 1) / 2) .. floor(m / 2), whose closed
+cubes meet the mirror plane, and the mask equals its image under the
+reflection j -> m - 1 - j.  Proof that the box is then the block plus its
+mirror image: the reflection maps the grid onto itself cube by cube, so the
+two halves' closures are isomorphic; the lower kept cubes lie at grid
+coordinates <= floor((m - 1) / 2) and the upper ones >= floor(m / 2) + 1,
+so the closures are disjoint; and the Betti numbers and Euler
+characteristic of a disjoint union add.  Each fold is tested on the mask
+the earlier ones left, which stays mirror-symmetric along every later axis,
+so by induction the box's vector is `copies` times the block's.
 """
 
 from __future__ import annotations
@@ -87,6 +102,7 @@ __all__ = [
     "ci_probe",
     "DeformationParams",
     "GridSpec",
+    "grid_block",
     "grid_complex",
     "sphere_zero_complex",
     "sphere_zero_split",
@@ -192,6 +208,8 @@ class GridSpec:
     # The cell count per axis, kept from the width check: derived, so it
     # takes no part in init, eq, hash or repr.
     shape: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # The hash, formed on first use and kept: each Fraction hashes by a modular inverse.
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.box:
@@ -211,6 +229,11 @@ class GridSpec:
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "resolution", res)
         object.__setattr__(self, "shape", tuple(shape))
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.box, self.resolution)))
+        return self._hash
 
     @property
     def dim(self) -> int:
@@ -410,36 +433,40 @@ def _checked(spec: GridSpec, polys: Sequence[QuadraticPoly], radius
     return r, gs, evals, wide
 
 
+def _satisfied(evals: Sequence[_ScaledPoly], u, shape) -> np.ndarray:
+    """Mask, of the given shape, of the points `u` where every evaluator is >= 0."""
+    keep = np.ones(shape, dtype=bool)
+    for e in evals:
+        keep &= e.values(u) >= 0
+    return keep
+
+
+def _box_mask(spec: GridSpec, polys: Sequence[QuadraticPoly]) -> np.ndarray:
+    """Mask of the box cells where every polynomial is >= 0 at the center,
+    after `_checked`, by broadcasting per-axis centers."""
+    _, gs, evals, wide = _checked(spec, polys, None)
+    return _satisfied(evals, np.ix_(*gs.lows(wide, gs.step // 2)), spec.shape)
+
+
 def _top_cells(spec: GridSpec, polys: Sequence[QuadraticPoly], radius=None) -> Tuple[np.ndarray, int]:
     """Grid indices, one cell per row in lexicographic order, of the candidate
     cells where every polynomial is >= 0 at the center, and their run axis.
 
-    The candidates are the whole box or, given a radius, the cells the
-    radius sphere crosses.  The band is computed once per (grid, radius) by
-    `_sphere_band`, shared read-only and kept at a narrow dtype; the indices
-    returned are a fresh intp array with one contiguous column per axis,
-    the layout `np.argwhere` gives the whole box.  Each center is tested
-    exactly, as the sign of an integer `_ScaledPoly` value at the
-    integer-scaled center, in one array pass: over the whole box by
-    broadcasting per-axis centers, over the band at its cells.  The arrays
-    are int64 when a bound computed first shows that no value reaches
-    2**62, and hold Python ints otherwise.  The run axis is -1, the last
-    axis, on the whole box, and on a band the one `_band_tops` picks.
+    The candidates are the whole box (`_box_mask`) or, given a radius, the
+    cells the radius sphere crosses.  The band is computed once per (grid,
+    radius) by `_sphere_band`, shared read-only and kept at a narrow dtype;
+    the indices returned are a fresh intp array with one contiguous column
+    per axis, the layout `np.argwhere` gives the whole box.  Each center is
+    tested exactly, in int64 or Python ints, in one array pass.  The run
+    axis is -1, the last axis, on the whole box, and on a band the one
+    `_band_tops` picks.
     """
+    if radius is None:
+        return np.argwhere(_box_mask(spec, polys)), -1
     r, gs, evals, wide = _checked(spec, polys, radius)
-    centers = gs.lows(wide, gs.step // 2)
-    if r is None:
-        u = np.ix_(*centers)
-        keep = np.ones(spec.shape, dtype=bool)
-    else:
-        band, succ = _sphere_band(spec, r)
-        u = [c.take(ix) for c, ix in zip(centers, band)]
-        keep = np.ones(band.shape[1], dtype=bool)
-    for e in evals:
-        keep &= e.values(u) >= 0
-    if r is None:
-        return np.argwhere(keep), -1
-    return _band_tops(band, succ, slice(None), keep)
+    band, succ = _sphere_band(spec, r)
+    u = [c.take(ix) for c, ix in zip(gs.lows(wide, gs.step // 2), band)]
+    return _band_tops(band, succ, slice(None), _satisfied(evals, u, band.shape[1]))
 
 
 def _band_tops(band: np.ndarray, succ: np.ndarray, rows, keep: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -471,6 +498,28 @@ def grid_complex(system: Sequence[QuadraticPoly], spec: GridSpec) -> CubicalComp
     grid units (cell indices), not box coordinates.
     """
     return _build(spec, system)
+
+
+def _fold(keep: np.ndarray) -> Tuple[np.ndarray, int]:
+    """A box mask folded axis by axis (module docstring) and its copy count; mirrors are
+    compared only where the middle slab, tested first on a view, is empty."""
+    copies = 1
+    for axis in range(keep.ndim):
+        m = keep.shape[axis]
+        lead = (slice(None),) * axis
+        if not np.count_nonzero(keep[lead + (slice((m - 1) // 2, m // 2 + 1),)]):
+            lower = keep[lead + (slice(m // 2),)]
+            if not np.count_nonzero(lower != np.flip(keep, axis)[lead + (slice(m // 2),)]):
+                keep, copies = lower, 2 * copies
+    return keep, copies
+
+
+def grid_block(system: Sequence[QuadraticPoly], spec: GridSpec) -> Tuple[CubicalComplex, int]:
+    """One mirror block of `grid_complex(system, spec)`, run along the last axis
+    as the box is, and `copies`: every Betti number and the Euler characteristic
+    of the box are `copies` times the block's (fold and proof: module docstring)."""
+    keep, copies = _fold(_box_mask(spec, system))
+    return close_under_faces(2 * np.argwhere(keep) + 1, ambient_dim=spec.dim, run_axis=-1), copies
 
 
 def sphere_zero_complex(
@@ -596,10 +645,7 @@ def sphere_region_cap(
     rows, u = _cap_candidates(spec, r, system[0])
     if wide:
         u = u.astype(object)
-    keep = np.ones(len(rows), dtype=bool)
-    for e in evals:
-        keep &= e.values(u) >= 0
-    cells, run_axis = _band_tops(*_sphere_band(spec, r), rows, keep)
+    cells, run_axis = _band_tops(*_sphere_band(spec, r), rows, _satisfied(evals, u, len(rows)))
     # The layers whose closed cubes meet x_{k+1} = 0 are floor((m - 1) / 2) .. floor(m / 2).
     if np.any(cells[:, -1] <= spec.shape[-1] // 2):
         return None

@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import itertools
 import json
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -280,6 +281,20 @@ class TestBoundAudit:
         row = doc["rows"][0]
         assert set(row) == {"i", "betti", "bound_num", "bound_den", "verdict"}
         json.dumps(doc)  # serializable
+
+    def test_products_k6_grid_is_ranked_as_one_orthant_block(self):
+        # The 12^6-cell box keeps 2^6 solid blocks; closed whole it would
+        # allocate several hundred MB, folded to one block about 11 MB.
+        sc = scenario_products(6)
+        tracemalloc.start()
+        try:
+            rep = bound_audit(sc, sc.grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.overall == PASS
+        assert [r.betti for r in rep.rows] == [64, 0, 0, 0, 0, 0] and rep.total.betti == 64
+        assert peak < 64 * 2**20
 
     def test_every_oracle_scenario_passes(self):
         scenarios = [scenario_products(k) for k in (1, 2, 3, 4)]

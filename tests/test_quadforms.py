@@ -24,7 +24,7 @@ from quadbetti.exact import (
     random_pd_form,
 )
 from quadbetti.harness import _lift_spec, pad_betti, scenario_products, scenario_shell
-from quadbetti.homology import _run_complex, betti, close_under_faces
+from quadbetti.homology import CubicalComplex, _run_complex, betti, close_under_faces
 from quadbetti.quadforms import (
     DeformationParams,
     MAX_GRID_CELLS,
@@ -35,9 +35,11 @@ from quadbetti.quadforms import (
     _band_mask,
     _band_tops,
     _cap_candidates,
+    _fold,
     _sphere_band,
     _top_cells,
     ci_probe,
+    grid_block,
     grid_complex,
     sphere_band_complex,
     sphere_region_cap,
@@ -461,6 +463,164 @@ class TestGridComplex:
         with pytest.raises(ValueError):
             grid_complex([p], spec)
 
+
+def _products(k, a, box=(-1, 2), res=Fraction(1, 4)):
+    """X_i (X_i - a) >= 0, i = 1..k, on box^k.  On the default grid its mask is
+    2^k orthant blocks, mirror images about 1/2, for every a in (7/8, 9/8]."""
+    system = [QuadraticPoly.make(k, quad=[[int(r == c == i) for c in range(k)] for r in range(k)],
+                                 lin=[-a if r == i else 0 for r in range(k)]) for i in range(k)]
+    return system, GridSpec(box=(box,) * k, resolution=res)
+
+
+def _block_matches_box(system, spec) -> int:
+    """Check `grid_block` against the whole box and return its copy count."""
+    block, copies = grid_block(system, spec)
+    full = grid_complex(system, spec)
+    assert isinstance(block, CubicalComplex) and block.ambient_dim == spec.dim
+    assert tuple(copies * b for b in betti(block)) == betti(full)
+    assert copies * block.euler_characteristic() == full.euler_characteristic()
+    assert copies * len(block) == len(full)
+    # The block runs along the last axis, as the box does.
+    assert block._frame.strides[-1] == 1 or len(block) == 0
+    return copies
+
+
+class TestGridBlock:
+    @pytest.mark.parametrize("a", ["15/16", "1", "17/16", "9/8"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_products_fold_to_one_orthant_block(self, k, a):
+        system, spec = _products(k, Fraction(a))
+        assert _block_matches_box(system, spec) == 2**k
+        block, _ = grid_block(system, spec)
+        # One solid 4^k block of the 12^k grid, whose lower halves are 6 cells.
+        assert betti(block)[0] == 1 and block.n_cells(k) == 4**k
+        assert {c for c in block.cells if all(x & 1 for x in c)} == {
+            tuple(2 * j + 1 for j in jvec) for jvec in itertools.product(range(4), repeat=k)}
+
+    def test_curated_products_fold(self):
+        for k in (1, 2, 3, 4):
+            sc = scenario_products(k)
+            assert _block_matches_box(sc.system, sc.grid) == 2**k
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_shells_do_not_fold(self, k):
+        sc = scenario_shell(k, Fraction(1, 2), 1)
+        assert _block_matches_box(sc.system, sc.grid) == 1
+
+    def test_random_systems(self):
+        rng = random.Random(35)
+        folded = 0
+        for _ in range(60):
+            k = rng.randint(1, 3)
+            half = Fraction(rng.randint(1, 4), 2)
+            lo = -half if rng.random() < 0.7 else -half - Fraction(1, 2)
+            spec = GridSpec(box=((lo, half),) * k, resolution=Fraction(1, 2) if k == 3 else Fraction(1, 4))
+            system = [random_poly(rng, k) for _ in range(rng.randint(1, 2))]
+            if rng.random() < 0.6:
+                # Even polynomials on a symmetric box give symmetric masks.
+                system = [QuadraticPoly.make(k, quad=p.quad, const=p.const) for p in system]
+            folded += _block_matches_box(system, spec) > 1
+        assert 10 <= folded <= 50
+
+    def test_centered_disk_keeps_its_middle_slab(self):
+        # Symmetric, but the middle layers are kept: no fold.
+        disk = QuadraticPoly.make(2, quad=[[-1, 0], [0, -1]], const=1)
+        for res in (Fraction(1, 2), Fraction(2, 5)):  # 8 and 10 cells: even m
+            spec = GridSpec.symmetric(2, res, 2)
+            assert _block_matches_box([disk], spec) == 1
+        spec = GridSpec(box=((-2, 2),) * 2, resolution=Fraction(4, 9))  # 9 cells: odd m
+        assert _block_matches_box([disk], spec) == 1
+
+    def test_unequal_blocks_do_not_fold_their_axis(self):
+        # x (x - 3/2) >= 0 on [-1, 2] at 1/4: 4 cells below 0, 2 above 3/2, the
+        # middle layers empty, but the mask is not its mirror image.
+        system, spec = _products(1, Fraction(3, 2))
+        assert _block_matches_box(system, spec) == 1
+        # In 2-D the first axis still folds and the second does not.
+        (x, _), spec = _products(2, Fraction(1))
+        (_, y), _ = _products(2, Fraction(3, 2))
+        assert _block_matches_box([x, y], spec) == 2
+        block, _ = grid_block([x, y], spec)
+        assert max(c[0] for c in block.cells) <= 2 * 6 and max(c[1] for c in block.cells) > 2 * 6
+
+    @pytest.mark.parametrize("res, m", [(Fraction(3, 13), 13), (Fraction(3, 14), 14), (Fraction(1, 4), 12)])
+    def test_odd_and_even_cell_counts(self, res, m):
+        system, spec = _products(2, Fraction(1), res=res)
+        assert spec.shape == (m, m)
+        assert _block_matches_box(system, spec) == 4
+        block, _ = grid_block(system, spec)
+        assert max(c[0] for c in block.cells) <= 2 * (m // 2)
+
+    def test_empty_system_and_empty_set(self):
+        spec = GridSpec(box=((-1, 1),) * 2, resolution=Fraction(1, 2))
+        assert _block_matches_box([], spec) == 1
+        empty = QuadraticPoly.make(2, const=-1)
+        assert _block_matches_box([empty], spec) == 4 and betti(grid_block([empty], spec)[0]) == (0, 0, 0)
+
+    def test_checks_run_before_any_array(self):
+        spec = GridSpec(box=((0, 1),) * 2, resolution=Fraction(1, 2))
+        with pytest.raises(ValueError, match="variables"):
+            grid_block([QuadraticPoly.make(3)], spec)
+        big = GridSpec(box=((0, 1),) * 23, resolution=Fraction(1, 2))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="above the limit"):
+                grid_block([], big)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+
+@st.composite
+def mirrored_masks(draw):
+    """A random half-mask mirrored along random axes, each with an empty
+    middle slab of one layer (odd m) or two (even m), and the axes it was
+    mirrored along with their parities.  One kept cell lies in the middle
+    slab of every other axis, so those never fold."""
+    dim = draw(st.integers(1, 3))
+    shape = [draw(st.integers(2, 5)) for _ in range(dim)]
+    half = np.array(draw(st.lists(st.booleans(), min_size=math.prod(shape), max_size=math.prod(shape))),
+                    dtype=bool).reshape(shape)
+    mirrored = draw(st.lists(st.sampled_from(range(dim)), unique=True))
+    odd = {a: draw(st.booleans()) for a in mirrored}
+    for a in mirrored:
+        if not odd[a]:
+            half[(slice(None),) * a + (-1,)] = False
+    half[tuple(0 if a in odd else (n - 1) // 2 for a, n in enumerate(shape))] = True
+    full = half
+    for a in draw(st.permutations(mirrored)):
+        pad = np.zeros(full.shape[:a] + (int(odd[a]),) + full.shape[a + 1:], dtype=bool)
+        full = np.concatenate([full, pad, np.flip(full, a)], axis=a)
+    return half, full, len(mirrored)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mirrored_masks())
+def test_fold_recovers_a_mirrored_mask(case):
+    half, full, n_mirrored = case
+    block, copies = _fold(full)
+    assert copies == 2**n_mirrored and np.array_equal(block, half)
+    close = lambda mask: close_under_faces(2 * np.argwhere(mask) + 1, ambient_dim=mask.ndim, run_axis=-1)
+    assert tuple(copies * b for b in betti(close(block))) == betti(close(full))
+    assert copies * close(block).euler_characteristic() == close(full).euler_characteristic()
+
+
+def test_equal_specs_and_polynomials_hash_once_and_alike():
+    specs = [GridSpec.symmetric(Fraction(5, 2), Fraction(1, 8), 3) for _ in range(2)]
+    assert specs[0] is not specs[1] and specs[0] == specs[1] and hash(specs[0]) == hash(specs[1])
+    assert hash(specs[0]) == hash((specs[0].box, specs[0].resolution))
+    polys = [QuadraticPoly.make(2, quad=[[1, Fraction(1, 3)], [Fraction(1, 3), 2]], lin=[1, 0], const=Fraction(-5, 7))
+             for _ in range(2)]
+    assert polys[0] is not polys[1] and polys[0] == polys[1] and hash(polys[0]) == hash(polys[1])
+    assert polys[0] != QuadraticPoly.make(2) and "_hash" not in repr(polys[0]) + repr(specs[0])
+    # blend builds its result positionally, and still hashes as an equal make() would.
+    blended = polys[0].blend(polys[1], Fraction(1, 3))
+    assert blended == polys[0] and hash(blended) == hash(polys[0])
+    _sphere_band.cache_clear()
+    first = _sphere_band(specs[0], Fraction(2))
+    assert _sphere_band(specs[1], Fraction(2)) is first
+    assert _sphere_band.cache_info().misses == 1 and _sphere_band.cache_info().hits == 1
 
 def _band_cells(spec, r):
     """Cells whose closed cube meets the radius-r sphere, by Fraction interval arithmetic."""
