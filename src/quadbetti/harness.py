@@ -34,8 +34,7 @@ from .quadforms import (
     DeformationParams,
     GridSpec,
     grid_block,
-    sphere_region_cap,
-    sphere_region_complex,
+    sphere_region_block,
     sphere_zero_complex,
     sphere_zero_split,
 )
@@ -247,10 +246,13 @@ def overall(verdicts: Sequence[str]) -> str:
     return PASS
 
 
-def _grid_betti(system: Sequence[QuadraticPoly], spec: GridSpec) -> Tuple[int, ...]:
-    """Betti vector of `grid_complex(system, spec)`: `grid_block`'s copies times its
-    block's vector, so the mirrored halves of a symmetric box are never closed or ranked."""
-    block, copies = grid_block(system, spec)
+def _block_betti(built: Tuple[CubicalComplex, int]) -> Tuple[int, ...]:
+    """Betti vector of the set a `(block, copies)` pair of `grid_block` or
+    `sphere_region_block` stands for: `copies` times the block's, so a mirror
+    or antipodal copy is never closed or ranked.  The Smith and Alexander
+    audits rank their whole sphere sets: Smith's odd-total guard needs both
+    antipodal halves, and the equator band straddles x_3 = 0."""
+    block, copies = built
     return tuple(copies * b for b in betti(block))
 
 
@@ -270,7 +272,7 @@ def bound_audit(sc: Scenario, spec: Optional[GridSpec] = None) -> BoundAuditRepo
         fail = VIOLATION
         params["oracle_note"] = sc.oracle_note
     else:
-        vec = _grid_betti(sc.system, spec)
+        vec = _block_betti(grid_block(sc.system, spec))
         fail = INCONCLUSIVE
         params["resolution"] = format_rational(spec.resolution)
     rows = []
@@ -384,22 +386,6 @@ def _lift_spec(eps: Fraction, dim: int, resolution=None) -> GridSpec:
     return GridSpec.symmetric(r + 2 * hs, hs, dim)
 
 
-def _lift_betti(polys: Sequence[QuadraticPoly], eps: Fraction, spec: GridSpec) -> Tuple[int, ...]:
-    """Betti vector of `sphere_region_complex(polys, eps, spec)`.
-
-    When `sphere_region_cap` shows the lift to be its upper polar cap plus
-    that cap's point reflection, with disjoint closures, it is twice the
-    cap's vector; otherwise the whole lift is built and ranked.  The Smith
-    and Alexander audits build their whole sphere sets: Smith's odd-total
-    guard needs both antipodal halves, and the equator band straddles
-    x_3 = 0.
-    """
-    cap = sphere_region_cap(polys, eps, spec)
-    if cap is None:
-        return betti(sphere_region_complex(polys, eps, spec))
-    return tuple(2 * b for b in betti(cap))
-
-
 # Note of a lift report whose scenario box leaves the ball; its lift fields keep their defaults.
 _BALL_NOTE = "scenario box exceeds the radius-1/eps ball; shrink eps"
 
@@ -437,10 +423,10 @@ def double_cover_audit(
         base = sc.oracle_betti
         base_source = "oracle"
     else:
-        base = _grid_betti(sc.system, sc.grid)
+        base = _block_betti(grid_block(sc.system, sc.grid))
         base_source = "grid"
     spec = _lift_spec(eps, sc.k + 1, sphere_resolution)
-    lifted = _lift_betti([homogenize(p).as_poly() for p in sc.system], eps, spec)
+    lifted = _block_betti(sphere_region_block([homogenize(p).as_poly() for p in sc.system], eps, spec))
     expected = pad_betti(tuple(2 * b for b in base), sc.k + 2)
     ok = lifted == expected
     return DoubleCoverReport(
@@ -503,11 +489,10 @@ def deformation_audit(
     family = [
         dehomogenize(random_pd_form(sc.k + 2, seed + i)) for i in range(sc.s)
     ]
-    reference = _lift_betti(base_polys, params.eps, spec)
+    reference = _block_betti(sphere_region_block(base_polys, params.eps, spec))
     betti_by_t = {
-        format_rational(t): _lift_betti(
-            [p.blend(h, t) for p, h in zip(base_polys, family)],
-            params.eps, spec) if t else reference
+        format_rational(t): _block_betti(sphere_region_block(
+            [p.blend(h, t) for p, h in zip(base_polys, family)], params.eps, spec)) if t else reference
         for t in ts
     }
     constant = all(v == reference for v in betti_by_t.values())
@@ -692,7 +677,7 @@ CONE = QuadraticForm.make(3, [[1, 0, 0], [0, 1, 0], [0, 0, -1]])
 
 
 def _grid_matches_oracle(sc: Scenario) -> Dict:
-    vec = _grid_betti(sc.system, sc.grid)
+    vec = _block_betti(grid_block(sc.system, sc.grid))
     return {"name": f"grid-oracle-{sc.name}", "verdict": PASS if vec == sc.oracle_betti else INCONCLUSIVE,
             "note": f"grid {list(vec)} vs oracle {list(sc.oracle_betti)}"}
 

@@ -36,16 +36,17 @@ cells and its own polynomials.  The builder computes in int64
 when a bound taken beforehand shows that no value it forms reaches 2**62
 in absolute value, and otherwise runs the same array code on Python ints
 (dtype=object); no float enters.  `_top_cells` returns the grid indices of
-the kept cells, one row per cell and one contiguous column per axis, and
-their run axis: the last axis on the whole box, and on a band the axis
-along which the most of them are adjacent; `_build` closes them under
-faces with runs along that axis.
+the kept band cells, one row per cell and one contiguous column per axis,
+and their run axis, the axis along which the most of them are adjacent;
+`_build` closes them under faces with runs along that axis.  The box is
+closed from its kept-cell mask (`_box_mask`), whole or folded, with runs
+along the last axis.
 
-An undeformed lift is two antipodal copies of one set, and
-`sphere_region_cap` builds only the upper one.  It returns the closed upper
-polar cap of `sphere_region_complex(polys, eps, spec)`, the face closure
-of its top cells above x_{k+1} = 0, when all three of these hold, each
-checked exactly, and None otherwise:
+An undeformed lift is two antipodal copies of one set.
+`sphere_region_block` returns the closed upper polar cap of
+`sphere_region_complex(polys, eps, spec)`, the face closure of its top
+cells above x_{k+1} = 0, and 2 copies when all three of these hold, each
+checked exactly, and otherwise the whole lift and 1 copy:
 
 1. the box is symmetric about 0 on every axis;
 2. no polynomial of the lifted system, the truncation included, has a
@@ -81,7 +82,9 @@ coordinates <= floor((m - 1) / 2) and the upper ones >= floor(m / 2) + 1,
 so the closures are disjoint; and the Betti numbers and Euler
 characteristic of a disjoint union add.  Each fold is tested on the mask
 the earlier ones left, which stays mirror-symmetric along every later axis,
-so by induction the box's vector is `copies` times the block's.
+so by induction the box's vector is `copies` times the block's.  So both
+`grid_block` and `sphere_region_block` return (block, copies), and a caller
+ranks the block alone and multiplies its vector by copies.
 """
 
 from __future__ import annotations
@@ -108,7 +111,7 @@ __all__ = [
     "sphere_zero_split",
     "sphere_band_complex",
     "sphere_region_complex",
-    "sphere_region_cap",
+    "sphere_region_block",
 ]
 
 
@@ -326,9 +329,9 @@ class _ScaledPoly:
         return total
 
 
-# Largest grid box, in top cells, that a builder accepts.  It is checked
-# before any array is allocated; the largest grid the audits and the suite
-# build is the 3-D sphere lift of 68**3 = 314,432 cells.
+# Largest grid box, in top cells, that a builder accepts, checked before any
+# array is allocated.  The largest the audits and tests build is the products-k6
+# box, whose 12**6 = 2,985,984-cell mask, 71% of it, is formed before the fold.
 MAX_GRID_CELLS = 2**22
 
 # The builder computes in int64 when every value it forms is below this in
@@ -448,21 +451,17 @@ def _box_mask(spec: GridSpec, polys: Sequence[QuadraticPoly]) -> np.ndarray:
     return _satisfied(evals, np.ix_(*gs.lows(wide, gs.step // 2)), spec.shape)
 
 
-def _top_cells(spec: GridSpec, polys: Sequence[QuadraticPoly], radius=None) -> Tuple[np.ndarray, int]:
-    """Grid indices, one cell per row in lexicographic order, of the candidate
-    cells where every polynomial is >= 0 at the center, and their run axis.
+def _top_cells(spec: GridSpec, polys: Sequence[QuadraticPoly], radius) -> Tuple[np.ndarray, int]:
+    """Grid indices, one cell per row in lexicographic order, of the cells the
+    radius sphere crosses where every polynomial is >= 0 at the center, and
+    their run axis, the one `_band_tops` picks.
 
-    The candidates are the whole box (`_box_mask`) or, given a radius, the
-    cells the radius sphere crosses.  The band is computed once per (grid,
-    radius) by `_sphere_band`, shared read-only and kept at a narrow dtype;
-    the indices returned are a fresh intp array with one contiguous column
-    per axis, the layout `np.argwhere` gives the whole box.  Each center is
-    tested exactly, in int64 or Python ints, in one array pass.  The run
-    axis is -1, the last axis, on the whole box, and on a band the one
-    `_band_tops` picks.
+    The band is computed once per (grid, radius) by `_sphere_band`, shared
+    read-only and kept at a narrow dtype; the indices returned are a fresh
+    intp array with one contiguous column per axis, the layout `np.argwhere`
+    gives a box mask.  Each center is tested exactly, in int64 or Python
+    ints, in one array pass.
     """
-    if radius is None:
-        return np.argwhere(_box_mask(spec, polys)), -1
     r, gs, evals, wide = _checked(spec, polys, radius)
     band, succ = _sphere_band(spec, r)
     u = [c.take(ix) for c, ix in zip(gs.lows(wide, gs.step // 2), band)]
@@ -484,7 +483,7 @@ def _band_tops(band: np.ndarray, succ: np.ndarray, rows, keep: np.ndarray) -> Tu
     return band.take(kept, axis=1).astype(np.intp).T, max(range(len(succ)), key=lambda a: (pairs[a], a))
 
 
-def _build(spec: GridSpec, polys: Sequence[QuadraticPoly], radius=None) -> CubicalComplex:
+def _build(spec: GridSpec, polys: Sequence[QuadraticPoly], radius) -> CubicalComplex:
     """Face closure of the cells `_top_cells` keeps, with the run axis it picks."""
     cells, run_axis = _top_cells(spec, polys, radius)
     return close_under_faces(2 * cells + 1, ambient_dim=spec.dim, run_axis=run_axis)
@@ -495,9 +494,9 @@ def grid_complex(system: Sequence[QuadraticPoly], spec: GridSpec) -> CubicalComp
 
     Membership is P >= 0 for every polynomial of the system, decided
     exactly; the empty system keeps the whole box.  Cube coordinates are
-    grid units (cell indices), not box coordinates.
+    grid units (cell indices), not box coordinates; runs go along the last axis.
     """
-    return _build(spec, system)
+    return close_under_faces(2 * np.argwhere(_box_mask(spec, system)) + 1, ambient_dim=spec.dim, run_axis=-1)
 
 
 def _fold(keep: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -625,28 +624,21 @@ def _cap_candidates(spec: GridSpec, r: Fraction, trunc: QuadraticPoly) -> Tuple[
     return rows, centers
 
 
-def sphere_region_cap(
-    polys: Sequence[QuadraticPoly], eps, spec: GridSpec
-) -> Optional[CubicalComplex]:
-    """The closed upper polar cap of `sphere_region_complex(polys, eps, spec)`
-    when that lift is the cap plus its point reflection with disjoint
-    closures, and None otherwise.
-
-    The cap is the face closure of the lift's top cells above x_{k+1} = 0,
-    with the lift's run axis; every Betti number and the Euler
-    characteristic of the lift are then twice the cap's.  Only `polys` are
-    evaluated, on the candidates of `_cap_candidates`.  See the module
-    docstring for the three conditions and the proof.
-    """
+def sphere_region_block(polys: Sequence[QuadraticPoly], eps, spec: GridSpec) -> Tuple[CubicalComplex, int]:
+    """One antipodal block of `sphere_region_complex(polys, eps, spec)` and
+    `copies`: the lift's Betti numbers and Euler characteristic are `copies`
+    times the block's.  The block is the closed upper polar cap, with the
+    lift's run axis, and copies 2 when the three conditions of the module
+    docstring hold; only `polys` are then evaluated, on the candidates of
+    `_cap_candidates`.  Otherwise it is the whole lift, and copies 1."""
     system, r = _lift_system(polys, eps, spec.dim)
-    if any(lo != -hi for lo, hi in spec.box) or any(any(p.lin) for p in system):
-        return None
-    r, _, evals, wide = _checked(spec, polys, r)
-    rows, u = _cap_candidates(spec, r, system[0])
-    if wide:
-        u = u.astype(object)
-    cells, run_axis = _band_tops(*_sphere_band(spec, r), rows, _satisfied(evals, u, len(rows)))
-    # The layers whose closed cubes meet x_{k+1} = 0 are floor((m - 1) / 2) .. floor(m / 2).
-    if np.any(cells[:, -1] <= spec.shape[-1] // 2):
-        return None
-    return close_under_faces(2 * cells + 1, ambient_dim=spec.dim, run_axis=run_axis)
+    if all(lo == -hi for lo, hi in spec.box) and not any(any(p.lin) for p in system):
+        r, _, evals, wide = _checked(spec, polys, r)
+        rows, u = _cap_candidates(spec, r, system[0])
+        if wide:
+            u = u.astype(object)
+        cells, run_axis = _band_tops(*_sphere_band(spec, r), rows, _satisfied(evals, u, len(rows)))
+        # The layers whose closed cubes meet x_{k+1} = 0 are floor((m - 1) / 2) .. floor(m / 2).
+        if not np.any(cells[:, -1] <= spec.shape[-1] // 2):
+            return close_under_faces(2 * cells + 1, ambient_dim=spec.dim, run_axis=run_axis), 2
+    return sphere_region_complex(polys, eps, spec), 1

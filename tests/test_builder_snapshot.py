@@ -8,7 +8,8 @@ builder keeps, or to face closure, shows up here.  Every entry also
 records its run axis, the stride-1 axis of the complex.  The run axes, the
 three undeformed caps and the deformed shell-k2 lift were recorded before
 the sphere band was stored axis-major and the code arrays were read column
-by column.
+by column.  A cap entry is the block `sphere_region_block` returns, with
+two copies, for the undeformed lift of the same name.
 """
 
 import hashlib
@@ -25,7 +26,7 @@ from quadbetti.quadforms import (
     GridSpec,
     grid_complex,
     sphere_band_complex,
-    sphere_region_cap,
+    sphere_region_block,
     sphere_region_complex,
     sphere_zero_complex,
 )
@@ -40,6 +41,13 @@ EPS = Fraction(1, 10)
 
 def _affine(sc):
     return lambda: grid_complex(sc.system, sc.grid)
+
+
+def _cap(polys, eps, spec):
+    """The block of `sphere_region_block`; every recorded cap input takes the cap."""
+    block, copies = sphere_region_block(polys, eps, spec)
+    assert copies == 2
+    return block
 
 
 def _lift(sc, builder=sphere_region_complex):
@@ -67,9 +75,9 @@ BUILDS = {
     "lift-products-k1": (_lift(scenario_products(1)), False),
     "lift-products-k2": (_lift(scenario_products(2)), False),
     "lift-shell-k2": (_lift(SHELL2), False),
-    "cap-products-k1": (_lift(scenario_products(1), sphere_region_cap), False),
-    "cap-products-k2": (_lift(scenario_products(2), sphere_region_cap), False),
-    "cap-shell-k2": (_lift(SHELL2, sphere_region_cap), False),
+    "cap-products-k1": (_lift(scenario_products(1), _cap), False),
+    "cap-products-k2": (_lift(scenario_products(2), _cap), False),
+    "cap-shell-k2": (_lift(SHELL2, _cap), False),
     "deformed-lift-shell-k2": (_deformed_lift(SHELL2, Fraction(1, 2000), 1), False),
 }
 

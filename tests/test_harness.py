@@ -677,18 +677,19 @@ _MENU_SEEDS = range(8)
 
 def test_undeformed_lifts_take_the_cap_and_deformed_lifts_do_not(monkeypatch):
     """Each lift of `verify --full` and of the sphere-lift benchmark's ops, in
-    call order: the double covers and every deformation audit's t = 0 lift
-    are built as one polar cap; every t > 0 lift, whose seeded family has
-    linear terms, is built whole."""
-    real = harness.sphere_region_cap
+    call order, by the copies `sphere_region_block` returns: the double
+    covers and every deformation audit's t = 0 lift are built as one polar
+    cap, 2 copies; every t > 0 lift, whose seeded family has linear terms, is
+    built whole, 1 copy."""
+    real = harness.sphere_region_block
     calls = []
 
     def recording(*args):
-        cap = real(*args)
-        calls.append(cap is not None)
-        return cap
+        block, copies = real(*args)
+        calls.append(copies)
+        return block, copies
 
-    monkeypatch.setattr(harness, "sphere_region_cap", recording)
+    monkeypatch.setattr(harness, "sphere_region_block", recording)
 
     def caps(audit):
         calls.clear()
@@ -699,10 +700,33 @@ def test_undeformed_lifts_take_the_cap_and_deformed_lifts_do_not(monkeypatch):
     run_verification_suite(full=True)
     # double-cover and deformation products-k1, double-cover products-k2 and
     # shell-k2, deformation shell-k2
-    assert calls == [True, True, False, True, True, True, False]
+    assert calls == [2, 2, 1, 2, 2, 2, 1]
     shell = scenario_shell(2, Fraction(1, 2), 1)
     for sc in (scenario_products(1), scenario_products(2), shell):
-        assert caps(lambda: double_cover_audit(sc)) == [True]
+        assert caps(lambda: double_cover_audit(sc)) == [2]
     for sc in (scenario_products(1), shell):
         for seed in _MENU_SEEDS:
-            assert caps(lambda: deformation_audit(sc, t_values=(0,) + _MENU_T, seed=seed)) == [True] + [False] * 4
+            assert caps(lambda: deformation_audit(sc, t_values=(0,) + _MENU_T, seed=seed)) == [2] + [1] * 4
+
+
+def test_every_complex_verify_full_ranks_passes_the_euler_check(monkeypatch):
+    """Every complex `verify --full` ranks, through this module's `betti`: the
+    Euler characteristic from its cell counts equals the alternating sum of
+    the vector ranked.  That is 30 complexes: the box blocks, the polar caps,
+    the whole deformed lifts, the Smith and Alexander sphere sets and the
+    Mayer-Vietoris pieces.  A lost fold or cap ranks a larger complex, which
+    the pinned total cell count shows."""
+    real = harness.betti
+    ranked = []
+
+    def checked(cx):
+        vec = real(cx)
+        ranked.append((sum((-1) ** d * cx.n_cells(d) for d in range(cx.ambient_dim + 1)),
+                       sum((-1) ** i * b for i, b in enumerate(vec)), len(cx)))
+        return vec
+
+    monkeypatch.setattr(harness, "betti", checked)
+    assert all(r["verdict"] == PASS for r in run_verification_suite(full=True))
+    assert len(ranked) == 30
+    assert all(chi == alternating for chi, alternating, _ in ranked)
+    assert sum(cells for _, _, cells in ranked) == 223055

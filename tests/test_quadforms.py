@@ -34,6 +34,7 @@ from quadbetti.quadforms import (
     _ScaledPoly,
     _band_mask,
     _band_tops,
+    _box_mask,
     _cap_candidates,
     _fold,
     _sphere_band,
@@ -42,7 +43,7 @@ from quadbetti.quadforms import (
     grid_block,
     grid_complex,
     sphere_band_complex,
-    sphere_region_cap,
+    sphere_region_block,
     sphere_region_complex,
     sphere_zero_complex,
 )
@@ -405,10 +406,14 @@ class TestGridComplex:
         # y^2 <= 1/16 keeps two rows of 16 cells: 30 adjacent pairs along
         # axis 0, 16 along axis 1; the box still runs along the last axis.
         strip = QuadraticPoly.make(2, quad=[[0, 0], [0, -1]], const=Fraction(1, 16))
-        assert _top_cells(spec, [strip])[1] == -1
+        for system, tops in (([strip], 32), ([], 256)):
+            mask = _box_mask(spec, system)
+            cx = grid_complex(system, spec)
+            assert cx._frame.strides[1] == 1 and np.count_nonzero(mask) == tops
+            assert {c for c in cx.cells if all(x & 1 for x in c)} == {
+                tuple(2 * j + 1 for j in jvec) for jvec in np.argwhere(mask).tolist()}
         cx = grid_complex([strip], spec)
-        assert cx._frame.strides[1] == 1 and len(cx._first) == 33 and betti(cx) == (1, 0, 0)
-        assert _top_cells(spec, [])[1] == -1 and grid_complex([], spec)._frame.strides[1] == 1
+        assert len(cx._first) == 33 and betti(cx) == (1, 0, 0)
 
     def test_whole_box_allocates_no_more_than_its_cells(self):
         # One cell on 20 axes: a mask padded by one cell per axis would
@@ -416,11 +421,11 @@ class TestGridComplex:
         spec = GridSpec(box=((0, 1),) * 20, resolution=1)
         tracemalloc.start()
         try:
-            cells, run_axis = _top_cells(spec, [])
+            cells = np.argwhere(_box_mask(spec, []))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert cells.tolist() == [[0] * 20] and run_axis == -1
+        assert cells.tolist() == [[0] * 20]
         assert peak < 2**16
 
     def test_infeasible_system(self):
@@ -817,13 +822,14 @@ def test_top_cells_returns_a_private_intp_array():
     # The cap's top cells, built from the cached candidates, are private too.
     eps = Fraction(1, 10)
     lift = _lift_spec(eps, 2)
-    cap = sphere_region_cap([], eps, lift)
+    cap, copies = sphere_region_block([], eps, lift)
+    assert copies == 2
     rows, _ = _cap_candidates(lift, 2 / eps, _cap(eps, 2))
     cells, _ = _band_tops(*_sphere_band(lift, 2 / eps), rows, np.ones(len(rows), dtype=bool))
     assert cells.dtype == np.intp and cells.flags.writeable and cells.flags.f_contiguous
     assert {tuple(c) for c in (2 * cells + 1).tolist()} == {c for c in cap.cells if all(x & 1 for x in c)}
     cells[:] = 0
-    assert sphere_region_cap([], eps, lift).cells == cap.cells
+    assert sphere_region_block([], eps, lift)[0].cells == cap.cells
 
 
 # A symmetric grid whose box edges over a denominator past 2**62 make its
@@ -865,9 +871,11 @@ def test_cap_candidates_match_fraction_reference(spec, eps, dtype, truncation_wi
 def test_cap_candidates_one_entry_per_eps():
     spec = _lift_spec(Fraction(1, 10), 2)
     _cap_candidates.cache_clear()
-    caps = [sphere_region_cap([], eps, spec).cells for eps in (Fraction(1, 10), Fraction(1, 9))]
+    caps = [sphere_region_block([], eps, spec) for eps in (Fraction(1, 10), Fraction(1, 9))]
+    assert [copies for _, copies in caps] == [2, 2]
+    caps = [cap.cells for cap, _ in caps]
     assert _cap_candidates.cache_info().misses == _cap_candidates.cache_info().currsize == 2
-    assert [sphere_region_cap([], eps, spec).cells for eps in (Fraction(1, 10), Fraction(1, 9))] == caps
+    assert [sphere_region_block([], eps, spec)[0].cells for eps in (Fraction(1, 10), Fraction(1, 9))] == caps
     assert _cap_candidates.cache_info().misses == 2 and caps[0] != caps[1]
 
 
@@ -878,8 +886,8 @@ def test_cap_with_wide_polynomial_matches_fraction_reference():
     spec, r = _lift_spec(eps, 2), 2 / eps
     gs = _GridScale(spec)
     assert _ScaledPoly(_WIDE_SADDLE, gs.scale).magnitude(gs.u_max) >= _INT64_SAFE
-    cap = sphere_region_cap([_WIDE_SADDLE], eps, spec)
-    assert _cap_candidates(spec, r, _cap(eps, 2))[1].dtype == np.int64
+    cap, copies = sphere_region_block([_WIDE_SADDLE], eps, spec)
+    assert copies == 2 and _cap_candidates(spec, r, _cap(eps, 2))[1].dtype == np.int64
     expected = {
         tuple(2 * j + 1 for j in jvec)
         for jvec in _band_cells(spec, r)
@@ -887,7 +895,7 @@ def test_cap_with_wide_polynomial_matches_fraction_reference():
         and all(p.evaluate(spec.center(jvec)) >= 0 for p in (_cap(eps, 2), _WIDE_SADDLE))
     }
     assert expected and {c for c in cap.cells if all(x & 1 for x in c)} == expected
-    assert _check_cap([_WIDE_SADDLE], eps, spec)
+    assert _check_block([_WIDE_SADDLE], eps, spec) == 2
 
 
 # Unit circles on grids whose long axis passes 128 and 256 cells, so the
@@ -916,7 +924,10 @@ def test_centers_past_int64_with_no_polynomial():
     polynomial, whose magnitude would bound them, is evaluated."""
     spec = GridSpec(box=((-2**63, 2**63),) * 2, resolution=2**62)
     assert _GridScale(spec).lo[0] < -2**63
-    assert np.array_equal(_top_cells(spec, ())[0], np.argwhere(np.ones(spec.shape, dtype=bool)))
+    assert np.array_equal(np.argwhere(_box_mask(spec, ())), np.argwhere(np.ones(spec.shape, dtype=bool)))
+    cx = grid_complex((), spec)
+    assert cx._frame.strides[1] == 1
+    assert cx.cells == grid_complex((), GridSpec(box=((0, 4),) * 2, resolution=1)).cells
     assert np.array_equal(_top_cells(spec, (), 2**62)[0], np.array(list(_band_cells(spec, Fraction(2**62)))))
 
 
@@ -1036,7 +1047,7 @@ class TestSphereComplexes:
         # and eps are still checked on every call, before any cap lookup
         small = GridSpec.symmetric(2, Fraction(1, 4), 2)
         sphere_band_complex(1, small)
-        assert sphere_region_cap([], 1, small) is not None
+        assert sphere_region_block([], 1, small)[1] == 2
         misses = _cap_candidates.cache_info().misses
         for _ in range(2):
             with pytest.raises(ValueError, match="above the limit"):
@@ -1044,9 +1055,9 @@ class TestSphereComplexes:
             with pytest.raises(ValueError, match="above the limit"):
                 sphere_band_complex(1, GridSpec.symmetric(2, Fraction(1, 1024), 2))
             with pytest.raises(ValueError, match="above the limit"):
-                sphere_region_cap([], 1, GridSpec.symmetric(2, Fraction(1, 1024), 2))
+                sphere_region_block([], 1, GridSpec.symmetric(2, Fraction(1, 1024), 2))
             with pytest.raises(TypeError, match="floats"):
-                sphere_region_cap([], 1.0, small)
+                sphere_region_block([], 1.0, small)
         assert _cap_candidates.cache_info().misses == misses
 
     def test_region_complex_empty_system_gives_two_caps(self):
@@ -1075,22 +1086,25 @@ def _lift_polys(scenario):
     return [homogenize(p).as_poly() for p in scenario.system]
 
 
-def _check_cap(polys, eps, spec) -> bool:
-    """Whether `sphere_region_cap` returns a cap; if it does, the whole lift
-    must be that cap plus its point reflection, with disjoint closures, so
-    its Betti numbers and Euler characteristic are twice the cap's and it
-    runs along the cap's axis."""
-    cap = sphere_region_cap(polys, eps, spec)
-    if cap is None:
-        return False
+def _check_block(polys, eps, spec) -> int:
+    """`sphere_region_block`'s copies, checked against the whole lift: the
+    lift's Betti numbers and Euler characteristic are copies times the
+    block's; with one copy the block is the lift, and with two it is the
+    upper cap, whose point reflection, disjoint from it, completes the lift
+    and which runs along the lift's axis."""
+    block, copies = sphere_region_block(polys, eps, spec)
     whole = sphere_region_complex(polys, eps, spec)
-    assert tuple(2 * b for b in betti(cap)) == betti(whole)
-    assert 2 * cap.euler_characteristic() == whole.euler_characteristic()
+    assert copies in (1, 2)
+    assert tuple(copies * b for b in betti(block)) == betti(whole)
+    assert copies * block.euler_characteristic() == whole.euler_characteristic()
+    if copies == 1:
+        assert block.cells == whole.cells
+        return copies
     # Cell codes run from 0 to 2n on an axis of n cells; the reflection maps x to 2n - x.
-    mirror = {tuple(2 * n - x for x, n in zip(c, spec.shape)) for c in cap.cells}
-    assert cap.cells.isdisjoint(mirror) and cap.cells | mirror == whole.cells
-    assert cap._frame.strides.index(1) == whole._frame.strides.index(1)
-    return True
+    mirror = {tuple(2 * n - x for x, n in zip(c, spec.shape)) for c in block.cells}
+    assert block.cells.isdisjoint(mirror) and block.cells | mirror == whole.cells
+    assert block._frame.strides.index(1) == whole._frame.strides.index(1)
+    return copies
 
 
 @pytest.mark.parametrize("scenario", [scenario_products(1), scenario_products(2),
@@ -1098,40 +1112,53 @@ def _check_cap(polys, eps, spec) -> bool:
                          ids=["products-k1", "products-k2", "shell-k2"])
 def test_undeformed_lift_is_its_cap_and_the_reflection(scenario):
     eps = Fraction(1, 10)
-    assert _check_cap(_lift_polys(scenario), eps, _lift_spec(eps, scenario.k + 1))
+    assert _check_block(_lift_polys(scenario), eps, _lift_spec(eps, scenario.k + 1)) == 2
 
 
 @st.composite
 def even_lifts(draw):
-    """Systems with no linear part on small lift grids symmetric about 0,
-    with an even or odd cell count per axis, coarse enough at the largest
-    widths that the truncation keeps cells on the middle layers."""
+    """Systems on small lift grids, with an even or odd cell count per axis,
+    coarse enough at the largest widths that the truncation keeps cells on
+    the middle layers.  Most have no linear part and a box symmetric about
+    0, so they may take the cap; the others draw linear terms, or a box
+    widened by one cell at the top of one axis, and are built whole."""
     dim = draw(st.integers(2, 3))
     eps = draw(st.sampled_from([Fraction(1), Fraction(1, 2)]))
     h = draw(st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)]))
     m = math.ceil(4 / eps / h) + draw(st.integers(0, 3))  # the box holds the radius-2/eps sphere
-    spec = GridSpec(box=((-m * h / 2, m * h / 2),) * dim, resolution=h)
+    box = [[-m * h / 2, m * h / 2] for _ in range(dim)]
+    if draw(st.integers(0, 3)) == 0:
+        box[draw(st.integers(0, dim - 1))][1] += h
+    spec = GridSpec(box=tuple(map(tuple, box)), resolution=h)
+    linear = draw(st.integers(0, 3)) == 0
     polys = []
     for _ in range(draw(st.integers(0, 2))):
         quad = [[0] * dim for _ in range(dim)]
         for i in range(dim):
             for j in range(i, dim):
                 quad[i][j] = quad[j][i] = draw(st.integers(-3, 3))
-        polys.append(QuadraticPoly.make(dim, quad=quad, const=draw(st.integers(-16, 16))))
+        lin = [draw(st.integers(-3, 3)) for _ in range(dim)] if linear else None
+        polys.append(QuadraticPoly.make(dim, quad=quad, lin=lin, const=draw(st.integers(-16, 16))))
     return polys, eps, spec
 
 
-@settings(derandomize=True, max_examples=80, deadline=None)
+@settings(derandomize=True, max_examples=120, deadline=None)
 @given(even_lifts())
 def test_cap_of_an_even_system_matches_the_whole_lift(lift):
-    _check_cap(*lift)
+    _check_block(*lift)
 
 
 class TestCapRefusals:
-    """Each condition of `sphere_region_cap`, broken once on an input whose
-    repaired twin does take the cap."""
+    """Each condition of `sphere_region_block`'s cap, broken once on an input
+    whose repaired twin does take the cap: the broken one is built whole,
+    with one copy."""
 
     eps = Fraction(1, 10)
+
+    def _whole(self, polys, spec):
+        block, copies = sphere_region_block(polys, self.eps, spec)
+        assert copies == 1
+        assert block.cells == sphere_region_complex(polys, self.eps, spec).cells
 
     def test_linear_term(self):
         sc = scenario_products(1)
@@ -1140,22 +1167,22 @@ class TestCapRefusals:
         t = Fraction(1, 1000)  # the deformation audit's default t
         deformed = [p.blend(h, t) for p, h in zip(polys, family)]
         spec = _lift_spec(self.eps, sc.k + 1)
-        assert sphere_region_cap(deformed, self.eps, spec) is None
-        assert _check_cap(polys, self.eps, spec)
+        self._whole(deformed, spec)
+        assert _check_block(polys, self.eps, spec) == 2
 
     def test_box_off_centre(self):
         h = Fraction(1, 2)
         off = GridSpec(box=((-21, 22), (-21, 22)), resolution=h)
-        assert sphere_region_cap([], self.eps, off) is None
+        self._whole([], off)
         assert betti(sphere_region_complex([], self.eps, off)) == (2, 0, 0)
-        assert _check_cap([], self.eps, GridSpec.symmetric(22, h, 2))
+        assert _check_block([], self.eps, GridSpec.symmetric(22, h, 2)) == 2
 
     def test_kept_cell_on_the_middle_layer(self):
         polys = _lift_polys(scenario_products(1))
         coarse = _lift_spec(self.eps, 2, 20)
-        assert sphere_region_cap(polys, self.eps, coarse) is None
+        self._whole(polys, coarse)
         assert betti(sphere_region_complex(polys, self.eps, coarse)) == (1, 0, 0)
-        assert _check_cap(polys, self.eps, _lift_spec(self.eps, 2))
+        assert _check_block(polys, self.eps, _lift_spec(self.eps, 2)) == 2
 
 
 # Each builder on a nonempty and, where one exists, an empty input: the
