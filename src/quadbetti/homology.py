@@ -59,9 +59,14 @@ orders them.
 
 Betti numbers are computed over the two-element field: b_d equals
 (#d-cells) - rank(boundary_d) - rank(boundary_{d+1}), with the ranks by
-Gaussian elimination on int bitsets.  Cell by cell, a dict of the
-(d-1)-cells finds the faces of the d-cells and checks face closure; the
-run complex (below) finds its faces by binary searches of sorted runs.
+Gaussian elimination on int bitsets, one Python int per column.  Cell by
+cell, a dict maps each (d-1)-cell to its bit, 1 << row (`_bit`), finds the
+faces of the d-cells, checks face closure, and ORs the bits into each
+column face by face.  The run complex (below) finds its faces by binary
+searches of sorted runs and forms all its columns at once: 1 << row over
+an object array of the rows, OR-reduced along each column's faces.  The
+entries are Python ints, so no float enters and no shift past bit 63
+overflows.  The two ways share only the elimination.
 
 The boundary maps are ranked from the top dimension down, with clearing
 (C. Chen and M. Kerber, "Persistent homology computation with a twist",
@@ -400,10 +405,10 @@ def close_under_faces(
 # complex, and runs the free-face rounds on the run complex only when it has
 # this many runs.  Timeit, min of 7 x 200 in each of 3 processes, 2-core VM,
 # through the run complex with the rounds on: an 8-cell hollow square ranks
-# in 8-13 us directly and in 44-65 us through its 4 runs; the 324-cell
-# products-k2 grid in 225-352 us directly and in 76-109 us through its 36
-# runs; the 1,092-cell products-k1 lift in 829-1,263 us directly and in
-# 224-330 us through its 172 runs.
+# in 5-6 us directly and in 30-31 us through its 4 runs; the 324-cell
+# products-k2 grid in 132-133 us directly and in 51-52 us through its 36
+# runs; the 1,092-cell products-k1 lift in 472-481 us directly and in
+# 143-147 us through its 172 runs.
 _COLLAPSE_MIN_CELLS = 512
 
 
@@ -532,10 +537,9 @@ def _run_boundary(table: np.ndarray, groups: Sequence[np.ndarray], d: int, clear
     missing = lower.take(rows, mode="clip") != faces if len(lower) else np.ones(faces.shape, dtype=bool)
     if np.count_nonzero(missing):
         raise ValueError(f"run complex is not closed: a live run has the removed face {faces[missing][0]}")
-    rows = rows.tolist()
-    for r in cleared:
-        rows[r] = ()
-    return GF2Matrix(len(lower), [sum(map(_bit, r)) for r in rows])
+    columns = np.bitwise_or.reduce(np.left_shift(1, rows.astype(object)), axis=1)
+    columns[list(cleared)] = 0
+    return GF2Matrix(len(lower), columns)
 
 
 def betti(c: CubicalComplex) -> Tuple[int, ...]:

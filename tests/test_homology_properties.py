@@ -38,10 +38,11 @@ removed must make `betti` name one of them.
 
 import re
 from collections import Counter, deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import betti_by_cells
+from conftest import betti_by_cells, run_boundary_by_faces
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from scipy import ndimage
 from test_builder_snapshot import BUILDS, SNAPSHOT
@@ -56,6 +57,7 @@ from quadbetti.homology import (
     close_under_faces,
     cube_dim,
 )
+from quadbetti.quadforms import grid_block
 
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
 # For tests that take the `collapse_always` fixture: its patch holds for every example.
@@ -476,6 +478,60 @@ def test_run_complex_on_an_object_frame(collapse_always):
     assert (wide_table[:, :44] == len(wide._last)).all() and np.array_equal(wide_table[:, 44:], narrow_table)
     assert np.array_equal(homology._collapse(wide_table), homology._collapse(narrow_table))
     assert betti(wide) == betti(narrow) == (1, 0, 0, 0)
+
+
+def _run_boundaries(cx):
+    """betti(cx), and the arguments and result of every `_run_boundary` call it makes."""
+    calls = []
+    real = homology._run_boundary
+
+    def recorded(table, groups, d, cleared=()):
+        cleared = list(cleared)
+        matrix = real(table, groups, d, cleared)
+        calls.append(((table, groups, d, cleared), matrix))
+        return matrix
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(homology, "_run_boundary", recorded)
+        return betti(cx), calls
+
+
+def _check_run_boundaries(calls):
+    """Each matrix equals the plain-Python one, its cleared columns are 0, and its entries are Python ints."""
+    for args, matrix in calls:
+        want = run_boundary_by_faces(*args)
+        assert (matrix.n_rows, matrix.n_cols) == (want.n_rows, want.n_cols)
+        assert matrix.columns == want.columns
+        assert all(type(column) is int for column in matrix.columns)
+        assert not any(matrix.columns[j] for j in args[3])
+
+
+@COLLAPSING
+@given(mixed_cubes())
+# The overhang in a frame past 2**63 positions, whose flat indices are Python ints.
+@example((25, [(0,) * 22 + c for c in OVERHANG]))
+def test_run_boundary_matches_columns_summed_face_by_face(collapse_always, case):
+    dim, cubes = case
+    cx = close_under_faces(cubes, ambient_dim=dim)
+    if len(cx):
+        vector, calls = _run_boundaries(cx)
+        assert vector == betti_by_cells(cx)
+        _check_run_boundaries(calls)
+
+
+def test_run_boundary_of_the_shell_k3_core():
+    # The free-face rounds cannot shrink a closed 2-sphere, so the shell-k3
+    # grid block keeps 642 of its 1,626 runs.  Its boundary matrices span
+    # several 64-bit words per column: 320 rows for the 160 2-runs, and 320
+    # columns over the 162 0-runs, half of them cleared.
+    sc = harness.scenario_shell(3, Fraction(1, 2), 1)
+    block, copies = grid_block(sc.system, sc.grid)
+    assert copies == 1 and len(block._first) == 1626
+    vector, calls = _run_boundaries(block)
+    assert vector == (1, 0, 1, 0)
+    assert [(args[2], m.n_rows, m.n_cols, len(args[3])) for args, m in calls] == [
+        (3, 160, 0, 0), (2, 320, 160, 0), (1, 162, 320, 159)]
+    _check_run_boundaries(calls)
 
 
 # ---------------------------------------------------------------------------
