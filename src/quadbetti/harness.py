@@ -516,10 +516,9 @@ class AlexanderReport(_Report):
 
 
 def _reduced(vec: Sequence[int]) -> Tuple[int, ...]:
-    vec = tuple(vec)
-    if not vec or vec[0] < 1:
-        raise ValueError("reduced Betti needs a nonempty complex")
-    return (vec[0] - 1,) + vec[1:]
+    """Reduced b_0 .. b_2 of a nonempty set with Betti vector `vec`: b_0 - 1, b_1, b_2."""
+    vec = tuple(vec) + (0, 0, 0)
+    return (vec[0] - 1,) + vec[1:3]
 
 
 def alexander_equator_audit() -> AlexanderReport:
@@ -529,21 +528,31 @@ def alexander_equator_audit() -> AlexanderReport:
     with reduced ranks of the subset in complementary degree.  Both sides
     are taken reduced; over a field, cohomology ranks equal homology
     ranks, so reduced homology numbers stand in for reduced cohomology.
-    The grid width is 1/8 and the equator band half-width tau is 1/4.
+    The grid width is 1/8 and the equator band half-width tau is 1/4.  A
+    Betti vector that no nonempty cubical subset of R^3 has, with b_0 = 0
+    or an entry past b_2, reads INCONCLUSIVE with a note naming it.
     """
     res = Fraction(1, 8)
     equator = QuadraticForm.make(3, [[0, 0, 0], [0, 0, 0], [0, 0, 1]])  # X3^2 vanishes on the equator plane
     subset, complement = sphere_zero_split([equator], 1, GridSpec.symmetric(1 + 2 * res, res, 3), 2 * res)
-    sub_red = _reduced(pad_betti(betti(subset), 3))
-    comp_red = _reduced(pad_betti(betti(complement), 3))
+    vectors = {"subset": betti(subset), "complement": betti(complement)}
+    # Both sets are nonempty cubical subsets of R^3, so b_0 >= 1 and b_3 = 0;
+    # a vector that breaks either is an engine fault, reported, not raised.
+    faults = [f"{side} Betti vector {list(v)}" for side, v in vectors.items() if v[0] < 1 or any(v[3:])]
+    sub_red, comp_red = (_reduced(v) for v in vectors.values())
     k = 2
-    ok = all(comp_red[i] == sub_red[k - i - 1] for i in range(k))
+    if faults:
+        note = f"engine fault: {'; '.join(faults)}, expected b_0 >= 1 and b_3 = 0"
+    elif any(comp_red[i] != sub_red[k - i - 1] for i in range(k)):
+        note = "reduced ranks mismatch; refine the grid"
+    else:
+        note = ""
     return AlexanderReport(
-        verdict=PASS if ok else INCONCLUSIVE,
+        verdict=INCONCLUSIVE if note else PASS,
         subset_reduced=sub_red,
         complement_reduced=comp_red,
         sphere_dim=k,
-        note="" if ok else "reduced ranks mismatch; refine the grid",
+        note=note,
     )
 
 

@@ -77,6 +77,8 @@ is zero, so the column of e in boundary_d is the sum of columns of lower
 d-cells.  By induction on e, dropping the columns of all these pivot rows
 keeps the span of boundary_d, and so its rank; they are ranked as zero
 columns.  Their faces are still looked up, so a missing face still raises.
+A dimension with no live cell or run forms no map: it has no column, so
+its rank is 0, and the map above it has no row, so it clears nothing.
 
 `betti` ranks a complex K of at least _COLLAPSE_MIN_CELLS cells through its
 run complex, the Morse complex of a matching along the run axis (R. Forman,
@@ -577,7 +579,9 @@ def betti(c: CubicalComplex) -> Tuple[int, ...]:
     ranks = [0] * (len(groups) + 1)
     cleared: Sequence[int] = ()
     for d in range(len(groups) - 1, 0, -1):
-        matrix = boundary(groups, d, cleared)
-        ranks[d] = matrix.rank()
-        cleared = matrix.pivot_rows
+        # No d-cell: rank 0, and `cleared`, the pivots of a map with no row, is empty.
+        if len(groups[d]):
+            matrix = boundary(groups, d, cleared)
+            ranks[d] = matrix.rank()
+            cleared = matrix.pivot_rows
     return tuple([len(g) - ranks[d] - ranks[d + 1] for d, g in enumerate(groups)])

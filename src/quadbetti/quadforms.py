@@ -51,23 +51,25 @@ checked exactly, and otherwise the whole lift and 1 copy:
 1. the box is symmetric about 0 on every axis;
 2. no polynomial of the lifted system, the truncation included, has a
    linear part, so P(-c) = P(c) at every integer-scaled center c;
-3. no kept top cell's closed cube meets x_{k+1} = 0, that is, lies in
-   the layers floor((m - 1) / 2) .. floor(m / 2) of the m cells of the
-   last axis.  The truncation keeps them empty unless the grid is coarse.
+3. no cap candidate, a band cell the truncation keeps, lies in the layers
+   floor((m - 1) / 2) .. floor(m / 2) of the m cells of the last axis,
+   whose closed cubes meet x_{k+1} = 0: grid, radius and eps alone decide it.
 
 Proof that the lift is then the cap plus its point reflection, with
 disjoint closures.  The reflection j -> n - 1 - j on every axis maps the
 grid onto itself and negates every center (1).  It leaves the band
 unchanged, since `_band_mask` reads only per-axis minimum and maximum
 squares, and it keeps the sign of every polynomial (2).  So the kept top
-cells are symmetric, and by (3) they split into those above the middle
-layers and their reflections below, whose closed cubes lie in x_{k+1} > 0
-and x_{k+1} < 0.  The homology of a disjoint union adds up, so every Betti
-number of the lift and its Euler characteristic are twice the cap's.  No
-two kept cells are adjacent across the middle layers, so the adjacent
-pairs that pick the run axis halve, and the cap keeps the lift's run axis.
-A build evaluates only its own polynomials, on the upper half's band
-cells the truncation keeps, found once; it closes and ranks half the lift.
+cells are symmetric; one in the middle layers would be a candidate, so by
+(3) they split into those above the middle layers and their reflections
+below, whose closed cubes lie in x_{k+1} > 0 and x_{k+1} < 0.  The
+homology of a disjoint union adds up, so every Betti number of the lift
+and its Euler characteristic are twice the cap's.  No two kept cells are
+adjacent across the middle layers, so the adjacent pairs that pick the run
+axis halve, and the cap keeps the lift's run axis.  On the symmetric box
+(1), (3) holds iff no candidate's last center is less than a cell width
+from x_{k+1} = 0, so a build tests it on the upper half's candidates,
+found once, before it evaluates its own polynomials, once.
 
 A box grid folds the same way, read off its kept-cell mask alone, with no
 float and no look at the polynomials.  `grid_block` takes `grid_complex`'s
@@ -628,17 +630,15 @@ def sphere_region_block(polys: Sequence[QuadraticPoly], eps, spec: GridSpec) -> 
     """One antipodal block of `sphere_region_complex(polys, eps, spec)` and
     `copies`: the lift's Betti numbers and Euler characteristic are `copies`
     times the block's.  The block is the closed upper polar cap, with the
-    lift's run axis, and copies 2 when the three conditions of the module
-    docstring hold; only `polys` are then evaluated, on the candidates of
-    `_cap_candidates`.  Otherwise it is the whole lift, and copies 1."""
+    lift's run axis, and copies 2 when the module docstring's conditions hold,
+    tested before `polys` are evaluated; otherwise the whole lift, and 1."""
     system, r = _lift_system(polys, eps, spec.dim)
     if all(lo == -hi for lo, hi in spec.box) and not any(any(p.lin) for p in system):
-        r, _, evals, wide = _checked(spec, polys, r)
+        r, gs, evals, wide = _checked(spec, polys, r)
         rows, u = _cap_candidates(spec, r, system[0])
         if wide:
             u = u.astype(object)
-        cells, run_axis = _band_tops(*_sphere_band(spec, r), rows, _satisfied(evals, u, len(rows)))
-        # The layers whose closed cubes meet x_{k+1} = 0 are floor((m - 1) / 2) .. floor(m / 2).
-        if not np.any(cells[:, -1] <= spec.shape[-1] // 2):
+        if not np.any(u[-1] < gs.step):
+            cells, run_axis = _band_tops(*_sphere_band(spec, r), rows, _satisfied(evals, u, len(rows)))
             return close_under_faces(2 * cells + 1, ambient_dim=spec.dim, run_axis=run_axis), 2
     return sphere_region_complex(polys, eps, spec), 1

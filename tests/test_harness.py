@@ -523,6 +523,24 @@ class TestAlexander:
         assert rep.subset_reduced == (0, 2, 0)
         assert rep.complement_reduced == (1, 1, 0)
 
+    # Vectors no nonempty cubical subset of R^3 has: a nonzero b_3, and b_0 = 0.
+    @pytest.mark.parametrize("fault, subset, complement", [
+        (lambda v: v[:3] + (1,), (1, 1, 0, 1), (2, 0, 0, 1)),
+        (lambda v: (0,) + v[1:], (0, 1, 0, 0), (0, 0, 0, 0)),
+    ], ids=["b3-nonzero", "b0-zero"])
+    def test_impossible_engine_vector_reads_inconclusive(self, monkeypatch, capsys, fault, subset, complement):
+        real = harness.betti
+        monkeypatch.setattr(harness, "betti", lambda cx: fault(real(cx)))
+        rep = alexander_equator_audit()
+        assert rep.verdict == INCONCLUSIVE
+        assert rep.note == (f"engine fault: subset Betti vector {list(subset)}; complement Betti vector "
+                            f"{list(complement)}, expected b_0 >= 1 and b_3 = 0")
+        assert rep.subset_reduced == (subset[0] - 1,) + subset[1:3]
+        assert rep.complement_reduced == (complement[0] - 1,) + complement[1:3]
+        # Not a usage error: the CLI exits 3, the code for INCONCLUSIVE.
+        assert main(["audit", "--name", "alexander-equator"]) == 3
+        assert "engine fault" in capsys.readouterr().out
+
 
 class TestMVExamples:
     def test_wedge(self):

@@ -46,7 +46,7 @@ from conftest import betti_by_cells, run_boundary_by_faces
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from scipy import ndimage
 from test_builder_snapshot import BUILDS, SNAPSHOT
-from test_homology import cells_of_dim, cube_faces, same_complex
+from test_homology import cells_of_dim, cube_faces, hollow_square, same_complex, solid_cube_complex
 
 from quadbetti import harness, homology
 from quadbetti.exact import GF2Matrix
@@ -523,15 +523,36 @@ def test_run_boundary_of_the_shell_k3_core():
     # The free-face rounds cannot shrink a closed 2-sphere, so the shell-k3
     # grid block keeps 642 of its 1,626 runs.  Its boundary matrices span
     # several 64-bit words per column: 320 rows for the 160 2-runs, and 320
-    # columns over the 162 0-runs, half of them cleared.
+    # columns over the 162 0-runs, half of them cleared.  No 3-run is live,
+    # so no map is formed from dimension 3.
     sc = harness.scenario_shell(3, Fraction(1, 2), 1)
     block, copies = grid_block(sc.system, sc.grid)
     assert copies == 1 and len(block._first) == 1626
     vector, calls = _run_boundaries(block)
     assert vector == (1, 0, 1, 0)
     assert [(args[2], m.n_rows, m.n_cols, len(args[3])) for args, m in calls] == [
-        (3, 160, 0, 0), (2, 320, 160, 0), (1, 162, 320, 159)]
+        (2, 320, 160, 0), (1, 162, 320, 159)]
     _check_run_boundaries(calls)
+
+
+@pytest.mark.parametrize("cx, vector, dims", [
+    (solid_cube_complex(3), (1, 0, 0, 0), [3, 2, 1]),
+    (hollow_square(), (1, 1), [1]),
+], ids=["solid-cube", "hollow-square"])
+def test_cell_path_forms_a_map_per_nonempty_dimension(cx, vector, dims):
+    """Ranked cell by cell, `betti` forms one map per dimension d >= 1 that holds a cell, and none other."""
+    calls = []
+    real = homology._boundary
+
+    def recorded(frame, groups, d, cleared=()):
+        calls.append((d, len(groups[d])))
+        return real(frame, groups, d, cleared)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(homology, "_boundary", recorded)
+        got = betti(cx)
+    assert got == betti_by_cells(cx) == vector
+    assert [d for d, _ in calls] == dims and all(n for _, n in calls)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 from conftest import betti_by_cells
 from hypothesis import given, settings, strategies as st
 
+from quadbetti import quadforms
 from quadbetti.exact import (
     QuadraticForm,
     QuadraticPoly,
@@ -1183,6 +1184,34 @@ class TestCapRefusals:
         self._whole(polys, coarse)
         assert betti(sphere_region_complex(polys, self.eps, coarse)) == (1, 0, 0)
         assert _check_block(polys, self.eps, _lift_spec(self.eps, 2)) == 2
+
+
+# The curated lifts at the audits' default resolution, which take the cap,
+# and the two coarse lifts whose middle layers hold cap candidates.
+@pytest.mark.parametrize("scenario, resolution, copies", [
+    (scenario_products(1), None, 2),
+    (scenario_products(2), None, 2),
+    (scenario_shell(2, Fraction(1, 2), 1), None, 2),
+    (scenario_products(1), 20, 1),
+    (scenario_products(2), 5, 1),
+], ids=["products-k1", "products-k2", "shell-k2", "products-k1-coarse", "products-k2-coarse"])
+def test_cap_is_decided_before_the_system_is_evaluated(scenario, resolution, copies, monkeypatch):
+    """`sphere_region_block` evaluates the system once: on the cap candidates
+    when it returns the cap, and on the whole band when it returns the lift."""
+    eps = Fraction(1, 10)
+    spec, r = _lift_spec(eps, scenario.k + 1, resolution), 2 / eps
+    sizes = []
+
+    def counted(evals, u, shape, _real=quadforms._satisfied):
+        sizes.append(shape)
+        return _real(evals, u, shape)
+
+    monkeypatch.setattr(quadforms, "_satisfied", counted)
+    block, got = sphere_region_block(_lift_polys(scenario), eps, spec)
+    rows, _ = _cap_candidates(spec, r, _cap(eps, spec.dim))
+    assert got == copies
+    assert sizes == [len(rows) if copies == 2 else _sphere_band(spec, r)[0].shape[1]]
+    assert _check_block(_lift_polys(scenario), eps, spec) == copies
 
 
 # Each builder on a nonempty and, where one exists, an empty input: the
