@@ -10,7 +10,8 @@ tuple of per-axis codes, one int per axis:
 so the two codim-1 faces along an odd axis are code-1 and code+1, and cube
 dimension is the number of odd codes.  Grid units are plain ints and may be
 negative.  `close_under_faces` also takes an int array of codes, one cube
-per row, so a caller holding many cubes in numpy never builds the tuples.
+per row, so a caller holding many cubes in numpy never builds the tuples,
+and `close_mask` a boolean grid mask, cell j of an axis being code 2*j + 1.
 
 Inside a complex each cell is one int on the doubled lattice, the implicit
 cubical complex of Wagner, Chen and Vucini (also used by CubicalRipser).
@@ -55,7 +56,10 @@ run ends at the i-th last index exactly when the (i + 1)-th first index lies
 more than one beyond it.  Code arrays from the grid builders arrive in
 lexicographic order, which is flat order when the run axis is the last, so
 they enter such a frame without a sort; on another run axis one stable sort
-orders them.
+orders them.  A mask's frame is the grid's own, fixed by its shape rather
+than by the kept cells' codes, and its runs go along the last axis, so its
+flat indices are gathered in C order, already sorted, with no code array
+formed; both entries then close through one core (`_close`).
 
 Betti numbers are computed over the two-element field: b_d equals
 (#d-cells) - rank(boundary_d) - rank(boundary_{d+1}), with the ranks by
@@ -131,7 +135,7 @@ removed, and it never reads as free.
 from __future__ import annotations
 
 import itertools
-from functools import partial
+from functools import partial, reduce
 from operator import mul
 from typing import Collection, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -145,6 +149,7 @@ __all__ = [
     "cube_dim",
     "CubicalComplex",
     "close_under_faces",
+    "close_mask",
     "betti",
 ]
 
@@ -389,7 +394,27 @@ def close_under_faces(
         ambient_dim = len(cubes[0]) if len(cubes) else 0
     if ambient_dim and not -ambient_dim <= run_axis < ambient_dim:
         raise ValueError(f"run axis {run_axis} is not one of the {ambient_dim} axes")
-    frame, flat = _encode(cubes, ambient_dim, run_axis)
+    return _close(ambient_dim, *_encode(cubes, ambient_dim, run_axis))
+
+
+def close_mask(mask: np.ndarray) -> CubicalComplex:
+    """Smallest face-closed complex containing the top cells that a boolean
+    grid mask keeps, cell j of an axis being the code 2*j + 1, with runs along
+    the last axis.
+
+    The frame is the grid's, fixed by the mask's shape.  The flat index of a
+    cell is the sum over the axes of (2*j_a + 1 - lo_a) * stride_a, so the
+    kept ones are one boolean gather from the outer sum of those per-axis
+    terms, an int per grid cell; C order is flat order, so they need no sort.
+    """
+    frame = _Frame([(1, 2 * n - 1) for n in mask.shape])
+    terms = [np.arange(1 - lo, 2 * n + 1 - lo, 2, dtype=frame.dtype) * stride
+             for n, lo, stride in zip(mask.shape, frame.lo, frame.strides)]
+    return _close(mask.ndim, frame, reduce(np.add.outer, terms, np.zeros((), frame.dtype))[mask])
+
+
+def _close(ambient_dim: int, frame: _Frame, flat: np.ndarray) -> CubicalComplex:
+    """The closure of the cells at the sorted flat indices `flat` of `frame`, on runs."""
     odd = flat & 1
     first, last = _merge(flat - odd, flat + odd)
     for s in frame.cross:

@@ -39,8 +39,9 @@ in absolute value, and otherwise runs the same array code on Python ints
 the kept band cells, one row per cell and one contiguous column per axis,
 and their run axis, the axis along which the most of them are adjacent;
 `_build` closes them under faces with runs along that axis.  The box is
-closed from its kept-cell mask (`_box_mask`), whole or folded, with runs
-along the last axis.
+closed from its kept-cell mask (`_box_mask`), whole or folded, by
+`homology.close_mask`, with runs along the last axis: the mask's frame is
+the grid's, and no cell index or code array is formed.
 
 An undeformed lift is two antipodal copies of one set.
 `sphere_region_block` returns the closed upper polar cap of
@@ -100,7 +101,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .exact import QuadraticForm, QuadraticPoly, parse_rational, positive
-from .homology import CubicalComplex, close_under_faces
+from .homology import CubicalComplex, close_mask, close_under_faces
 
 __all__ = [
     "CiProbeReport",
@@ -460,9 +461,9 @@ def _top_cells(spec: GridSpec, polys: Sequence[QuadraticPoly], radius) -> Tuple[
 
     The band is computed once per (grid, radius) by `_sphere_band`, shared
     read-only and kept at a narrow dtype; the indices returned are a fresh
-    intp array with one contiguous column per axis, the layout `np.argwhere`
-    gives a box mask.  Each center is tested exactly, in int64 or Python
-    ints, in one array pass.
+    intp array with one contiguous column per axis, which
+    `close_under_faces` reads column by column in place.  Each center is
+    tested exactly, in int64 or Python ints, in one array pass.
     """
     r, gs, evals, wide = _checked(spec, polys, radius)
     band, succ = _sphere_band(spec, r)
@@ -498,7 +499,7 @@ def grid_complex(system: Sequence[QuadraticPoly], spec: GridSpec) -> CubicalComp
     exactly; the empty system keeps the whole box.  Cube coordinates are
     grid units (cell indices), not box coordinates; runs go along the last axis.
     """
-    return close_under_faces(2 * np.argwhere(_box_mask(spec, system)) + 1, ambient_dim=spec.dim, run_axis=-1)
+    return close_mask(_box_mask(spec, system))
 
 
 def _fold(keep: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -520,7 +521,7 @@ def grid_block(system: Sequence[QuadraticPoly], spec: GridSpec) -> Tuple[Cubical
     as the box is, and `copies`: every Betti number and the Euler characteristic
     of the box are `copies` times the block's (fold and proof: module docstring)."""
     keep, copies = _fold(_box_mask(spec, system))
-    return close_under_faces(2 * np.argwhere(keep) + 1, ambient_dim=spec.dim, run_axis=-1), copies
+    return close_mask(keep), copies
 
 
 def sphere_zero_complex(

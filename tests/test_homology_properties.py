@@ -54,6 +54,7 @@ from quadbetti.harness import pad_betti
 from quadbetti.homology import (
     CubicalComplex,
     betti,
+    close_mask,
     close_under_faces,
     cube_dim,
 )
@@ -585,6 +586,40 @@ def test_counts_from_runs_match_the_cell_dimensions(case):
         assert [cx.n_cells(d) for d in range(-1, dim + 2)] == [want[d] for d in range(-1, dim + 2)]
         assert cx.dim == max(want, default=-1) and len(cx) == len(set(cubes))
         assert cx.euler_characteristic() == sum((-1) ** d * n for d, n in want.items())
+
+
+# ---------------------------------------------------------------------------
+# Grid masks: `close_mask` against the code-array path that the box builders
+# took before it, which stays here as the reference.
+
+
+@st.composite
+def grid_masks(draw):
+    """A boolean mask of 1 to 4 axes of 0 to 7 cells, each cell kept with one
+    drawn chance: 0 gives the empty mask and 1 the full one.  One axis in
+    about eight masks has no cell."""
+    shape = draw(st.lists(st.integers(1, 7), min_size=1, max_size=4))
+    if draw(st.integers(0, 7)) == 7:
+        shape[draw(st.integers(0, len(shape) - 1))] = 0
+    chance = draw(st.sampled_from([0.5, 0.25, 0.75, 0, 1]))
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(shape) < chance
+
+
+@SETTINGS
+@given(grid_masks())
+# A fold of an empty mask leaves axes of no cells.
+@example(np.zeros((3, 0, 2), dtype=bool))
+def test_a_mask_closes_as_its_code_array(mask):
+    cx = close_mask(mask)
+    ref = close_under_faces(2 * np.argwhere(mask) + 1, ambient_dim=mask.ndim, run_axis=-1)
+    assert cx.ambient_dim == mask.ndim and cx._frame.strides[-1] == 1
+    assert len(cx) == len(ref) and cx.cells == ref.cells
+    assert [cx.n_cells(d) for d in range(-1, mask.ndim + 2)] == [ref.n_cells(d) for d in range(-1, mask.ndim + 2)]
+    # The frames differ, but the runs are the same cells in the same order, so
+    # the run complex and its free-face rounds are the same too.
+    runs = lambda c: list(zip(c._frame.decode(c._first), c._frame.decode(c._last)))
+    assert runs(cx) == runs(ref)
+    assert betti(cx) == betti(ref)
 
 
 # ---------------------------------------------------------------------------

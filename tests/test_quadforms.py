@@ -11,7 +11,7 @@ import pytest
 from conftest import betti_by_cells
 from hypothesis import given, settings, strategies as st
 
-from quadbetti import quadforms
+from quadbetti import homology, quadforms
 from quadbetti.exact import (
     QuadraticForm,
     QuadraticPoly,
@@ -576,6 +576,40 @@ class TestGridBlock:
         finally:
             tracemalloc.stop()
         assert peak < 2**16
+
+
+def _affine_grid_case(name, value):
+    """(system, spec) of an affine-grid benchmark scenario at one menu value:
+    the products X_i (X_i - a) >= 0 on [-1, 2]^k at resolution 1/4, or the
+    shell value <= |x| <= 1."""
+    k = int(name[-1])
+    if name.startswith("products"):
+        return _products(k, Fraction(value))
+    sc = scenario_shell(k, Fraction(value), 1)
+    return sc.system, sc.grid
+
+
+# Each affine-grid scenario at each menu value, with its box's Betti vector.
+AFFINE_GRID = [
+    *((f"products-k{k}", a, (2**k,) + (0,) * k) for k in (3, 4) for a in ("15/16", "1", "17/16", "9/8")),
+    *(("shell-k2", r, (1, 1, 0)) for r in ("2/5", "9/20", "1/2", "11/20", "3/5")),
+    *(("shell-k3", r, (1, 0, 1, 0)) for r in ("1/2", "11/20", "3/5")),
+]
+
+
+@pytest.mark.parametrize("name, value, vector", AFFINE_GRID, ids=[f"{n}-{v}" for n, v, _ in AFFINE_GRID])
+def test_box_builds_close_the_mask_with_no_code_array(monkeypatch, name, value, vector):
+    """`grid_block` and `grid_complex` close the kept-cell mask directly: with
+    `np.argwhere` and `homology._encode` raising, each still gives the box's vector."""
+    system, spec = _affine_grid_case(name, value)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a box build formed a code array")
+
+    monkeypatch.setattr(np, "argwhere", refuse)
+    monkeypatch.setattr(homology, "_encode", refuse)
+    block, copies = grid_block(system, spec)
+    assert tuple(copies * b for b in betti(block)) == betti(grid_complex(system, spec)) == vector
 
 
 @st.composite
