@@ -9,19 +9,22 @@ tuple of per-axis codes, one int per axis:
 
 so the two codim-1 faces along an odd axis are code-1 and code+1, and cube
 dimension is the number of odd codes.  Grid units are plain ints and may be
-negative.  `close_under_faces` also takes an int array of codes, one cube
-per row, so a caller holding many cubes in numpy never builds the tuples,
-and `close_mask` a boolean grid mask, cell j of an axis being code 2*j + 1.
+negative; every code is read with operator.index, so the rows of an int
+array of codes are cubes too.  `close_grid` closes the kept top cells of a
+grid, given as a boolean mask or as an int array of grid indices, cell j of
+an axis being code 2*j + 1.
 
 Inside a complex each cell is one int on the doubled lattice, the implicit
 cubical complex of Wagner, Chen and Vucini (also used by CubicalRipser).
 Each complex fixes a frame over the bounding box of its codes: per axis an
 even lowest code lo_a, at least two below the smallest code, and a span of
-2^b_a positions reaching at least two above the largest.  One axis, the run
-axis, has stride 1; the others keep their order above it, each stride the
-product of the spans of the axes below it.  The run axis is the last one
-unless the caller of `close_under_faces` picks another: the grid builders
-pick the axis along which the most pairs of their top cells are adjacent.
+2^b_a positions reaching at least two above the largest.  A grid's frame is
+the box of its whole shape, codes 1 to 2*n_a - 1, whichever cells are kept;
+code tuples get the box of their own codes.  One axis, the run axis, has
+stride 1; the others keep their order above it, each stride the product of
+the spans of the axes below it.  The run axis is the last one unless the
+caller picks another: the grid builders pick the axis along which the most
+pairs of their top cells are adjacent.
 A cell is
 
     flat = sum_a (code_a - lo_a) * stride_a
@@ -53,13 +56,11 @@ one; then all ends are even.  Then, axis by axis off the run axis, the runs
 odd on the axis are appended shifted by -stride and by +stride and merged
 again: the first and the last indices are sorted each on their own, and a
 run ends at the i-th last index exactly when the (i + 1)-th first index lies
-more than one beyond it.  Code arrays from the grid builders arrive in
-lexicographic order, which is flat order when the run axis is the last, so
-they enter such a frame without a sort; on another run axis one stable sort
-orders them.  A mask's frame is the grid's own, fixed by its shape rather
-than by the kept cells' codes, and its runs go along the last axis, so its
-flat indices are gathered in C order, already sorted, with no code array
-formed; both entries then close through one core (`_close`).
+more than one beyond it.  A grid's kept cells, a mask or an index array,
+arrive in lexicographic order, which is flat order when the run axis is the
+last, so they enter the grid's frame without a sort; on another run axis one
+stable sort orders them.  Code tuples are encoded (`_encode`) and sorted as
+Python ints.  Both entries then close through one core (`_close`).
 
 Betti numbers are computed over the two-element field: b_d equals
 (#d-cells) - rank(boundary_d) - rank(boundary_{d+1}), with the ranks by
@@ -136,8 +137,8 @@ from __future__ import annotations
 
 import itertools
 from functools import partial, reduce
-from operator import mul
-from typing import Collection, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from operator import index, mul
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -149,7 +150,7 @@ __all__ = [
     "cube_dim",
     "CubicalComplex",
     "close_under_faces",
-    "close_mask",
+    "close_grid",
     "betti",
 ]
 
@@ -187,6 +188,8 @@ class _Frame:
         """
         order = list(range(len(bounds)))
         if order:
+            if not -len(order) <= run_axis < len(order):
+                raise ValueError(f"run axis {run_axis} is not one of the {len(order)} axes")
             order.append(order.pop(run_axis))
         lows, spans, strides = [0] * len(order), [0] * len(order), [0] * len(order)
         stride, base = 1, 0
@@ -218,18 +221,6 @@ class _Frame:
         shifts, spans, lo = (np.array(v, dtype=self.dtype) for v in (self.shifts, self.spans, self.lo))
         return ((flat[:, None] >> shifts) & spans) + lo
 
-    def flat(self, columns: np.ndarray) -> np.ndarray:
-        """The flat indices of the cubes whose codes on axis a are row a of an int array, in their order.
-
-        The sum of (code_a - lo_a) * stride_a is taken axis by axis, so every
-        partial sum is a flat index inside the frame, below its size.
-        """
-        columns = columns.astype(self.dtype, copy=False)
-        total = np.zeros(columns.shape[1], dtype=self.dtype)
-        for codes, lo, stride in zip(columns, self.lo, self.strides):
-            total += (codes - lo) * stride
-        return total
-
     def decode(self, flat: np.ndarray) -> Iterator[Cube]:
         """Code tuples of the flat indices, in their order."""
         if not self.strides:
@@ -237,43 +228,19 @@ class _Frame:
         return zip(*self.codes(flat).T.tolist())
 
 
-def _encode(
-    cubes: Union[Collection[Cube], np.ndarray], ambient_dim: int, run_axis: int = -1
-) -> Tuple[_Frame, np.ndarray]:
-    """Frame around the cubes with stride 1 on `run_axis`, and the sorted array of their flat indices.
+def _encode(cubes: Iterable[Cube], ambient_dim: int, run_axis: int = -1) -> Tuple[_Frame, np.ndarray]:
+    """Frame around the code tuples `cubes` with stride 1 on `run_axis`, and the sorted array of their flat indices.
 
-    `cubes` holds code tuples, or is an (N, ambient_dim) int array of codes,
-    one cube per row, read axis by axis.
+    Every code is read with operator.index, so a numpy integer counts as the
+    Python int it holds and a float raises TypeError.
     """
-    if isinstance(cubes, np.ndarray):
-        if cubes.ndim != 2 or cubes.shape[1] != ambient_dim:
-            raise ValueError(f"code array of shape {cubes.shape} has no {ambient_dim} axes")
-        # One contiguous row per axis.  A reduction over a C-ordered (N, 3)
-        # array runs row by row: on the 3,898 top cells of a deformed
-        # shell-k2 lift, min(0) takes 83 us on them and 3 us once they are
-        # column-major (timeit, min of 7 x 200).  The grid builders hand over
-        # column-major arrays, which are read in place; any other is copied
-        # once.
-        columns = np.asfortranarray(cubes).T
-        bounds = list(zip(columns.min(1).tolist(), columns.max(1).tolist())) if len(cubes) else [(0, 0)] * ambient_dim
-        frame = _Frame(bounds, run_axis)
-        flat = frame.flat(columns)
-        # The grid builders list their cubes in lexicographic order of the
-        # codes, which is flat order when the run axis is the last;
-        # otherwise one stable sort merges the ascending runs in a single
-        # pass.  It is also the sort closure already loads: numpy's default
-        # sort maps more code on first use, and with it here the peak RSS of
-        # `perfbench/run.py` rose by a median 0.41 MB on sphere-lift and
-        # 0.45 MB on cli-small, in each of 6 runs a side.
-        if np.count_nonzero(flat[1:] < flat[:-1]):
-            flat = np.sort(flat, kind="stable")
-        return frame, flat
+    cubes = {tuple(map(index, c)) for c in cubes}
     if set(map(len, cubes)) - {ambient_dim}:
         c = next(c for c in cubes if len(c) != ambient_dim)
         raise ValueError(f"cube {c!r} has {len(c)} axes, ambient dimension is {ambient_dim}")
     frame = _Frame([(min(col), max(col)) for col in zip(*cubes)] if cubes else [(0, 0)] * ambient_dim, run_axis)
     strides, base = frame.strides, frame.base
-    return frame, np.array(sorted({sum(map(mul, c, strides)) - base for c in cubes}), dtype=frame.dtype)
+    return frame, np.array(sorted(sum(map(mul, c, strides)) - base for c in cubes), dtype=frame.dtype)
 
 
 def _merge(first: np.ndarray, last: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -304,17 +271,16 @@ def _cells(first: np.ndarray, last: np.ndarray) -> Iterator[int]:
 class CubicalComplex:
     """Immutable set of elementary cubes sharing one ambient dimension.
 
-    Construct through `close_under_faces` to guarantee face-closure; the
-    homology routines assume it, and `betti` raises when a face is missing.
+    Construct through `close_under_faces` or `close_grid` to guarantee
+    face-closure; the homology routines assume it, and `betti` raises when a
+    face is missing.
     """
 
     __slots__ = ("ambient_dim", "_frame", "_first", "_last", "_len", "_counts", "_cells")
 
     def __init__(self, ambient_dim: int, cells: Iterable[Cube]):
-        cells = frozenset(cells)
         frame, flat = _encode(cells, int(ambient_dim))
         self._store(int(ambient_dim), frame, *_merge(flat, flat), len(flat))
-        self._cells = cells
 
     @classmethod
     def _from_runs(cls, ambient_dim: int, frame: _Frame, first: np.ndarray, last: np.ndarray) -> "CubicalComplex":
@@ -377,40 +343,51 @@ class CubicalComplex:
 
 
 def close_under_faces(
-    cubes: Union[Iterable[Cube], np.ndarray], ambient_dim: Optional[int] = None, *, run_axis: int = -1
+    cubes: Iterable[Cube], ambient_dim: Optional[int] = None, *, run_axis: int = -1
 ) -> CubicalComplex:
     """Smallest face-closed complex containing the given cubes.
 
-    The cubes are code tuples, or the rows of an int array of codes.  The
-    ambient dimension defaults to the axis count of the first cube; a cube
-    with another axis count raises ValueError.  The closure is built on
-    runs along `run_axis`, by default the last axis, as the module
-    docstring describes; the run axis changes how the cells are stored and
-    ranked, not which cells there are.
+    The cubes are code tuples; the rows of an int array of codes are read as
+    such tuples.  The ambient dimension defaults to the axis count of the
+    first cube; a cube with another axis count raises ValueError.  The
+    closure is built on runs along `run_axis`, by default the last axis, as
+    the module docstring describes; the run axis changes how the cells are
+    stored and ranked, not which cells there are.
     """
-    if not isinstance(cubes, np.ndarray):
-        cubes = list(cubes)
+    cubes = list(cubes)
     if ambient_dim is None:
-        ambient_dim = len(cubes[0]) if len(cubes) else 0
-    if ambient_dim and not -ambient_dim <= run_axis < ambient_dim:
-        raise ValueError(f"run axis {run_axis} is not one of the {ambient_dim} axes")
+        ambient_dim = len(cubes[0]) if cubes else 0
     return _close(ambient_dim, *_encode(cubes, ambient_dim, run_axis))
 
 
-def close_mask(mask: np.ndarray) -> CubicalComplex:
-    """Smallest face-closed complex containing the top cells that a boolean
-    grid mask keeps, cell j of an axis being the code 2*j + 1, with runs along
-    the last axis.
+def close_grid(shape: Sequence[int], cells: np.ndarray, run_axis: int = -1) -> CubicalComplex:
+    """Smallest face-closed complex containing the kept top cells of a grid of
+    the given shape, cell j of an axis being the code 2*j + 1.
 
-    The frame is the grid's, fixed by the mask's shape.  The flat index of a
-    cell is the sum over the axes of (2*j_a + 1 - lo_a) * stride_a, so the
-    kept ones are one boolean gather from the outer sum of those per-axis
-    terms, an int per grid cell; C order is flat order, so they need no sort.
+    `cells` is a boolean mask of the grid, or a (dim, n) int array of kept
+    grid indices, row a holding each cell's index on axis a, the cells in
+    lexicographic order.  The frame is the grid's, fixed by `shape`, with
+    stride 1 on `run_axis`.  A cell's flat index is the sum over the axes of
+    the terms (2*j_a + 1 - lo_a) * stride_a: a mask gathers the kept ones
+    from the outer sum of the per-axis terms, an index array adds the terms
+    at its entries.  Both list the cells in lexicographic order, which is
+    flat order when the run axis is the last; otherwise one stable sort
+    orders them.
     """
-    frame = _Frame([(1, 2 * n - 1) for n in mask.shape])
+    frame = _Frame([(1, 2 * n - 1) for n in shape], run_axis)
     terms = [np.arange(1 - lo, 2 * n + 1 - lo, 2, dtype=frame.dtype) * stride
-             for n, lo, stride in zip(mask.shape, frame.lo, frame.strides)]
-    return _close(mask.ndim, frame, reduce(np.add.outer, terms, np.zeros((), frame.dtype))[mask])
+             for n, lo, stride in zip(shape, frame.lo, frame.strides)]
+    if cells.dtype == bool:
+        flat = reduce(np.add.outer, terms, np.zeros((), frame.dtype))[cells]
+    else:
+        flat = sum(map(np.take, terms, cells), np.zeros(cells.shape[1], frame.dtype))
+    if frame.strides[-1] != 1:
+        # The sort closure already loads: numpy's default sort maps more code
+        # on first use, and with it the peak RSS of `perfbench/run.py` rose by
+        # a median 0.41 MB on sphere-lift and 0.45 MB on cli-small, in each
+        # of 6 runs a side.
+        flat = np.sort(flat, kind="stable")
+    return _close(len(shape), frame, flat)
 
 
 def _close(ambient_dim: int, frame: _Frame, flat: np.ndarray) -> CubicalComplex:

@@ -35,13 +35,13 @@ truncation) (`_cap_candidates`), so a repeated lift pays little beyond its
 cells and its own polynomials.  The builder computes in int64
 when a bound taken beforehand shows that no value it forms reaches 2**62
 in absolute value, and otherwise runs the same array code on Python ints
-(dtype=object); no float enters.  `_top_cells` returns the grid indices of
-the kept band cells, one row per cell and one contiguous column per axis,
-and their run axis, the axis along which the most of them are adjacent;
-`_build` closes them under faces with runs along that axis.  The box is
-closed from its kept-cell mask (`_box_mask`), whole or folded, by
-`homology.close_mask`, with runs along the last axis: the mask's frame is
-the grid's, and no cell index or code array is formed.
+(dtype=object); no float enters.  Every builder closes its kept cells with
+`homology.close_grid`, in the grid's own frame.  `_top_cells` returns the
+kept band rows, the grid indices of the kept band cells as a (dim, n) array
+at the band's dtype, and their run axis, the axis along which the most of
+them are adjacent; `_build` closes them with runs along that axis.  The box
+is closed from its kept-cell mask (`_box_mask`), whole or folded, with runs
+along the last axis.  No code array is formed.
 
 An undeformed lift is two antipodal copies of one set.
 `sphere_region_block` returns the closed upper polar cap of
@@ -101,7 +101,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .exact import QuadraticForm, QuadraticPoly, parse_rational, positive
-from .homology import CubicalComplex, close_mask, close_under_faces
+from .homology import CubicalComplex, close_grid
 
 __all__ = [
     "CiProbeReport",
@@ -455,15 +455,15 @@ def _box_mask(spec: GridSpec, polys: Sequence[QuadraticPoly]) -> np.ndarray:
 
 
 def _top_cells(spec: GridSpec, polys: Sequence[QuadraticPoly], radius) -> Tuple[np.ndarray, int]:
-    """Grid indices, one cell per row in lexicographic order, of the cells the
-    radius sphere crosses where every polynomial is >= 0 at the center, and
-    their run axis, the one `_band_tops` picks.
+    """Grid indices of the cells the radius sphere crosses where every
+    polynomial is >= 0 at the center, and their run axis, the one
+    `_band_tops` picks.
 
     The band is computed once per (grid, radius) by `_sphere_band`, shared
-    read-only and kept at a narrow dtype; the indices returned are a fresh
-    intp array with one contiguous column per axis, which
-    `close_under_faces` reads column by column in place.  Each center is
-    tested exactly, in int64 or Python ints, in one array pass.
+    read-only and kept at a narrow dtype; the indices returned are its kept
+    (dim, n) rows in lexicographic order, in a fresh array at that dtype,
+    which `homology.close_grid` takes as they are.  Each center is tested
+    exactly, in int64 or Python ints, in one array pass.
     """
     r, gs, evals, wide = _checked(spec, polys, radius)
     band, succ = _sphere_band(spec, r)
@@ -472,8 +472,8 @@ def _top_cells(spec: GridSpec, polys: Sequence[QuadraticPoly], radius) -> Tuple[
 
 
 def _band_tops(band: np.ndarray, succ: np.ndarray, rows, keep: np.ndarray) -> Tuple[np.ndarray, int]:
-    """The cells of the band rows `rows` that `keep` marks, as a fresh intp
-    array with one contiguous column per axis, and their run axis: the axis
+    """The cells of the band rows `rows` that `keep` marks, as a fresh (dim, n)
+    array of grid indices at the band's dtype, and their run axis: the axis
     along which the most pairs of them are adjacent, the highest one among
     ties, counted through the band's successor table.  Closure and `betti`
     work run by run, and runs along it are the longest on average."""
@@ -482,14 +482,12 @@ def _band_tops(band: np.ndarray, succ: np.ndarray, rows, keep: np.ndarray) -> Tu
     after[:-1][rows] = keep
     kept = after.nonzero()[0]
     pairs = [np.count_nonzero(after.take(s.take(kept))) for s in succ]
-    # intp keeps the codes 2*j + 1 of a uint8 band from wrapping.
-    return band.take(kept, axis=1).astype(np.intp).T, max(range(len(succ)), key=lambda a: (pairs[a], a))
+    return band.take(kept, axis=1), max(range(len(succ)), key=lambda a: (pairs[a], a))
 
 
 def _build(spec: GridSpec, polys: Sequence[QuadraticPoly], radius) -> CubicalComplex:
     """Face closure of the cells `_top_cells` keeps, with the run axis it picks."""
-    cells, run_axis = _top_cells(spec, polys, radius)
-    return close_under_faces(2 * cells + 1, ambient_dim=spec.dim, run_axis=run_axis)
+    return close_grid(spec.shape, *_top_cells(spec, polys, radius))
 
 
 def grid_complex(system: Sequence[QuadraticPoly], spec: GridSpec) -> CubicalComplex:
@@ -499,7 +497,7 @@ def grid_complex(system: Sequence[QuadraticPoly], spec: GridSpec) -> CubicalComp
     exactly; the empty system keeps the whole box.  Cube coordinates are
     grid units (cell indices), not box coordinates; runs go along the last axis.
     """
-    return close_mask(_box_mask(spec, system))
+    return close_grid(spec.shape, _box_mask(spec, system))
 
 
 def _fold(keep: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -521,7 +519,7 @@ def grid_block(system: Sequence[QuadraticPoly], spec: GridSpec) -> Tuple[Cubical
     as the box is, and `copies`: every Betti number and the Euler characteristic
     of the box are `copies` times the block's (fold and proof: module docstring)."""
     keep, copies = _fold(_box_mask(spec, system))
-    return close_mask(keep), copies
+    return close_grid(keep.shape, keep), copies
 
 
 def sphere_zero_complex(
@@ -546,16 +544,14 @@ def sphere_zero_split(forms: Sequence[QuadraticForm], radius, spec: GridSpec,
     """
     cells, run_axis = _top_cells(spec, _zero_polys(forms, tau), radius)
     near = np.zeros([n + 2 for n in spec.shape], dtype=bool)
-    near[tuple(cells.T + 1)] = True
+    inner = (slice(1, -1),) * spec.dim
+    near[inner][tuple(cells)] = True
     # Along each axis the padding is empty until this axis is grown, so no
     # mark rolls around the end.
     for axis in range(spec.dim):
         near = near | np.roll(near, 1, axis) | np.roll(near, -1, axis)
-    # intp keeps the padding offset of a uint8 band from wrapping.
-    band = _sphere_band(spec, _sphere_radius(radius, spec))[0].astype(np.intp)
-    rest = band[:, ~near[tuple(band + 1)]]
-    return (close_under_faces(2 * cells + 1, ambient_dim=spec.dim, run_axis=run_axis),
-            close_under_faces(2 * rest.T + 1, ambient_dim=spec.dim))
+    band = _sphere_band(spec, _sphere_radius(radius, spec))[0]
+    return close_grid(spec.shape, cells, run_axis), close_grid(spec.shape, band[:, ~near[inner][tuple(band)]])
 
 
 def _zero_polys(forms: Sequence[QuadraticForm], tau) -> List[QuadraticPoly]:
@@ -640,6 +636,5 @@ def sphere_region_block(polys: Sequence[QuadraticPoly], eps, spec: GridSpec) -> 
         if wide:
             u = u.astype(object)
         if not np.any(u[-1] < gs.step):
-            cells, run_axis = _band_tops(*_sphere_band(spec, r), rows, _satisfied(evals, u, len(rows)))
-            return close_under_faces(2 * cells + 1, ambient_dim=spec.dim, run_axis=run_axis), 2
+            return close_grid(spec.shape, *_band_tops(*_sphere_band(spec, r), rows, _satisfied(evals, u, len(rows)))), 2
     return sphere_region_complex(polys, eps, spec), 1

@@ -13,10 +13,18 @@ from quadbetti.harness import PASS, VIOLATION, mayer_vietoris_audit, pad_betti
 from quadbetti.homology import (
     CubicalComplex,
     betti,
+    close_grid,
     close_under_faces,
     cube_dim,
     make_cube,
 )
+
+
+# Two far-apart top cells of a grid of four axes of 2**14 cells, whose frame
+# is past int64: as a (dim, n) index array and as code tuples.
+LONG_GRID = (2**14,) * 4
+LONG_CELLS = np.array([[0, 0, 0, 0], [2**14 - 1, 5, 0, 2**14 - 2]]).T
+LONG_CODES = [tuple(2 * j + 1 for j in c) for c in LONG_CELLS.T.tolist()]
 
 
 def cube_faces(cube):
@@ -175,11 +183,39 @@ class TestCloseUnderFaces:
         assert same_complex(cx, close_under_faces(cubes)) and len(cx) == 6
         assert betti(cx) == (2, 0)
 
+    def test_grid_frame_past_int64(self):
+        # The grid's frame spans 2**16 positions on each of its four axes.
+        cx = close_grid(LONG_GRID, LONG_CELLS)
+        assert cx._frame.strides[0] * (cx._frame.spans[0] + 1) == 2**64 and cx._last.dtype == object
+        assert same_complex(cx, close_under_faces(LONG_CODES)) and len(cx) == 2 * 3**4
+        assert betti(cx) == (2, 0, 0, 0, 0)
+
     def test_object_frame_collapse(self, collapse_always):
         cubes = [(0,) * 22, (2,) * 22, (1,) + (2,) * 21, (0,) * 21 + (1,)]
         cx = close_under_faces(np.array(cubes), ambient_dim=22)
         assert cx._first.dtype == cx._last.dtype == object
         assert betti(cx) == betti_by_cells(cx) == (2, 0)
+        # A grid's object frame, on every run axis: off the last one the
+        # flat indices are sorted as Python ints.
+        for run_axis in range(4):
+            cx = close_grid(LONG_GRID, LONG_CELLS, run_axis)
+            assert cx._first.dtype == cx._last.dtype == object and cx._frame.strides[run_axis] == 1
+            assert same_complex(cx, close_under_faces(LONG_CODES))
+            assert betti(cx) == betti_by_cells(cx) == (2, 0, 0, 0, 0)
+
+    def test_numpy_integer_codes_read_as_python_ints(self):
+        # The last cube's faces reach 2**63, past int64.
+        cubes = [(1, 3), (2, 4), (2**63 - 1, 0)]
+        closed, raw = close_under_faces(cubes), CubicalComplex(2, cubes)
+        for given in ([tuple(map(np.int64, c)) for c in cubes], np.array(cubes, dtype=np.int64)):
+            assert same_complex(close_under_faces(given), closed) and same_complex(CubicalComplex(2, given), raw)
+            assert {type(x) for c in CubicalComplex(2, given).cells for x in c} == {int}
+            assert betti(close_under_faces(given)) == betti(closed) == (2, 0, 0)
+
+    def test_float_codes_are_refused(self):
+        for given in ([(1.0, 3)], np.array([(1, 3)], dtype=float)):
+            with pytest.raises(TypeError):
+                close_under_faces(given)
 
     def test_code_array_axis_count_checked(self):
         with pytest.raises(ValueError, match="axes"):

@@ -54,7 +54,7 @@ from quadbetti.harness import pad_betti
 from quadbetti.homology import (
     CubicalComplex,
     betti,
-    close_mask,
+    close_grid,
     close_under_faces,
     cube_dim,
 )
@@ -589,8 +589,8 @@ def test_counts_from_runs_match_the_cell_dimensions(case):
 
 
 # ---------------------------------------------------------------------------
-# Grid masks: `close_mask` against the code-array path that the box builders
-# took before it, which stays here as the reference.
+# Grids: `close_grid` on a mask and on the index array of the same kept
+# cells, on every run axis, against `close_under_faces` on their code tuples.
 
 
 @st.composite
@@ -609,17 +609,22 @@ def grid_masks(draw):
 @given(grid_masks())
 # A fold of an empty mask leaves axes of no cells.
 @example(np.zeros((3, 0, 2), dtype=bool))
-def test_a_mask_closes_as_its_code_array(mask):
-    cx = close_mask(mask)
-    ref = close_under_faces(2 * np.argwhere(mask) + 1, ambient_dim=mask.ndim, run_axis=-1)
-    assert cx.ambient_dim == mask.ndim and cx._frame.strides[-1] == 1
-    assert len(cx) == len(ref) and cx.cells == ref.cells
-    assert [cx.n_cells(d) for d in range(-1, mask.ndim + 2)] == [ref.n_cells(d) for d in range(-1, mask.ndim + 2)]
+def test_close_grid_closes_as_the_code_tuples(mask):
+    dim = mask.ndim
+    # The kept cells' indices, (dim, n) in lexicographic order, at a narrow dtype as the band keeps them.
+    index = np.array(mask.nonzero(), dtype=np.uint8).reshape(dim, -1)
+    codes = [tuple(2 * j + 1 for j in c) for c in index.T.tolist()]
+    ref = close_under_faces(codes, ambient_dim=dim)
+    want = len(ref), ref.cells, [ref.n_cells(d) for d in range(-1, dim + 2)], betti(ref)
     # The frames differ, but the runs are the same cells in the same order, so
     # the run complex and its free-face rounds are the same too.
     runs = lambda c: list(zip(c._frame.decode(c._first), c._frame.decode(c._last)))
-    assert runs(cx) == runs(ref)
-    assert betti(cx) == betti(ref)
+    for run_axis in range(dim):
+        ref_runs = runs(close_under_faces(codes, ambient_dim=dim, run_axis=run_axis))
+        for cells in (mask, index):
+            cx = close_grid(mask.shape, cells, run_axis)
+            assert cx.ambient_dim == dim and cx._frame.strides[run_axis] == 1 and runs(cx) == ref_runs
+            assert (len(cx), cx.cells, [cx.n_cells(d) for d in range(-1, dim + 2)], betti(cx)) == want
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from quadbetti.quadforms import (
     sphere_region_block,
     sphere_region_complex,
     sphere_zero_complex,
+    sphere_zero_split,
 )
 
 
@@ -612,6 +613,47 @@ def test_box_builds_close_the_mask_with_no_code_array(monkeypatch, name, value, 
     assert tuple(copies * b for b in betti(block)) == betti(grid_complex(system, spec)) == vector
 
 
+_PATH_CIRCLE = GridSpec.symmetric(Fraction(5, 4), Fraction(1, 8), 2)
+_PATH_SPHERE = GridSpec.symmetric(Fraction(5, 4), Fraction(1, 8), 3)
+_PATH_CONES = [QuadraticForm.make(2, [[1, 0], [0, -1]]), QuadraticForm.make(3, [[1, 0, 0], [0, 1, 0], [0, 0, -1]])]
+# The products-k1 lift takes the polar cap at its default grid and is refused
+# it at resolution 20, whose middle layers hold cap candidates.
+_PATH_LIFTS = {"cap": _lift_spec(Fraction(1, 10), 2), "refused": _lift_spec(Fraction(1, 10), 2, 20)}
+SPHERE_PATH_CASES = {
+    "band": (lambda: [(sphere_band_complex(1, _PATH_CIRCLE), 1), (sphere_band_complex(1, _PATH_SPHERE), 1)],
+             [(1, 1, 0), (1, 0, 1, 0)]),
+    "zero": (lambda: [(sphere_zero_complex([f], 1, s, Fraction(1, 4)), 1)
+                      for f, s in zip(_PATH_CONES, (_PATH_CIRCLE, _PATH_SPHERE))],
+             [(4, 0, 0), (2, 2, 0, 0)]),
+    "split": (lambda: [(cx, 1) for f, s in zip(_PATH_CONES, (_PATH_CIRCLE, _PATH_SPHERE))
+                       for cx in sphere_zero_split([f], 1, s, Fraction(1, 4))],
+              [(4, 0, 0), (4, 0, 0), (2, 2, 0, 0), (3, 1, 0, 0)]),
+    "region": (lambda: [(sphere_region_complex(_lift_polys(scenario_products(1)), Fraction(1, 10), s), 1)
+                        for s in _PATH_LIFTS.values()],
+               [(4, 0, 0), (1, 0, 0)]),
+    "block-cap": (lambda: [sphere_region_block(_lift_polys(scenario_products(1)), Fraction(1, 10), _PATH_LIFTS["cap"])],
+                  [(4, 0, 0)]),
+    "block-refused": (lambda: [sphere_region_block(_lift_polys(scenario_products(1)), Fraction(1, 10),
+                                                   _PATH_LIFTS["refused"])],
+                      [(1, 0, 0)]),
+}
+
+
+@pytest.mark.parametrize("case", SPHERE_PATH_CASES)
+def test_sphere_builds_close_in_the_grid_frame(monkeypatch, case):
+    """Every sphere builder closes its kept band rows through `close_grid`, on
+    the cap path and the refused one: with `np.argwhere` and
+    `homology._encode` raising, each still gives its vector."""
+    build, vectors = SPHERE_PATH_CASES[case]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sphere build formed a code array")
+
+    monkeypatch.setattr(np, "argwhere", refuse)
+    monkeypatch.setattr(homology, "_encode", refuse)
+    assert [tuple(copies * b for b in betti(cx)) for cx, copies in build()] == vectors
+
+
 @st.composite
 def mirrored_masks(draw):
     """A random half-mask mirrored along random axes, each with an empty
@@ -842,27 +884,32 @@ def test_shared_band_matches_fraction_reference(name):
     want = [[row_of.get(tuple(c[:a] + [c[a] + 1] + c[a + 1:]), len(expected)) for c in expected.tolist()]
             for a in range(spec.dim)]
     assert succ.dtype == np.min_scalar_type(len(expected)) and succ.tolist() == want
-    assert np.array_equal(_top_cells(spec, (), r)[0], expected)
+    assert np.array_equal(_top_cells(spec, (), r)[0], band)
 
 
-def test_top_cells_returns_a_private_intp_array():
+def test_top_cells_returns_a_private_array():
     spec, r = _QUARTERS, Fraction(5, 4)
     first, _ = _top_cells(spec, (), r)
-    # One contiguous column per axis, as np.argwhere gives the whole box.
-    assert first.dtype == np.intp and first.flags.writeable and first.flags.f_contiguous
+    # The band's (dim, n) rows at its dtype, one contiguous row per axis, in
+    # an array of their own rather than a view of the cached band.
+    band = _sphere_band(spec, r)[0]
+    assert first.dtype == band.dtype and first.flags.writeable and first.flags.c_contiguous
+    assert first.base is None and not np.shares_memory(first, band)
     expected = first.copy()
     first[:] = 0
     assert np.array_equal(_top_cells(spec, (), r)[0], expected)
-    assert np.array_equal(_sphere_band(spec, r)[0].T, expected)
+    assert np.array_equal(band, expected)
     # The cap's top cells, built from the cached candidates, are private too.
     eps = Fraction(1, 10)
     lift = _lift_spec(eps, 2)
     cap, copies = sphere_region_block([], eps, lift)
     assert copies == 2
     rows, _ = _cap_candidates(lift, 2 / eps, _cap(eps, 2))
+    band = _sphere_band(lift, 2 / eps)[0]
     cells, _ = _band_tops(*_sphere_band(lift, 2 / eps), rows, np.ones(len(rows), dtype=bool))
-    assert cells.dtype == np.intp and cells.flags.writeable and cells.flags.f_contiguous
-    assert {tuple(c) for c in (2 * cells + 1).tolist()} == {c for c in cap.cells if all(x & 1 for x in c)}
+    assert cells.shape == (2, len(rows)) and cells.dtype == band.dtype and cells.flags.writeable
+    assert cells.flags.c_contiguous and cells.base is None and not np.shares_memory(cells, band)
+    assert {tuple(2 * j + 1 for j in c) for c in cells.T.tolist()} == {c for c in cap.cells if all(x & 1 for x in c)}
     cells[:] = 0
     assert sphere_region_block([], eps, lift)[0].cells == cap.cells
 
@@ -950,8 +997,9 @@ def test_narrow_band_indices_do_not_wrap(res, dtype, cells_above):
         expected = np.argwhere(_band_mask(lows, gs.step, Fraction(gs.scale) ** 2))
     assert np.array_equal(band.T, expected)
     tops, _ = _top_cells(spec, (), 1)
-    assert np.array_equal(tops, expected) and (2 * tops + 1).max() > 255
-    assert betti(sphere_band_complex(1, spec)) == (1, 1, 0)
+    assert tops.dtype == dtype and np.array_equal(tops.T, expected)
+    cx = sphere_band_complex(1, spec)
+    assert max(map(max, cx.cells)) > 2 * cells_above and betti(cx) == (1, 1, 0)
 
 
 def test_centers_past_int64_with_no_polynomial():
@@ -963,7 +1011,7 @@ def test_centers_past_int64_with_no_polynomial():
     cx = grid_complex((), spec)
     assert cx._frame.strides[1] == 1
     assert cx.cells == grid_complex((), GridSpec(box=((0, 4),) * 2, resolution=1)).cells
-    assert np.array_equal(_top_cells(spec, (), 2**62)[0], np.array(list(_band_cells(spec, Fraction(2**62)))))
+    assert np.array_equal(_top_cells(spec, (), 2**62)[0].T, np.array(list(_band_cells(spec, Fraction(2**62)))))
 
 
 @st.composite
