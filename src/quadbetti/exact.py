@@ -11,7 +11,7 @@ from __future__ import annotations
 import numbers
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -95,13 +95,6 @@ class QuadraticPoly:
     quad: Tuple[Tuple[Fraction, ...], ...]
     lin: Tuple[Fraction, ...]
     const: Fraction
-    # The hash, formed on first use and kept: each Fraction hashes by a modular inverse.
-    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.k, self.quad, self.lin, self.const)))
-        return self._hash
 
     @classmethod
     def make(cls, k: int, quad=None, lin=None, const=0) -> "QuadraticPoly":

@@ -470,7 +470,8 @@ def deformation_audit(
     change the cell set and its Betti vector (products-k2 at t = 1/1000
     reads (2, 2, 0, 0) against (8, 0, 0, 0) at t = 0).  The closed-set grid
     approximation stands in for both the open and the closed deformed sets.
-    A t outside [0, delta], or a list with no t in (0, delta], which would
+    The t = 0 reference is reported whether or not `t_values` holds 0.  A t
+    outside [0, delta], or a list with no t in (0, delta], which would
     compare nothing, raises ValueError.
     """
     params = params or DeformationParams()
@@ -490,11 +491,9 @@ def deformation_audit(
         dehomogenize(random_pd_form(sc.k + 2, seed + i)) for i in range(sc.s)
     ]
     reference = _block_betti(sphere_region_block(base_polys, params.eps, spec))
-    betti_by_t = {
-        format_rational(t): _block_betti(sphere_region_block(
-            [p.blend(h, t) for p, h in zip(base_polys, family)], params.eps, spec)) if t else reference
-        for t in ts
-    }
+    betti_by_t = {"0": reference}
+    betti_by_t.update((format_rational(t), _block_betti(sphere_region_block(
+        [p.blend(h, t) for p, h in zip(base_polys, family)], params.eps, spec))) for t in ts if t)
     constant = all(v == reference for v in betti_by_t.values())
     return DeformationReport(
         scenario=sc.name,

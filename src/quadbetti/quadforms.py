@@ -9,16 +9,16 @@ its intersection exactly (`exact.is_nonsingular_quadric`, `exact.check_smooth_pe
 Grid complexes use the center-point rule.  Every builder is a list of
 quadratics, and a candidate top cell is kept iff each of them is >= 0 at
 its center; the sign is decided exactly, as the sign of an integer value
-at the integer-scaled center.  The candidates are the whole box, or the
+at the integer-scaled center.  The candidates are the whole box, the
 sphere band: the cells whose closed cube the sphere actually crosses
 (exact interval arithmetic on the squared radius), which keeps the band
-free of pinholes at any resolution.  `grid_complex` passes its system,
-`sphere_band_complex` nothing, `sphere_zero_complex` the pair tau - Q and
-tau + Q per form (so |Q| <= tau), and `sphere_region_complex` the
-projective-ball truncation (1/eps)^2 x_{k+1}^2 - |x_1..x_k|^2 ahead of
-its system.  `sphere_zero_split` returns `sphere_zero_complex`'s set
-together with its closed complement on the sphere, the band cells whose
-closed cube misses every kept cell.
+free of pinholes at any resolution, or a lift's band cut by the
+projective-ball truncation (1/eps)^2 x_{k+1}^2 - |x_1..x_k|^2 >= 0 at the
+center.  `grid_complex` passes its system, `sphere_band_complex` nothing,
+`sphere_zero_complex` the pair tau - Q and tau + Q per form (so
+|Q| <= tau), and `sphere_region_complex` its system.  `sphere_zero_split`
+returns `sphere_zero_complex`'s set together with its closed complement on
+the sphere, the band cells whose closed cube misses every kept cell.
 
 The builder decides all candidates in one numpy array pass: the whole box
 by broadcasting per-axis centers, the band as a mask from per-axis min and
@@ -27,21 +27,22 @@ on the grid and the radius, so it is computed once per (grid, radius) in a
 process and shared read-only (`_sphere_band`): axis-major, one contiguous
 row of cell indices per axis, at the narrowest unsigned dtype that holds
 them, so the centers of an axis are gathered in one pass.  A spec keeps
-the cell count per axis that its width check computes, its integer view
-(`_GridScale`) takes int arithmetic alone, a lift's truncation is built
-once per (eps, dimension), and a polar cap's candidates, the upper band
-cells the truncation keeps and their centers, once per (grid, radius,
-truncation) (`_cap_candidates`), so a repeated lift pays little beyond its
-cells and its own polynomials.  The builder computes in int64
-when a bound taken beforehand shows that no value it forms reaches 2**62
-in absolute value, and otherwise runs the same array code on Python ints
-(dtype=object); no float enters.  Every builder closes its kept cells with
-`homology.close_grid`, in the grid's own frame.  `_top_cells` returns the
-kept band rows, the grid indices of the kept band cells as a (dim, n) array
-at the band's dtype, and their run axis, the axis along which the most of
-them are adjacent; `_build` closes them with runs along that axis.  The box
-is closed from its kept-cell mask (`_box_mask`), whole or folded, with runs
-along the last axis.  No code array is formed.
+the cell count per axis that its width check computes, and its integer
+view (`_GridScale`) takes int arithmetic alone.  A lift's candidates, the
+band rows the truncation keeps, the upper polar cap's first, their integer
+centers and the cap's row count, are found once per (grid, eps) and
+shared read-only (`_lift_candidates`), so the truncation is evaluated once
+per entry and every lift evaluates only its own polynomials; on the 68**3
+lift grid an entry holds 17,680 rows in 459,680 bytes.  The builder
+computes in int64 when a bound taken beforehand shows that no value it
+forms reaches 2**62 in absolute value, and otherwise runs the same array
+code on Python ints (dtype=object); no float enters.  Every builder closes
+its kept cells with `homology.close_grid`, in the grid's own frame.
+`_top_cells` returns the kept band rows, the grid indices of the kept band
+cells as a (dim, n) array at the band's dtype, and their run axis, the axis
+along which the most of them are adjacent; `_build` closes them with runs
+along that axis.  The box is closed from its kept-cell mask (`_box_mask`),
+whole or folded, with runs along the last axis.  No code array is formed.
 
 An undeformed lift is two antipodal copies of one set.
 `sphere_region_block` returns the closed upper polar cap of
@@ -50,27 +51,27 @@ cells above x_{k+1} = 0, and 2 copies when all three of these hold, each
 checked exactly, and otherwise the whole lift and 1 copy:
 
 1. the box is symmetric about 0 on every axis;
-2. no polynomial of the lifted system, the truncation included, has a
-   linear part, so P(-c) = P(c) at every integer-scaled center c;
-3. no cap candidate, a band cell the truncation keeps, lies in the layers
+2. no polynomial has a linear part, so P(-c) = P(c) at every
+   integer-scaled center c (the truncation has none by construction);
+3. no lift candidate, a band cell the truncation keeps, lies in the layers
    floor((m - 1) / 2) .. floor(m / 2) of the m cells of the last axis,
-   whose closed cubes meet x_{k+1} = 0: grid, radius and eps alone decide it.
+   whose closed cubes meet x_{k+1} = 0: grid and eps alone decide it.
 
 Proof that the lift is then the cap plus its point reflection, with
 disjoint closures.  The reflection j -> n - 1 - j on every axis maps the
 grid onto itself and negates every center (1).  It leaves the band
 unchanged, since `_band_mask` reads only per-axis minimum and maximum
-squares, and it keeps the sign of every polynomial (2).  So the kept top
-cells are symmetric; one in the middle layers would be a candidate, so by
-(3) they split into those above the middle layers and their reflections
-below, whose closed cubes lie in x_{k+1} > 0 and x_{k+1} < 0.  The
-homology of a disjoint union adds up, so every Betti number of the lift
-and its Euler characteristic are twice the cap's.  No two kept cells are
-adjacent across the middle layers, so the adjacent pairs that pick the run
-axis halve, and the cap keeps the lift's run axis.  On the symmetric box
-(1), (3) holds iff no candidate's last center is less than a cell width
-from x_{k+1} = 0, so a build tests it on the upper half's candidates,
-found once, before it evaluates its own polynomials, once.
+squares, and it keeps the sign of every polynomial and of the truncation
+(2).  So the kept top cells are symmetric; one in the middle layers would
+be a candidate, so by (3) they split into those above the middle layers
+and their reflections below, whose closed cubes lie in x_{k+1} > 0 and
+x_{k+1} < 0.  The homology of a disjoint union adds up, so every Betti
+number of the lift and its Euler characteristic are twice the cap's.  No
+two kept cells are adjacent across the middle layers, so the adjacent
+pairs that pick the run axis halve, and the cap keeps the lift's run axis.
+(3) is read off the band indices once per `_lift_candidates` entry, so a
+build decides the cap before it evaluates its own polynomials, once, on
+the cap's rows alone.
 
 A box grid folds the same way, read off its kept-cell mask alone, with no
 float and no look at the polynomials.  `grid_block` takes `grid_complex`'s
@@ -386,7 +387,7 @@ def _sphere_band(spec: GridSpec, r: Fraction) -> Tuple[np.ndarray, np.ndarray]:
     not in the band; `_band_tops` counts adjacent kept cells through it.
     Computed once per (grid, radius) and shared by every caller.  Four
     entries cover the three bands of one `verify --full`: the 2-D and 3-D
-    lifts, each also with a `_cap_candidates` entry, and the unit sphere
+    lifts, each also with a `_lift_candidates` entry, and the unit sphere
     of the Smith cone and the Alexander audit.  The mask is exact in int64
     when its own bound dim * u_max**2 stays below 2**62, and uses Python
     ints otherwise.  The cache keeps its bands for the life of the process,
@@ -570,17 +571,51 @@ def sphere_band_complex(radius, spec: GridSpec) -> CubicalComplex:
 
 
 @functools.lru_cache(maxsize=4)
-def _truncation(e: Fraction, dim: int) -> QuadraticPoly:
-    """The projective-ball truncation (1/e)^2 * c_dim^2 - |c_1..c_{dim-1}|^2,
-    built once per (eps, grid dimension)."""
-    diag = [-1] * (dim - 1) + [1 / e**2]
-    return QuadraticPoly.make(dim, quad=[[diag[i] if i == j else 0 for j in range(dim)] for i in range(dim)])
+def _lift_candidates(spec: GridSpec, e: Fraction) -> Tuple[np.ndarray, np.ndarray, Optional[int]]:
+    """Read-only candidates of the lift onto the radius-2/e sphere, once per
+    (grid, eps): the rows of its band where the projective-ball truncation
+    (1/e)^2 * x_dim^2 - |x_1..x_{dim-1}|^2 is >= 0 at the center, at the
+    narrowest unsigned dtype, the upper polar cap's rows, with last index
+    above floor(m / 2), m the last axis's cell count, first; their
+    integer-scaled centers as one (dim, n) array, int64 unless the grid's own
+    bound u_max reaches 2**62; and the cap's row count, or None when a kept
+    row lies in the layers floor((m - 1) / 2) .. floor(m / 2).  On the 68**3
+    lift grid an entry holds 17,680 rows, 8,840 of them in the cap, in
+    459,680 bytes."""
+    band, _ = _sphere_band(spec, 2 / e)
+    gs = _GridScale(spec)
+    axes = gs.lows(gs.u_max >= _INT64_SAFE, gs.step // 2)
+    diag = [-1] * (spec.dim - 1) + [1 / e**2]
+    quad = [[diag[i] if i == j else 0 for j in range(spec.dim)] for i in range(spec.dim)]
+    trunc = _ScaledPoly(QuadraticPoly.make(spec.dim, quad=quad), gs.scale)
+    wide = trunc.magnitude(gs.u_max) >= _INT64_SAFE
+    kept = trunc.values([c.take(ix).astype(object) if wide else c.take(ix) for c, ix in zip(axes, band)]) >= 0
+    m, last = spec.shape[-1], band[-1]
+    upper = last > m // 2
+    # The kept centers are gathered afresh rather than filtered out of those
+    # of the whole band, so the two are never held at once.
+    rows = np.concatenate([(kept & upper).nonzero()[0], (kept & ~upper).nonzero()[0]])
+    centers = np.stack([c.take(ix) for c, ix in zip(axes, band.take(rows, axis=1))])
+    rows = rows.astype(np.min_scalar_type(band.shape[1]))
+    rows.flags.writeable = centers.flags.writeable = False
+    middle = np.count_nonzero(kept & (last >= (m - 1) // 2) & ~upper)
+    return rows, centers, None if middle else np.count_nonzero(kept & upper)
 
 
-def _lift_system(polys: Sequence[QuadraticPoly], eps, dim: int) -> Tuple[List[QuadraticPoly], Fraction]:
-    """The lift's system, the projective-ball truncation ahead of `polys`, and its radius 2/eps."""
+def _lift(polys: Sequence[QuadraticPoly], eps, spec: GridSpec, fold: bool) -> Tuple[CubicalComplex, int]:
+    """The closed lift of `polys` onto the radius-2/eps sphere and 1, or, when
+    `fold` and the module docstring's conditions hold, its closed upper polar
+    cap and 2.  The build's checks run once, and only `polys` are evaluated,
+    on the cached candidates, or on the cap's prefix of them."""
     e = positive(eps, "eps")
-    return [_truncation(e, dim), *polys], 2 / e
+    r, _, evals, wide = _checked(spec, polys, 2 / e)
+    rows, u, cap = _lift_candidates(spec, e)
+    copies = 1
+    if fold and cap is not None and all(lo == -hi for lo, hi in spec.box) and not any(any(p.lin) for p in polys):
+        rows, u, copies = rows[:cap], u[:, :cap], 2
+    if wide:
+        u = u.astype(object)
+    return close_grid(spec.shape, *_band_tops(*_sphere_band(spec, r), rows, _satisfied(evals, u, len(rows)))), copies
 
 
 def sphere_region_complex(
@@ -595,32 +630,7 @@ def sphere_region_complex(
     equator and makes each polar copy correspond to the affine set
     truncated to the ball of radius 1/eps.
     """
-    system, r = _lift_system(polys, eps, spec.dim)
-    return _build(spec, system, r)
-
-
-@functools.lru_cache(maxsize=4)
-def _cap_candidates(spec: GridSpec, r: Fraction, trunc: QuadraticPoly) -> Tuple[np.ndarray, np.ndarray]:
-    """Read-only polar-cap candidates, once per (grid, radius, truncation):
-    the rows of the radius-r band with last index >= floor((m - 1) / 2), m
-    the last axis's cell count, where `trunc` is >= 0 at the center, at the
-    narrowest unsigned dtype, and their integer-scaled centers as one
-    (dim, n) array, int64 unless the grid's own bound u_max reaches 2**62.
-    On the 68**3 lift grid an entry holds 8,840 candidates in 229,840 bytes."""
-    band, _ = _sphere_band(spec, r)
-    gs = _GridScale(spec)
-    axes = gs.lows(gs.u_max >= _INT64_SAFE, gs.step // 2)
-    t = _ScaledPoly(trunc, gs.scale)
-    wide = t.magnitude(gs.u_max) >= _INT64_SAFE
-    upper = (band[-1] >= (spec.shape[-1] - 1) // 2).nonzero()[0]
-    # The kept centers are gathered afresh rather than filtered out of those
-    # of `upper`: a sphere-lift run then peaks about 0.25 MB lower.
-    rows = upper[t.values([c.take(ix).astype(object) if wide else c.take(ix)
-                           for c, ix in zip(axes, band.take(upper, axis=1))]) >= 0]
-    centers = np.stack([c.take(ix) for c, ix in zip(axes, band.take(rows, axis=1))])
-    rows = rows.astype(np.min_scalar_type(band.shape[1]))
-    rows.flags.writeable = centers.flags.writeable = False
-    return rows, centers
+    return _lift(polys, eps, spec, fold=False)[0]
 
 
 def sphere_region_block(polys: Sequence[QuadraticPoly], eps, spec: GridSpec) -> Tuple[CubicalComplex, int]:
@@ -629,12 +639,4 @@ def sphere_region_block(polys: Sequence[QuadraticPoly], eps, spec: GridSpec) -> 
     times the block's.  The block is the closed upper polar cap, with the
     lift's run axis, and copies 2 when the module docstring's conditions hold,
     tested before `polys` are evaluated; otherwise the whole lift, and 1."""
-    system, r = _lift_system(polys, eps, spec.dim)
-    if all(lo == -hi for lo, hi in spec.box) and not any(any(p.lin) for p in system):
-        r, gs, evals, wide = _checked(spec, polys, r)
-        rows, u = _cap_candidates(spec, r, system[0])
-        if wide:
-            u = u.astype(object)
-        if not np.any(u[-1] < gs.step):
-            return close_grid(spec.shape, *_band_tops(*_sphere_band(spec, r), rows, _satisfied(evals, u, len(rows)))), 2
-    return sphere_region_complex(polys, eps, spec), 1
+    return _lift(polys, eps, spec, fold=True)

@@ -13,7 +13,7 @@ import quadbetti
 from quadbetti import cli
 from quadbetti.bounds import bound_aggregate
 from quadbetti.cli import main
-from quadbetti.quadforms import _cap_candidates, _sphere_band
+from quadbetti.quadforms import _lift_candidates, _sphere_band
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_CASES = json.loads((DATA / "cli_golden.json").read_text())
@@ -226,13 +226,13 @@ class TestVerifyCommand:
         for argv in (["--seed", "0"], ["--full"]):
             _, first = run_cli(capsys, "verify", *argv, "--format", "json")
             misses = _sphere_band.cache_info().misses
-            cap_misses = _cap_candidates.cache_info().misses
+            lift_misses = _lift_candidates.cache_info().misses
             _, second = run_cli(capsys, "verify", *argv, "--format", "json")
             assert first == second, argv
-            # the second run builds no sphere band and no cap candidates:
+            # the second run builds no sphere band and no lift candidates:
             # every one is a cache hit
             assert _sphere_band.cache_info().misses == misses, argv
-            assert _cap_candidates.cache_info().misses == cap_misses, argv
+            assert _lift_candidates.cache_info().misses == lift_misses, argv
 
 
 class TestAuditCommand:
@@ -261,6 +261,18 @@ class TestAuditCommand:
         doc = json.loads(out)
         assert doc["verdict"] == "INCONCLUSIVE"
         assert doc["betti_by_t"] == {}
+
+    def test_deformation_shows_its_reference_without_t_zero(self, capsys):
+        # Every t is compared with the t = 0 vector, so it is reported even
+        # when --t-values leaves 0 out.
+        code, out = run_cli(
+            capsys, "audit", "--name", "deformation-products", "--k", "2",
+            "--t-values", "1/1000", "--format", "json",
+        )
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["verdict"] == "INCONCLUSIVE"
+        assert doc["betti_by_t"] == {"0": [8, 0, 0, 0], "1/1000": [2, 2, 0, 0]}
 
     def test_deformation_without_positive_t_is_usage_error(self, capsys):
         assert main(["audit", "--name", "deformation-products", "--k", "1", "--t-values", "0"]) == 2

@@ -36,8 +36,8 @@ from quadbetti.quadforms import (
     _band_mask,
     _band_tops,
     _box_mask,
-    _cap_candidates,
     _fold,
+    _lift_candidates,
     _sphere_band,
     _top_cells,
     ci_probe,
@@ -617,7 +617,7 @@ _PATH_CIRCLE = GridSpec.symmetric(Fraction(5, 4), Fraction(1, 8), 2)
 _PATH_SPHERE = GridSpec.symmetric(Fraction(5, 4), Fraction(1, 8), 3)
 _PATH_CONES = [QuadraticForm.make(2, [[1, 0], [0, -1]]), QuadraticForm.make(3, [[1, 0, 0], [0, 1, 0], [0, 0, -1]])]
 # The products-k1 lift takes the polar cap at its default grid and is refused
-# it at resolution 20, whose middle layers hold cap candidates.
+# it at resolution 20, whose middle layers hold lift candidates.
 _PATH_LIFTS = {"cap": _lift_spec(Fraction(1, 10), 2), "refused": _lift_spec(Fraction(1, 10), 2, 20)}
 SPHERE_PATH_CASES = {
     "band": (lambda: [(sphere_band_complex(1, _PATH_CIRCLE), 1), (sphere_band_complex(1, _PATH_SPHERE), 1)],
@@ -695,6 +695,7 @@ def test_equal_specs_and_polynomials_hash_once_and_alike():
     polys = [QuadraticPoly.make(2, quad=[[1, Fraction(1, 3)], [Fraction(1, 3), 2]], lin=[1, 0], const=Fraction(-5, 7))
              for _ in range(2)]
     assert polys[0] is not polys[1] and polys[0] == polys[1] and hash(polys[0]) == hash(polys[1])
+    assert hash(polys[0]) == hash((polys[0].k, polys[0].quad, polys[0].lin, polys[0].const))
     assert polys[0] != QuadraticPoly.make(2) and "_hash" not in repr(polys[0]) + repr(specs[0])
     # blend builds its result positionally, and still hashes as an equal make() would.
     blended = polys[0].blend(polys[1], Fraction(1, 3))
@@ -904,10 +905,10 @@ def test_top_cells_returns_a_private_array():
     lift = _lift_spec(eps, 2)
     cap, copies = sphere_region_block([], eps, lift)
     assert copies == 2
-    rows, _ = _cap_candidates(lift, 2 / eps, _cap(eps, 2))
+    rows, _, cap_rows = _lift_candidates(lift, eps)
     band = _sphere_band(lift, 2 / eps)[0]
-    cells, _ = _band_tops(*_sphere_band(lift, 2 / eps), rows, np.ones(len(rows), dtype=bool))
-    assert cells.shape == (2, len(rows)) and cells.dtype == band.dtype and cells.flags.writeable
+    cells, _ = _band_tops(*_sphere_band(lift, 2 / eps), rows[:cap_rows], np.ones(cap_rows, dtype=bool))
+    assert cells.shape == (2, cap_rows) and cells.dtype == band.dtype and cells.flags.writeable
     assert cells.flags.c_contiguous and cells.base is None and not np.shares_memory(cells, band)
     assert {tuple(2 * j + 1 for j in c) for c in cells.T.tolist()} == {c for c in cap.cells if all(x & 1 for x in c)}
     cells[:] = 0
@@ -915,36 +916,44 @@ def test_top_cells_returns_a_private_array():
 
 
 # A symmetric grid whose box edges over a denominator past 2**62 make its
-# own bound u_max pass 2**62, so its cap candidates hold Python ints; and
-# an eps so small that the truncation's own magnitude passes 2**62.
+# own bound u_max pass 2**62, so its lift candidates hold Python ints; an
+# eps so small that the truncation's own magnitude passes 2**62; and a lift
+# grid so coarse that its middle layers hold candidates.
 _WIDE_HALF = 3 + Fraction(1, 2**63 + 1)
 _SYMMETRIC_WIDE = GridSpec(box=((-_WIDE_HALF, _WIDE_HALF),) * 2, resolution=_WIDE_HALF / 4)
 
 
-@pytest.mark.parametrize("spec, eps, dtype, truncation_wide", [
-    (_lift_spec(Fraction(1, 10), 2), Fraction(1, 10), np.int64, False),
-    (_SYMMETRIC_WIDE, Fraction(1), object, True),
-    (GridSpec.symmetric(2**32, 2**30, 2), Fraction(1, 2**31), np.int64, True),
-], ids=["lift", "grid-wide", "truncation-wide"])
-def test_cap_candidates_match_fraction_reference(spec, eps, dtype, truncation_wide):
-    r, trunc = 2 / eps, _cap(eps, spec.dim)
+@pytest.mark.parametrize("spec, eps, dtype, truncation_wide, capped", [
+    (_lift_spec(Fraction(1, 10), 2), Fraction(1, 10), np.int64, False, True),
+    (_SYMMETRIC_WIDE, Fraction(1), object, True, True),
+    (GridSpec.symmetric(2**32, 2**30, 2), Fraction(1, 2**31), np.int64, True, False),
+    (_lift_spec(Fraction(1, 10), 2, 20), Fraction(1, 10), np.int64, False, False),
+], ids=["lift", "grid-wide", "truncation-wide", "coarse-lift"])
+def test_cap_candidates_match_fraction_reference(spec, eps, dtype, truncation_wide, capped):
+    """The lift candidates are the band rows whose center the truncation
+    keeps, the upper cap's first, and the cap's row count is None exactly
+    when a kept row lies in the middle layers of the last axis."""
+    r, trunc, m = 2 / eps, _cap(eps, spec.dim), spec.shape[-1]
     gs = _GridScale(spec)
     assert (gs.u_max >= _INT64_SAFE) == (dtype is object)
     assert (_ScaledPoly(trunc, gs.scale).magnitude(gs.u_max) >= _INT64_SAFE) == truncation_wide
     cells = list(_band_cells(spec, r))
-    want = [i for i, jvec in enumerate(cells)
-            if jvec[-1] >= (spec.shape[-1] - 1) // 2 and trunc.evaluate(spec.center(jvec)) >= 0]
-    assert 0 < len(want) < len(cells)
-    _cap_candidates.cache_clear()
-    first = _cap_candidates(spec, r, trunc)
-    assert _cap_candidates.cache_info().misses == 1
-    again = _cap_candidates(spec, r, trunc)
-    assert _cap_candidates.cache_info().hits == 1 and again is first
-    rows, centers = first
+    kept = [i for i, jvec in enumerate(cells) if trunc.evaluate(spec.center(jvec)) >= 0]
+    upper = [i for i in kept if cells[i][-1] > m // 2]
+    middle = [i for i in kept if (m - 1) // 2 <= cells[i][-1] <= m // 2]
+    assert 0 < len(upper) < len(kept) <= len(cells) and bool(middle) != capped
+    _lift_candidates.cache_clear()
+    first = _lift_candidates(spec, eps)
+    assert _lift_candidates.cache_info().misses == 1
+    again = _lift_candidates(spec, eps)
+    assert _lift_candidates.cache_info().hits == 1 and again is first
+    rows, centers, cap_rows = first
+    want = upper + [i for i in kept if i not in upper]
     assert rows.dtype == np.min_scalar_type(len(cells)) and rows.tolist() == want
+    assert cap_rows == (len(upper) if capped else None)
     assert centers.dtype == dtype and centers.shape == (spec.dim, len(want))
     assert centers.T.tolist() == [[x * gs.scale for x in spec.center(cells[i])] for i in want]
-    for table in first:
+    for table in first[:2]:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[..., 0] = 0
@@ -952,13 +961,16 @@ def test_cap_candidates_match_fraction_reference(spec, eps, dtype, truncation_wi
 
 def test_cap_candidates_one_entry_per_eps():
     spec = _lift_spec(Fraction(1, 10), 2)
-    _cap_candidates.cache_clear()
+    _lift_candidates.cache_clear()
     caps = [sphere_region_block([], eps, spec) for eps in (Fraction(1, 10), Fraction(1, 9))]
     assert [copies for _, copies in caps] == [2, 2]
     caps = [cap.cells for cap, _ in caps]
-    assert _cap_candidates.cache_info().misses == _cap_candidates.cache_info().currsize == 2
+    assert _lift_candidates.cache_info().misses == _lift_candidates.cache_info().currsize == 2
     assert [sphere_region_block([], eps, spec)[0].cells for eps in (Fraction(1, 10), Fraction(1, 9))] == caps
-    assert _cap_candidates.cache_info().misses == 2 and caps[0] != caps[1]
+    # The whole lift reads the same entry as its cap, and is the cap and its disjoint reflection.
+    for eps, cap in zip((Fraction(1, 10), Fraction(1, 9)), caps):
+        assert len(sphere_region_complex([], eps, spec)) == 2 * len(cap)
+    assert _lift_candidates.cache_info().misses == 2 and caps[0] != caps[1]
 
 
 def test_cap_with_wide_polynomial_matches_fraction_reference():
@@ -969,7 +981,7 @@ def test_cap_with_wide_polynomial_matches_fraction_reference():
     gs = _GridScale(spec)
     assert _ScaledPoly(_WIDE_SADDLE, gs.scale).magnitude(gs.u_max) >= _INT64_SAFE
     cap, copies = sphere_region_block([_WIDE_SADDLE], eps, spec)
-    assert copies == 2 and _cap_candidates(spec, r, _cap(eps, 2))[1].dtype == np.int64
+    assert copies == 2 and _lift_candidates(spec, eps)[1].dtype == np.int64
     expected = {
         tuple(2 * j + 1 for j in jvec)
         for jvec in _band_cells(spec, r)
@@ -1131,7 +1143,7 @@ class TestSphereComplexes:
         small = GridSpec.symmetric(2, Fraction(1, 4), 2)
         sphere_band_complex(1, small)
         assert sphere_region_block([], 1, small)[1] == 2
-        misses = _cap_candidates.cache_info().misses
+        misses = _lift_candidates.cache_info().misses
         for _ in range(2):
             with pytest.raises(ValueError, match="above the limit"):
                 grid_complex([], spec)
@@ -1141,7 +1153,7 @@ class TestSphereComplexes:
                 sphere_region_block([], 1, GridSpec.symmetric(2, Fraction(1, 1024), 2))
             with pytest.raises(TypeError, match="floats"):
                 sphere_region_block([], 1.0, small)
-        assert _cap_candidates.cache_info().misses == misses
+        assert _lift_candidates.cache_info().misses == misses
 
     def test_region_complex_empty_system_gives_two_caps(self):
         spec = GridSpec.symmetric(21, Fraction(1, 2), 2)
@@ -1269,7 +1281,7 @@ class TestCapRefusals:
 
 
 # The curated lifts at the audits' default resolution, which take the cap,
-# and the two coarse lifts whose middle layers hold cap candidates.
+# and the two coarse lifts whose middle layers hold lift candidates.
 @pytest.mark.parametrize("scenario, resolution, copies", [
     (scenario_products(1), None, 2),
     (scenario_products(2), None, 2),
@@ -1278,22 +1290,31 @@ class TestCapRefusals:
     (scenario_products(2), 5, 1),
 ], ids=["products-k1", "products-k2", "shell-k2", "products-k1-coarse", "products-k2-coarse"])
 def test_cap_is_decided_before_the_system_is_evaluated(scenario, resolution, copies, monkeypatch):
-    """`sphere_region_block` evaluates the system once: on the cap candidates
-    when it returns the cap, and on the whole band when it returns the lift."""
+    """`sphere_region_block` checks and evaluates the system once: on the cap
+    prefix of the lift candidates when it returns the cap, and on all of them
+    when it returns the lift, as `sphere_region_complex` does."""
     eps = Fraction(1, 10)
-    spec, r = _lift_spec(eps, scenario.k + 1, resolution), 2 / eps
-    sizes = []
+    spec, polys = _lift_spec(eps, scenario.k + 1, resolution), _lift_polys(scenario)
+    sizes, checks = [], []
 
     def counted(evals, u, shape, _real=quadforms._satisfied):
+        assert len(evals) == len(polys)  # the truncation is not evaluated again
         sizes.append(shape)
         return _real(evals, u, shape)
 
+    def counted_checks(*args, _real=quadforms._checked):
+        checks.append(args)
+        return _real(*args)
+
     monkeypatch.setattr(quadforms, "_satisfied", counted)
-    block, got = sphere_region_block(_lift_polys(scenario), eps, spec)
-    rows, _ = _cap_candidates(spec, r, _cap(eps, spec.dim))
-    assert got == copies
-    assert sizes == [len(rows) if copies == 2 else _sphere_band(spec, r)[0].shape[1]]
-    assert _check_block(_lift_polys(scenario), eps, spec) == copies
+    monkeypatch.setattr(quadforms, "_checked", counted_checks)
+    block, got = sphere_region_block(polys, eps, spec)
+    rows, _, cap_rows = _lift_candidates(spec, eps)
+    assert got == copies and len(checks) == 1
+    assert sizes == [cap_rows if copies == 2 else len(rows)]
+    sphere_region_complex(polys, eps, spec)
+    assert len(checks) == 2 and sizes[1:] == [len(rows)]
+    assert _check_block(polys, eps, spec) == copies
 
 
 # Each builder on a nonempty and, where one exists, an empty input: the
