@@ -305,6 +305,14 @@ class SmithReport(_Report):
     note: str = ""
 
 
+def _sphere_grid(r: Fraction, n: int) -> Tuple[GridSpec, Fraction]:
+    """The grid and band half-width tau of a zero set on the radius-r sphere
+    in n variables: width r/8, the box [-(r + 2 width), r + 2 width]^n,
+    and tau twice the width, so every audit on one sphere shares its band."""
+    res = r / 8
+    return GridSpec.symmetric(r + 2 * res, res, n), 2 * res
+
+
 def smith_audit(forms: Sequence[QuadraticForm], radius=1) -> SmithReport:
     """Check the projective zero set of a quadric tuple against its bound.
 
@@ -343,9 +351,7 @@ def smith_audit(forms: Sequence[QuadraticForm], radius=1) -> SmithReport:
         raise ValueError(f"codimension {codim} rejected: smoothness is checked exactly "
                          "only up to codimension 2")
     r = positive(radius, "radius")
-    res = r / 8
-    spec = GridSpec.symmetric(r + 2 * res, res, n)
-    vec = betti(sphere_zero_complex(forms, r, spec, 2 * res))
+    vec = betti(sphere_zero_complex(forms, r, *_sphere_grid(r, n)))
     total = sum(vec)
     bound = b_ci(codim, proj_dim, (2,) * codim)
     projective_total = total // 2
@@ -531,9 +537,8 @@ def alexander_equator_audit() -> AlexanderReport:
     Betti vector that no nonempty cubical subset of R^3 has, with b_0 = 0
     or an entry past b_2, reads INCONCLUSIVE with a note naming it.
     """
-    res = Fraction(1, 8)
     equator = QuadraticForm.make(3, [[0, 0, 0], [0, 0, 0], [0, 0, 1]])  # X3^2 vanishes on the equator plane
-    subset, complement = sphere_zero_split([equator], 1, GridSpec.symmetric(1 + 2 * res, res, 3), 2 * res)
+    subset, complement = sphere_zero_split([equator], 1, *_sphere_grid(Fraction(1), 3))
     vectors = {"subset": betti(subset), "complement": betti(complement)}
     # Both sets are nonempty cubical subsets of R^3, so b_0 >= 1 and b_3 = 0;
     # a vector that breaks either is an engine fault, reported, not raised.

@@ -22,27 +22,29 @@ the sphere, the band cells whose closed cube misses every kept cell.
 
 The builder decides all candidates in one numpy array pass: the whole box
 by broadcasting per-axis centers, the band as a mask from per-axis min and
-max squares and then the polynomials at its cells.  The band depends only
-on the grid and the radius, so it is computed once per (grid, radius) in a
-process and shared read-only (`_sphere_band`): axis-major, one contiguous
-row of cell indices per axis, at the narrowest unsigned dtype that holds
-them, so the centers of an axis are gathered in one pass.  A spec keeps
-the cell count per axis that its width check computes, and its integer
-view (`_GridScale`) takes int arithmetic alone.  A lift's candidates, the
-band rows the truncation keeps, the upper polar cap's first, their integer
-centers and the cap's row count, are found once per (grid, eps) and
-shared read-only (`_lift_candidates`), so the truncation is evaluated once
-per entry and every lift evaluates only its own polynomials; on the 68**3
-lift grid an entry holds 17,680 rows in 459,680 bytes.  The builder
-computes in int64 when a bound taken beforehand shows that no value it
-forms reaches 2**62 in absolute value, and otherwise runs the same array
-code on Python ints (dtype=object); no float enters.  Every builder closes
-its kept cells with `homology.close_grid`, in the grid's own frame.
-`_top_cells` returns the kept band rows, the grid indices of the kept band
-cells as a (dim, n) array at the band's dtype, and their run axis, the axis
-along which the most of them are adjacent; `_build` closes them with runs
-along that axis.  The box is closed from its kept-cell mask (`_box_mask`),
-whole or folded, with runs along the last axis.  No code array is formed.
+max squares and then the polynomials at its cells.  Every sphere set reads
+one read-only cache entry per (grid, radius, eps or None) in a process
+(`_candidates`): the band, axis-major, one contiguous row of cell indices
+per axis at the narrowest unsigned dtype that holds them, its successor
+table, the candidate rows and their integer centers, and the cap's row
+count.  With no eps the candidates are every band row; a lift's are the
+band rows the truncation keeps, the upper polar cap's first, so the
+truncation is evaluated once per entry.  A build evaluates only its own
+polynomials, on the cached centers.  On the 68**3 lift grid an entry keeps
+17,680 rows, in 459,680 bytes of rows and centers; on the unit-sphere grid
+of the Smith and Alexander audits it keeps all 1,184 band rows, in 2,368 +
+28,416 bytes.  A spec keeps the cell count per axis that its width check
+computes, and its integer view (`_GridScale`) takes int arithmetic alone.
+The builder computes in int64 when a bound taken beforehand shows that no
+value it forms reaches 2**62 in absolute value, and otherwise runs the
+same array code on Python ints (dtype=object); no float enters.  Every
+builder closes its kept cells with `homology.close_grid`, in the grid's
+own frame.  `_sphere_cells` returns the grid indices of the kept band
+cells as a (dim, n) array at the band's dtype and their run axis, the axis
+along which the most of them are adjacent, and the sphere builders close
+them with runs along that axis.  The box is closed from its kept-cell
+mask (`_box_mask`), whole or folded, with runs along the last axis.  No
+code array is formed.
 
 An undeformed lift is two antipodal copies of one set.
 `sphere_region_block` returns the closed upper polar cap of
@@ -69,7 +71,7 @@ x_{k+1} < 0.  The homology of a disjoint union adds up, so every Betti
 number of the lift and its Euler characteristic are twice the cap's.  No
 two kept cells are adjacent across the middle layers, so the adjacent
 pairs that pick the run axis halve, and the cap keeps the lift's run axis.
-(3) is read off the band indices once per `_lift_candidates` entry, so a
+(3) is read off the band indices once per `_candidates` entry, so a
 build decides the cap before it evaluates its own polynomials, once, on
 the cap's rows alone.
 
@@ -374,31 +376,25 @@ def _band_mask(lows: Sequence[np.ndarray], step: int, thr: Fraction) -> np.ndarr
     return band
 
 
-@functools.lru_cache(maxsize=4)
-def _sphere_band(spec: GridSpec, r: Fraction) -> Tuple[np.ndarray, np.ndarray]:
-    """Read-only grid indices of the cells the radius-r sphere crosses, axis
-    by axis, and their successor table.
+def _band(spec: GridSpec, gs: _GridScale, r: Fraction) -> Tuple[np.ndarray, np.ndarray]:
+    """Grid indices of the cells the radius-r sphere crosses, axis by axis,
+    and their successor table.
 
     The band is a (dim, n) array, row a holding the axis-a index of each
     of the n band cells, in lexicographic order of the cells: one
-    contiguous row per axis, so `_top_cells` gathers an axis's centers in
-    one pass.  Row a of the successor table holds, for each band cell, the
-    index of its +1 neighbour along axis a, or n where that neighbour is
-    not in the band; `_band_tops` counts adjacent kept cells through it.
-    Computed once per (grid, radius) and shared by every caller.  Four
-    entries cover the three bands of one `verify --full`: the 2-D and 3-D
-    lifts, each also with a `_lift_candidates` entry, and the unit sphere
-    of the Smith cone and the Alexander audit.  The mask is exact in int64
-    when its own bound dim * u_max**2 stays below 2**62, and uses Python
-    ints otherwise.  The cache keeps its bands for the life of the process,
-    so both arrays are stored at the narrowest unsigned dtype that holds
-    them: the indices at that of the longest axis (uint8 on every audit's
-    grid), the successor table at that of the cell count.  On the 68**3
-    lift grid, whose band has 19,256 cells, that is 3 x 19,256 bytes
-    (57,768) of indices and 3 x 19,256 uint16 entries (115,536 bytes) of
-    successors.
+    contiguous row per axis, so an axis's centers are gathered in one pass.
+    Row a of the successor table holds, for each band cell, the index of
+    its +1 neighbour along axis a, or n where that neighbour is not in the
+    band; `_band_tops` counts adjacent kept cells through it.  The mask is
+    exact in int64 when its own bound dim * u_max**2 stays below 2**62, and
+    uses Python ints otherwise.  `_candidates` keeps both arrays for the
+    life of the process, so they are stored at the narrowest unsigned dtype
+    that holds them: the indices at that of the longest axis (uint8 on
+    every audit's grid), the successor table at that of the cell count.  On
+    the 68**3 lift grid, whose band has 19,256 cells, that is 3 x 19,256
+    bytes (57,768) of indices and 3 x 19,256 uint16 entries (115,536 bytes)
+    of successors.
     """
-    gs = _GridScale(spec)
     shape = gs.shape
     mask = _band_mask(gs.lows(spec.dim * gs.u_max**2 >= _INT64_SAFE), gs.step, r * r * gs.scale * gs.scale)
     at = mask.nonzero()
@@ -417,8 +413,52 @@ def _sphere_band(spec: GridSpec, r: Fraction) -> Tuple[np.ndarray, np.ndarray]:
     band = np.empty((spec.dim, n), dtype=np.min_scalar_type(max(shape) - 1))
     for row, index in zip(band, at):
         row[:] = index
-    band.flags.writeable = succ.flags.writeable = False
     return band, succ
+
+
+@functools.lru_cache(maxsize=4)
+def _candidates(spec: GridSpec, r: Fraction, e: Optional[Fraction]
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Optional[int]]:
+    """Read-only candidate cells of a set on the radius-r sphere, once per
+    (grid, radius, eps or None) in a process, and shared by every builder.
+
+    Returns the band and its successor table (`_band`); the candidate rows
+    of the band, at the narrowest unsigned dtype: every band row in band
+    order when e is None, and otherwise the rows of the lift onto the
+    radius-2/e sphere where the projective-ball truncation
+    (1/e)^2 * x_dim^2 - |x_1..x_{dim-1}|^2 is >= 0 at the center, the
+    upper polar cap's rows, with last index above floor(m / 2), m the last
+    axis's cell count, first; their integer-scaled centers as one (dim, n)
+    array, int64 unless the grid's own bound u_max reaches 2**62; and the
+    cap's row count, None when e is None or when a kept row lies in the
+    layers floor((m - 1) / 2) .. floor(m / 2).  Four entries cover the three
+    of one `verify --full`: the 2-D and 3-D lifts and the unit sphere of
+    the Smith cone and the Alexander audit.  Every caller passes the same
+    three arguments, since `lru_cache` keys a call by its argument count.
+    """
+    gs = _GridScale(spec)
+    # The band is built in its own frame, so its mask is freed before the centers are formed.
+    band, succ = _band(spec, gs, r)
+    axes = gs.lows(gs.u_max >= _INT64_SAFE, gs.step // 2)
+    rows, cap = np.arange(band.shape[1]), None
+    if e is not None:
+        diag = [-1] * (spec.dim - 1) + [1 / e**2]
+        quad = [[diag[i] if i == j else 0 for j in range(spec.dim)] for i in range(spec.dim)]
+        trunc = _ScaledPoly(QuadraticPoly.make(spec.dim, quad=quad), gs.scale)
+        wide = trunc.magnitude(gs.u_max) >= _INT64_SAFE
+        kept = trunc.values([c.take(ix).astype(object) if wide else c.take(ix) for c, ix in zip(axes, band)]) >= 0
+        m, last = spec.shape[-1], band[-1]
+        upper = last > m // 2
+        # The kept centers are gathered afresh rather than filtered out of those
+        # of the whole band, so the two are never held at once.
+        rows = np.concatenate([(kept & upper).nonzero()[0], (kept & ~upper).nonzero()[0]])
+        if not np.count_nonzero(kept & (last >= (m - 1) // 2) & ~upper):
+            cap = np.count_nonzero(kept & upper)
+    centers = np.stack([c.take(ix) for c, ix in zip(axes, band.take(rows, axis=1))])
+    rows = rows.astype(np.min_scalar_type(band.shape[1]))
+    for table in (band, succ, rows, centers):
+        table.flags.writeable = False
+    return band, succ, rows, centers, cap
 
 
 def _checked(spec: GridSpec, polys: Sequence[QuadraticPoly], radius
@@ -455,23 +495,6 @@ def _box_mask(spec: GridSpec, polys: Sequence[QuadraticPoly]) -> np.ndarray:
     return _satisfied(evals, np.ix_(*gs.lows(wide, gs.step // 2)), spec.shape)
 
 
-def _top_cells(spec: GridSpec, polys: Sequence[QuadraticPoly], radius) -> Tuple[np.ndarray, int]:
-    """Grid indices of the cells the radius sphere crosses where every
-    polynomial is >= 0 at the center, and their run axis, the one
-    `_band_tops` picks.
-
-    The band is computed once per (grid, radius) by `_sphere_band`, shared
-    read-only and kept at a narrow dtype; the indices returned are its kept
-    (dim, n) rows in lexicographic order, in a fresh array at that dtype,
-    which `homology.close_grid` takes as they are.  Each center is tested
-    exactly, in int64 or Python ints, in one array pass.
-    """
-    r, gs, evals, wide = _checked(spec, polys, radius)
-    band, succ = _sphere_band(spec, r)
-    u = [c.take(ix) for c, ix in zip(gs.lows(wide, gs.step // 2), band)]
-    return _band_tops(band, succ, slice(None), _satisfied(evals, u, band.shape[1]))
-
-
 def _band_tops(band: np.ndarray, succ: np.ndarray, rows, keep: np.ndarray) -> Tuple[np.ndarray, int]:
     """The cells of the band rows `rows` that `keep` marks, as a fresh (dim, n)
     array of grid indices at the band's dtype, and their run axis: the axis
@@ -486,9 +509,21 @@ def _band_tops(band: np.ndarray, succ: np.ndarray, rows, keep: np.ndarray) -> Tu
     return band.take(kept, axis=1), max(range(len(succ)), key=lambda a: (pairs[a], a))
 
 
-def _build(spec: GridSpec, polys: Sequence[QuadraticPoly], radius) -> CubicalComplex:
-    """Face closure of the cells `_top_cells` keeps, with the run axis it picks."""
-    return close_grid(spec.shape, *_top_cells(spec, polys, radius))
+def _sphere_cells(spec: GridSpec, polys: Sequence[QuadraticPoly], radius, e: Optional[Fraction] = None,
+                  fold: bool = False) -> Tuple[np.ndarray, int, int]:
+    """The candidates of `_candidates(spec, radius, e)` where every polynomial
+    is >= 0 at the center, as `_band_tops` returns them, and 1; or, when
+    `fold` and the module docstring's conditions hold, those of the cap's
+    prefix and 2.  The build's checks run once, before the cache lookup, and
+    only `polys` are evaluated, on the cached centers."""
+    r, _, evals, wide = _checked(spec, polys, radius)
+    band, succ, rows, u, cap = _candidates(spec, r, e)
+    copies = 1
+    if fold and cap is not None and all(lo == -hi for lo, hi in spec.box) and not any(any(p.lin) for p in polys):
+        rows, u, copies = rows[:cap], u[:, :cap], 2
+    if wide:
+        u = u.astype(object)
+    return (*_band_tops(band, succ, rows, _satisfied(evals, u, len(rows))), copies)
 
 
 def grid_complex(system: Sequence[QuadraticPoly], spec: GridSpec) -> CubicalComplex:
@@ -532,7 +567,7 @@ def sphere_zero_complex(
     every form; tau should scale with the resolution (the audits default
     to twice the cell width).
     """
-    return _build(spec, _zero_polys(forms, tau), radius)
+    return close_grid(spec.shape, *_sphere_cells(spec, _zero_polys(forms, tau), radius)[:2])
 
 
 def sphere_zero_split(forms: Sequence[QuadraticForm], radius, spec: GridSpec,
@@ -543,7 +578,7 @@ def sphere_zero_split(forms: Sequence[QuadraticForm], radius, spec: GridSpec,
     most 1 on every axis, so the kept cells are marked on the grid padded by
     one, and the marks are grown by one step along each axis in turn.
     """
-    cells, run_axis = _top_cells(spec, _zero_polys(forms, tau), radius)
+    cells, run_axis, _ = _sphere_cells(spec, _zero_polys(forms, tau), radius)
     near = np.zeros([n + 2 for n in spec.shape], dtype=bool)
     inner = (slice(1, -1),) * spec.dim
     near[inner][tuple(cells)] = True
@@ -551,7 +586,7 @@ def sphere_zero_split(forms: Sequence[QuadraticForm], radius, spec: GridSpec,
     # mark rolls around the end.
     for axis in range(spec.dim):
         near = near | np.roll(near, 1, axis) | np.roll(near, -1, axis)
-    band = _sphere_band(spec, _sphere_radius(radius, spec))[0]
+    band = _candidates(spec, _sphere_radius(radius, spec), None)[0]
     return close_grid(spec.shape, cells, run_axis), close_grid(spec.shape, band[:, ~near[inner][tuple(band)]])
 
 
@@ -567,55 +602,7 @@ def _zero_polys(forms: Sequence[QuadraticForm], tau) -> List[QuadraticPoly]:
 
 def sphere_band_complex(radius, spec: GridSpec) -> CubicalComplex:
     """Face closure of every grid cell the radius-r sphere crosses."""
-    return _build(spec, (), radius)
-
-
-@functools.lru_cache(maxsize=4)
-def _lift_candidates(spec: GridSpec, e: Fraction) -> Tuple[np.ndarray, np.ndarray, Optional[int]]:
-    """Read-only candidates of the lift onto the radius-2/e sphere, once per
-    (grid, eps): the rows of its band where the projective-ball truncation
-    (1/e)^2 * x_dim^2 - |x_1..x_{dim-1}|^2 is >= 0 at the center, at the
-    narrowest unsigned dtype, the upper polar cap's rows, with last index
-    above floor(m / 2), m the last axis's cell count, first; their
-    integer-scaled centers as one (dim, n) array, int64 unless the grid's own
-    bound u_max reaches 2**62; and the cap's row count, or None when a kept
-    row lies in the layers floor((m - 1) / 2) .. floor(m / 2).  On the 68**3
-    lift grid an entry holds 17,680 rows, 8,840 of them in the cap, in
-    459,680 bytes."""
-    band, _ = _sphere_band(spec, 2 / e)
-    gs = _GridScale(spec)
-    axes = gs.lows(gs.u_max >= _INT64_SAFE, gs.step // 2)
-    diag = [-1] * (spec.dim - 1) + [1 / e**2]
-    quad = [[diag[i] if i == j else 0 for j in range(spec.dim)] for i in range(spec.dim)]
-    trunc = _ScaledPoly(QuadraticPoly.make(spec.dim, quad=quad), gs.scale)
-    wide = trunc.magnitude(gs.u_max) >= _INT64_SAFE
-    kept = trunc.values([c.take(ix).astype(object) if wide else c.take(ix) for c, ix in zip(axes, band)]) >= 0
-    m, last = spec.shape[-1], band[-1]
-    upper = last > m // 2
-    # The kept centers are gathered afresh rather than filtered out of those
-    # of the whole band, so the two are never held at once.
-    rows = np.concatenate([(kept & upper).nonzero()[0], (kept & ~upper).nonzero()[0]])
-    centers = np.stack([c.take(ix) for c, ix in zip(axes, band.take(rows, axis=1))])
-    rows = rows.astype(np.min_scalar_type(band.shape[1]))
-    rows.flags.writeable = centers.flags.writeable = False
-    middle = np.count_nonzero(kept & (last >= (m - 1) // 2) & ~upper)
-    return rows, centers, None if middle else np.count_nonzero(kept & upper)
-
-
-def _lift(polys: Sequence[QuadraticPoly], eps, spec: GridSpec, fold: bool) -> Tuple[CubicalComplex, int]:
-    """The closed lift of `polys` onto the radius-2/eps sphere and 1, or, when
-    `fold` and the module docstring's conditions hold, its closed upper polar
-    cap and 2.  The build's checks run once, and only `polys` are evaluated,
-    on the cached candidates, or on the cap's prefix of them."""
-    e = positive(eps, "eps")
-    r, _, evals, wide = _checked(spec, polys, 2 / e)
-    rows, u, cap = _lift_candidates(spec, e)
-    copies = 1
-    if fold and cap is not None and all(lo == -hi for lo, hi in spec.box) and not any(any(p.lin) for p in polys):
-        rows, u, copies = rows[:cap], u[:, :cap], 2
-    if wide:
-        u = u.astype(object)
-    return close_grid(spec.shape, *_band_tops(*_sphere_band(spec, r), rows, _satisfied(evals, u, len(rows)))), copies
+    return close_grid(spec.shape, *_sphere_cells(spec, (), radius)[:2])
 
 
 def sphere_region_complex(
@@ -630,7 +617,8 @@ def sphere_region_complex(
     equator and makes each polar copy correspond to the affine set
     truncated to the ball of radius 1/eps.
     """
-    return _lift(polys, eps, spec, fold=False)[0]
+    e = positive(eps, "eps")
+    return close_grid(spec.shape, *_sphere_cells(spec, polys, 2 / e, e)[:2])
 
 
 def sphere_region_block(polys: Sequence[QuadraticPoly], eps, spec: GridSpec) -> Tuple[CubicalComplex, int]:
@@ -639,4 +627,6 @@ def sphere_region_block(polys: Sequence[QuadraticPoly], eps, spec: GridSpec) -> 
     times the block's.  The block is the closed upper polar cap, with the
     lift's run axis, and copies 2 when the module docstring's conditions hold,
     tested before `polys` are evaluated; otherwise the whole lift, and 1."""
-    return _lift(polys, eps, spec, fold=True)
+    e = positive(eps, "eps")
+    cells, run_axis, copies = _sphere_cells(spec, polys, 2 / e, e, fold=True)
+    return close_grid(spec.shape, cells, run_axis), copies

@@ -13,7 +13,7 @@ import quadbetti
 from quadbetti import cli
 from quadbetti.bounds import bound_aggregate
 from quadbetti.cli import main
-from quadbetti.quadforms import _lift_candidates, _sphere_band
+from quadbetti.quadforms import _candidates
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_CASES = json.loads((DATA / "cli_golden.json").read_text())
@@ -191,7 +191,7 @@ def test_main_builds_one_parser_per_terminal_width(capsys, monkeypatch):
 
 
 def test_per_process_caches_leave_output_unchanged(capsys):
-    # Sphere bands, lift specs, truncations and the parser are kept per process;
+    # Sphere candidate entries, lift specs and the parser are kept per process;
     # a run that finds them filled must print what a fresh process prints.
     argv = ["verify", "--seed", "3", "--full", "--format", "json"]
     outputs = []
@@ -223,16 +223,16 @@ class TestVerifyCommand:
         assert "bounds-products-k3,PASS" in out
 
     def test_byte_identical_rerun(self, capsys):
-        for argv in (["--seed", "0"], ["--full"]):
+        for argv, entries in ((["--seed", "0"], 2), (["--full"], 3)):
+            _candidates.cache_clear()
             _, first = run_cli(capsys, "verify", *argv, "--format", "json")
-            misses = _sphere_band.cache_info().misses
-            lift_misses = _lift_candidates.cache_info().misses
+            # one sphere candidate entry per grid, radius and eps: the unit
+            # sphere and the 2-D lift, and with --full the 3-D lift
+            assert _candidates.cache_info().misses == entries, argv
             _, second = run_cli(capsys, "verify", *argv, "--format", "json")
             assert first == second, argv
-            # the second run builds no sphere band and no lift candidates:
-            # every one is a cache hit
-            assert _sphere_band.cache_info().misses == misses, argv
-            assert _lift_candidates.cache_info().misses == lift_misses, argv
+            # the second run builds no sphere candidates: every one is a cache hit
+            assert _candidates.cache_info().misses == entries, argv
 
 
 class TestAuditCommand:

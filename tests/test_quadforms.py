@@ -24,7 +24,15 @@ from quadbetti.exact import (
     parse_rational,
     random_pd_form,
 )
-from quadbetti.harness import _lift_spec, pad_betti, scenario_products, scenario_shell
+from quadbetti.harness import (
+    CONE,
+    _lift_spec,
+    alexander_equator_audit,
+    pad_betti,
+    scenario_products,
+    scenario_shell,
+    smith_audit,
+)
 from quadbetti.homology import CubicalComplex, _run_complex, betti, close_under_faces
 from quadbetti.quadforms import (
     DeformationParams,
@@ -36,10 +44,9 @@ from quadbetti.quadforms import (
     _band_mask,
     _band_tops,
     _box_mask,
+    _candidates,
     _fold,
-    _lift_candidates,
-    _sphere_band,
-    _top_cells,
+    _sphere_cells,
     ci_probe,
     grid_block,
     grid_complex,
@@ -700,10 +707,10 @@ def test_equal_specs_and_polynomials_hash_once_and_alike():
     # blend builds its result positionally, and still hashes as an equal make() would.
     blended = polys[0].blend(polys[1], Fraction(1, 3))
     assert blended == polys[0] and hash(blended) == hash(polys[0])
-    _sphere_band.cache_clear()
-    first = _sphere_band(specs[0], Fraction(2))
-    assert _sphere_band(specs[1], Fraction(2)) is first
-    assert _sphere_band.cache_info().misses == 1 and _sphere_band.cache_info().hits == 1
+    _candidates.cache_clear()
+    first = _candidates(specs[0], Fraction(2), None)
+    assert _candidates(specs[1], Fraction(2), None) is first
+    assert _candidates.cache_info().misses == 1 and _candidates.cache_info().hits == 1
 
 def _band_cells(spec, r):
     """Cells whose closed cube meets the radius-r sphere, by Fraction interval arithmetic."""
@@ -864,12 +871,12 @@ def test_shared_band_matches_fraction_reference(name):
     _, spec, radius, _ = CENTER_CASES[name]
     r = Fraction(radius)
     expected = np.array(list(_band_cells(spec, r)))
-    _sphere_band.cache_clear()
-    first = _sphere_band(spec, r)
-    assert _sphere_band.cache_info().misses == 1
-    again = _sphere_band(spec, r)
-    assert _sphere_band.cache_info().hits == 1 and again is first
-    band, succ = first
+    _candidates.cache_clear()
+    first = _candidates(spec, r, None)
+    assert _candidates.cache_info().misses == 1
+    again = _candidates(spec, r, None)
+    assert _candidates.cache_info().hits == 1 and again is first
+    band, succ = first[:2]
     # Axis-major: one contiguous row per axis, at the narrowest dtype, in
     # no more bytes than one index per cell and axis.
     assert band.flags.c_contiguous and np.array_equal(band.T, expected)
@@ -885,29 +892,28 @@ def test_shared_band_matches_fraction_reference(name):
     want = [[row_of.get(tuple(c[:a] + [c[a] + 1] + c[a + 1:]), len(expected)) for c in expected.tolist()]
             for a in range(spec.dim)]
     assert succ.dtype == np.min_scalar_type(len(expected)) and succ.tolist() == want
-    assert np.array_equal(_top_cells(spec, (), r)[0], band)
+    assert np.array_equal(_sphere_cells(spec, (), r)[0], band)
 
 
 def test_top_cells_returns_a_private_array():
     spec, r = _QUARTERS, Fraction(5, 4)
-    first, _ = _top_cells(spec, (), r)
+    first, _, copies = _sphere_cells(spec, (), r)
     # The band's (dim, n) rows at its dtype, one contiguous row per axis, in
     # an array of their own rather than a view of the cached band.
-    band = _sphere_band(spec, r)[0]
-    assert first.dtype == band.dtype and first.flags.writeable and first.flags.c_contiguous
+    band = _candidates(spec, r, None)[0]
+    assert copies == 1 and first.dtype == band.dtype and first.flags.writeable and first.flags.c_contiguous
     assert first.base is None and not np.shares_memory(first, band)
     expected = first.copy()
     first[:] = 0
-    assert np.array_equal(_top_cells(spec, (), r)[0], expected)
+    assert np.array_equal(_sphere_cells(spec, (), r)[0], expected)
     assert np.array_equal(band, expected)
     # The cap's top cells, built from the cached candidates, are private too.
     eps = Fraction(1, 10)
     lift = _lift_spec(eps, 2)
     cap, copies = sphere_region_block([], eps, lift)
     assert copies == 2
-    rows, _, cap_rows = _lift_candidates(lift, eps)
-    band = _sphere_band(lift, 2 / eps)[0]
-    cells, _ = _band_tops(*_sphere_band(lift, 2 / eps), rows[:cap_rows], np.ones(cap_rows, dtype=bool))
+    band, succ, rows, _, cap_rows = _candidates(lift, 2 / eps, eps)
+    cells, _ = _band_tops(band, succ, rows[:cap_rows], np.ones(cap_rows, dtype=bool))
     assert cells.shape == (2, cap_rows) and cells.dtype == band.dtype and cells.flags.writeable
     assert cells.flags.c_contiguous and cells.base is None and not np.shares_memory(cells, band)
     assert {tuple(2 * j + 1 for j in c) for c in cells.T.tolist()} == {c for c in cap.cells if all(x & 1 for x in c)}
@@ -921,6 +927,8 @@ def test_top_cells_returns_a_private_array():
 # grid so coarse that its middle layers hold candidates.
 _WIDE_HALF = 3 + Fraction(1, 2**63 + 1)
 _SYMMETRIC_WIDE = GridSpec(box=((-_WIDE_HALF, _WIDE_HALF),) * 2, resolution=_WIDE_HALF / 4)
+# The grid of the Smith and Alexander audits on the unit sphere.
+_UNIT_SPHERE_GRID = GridSpec.symmetric(Fraction(5, 4), Fraction(1, 8), 3)
 
 
 @pytest.mark.parametrize("spec, eps, dtype, truncation_wide, capped", [
@@ -928,32 +936,40 @@ _SYMMETRIC_WIDE = GridSpec(box=((-_WIDE_HALF, _WIDE_HALF),) * 2, resolution=_WID
     (_SYMMETRIC_WIDE, Fraction(1), object, True, True),
     (GridSpec.symmetric(2**32, 2**30, 2), Fraction(1, 2**31), np.int64, True, False),
     (_lift_spec(Fraction(1, 10), 2, 20), Fraction(1, 10), np.int64, False, False),
-], ids=["lift", "grid-wide", "truncation-wide", "coarse-lift"])
+    (_UNIT_SPHERE_GRID, None, np.int64, False, False),
+], ids=["lift", "grid-wide", "truncation-wide", "coarse-lift", "no-eps"])
 def test_cap_candidates_match_fraction_reference(spec, eps, dtype, truncation_wide, capped):
     """The lift candidates are the band rows whose center the truncation
     keeps, the upper cap's first, and the cap's row count is None exactly
-    when a kept row lies in the middle layers of the last axis."""
-    r, trunc, m = 2 / eps, _cap(eps, spec.dim), spec.shape[-1]
+    when a kept row lies in the middle layers of the last axis.  With no
+    eps, on the unit sphere, they are every band row in band order, and the
+    cap count is None."""
+    r, m = Fraction(1) if eps is None else 2 / eps, spec.shape[-1]
     gs = _GridScale(spec)
     assert (gs.u_max >= _INT64_SAFE) == (dtype is object)
-    assert (_ScaledPoly(trunc, gs.scale).magnitude(gs.u_max) >= _INT64_SAFE) == truncation_wide
     cells = list(_band_cells(spec, r))
-    kept = [i for i, jvec in enumerate(cells) if trunc.evaluate(spec.center(jvec)) >= 0]
-    upper = [i for i in kept if cells[i][-1] > m // 2]
-    middle = [i for i in kept if (m - 1) // 2 <= cells[i][-1] <= m // 2]
-    assert 0 < len(upper) < len(kept) <= len(cells) and bool(middle) != capped
-    _lift_candidates.cache_clear()
-    first = _lift_candidates(spec, eps)
-    assert _lift_candidates.cache_info().misses == 1
-    again = _lift_candidates(spec, eps)
-    assert _lift_candidates.cache_info().hits == 1 and again is first
-    rows, centers, cap_rows = first
-    want = upper + [i for i in kept if i not in upper]
+    if eps is None:
+        want, want_cap = list(range(len(cells))), None
+    else:
+        trunc = _cap(eps, spec.dim)
+        assert (_ScaledPoly(trunc, gs.scale).magnitude(gs.u_max) >= _INT64_SAFE) == truncation_wide
+        kept = [i for i, jvec in enumerate(cells) if trunc.evaluate(spec.center(jvec)) >= 0]
+        upper = [i for i in kept if cells[i][-1] > m // 2]
+        middle = [i for i in kept if (m - 1) // 2 <= cells[i][-1] <= m // 2]
+        assert 0 < len(upper) < len(kept) <= len(cells) and bool(middle) != capped
+        want, want_cap = upper + [i for i in kept if i not in upper], len(upper) if capped else None
+    _candidates.cache_clear()
+    first = _candidates(spec, r, eps)
+    assert _candidates.cache_info().misses == 1
+    again = _candidates(spec, r, eps)
+    assert _candidates.cache_info().hits == 1 and again is first
+    band, _, rows, centers, cap_rows = first
+    assert np.array_equal(band.T, np.array(cells))
     assert rows.dtype == np.min_scalar_type(len(cells)) and rows.tolist() == want
-    assert cap_rows == (len(upper) if capped else None)
+    assert cap_rows == want_cap
     assert centers.dtype == dtype and centers.shape == (spec.dim, len(want))
     assert centers.T.tolist() == [[x * gs.scale for x in spec.center(cells[i])] for i in want]
-    for table in first[:2]:
+    for table in first[:4]:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[..., 0] = 0
@@ -961,16 +977,57 @@ def test_cap_candidates_match_fraction_reference(spec, eps, dtype, truncation_wi
 
 def test_cap_candidates_one_entry_per_eps():
     spec = _lift_spec(Fraction(1, 10), 2)
-    _lift_candidates.cache_clear()
+    _candidates.cache_clear()
     caps = [sphere_region_block([], eps, spec) for eps in (Fraction(1, 10), Fraction(1, 9))]
     assert [copies for _, copies in caps] == [2, 2]
     caps = [cap.cells for cap, _ in caps]
-    assert _lift_candidates.cache_info().misses == _lift_candidates.cache_info().currsize == 2
+    assert _candidates.cache_info().misses == _candidates.cache_info().currsize == 2
     assert [sphere_region_block([], eps, spec)[0].cells for eps in (Fraction(1, 10), Fraction(1, 9))] == caps
     # The whole lift reads the same entry as its cap, and is the cap and its disjoint reflection.
     for eps, cap in zip((Fraction(1, 10), Fraction(1, 9)), caps):
         assert len(sphere_region_complex([], eps, spec)) == 2 * len(cap)
-    assert _lift_candidates.cache_info().misses == 2 and caps[0] != caps[1]
+    assert _candidates.cache_info().misses == 2 and caps[0] != caps[1]
+
+
+def test_unit_sphere_audits_read_one_entry():
+    """The Smith build, both Alexander complexes and the unit band read one
+    entry, every band row with its center: 1,184 rows in 2,368 + 28,416 bytes."""
+    _candidates.cache_clear()
+    smith_audit([CONE])
+    alexander_equator_audit()
+    sphere_band_complex(1, _UNIT_SPHERE_GRID)
+    assert _candidates.cache_info().misses == _candidates.cache_info().currsize == 1
+    _, _, rows, centers, cap = _candidates(_UNIT_SPHERE_GRID, Fraction(1), None)
+    assert (len(rows), rows.nbytes, centers.nbytes, cap) == (1184, 2368, 28416, None)
+
+
+def test_warm_sphere_builds_form_no_centers(monkeypatch):
+    """Once an entry is warm, a sphere build reads its centers from it: only
+    a cache miss and `_box_mask` form per-axis bounds."""
+    calls = []
+
+    def counted(self, *args, _real=_GridScale.lows):
+        calls.append(args)
+        return _real(self, *args)
+
+    eps = Fraction(1, 10)
+    lift, polys = _lift_spec(eps, 3), _lift_polys(scenario_products(2))
+
+    def builds():
+        smith_audit([CONE])
+        alexander_equator_audit()
+        sphere_region_block(polys, eps, lift)
+        sphere_region_complex(polys, eps, lift)
+
+    builds()
+    monkeypatch.setattr(_GridScale, "lows", counted)
+    builds()
+    assert calls == []
+    _box_mask(_UNIT_SPHERE_GRID, ())
+    assert len(calls) == 1
+    _candidates.cache_clear()
+    builds()
+    assert len(calls) == 1 + 2 * 2
 
 
 def test_cap_with_wide_polynomial_matches_fraction_reference():
@@ -981,7 +1038,7 @@ def test_cap_with_wide_polynomial_matches_fraction_reference():
     gs = _GridScale(spec)
     assert _ScaledPoly(_WIDE_SADDLE, gs.scale).magnitude(gs.u_max) >= _INT64_SAFE
     cap, copies = sphere_region_block([_WIDE_SADDLE], eps, spec)
-    assert copies == 2 and _lift_candidates(spec, eps)[1].dtype == np.int64
+    assert copies == 2 and _candidates(spec, r, eps)[3].dtype == np.int64
     expected = {
         tuple(2 * j + 1 for j in jvec)
         for jvec in _band_cells(spec, r)
@@ -999,7 +1056,7 @@ def test_cap_with_wide_polynomial_matches_fraction_reference():
 def test_narrow_band_indices_do_not_wrap(res, dtype, cells_above):
     spec = GridSpec.symmetric(1 + 4 * res, res, 2)
     assert max(spec.shape) > cells_above
-    band, _ = _sphere_band(spec, Fraction(1))
+    band = _candidates(spec, Fraction(1), None)[0]
     assert band.dtype == dtype
     if dtype == np.uint8:
         expected = np.array(list(_band_cells(spec, Fraction(1))))
@@ -1008,7 +1065,7 @@ def test_narrow_band_indices_do_not_wrap(res, dtype, cells_above):
         lows = [lo + gs.step * np.arange(n).astype(object) for lo, n in zip(gs.lo, spec.shape)]
         expected = np.argwhere(_band_mask(lows, gs.step, Fraction(gs.scale) ** 2))
     assert np.array_equal(band.T, expected)
-    tops, _ = _top_cells(spec, (), 1)
+    tops = _sphere_cells(spec, (), 1)[0]
     assert tops.dtype == dtype and np.array_equal(tops.T, expected)
     cx = sphere_band_complex(1, spec)
     assert max(map(max, cx.cells)) > 2 * cells_above and betti(cx) == (1, 1, 0)
@@ -1023,7 +1080,7 @@ def test_centers_past_int64_with_no_polynomial():
     cx = grid_complex((), spec)
     assert cx._frame.strides[1] == 1
     assert cx.cells == grid_complex((), GridSpec(box=((0, 4),) * 2, resolution=1)).cells
-    assert np.array_equal(_top_cells(spec, (), 2**62)[0].T, np.array(list(_band_cells(spec, Fraction(2**62)))))
+    assert np.array_equal(_sphere_cells(spec, (), 2**62)[0].T, np.array(list(_band_cells(spec, Fraction(2**62)))))
 
 
 @st.composite
@@ -1143,7 +1200,7 @@ class TestSphereComplexes:
         small = GridSpec.symmetric(2, Fraction(1, 4), 2)
         sphere_band_complex(1, small)
         assert sphere_region_block([], 1, small)[1] == 2
-        misses = _lift_candidates.cache_info().misses
+        misses = _candidates.cache_info().misses
         for _ in range(2):
             with pytest.raises(ValueError, match="above the limit"):
                 grid_complex([], spec)
@@ -1153,7 +1210,7 @@ class TestSphereComplexes:
                 sphere_region_block([], 1, GridSpec.symmetric(2, Fraction(1, 1024), 2))
             with pytest.raises(TypeError, match="floats"):
                 sphere_region_block([], 1.0, small)
-        assert _lift_candidates.cache_info().misses == misses
+        assert _candidates.cache_info().misses == misses
 
     def test_region_complex_empty_system_gives_two_caps(self):
         spec = GridSpec.symmetric(21, Fraction(1, 2), 2)
@@ -1309,7 +1366,7 @@ def test_cap_is_decided_before_the_system_is_evaluated(scenario, resolution, cop
     monkeypatch.setattr(quadforms, "_satisfied", counted)
     monkeypatch.setattr(quadforms, "_checked", counted_checks)
     block, got = sphere_region_block(polys, eps, spec)
-    rows, _, cap_rows = _lift_candidates(spec, eps)
+    _, _, rows, _, cap_rows = _candidates(spec, 2 / eps, eps)
     assert got == copies and len(checks) == 1
     assert sizes == [cap_rows if copies == 2 else len(rows)]
     sphere_region_complex(polys, eps, spec)
