@@ -305,25 +305,34 @@ class SmithReport(_Report):
     note: str = ""
 
 
-def _sphere_grid(r: Fraction, n: int) -> Tuple[GridSpec, Fraction]:
-    """The grid and band half-width tau of a zero set on the radius-r sphere
-    in n variables: width r/8, the box [-(r + 2 width), r + 2 width]^n,
-    and tau twice the width, so every audit on one sphere shares its band."""
-    res = r / 8
-    return GridSpec.symmetric(r + 2 * res, res, n), 2 * res
+@functools.lru_cache(maxsize=4)
+def _sphere_grid(r: Fraction, n: int, width: Fraction) -> GridSpec:
+    """The grid of a set on the radius-r sphere in n variables: cells of the
+    given width in the box [-(r + 2 width), r + 2 width]^n.  Built once per
+    (r, n, width) and shared, so every audit on one grid reads one
+    `quadforms._candidates` entry; the unit grid `_sphere_grid(1, n, 1/8)`
+    serves Smith at every radius and Alexander, and a lift grid the lifts."""
+    return GridSpec.symmetric(r + 2 * width, width, n)
 
 
 def smith_audit(forms: Sequence[QuadraticForm], radius=1) -> SmithReport:
     """Check the projective zero set of a quadric tuple against its bound.
 
-    The zero set is approximated on the sphere of the given radius (grid
-    width radius/8, band half-width tau twice that), its total Betti
-    number is halved (the sphere set double-covers the projective set
+    The zero set is approximated on the unit sphere (grid width 1/8, 20
+    cells per axis) at band half-width tau = 1/(4 * radius), its total
+    Betti number is halved (the sphere set double-covers the projective set
     under the antipodal map; halving can only undercount, which keeps the
     audited inequality sound), and the result is compared with the exact
     total for a smooth degree-2 complete intersection of the same
     codimension.  Grid-based throughout, so the verdict is PASS
     or INCONCLUSIVE, never VIOLATION.
+
+    The cells are those of the radius-r sphere at grid width r/8 and tau
+    r/4: that grid is the unit one scaled by r, and both tests are
+    homogeneous, since the sphere crosses the cube r*C iff the unit sphere
+    crosses C, and |Q(r*c)| <= r/4 iff |Q(c)| <= 1/(4r).  So the kept cells,
+    their run axis and the Betti vector are the same, and Smith at every
+    radius reads the one unit-sphere grid and candidate entry.
 
     The bound holds for smooth complete intersections only, so that
     hypothesis is checked exactly, with no float, before any grid work; a
@@ -351,7 +360,7 @@ def smith_audit(forms: Sequence[QuadraticForm], radius=1) -> SmithReport:
         raise ValueError(f"codimension {codim} rejected: smoothness is checked exactly "
                          "only up to codimension 2")
     r = positive(radius, "radius")
-    vec = betti(sphere_zero_complex(forms, r, *_sphere_grid(r, n)))
+    vec = betti(sphere_zero_complex(forms, 1, _sphere_grid(1, n, Fraction(1, 8)), 1 / (4 * r)))
     total = sum(vec)
     bound = b_ci(codim, proj_dim, (2,) * codim)
     projective_total = total // 2
@@ -375,21 +384,19 @@ def smith_audit(forms: Sequence[QuadraticForm], radius=1) -> SmithReport:
     )
 
 
-def _scenario_fits_ball(sc: Scenario, eps: Fraction) -> bool:
-    corner_sq = sum(max(lo * lo, hi * hi) for lo, hi in sc.grid.box)
-    return corner_sq <= (1 / eps) ** 2
-
-
-@functools.lru_cache(maxsize=4, typed=True)
 def _lift_spec(eps: Fraction, dim: int, resolution=None) -> GridSpec:
-    """The lift grid for (eps, dim, resolution), built once and shared.
-
-    The cache is typed: a float or bool resolution equal to a cached value
-    still reaches `parse_rational`, which rejects it.
-    """
+    """The grid of a lift onto the radius-2/eps sphere in dim variables, at
+    cell width `resolution`, or r/32 for r = 2/eps when it is None."""
     r = 2 / eps
-    hs = parse_rational(resolution) if resolution is not None else r / 32
-    return GridSpec.symmetric(r + 2 * hs, hs, dim)
+    return _sphere_grid(r, dim, r / 32 if resolution is None else parse_rational(resolution))
+
+
+def _lift(sc: Scenario, eps: Fraction, resolution) -> Optional[Tuple[GridSpec, List[QuadraticPoly]]]:
+    """The lift grid of a scenario (`_lift_spec`) and its homogenized system,
+    or None when the scenario box leaves the radius-1/eps ball."""
+    if sum(max(lo * lo, hi * hi) for lo, hi in sc.grid.box) > 1 / eps**2:
+        return None
+    return _lift_spec(eps, sc.k + 1, resolution), [homogenize(p).as_poly() for p in sc.system]
 
 
 # Note of a lift report whose scenario box leaves the ball; its lift fields keep their defaults.
@@ -423,16 +430,17 @@ def double_cover_audit(
     """
     params = params or DeformationParams()
     eps = params.eps
-    if not _scenario_fits_ball(sc, eps):
+    lift = _lift(sc, eps, sphere_resolution)
+    if lift is None:
         return DoubleCoverReport(scenario=sc.name, verdict=INCONCLUSIVE, eps=eps, note=_BALL_NOTE)
+    spec, polys = lift
     if sc.oracle_betti is not None:
         base = sc.oracle_betti
         base_source = "oracle"
     else:
         base = _block_betti(grid_block(sc.system, sc.grid))
         base_source = "grid"
-    spec = _lift_spec(eps, sc.k + 1, sphere_resolution)
-    lifted = _block_betti(sphere_region_block([homogenize(p).as_poly() for p in sc.system], eps, spec))
+    lifted = _block_betti(sphere_region_block(polys, eps, spec))
     expected = pad_betti(tuple(2 * b for b in base), sc.k + 2)
     ok = lifted == expected
     return DoubleCoverReport(
@@ -488,11 +496,11 @@ def deformation_audit(
     if not any(ts):
         raise ValueError(f"t values [{', '.join(map(format_rational, ts))}] hold no t in "
                          f"(0, delta={params.delta}], so the audit would compare nothing")
-    if not _scenario_fits_ball(sc, params.eps):
+    lift = _lift(sc, params.eps, sphere_resolution)
+    if lift is None:
         return DeformationReport(scenario=sc.name, verdict=INCONCLUSIVE, eps=params.eps,
                                  delta=params.delta, note=_BALL_NOTE)
-    spec = _lift_spec(params.eps, sc.k + 1, sphere_resolution)
-    base_polys = [homogenize(p).as_poly() for p in sc.system]
+    spec, base_polys = lift
     family = [
         dehomogenize(random_pd_form(sc.k + 2, seed + i)) for i in range(sc.s)
     ]
@@ -538,7 +546,7 @@ def alexander_equator_audit() -> AlexanderReport:
     or an entry past b_2, reads INCONCLUSIVE with a note naming it.
     """
     equator = QuadraticForm.make(3, [[0, 0, 0], [0, 0, 0], [0, 0, 1]])  # X3^2 vanishes on the equator plane
-    subset, complement = sphere_zero_split([equator], 1, *_sphere_grid(Fraction(1), 3))
+    subset, complement = sphere_zero_split([equator], 1, _sphere_grid(1, 3, Fraction(1, 8)), Fraction(1, 4))
     vectors = {"subset": betti(subset), "complement": betti(complement)}
     # Both sets are nonempty cubical subsets of R^3, so b_0 >= 1 and b_3 = 0;
     # a vector that breaks either is an engine fault, reported, not raised.

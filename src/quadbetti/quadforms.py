@@ -433,7 +433,8 @@ def _candidates(spec: GridSpec, r: Fraction, e: Optional[Fraction]
     cap's row count, None when e is None or when a kept row lies in the
     layers floor((m - 1) / 2) .. floor(m / 2).  Four entries cover the three
     of one `verify --full`: the 2-D and 3-D lifts and the unit sphere of
-    the Smith cone and the Alexander audit.  Every caller passes the same
+    the Alexander audit and of the Smith audit, which reads the unit entry
+    at every radius, its tau scaled by 1/radius.  Every caller passes the same
     three arguments, since `lru_cache` keys a call by its argument count.
     """
     gs = _GridScale(spec)

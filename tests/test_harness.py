@@ -376,6 +376,24 @@ class TestSmithAudit:
         assert (rep.projective_total, rep.bound) == (8, 2)
         assert rep.note == "grid estimate exceeds the bound; refine the grid or tau"
 
+    @pytest.mark.parametrize("forms, pinned", [
+        ([CONE], {5: (16, 0, 0, 0), 10**22: (0, 0, 0, 0)}),
+        ([diagonal_form(1, 1, -1, -1), diagonal_form(1, 2, -3, -4)], {1: (12, 8, 0, 0, 0), 2: (0,) * 5}),
+    ], ids=["cone", "pencil"])
+    def test_unit_sphere_reads_every_radius(self, forms, pinned):
+        # Smith builds on the unit-sphere grid at tau 1/(4r).  The radius-r grid
+        # at width r/8 and tau r/4 is that grid scaled by r, and the band test
+        # and |Q| <= tau are homogeneous, so it keeps the same cells.
+        n = forms[0].n
+        for r in (1, 2, Fraction(1, 2), Fraction(3, 2), 3, 5, 10**22):
+            r = Fraction(r)
+            reference = sphere_zero_complex(forms, r, GridSpec.symmetric(5 * r / 4, r / 8, n), r / 4)
+            unit = sphere_zero_complex(forms, 1, GridSpec.symmetric(Fraction(5, 4), Fraction(1, 8), n), 1 / (4 * r))
+            assert unit.cells == reference.cells, r
+            vec = betti(reference)
+            assert smith_audit(forms, radius=r).sphere_betti == vec, r
+            assert pinned.get(r, vec) == vec, r
+
     def test_odd_sphere_total_mutant(self, monkeypatch):
         monkeypatch.setattr(harness, "betti", odd_sphere_total(harness.betti))
         rep = smith_audit([CONE])
@@ -421,6 +439,17 @@ class TestDoubleCover:
         assert double_cover_audit(scenario_products(1), sphere_resolution=Fraction(1, 8)).verdict == PASS
         with pytest.raises(TypeError):
             double_cover_audit(scenario_products(1), sphere_resolution=0.125)
+
+    def test_ball_boundary(self):
+        # The products-k1 box [-1, 2] has corner^2 = 4 = (1/eps)^2 at eps = 1/2:
+        # it fits the ball, and at eps = 51/100 it leaves it.
+        sc = scenario_products(1)
+        inside = DeformationParams(eps=Fraction(1, 2), delta=Fraction(1, 1000))
+        outside = DeformationParams(eps=Fraction(51, 100), delta=Fraction(1, 1000))
+        assert double_cover_audit(sc, inside).verdict == PASS
+        assert deformation_audit(sc, inside).verdict == PASS
+        for rep in (double_cover_audit(sc, outside), deformation_audit(sc, outside)):
+            assert (rep.verdict, rep.note) == (INCONCLUSIVE, harness._BALL_NOTE)
 
     def test_shell2_lift(self):
         rep = double_cover_audit(scenario_shell(2, Fraction(1, 2), 1))

@@ -990,15 +990,24 @@ def test_cap_candidates_one_entry_per_eps():
 
 
 def test_unit_sphere_audits_read_one_entry():
-    """The Smith build, both Alexander complexes and the unit band read one
-    entry, every band row with its center: 1,184 rows in 2,368 + 28,416 bytes."""
+    """The Smith build at every radius, both Alexander complexes and the unit
+    band read one entry, every band row with its center: 1,184 rows in
+    2,368 + 28,416 bytes.  A pencil in four variables reads the 4-D unit
+    sphere's entry, one more, at every radius too."""
     _candidates.cache_clear()
     smith_audit([CONE])
+    for r in (2, Fraction(1, 2), Fraction(3, 2), 3):
+        smith_audit([CONE], radius=r)
     alexander_equator_audit()
     sphere_band_complex(1, _UNIT_SPHERE_GRID)
     assert _candidates.cache_info().misses == _candidates.cache_info().currsize == 1
     _, _, rows, centers, cap = _candidates(_UNIT_SPHERE_GRID, Fraction(1), None)
     assert (len(rows), rows.nbytes, centers.nbytes, cap) == (1184, 2368, 28416, None)
+    pencil = [QuadraticForm.make(4, [[d[i] if i == j else 0 for j in range(4)] for i in range(4)])
+              for d in ((1, 1, -1, -1), (1, 2, -3, -4))]
+    for r in (1, 2):
+        smith_audit(pencil, radius=r)
+    assert _candidates.cache_info().misses == _candidates.cache_info().currsize == 2
 
 
 def test_warm_sphere_builds_form_no_centers(monkeypatch):
