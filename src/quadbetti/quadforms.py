@@ -35,9 +35,14 @@ polynomials, on the cached centers.  On the 68**3 lift grid an entry keeps
 of the Smith and Alexander audits it keeps all 1,184 band rows, in 2,368 +
 28,416 bytes.  A spec keeps the cell count per axis that its width check
 computes, and its integer view (`_GridScale`) takes int arithmetic alone.
-The builder computes in int64 when a bound taken beforehand shows that no
-value it forms reaches 2**62 in absolute value, and otherwise runs the
-same array code on Python ints (dtype=object); no float enters.  Every
+Each integer kernel picks its width from its own bound, taken before it
+forms a value, and runs the same array code in int64 or on Python ints
+(dtype=object): `_GridScale.lows` forms per-axis cell bounds and centers in
+int64 unless the grid's bound u_max on them, or its caller's bound on the
+values formed from them, reaches 2**62, and an evaluator (`_ScaledPoly`)
+casts its inputs to Python ints, whatever their dtype, when a partial sum
+of its terms at points up to u_max can.  So cached int64 centers serve
+every polynomial, no caller passes a width, and no float enters.  Every
 builder closes its kept cells with `homology.close_grid`, in the grid's
 own frame.  `_sphere_cells` returns the grid indices of the kept band
 cells as a (dim, n) array at the band's dtype and their run axis, the axis
@@ -57,7 +62,11 @@ checked exactly, and otherwise the whole lift and 1 copy:
    integer-scaled center c (the truncation has none by construction);
 3. no lift candidate, a band cell the truncation keeps, lies in the layers
    floor((m - 1) / 2) .. floor(m / 2) of the m cells of the last axis,
-   whose closed cubes meet x_{k+1} = 0: grid and eps alone decide it.
+   whose closed cubes meet x_{k+1} = 0.
+
+Grid and eps alone decide conditions 1 and 3, once per `_candidates`
+entry, whose cap count is None unless both hold; condition 2 is decided
+per build.
 
 Proof that the lift is then the cap plus its point reflection, with
 disjoint closures.  The reflection j -> n - 1 - j on every axis maps the
@@ -71,9 +80,8 @@ x_{k+1} < 0.  The homology of a disjoint union adds up, so every Betti
 number of the lift and its Euler characteristic are twice the cap's.  No
 two kept cells are adjacent across the middle layers, so the adjacent
 pairs that pick the run axis halve, and the cap keeps the lift's run axis.
-(3) is read off the band indices once per `_candidates` entry, so a
-build decides the cap before it evaluates its own polynomials, once, on
-the cap's rows alone.
+Since (1) and (3) are decided per entry, a build decides the cap before
+it evaluates its own polynomials, once, on the cap's rows alone.
 
 A box grid folds the same way, read off its kept-cell mask alone, with no
 float and no look at the polynomials.  `grid_block` takes `grid_complex`'s
@@ -264,6 +272,13 @@ class GridSpec:
         return GridSpec(box=((-half, half),) * dim, resolution=h)
 
 
+# Each integer kernel computes in int64 when its own bound keeps every value it
+# forms below this in absolute value, and otherwise in arrays of Python ints
+# (dtype=object): `_GridScale.lows` from u_max or its caller's bound,
+# `_ScaledPoly.values` from its terms at u_max.
+_INT64_SAFE = 2**62
+
+
 class _GridScale:
     """Integer view of a grid: all cell bounds and centers scaled to ints.
 
@@ -283,19 +298,21 @@ class _GridScale:
         # Bound on every scaled cell bound and center, and on r * scale for a sphere in the box.
         self.u_max = max(max(-lo, lo + self.step * n) for lo, n in zip(self.lo, self.shape))
 
-    def lows(self, wide: bool, offset: int = 0) -> List[np.ndarray]:
-        """Scaled lower cell bounds per axis plus `offset`, in int64 or, if `wide`, Python ints.
-
-        The centers are the lower bounds plus step // 2.
+    def lows(self, offset: int = 0, bound: int = 0) -> List[np.ndarray]:
+        """Scaled lower cell bounds per axis plus `offset`: int64 unless u_max, or
+        `bound` on the values the caller forms from them, reaches 2**62, and
+        Python ints otherwise.  The centers are the lower bounds plus step // 2.
         """
-        dtype = object if wide else np.int64
+        dtype = object if max(self.u_max, bound) >= _INT64_SAFE else np.int64
         return [lo + offset + self.step * np.arange(n, dtype=dtype) for lo, n in zip(self.lo, self.shape)]
 
 
 class _ScaledPoly:
-    """Sign-faithful integer evaluator: a positive multiple of P(u/scale) at integer points u."""
+    """Sign-faithful integer evaluator: a positive multiple of P(u/scale) at
+    integer points u of a grid's integer view, |u_i| <= u_max."""
 
-    def __init__(self, poly: QuadraticPoly, scale: int):
+    def __init__(self, poly: QuadraticPoly, gs: _GridScale):
+        scale = gs.scale
         dens = [poly.const.denominator]
         dens.extend(x.denominator for x in poly.lin)
         dens.extend(x.denominator for row in poly.quad for x in row)
@@ -318,15 +335,15 @@ class _ScaledPoly:
             (i, times_lcm(b) * scale) for i, b in enumerate(poly.lin) if b
         ]
         self.const_term = times_lcm(poly.const) * scale * scale
-
-    def magnitude(self, u_max: int) -> int:
-        """Bound on every partial sum of `values` at points with |u_i| <= u_max."""
-        return (abs(self.const_term)
-                + sum(abs(a) for _, _, a in self.quad_terms) * u_max * u_max
-                + sum(abs(b) for _, b in self.lin_terms) * u_max)
+        # Whether a partial sum of `values` can reach 2**62 at points with |u_i| <= u_max.
+        self.wide = (abs(self.const_term) + sum(abs(a) for _, _, a in qt) * gs.u_max**2
+                     + sum(abs(b) for _, b in self.lin_terms) * gs.u_max) >= _INT64_SAFE
 
     def values(self, u: Sequence[np.ndarray]) -> np.ndarray:
-        """Values at the points whose coordinate arrays `u` broadcast together."""
+        """Values at the points whose coordinate arrays `u` broadcast together,
+        computed on Python ints when `wide`, whatever the arrays' dtype."""
+        if self.wide:
+            u = [x.astype(object) for x in u]
         total = self.const_term
         for i, j, a in self.quad_terms:
             total = total + a * u[i] * u[j]
@@ -339,10 +356,6 @@ class _ScaledPoly:
 # array is allocated.  The largest the audits and tests build is the products-k6
 # box, whose 12**6 = 2,985,984-cell mask, 71% of it, is formed before the fold.
 MAX_GRID_CELLS = 2**22
-
-# The builder computes in int64 when every value it forms is below this in
-# absolute value, and otherwise in arrays of Python ints (dtype=object).
-_INT64_SAFE = 2**62
 
 
 def _sphere_radius(radius, spec: GridSpec) -> Fraction:
@@ -396,7 +409,7 @@ def _band(spec: GridSpec, gs: _GridScale, r: Fraction) -> Tuple[np.ndarray, np.n
     of successors.
     """
     shape = gs.shape
-    mask = _band_mask(gs.lows(spec.dim * gs.u_max**2 >= _INT64_SAFE), gs.step, r * r * gs.scale * gs.scale)
+    mask = _band_mask(gs.lows(bound=spec.dim * gs.u_max**2), gs.step, r * r * gs.scale * gs.scale)
     at = mask.nonzero()
     n = len(at[0])
     succ = np.full((spec.dim, n), n, dtype=np.min_scalar_type(n))
@@ -429,31 +442,36 @@ def _candidates(spec: GridSpec, r: Fraction, e: Optional[Fraction]
     (1/e)^2 * x_dim^2 - |x_1..x_{dim-1}|^2 is >= 0 at the center, the
     upper polar cap's rows, with last index above floor(m / 2), m the last
     axis's cell count, first; their integer-scaled centers as one (dim, n)
-    array, int64 unless the grid's own bound u_max reaches 2**62; and the
-    cap's row count, None when e is None or when a kept row lies in the
-    layers floor((m - 1) / 2) .. floor(m / 2).  Four entries cover the three
-    of one `verify --full`: the 2-D and 3-D lifts and the unit sphere of
-    the Alexander audit and of the Smith audit, which reads the unit entry
-    at every radius, its tau scaled by 1/radius.  Every caller passes the same
-    three arguments, since `lru_cache` keys a call by its argument count.
+    array, int64 unless the grid's own bound u_max reaches 2**62, which
+    every evaluator reads whatever its own width; and the cap's row count,
+    None when e is None, when the box is not symmetric about 0 on every
+    axis, or when a kept row lies in the layers floor((m - 1) / 2) ..
+    floor(m / 2) (conditions 1 and 3 of the module docstring).  Four
+    entries cover the three of one `verify --full`: the 2-D and 3-D lifts
+    and the unit sphere of the Alexander audit and of the Smith audit,
+    which reads the unit entry at every radius, its tau scaled by 1/radius.
+    Every caller passes the same three arguments, since `lru_cache` keys a
+    call by its argument count.
     """
     gs = _GridScale(spec)
     # The band is built in its own frame, so its mask is freed before the centers are formed.
     band, succ = _band(spec, gs, r)
-    axes = gs.lows(gs.u_max >= _INT64_SAFE, gs.step // 2)
+    axes = gs.lows(gs.step // 2)
     rows, cap = np.arange(band.shape[1]), None
     if e is not None:
         diag = [-1] * (spec.dim - 1) + [1 / e**2]
         quad = [[diag[i] if i == j else 0 for j in range(spec.dim)] for i in range(spec.dim)]
-        trunc = _ScaledPoly(QuadraticPoly.make(spec.dim, quad=quad), gs.scale)
-        wide = trunc.magnitude(gs.u_max) >= _INT64_SAFE
-        kept = trunc.values([c.take(ix).astype(object) if wide else c.take(ix) for c, ix in zip(axes, band)]) >= 0
+        trunc = _ScaledPoly(QuadraticPoly.make(spec.dim, quad=quad), gs)
+        kept = trunc.values([c.take(ix) for c, ix in zip(axes, band)]) >= 0
         m, last = spec.shape[-1], band[-1]
         upper = last > m // 2
         # The kept centers are gathered afresh rather than filtered out of those
         # of the whole band, so the two are never held at once.
         rows = np.concatenate([(kept & upper).nonzero()[0], (kept & ~upper).nonzero()[0]])
-        if not np.count_nonzero(kept & (last >= (m - 1) // 2) & ~upper):
+        # Conditions 1 and 3 of the module docstring: the box is symmetric, and
+        # no kept row lies in the middle layers.
+        middle = kept & (last >= (m - 1) // 2) & ~upper
+        if all(lo == -hi for lo, hi in spec.box) and not np.count_nonzero(middle):
             cap = np.count_nonzero(kept & upper)
     centers = np.stack([c.take(ix) for c, ix in zip(axes, band.take(rows, axis=1))])
     rows = rows.astype(np.min_scalar_type(band.shape[1]))
@@ -463,11 +481,10 @@ def _candidates(spec: GridSpec, r: Fraction, e: Optional[Fraction]
 
 
 def _checked(spec: GridSpec, polys: Sequence[QuadraticPoly], radius
-             ) -> Tuple[Optional[Fraction], _GridScale, List[_ScaledPoly], bool]:
+             ) -> Tuple[Optional[Fraction], _GridScale, List[_ScaledPoly]]:
     """A build's checks, before any array or cache lookup: variable counts,
     radius, then MAX_GRID_CELLS.  Returns the exact radius or None, the
-    integer view, an evaluator per polynomial and whether values need Python
-    ints: every center is at most u_max, and every value at most a magnitude."""
+    integer view and an evaluator per polynomial, which picks its own width."""
     for p in polys:
         if p.k != spec.dim:
             raise ValueError(f"polynomial has {p.k} variables, grid has {spec.dim} axes")
@@ -476,9 +493,7 @@ def _checked(spec: GridSpec, polys: Sequence[QuadraticPoly], radius
     if size > MAX_GRID_CELLS:
         raise ValueError(f"grid has {size} cells, above the limit of {MAX_GRID_CELLS}")
     gs = _GridScale(spec)
-    evals = [_ScaledPoly(p, gs.scale) for p in polys]
-    wide = gs.u_max >= _INT64_SAFE or any(e.magnitude(gs.u_max) >= _INT64_SAFE for e in evals)
-    return r, gs, evals, wide
+    return r, gs, [_ScaledPoly(p, gs) for p in polys]
 
 
 def _satisfied(evals: Sequence[_ScaledPoly], u, shape) -> np.ndarray:
@@ -492,8 +507,8 @@ def _satisfied(evals: Sequence[_ScaledPoly], u, shape) -> np.ndarray:
 def _box_mask(spec: GridSpec, polys: Sequence[QuadraticPoly]) -> np.ndarray:
     """Mask of the box cells where every polynomial is >= 0 at the center,
     after `_checked`, by broadcasting per-axis centers."""
-    _, gs, evals, wide = _checked(spec, polys, None)
-    return _satisfied(evals, np.ix_(*gs.lows(wide, gs.step // 2)), spec.shape)
+    _, gs, evals = _checked(spec, polys, None)
+    return _satisfied(evals, np.ix_(*gs.lows(gs.step // 2)), spec.shape)
 
 
 def _band_tops(band: np.ndarray, succ: np.ndarray, rows, keep: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -517,13 +532,11 @@ def _sphere_cells(spec: GridSpec, polys: Sequence[QuadraticPoly], radius, e: Opt
     `fold` and the module docstring's conditions hold, those of the cap's
     prefix and 2.  The build's checks run once, before the cache lookup, and
     only `polys` are evaluated, on the cached centers."""
-    r, _, evals, wide = _checked(spec, polys, radius)
+    r, _, evals = _checked(spec, polys, radius)
     band, succ, rows, u, cap = _candidates(spec, r, e)
     copies = 1
-    if fold and cap is not None and all(lo == -hi for lo, hi in spec.box) and not any(any(p.lin) for p in polys):
+    if fold and cap is not None and not any(any(p.lin) for p in polys):
         rows, u, copies = rows[:cap], u[:, :cap], 2
-    if wide:
-        u = u.astype(object)
     return (*_band_tops(band, succ, rows, _satisfied(evals, u, len(rows))), copies)
 
 

@@ -5,11 +5,12 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from conftest import betti_by_cells
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quadbetti import homology, quadforms
 from quadbetti.exact import (
@@ -45,6 +46,7 @@ from quadbetti.quadforms import (
     _band_tops,
     _box_mask,
     _candidates,
+    _checked,
     _fold,
     _sphere_cells,
     ci_probe,
@@ -816,8 +818,8 @@ _SADDLE_2 = QuadraticForm.make(2, [[1, 0], [0, -1]])
 # builder call, its grid, its sphere radius (None: the whole box), and the
 # quadratics that must be >= 0 at a kept center; grid_complex with small
 # coefficients is covered by TestGridComplex; the names ending in -wide
-# are inputs whose precomputed bound passes 2**62, so the builder computes
-# with Python ints.
+# are inputs for which a bound taken first passes 2**62, the grid's or a
+# polynomial's own, so that kernel computes with Python ints.
 CENTER_CASES = {
     "zero": (lambda: sphere_zero_complex([_SMALL_FORM], 1, _CUBE, Fraction(1, 2)),
              _CUBE, 1, _abs_at_most(_SMALL_FORM, Fraction(1, 2))),
@@ -841,6 +843,11 @@ CENTER_CASES = {
                        _OFF_LATTICE, Fraction(3, 4), _abs_at_most(_SADDLE_2, Fraction(1, 4))),
     "region-grid-wide": (lambda: sphere_region_complex([_UPPER], Fraction(5, 2), _OFF_LATTICE),
                          _OFF_LATTICE, Fraction(4, 5), [_cap(Fraction(5, 2), 2), _UPPER]),
+    # A Python-int evaluator beside an int64 one in one build, on int64 centers.
+    "grid-mixed-wide": (lambda: grid_complex([_WIDE_SADDLE, _UPPER], _LARGE), _LARGE, None,
+                        [_WIDE_SADDLE, _UPPER]),
+    "region-mixed-wide": (lambda: sphere_region_complex([_WIDE_SADDLE, _UPPER], 1, _LARGE), _LARGE, 2,
+                          [_cap(1, 2), _WIDE_SADDLE, _UPPER]),
 }
 
 
@@ -850,8 +857,8 @@ def test_builders_match_fraction_evaluation(name):
     if name.endswith("-wide"):
         scale = _GridScale(spec).scale
         coeffs = [x for p in polys for x in (p.const, *p.lin, *itertools.chain(*p.quad))]
-        # a band's mask bound is at least scale^2 and the centers' bound, the
-        # polynomials' magnitude, at least their largest numerator
+        # a band's mask bound is at least scale^2, and an evaluator's bound
+        # at least its polynomial's largest numerator
         assert max([scale * scale if radius else 0] + [abs(x.numerator) for x in coeffs]) >= _INT64_SAFE
     cells = list(itertools.product(*map(range, spec.shape)) if radius is None
                  else _band_cells(spec, radius))
@@ -923,7 +930,7 @@ def test_top_cells_returns_a_private_array():
 
 # A symmetric grid whose box edges over a denominator past 2**62 make its
 # own bound u_max pass 2**62, so its lift candidates hold Python ints; an
-# eps so small that the truncation's own magnitude passes 2**62; and a lift
+# eps so small that the truncation's own bound passes 2**62; and a lift
 # grid so coarse that its middle layers hold candidates.
 _WIDE_HALF = 3 + Fraction(1, 2**63 + 1)
 _SYMMETRIC_WIDE = GridSpec(box=((-_WIDE_HALF, _WIDE_HALF),) * 2, resolution=_WIDE_HALF / 4)
@@ -952,7 +959,7 @@ def test_cap_candidates_match_fraction_reference(spec, eps, dtype, truncation_wi
         want, want_cap = list(range(len(cells))), None
     else:
         trunc = _cap(eps, spec.dim)
-        assert (_ScaledPoly(trunc, gs.scale).magnitude(gs.u_max) >= _INT64_SAFE) == truncation_wide
+        assert _ScaledPoly(trunc, gs).wide == truncation_wide
         kept = [i for i, jvec in enumerate(cells) if trunc.evaluate(spec.center(jvec)) >= 0]
         upper = [i for i in kept if cells[i][-1] > m // 2]
         middle = [i for i in kept if (m - 1) // 2 <= cells[i][-1] <= m // 2]
@@ -1015,9 +1022,9 @@ def test_warm_sphere_builds_form_no_centers(monkeypatch):
     a cache miss and `_box_mask` form per-axis bounds."""
     calls = []
 
-    def counted(self, *args, _real=_GridScale.lows):
-        calls.append(args)
-        return _real(self, *args)
+    def counted(self, *args, _real=_GridScale.lows, **kwargs):
+        calls.append((args, kwargs))
+        return _real(self, *args, **kwargs)
 
     eps = Fraction(1, 10)
     lift, polys = _lift_spec(eps, 3), _lift_polys(scenario_products(2))
@@ -1040,12 +1047,11 @@ def test_warm_sphere_builds_form_no_centers(monkeypatch):
 
 
 def test_cap_with_wide_polynomial_matches_fraction_reference():
-    """A polynomial whose magnitude passes 2**62 is evaluated on Python ints,
-    converted exactly from the cached int64 centers."""
+    """A polynomial whose own bound passes 2**62 is evaluated on Python ints,
+    which its evaluator converts exactly from the cached int64 centers."""
     eps = Fraction(1, 10)
     spec, r = _lift_spec(eps, 2), 2 / eps
-    gs = _GridScale(spec)
-    assert _ScaledPoly(_WIDE_SADDLE, gs.scale).magnitude(gs.u_max) >= _INT64_SAFE
+    assert _ScaledPoly(_WIDE_SADDLE, _GridScale(spec)).wide
     cap, copies = sphere_region_block([_WIDE_SADDLE], eps, spec)
     assert copies == 2 and _candidates(spec, r, eps)[3].dtype == np.int64
     expected = {
@@ -1056,6 +1062,29 @@ def test_cap_with_wide_polynomial_matches_fraction_reference():
     }
     assert expected and {c for c in cap.cells if all(x & 1 for x in c)} == expected
     assert _check_block([_WIDE_SADDLE], eps, spec) == 2
+
+
+def test_mixed_width_evaluators_in_one_build():
+    """A Python-int evaluator and an int64 one share a build's int64 centers,
+    and both bind: the box and the lift keep fewer cells than either alone."""
+    _, _, evals = _checked(_LARGE, [_WIDE_SADDLE, _UPPER], None)
+    assert [e.wide for e in evals] == [True, False]
+    systems = ([_WIDE_SADDLE, _UPPER], [_WIDE_SADDLE], [_UPPER])
+    assert [len(grid_complex(polys, _LARGE)) for polys in systems] == [142, 266, 231]
+    assert [len(sphere_region_complex(polys, 1, _LARGE)) for polys in systems] == [18, 36, 61]
+    assert _candidates(_LARGE, Fraction(2), Fraction(1))[3].dtype == np.int64
+
+
+def test_asymmetric_box_has_no_cap():
+    """Box symmetry is decided in the candidate entry, beside the middle
+    layers: on a box not symmetric about 0 the entry's cap count is None,
+    and the lift is returned whole, with 1 copy."""
+    spec, eps = GridSpec(box=((-3, 4),) * 2, resolution=Fraction(1, 2)), Fraction(1)
+    _candidates.cache_clear()
+    assert _candidates(spec, 2 / eps, eps)[4] is None
+    block, copies = sphere_region_block([], eps, spec)
+    assert (len(block), copies, betti(block)) == (122, 1, (2, 0, 0))
+    assert block.cells == sphere_region_complex([], eps, spec).cells
 
 
 # Unit circles on grids whose long axis passes 128 and 256 cells, so the
@@ -1071,7 +1100,8 @@ def test_narrow_band_indices_do_not_wrap(res, dtype, cells_above):
         expected = np.array(list(_band_cells(spec, Fraction(1))))
     else:  # the reference loop is slow at this size; the mask over Python ints is exact
         gs = _GridScale(spec)
-        lows = [lo + gs.step * np.arange(n).astype(object) for lo, n in zip(gs.lo, spec.shape)]
+        lows = gs.lows(bound=_INT64_SAFE)
+        assert lows[0].dtype == object
         expected = np.argwhere(_band_mask(lows, gs.step, Fraction(gs.scale) ** 2))
     assert np.array_equal(band.T, expected)
     tops = _sphere_cells(spec, (), 1)[0]
@@ -1082,7 +1112,7 @@ def test_narrow_band_indices_do_not_wrap(res, dtype, cells_above):
 
 def test_centers_past_int64_with_no_polynomial():
     """Scaled centers past 2**63 are held as Python ints even when no
-    polynomial, whose magnitude would bound them, is evaluated."""
+    polynomial, whose own bound would cover them, is evaluated."""
     spec = GridSpec(box=((-2**63, 2**63),) * 2, resolution=2**62)
     assert _GridScale(spec).lo[0] < -2**63
     assert np.array_equal(np.argwhere(_box_mask(spec, ())), np.argwhere(np.ones(spec.shape, dtype=bool)))
@@ -1125,17 +1155,24 @@ def _old_scaled_terms(poly, scale):
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(scaled_poly_cases())
+# 2**40 x^2 - 1 at scale 2 and u = 2**20 + 1: its value 2**80 + 2**61 +
+# 2**40 - 4 wraps in int64, though the point fits in int64.
+@example((QuadraticPoly.make(1, quad=[[2**40]], const=-1), 2, [[2**20 + 1]], 2**21))
 def test_scaled_poly_terms_and_signs_match_fraction_arithmetic(case):
     """`_ScaledPoly` forms its terms in integers: they equal int(lcm * x) of
-    the Fraction coefficients, and its values are lcm * scale**2 * P(u / scale)
-    exactly, so their signs are those of P, on int64 arrays when the
-    magnitude bound allows them and always on Python-int arrays."""
+    the Fraction coefficients.  It is wide exactly when a partial sum of its
+    terms at points with |u_i| <= u_max can reach 2**62, and its values are
+    lcm * scale**2 * P(u / scale) exactly, so their signs are those of P,
+    on int64 arrays and on Python-int arrays alike, whatever its bound."""
     poly, scale, columns, bound = case
-    e = _ScaledPoly(poly, scale)
+    e = _ScaledPoly(poly, SimpleNamespace(scale=scale, u_max=bound))
     quad, lin, const, lcm = _old_scaled_terms(poly, scale)
     assert (e.quad_terms, e.lin_terms, e.const_term) == (quad, lin, const)
-    dtypes = [object] + ([np.int64] if e.magnitude(bound) < _INT64_SAFE else [])
-    for dtype in dtypes:
+    magnitude = (abs(const) + sum(abs(a) for _, _, a in quad) * bound**2
+                 + sum(abs(b) for _, b in lin) * bound)
+    assert e.wide == (magnitude >= _INT64_SAFE)
+    assert all(abs(u) < 2**63 for c in columns for u in c)
+    for dtype in (object, np.int64):
         values = e.values([np.array(c, dtype=dtype) for c in columns])
         for v, point in zip(np.broadcast_to(values, (len(columns[0]),)).tolist(), zip(*columns)):
             exact = poly.evaluate([Fraction(u, scale) for u in point])
