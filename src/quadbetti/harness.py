@@ -308,10 +308,11 @@ class SmithReport(_Report):
 @functools.lru_cache(maxsize=4)
 def _sphere_grid(r: Fraction, n: int, width: Fraction) -> GridSpec:
     """The grid of a set on the radius-r sphere in n variables: cells of the
-    given width in the box [-(r + 2 width), r + 2 width]^n.  Built once per
-    (r, n, width) and shared, so every audit on one grid reads one
-    `quadforms._candidates` entry; the unit grid `_sphere_grid(1, n, 1/8)`
-    serves Smith at every radius and Alexander, and a lift grid the lifts."""
+    given width in the box [-(r + 2 width), r + 2 width]^n.  Any equal spec
+    reads the same `quadforms._candidates` entry, so this cache only skips
+    building the spec again: a lookup of about 2 us in place of a build of
+    about 17 us.  The unit grid `_sphere_grid(1, n, 1/8)` serves Smith at
+    every radius and Alexander, and a lift grid the lifts."""
     return GridSpec.symmetric(r + 2 * width, width, n)
 
 
@@ -467,6 +468,12 @@ class DeformationReport(_Report):
         return ["t", "betti"], [{"t": t, "betti": list(v)} for t, v in self.betti_by_t.items()]
 
 
+# Most distinct t values one deformation audit takes, checked before any lift
+# is built: each t costs one whole deformed lift (products-k2: about 11 ms).
+# Every test, menu and golden lists at most 5.
+MAX_T_VALUES = 64
+
+
 def deformation_audit(
     sc: Scenario,
     params: Optional[DeformationParams] = None,
@@ -484,12 +491,15 @@ def deformation_audit(
     change the cell set and its Betti vector (products-k2 at t = 1/1000
     reads (2, 2, 0, 0) against (8, 0, 0, 0) at t = 0).  The closed-set grid
     approximation stands in for both the open and the closed deformed sets.
-    The t = 0 reference is reported whether or not `t_values` holds 0.  A t
-    outside [0, delta], or a list with no t in (0, delta], which would
-    compare nothing, raises ValueError.
+    The t = 0 reference is reported whether or not `t_values` holds 0.  More
+    than MAX_T_VALUES distinct t values, a t outside [0, delta], or a list
+    with no t in (0, delta], which would compare nothing, raises ValueError
+    before any lift is built.
     """
     params = params or DeformationParams()
     ts = sorted({parse_rational(t) for t in t_values})
+    if len(ts) > MAX_T_VALUES:
+        raise ValueError(f"{len(ts)} distinct t values, above the limit of {MAX_T_VALUES}")
     for t in ts:
         if not 0 <= t <= params.delta:
             raise ValueError(f"t={t} outside [0, delta={params.delta}]")

@@ -33,23 +33,26 @@ truncation is evaluated once per entry.  A build evaluates only its own
 polynomials, on the cached centers.  On the 68**3 lift grid an entry keeps
 17,680 rows, in 459,680 bytes of rows and centers; on the unit-sphere grid
 of the Smith and Alexander audits it keeps all 1,184 band rows, in 2,368 +
-28,416 bytes.  A spec keeps the cell count per axis that its width check
-computes, and its integer view (`_GridScale`) takes int arithmetic alone.
-Each integer kernel picks its width from its own bound, taken before it
-forms a value, and runs the same array code in int64 or on Python ints
-(dtype=object): `_GridScale.lows` forms per-axis cell bounds and centers in
-int64 unless the grid's bound u_max on them, or its caller's bound on the
-values formed from them, reaches 2**62, and an evaluator (`_ScaledPoly`)
-casts its inputs to Python ints, whatever their dtype, when a partial sum
-of its terms at points up to u_max can.  So cached int64 centers serve
-every polynomial, no caller passes a width, and no float enters.  Every
-builder closes its kept cells with `homology.close_grid`, in the grid's
-own frame.  `_sphere_cells` returns the grid indices of the kept band
-cells as a (dim, n) array at the band's dtype and their run axis, the axis
-along which the most of them are adjacent, and the sphere builders close
-them with runs along that axis.  The box is closed from its kept-cell
-mask (`_box_mask`), whole or folded, with runs along the last axis.  No
-code array is formed.
+28,416 bytes.  A spec is one value with its integer view: its width check
+derives, in int arithmetic alone, the scale, an even multiple of every
+denominator, the scaled cell width, the scaled lower bound and cell count
+per axis, and the bound u_max on every scaled cell bound and center.  The
+view fixes box and resolution exactly, so a spec's equality and hash read
+it, in ints, and every build and cache miss reads it from the spec.  Each
+integer kernel picks its width from its own bound, taken before it forms a
+value, and runs the same array code in int64 or on Python ints
+(dtype=object): `GridSpec._lows` forms per-axis cell bounds and centers in
+int64 unless u_max, or its caller's bound on the values formed from them,
+reaches 2**62, and an evaluator (`_ScaledPoly`) casts its inputs to Python
+ints, whatever their dtype, when a partial sum of its terms at points up to
+u_max can.  So cached int64 centers serve every polynomial, no caller
+passes a width, and no float enters.  Every builder closes its kept cells
+with `homology.close_grid`, in the grid's own frame.  `_sphere_cells`
+returns the grid indices of the kept band cells as a (dim, n) array at the
+band's dtype and their run axis, the axis along which the most of them are
+adjacent, and the sphere builders close them with runs along that axis.
+The box is closed from its kept-cell mask (`_box_mask`), whole or folded,
+with runs along the last axis.  No code array is formed.
 
 An undeformed lift is two antipodal copies of one set.
 `sphere_region_block` returns the closed upper polar cap of
@@ -211,6 +214,13 @@ class DeformationParams:
             raise ValueError(f"need 0 < delta < eps, got delta={self.delta}, eps={self.eps}")
 
 
+# Each integer kernel computes in int64 when its own bound keeps every value it
+# forms below this in absolute value, and otherwise in arrays of Python ints
+# (dtype=object): `GridSpec._lows` from u_max or its caller's bound,
+# `_ScaledPoly.values` from its terms at u_max.
+_INT64_SAFE = 2**62
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Axis-aligned rational box split into cells of one rational width.
@@ -220,37 +230,44 @@ class GridSpec:
     the center point.
     """
 
-    box: Tuple[Tuple[Fraction, Fraction], ...]
-    resolution: Fraction
-    # The cell count per axis, kept from the width check: derived, so it
-    # takes no part in init, eq, hash or repr.
-    shape: Tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # The hash, formed on first use and kept: each Fraction hashes by a modular inverse.
-    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+    box: Tuple[Tuple[Fraction, Fraction], ...] = field(compare=False)
+    resolution: Fraction = field(compare=False)
+    # The integer view, derived by the width check in int arithmetic: every
+    # cell bound and center times `scale`, an even multiple of every
+    # denominator, is an int.  Cell j on axis a covers
+    # [lo[a] + j*step, lo[a] + (j+1)*step] / scale, and shape[a] cells span
+    # the axis.  These four fix box and resolution exactly, so eq and hash
+    # read them, all in ints; u_max bounds every scaled cell bound and
+    # center, and r * scale for a sphere in the box.
+    scale: int = field(init=False, repr=False)
+    step: int = field(init=False, repr=False)
+    lo: Tuple[int, ...] = field(init=False, repr=False)
+    shape: Tuple[int, ...] = field(init=False, repr=False)
+    u_max: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.box:
             raise ValueError("a grid needs at least one axis")
         box = tuple((parse_rational(lo), parse_rational(hi)) for lo, hi in self.box)
         res = positive(self.resolution, "resolution")
-        shape = []
+        scale = 2 * math.lcm(res.denominator, *(b.denominator for axis in box for b in axis))
+        step = res.numerator * (scale // res.denominator)
+        lows, shape, u_max = [], [], 0
         for lo, hi in box:
             if hi <= lo:
                 raise ValueError(f"empty axis interval [{lo}, {hi}]")
-            cells = (hi - lo) / res
-            if cells.denominator != 1:
+            a, b = (x.numerator * (scale // x.denominator) for x in (lo, hi))
+            cells, rest = divmod(b - a, step)
+            if rest:
                 raise ValueError(
                     f"axis width {hi - lo} is not a multiple of resolution {res}"
                 )
-            shape.append(cells.numerator)
-        object.__setattr__(self, "box", box)
-        object.__setattr__(self, "resolution", res)
-        object.__setattr__(self, "shape", tuple(shape))
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.box, self.resolution)))
-        return self._hash
+            lows.append(a)
+            shape.append(cells)
+            u_max = max(u_max, -a, b)
+        for name, value in (("box", box), ("resolution", res), ("scale", scale), ("step", step),
+                            ("lo", tuple(lows)), ("shape", tuple(shape)), ("u_max", u_max)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -262,6 +279,14 @@ class GridSpec:
             lo + (2 * j + 1) * h / 2 for (lo, _), j in zip(self.box, jvec)
         )
 
+    def _lows(self, offset: int = 0, bound: int = 0) -> List[np.ndarray]:
+        """Scaled lower cell bounds per axis plus `offset`: int64 unless u_max, or
+        `bound` on the values the caller forms from them, reaches 2**62, and
+        Python ints otherwise.  The centers are the lower bounds plus step // 2.
+        """
+        dtype = object if max(self.u_max, bound) >= _INT64_SAFE else np.int64
+        return [lo + offset + self.step * np.arange(n, dtype=dtype) for lo, n in zip(self.lo, self.shape)]
+
     @staticmethod
     def symmetric(half_width, resolution, dim: int) -> "GridSpec":
         """Box [-H, H]^dim with H snapped up to a multiple of the resolution."""
@@ -272,47 +297,12 @@ class GridSpec:
         return GridSpec(box=((-half, half),) * dim, resolution=h)
 
 
-# Each integer kernel computes in int64 when its own bound keeps every value it
-# forms below this in absolute value, and otherwise in arrays of Python ints
-# (dtype=object): `_GridScale.lows` from u_max or its caller's bound,
-# `_ScaledPoly.values` from its terms at u_max.
-_INT64_SAFE = 2**62
-
-
-class _GridScale:
-    """Integer view of a grid: all cell bounds and centers scaled to ints.
-
-    It is built per call in int arithmetic alone: the scale is a multiple
-    of every denominator, so each scaled value is numerator * (scale //
-    denominator).  Kept on the spec instead, it would stay alive with every
-    spec a caller holds.
-    """
-
-    def __init__(self, spec: GridSpec):
-        res = spec.resolution
-        self.scale = 2 * math.lcm(res.denominator, *(lo.denominator for lo, _ in spec.box))
-        self.step = res.numerator * (self.scale // res.denominator)
-        assert self.step % 2 == 0
-        self.lo = [lo.numerator * (self.scale // lo.denominator) for lo, _ in spec.box]
-        self.shape = spec.shape
-        # Bound on every scaled cell bound and center, and on r * scale for a sphere in the box.
-        self.u_max = max(max(-lo, lo + self.step * n) for lo, n in zip(self.lo, self.shape))
-
-    def lows(self, offset: int = 0, bound: int = 0) -> List[np.ndarray]:
-        """Scaled lower cell bounds per axis plus `offset`: int64 unless u_max, or
-        `bound` on the values the caller forms from them, reaches 2**62, and
-        Python ints otherwise.  The centers are the lower bounds plus step // 2.
-        """
-        dtype = object if max(self.u_max, bound) >= _INT64_SAFE else np.int64
-        return [lo + offset + self.step * np.arange(n, dtype=dtype) for lo, n in zip(self.lo, self.shape)]
-
-
 class _ScaledPoly:
     """Sign-faithful integer evaluator: a positive multiple of P(u/scale) at
-    integer points u of a grid's integer view, |u_i| <= u_max."""
+    integer points u of a grid spec's integer view, |u_i| <= u_max."""
 
-    def __init__(self, poly: QuadraticPoly, gs: _GridScale):
-        scale = gs.scale
+    def __init__(self, poly: QuadraticPoly, spec: GridSpec):
+        scale = spec.scale
         dens = [poly.const.denominator]
         dens.extend(x.denominator for x in poly.lin)
         dens.extend(x.denominator for row in poly.quad for x in row)
@@ -336,8 +326,8 @@ class _ScaledPoly:
         ]
         self.const_term = times_lcm(poly.const) * scale * scale
         # Whether a partial sum of `values` can reach 2**62 at points with |u_i| <= u_max.
-        self.wide = (abs(self.const_term) + sum(abs(a) for _, _, a in qt) * gs.u_max**2
-                     + sum(abs(b) for _, b in self.lin_terms) * gs.u_max) >= _INT64_SAFE
+        self.wide = (abs(self.const_term) + sum(abs(a) for _, _, a in qt) * spec.u_max**2
+                     + sum(abs(b) for _, b in self.lin_terms) * spec.u_max) >= _INT64_SAFE
 
     def values(self, u: Sequence[np.ndarray]) -> np.ndarray:
         """Values at the points whose coordinate arrays `u` broadcast together,
@@ -389,7 +379,7 @@ def _band_mask(lows: Sequence[np.ndarray], step: int, thr: Fraction) -> np.ndarr
     return band
 
 
-def _band(spec: GridSpec, gs: _GridScale, r: Fraction) -> Tuple[np.ndarray, np.ndarray]:
+def _band(spec: GridSpec, r: Fraction) -> Tuple[np.ndarray, np.ndarray]:
     """Grid indices of the cells the radius-r sphere crosses, axis by axis,
     and their successor table.
 
@@ -399,8 +389,8 @@ def _band(spec: GridSpec, gs: _GridScale, r: Fraction) -> Tuple[np.ndarray, np.n
     Row a of the successor table holds, for each band cell, the index of
     its +1 neighbour along axis a, or n where that neighbour is not in the
     band; `_band_tops` counts adjacent kept cells through it.  The mask is
-    exact in int64 when its own bound dim * u_max**2 stays below 2**62, and
-    uses Python ints otherwise.  `_candidates` keeps both arrays for the
+    formed from the spec's integer view, exact in int64 when its own bound
+    dim * u_max**2 stays below 2**62, and on Python ints otherwise.  `_candidates` keeps both arrays for the
     life of the process, so they are stored at the narrowest unsigned dtype
     that holds them: the indices at that of the longest axis (uint8 on
     every audit's grid), the successor table at that of the cell count.  On
@@ -408,8 +398,8 @@ def _band(spec: GridSpec, gs: _GridScale, r: Fraction) -> Tuple[np.ndarray, np.n
     bytes (57,768) of indices and 3 x 19,256 uint16 entries (115,536 bytes)
     of successors.
     """
-    shape = gs.shape
-    mask = _band_mask(gs.lows(bound=spec.dim * gs.u_max**2), gs.step, r * r * gs.scale * gs.scale)
+    shape = spec.shape
+    mask = _band_mask(spec._lows(bound=spec.dim * spec.u_max**2), spec.step, r * r * spec.scale**2)
     at = mask.nonzero()
     n = len(at[0])
     succ = np.full((spec.dim, n), n, dtype=np.min_scalar_type(n))
@@ -451,17 +441,18 @@ def _candidates(spec: GridSpec, r: Fraction, e: Optional[Fraction]
     and the unit sphere of the Alexander audit and of the Smith audit,
     which reads the unit entry at every radius, its tau scaled by 1/radius.
     Every caller passes the same three arguments, since `lru_cache` keys a
-    call by its argument count.
+    call by its argument count.  The spec's key is its integer view, so
+    equal specs, however built, read one entry and a lookup hashes no
+    Fraction; a miss reads that view rather than forming another.
     """
-    gs = _GridScale(spec)
     # The band is built in its own frame, so its mask is freed before the centers are formed.
-    band, succ = _band(spec, gs, r)
-    axes = gs.lows(gs.step // 2)
+    band, succ = _band(spec, r)
+    axes = spec._lows(spec.step // 2)
     rows, cap = np.arange(band.shape[1]), None
     if e is not None:
         diag = [-1] * (spec.dim - 1) + [1 / e**2]
         quad = [[diag[i] if i == j else 0 for j in range(spec.dim)] for i in range(spec.dim)]
-        trunc = _ScaledPoly(QuadraticPoly.make(spec.dim, quad=quad), gs)
+        trunc = _ScaledPoly(QuadraticPoly.make(spec.dim, quad=quad), spec)
         kept = trunc.values([c.take(ix) for c, ix in zip(axes, band)]) >= 0
         m, last = spec.shape[-1], band[-1]
         upper = last > m // 2
@@ -481,10 +472,11 @@ def _candidates(spec: GridSpec, r: Fraction, e: Optional[Fraction]
 
 
 def _checked(spec: GridSpec, polys: Sequence[QuadraticPoly], radius
-             ) -> Tuple[Optional[Fraction], _GridScale, List[_ScaledPoly]]:
+             ) -> Tuple[Optional[Fraction], List[_ScaledPoly]]:
     """A build's checks, before any array or cache lookup: variable counts,
-    radius, then MAX_GRID_CELLS.  Returns the exact radius or None, the
-    integer view and an evaluator per polynomial, which picks its own width."""
+    radius, then MAX_GRID_CELLS.  Returns the exact radius or None and an
+    evaluator per polynomial on the spec's integer view, which picks its own
+    width."""
     for p in polys:
         if p.k != spec.dim:
             raise ValueError(f"polynomial has {p.k} variables, grid has {spec.dim} axes")
@@ -492,8 +484,7 @@ def _checked(spec: GridSpec, polys: Sequence[QuadraticPoly], radius
     size = math.prod(spec.shape)
     if size > MAX_GRID_CELLS:
         raise ValueError(f"grid has {size} cells, above the limit of {MAX_GRID_CELLS}")
-    gs = _GridScale(spec)
-    return r, gs, [_ScaledPoly(p, gs) for p in polys]
+    return r, [_ScaledPoly(p, spec) for p in polys]
 
 
 def _satisfied(evals: Sequence[_ScaledPoly], u, shape) -> np.ndarray:
@@ -507,8 +498,8 @@ def _satisfied(evals: Sequence[_ScaledPoly], u, shape) -> np.ndarray:
 def _box_mask(spec: GridSpec, polys: Sequence[QuadraticPoly]) -> np.ndarray:
     """Mask of the box cells where every polynomial is >= 0 at the center,
     after `_checked`, by broadcasting per-axis centers."""
-    _, gs, evals = _checked(spec, polys, None)
-    return _satisfied(evals, np.ix_(*gs.lows(gs.step // 2)), spec.shape)
+    _, evals = _checked(spec, polys, None)
+    return _satisfied(evals, np.ix_(*spec._lows(spec.step // 2)), spec.shape)
 
 
 def _band_tops(band: np.ndarray, succ: np.ndarray, rows, keep: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -532,7 +523,7 @@ def _sphere_cells(spec: GridSpec, polys: Sequence[QuadraticPoly], radius, e: Opt
     `fold` and the module docstring's conditions hold, those of the cap's
     prefix and 2.  The build's checks run once, before the cache lookup, and
     only `polys` are evaluated, on the cached centers."""
-    r, _, evals = _checked(spec, polys, radius)
+    r, evals = _checked(spec, polys, radius)
     band, succ, rows, u, cap = _candidates(spec, r, e)
     copies = 1
     if fold and cap is not None and not any(any(p.lin) for p in polys):

@@ -280,6 +280,16 @@ class TestAuditCommand:
         assert captured.out == ""
         assert captured.err == "error: t values [0] hold no t in (0, delta=1/1000], so the audit would compare nothing\n"
 
+    def test_too_many_t_values_is_usage_error_before_any_lift(self, capsys, monkeypatch):
+        from quadbetti import harness
+
+        monkeypatch.setattr(harness, "_lift", lambda *args: pytest.fail("a lift was built"))
+        ts = ",".join(f"{i}/1000000" for i in range(harness.MAX_T_VALUES + 1))
+        assert main(["audit", "--name", "deformation-products", "--k", "1", "--t-values", ts]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: 65 distinct t values, above the limit of {harness.MAX_T_VALUES}\n"
+
     def test_unknown_name_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "audit", "--name", "nope")
         assert code == 2

@@ -478,6 +478,21 @@ class TestDeformation:
         with pytest.raises(ValueError, match=r"^t values \[0?\] hold no t in \(0, delta=1/1000\]"):
             deformation_audit(scenario_products(1), t_values=t_values)
 
+    def test_t_value_count_is_capped_before_any_lift(self, monkeypatch):
+        built = []
+
+        def counted(*args, _real=harness.sphere_region_block):
+            built.append(args)
+            return _real(*args)
+
+        monkeypatch.setattr(harness, "sphere_region_block", counted)
+        ts = [Fraction(i, 10**6) for i in range(harness.MAX_T_VALUES + 1)]
+        with pytest.raises(ValueError, match=f"^{len(ts)} distinct t values, above the limit of {harness.MAX_T_VALUES}$"):
+            deformation_audit(scenario_products(1), t_values=ts)
+        assert built == []
+        rep = deformation_audit(scenario_products(1), t_values=ts[:-1])
+        assert len(built) == len(rep.betti_by_t) == harness.MAX_T_VALUES
+
     def test_t_outside_delta_rejected(self):
         with pytest.raises(ValueError):
             deformation_audit(scenario_products(1), t_values=(Fraction(1, 2),))

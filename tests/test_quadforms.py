@@ -40,7 +40,6 @@ from quadbetti.quadforms import (
     MAX_GRID_CELLS,
     GridSpec,
     _INT64_SAFE,
-    _GridScale,
     _ScaledPoly,
     _band_mask,
     _band_tops,
@@ -698,9 +697,11 @@ def test_fold_recovers_a_mirrored_mask(case):
 
 
 def test_equal_specs_and_polynomials_hash_once_and_alike():
+    # Two built alike, and one with the same box written out.
     specs = [GridSpec.symmetric(Fraction(5, 2), Fraction(1, 8), 3) for _ in range(2)]
-    assert specs[0] is not specs[1] and specs[0] == specs[1] and hash(specs[0]) == hash(specs[1])
-    assert hash(specs[0]) == hash((specs[0].box, specs[0].resolution))
+    specs.append(GridSpec(box=((Fraction(-5, 2), Fraction(5, 2)),) * 3, resolution=Fraction(1, 8)))
+    for twin in specs[1:]:
+        assert specs[0] is not twin and specs[0] == twin and hash(specs[0]) == hash(twin)
     polys = [QuadraticPoly.make(2, quad=[[1, Fraction(1, 3)], [Fraction(1, 3), 2]], lin=[1, 0], const=Fraction(-5, 7))
              for _ in range(2)]
     assert polys[0] is not polys[1] and polys[0] == polys[1] and hash(polys[0]) == hash(polys[1])
@@ -711,8 +712,8 @@ def test_equal_specs_and_polynomials_hash_once_and_alike():
     assert blended == polys[0] and hash(blended) == hash(polys[0])
     _candidates.cache_clear()
     first = _candidates(specs[0], Fraction(2), None)
-    assert _candidates(specs[1], Fraction(2), None) is first
-    assert _candidates.cache_info().misses == 1 and _candidates.cache_info().hits == 1
+    assert all(_candidates(twin, Fraction(2), None) is first for twin in specs[1:])
+    assert _candidates.cache_info().misses == 1 and _candidates.cache_info().hits == 2
 
 def _band_cells(spec, r):
     """Cells whose closed cube meets the radius-r sphere, by Fraction interval arithmetic."""
@@ -855,7 +856,7 @@ CENTER_CASES = {
 def test_builders_match_fraction_evaluation(name):
     build, spec, radius, polys = CENTER_CASES[name]
     if name.endswith("-wide"):
-        scale = _GridScale(spec).scale
+        scale = spec.scale
         coeffs = [x for p in polys for x in (p.const, *p.lin, *itertools.chain(*p.quad))]
         # a band's mask bound is at least scale^2, and an evaluator's bound
         # at least its polynomial's largest numerator
@@ -952,14 +953,13 @@ def test_cap_candidates_match_fraction_reference(spec, eps, dtype, truncation_wi
     eps, on the unit sphere, they are every band row in band order, and the
     cap count is None."""
     r, m = Fraction(1) if eps is None else 2 / eps, spec.shape[-1]
-    gs = _GridScale(spec)
-    assert (gs.u_max >= _INT64_SAFE) == (dtype is object)
+    assert (spec.u_max >= _INT64_SAFE) == (dtype is object)
     cells = list(_band_cells(spec, r))
     if eps is None:
         want, want_cap = list(range(len(cells))), None
     else:
         trunc = _cap(eps, spec.dim)
-        assert _ScaledPoly(trunc, gs).wide == truncation_wide
+        assert _ScaledPoly(trunc, spec).wide == truncation_wide
         kept = [i for i, jvec in enumerate(cells) if trunc.evaluate(spec.center(jvec)) >= 0]
         upper = [i for i in kept if cells[i][-1] > m // 2]
         middle = [i for i in kept if (m - 1) // 2 <= cells[i][-1] <= m // 2]
@@ -975,7 +975,7 @@ def test_cap_candidates_match_fraction_reference(spec, eps, dtype, truncation_wi
     assert rows.dtype == np.min_scalar_type(len(cells)) and rows.tolist() == want
     assert cap_rows == want_cap
     assert centers.dtype == dtype and centers.shape == (spec.dim, len(want))
-    assert centers.T.tolist() == [[x * gs.scale for x in spec.center(cells[i])] for i in want]
+    assert centers.T.tolist() == [[x * spec.scale for x in spec.center(cells[i])] for i in want]
     for table in first[:4]:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
@@ -1022,7 +1022,7 @@ def test_warm_sphere_builds_form_no_centers(monkeypatch):
     a cache miss and `_box_mask` form per-axis bounds."""
     calls = []
 
-    def counted(self, *args, _real=_GridScale.lows, **kwargs):
+    def counted(self, *args, _real=GridSpec._lows, **kwargs):
         calls.append((args, kwargs))
         return _real(self, *args, **kwargs)
 
@@ -1036,7 +1036,7 @@ def test_warm_sphere_builds_form_no_centers(monkeypatch):
         sphere_region_complex(polys, eps, lift)
 
     builds()
-    monkeypatch.setattr(_GridScale, "lows", counted)
+    monkeypatch.setattr(GridSpec, "_lows", counted)
     builds()
     assert calls == []
     _box_mask(_UNIT_SPHERE_GRID, ())
@@ -1051,7 +1051,7 @@ def test_cap_with_wide_polynomial_matches_fraction_reference():
     which its evaluator converts exactly from the cached int64 centers."""
     eps = Fraction(1, 10)
     spec, r = _lift_spec(eps, 2), 2 / eps
-    assert _ScaledPoly(_WIDE_SADDLE, _GridScale(spec)).wide
+    assert _ScaledPoly(_WIDE_SADDLE, spec).wide
     cap, copies = sphere_region_block([_WIDE_SADDLE], eps, spec)
     assert copies == 2 and _candidates(spec, r, eps)[3].dtype == np.int64
     expected = {
@@ -1067,7 +1067,7 @@ def test_cap_with_wide_polynomial_matches_fraction_reference():
 def test_mixed_width_evaluators_in_one_build():
     """A Python-int evaluator and an int64 one share a build's int64 centers,
     and both bind: the box and the lift keep fewer cells than either alone."""
-    _, _, evals = _checked(_LARGE, [_WIDE_SADDLE, _UPPER], None)
+    _, evals = _checked(_LARGE, [_WIDE_SADDLE, _UPPER], None)
     assert [e.wide for e in evals] == [True, False]
     systems = ([_WIDE_SADDLE, _UPPER], [_WIDE_SADDLE], [_UPPER])
     assert [len(grid_complex(polys, _LARGE)) for polys in systems] == [142, 266, 231]
@@ -1099,10 +1099,9 @@ def test_narrow_band_indices_do_not_wrap(res, dtype, cells_above):
     if dtype == np.uint8:
         expected = np.array(list(_band_cells(spec, Fraction(1))))
     else:  # the reference loop is slow at this size; the mask over Python ints is exact
-        gs = _GridScale(spec)
-        lows = gs.lows(bound=_INT64_SAFE)
+        lows = spec._lows(bound=_INT64_SAFE)
         assert lows[0].dtype == object
-        expected = np.argwhere(_band_mask(lows, gs.step, Fraction(gs.scale) ** 2))
+        expected = np.argwhere(_band_mask(lows, spec.step, Fraction(spec.scale) ** 2))
     assert np.array_equal(band.T, expected)
     tops = _sphere_cells(spec, (), 1)[0]
     assert tops.dtype == dtype and np.array_equal(tops.T, expected)
@@ -1114,7 +1113,7 @@ def test_centers_past_int64_with_no_polynomial():
     """Scaled centers past 2**63 are held as Python ints even when no
     polynomial, whose own bound would cover them, is evaluated."""
     spec = GridSpec(box=((-2**63, 2**63),) * 2, resolution=2**62)
-    assert _GridScale(spec).lo[0] < -2**63
+    assert spec.lo[0] < -2**63
     assert np.array_equal(np.argwhere(_box_mask(spec, ())), np.argwhere(np.ones(spec.shape, dtype=bool)))
     cx = grid_complex((), spec)
     assert cx._frame.strides[1] == 1
@@ -1194,17 +1193,33 @@ def grid_specs(draw):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(grid_specs())
 def test_grid_shape_and_integer_view_match_fraction_arithmetic(spec):
-    """A spec's shape, kept from its width check, is (hi - lo) / h per axis
-    and takes no part in eq, hash or repr; `_GridScale` forms its scale,
-    step and lower bounds in integers, equal to the Fraction products."""
+    """A spec's shape, kept from its width check, is (hi - lo) / h per axis;
+    its integer view, scale, step, lower bounds and u_max, is formed in
+    integers, equal to the Fraction products; and none of them is in its
+    repr."""
     assert spec.shape == tuple(int((hi - lo) / spec.resolution) for lo, hi in spec.box)
     twin = GridSpec(box=spec.box, resolution=spec.resolution)
-    assert twin == spec and hash(twin) == hash(spec) and "shape" not in repr(spec)
-    gs = _GridScale(spec)
-    assert gs.scale == 2 * math.lcm(spec.resolution.denominator, *(lo.denominator for lo, _ in spec.box))
-    assert gs.step == spec.resolution * gs.scale and gs.step % 2 == 0
-    assert gs.lo == [lo * gs.scale for lo, _ in spec.box]
-    assert gs.u_max == max((abs(b * gs.scale) for axis in spec.box for b in axis), default=0)
+    assert twin == spec and hash(twin) == hash(spec)
+    assert repr(spec) == f"GridSpec(box={spec.box!r}, resolution={spec.resolution!r})"
+    assert spec.scale == 2 * math.lcm(spec.resolution.denominator, *(lo.denominator for lo, _ in spec.box))
+    assert spec.step == spec.resolution * spec.scale and spec.step % 2 == 0
+    assert spec.lo == tuple(lo * spec.scale for lo, _ in spec.box)
+    assert spec.u_max == max((abs(b * spec.scale) for axis in spec.box for b in axis), default=0)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(grid_specs(), grid_specs())
+# Equal shape, step and lower bound; only the scales, 4 and 2, differ.
+@example(GridSpec(box=((0, 1),), resolution=Fraction(1, 2)), GridSpec(box=((0, 2),), resolution=1))
+@example(GridSpec.symmetric(Fraction(5, 2), Fraction(1, 8), 1),
+         GridSpec(box=((Fraction(-5, 2), Fraction(5, 2)),), resolution=Fraction(1, 8)))
+def test_grid_specs_are_equal_iff_box_and_resolution_are(a, b):
+    """Eq and hash read the integer view, which fixes box and resolution:
+    two specs are equal exactly when their boxes and resolutions are, and
+    equal specs hash alike."""
+    assert (a == b) == ((a.box, a.resolution) == (b.box, b.resolution))
+    if a == b:
+        assert hash(a) == hash(b)
 
 
 class TestSphereComplexes:
