@@ -390,16 +390,16 @@ def _band(spec: GridSpec, r: Fraction) -> Tuple[np.ndarray, np.ndarray]:
     its +1 neighbour along axis a, or n where that neighbour is not in the
     band; `_band_tops` counts adjacent kept cells through it.  The mask is
     formed from the spec's integer view, exact in int64 when its own bound
-    dim * u_max**2 stays below 2**62, and on Python ints otherwise.  `_candidates` keeps both arrays for the
-    life of the process, so they are stored at the narrowest unsigned dtype
-    that holds them: the indices at that of the longest axis (uint8 on
-    every audit's grid), the successor table at that of the cell count.  On
-    the 68**3 lift grid, whose band has 19,256 cells, that is 3 x 19,256
-    bytes (57,768) of indices and 3 x 19,256 uint16 entries (115,536 bytes)
-    of successors.
+    dim * u_max**2 stays below 2**62, and on Python ints otherwise.
+    `_candidates` keeps both arrays for the life of the process, so they
+    are stored at the narrowest unsigned dtype that holds them: the indices
+    at that of the longest axis (uint8 on every audit's grid), the successor
+    table at that of the cell count.  On the 68**3 lift grid, whose band has
+    19,256 cells, that is 3 x 19,256 bytes (57,768) of indices and
+    3 x 19,256 uint16 entries (115,536 bytes) of successors.
     """
     shape = spec.shape
-    mask = _band_mask(spec._lows(bound=spec.dim * spec.u_max**2), spec.step, r * r * spec.scale**2)
+    mask = _band_mask(spec._lows(bound=spec.dim * spec.u_max**2), spec.step, r * r * spec.scale * spec.scale)
     at = mask.nonzero()
     n = len(at[0])
     succ = np.full((spec.dim, n), n, dtype=np.min_scalar_type(n))
