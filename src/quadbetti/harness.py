@@ -10,7 +10,6 @@ audit.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -305,17 +304,6 @@ class SmithReport(_Report):
     note: str = ""
 
 
-@functools.lru_cache(maxsize=4)
-def _sphere_grid(r: Fraction, n: int, width: Fraction) -> GridSpec:
-    """The grid of a set on the radius-r sphere in n variables: cells of the
-    given width in the box [-(r + 2 width), r + 2 width]^n.  Any equal spec
-    reads the same `quadforms._candidates` entry, so this cache only skips
-    building the spec again: a lookup of about 2 us in place of a build of
-    about 17 us.  The unit grid `_sphere_grid(1, n, 1/8)` serves Smith at
-    every radius and Alexander, and a lift grid the lifts."""
-    return GridSpec.symmetric(r + 2 * width, width, n)
-
-
 def smith_audit(forms: Sequence[QuadraticForm], radius=1) -> SmithReport:
     """Check the projective zero set of a quadric tuple against its bound.
 
@@ -361,7 +349,7 @@ def smith_audit(forms: Sequence[QuadraticForm], radius=1) -> SmithReport:
         raise ValueError(f"codimension {codim} rejected: smoothness is checked exactly "
                          "only up to codimension 2")
     r = positive(radius, "radius")
-    vec = betti(sphere_zero_complex(forms, 1, _sphere_grid(1, n, Fraction(1, 8)), 1 / (4 * r)))
+    vec = betti(sphere_zero_complex(forms, 1, Fraction(1, 8), 1 / (4 * r)))
     total = sum(vec)
     bound = b_ci(codim, proj_dim, (2,) * codim)
     projective_total = total // 2
@@ -385,19 +373,14 @@ def smith_audit(forms: Sequence[QuadraticForm], radius=1) -> SmithReport:
     )
 
 
-def _lift_spec(eps: Fraction, dim: int, resolution=None) -> GridSpec:
-    """The grid of a lift onto the radius-2/eps sphere in dim variables, at
-    cell width `resolution`, or r/32 for r = 2/eps when it is None."""
-    r = 2 / eps
-    return _sphere_grid(r, dim, r / 32 if resolution is None else parse_rational(resolution))
-
-
-def _lift(sc: Scenario, eps: Fraction, resolution) -> Optional[Tuple[GridSpec, List[QuadraticPoly]]]:
-    """The lift grid of a scenario (`_lift_spec`) and its homogenized system,
-    or None when the scenario box leaves the radius-1/eps ball."""
+def _lift(sc: Scenario, eps: Fraction, resolution) -> Optional[Tuple[Fraction, List[QuadraticPoly]]]:
+    """The cell width of a scenario's lift onto the radius-2/eps sphere,
+    `resolution`, or r/32 = 1/(16 eps) when it is None, and its homogenized
+    system; or None when the scenario box leaves the radius-1/eps ball."""
     if sum(max(lo * lo, hi * hi) for lo, hi in sc.grid.box) > 1 / eps**2:
         return None
-    return _lift_spec(eps, sc.k + 1, resolution), [homogenize(p).as_poly() for p in sc.system]
+    width = 1 / (16 * eps) if resolution is None else positive(resolution, "resolution")
+    return width, [homogenize(p).as_poly() for p in sc.system]
 
 
 # Note of a lift report whose scenario box leaves the ball; its lift fields keep their defaults.
@@ -434,14 +417,14 @@ def double_cover_audit(
     lift = _lift(sc, eps, sphere_resolution)
     if lift is None:
         return DoubleCoverReport(scenario=sc.name, verdict=INCONCLUSIVE, eps=eps, note=_BALL_NOTE)
-    spec, polys = lift
+    width, polys = lift
     if sc.oracle_betti is not None:
         base = sc.oracle_betti
         base_source = "oracle"
     else:
         base = _block_betti(grid_block(sc.system, sc.grid))
         base_source = "grid"
-    lifted = _block_betti(sphere_region_block(polys, eps, spec))
+    lifted = _block_betti(sphere_region_block(polys, eps, width, sc.k + 1))
     expected = pad_betti(tuple(2 * b for b in base), sc.k + 2)
     ok = lifted == expected
     return DoubleCoverReport(
@@ -510,14 +493,14 @@ def deformation_audit(
     if lift is None:
         return DeformationReport(scenario=sc.name, verdict=INCONCLUSIVE, eps=params.eps,
                                  delta=params.delta, note=_BALL_NOTE)
-    spec, base_polys = lift
+    width, base_polys = lift
     family = [
         dehomogenize(random_pd_form(sc.k + 2, seed + i)) for i in range(sc.s)
     ]
-    reference = _block_betti(sphere_region_block(base_polys, params.eps, spec))
+    reference = _block_betti(sphere_region_block(base_polys, params.eps, width, sc.k + 1))
     betti_by_t = {"0": reference}
     betti_by_t.update((format_rational(t), _block_betti(sphere_region_block(
-        [p.blend(h, t) for p, h in zip(base_polys, family)], params.eps, spec))) for t in ts if t)
+        [p.blend(h, t) for p, h in zip(base_polys, family)], params.eps, width, sc.k + 1))) for t in ts if t)
     constant = all(v == reference for v in betti_by_t.values())
     return DeformationReport(
         scenario=sc.name,
@@ -556,7 +539,7 @@ def alexander_equator_audit() -> AlexanderReport:
     or an entry past b_2, reads INCONCLUSIVE with a note naming it.
     """
     equator = QuadraticForm.make(3, [[0, 0, 0], [0, 0, 0], [0, 0, 1]])  # X3^2 vanishes on the equator plane
-    subset, complement = sphere_zero_split([equator], 1, _sphere_grid(1, 3, Fraction(1, 8)), Fraction(1, 4))
+    subset, complement = sphere_zero_split([equator], 1, Fraction(1, 8), Fraction(1, 4))
     vectors = {"subset": betti(subset), "complement": betti(complement)}
     # Both sets are nonempty cubical subsets of R^3, so b_0 >= 1 and b_3 = 0;
     # a vector that breaks either is an engine fault, reported, not raised.

@@ -22,69 +22,73 @@ the sphere, the band cells whose closed cube misses every kept cell.
 
 The builder decides all candidates in one numpy array pass: the whole box
 by broadcasting per-axis centers, the band as a mask from per-axis min and
-max squares and then the polynomials at its cells.  Every sphere set reads
-one read-only cache entry per (grid, radius, eps or None) in a process
-(`_candidates`): the band, axis-major, one contiguous row of cell indices
-per axis at the narrowest unsigned dtype that holds them, its successor
-table, the candidate rows and their integer centers, and the cap's row
-count.  With no eps the candidates are every band row; a lift's are the
-band rows the truncation keeps, the upper polar cap's first, so the
-truncation is evaluated once per entry.  A build evaluates only its own
-polynomials, on the cached centers.  On the 68**3 lift grid an entry keeps
-17,680 rows, in 459,680 bytes of rows and centers; on the unit-sphere grid
-of the Smith and Alexander audits it keeps all 1,184 band rows, in 2,368 +
-28,416 bytes.  A spec is one value with its integer view: its width check
-derives, in int arithmetic alone, the scale, an even multiple of every
-denominator, the scaled cell width, the scaled lower bound and cell count
-per axis, and the bound u_max on every scaled cell bound and center.  The
-view fixes box and resolution exactly, so a spec's equality and hash read
-it, in ints, and every build and cache miss reads it from the spec.  Each
-integer kernel picks its width from its own bound, taken before it forms a
-value, and runs the same array code in int64 or on Python ints
-(dtype=object): `GridSpec._lows` forms per-axis cell bounds and centers in
-int64 unless u_max, or its caller's bound on the values formed from them,
-reaches 2**62, and an evaluator (`_ScaledPoly`) casts its inputs to Python
-ints, whatever their dtype, when a partial sum of its terms at points up to
-u_max can.  So cached int64 centers serve every polynomial, no caller
-passes a width, and no float enters.  Every builder closes its kept cells
-with `homology.close_grid`, in the grid's own frame.  `_sphere_cells`
-returns the grid indices of the kept band cells as a (dim, n) array at the
-band's dtype and their run axis, the axis along which the most of them are
-adjacent, and the sphere builders close them with runs along that axis.
-The box is closed from its kept-cell mask (`_box_mask`), whole or folded,
-with runs along the last axis.  No code array is formed.
+max squares and then the polynomials at its cells.  A sphere builder takes
+a cell width, not a grid: every sphere set reads one read-only cache entry
+per (dimension, radius, width, eps or None) in a process (`_candidates`),
+which builds and holds its grid, the box [-(r + 2 width), r + 2 width]^dim
+snapped up to a multiple of the width, so the box contains the sphere and
+is symmetric about 0 by construction.  The entry holds that spec, the band,
+axis-major, one contiguous row of cell indices per axis at the narrowest
+unsigned dtype that holds them, its successor table, the candidate rows and
+their integer centers, and the cap's row count.  With no eps the candidates
+are every band row; a lift's are the band rows the truncation keeps, the
+upper polar cap's first, so the truncation is evaluated once per entry.  A
+build evaluates only its own polynomials, on the cached centers.  On the
+68**3 lift grid an entry keeps 17,680 rows, in 459,680 bytes of rows and
+centers; on the unit-sphere grid of the Smith and Alexander audits it keeps
+all 1,184 band rows, in 2,368 + 28,416 bytes.  A spec is one value with its
+integer view: its width check derives, in int arithmetic alone, the scale,
+an even multiple of every denominator, the scaled cell width, the scaled
+lower bound and cell count per axis, and the bound u_max on every scaled
+cell bound and center.  The view fixes box and resolution exactly, so a
+spec's equality and hash read it, in ints, and every build and cache miss
+reads it from the spec.  Each integer kernel picks its width from its own
+bound, taken before it forms a value, and runs the same array code in int64
+or on Python ints (dtype=object): `GridSpec._lows` forms per-axis cell
+bounds and centers in int64 unless u_max, or its caller's bound on the
+values formed from them, reaches 2**62, and an evaluator (`_ScaledPoly`)
+casts its inputs to Python ints, whatever their dtype, when a partial sum
+of its terms at points up to u_max can.  So cached int64 centers serve
+every polynomial, no caller picks an integer width, and no float enters.
+Every builder closes its kept cells with `homology.close_grid`, in the
+grid's own frame.  `_sphere_cells` returns the grid's shape, the grid
+indices of the kept band cells as a (dim, n) array at the band's dtype and
+their run axis, the axis along which the most of them are adjacent, and the
+sphere builders close them with runs along that axis.  The box is closed
+from its kept-cell mask (`_box_mask`), whole or folded, with runs along the
+last axis.  No code array is formed.
 
 An undeformed lift is two antipodal copies of one set.
 `sphere_region_block` returns the closed upper polar cap of
-`sphere_region_complex(polys, eps, spec)`, the face closure of its top
-cells above x_{k+1} = 0, and 2 copies when all three of these hold, each
+`sphere_region_complex(polys, eps, width, dim)`, the face closure of its
+top cells above x_{k+1} = 0, and 2 copies when both of these hold, each
 checked exactly, and otherwise the whole lift and 1 copy:
 
-1. the box is symmetric about 0 on every axis;
-2. no polynomial has a linear part, so P(-c) = P(c) at every
+1. no polynomial has a linear part, so P(-c) = P(c) at every
    integer-scaled center c (the truncation has none by construction);
-3. no lift candidate, a band cell the truncation keeps, lies in the layers
+2. no lift candidate, a band cell the truncation keeps, lies in the layers
    floor((m - 1) / 2) .. floor(m / 2) of the m cells of the last axis,
    whose closed cubes meet x_{k+1} = 0.
 
-Grid and eps alone decide conditions 1 and 3, once per `_candidates`
-entry, whose cap count is None unless both hold; condition 2 is decided
-per build.
+Grid and eps alone decide condition 2, once per `_candidates` entry,
+whose cap count is None unless it holds; condition 1 is decided per
+build.
 
 Proof that the lift is then the cap plus its point reflection, with
-disjoint closures.  The reflection j -> n - 1 - j on every axis maps the
-grid onto itself and negates every center (1).  It leaves the band
+disjoint closures.  The box is symmetric about 0 on every axis by
+construction, so the reflection j -> n - 1 - j on every axis maps the
+grid onto itself and negates every center.  It leaves the band
 unchanged, since `_band_mask` reads only per-axis minimum and maximum
 squares, and it keeps the sign of every polynomial and of the truncation
-(2).  So the kept top cells are symmetric; one in the middle layers would
-be a candidate, so by (3) they split into those above the middle layers
+(1).  So the kept top cells are symmetric; one in the middle layers would
+be a candidate, so by (2) they split into those above the middle layers
 and their reflections below, whose closed cubes lie in x_{k+1} > 0 and
 x_{k+1} < 0.  The homology of a disjoint union adds up, so every Betti
 number of the lift and its Euler characteristic are twice the cap's.  No
 two kept cells are adjacent across the middle layers, so the adjacent
 pairs that pick the run axis halve, and the cap keeps the lift's run axis.
-Since (1) and (3) are decided per entry, a build decides the cap before
-it evaluates its own polynomials, once, on the cap's rows alone.
+Since (2) is decided per entry, a build decides the cap before it
+evaluates its own polynomials, once, on the cap's rows alone.
 
 A box grid folds the same way, read off its kept-cell mask alone, with no
 float and no look at the polynomials.  `grid_block` takes `grid_complex`'s
@@ -348,17 +352,6 @@ class _ScaledPoly:
 MAX_GRID_CELLS = 2**22
 
 
-def _sphere_radius(radius, spec: GridSpec) -> Fraction:
-    """The radius as an exact positive rational whose sphere the grid box contains."""
-    r = positive(radius, "radius")
-    for lo, hi in spec.box:
-        if lo > -r or hi < r:
-            raise ValueError(
-                f"grid box does not contain the radius-{r} sphere on axis [{lo}, {hi}]"
-            )
-    return r
-
-
 def _band_mask(lows: Sequence[np.ndarray], step: int, thr: Fraction) -> np.ndarray:
     """Mask of the cells whose closed cube the sphere sum(x_i^2) = thr crosses.
 
@@ -419,72 +412,82 @@ def _band(spec: GridSpec, r: Fraction) -> Tuple[np.ndarray, np.ndarray]:
     return band, succ
 
 
-@functools.lru_cache(maxsize=4)
-def _candidates(spec: GridSpec, r: Fraction, e: Optional[Fraction]
-                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Optional[int]]:
-    """Read-only candidate cells of a set on the radius-r sphere, once per
-    (grid, radius, eps or None) in a process, and shared by every builder.
+def _check_axes(polys: Sequence[QuadraticPoly], dim: int) -> None:
+    """A build's first check: every polynomial has one variable per grid axis."""
+    for p in polys:
+        if p.k != dim:
+            raise ValueError(f"polynomial has {p.k} variables, grid has {dim} axes")
 
-    Returns the band and its successor table (`_band`); the candidate rows
-    of the band, at the narrowest unsigned dtype: every band row in band
-    order when e is None, and otherwise the rows of the lift onto the
-    radius-2/e sphere where the projective-ball truncation
+
+def _check_cells(spec: GridSpec) -> None:
+    """Refuses a grid of more than MAX_GRID_CELLS cells, before any array is allocated."""
+    size = math.prod(spec.shape)
+    if size > MAX_GRID_CELLS:
+        raise ValueError(f"grid has {size} cells, above the limit of {MAX_GRID_CELLS}")
+
+
+@functools.lru_cache(maxsize=4)
+def _candidates(dim: int, r: Fraction, width: Fraction, e: Optional[Fraction]
+                ) -> Tuple[GridSpec, np.ndarray, np.ndarray, np.ndarray, np.ndarray, Optional[int]]:
+    """The grid of a set on the radius-r sphere in dim variables and its
+    read-only candidate cells, once per (dim, radius, width, eps or None)
+    in a process, and shared by every builder.
+
+    On a miss the grid is formed as `GridSpec.symmetric(r + 2 * width,
+    width, dim)`, the box [-(r + 2 width), r + 2 width]^dim snapped up to a
+    multiple of the width, and its cell count is checked against
+    MAX_GRID_CELLS before `_band` allocates anything; a hit forms no spec.
+    Returns that spec; the band and its successor table (`_band`); the
+    candidate rows of the band, at the narrowest unsigned dtype: every band
+    row in band order when e is None, and otherwise the rows of the lift
+    onto the radius-2/e sphere where the projective-ball truncation
     (1/e)^2 * x_dim^2 - |x_1..x_{dim-1}|^2 is >= 0 at the center, the
     upper polar cap's rows, with last index above floor(m / 2), m the last
     axis's cell count, first; their integer-scaled centers as one (dim, n)
     array, int64 unless the grid's own bound u_max reaches 2**62, which
     every evaluator reads whatever its own width; and the cap's row count,
-    None when e is None, when the box is not symmetric about 0 on every
-    axis, or when a kept row lies in the layers floor((m - 1) / 2) ..
-    floor(m / 2) (conditions 1 and 3 of the module docstring).  Four
-    entries cover the three of one `verify --full`: the 2-D and 3-D lifts
-    and the unit sphere of the Alexander audit and of the Smith audit,
-    which reads the unit entry at every radius, its tau scaled by 1/radius.
-    Every caller passes the same three arguments, since `lru_cache` keys a
-    call by its argument count.  The spec's key is its integer view, so
-    equal specs, however built, read one entry and a lookup hashes no
-    Fraction; a miss reads that view rather than forming another.
+    None when e is None or when a kept row lies in the layers
+    floor((m - 1) / 2) .. floor(m / 2) (condition 2 of the module
+    docstring).  Four entries cover the three of one `verify --full`: the
+    2-D and 3-D lifts and the unit sphere of the Alexander audit and of the
+    Smith audit, which reads the unit entry at every radius, its tau scaled
+    by 1/radius.  Every caller passes all four arguments, radius and width
+    parsed to Fractions, since `lru_cache` keys a call by the arguments as
+    passed; so equal values, however written, read one entry.
     """
+    spec = GridSpec.symmetric(r + 2 * width, width, dim)
+    _check_cells(spec)
     # The band is built in its own frame, so its mask is freed before the centers are formed.
     band, succ = _band(spec, r)
     axes = spec._lows(spec.step // 2)
     rows, cap = np.arange(band.shape[1]), None
     if e is not None:
-        diag = [-1] * (spec.dim - 1) + [1 / e**2]
-        quad = [[diag[i] if i == j else 0 for j in range(spec.dim)] for i in range(spec.dim)]
-        trunc = _ScaledPoly(QuadraticPoly.make(spec.dim, quad=quad), spec)
+        diag = [-1] * (dim - 1) + [1 / e**2]
+        quad = [[diag[i] if i == j else 0 for j in range(dim)] for i in range(dim)]
+        trunc = _ScaledPoly(QuadraticPoly.make(dim, quad=quad), spec)
         kept = trunc.values([c.take(ix) for c, ix in zip(axes, band)]) >= 0
         m, last = spec.shape[-1], band[-1]
         upper = last > m // 2
         # The kept centers are gathered afresh rather than filtered out of those
         # of the whole band, so the two are never held at once.
         rows = np.concatenate([(kept & upper).nonzero()[0], (kept & ~upper).nonzero()[0]])
-        # Conditions 1 and 3 of the module docstring: the box is symmetric, and
-        # no kept row lies in the middle layers.
-        middle = kept & (last >= (m - 1) // 2) & ~upper
-        if all(lo == -hi for lo, hi in spec.box) and not np.count_nonzero(middle):
+        # Condition 2 of the module docstring: no kept row lies in the middle layers.
+        if not np.count_nonzero(kept & (last >= (m - 1) // 2) & ~upper):
             cap = np.count_nonzero(kept & upper)
     centers = np.stack([c.take(ix) for c, ix in zip(axes, band.take(rows, axis=1))])
     rows = rows.astype(np.min_scalar_type(band.shape[1]))
     for table in (band, succ, rows, centers):
         table.flags.writeable = False
-    return band, succ, rows, centers, cap
+    return spec, band, succ, rows, centers, cap
 
 
-def _checked(spec: GridSpec, polys: Sequence[QuadraticPoly], radius
-             ) -> Tuple[Optional[Fraction], List[_ScaledPoly]]:
-    """A build's checks, before any array or cache lookup: variable counts,
-    radius, then MAX_GRID_CELLS.  Returns the exact radius or None and an
-    evaluator per polynomial on the spec's integer view, which picks its own
-    width."""
-    for p in polys:
-        if p.k != spec.dim:
-            raise ValueError(f"polynomial has {p.k} variables, grid has {spec.dim} axes")
-    r = None if radius is None else _sphere_radius(radius, spec)
-    size = math.prod(spec.shape)
-    if size > MAX_GRID_CELLS:
-        raise ValueError(f"grid has {size} cells, above the limit of {MAX_GRID_CELLS}")
-    return r, [_ScaledPoly(p, spec) for p in polys]
+def _checked(spec: GridSpec, polys: Sequence[QuadraticPoly]) -> List[_ScaledPoly]:
+    """A box build's checks, before any array: variable counts, then
+    MAX_GRID_CELLS.  Returns an evaluator per polynomial on the spec's
+    integer view, which picks its own width."""
+    _check_axes(polys, spec.dim)
+    _check_cells(spec)
+    return [_ScaledPoly(p, spec) for p in polys]
 
 
 def _satisfied(evals: Sequence[_ScaledPoly], u, shape) -> np.ndarray:
@@ -498,8 +501,7 @@ def _satisfied(evals: Sequence[_ScaledPoly], u, shape) -> np.ndarray:
 def _box_mask(spec: GridSpec, polys: Sequence[QuadraticPoly]) -> np.ndarray:
     """Mask of the box cells where every polynomial is >= 0 at the center,
     after `_checked`, by broadcasting per-axis centers."""
-    _, evals = _checked(spec, polys, None)
-    return _satisfied(evals, np.ix_(*spec._lows(spec.step // 2)), spec.shape)
+    return _satisfied(_checked(spec, polys), np.ix_(*spec._lows(spec.step // 2)), spec.shape)
 
 
 def _band_tops(band: np.ndarray, succ: np.ndarray, rows, keep: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -516,19 +518,21 @@ def _band_tops(band: np.ndarray, succ: np.ndarray, rows, keep: np.ndarray) -> Tu
     return band.take(kept, axis=1), max(range(len(succ)), key=lambda a: (pairs[a], a))
 
 
-def _sphere_cells(spec: GridSpec, polys: Sequence[QuadraticPoly], radius, e: Optional[Fraction] = None,
-                  fold: bool = False) -> Tuple[np.ndarray, int, int]:
-    """The candidates of `_candidates(spec, radius, e)` where every polynomial
-    is >= 0 at the center, as `_band_tops` returns them, and 1; or, when
-    `fold` and the module docstring's conditions hold, those of the cap's
-    prefix and 2.  The build's checks run once, before the cache lookup, and
-    only `polys` are evaluated, on the cached centers."""
-    r, evals = _checked(spec, polys, radius)
-    band, succ, rows, u, cap = _candidates(spec, r, e)
+def _sphere_cells(polys: Sequence[QuadraticPoly], dim: int, radius, width, e: Optional[Fraction] = None,
+                  fold: bool = False) -> Tuple[Tuple[int, ...], np.ndarray, int, int]:
+    """The grid shape of `_candidates(dim, radius, width, e)`, the candidates
+    where every polynomial is >= 0 at the center, as `_band_tops` returns
+    them, and 1; or, when `fold` and the module docstring's conditions hold,
+    those of the cap's prefix and 2.  The variable counts, radius and width
+    are checked before the cache lookup, and only `polys` are evaluated, on
+    the cached centers, by evaluators on the entry's spec."""
+    _check_axes(polys, dim)
+    spec, band, succ, rows, u, cap = _candidates(dim, positive(radius, "radius"), positive(width, "width"), e)
     copies = 1
     if fold and cap is not None and not any(any(p.lin) for p in polys):
         rows, u, copies = rows[:cap], u[:, :cap], 2
-    return (*_band_tops(band, succ, rows, _satisfied(evals, u, len(rows))), copies)
+    keep = _satisfied([_ScaledPoly(p, spec) for p in polys], u, len(rows))
+    return (spec.shape, *_band_tops(band, succ, rows, keep), copies)
 
 
 def grid_complex(system: Sequence[QuadraticPoly], spec: GridSpec) -> CubicalComplex:
@@ -563,36 +567,37 @@ def grid_block(system: Sequence[QuadraticPoly], spec: GridSpec) -> Tuple[Cubical
     return close_grid(keep.shape, keep), copies
 
 
-def sphere_zero_complex(
-    forms: Sequence[QuadraticForm], radius, spec: GridSpec, tau
-) -> CubicalComplex:
+def sphere_zero_complex(forms: Sequence[QuadraticForm], radius, width, tau) -> CubicalComplex:
     """Cubical band around the common zero set of forms on a sphere.
 
-    Keeps the sphere-crossing cells whose center c has |Q(c)| <= tau for
-    every form; tau should scale with the resolution (the audits default
-    to twice the cell width).
+    Keeps the cells of width `width` that the radius-r sphere crosses, in
+    as many variables as the forms have, whose center c has |Q(c)| <= tau
+    for every form; tau should scale with the width (the audits take twice
+    the cell width).
     """
-    return close_grid(spec.shape, *_sphere_cells(spec, _zero_polys(forms, tau), radius)[:2])
+    polys = _zero_polys(forms, tau)
+    return close_grid(*_sphere_cells(polys, polys[0].k, radius, width)[:3])
 
 
-def sphere_zero_split(forms: Sequence[QuadraticForm], radius, spec: GridSpec,
+def sphere_zero_split(forms: Sequence[QuadraticForm], radius, width,
                       tau) -> Tuple[CubicalComplex, CubicalComplex]:
-    """`sphere_zero_complex(forms, radius, spec, tau)` and its closed complement
+    """`sphere_zero_complex(forms, radius, width, tau)` and its closed complement
     on the sphere, the face closure of the band cells whose closed cube misses
     every kept cell.  Two closed grid cubes meet iff their indices differ by at
     most 1 on every axis, so the kept cells are marked on the grid padded by
     one, and the marks are grown by one step along each axis in turn.
     """
-    cells, run_axis, _ = _sphere_cells(spec, _zero_polys(forms, tau), radius)
-    near = np.zeros([n + 2 for n in spec.shape], dtype=bool)
-    inner = (slice(1, -1),) * spec.dim
+    polys = _zero_polys(forms, tau)
+    shape, cells, run_axis, _ = _sphere_cells(polys, polys[0].k, radius, width)
+    near = np.zeros([n + 2 for n in shape], dtype=bool)
+    inner = (slice(1, -1),) * len(shape)
     near[inner][tuple(cells)] = True
     # Along each axis the padding is empty until this axis is grown, so no
     # mark rolls around the end.
-    for axis in range(spec.dim):
+    for axis in range(len(shape)):
         near = near | np.roll(near, 1, axis) | np.roll(near, -1, axis)
-    band = _candidates(spec, _sphere_radius(radius, spec), None)[0]
-    return close_grid(spec.shape, cells, run_axis), close_grid(spec.shape, band[:, ~near[inner][tuple(band)]])
+    band = _candidates(len(shape), positive(radius, "radius"), positive(width, "width"), None)[1]
+    return close_grid(shape, cells, run_axis), close_grid(shape, band[:, ~near[inner][tuple(band)]])
 
 
 def _zero_polys(forms: Sequence[QuadraticForm], tau) -> List[QuadraticPoly]:
@@ -605,33 +610,32 @@ def _zero_polys(forms: Sequence[QuadraticForm], tau) -> List[QuadraticPoly]:
             for f in forms for gram in ([[-a for a in row] for row in f.gram], f.gram)]
 
 
-def sphere_band_complex(radius, spec: GridSpec) -> CubicalComplex:
-    """Face closure of every grid cell the radius-r sphere crosses."""
-    return close_grid(spec.shape, *_sphere_cells(spec, (), radius)[:2])
+def sphere_band_complex(radius, width, dim: int) -> CubicalComplex:
+    """Face closure of every cell of width `width` that the radius-r sphere in
+    dim variables crosses, on the grid of `_candidates`."""
+    return close_grid(*_sphere_cells((), dim, radius, width)[:3])
 
 
-def sphere_region_complex(
-    polys: Sequence[QuadraticPoly], eps, spec: GridSpec
-) -> CubicalComplex:
+def sphere_region_complex(polys: Sequence[QuadraticPoly], eps, width, dim: int) -> CubicalComplex:
     """Lift of an inequality system onto the sphere of radius 2/eps.
 
-    The grid must be (k+1)-dimensional for polynomials in k+1 variables.
-    A sphere-crossing cell is kept iff its center c satisfies every
-    P(c) >= 0 and the projective-ball truncation
+    The grid has cells of width `width` and dim = k+1 axes, for polynomials
+    in k+1 variables.  A sphere-crossing cell is kept iff its center c
+    satisfies every P(c) >= 0 and the projective-ball truncation
     |c_1..c_k|^2 <= (1/eps)^2 * c_{k+1}^2, which keeps the region off the
     equator and makes each polar copy correspond to the affine set
     truncated to the ball of radius 1/eps.
     """
     e = positive(eps, "eps")
-    return close_grid(spec.shape, *_sphere_cells(spec, polys, 2 / e, e)[:2])
+    return close_grid(*_sphere_cells(polys, dim, 2 / e, width, e)[:3])
 
 
-def sphere_region_block(polys: Sequence[QuadraticPoly], eps, spec: GridSpec) -> Tuple[CubicalComplex, int]:
-    """One antipodal block of `sphere_region_complex(polys, eps, spec)` and
+def sphere_region_block(polys: Sequence[QuadraticPoly], eps, width, dim: int) -> Tuple[CubicalComplex, int]:
+    """One antipodal block of `sphere_region_complex(polys, eps, width, dim)` and
     `copies`: the lift's Betti numbers and Euler characteristic are `copies`
     times the block's.  The block is the closed upper polar cap, with the
     lift's run axis, and copies 2 when the module docstring's conditions hold,
     tested before `polys` are evaluated; otherwise the whole lift, and 1."""
     e = positive(eps, "eps")
-    cells, run_axis, copies = _sphere_cells(spec, polys, 2 / e, e, fold=True)
-    return close_grid(spec.shape, cells, run_axis), copies
+    shape, cells, run_axis, copies = _sphere_cells(polys, dim, 2 / e, width, e, fold=True)
+    return close_grid(shape, cells, run_axis), copies

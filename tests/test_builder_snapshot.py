@@ -20,10 +20,9 @@ from pathlib import Path
 import pytest
 
 from quadbetti.exact import QuadraticForm, dehomogenize, homogenize, random_pd_form
-from quadbetti.harness import _lift_spec, scenario_products, scenario_shell
+from quadbetti.harness import scenario_products, scenario_shell
 from quadbetti.homology import betti
 from quadbetti.quadforms import (
-    GridSpec,
     grid_complex,
     sphere_band_complex,
     sphere_region_block,
@@ -33,33 +32,36 @@ from quadbetti.quadforms import (
 
 SNAPSHOT = json.loads((Path(__file__).parent / "data" / "builder_snapshot.json").read_text())
 
-SPHERE_SPEC = GridSpec.symmetric(Fraction(5, 4), Fraction(1, 8), 3)
+# The unit sphere's cell width, in 3 variables: the grid of the Smith and Alexander audits.
+UNIT_WIDTH = Fraction(1, 8)
 EQUATOR = QuadraticForm.make(3, [[0, 0, 0], [0, 0, 0], [0, 0, 1]])
 CONE = QuadraticForm.make(3, [[1, 0, 0], [0, 1, 0], [0, 0, -1]])
 EPS = Fraction(1, 10)
+# The lift's default cell width, r/32 at r = 2/eps.
+LIFT_WIDTH = 1 / (16 * EPS)
 
 
 def _affine(sc):
     return lambda: grid_complex(sc.system, sc.grid)
 
 
-def _cap(polys, eps, spec):
+def _cap(polys, eps, width, dim):
     """The block of `sphere_region_block`; every recorded cap input takes the cap."""
-    block, copies = sphere_region_block(polys, eps, spec)
+    block, copies = sphere_region_block(polys, eps, width, dim)
     assert copies == 2
     return block
 
 
 def _lift(sc, builder=sphere_region_complex):
     polys = [homogenize(p).as_poly() for p in sc.system]
-    return lambda: builder(polys, EPS, _lift_spec(EPS, sc.k + 1))
+    return lambda: builder(polys, EPS, LIFT_WIDTH, sc.k + 1)
 
 
 def _deformed_lift(sc, t, seed):
     """The lift `deformation_audit` builds at t for the family seed `seed`."""
     family = [dehomogenize(random_pd_form(sc.k + 2, seed + i)) for i in range(sc.s)]
     polys = [homogenize(p).as_poly().blend(h, t) for p, h in zip(sc.system, family)]
-    return lambda: sphere_region_complex(polys, EPS, _lift_spec(EPS, sc.k + 1))
+    return lambda: sphere_region_complex(polys, EPS, LIFT_WIDTH, sc.k + 1)
 
 
 SHELL2 = scenario_shell(2, Fraction(1, 2), 1)
@@ -69,9 +71,9 @@ BUILDS = {
     **{f"grid-products-k{k}": (_affine(scenario_products(k)), True) for k in range(1, 5)},
     "grid-shell-k2": (_affine(SHELL2), True),
     "grid-shell-k3": (_affine(scenario_shell(3, Fraction(1, 2), 1)), True),
-    "band-unit-sphere": (lambda: sphere_band_complex(1, SPHERE_SPEC), False),
-    "zero-equator": (lambda: sphere_zero_complex([EQUATOR], 1, SPHERE_SPEC, Fraction(1, 8)), False),
-    "zero-cone": (lambda: sphere_zero_complex([CONE], 1, SPHERE_SPEC, Fraction(1, 4)), False),
+    "band-unit-sphere": (lambda: sphere_band_complex(1, UNIT_WIDTH, 3), False),
+    "zero-equator": (lambda: sphere_zero_complex([EQUATOR], 1, UNIT_WIDTH, Fraction(1, 8)), False),
+    "zero-cone": (lambda: sphere_zero_complex([CONE], 1, UNIT_WIDTH, Fraction(1, 4)), False),
     "lift-products-k1": (_lift(scenario_products(1)), False),
     "lift-products-k2": (_lift(scenario_products(2)), False),
     "lift-shell-k2": (_lift(SHELL2), False),

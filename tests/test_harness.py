@@ -184,7 +184,7 @@ def test_perfbench_reads_the_exact_names_from_their_old_homes(monkeypatch):
     rank = exact.GF2Matrix.rank
     seen = []
     monkeypatch.setattr(exact.GF2Matrix, "rank", lambda m: seen.append(m.n_cols) or rank(m))
-    circle = sphere_band_complex(1, GridSpec.symmetric(2, Fraction(1, 4), 2))
+    circle = sphere_band_complex(1, Fraction(1, 4), 2)
     sc = scenario_shell(3, Fraction(1, 2), 1)
     shell = grid_complex(sc.system, sc.grid)
     assert len(circle) < homology._COLLAPSE_MIN_CELLS <= len(shell)
@@ -387,8 +387,8 @@ class TestSmithAudit:
         n = forms[0].n
         for r in (1, 2, Fraction(1, 2), Fraction(3, 2), 3, 5, 10**22):
             r = Fraction(r)
-            reference = sphere_zero_complex(forms, r, GridSpec.symmetric(5 * r / 4, r / 8, n), r / 4)
-            unit = sphere_zero_complex(forms, 1, GridSpec.symmetric(Fraction(5, 4), Fraction(1, 8), n), 1 / (4 * r))
+            reference = sphere_zero_complex(forms, r, r / 8, r / 4)
+            unit = sphere_zero_complex(forms, 1, Fraction(1, 8), 1 / (4 * r))
             assert unit.cells == reference.cells, r
             vec = betti(reference)
             assert smith_audit(forms, radius=r).sphere_betti == vec, r
@@ -522,9 +522,8 @@ def _vertex_disjoint_split(res, tau):
     The complement holds the band's 3-cells none of whose vertices is a
     vertex of the equator band: two closed cubes meet iff they share one.
     """
-    spec = GridSpec.symmetric(1 + 2 * res, res, 3)
-    band = sphere_band_complex(1, spec)
-    subset = sphere_zero_complex([EQUATOR], 1, spec, tau)
+    band = sphere_band_complex(1, res, 3)
+    subset = sphere_zero_complex([EQUATOR], 1, res, tau)
     subset_vertices = set(cells_of_dim(subset, 0))
     complement_tops = [
         c
@@ -538,7 +537,7 @@ class TestAlexander:
     @pytest.mark.parametrize("res, tau", [(Fraction(1, 8), Fraction(1, 4)), (Fraction(1, 6), Fraction(1, 5))])
     def test_complement_matches_vertex_disjoint_rule(self, res, tau):
         band, subset, complement_tops = _vertex_disjoint_split(res, tau)
-        split_subset, complement = sphere_zero_split([EQUATOR], 1, GridSpec.symmetric(1 + 2 * res, res, 3), tau)
+        split_subset, complement = sphere_zero_split([EQUATOR], 1, res, tau)
         assert same_complex(split_subset, subset)
         assert set(cells_of_dim(complement, 3)) == set(complement_tops)
         assert 0 < len(complement_tops) < band.n_cells(3)
@@ -547,9 +546,8 @@ class TestAlexander:
         # At the audit's grid: the sphere band and the two caps have chi = 2,
         # the equator circle chi = 0, each the alternating sum of its Betti vector.
         res = Fraction(1, 8)
-        spec = GridSpec.symmetric(1 + 2 * res, res, 3)
-        band = sphere_band_complex(1, spec)
-        subset, complement = sphere_zero_split([EQUATOR], 1, spec, 2 * res)
+        band = sphere_band_complex(1, res, 3)
+        subset, complement = sphere_zero_split([EQUATOR], 1, res, 2 * res)
         for cx, chi in ((band, 2), (subset, 0), (complement, 2)):
             alternating = sum((-1) ** i * b for i, b in enumerate(betti(cx)))
             assert sum((-1) ** d * cx.n_cells(d) for d in range(4)) == alternating == chi

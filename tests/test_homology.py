@@ -418,12 +418,12 @@ class TestRunComplex:
 
     def test_small_run_complex_is_ranked_directly(self, no_rounds):
         from quadbetti.exact import homogenize
-        from quadbetti.harness import _lift_spec, scenario_products
+        from quadbetti.harness import scenario_products
         from quadbetti.quadforms import DeformationParams, sphere_region_complex
 
         eps = DeformationParams().eps
         polys = [homogenize(p).as_poly() for p in scenario_products(1).system]
-        lift = sphere_region_complex(polys, eps, _lift_spec(eps, 2))
+        lift = sphere_region_complex(polys, eps, 1 / (16 * eps), 2)
         assert len(lift) == 1092 and len(lift._first) == 172
         assert betti(lift) == betti_by_cells(lift) == (4, 0, 0)
 
@@ -432,7 +432,7 @@ class TestRunComplex:
         # assembly removed, so a fault in one way's face lookup cannot bend
         # the other's vector too.
         from quadbetti.exact import homogenize
-        from quadbetti.harness import _lift_spec, scenario_products
+        from quadbetti.harness import scenario_products
         from quadbetti.quadforms import DeformationParams, sphere_region_complex
 
         def removed(*args):
@@ -440,7 +440,7 @@ class TestRunComplex:
 
         eps = DeformationParams().eps
         polys = [homogenize(p).as_poly() for p in scenario_products(1).system]
-        lift = sphere_region_complex(polys, eps, _lift_spec(eps, 2))
+        lift = sphere_region_complex(polys, eps, 1 / (16 * eps), 2)
         with monkeypatch.context() as patch:
             for name in ("_run_complex", "_collapse", "_run_boundary"):
                 patch.setattr(homology, name, removed)

@@ -45,7 +45,7 @@ def whole_box(real):
 
 def whole_lift(real):
     """Non-defect: the whole lift, one copy."""
-    return lambda polys, eps, spec: (quadforms.sphere_region_complex(polys, eps, spec), 1)
+    return lambda polys, eps, width, dim: (quadforms.sphere_region_complex(polys, eps, width, dim), 1)
 
 
 def box_copies_doubled(real):
@@ -58,8 +58,8 @@ def box_copies_doubled(real):
 
 def cap_copies_three(real):
     """Every polar cap counted three times instead of twice."""
-    def mutant(polys, eps, spec):
-        block, copies = real(polys, eps, spec)
+    def mutant(polys, eps, width, dim):
+        block, copies = real(polys, eps, width, dim)
         return block, 3 if copies == 2 else copies
     return mutant
 

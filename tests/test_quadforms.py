@@ -27,7 +27,6 @@ from quadbetti.exact import (
 )
 from quadbetti.harness import (
     CONE,
-    _lift_spec,
     alexander_equator_audit,
     pad_betti,
     scenario_products,
@@ -45,6 +44,7 @@ from quadbetti.quadforms import (
     _band_tops,
     _box_mask,
     _candidates,
+    _check_axes,
     _checked,
     _fold,
     _sphere_cells,
@@ -621,28 +621,35 @@ def test_box_builds_close_the_mask_with_no_code_array(monkeypatch, name, value, 
     assert tuple(copies * b for b in betti(block)) == betti(grid_complex(system, spec)) == vector
 
 
-_PATH_CIRCLE = GridSpec.symmetric(Fraction(5, 4), Fraction(1, 8), 2)
-_PATH_SPHERE = GridSpec.symmetric(Fraction(5, 4), Fraction(1, 8), 3)
+def _sphere_spec(dim, radius, width):
+    """The grid of a set on the radius-r sphere in dim variables at cell width
+    `width`, as `_candidates` forms it: `GridSpec.symmetric(r + 2 width, width, dim)`."""
+    return GridSpec.symmetric(Fraction(radius) + 2 * Fraction(width), width, dim)
+
+
+# The unit sphere's cell width in the Smith and Alexander audits, and the lifts'
+# default one at eps = 1/10: r/32 = 1/(16 eps) for r = 2/eps.
+_UNIT_WIDTH = Fraction(1, 8)
+_LIFT_WIDTH = Fraction(5, 8)
 _PATH_CONES = [QuadraticForm.make(2, [[1, 0], [0, -1]]), QuadraticForm.make(3, [[1, 0, 0], [0, 1, 0], [0, 0, -1]])]
-# The products-k1 lift takes the polar cap at its default grid and is refused
-# it at resolution 20, whose middle layers hold lift candidates.
-_PATH_LIFTS = {"cap": _lift_spec(Fraction(1, 10), 2), "refused": _lift_spec(Fraction(1, 10), 2, 20)}
+# The products-k1 lift takes the polar cap at its default width and is refused
+# it at width 20, whose middle layers hold lift candidates.
+_PATH_LIFTS = {"cap": _LIFT_WIDTH, "refused": 20}
 SPHERE_PATH_CASES = {
-    "band": (lambda: [(sphere_band_complex(1, _PATH_CIRCLE), 1), (sphere_band_complex(1, _PATH_SPHERE), 1)],
+    "band": (lambda: [(sphere_band_complex(1, _UNIT_WIDTH, dim), 1) for dim in (2, 3)],
              [(1, 1, 0), (1, 0, 1, 0)]),
-    "zero": (lambda: [(sphere_zero_complex([f], 1, s, Fraction(1, 4)), 1)
-                      for f, s in zip(_PATH_CONES, (_PATH_CIRCLE, _PATH_SPHERE))],
+    "zero": (lambda: [(sphere_zero_complex([f], 1, _UNIT_WIDTH, Fraction(1, 4)), 1) for f in _PATH_CONES],
              [(4, 0, 0), (2, 2, 0, 0)]),
-    "split": (lambda: [(cx, 1) for f, s in zip(_PATH_CONES, (_PATH_CIRCLE, _PATH_SPHERE))
-                       for cx in sphere_zero_split([f], 1, s, Fraction(1, 4))],
+    "split": (lambda: [(cx, 1) for f in _PATH_CONES for cx in sphere_zero_split([f], 1, _UNIT_WIDTH, Fraction(1, 4))],
               [(4, 0, 0), (4, 0, 0), (2, 2, 0, 0), (3, 1, 0, 0)]),
-    "region": (lambda: [(sphere_region_complex(_lift_polys(scenario_products(1)), Fraction(1, 10), s), 1)
-                        for s in _PATH_LIFTS.values()],
+    "region": (lambda: [(sphere_region_complex(_lift_polys(scenario_products(1)), Fraction(1, 10), w, 2), 1)
+                        for w in _PATH_LIFTS.values()],
                [(4, 0, 0), (1, 0, 0)]),
-    "block-cap": (lambda: [sphere_region_block(_lift_polys(scenario_products(1)), Fraction(1, 10), _PATH_LIFTS["cap"])],
+    "block-cap": (lambda: [sphere_region_block(_lift_polys(scenario_products(1)), Fraction(1, 10),
+                                               _PATH_LIFTS["cap"], 2)],
                   [(4, 0, 0)]),
     "block-refused": (lambda: [sphere_region_block(_lift_polys(scenario_products(1)), Fraction(1, 10),
-                                                   _PATH_LIFTS["refused"])],
+                                                   _PATH_LIFTS["refused"], 2)],
                       [(1, 0, 0)]),
 }
 
@@ -710,10 +717,30 @@ def test_equal_specs_and_polynomials_hash_once_and_alike():
     # blend builds its result positionally, and still hashes as an equal make() would.
     blended = polys[0].blend(polys[1], Fraction(1, 3))
     assert blended == polys[0] and hash(blended) == hash(polys[0])
+    # Equal radii and widths, however written, read one candidate entry.
     _candidates.cache_clear()
-    first = _candidates(specs[0], Fraction(2), None)
-    assert all(_candidates(twin, Fraction(2), None) is first for twin in specs[1:])
+    keys = (("2", "1/8"), (2, Fraction(1, 8)), (Fraction(4, 2), Fraction(2, 16)))
+    cells = [_sphere_cells((), 3, r, w)[1] for r, w in keys]
     assert _candidates.cache_info().misses == 1 and _candidates.cache_info().hits == 2
+    assert all(np.array_equal(c, cells[0]) for c in cells[1:])
+
+
+def test_a_miss_forms_the_grid_and_a_hit_forms_none(monkeypatch):
+    """Two identical builds form one `GridSpec`, on the first one's cache miss."""
+    formed = []
+
+    def counted(self, _real=GridSpec.__post_init__):
+        formed.append(self)
+        return _real(self)
+
+    want = _sphere_spec(2, 20, _LIFT_WIDTH)
+    monkeypatch.setattr(GridSpec, "__post_init__", counted)
+    _candidates.cache_clear()
+    sphere_region_block([], Fraction(1, 10), _LIFT_WIDTH, 2)
+    assert formed == [want]
+    formed.clear()
+    sphere_region_block([], Fraction(1, 10), _LIFT_WIDTH, 2)
+    assert formed == []
 
 def _band_cells(spec, r):
     """Cells whose closed cube meets the radius-r sphere, by Fraction interval arithmetic."""
@@ -738,17 +765,20 @@ _CAP_EPS_1 = QuadraticPoly.make(2, quad=[[-1, 0], [0, 1]])
 _ABOVE_LINE = QuadraticPoly.make(2, lin=[0, 1], const=Fraction(-5, 4))
 _SMALL = GridSpec.symmetric(Fraction(3, 2), Fraction(1, 2), 2)
 _LARGE = GridSpec.symmetric(Fraction(5, 2), Fraction(1, 2), 2)
+# The grids of the unit circle and of the eps = 1 lift, at width 1/2.
+_UNIT_HALVES = _sphere_spec(2, 1, Fraction(1, 2))
+_LIFT_HALVES = _sphere_spec(2, 2, Fraction(1, 2))
 
 # builder call, its grid, its sphere radius (None: the whole box), and the
 # quadratics that must be >= 0 at a kept center
 BOUNDARY_CASES = {
     "grid": (lambda: grid_complex([_HALF_MINUS_SADDLE, _HALF_PLUS_SADDLE], _SMALL),
              _SMALL, None, [_HALF_MINUS_SADDLE, _HALF_PLUS_SADDLE]),
-    "zero": (lambda: sphere_zero_complex([_SADDLE], 1, _SMALL, Fraction(1, 2)),
-             _SMALL, 1, [_HALF_MINUS_SADDLE, _HALF_PLUS_SADDLE]),
-    "band": (lambda: sphere_band_complex(1, _SMALL), _SMALL, 1, []),
-    "region": (lambda: sphere_region_complex([_ABOVE_LINE], 1, _LARGE),
-               _LARGE, 2, [_CAP_EPS_1, _ABOVE_LINE]),
+    "zero": (lambda: sphere_zero_complex([_SADDLE], 1, Fraction(1, 2), Fraction(1, 2)),
+             _UNIT_HALVES, 1, [_HALF_MINUS_SADDLE, _HALF_PLUS_SADDLE]),
+    "band": (lambda: sphere_band_complex(1, Fraction(1, 2), 2), _UNIT_HALVES, 1, []),
+    "region": (lambda: sphere_region_complex([_ABOVE_LINE], 1, Fraction(1, 2), 2),
+               _LIFT_HALVES, 2, [_CAP_EPS_1, _ABOVE_LINE]),
 }
 
 
@@ -802,12 +832,17 @@ _HUGE = 10**20
 _WIDE_SADDLE = QuadraticPoly.make(2, quad=[[Fraction(3 * _HUGE + 1, 3), 0], [0, -_HUGE]],
                                   const=Fraction(-1, 4))
 _WIDE_CONE = QuadraticForm.make(3, [[Fraction(3 * _HUGE + 1, 3), 0, 0], [0, -_HUGE, 0], [0, 0, 0]])
-# Box edges over a large odd denominator P make the grid's integer scale 8P,
-# so the band's bound n U^2 passes 2**62.
-_P = 10**12 + 39
-_OFF_LATTICE = GridSpec(box=((-1 - Fraction(1, _P), 1 - Fraction(1, _P)),) * 2, resolution=Fraction(1, 4))
-_CUBE = GridSpec.symmetric(Fraction(5, 4), Fraction(1, 4), 3)
-_QUARTERS = GridSpec.symmetric(Fraction(3, 2), Fraction(1, 4), 2)
+# The radius-2**30 circle at width 2**26 has 36 x 36 cells, and its band's
+# bound dim * u_max^2 passes 2**62, so the band mask is formed on Python ints
+# while the centers stay int64; the radius-2**62 circle of the eps = 2**-61
+# lift at width 2**60 has 12 x 12 cells, and its own bound u_max passes
+# 2**62, so its centers are Python ints too.
+_WIDE_R, _WIDE_W = 2**30, 2**26
+_WIDE_GRID = _sphere_spec(2, _WIDE_R, _WIDE_W)
+_WIDER_EPS, _WIDER_W = Fraction(1, 2**61), 2**60
+_WIDER_GRID = _sphere_spec(2, 2 / _WIDER_EPS, _WIDER_W)
+_CUBE = _sphere_spec(3, 1, Fraction(1, 4))
+_QUARTERS = _sphere_spec(2, Fraction(5, 4), Fraction(1, 4))
 _rng = random.Random(13)
 _SMALL_POLY = random_poly(_rng, 2)
 _SMALL_FORM = QuadraticForm.make(3, [[1, Fraction(1, 2), 0], [Fraction(1, 2), -1, Fraction(1, 3)],
@@ -822,33 +857,32 @@ _SADDLE_2 = QuadraticForm.make(2, [[1, 0], [0, -1]])
 # are inputs for which a bound taken first passes 2**62, the grid's or a
 # polynomial's own, so that kernel computes with Python ints.
 CENTER_CASES = {
-    "zero": (lambda: sphere_zero_complex([_SMALL_FORM], 1, _CUBE, Fraction(1, 2)),
+    "zero": (lambda: sphere_zero_complex([_SMALL_FORM], 1, Fraction(1, 4), Fraction(1, 2)),
              _CUBE, 1, _abs_at_most(_SMALL_FORM, Fraction(1, 2))),
-    "band": (lambda: sphere_band_complex(1, _CUBE), _CUBE, 1, []),
+    "band": (lambda: sphere_band_complex(1, Fraction(1, 4), 3), _CUBE, 1, []),
     # the radius-5/4 circle passes through the grid vertices (3/4, 1) and (1, 3/4),
     # so it touches cells at their nearest and at their farthest corner
-    "band-corners": (lambda: sphere_band_complex(Fraction(5, 4), _QUARTERS), _QUARTERS,
+    "band-corners": (lambda: sphere_band_complex(Fraction(5, 4), Fraction(1, 4), 2), _QUARTERS,
                      Fraction(5, 4), []),
-    "region": (lambda: sphere_region_complex([_SMALL_POLY], 1, _LARGE), _LARGE, 2,
+    "region": (lambda: sphere_region_complex([_SMALL_POLY], 1, Fraction(1, 2), 2), _LIFT_HALVES, 2,
                [_cap(1, 2), _SMALL_POLY]),
     "grid-coefficients-wide": (lambda: grid_complex([_WIDE_SADDLE, _HUGE_2], _LARGE), _LARGE, None,
                                [_WIDE_SADDLE, _HUGE_2]),
-    "zero-coefficients-wide": (lambda: sphere_zero_complex([_WIDE_CONE], 1, _CUBE, Fraction(1, 4)),
+    "zero-coefficients-wide": (lambda: sphere_zero_complex([_WIDE_CONE], 1, Fraction(1, 4), Fraction(1, 4)),
                                _CUBE, 1, _abs_at_most(_WIDE_CONE, Fraction(1, 4))),
-    "region-coefficients-wide": (lambda: sphere_region_complex([_WIDE_SADDLE], 1, _LARGE), _LARGE, 2,
-                                 [_cap(1, 2), _WIDE_SADDLE]),
-    "band-grid-wide": (lambda: sphere_band_complex(Fraction(3, 4), _OFF_LATTICE), _OFF_LATTICE,
-                       Fraction(3, 4), []),
-    "zero-grid-wide": (lambda: sphere_zero_complex([_SADDLE_2], Fraction(3, 4), _OFF_LATTICE,
-                                                   Fraction(1, 4)),
-                       _OFF_LATTICE, Fraction(3, 4), _abs_at_most(_SADDLE_2, Fraction(1, 4))),
-    "region-grid-wide": (lambda: sphere_region_complex([_UPPER], Fraction(5, 2), _OFF_LATTICE),
-                         _OFF_LATTICE, Fraction(4, 5), [_cap(Fraction(5, 2), 2), _UPPER]),
+    "region-coefficients-wide": (lambda: sphere_region_complex([_WIDE_SADDLE], 1, Fraction(1, 2), 2),
+                                 _LIFT_HALVES, 2, [_cap(1, 2), _WIDE_SADDLE]),
+    "band-grid-wide": (lambda: sphere_band_complex(_WIDE_R, _WIDE_W, 2), _WIDE_GRID, _WIDE_R, []),
+    # |x^2 - y^2| <= r^2 / 4 on the radius-r circle: the cells near its diagonals
+    "zero-grid-wide": (lambda: sphere_zero_complex([_SADDLE_2], _WIDE_R, _WIDE_W, _WIDE_R**2 // 4),
+                       _WIDE_GRID, _WIDE_R, _abs_at_most(_SADDLE_2, _WIDE_R**2 // 4)),
+    "region-grid-wide": (lambda: sphere_region_complex([_UPPER], _WIDER_EPS, _WIDER_W, 2),
+                         _WIDER_GRID, 2 / _WIDER_EPS, [_cap(_WIDER_EPS, 2), _UPPER]),
     # A Python-int evaluator beside an int64 one in one build, on int64 centers.
     "grid-mixed-wide": (lambda: grid_complex([_WIDE_SADDLE, _UPPER], _LARGE), _LARGE, None,
                         [_WIDE_SADDLE, _UPPER]),
-    "region-mixed-wide": (lambda: sphere_region_complex([_WIDE_SADDLE, _UPPER], 1, _LARGE), _LARGE, 2,
-                          [_cap(1, 2), _WIDE_SADDLE, _UPPER]),
+    "region-mixed-wide": (lambda: sphere_region_complex([_WIDE_SADDLE, _UPPER], 1, Fraction(1, 2), 2),
+                          _LIFT_HALVES, 2, [_cap(1, 2), _WIDE_SADDLE, _UPPER]),
 }
 
 
@@ -856,11 +890,10 @@ CENTER_CASES = {
 def test_builders_match_fraction_evaluation(name):
     build, spec, radius, polys = CENTER_CASES[name]
     if name.endswith("-wide"):
-        scale = spec.scale
         coeffs = [x for p in polys for x in (p.const, *p.lin, *itertools.chain(*p.quad))]
-        # a band's mask bound is at least scale^2, and an evaluator's bound
-        # at least its polynomial's largest numerator
-        assert max([scale * scale if radius else 0] + [abs(x.numerator) for x in coeffs]) >= _INT64_SAFE
+        # a band's mask bound is dim * u_max^2, and an evaluator's bound at
+        # least its polynomial's largest numerator
+        assert max([spec.dim * spec.u_max**2 if radius else 0] + [abs(x.numerator) for x in coeffs]) >= _INT64_SAFE
     cells = list(itertools.product(*map(range, spec.shape)) if radius is None
                  else _band_cells(spec, radius))
     expected = {
@@ -880,11 +913,12 @@ def test_shared_band_matches_fraction_reference(name):
     r = Fraction(radius)
     expected = np.array(list(_band_cells(spec, r)))
     _candidates.cache_clear()
-    first = _candidates(spec, r, None)
+    first = _candidates(spec.dim, r, spec.resolution, None)
     assert _candidates.cache_info().misses == 1
-    again = _candidates(spec, r, None)
+    again = _candidates(spec.dim, r, spec.resolution, None)
     assert _candidates.cache_info().hits == 1 and again is first
-    band, succ = first[:2]
+    assert first[0] == spec
+    band, succ = first[1:3]
     # Axis-major: one contiguous row per axis, at the narrowest dtype, in
     # no more bytes than one index per cell and axis.
     assert band.flags.c_contiguous and np.array_equal(band.T, expected)
@@ -900,59 +934,77 @@ def test_shared_band_matches_fraction_reference(name):
     want = [[row_of.get(tuple(c[:a] + [c[a] + 1] + c[a + 1:]), len(expected)) for c in expected.tolist()]
             for a in range(spec.dim)]
     assert succ.dtype == np.min_scalar_type(len(expected)) and succ.tolist() == want
-    assert np.array_equal(_sphere_cells(spec, (), r)[0], band)
+    assert np.array_equal(_sphere_cells((), spec.dim, r, spec.resolution)[1], band)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]), st.fractions(min_value=Fraction(1, 8), max_value=2, max_denominator=8),
+       st.fractions(min_value=Fraction(1, 4), max_value=6, max_denominator=4))
+@example(2, Fraction(1, 2), Fraction(5, 2))  # r + 2w = 2 snaps up to 4w
+@example(3, Fraction(2, 3), Fraction(3, 4))  # r + 2w = 11/6 snaps up to 3w
+def test_candidate_entry_forms_the_grid_and_band_of_its_key(dim, width, ratio):
+    """The entry of (dim, r, width) holds the grid `GridSpec.symmetric(r + 2w, w, dim)`,
+    the box snapped up to a multiple of w where w does not divide r + 2w, and
+    the band of the Fraction reference on it."""
+    r = width * ratio
+    spec, band = _candidates(dim, r, width, None)[:2]
+    assert spec == GridSpec.symmetric(r + 2 * width, width, dim)
+    assert spec.box[0][1] >= r + 2 * width
+    assert np.array_equal(band.T, np.array(list(_band_cells(spec, r))))
 
 
 def test_top_cells_returns_a_private_array():
-    spec, r = _QUARTERS, Fraction(5, 4)
-    first, _, copies = _sphere_cells(spec, (), r)
+    r, w = Fraction(5, 4), Fraction(1, 4)
+    _, first, _, copies = _sphere_cells((), 2, r, w)
     # The band's (dim, n) rows at its dtype, one contiguous row per axis, in
     # an array of their own rather than a view of the cached band.
-    band = _candidates(spec, r, None)[0]
+    band = _candidates(2, r, w, None)[1]
     assert copies == 1 and first.dtype == band.dtype and first.flags.writeable and first.flags.c_contiguous
     assert first.base is None and not np.shares_memory(first, band)
     expected = first.copy()
     first[:] = 0
-    assert np.array_equal(_sphere_cells(spec, (), r)[0], expected)
+    assert np.array_equal(_sphere_cells((), 2, r, w)[1], expected)
     assert np.array_equal(band, expected)
     # The cap's top cells, built from the cached candidates, are private too.
     eps = Fraction(1, 10)
-    lift = _lift_spec(eps, 2)
-    cap, copies = sphere_region_block([], eps, lift)
+    cap, copies = sphere_region_block([], eps, _LIFT_WIDTH, 2)
     assert copies == 2
-    band, succ, rows, _, cap_rows = _candidates(lift, 2 / eps, eps)
+    _, band, succ, rows, _, cap_rows = _candidates(2, 2 / eps, _LIFT_WIDTH, eps)
     cells, _ = _band_tops(band, succ, rows[:cap_rows], np.ones(cap_rows, dtype=bool))
     assert cells.shape == (2, cap_rows) and cells.dtype == band.dtype and cells.flags.writeable
     assert cells.flags.c_contiguous and cells.base is None and not np.shares_memory(cells, band)
     assert {tuple(2 * j + 1 for j in c) for c in cells.T.tolist()} == {c for c in cap.cells if all(x & 1 for x in c)}
     cells[:] = 0
-    assert sphere_region_block([], eps, lift)[0].cells == cap.cells
+    assert sphere_region_block([], eps, _LIFT_WIDTH, 2)[0].cells == cap.cells
 
 
-# A symmetric grid whose box edges over a denominator past 2**62 make its
-# own bound u_max pass 2**62, so its lift candidates hold Python ints; an
-# eps so small that the truncation's own bound passes 2**62; and a lift
-# grid so coarse that its middle layers hold candidates.
-_WIDE_HALF = 3 + Fraction(1, 2**63 + 1)
-_SYMMETRIC_WIDE = GridSpec(box=((-_WIDE_HALF, _WIDE_HALF),) * 2, resolution=_WIDE_HALF / 4)
+# A width over a denominator past 2**62, whose grid's own bound u_max
+# passes 2**62, so its lift candidates hold Python ints: the 12 cells of
+# width w = 1/2 + 1/(6 (2**63 + 1)) span [-6w, 6w] on each axis, since the
+# box half-width 2 + 2w snaps up to 6w.  An eps so small that the
+# truncation's own bound passes 2**62, and a lift width so coarse that its
+# middle layers hold candidates.
+_WIDE_WIDTH = Fraction(1, 2) + Fraction(1, 6 * (2**63 + 1))
 # The grid of the Smith and Alexander audits on the unit sphere.
-_UNIT_SPHERE_GRID = GridSpec.symmetric(Fraction(5, 4), Fraction(1, 8), 3)
+_UNIT_SPHERE_GRID = _sphere_spec(3, 1, _UNIT_WIDTH)
 
 
-@pytest.mark.parametrize("spec, eps, dtype, truncation_wide, capped", [
-    (_lift_spec(Fraction(1, 10), 2), Fraction(1, 10), np.int64, False, True),
-    (_SYMMETRIC_WIDE, Fraction(1), object, True, True),
-    (GridSpec.symmetric(2**32, 2**30, 2), Fraction(1, 2**31), np.int64, True, False),
-    (_lift_spec(Fraction(1, 10), 2, 20), Fraction(1, 10), np.int64, False, False),
-    (_UNIT_SPHERE_GRID, None, np.int64, False, False),
+@pytest.mark.parametrize("dim, width, eps, dtype, truncation_wide, capped", [
+    (2, _LIFT_WIDTH, Fraction(1, 10), np.int64, False, True),
+    (2, _WIDE_WIDTH, Fraction(1), object, True, True),
+    (2, 2**30, Fraction(1, 2**31), np.int64, True, False),
+    (2, 20, Fraction(1, 10), np.int64, False, False),
+    (3, _UNIT_WIDTH, None, np.int64, False, False),
 ], ids=["lift", "grid-wide", "truncation-wide", "coarse-lift", "no-eps"])
-def test_cap_candidates_match_fraction_reference(spec, eps, dtype, truncation_wide, capped):
+def test_cap_candidates_match_fraction_reference(dim, width, eps, dtype, truncation_wide, capped):
     """The lift candidates are the band rows whose center the truncation
     keeps, the upper cap's first, and the cap's row count is None exactly
     when a kept row lies in the middle layers of the last axis.  With no
     eps, on the unit sphere, they are every band row in band order, and the
     cap count is None."""
-    r, m = Fraction(1) if eps is None else 2 / eps, spec.shape[-1]
+    r = Fraction(1) if eps is None else 2 / eps
+    spec = _sphere_spec(dim, r, width)
+    m = spec.shape[-1]
     assert (spec.u_max >= _INT64_SAFE) == (dtype is object)
     cells = list(_band_cells(spec, r))
     if eps is None:
@@ -966,33 +1018,33 @@ def test_cap_candidates_match_fraction_reference(spec, eps, dtype, truncation_wi
         assert 0 < len(upper) < len(kept) <= len(cells) and bool(middle) != capped
         want, want_cap = upper + [i for i in kept if i not in upper], len(upper) if capped else None
     _candidates.cache_clear()
-    first = _candidates(spec, r, eps)
+    first = _candidates(dim, r, width, eps)
     assert _candidates.cache_info().misses == 1
-    again = _candidates(spec, r, eps)
+    again = _candidates(dim, r, width, eps)
     assert _candidates.cache_info().hits == 1 and again is first
-    band, _, rows, centers, cap_rows = first
+    got_spec, band, _, rows, centers, cap_rows = first
+    assert got_spec == spec
     assert np.array_equal(band.T, np.array(cells))
     assert rows.dtype == np.min_scalar_type(len(cells)) and rows.tolist() == want
     assert cap_rows == want_cap
     assert centers.dtype == dtype and centers.shape == (spec.dim, len(want))
     assert centers.T.tolist() == [[x * spec.scale for x in spec.center(cells[i])] for i in want]
-    for table in first[:4]:
+    for table in first[1:5]:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[..., 0] = 0
 
 
 def test_cap_candidates_one_entry_per_eps():
-    spec = _lift_spec(Fraction(1, 10), 2)
     _candidates.cache_clear()
-    caps = [sphere_region_block([], eps, spec) for eps in (Fraction(1, 10), Fraction(1, 9))]
+    caps = [sphere_region_block([], eps, _LIFT_WIDTH, 2) for eps in (Fraction(1, 10), Fraction(1, 9))]
     assert [copies for _, copies in caps] == [2, 2]
     caps = [cap.cells for cap, _ in caps]
     assert _candidates.cache_info().misses == _candidates.cache_info().currsize == 2
-    assert [sphere_region_block([], eps, spec)[0].cells for eps in (Fraction(1, 10), Fraction(1, 9))] == caps
+    assert [sphere_region_block([], eps, _LIFT_WIDTH, 2)[0].cells for eps in (Fraction(1, 10), Fraction(1, 9))] == caps
     # The whole lift reads the same entry as its cap, and is the cap and its disjoint reflection.
     for eps, cap in zip((Fraction(1, 10), Fraction(1, 9)), caps):
-        assert len(sphere_region_complex([], eps, spec)) == 2 * len(cap)
+        assert len(sphere_region_complex([], eps, _LIFT_WIDTH, 2)) == 2 * len(cap)
     assert _candidates.cache_info().misses == 2 and caps[0] != caps[1]
 
 
@@ -1006,9 +1058,9 @@ def test_unit_sphere_audits_read_one_entry():
     for r in (2, Fraction(1, 2), Fraction(3, 2), 3):
         smith_audit([CONE], radius=r)
     alexander_equator_audit()
-    sphere_band_complex(1, _UNIT_SPHERE_GRID)
+    sphere_band_complex(1, _UNIT_WIDTH, 3)
     assert _candidates.cache_info().misses == _candidates.cache_info().currsize == 1
-    _, _, rows, centers, cap = _candidates(_UNIT_SPHERE_GRID, Fraction(1), None)
+    _, _, _, rows, centers, cap = _candidates(3, Fraction(1), _UNIT_WIDTH, None)
     assert (len(rows), rows.nbytes, centers.nbytes, cap) == (1184, 2368, 28416, None)
     pencil = [QuadraticForm.make(4, [[d[i] if i == j else 0 for j in range(4)] for i in range(4)])
               for d in ((1, 1, -1, -1), (1, 2, -3, -4))]
@@ -1027,13 +1079,13 @@ def test_warm_sphere_builds_form_no_centers(monkeypatch):
         return _real(self, *args, **kwargs)
 
     eps = Fraction(1, 10)
-    lift, polys = _lift_spec(eps, 3), _lift_polys(scenario_products(2))
+    polys = _lift_polys(scenario_products(2))
 
     def builds():
         smith_audit([CONE])
         alexander_equator_audit()
-        sphere_region_block(polys, eps, lift)
-        sphere_region_complex(polys, eps, lift)
+        sphere_region_block(polys, eps, _LIFT_WIDTH, 3)
+        sphere_region_complex(polys, eps, _LIFT_WIDTH, 3)
 
     builds()
     monkeypatch.setattr(GridSpec, "_lows", counted)
@@ -1050,10 +1102,11 @@ def test_cap_with_wide_polynomial_matches_fraction_reference():
     """A polynomial whose own bound passes 2**62 is evaluated on Python ints,
     which its evaluator converts exactly from the cached int64 centers."""
     eps = Fraction(1, 10)
-    spec, r = _lift_spec(eps, 2), 2 / eps
+    r = 2 / eps
+    spec = _sphere_spec(2, r, _LIFT_WIDTH)
     assert _ScaledPoly(_WIDE_SADDLE, spec).wide
-    cap, copies = sphere_region_block([_WIDE_SADDLE], eps, spec)
-    assert copies == 2 and _candidates(spec, r, eps)[3].dtype == np.int64
+    cap, copies = sphere_region_block([_WIDE_SADDLE], eps, _LIFT_WIDTH, 2)
+    assert copies == 2 and _candidates(2, r, _LIFT_WIDTH, eps)[4].dtype == np.int64
     expected = {
         tuple(2 * j + 1 for j in jvec)
         for jvec in _band_cells(spec, r)
@@ -1061,30 +1114,18 @@ def test_cap_with_wide_polynomial_matches_fraction_reference():
         and all(p.evaluate(spec.center(jvec)) >= 0 for p in (_cap(eps, 2), _WIDE_SADDLE))
     }
     assert expected and {c for c in cap.cells if all(x & 1 for x in c)} == expected
-    assert _check_block([_WIDE_SADDLE], eps, spec) == 2
+    assert _check_block([_WIDE_SADDLE], eps, _LIFT_WIDTH, 2) == 2
 
 
 def test_mixed_width_evaluators_in_one_build():
     """A Python-int evaluator and an int64 one share a build's int64 centers,
     and both bind: the box and the lift keep fewer cells than either alone."""
-    _, evals = _checked(_LARGE, [_WIDE_SADDLE, _UPPER], None)
+    evals = _checked(_LARGE, [_WIDE_SADDLE, _UPPER])
     assert [e.wide for e in evals] == [True, False]
     systems = ([_WIDE_SADDLE, _UPPER], [_WIDE_SADDLE], [_UPPER])
     assert [len(grid_complex(polys, _LARGE)) for polys in systems] == [142, 266, 231]
-    assert [len(sphere_region_complex(polys, 1, _LARGE)) for polys in systems] == [18, 36, 61]
-    assert _candidates(_LARGE, Fraction(2), Fraction(1))[3].dtype == np.int64
-
-
-def test_asymmetric_box_has_no_cap():
-    """Box symmetry is decided in the candidate entry, beside the middle
-    layers: on a box not symmetric about 0 the entry's cap count is None,
-    and the lift is returned whole, with 1 copy."""
-    spec, eps = GridSpec(box=((-3, 4),) * 2, resolution=Fraction(1, 2)), Fraction(1)
-    _candidates.cache_clear()
-    assert _candidates(spec, 2 / eps, eps)[4] is None
-    block, copies = sphere_region_block([], eps, spec)
-    assert (len(block), copies, betti(block)) == (122, 1, (2, 0, 0))
-    assert block.cells == sphere_region_complex([], eps, spec).cells
+    assert [len(sphere_region_complex(polys, 1, Fraction(1, 2), 2)) for polys in systems] == [18, 36, 61]
+    assert _candidates(2, Fraction(2), Fraction(1, 2), Fraction(1))[4].dtype == np.int64
 
 
 # Unit circles on grids whose long axis passes 128 and 256 cells, so the
@@ -1092,9 +1133,9 @@ def test_asymmetric_box_has_no_cap():
 @pytest.mark.parametrize("res, dtype, cells_above", [(Fraction(1, 64), np.uint8, 128),
                                                      (Fraction(1, 128), np.uint16, 256)])
 def test_narrow_band_indices_do_not_wrap(res, dtype, cells_above):
-    spec = GridSpec.symmetric(1 + 4 * res, res, 2)
+    spec = _sphere_spec(2, 1, res)
     assert max(spec.shape) > cells_above
-    band = _candidates(spec, Fraction(1), None)[0]
+    band = _candidates(2, Fraction(1), res, None)[1]
     assert band.dtype == dtype
     if dtype == np.uint8:
         expected = np.array(list(_band_cells(spec, Fraction(1))))
@@ -1103,22 +1144,24 @@ def test_narrow_band_indices_do_not_wrap(res, dtype, cells_above):
         assert lows[0].dtype == object
         expected = np.argwhere(_band_mask(lows, spec.step, Fraction(spec.scale) ** 2))
     assert np.array_equal(band.T, expected)
-    tops = _sphere_cells(spec, (), 1)[0]
+    tops = _sphere_cells((), 2, 1, res)[1]
     assert tops.dtype == dtype and np.array_equal(tops.T, expected)
-    cx = sphere_band_complex(1, spec)
+    cx = sphere_band_complex(1, res, 2)
     assert max(map(max, cx.cells)) > 2 * cells_above and betti(cx) == (1, 1, 0)
 
 
 def test_centers_past_int64_with_no_polynomial():
     """Scaled centers past 2**63 are held as Python ints even when no
-    polynomial, whose own bound would cover them, is evaluated."""
-    spec = GridSpec(box=((-2**63, 2**63),) * 2, resolution=2**62)
-    assert spec.lo[0] < -2**63
+    polynomial, whose own bound would cover them, is evaluated: the grid of
+    the radius-2**62 circle at width 2**60, [-3 * 2**61, 3 * 2**61]^2, as a
+    box and as the sphere's."""
+    spec = _sphere_spec(2, 2**62, 2**60)
+    assert spec.lo[0] < -2**63 and spec.shape == (12, 12)
     assert np.array_equal(np.argwhere(_box_mask(spec, ())), np.argwhere(np.ones(spec.shape, dtype=bool)))
     cx = grid_complex((), spec)
     assert cx._frame.strides[1] == 1
-    assert cx.cells == grid_complex((), GridSpec(box=((0, 4),) * 2, resolution=1)).cells
-    assert np.array_equal(_sphere_cells(spec, (), 2**62)[0].T, np.array(list(_band_cells(spec, Fraction(2**62)))))
+    assert cx.cells == grid_complex((), GridSpec(box=((0, 12),) * 2, resolution=1)).cells
+    assert np.array_equal(_sphere_cells((), 2, 2**62, 2**60)[1].T, np.array(list(_band_cells(spec, Fraction(2**62)))))
 
 
 @st.composite
@@ -1223,59 +1266,60 @@ def test_grid_specs_are_equal_iff_box_and_resolution_are(a, b):
 
 
 class TestSphereComplexes:
-    def setup_method(self):
-        self.spec = GridSpec.symmetric(Fraction(5, 4), Fraction(1, 8), 3)
+    # the unit sphere's grid in the audits, at width 1/8
+    width = _UNIT_WIDTH
 
     def test_equator_band_is_circle(self):
         # the zero set of X3^2 on the unit sphere is the equator
         eq = QuadraticForm.make(3, [[0, 0, 0], [0, 0, 0], [0, 0, 1]])
-        vec = pad_betti(betti(sphere_zero_complex([eq], 1, self.spec, Fraction(1, 8))), 2)
+        vec = pad_betti(betti(sphere_zero_complex([eq], 1, self.width, Fraction(1, 8))), 2)
         assert vec == (1, 1)
 
     def test_cone_gives_two_circles(self):
         cone = QuadraticForm.make(3, [[1, 0, 0], [0, 1, 0], [0, 0, -1]])
-        vec = pad_betti(betti(sphere_zero_complex([cone], 1, self.spec, Fraction(1, 4))), 2)
+        vec = pad_betti(betti(sphere_zero_complex([cone], 1, self.width, Fraction(1, 4))), 2)
         assert vec == (2, 2)
 
     def test_positive_form_has_no_zeros(self):
         pos = QuadraticForm.make(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        assert len(sphere_zero_complex([pos], 1, self.spec, Fraction(1, 4))) == 0
+        assert len(sphere_zero_complex([pos], 1, self.width, Fraction(1, 4))) == 0
 
     def test_band_complex_is_a_sphere(self):
-        assert betti(sphere_band_complex(1, self.spec)) == (1, 0, 1, 0)
+        assert betti(sphere_band_complex(1, self.width, 3)) == (1, 0, 1, 0)
 
-    def test_box_must_contain_sphere(self):
-        # a valid band on the same grid is cached first; the check still runs on every call
-        small = GridSpec.symmetric(Fraction(1, 2), Fraction(1, 8), 3)
-        assert betti(sphere_band_complex(Fraction(1, 2), small)) == (1, 0, 1, 0)
-        for _ in range(2):
-            with pytest.raises(ValueError, match="does not contain"):
-                sphere_band_complex(1, small)
-
-    def test_oversized_grid_rejected_before_work(self):
+    def test_oversized_grid_rejected_before_work(self, monkeypatch):
         side = 2**11
         spec = GridSpec(box=((0, side), (0, side + 1)), resolution=1)
         assert side * (side + 1) > MAX_GRID_CELLS
-        # a valid band and cap at the same radius are cached first; the limit
-        # and eps are still checked on every call, before any cap lookup
-        small = GridSpec.symmetric(2, Fraction(1, 4), 2)
-        sphere_band_complex(1, small)
-        assert sphere_region_block([], 1, small)[1] == 2
-        misses = _candidates.cache_info().misses
+        # The unit circle's grid at width 1/1024 has 2,052 cells per axis, and
+        # the eps = 1 lift's 4,100.
+        fine = Fraction(1, 1024)
+        assert math.prod(_sphere_spec(2, 1, fine).shape) > MAX_GRID_CELLS
+        # a valid band and cap of the same radii are cached first; the limit
+        # and eps are still checked on every call, before any array is formed
+        # and before any cache entry is made
+        sphere_band_complex(1, Fraction(1, 4), 2)
+        assert sphere_region_block([], 1, Fraction(1, 4), 2)[1] == 2
+        entries = _candidates.cache_info().currsize
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an oversized build formed an array")
+
+        monkeypatch.setattr(quadforms, "_band", refuse)
+        monkeypatch.setattr(GridSpec, "_lows", refuse)
         for _ in range(2):
             with pytest.raises(ValueError, match="above the limit"):
                 grid_complex([], spec)
             with pytest.raises(ValueError, match="above the limit"):
-                sphere_band_complex(1, GridSpec.symmetric(2, Fraction(1, 1024), 2))
+                sphere_band_complex(1, fine, 2)
             with pytest.raises(ValueError, match="above the limit"):
-                sphere_region_block([], 1, GridSpec.symmetric(2, Fraction(1, 1024), 2))
+                sphere_region_block([], 1, fine, 2)
             with pytest.raises(TypeError, match="floats"):
-                sphere_region_block([], 1.0, small)
-        assert _candidates.cache_info().misses == misses
+                sphere_region_block([], 1.0, Fraction(1, 4), 2)
+        assert _candidates.cache_info().currsize == entries
 
     def test_region_complex_empty_system_gives_two_caps(self):
-        spec = GridSpec.symmetric(21, Fraction(1, 2), 2)
-        cx = sphere_region_complex([], Fraction(1, 10), spec)
+        cx = sphere_region_complex([], Fraction(1, 10), Fraction(1, 2), 2)
         assert betti(cx)[0] == 2
 
     # The lifts `double_cover_audit` builds at its defaults.  The shell-k2 lift
@@ -1289,7 +1333,7 @@ class TestSphereComplexes:
     def test_lift_runs_along_the_axis_of_most_adjacent_top_cells(self, scenario, run_axis, runs, last_axis_runs):
         eps = Fraction(1, 10)
         polys = [homogenize(p).as_poly() for p in scenario.system]
-        cx = sphere_region_complex(polys, eps, _lift_spec(eps, scenario.k + 1))
+        cx = sphere_region_complex(polys, eps, _LIFT_WIDTH, scenario.k + 1)
         assert cx._frame.strides.index(1) == run_axis and len(cx._first) == runs
         last = close_under_faces(np.array(sorted(cx.cells)), ambient_dim=scenario.k + 1)
         assert last.cells == cx.cells and len(last._first) == last_axis_runs
@@ -1299,14 +1343,14 @@ def _lift_polys(scenario):
     return [homogenize(p).as_poly() for p in scenario.system]
 
 
-def _check_block(polys, eps, spec) -> int:
+def _check_block(polys, eps, width, dim) -> int:
     """`sphere_region_block`'s copies, checked against the whole lift: the
     lift's Betti numbers and Euler characteristic are copies times the
     block's; with one copy the block is the lift, and with two it is the
     upper cap, whose point reflection, disjoint from it, completes the lift
     and which runs along the lift's axis."""
-    block, copies = sphere_region_block(polys, eps, spec)
-    whole = sphere_region_complex(polys, eps, spec)
+    block, copies = sphere_region_block(polys, eps, width, dim)
+    whole = sphere_region_complex(polys, eps, width, dim)
     assert copies in (1, 2)
     assert tuple(copies * b for b in betti(block)) == betti(whole)
     assert copies * block.euler_characteristic() == whole.euler_characteristic()
@@ -1314,7 +1358,7 @@ def _check_block(polys, eps, spec) -> int:
         assert block.cells == whole.cells
         return copies
     # Cell codes run from 0 to 2n on an axis of n cells; the reflection maps x to 2n - x.
-    mirror = {tuple(2 * n - x for x, n in zip(c, spec.shape)) for c in block.cells}
+    mirror = {tuple(2 * n - x for x, n in zip(c, _sphere_spec(dim, 2 / eps, width).shape)) for c in block.cells}
     assert block.cells.isdisjoint(mirror) and block.cells | mirror == whole.cells
     assert block._frame.strides.index(1) == whole._frame.strides.index(1)
     return copies
@@ -1325,24 +1369,19 @@ def _check_block(polys, eps, spec) -> int:
                          ids=["products-k1", "products-k2", "shell-k2"])
 def test_undeformed_lift_is_its_cap_and_the_reflection(scenario):
     eps = Fraction(1, 10)
-    assert _check_block(_lift_polys(scenario), eps, _lift_spec(eps, scenario.k + 1)) == 2
+    assert _check_block(_lift_polys(scenario), eps, _LIFT_WIDTH, scenario.k + 1) == 2
 
 
 @st.composite
 def even_lifts(draw):
-    """Systems on small lift grids, with an even or odd cell count per axis,
-    coarse enough at the largest widths that the truncation keeps cells on
-    the middle layers.  Most have no linear part and a box symmetric about
-    0, so they may take the cap; the others draw linear terms, or a box
-    widened by one cell at the top of one axis, and are built whole."""
+    """Systems on small lift grids, coarse enough at the largest widths that
+    the truncation keeps cells on the middle layers, at widths that divide
+    the box half-width 2/eps + 2 width or make it snap up.  Most have no
+    linear part, so they may take the cap; the others draw linear terms and
+    are built whole."""
     dim = draw(st.integers(2, 3))
     eps = draw(st.sampled_from([Fraction(1), Fraction(1, 2)]))
-    h = draw(st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)]))
-    m = math.ceil(4 / eps / h) + draw(st.integers(0, 3))  # the box holds the radius-2/eps sphere
-    box = [[-m * h / 2, m * h / 2] for _ in range(dim)]
-    if draw(st.integers(0, 3)) == 0:
-        box[draw(st.integers(0, dim - 1))][1] += h
-    spec = GridSpec(box=tuple(map(tuple, box)), resolution=h)
+    h = draw(st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(2), Fraction(3)]))
     linear = draw(st.integers(0, 3)) == 0
     polys = []
     for _ in range(draw(st.integers(0, 2))):
@@ -1352,7 +1391,7 @@ def even_lifts(draw):
                 quad[i][j] = quad[j][i] = draw(st.integers(-3, 3))
         lin = [draw(st.integers(-3, 3)) for _ in range(dim)] if linear else None
         polys.append(QuadraticPoly.make(dim, quad=quad, lin=lin, const=draw(st.integers(-16, 16))))
-    return polys, eps, spec
+    return polys, eps, h, dim
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
@@ -1368,10 +1407,10 @@ class TestCapRefusals:
 
     eps = Fraction(1, 10)
 
-    def _whole(self, polys, spec):
-        block, copies = sphere_region_block(polys, self.eps, spec)
+    def _whole(self, polys, width, dim):
+        block, copies = sphere_region_block(polys, self.eps, width, dim)
         assert copies == 1
-        assert block.cells == sphere_region_complex(polys, self.eps, spec).cells
+        assert block.cells == sphere_region_complex(polys, self.eps, width, dim).cells
 
     def test_linear_term(self):
         sc = scenario_products(1)
@@ -1379,40 +1418,31 @@ class TestCapRefusals:
         family = [dehomogenize(random_pd_form(sc.k + 2, 0))]
         t = Fraction(1, 1000)  # the deformation audit's default t
         deformed = [p.blend(h, t) for p, h in zip(polys, family)]
-        spec = _lift_spec(self.eps, sc.k + 1)
-        self._whole(deformed, spec)
-        assert _check_block(polys, self.eps, spec) == 2
-
-    def test_box_off_centre(self):
-        h = Fraction(1, 2)
-        off = GridSpec(box=((-21, 22), (-21, 22)), resolution=h)
-        self._whole([], off)
-        assert betti(sphere_region_complex([], self.eps, off)) == (2, 0, 0)
-        assert _check_block([], self.eps, GridSpec.symmetric(22, h, 2)) == 2
+        self._whole(deformed, _LIFT_WIDTH, sc.k + 1)
+        assert _check_block(polys, self.eps, _LIFT_WIDTH, sc.k + 1) == 2
 
     def test_kept_cell_on_the_middle_layer(self):
         polys = _lift_polys(scenario_products(1))
-        coarse = _lift_spec(self.eps, 2, 20)
-        self._whole(polys, coarse)
-        assert betti(sphere_region_complex(polys, self.eps, coarse)) == (1, 0, 0)
-        assert _check_block(polys, self.eps, _lift_spec(self.eps, 2)) == 2
+        self._whole(polys, 20, 2)
+        assert betti(sphere_region_complex(polys, self.eps, 20, 2)) == (1, 0, 0)
+        assert _check_block(polys, self.eps, _LIFT_WIDTH, 2) == 2
 
 
-# The curated lifts at the audits' default resolution, which take the cap,
-# and the two coarse lifts whose middle layers hold lift candidates.
-@pytest.mark.parametrize("scenario, resolution, copies", [
-    (scenario_products(1), None, 2),
-    (scenario_products(2), None, 2),
-    (scenario_shell(2, Fraction(1, 2), 1), None, 2),
+# The curated lifts at the audits' default width, which take the cap, and the
+# two coarse lifts whose middle layers hold lift candidates.
+@pytest.mark.parametrize("scenario, width, copies", [
+    (scenario_products(1), _LIFT_WIDTH, 2),
+    (scenario_products(2), _LIFT_WIDTH, 2),
+    (scenario_shell(2, Fraction(1, 2), 1), _LIFT_WIDTH, 2),
     (scenario_products(1), 20, 1),
     (scenario_products(2), 5, 1),
 ], ids=["products-k1", "products-k2", "shell-k2", "products-k1-coarse", "products-k2-coarse"])
-def test_cap_is_decided_before_the_system_is_evaluated(scenario, resolution, copies, monkeypatch):
+def test_cap_is_decided_before_the_system_is_evaluated(scenario, width, copies, monkeypatch):
     """`sphere_region_block` checks and evaluates the system once: on the cap
     prefix of the lift candidates when it returns the cap, and on all of them
     when it returns the lift, as `sphere_region_complex` does."""
     eps = Fraction(1, 10)
-    spec, polys = _lift_spec(eps, scenario.k + 1, resolution), _lift_polys(scenario)
+    dim, polys = scenario.k + 1, _lift_polys(scenario)
     sizes, checks = [], []
 
     def counted(evals, u, shape, _real=quadforms._satisfied):
@@ -1420,39 +1450,38 @@ def test_cap_is_decided_before_the_system_is_evaluated(scenario, resolution, cop
         sizes.append(shape)
         return _real(evals, u, shape)
 
-    def counted_checks(*args, _real=quadforms._checked):
+    def counted_checks(*args, _real=_check_axes):
         checks.append(args)
         return _real(*args)
 
     monkeypatch.setattr(quadforms, "_satisfied", counted)
-    monkeypatch.setattr(quadforms, "_checked", counted_checks)
-    block, got = sphere_region_block(polys, eps, spec)
-    _, _, rows, _, cap_rows = _candidates(spec, 2 / eps, eps)
+    monkeypatch.setattr(quadforms, "_check_axes", counted_checks)
+    block, got = sphere_region_block(polys, eps, width, dim)
+    _, _, _, rows, _, cap_rows = _candidates(dim, 2 / eps, width, eps)
     assert got == copies and len(checks) == 1
     assert sizes == [cap_rows if copies == 2 else len(rows)]
-    sphere_region_complex(polys, eps, spec)
+    sphere_region_complex(polys, eps, width, dim)
     assert len(checks) == 2 and sizes[1:] == [len(rows)]
-    assert _check_block(polys, eps, spec) == copies
+    assert _check_block(polys, eps, width, dim) == copies
 
 
 # Each builder on a nonempty and, where one exists, an empty input: the
 # unit circle on a 2-D grid, and the lift of the empty system and of
 # -1 >= 0.  No grid that contains the sphere has an empty band.
-_CIRCLE_GRID = GridSpec.symmetric(Fraction(5, 4), Fraction(1, 8), 2)
-_LIFT_GRID = _lift_spec(Fraction(1, 10), 2)
+_CIRCLE_GRID = _sphere_spec(2, 1, _UNIT_WIDTH)
 _CONE_2D = QuadraticForm.make(2, [[1, 0], [0, -1]])
 _SQUARES_2D = QuadraticForm.make(2, [[1, 0], [0, 1]])
 _NEVER = QuadraticPoly.make(2, const=-1)
 BUILDER_LENGTH_CASES = {
     "grid": (lambda: grid_complex([QuadraticPoly.make(2, quad=[[1, 0], [0, 1]], const=-1)], _CIRCLE_GRID),
-             _CIRCLE_GRID, False),
-    "grid-empty": (lambda: grid_complex([_NEVER], _CIRCLE_GRID), _CIRCLE_GRID, True),
-    "zero": (lambda: sphere_zero_complex([_CONE_2D], 1, _CIRCLE_GRID, Fraction(1, 4)), _CIRCLE_GRID, False),
-    "zero-empty": (lambda: sphere_zero_complex([_SQUARES_2D], 1, _CIRCLE_GRID, Fraction(1, 4)),
-                   _CIRCLE_GRID, True),
-    "band": (lambda: sphere_band_complex(1, _CIRCLE_GRID), _CIRCLE_GRID, False),
-    "region": (lambda: sphere_region_complex([], Fraction(1, 10), _LIFT_GRID), _LIFT_GRID, False),
-    "region-empty": (lambda: sphere_region_complex([_NEVER], Fraction(1, 10), _LIFT_GRID), _LIFT_GRID, True),
+             2, False),
+    "grid-empty": (lambda: grid_complex([_NEVER], _CIRCLE_GRID), 2, True),
+    "zero": (lambda: sphere_zero_complex([_CONE_2D], 1, _UNIT_WIDTH, Fraction(1, 4)), 2, False),
+    "zero-empty": (lambda: sphere_zero_complex([_SQUARES_2D], 1, _UNIT_WIDTH, Fraction(1, 4)),
+                   2, True),
+    "band": (lambda: sphere_band_complex(1, _UNIT_WIDTH, 2), 2, False),
+    "region": (lambda: sphere_region_complex([], Fraction(1, 10), _LIFT_WIDTH, 2), 2, False),
+    "region-empty": (lambda: sphere_region_complex([_NEVER], Fraction(1, 10), _LIFT_WIDTH, 2), 2, True),
 }
 
 
@@ -1461,10 +1490,10 @@ def test_builder_betti_has_an_entry_per_grid_axis_and_one_more(case):
     """A builder's complex is empty or its top cells span every grid axis, so
     `betti` gives b_0..b_dim on either rank path; `harness` reads builder
     vectors without padding them."""
-    build, spec, empty = BUILDER_LENGTH_CASES[case]
+    build, dim, empty = BUILDER_LENGTH_CASES[case]
     cx = build()
     assert (len(cx) == 0) == empty
-    assert len(betti(cx)) == len(betti_by_cells(cx)) == spec.dim + 1
+    assert len(betti(cx)) == len(betti_by_cells(cx)) == dim + 1
 
 
 class TestDeformationParams:
