@@ -742,6 +742,7 @@ def test_a_miss_forms_the_grid_and_a_hit_forms_none(monkeypatch):
     sphere_region_block([], Fraction(1, 10), _LIFT_WIDTH, 2)
     assert formed == []
 
+
 def _band_cells(spec, r):
     """Cells whose closed cube meets the radius-r sphere, by Fraction interval arithmetic."""
     h = spec.resolution
@@ -755,7 +756,7 @@ def _band_cells(spec, r):
             yield jvec
 
 
-# Centers are odd multiples of 1/4 on both grids, so x^2 - y^2 = +-1/2 at
+# Centers are odd multiples of 1/4 on every grid below, so x^2 - y^2 = +-1/2 at
 # (3/4, 1/4) and (1/4, 3/4), and the eps = 1 cap y^2 - x^2 and y - 5/4 are 0
 # at (5/4, 5/4) on the radius-2 circle.
 _SADDLE = QuadraticForm.make(2, [[1, 0], [0, -1]])
