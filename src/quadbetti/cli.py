@@ -7,7 +7,9 @@ so never exits 1.  In an audit report a bound row's bound is the ints
 bound_num, bound_den and any other rational a "p/q" string, in CSV and
 JSON alike; the `bounds` and `ci` tables split a rational column into
 <name>_num and <name>_den in CSV and write "num/den" in JSON.  Outputs
-are byte-identical across reruns with the same flags and seed.
+are byte-identical across reruns with the same flags and seed.  One
+parser serves every `main` call of a process; help and usage errors are
+laid out at the terminal width read when they are written.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import csv
 import functools
 import io
 import json
-import shutil
 import sys
 from typing import Dict, List, Optional, Sequence
 
@@ -254,26 +255,24 @@ def _cmd_audit(args, out) -> int:
     return _exit_code([report.verdict])
 
 
-def build_parser(columns: Optional[int] = None) -> argparse.ArgumentParser:
-    """A fresh command line parser for a terminal `columns` wide.
+def build_parser() -> argparse.ArgumentParser:
+    """A fresh command line parser.
 
-    `columns` is read here when not given, and `columns - 2` is the help
-    width argparse itself would use; reading it once per build spares each
-    help formatter argparse makes per argument from reading it again.
-    `main` reads it once per call and keeps one parser per width for the
-    life of the process, since building the four subcommands costs about
-    ten parses and parsing leaves a parser unchanged.
+    Help and usage errors are laid out by argparse's default formatter,
+    which reads the terminal width when it formats them.  Each subcommand
+    sets its handler as the default `run`, which `main` calls.  `main`
+    keeps one parser for the life of the process, since building the four
+    subcommands costs about ten parses and parsing leaves a parser
+    unchanged.
     """
-    columns = shutil.get_terminal_size().columns if columns is None else columns
-    formatter = functools.partial(argparse.HelpFormatter, width=columns - 2)
     parser = argparse.ArgumentParser(
         prog="quadbetti",
         description="Betti bound tables and verification audits for quadratic systems",
-        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_bounds = sub.add_parser("bounds", help="per-degree bound table", formatter_class=formatter)
+    p_bounds = sub.add_parser("bounds", help="per-degree bound table")
+    p_bounds.set_defaults(run=_cmd_bounds)
     p_bounds.add_argument("--s", required=True, help="value, a:b range, or comma list")
     p_bounds.add_argument("--k", required=True)
     p_bounds.add_argument("--i", default=None, help="defaults to all valid degrees")
@@ -282,16 +281,18 @@ def build_parser(columns: Optional[int] = None) -> argparse.ArgumentParser:
     p_bounds.add_argument("--compare-classical", action="store_true",
                           help="append illustrative non-rigorous reference columns")
 
-    p_ci = sub.add_parser("ci", help="complete-intersection Betti totals", formatter_class=formatter)
+    p_ci = sub.add_parser("ci", help="complete-intersection Betti totals")
+    p_ci.set_defaults(run=_cmd_ci)
     p_ci.add_argument("--j", default=None)
     p_ci.add_argument("--k", required=True)
     p_ci.add_argument("--degrees", default=None, help="comma list, e.g. 2,2,3")
 
-    p_verify = sub.add_parser("verify", help="run the built-in verification suite",
-                              formatter_class=formatter)
+    p_verify = sub.add_parser("verify", help="run the built-in verification suite")
+    p_verify.set_defaults(run=_cmd_verify)
     p_verify.add_argument("--full", action="store_true", help="include the slow audits")
 
-    p_audit = sub.add_parser("audit", help="run one named audit", formatter_class=formatter)
+    p_audit = sub.add_parser("audit", help="run one named audit")
+    p_audit.set_defaults(run=_cmd_audit)
     p_audit.add_argument("--name", required=True, choices=AUDITS)
     p_audit.add_argument("--k", type=int, default=2)
     p_audit.add_argument("--r-in", dest="r_in", default="1/2")
@@ -309,27 +310,20 @@ def build_parser(columns: Optional[int] = None) -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=4)
-def _parser(columns: int) -> argparse.ArgumentParser:
-    return build_parser(columns)
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    handlers = {
-        "bounds": _cmd_bounds,
-        "ci": _cmd_ci,
-        "verify": _cmd_verify,
-        "audit": _cmd_audit,
-    }
-    parser = _parser(shutil.get_terminal_size().columns)
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     buffer = io.StringIO()
     try:
-        code = handlers[args.command](args, buffer)
+        code = args.run(args, buffer)
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

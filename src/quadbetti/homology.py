@@ -65,9 +65,9 @@ Python ints.  Both entries then close through one core (`_close`).
 Betti numbers are computed over the two-element field: b_d equals
 (#d-cells) - rank(boundary_d) - rank(boundary_{d+1}), with the ranks by
 Gaussian elimination on int bitsets, one Python int per column.  Cell by
-cell, a dict maps each (d-1)-cell to its bit, 1 << row (`_bit`), finds the
-faces of the d-cells, checks face closure, and ORs the bits into each
-column face by face.  The run complex (below) finds its faces by binary
+cell, a dict maps each (d-1)-cell to its bit, 1 << row, finds the faces
+of the d-cells, checks face closure, and ORs the bits into each column
+face by face.  The run complex (below) finds its faces by binary
 searches of sorted runs and forms all its columns at once: 1 << row over
 an object array of the rows, OR-reduced along each column's faces.  The
 entries are Python ints, so no float enters and no shift past bit 63
@@ -491,9 +491,6 @@ def _collapse(table: np.ndarray) -> np.ndarray:
     return alive.nonzero()[0]
 
 
-_bit = (1).__lshift__  # _bit(r) == 1 << r
-
-
 def _missing_face(frame: _Frame, faces: np.ndarray) -> ValueError:
     face = next(frame.decode(faces[:1]))
     return ValueError(f"complex is not face-closed: missing {face!r}")
@@ -508,7 +505,7 @@ def _boundary(frame: _Frame, groups: Sequence[Sequence[int]], d: int, cleared: I
     cell by cell and axis by axis, raises.  The columns of the d-cells at the
     positions `cleared` are zero; their faces are looked up all the same.
     """
-    rows = {x: _bit(i) for i, x in enumerate(groups[d - 1])}
+    rows = {x: 1 << i for i, x in enumerate(groups[d - 1])}
     columns = []
     for x in groups[d]:
         column = 0

@@ -585,7 +585,8 @@ def sphere_zero_split(forms: Sequence[QuadraticForm], radius, width,
     on the sphere, the face closure of the band cells whose closed cube misses
     every kept cell.  Two closed grid cubes meet iff their indices differ by at
     most 1 on every axis, so the kept cells are marked on the grid padded by
-    one, and the marks are grown by one step along each axis in turn.
+    one, and the marks are grown by one step along each axis in turn.  Each
+    complex runs along the axis `_band_tops` picks for its own cells.
     """
     polys = _zero_polys(forms, tau)
     shape, cells, run_axis, _ = _sphere_cells(polys, polys[0].k, radius, width)
@@ -596,8 +597,9 @@ def sphere_zero_split(forms: Sequence[QuadraticForm], radius, width,
     # mark rolls around the end.
     for axis in range(len(shape)):
         near = near | np.roll(near, 1, axis) | np.roll(near, -1, axis)
-    band = _candidates(len(shape), positive(radius, "radius"), positive(width, "width"), None)[1]
-    return close_grid(shape, cells, run_axis), close_grid(shape, band[:, ~near[inner][tuple(band)]])
+    _, band, succ, rows, _, _ = _candidates(len(shape), positive(radius, "radius"), positive(width, "width"), None)
+    away = _band_tops(band, succ, rows, ~near[inner][tuple(band)])
+    return close_grid(shape, cells, run_axis), close_grid(shape, *away)
 
 
 def _zero_polys(forms: Sequence[QuadraticForm], tau) -> List[QuadraticPoly]:

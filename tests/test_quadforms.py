@@ -33,7 +33,7 @@ from quadbetti.harness import (
     scenario_shell,
     smith_audit,
 )
-from quadbetti.homology import CubicalComplex, _run_complex, betti, close_under_faces
+from quadbetti.homology import CubicalComplex, _run_complex, betti, close_grid, close_under_faces
 from quadbetti.quadforms import (
     DeformationParams,
     MAX_GRID_CELLS,
@@ -1287,6 +1287,26 @@ class TestSphereComplexes:
 
     def test_band_complex_is_a_sphere(self):
         assert betti(sphere_band_complex(1, self.width, 3)) == (1, 0, 1, 0)
+
+    # The complement of a great circle is two caps, whose top cells are
+    # adjacent most often along the two axes across the caps' direction, the
+    # higher of them picked.  The equator's caps point along the last axis,
+    # so the middle axis is picked; those of x1^2 point along the first.
+    @pytest.mark.parametrize("gram, run_axis", [
+        ([[0, 0, 0], [0, 0, 0], [0, 0, 1]], 1),
+        ([[1, 0, 0], [0, 0, 0], [0, 0, 0]], 2),
+    ], ids=["equator", "x1^2"])
+    def test_split_complement_runs_along_its_own_axis(self, gram, run_axis):
+        _, complement = sphere_zero_split([QuadraticForm.make(3, gram)], 1, self.width, Fraction(1, 4))
+        _, band, succ, rows, _, _ = _candidates(3, Fraction(1), self.width, None)
+        tops = {c for c in complement.cells if all(x & 1 for x in c)}
+        keep = np.array([tuple(2 * j + 1 for j in c) in tops for c in band.T.tolist()])
+        cells, axis = _band_tops(band, succ, rows, keep)
+        assert axis == run_axis and complement._frame.strides[axis] == 1
+        last = close_grid(_UNIT_SPHERE_GRID.shape, cells)
+        assert last._frame.strides[-1] == 1 and last.cells == complement.cells
+        assert betti(complement) == betti(last) == (2, 0, 0, 0)
+        assert complement.euler_characteristic() == last.euler_characteristic() == 2
 
     def test_oversized_grid_rejected_before_work(self, monkeypatch):
         side = 2**11
