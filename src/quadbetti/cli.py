@@ -245,7 +245,7 @@ def _cmd_audit(args, out) -> int:
         r_in=parse_rational(args.r_in),
         r_out=parse_rational(args.r_out),
         radius=parse_rational(args.radius),
-        params=DeformationParams(eps=parse_rational(args.eps), delta=parse_rational(args.delta)),
+        params=DeformationParams(eps=args.eps, delta=args.delta),
         t_values=[parse_rational(t) for t in args.t_values.split(",")],
         resolution=None if args.resolution is None else parse_rational(args.resolution),
         seed=args.seed,

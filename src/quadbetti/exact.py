@@ -57,8 +57,7 @@ def parse_rational(value) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    return str(Fraction(q))
 
 
 def positive(value, name: str) -> Fraction:

@@ -316,6 +316,13 @@ def smith_audit(forms: Sequence[QuadraticForm], radius=1) -> SmithReport:
     codimension.  Grid-based throughout, so the verdict is PASS
     or INCONCLUSIVE, never VIOLATION.
 
+    A grid vector with b_{n-1} >= 1 misreads the zero set Z, whatever the
+    bound: every form is nonsingular, so nonzero, and Z is a proper closed
+    subset of S^{n-1}, so H_{n-1}(Z; GF(2)) = 0 by Alexander duality.  A
+    small radius gives that reading, since its large tau keeps the whole
+    band of the sphere.  The verdict is then INCONCLUSIVE, from the vector
+    already ranked.
+
     The cells are those of the radius-r sphere at grid width r/8 and tau
     r/4: that grid is the unit one scaled by r, and both tests are
     homogeneous, since the sphere crosses the cube r*C iff the unit sphere
@@ -353,10 +360,14 @@ def smith_audit(forms: Sequence[QuadraticForm], radius=1) -> SmithReport:
     total = sum(vec)
     bound = b_ci(codim, proj_dim, (2,) * codim)
     projective_total = total // 2
+    top = pad_betti(vec, n + 1)[n - 1]
     if total % 2:
         # Cannot fire on a grid: the box is symmetric and the antipodal map acts freely on
         # the band cells, so chi is even and so is the GF(2) total.  Kept as a guard.
         note = "sphere total is odd, antipodal pairing broken; refine the grid"
+    elif top:
+        note = (f"sphere set reads b_{n - 1} = {top}, but a nonsingular form's zero set is a "
+                f"proper subset of the sphere, where b_{n - 1} = 0; raise the radius")
     elif projective_total > bound:
         note = "grid estimate exceeds the bound; refine the grid or tau"
     else:

@@ -379,6 +379,8 @@ def _band(spec: GridSpec, r: Fraction) -> Tuple[np.ndarray, np.ndarray]:
     The band is a (dim, n) array, row a holding the axis-a index of each
     of the n band cells, in lexicographic order of the cells: one
     contiguous row per axis, so an axis's centers are gathered in one pass.
+    It is never empty: every `_candidates` grid contains its sphere, and
+    the cell holding the point (r, 0, ..., 0) passes `_band_mask`, so n >= 1.
     Row a of the successor table holds, for each band cell, the index of
     its +1 neighbour along axis a, or n where that neighbour is not in the
     band; `_band_tops` counts adjacent kept cells through it.  The mask is
@@ -396,20 +398,16 @@ def _band(spec: GridSpec, r: Fraction) -> Tuple[np.ndarray, np.ndarray]:
     at = mask.nonzero()
     n = len(at[0])
     succ = np.full((spec.dim, n), n, dtype=np.min_scalar_type(n))
-    if n:
-        # The cells are in lexicographic order, so their grid keys ascend.
-        keys = np.ravel_multi_index(at, shape)
-        stride = 1
-        for a in reversed(range(spec.dim)):
-            after = keys + stride
-            pos = keys.searchsorted(after)
-            there = (at[a] < shape[a] - 1) & (keys.take(pos, mode="clip") == after)
-            succ[a, there] = pos[there]
-            stride *= shape[a]
-    band = np.empty((spec.dim, n), dtype=np.min_scalar_type(max(shape) - 1))
-    for row, index in zip(band, at):
-        row[:] = index
-    return band, succ
+    # The cells are in lexicographic order, so their grid keys ascend.
+    keys = np.ravel_multi_index(at, shape)
+    stride = 1
+    for a in reversed(range(spec.dim)):
+        after = keys + stride
+        pos = keys.searchsorted(after)
+        there = (at[a] < shape[a] - 1) & (keys.take(pos, mode="clip") == after)
+        succ[a, there] = pos[there]
+        stride *= shape[a]
+    return np.array(at, dtype=np.min_scalar_type(max(shape) - 1)), succ
 
 
 def _check_axes(polys: Sequence[QuadraticPoly], dim: int) -> None:
@@ -481,15 +479,6 @@ def _candidates(dim: int, r: Fraction, width: Fraction, e: Optional[Fraction]
     return spec, band, succ, rows, centers, cap
 
 
-def _checked(spec: GridSpec, polys: Sequence[QuadraticPoly]) -> List[_ScaledPoly]:
-    """A box build's checks, before any array: variable counts, then
-    MAX_GRID_CELLS.  Returns an evaluator per polynomial on the spec's
-    integer view, which picks its own width."""
-    _check_axes(polys, spec.dim)
-    _check_cells(spec)
-    return [_ScaledPoly(p, spec) for p in polys]
-
-
 def _satisfied(evals: Sequence[_ScaledPoly], u, shape) -> np.ndarray:
     """Mask, of the given shape, of the points `u` where every evaluator is >= 0."""
     keep = np.ones(shape, dtype=bool)
@@ -499,9 +488,14 @@ def _satisfied(evals: Sequence[_ScaledPoly], u, shape) -> np.ndarray:
 
 
 def _box_mask(spec: GridSpec, polys: Sequence[QuadraticPoly]) -> np.ndarray:
-    """Mask of the box cells where every polynomial is >= 0 at the center,
-    after `_checked`, by broadcasting per-axis centers."""
-    return _satisfied(_checked(spec, polys), np.ix_(*spec._lows(spec.step // 2)), spec.shape)
+    """Mask of the box cells where every polynomial is >= 0 at the center, by
+    broadcasting per-axis centers.  A box build's checks come first, before
+    any array: variable counts, then MAX_GRID_CELLS.  Each polynomial is
+    evaluated on the spec's integer view by a `_ScaledPoly`, which picks its
+    own width."""
+    _check_axes(polys, spec.dim)
+    _check_cells(spec)
+    return _satisfied([_ScaledPoly(p, spec) for p in polys], np.ix_(*spec._lows(spec.step // 2)), spec.shape)
 
 
 def _band_tops(band: np.ndarray, succ: np.ndarray, rows, keep: np.ndarray) -> Tuple[np.ndarray, int]:

@@ -394,6 +394,26 @@ class TestSmithAudit:
             assert smith_audit(forms, radius=r).sphere_betti == vec, r
             assert pinned.get(r, vec) == vec, r
 
+    @pytest.mark.parametrize("radius", [Fraction(1, 4), Fraction(1, 5)])
+    def test_band_covering_the_sphere_is_inconclusive(self, radius):
+        # At tau = 1/(4r) >= 1 the kept band covers the whole sphere, whose b_2 = 1.
+        # The cone's zero set is a proper subset of S^2, so its b_2 is 0.
+        rep = smith_audit([CONE], radius=radius)
+        assert rep.verdict == INCONCLUSIVE
+        assert rep.sphere_betti == (1, 0, 1, 0)
+        assert (rep.projective_total, rep.bound) == (1, 2)
+        assert rep.note == ("sphere set reads b_2 = 1, but a nonsingular form's zero set is a proper "
+                            "subset of the sphere, where b_2 = 0; raise the radius")
+
+    def test_top_degree_rule_reads_only_the_top_degree(self):
+        # The cone's two circles at tau = 3/4 have b_2 = 0, so they still pass.
+        rep = smith_audit([CONE], radius=Fraction(1, 3))
+        assert (rep.verdict, rep.sphere_betti, rep.note) == (PASS, (2, 2, 0, 0), "")
+        # The smooth pencil's real locus is empty, so this PASS reads the wrong
+        # set too; its b_3 is 0, and the top-degree rule cannot see that.
+        rep = smith_audit([diagonal_form(1, 1, -1, -1), diagonal_form(1, 2, -3, -4)], radius=Fraction(1, 5))
+        assert (rep.verdict, rep.sphere_betti, rep.note) == (PASS, (1, 1, 2, 0, 0), "")
+
     def test_odd_sphere_total_mutant(self, monkeypatch):
         monkeypatch.setattr(harness, "betti", odd_sphere_total(harness.betti))
         rep = smith_audit([CONE])

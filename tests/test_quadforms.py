@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from conftest import betti_by_cells
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from quadbetti import homology, quadforms
 from quadbetti.exact import (
@@ -45,7 +45,6 @@ from quadbetti.quadforms import (
     _box_mask,
     _candidates,
     _check_axes,
-    _checked,
     _fold,
     _sphere_cells,
     ci_probe,
@@ -100,6 +99,13 @@ class TestRationals:
     def test_format(self):
         assert format_rational(Fraction(3, 4)) == "3/4"
         assert format_rational(Fraction(-6)) == "-6"
+
+    @given(st.fractions())
+    @example(Fraction(0))
+    @example(Fraction(-1, 2**70))
+    def test_format_writes_numerator_over_denominator(self, q):
+        expected = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+        assert format_rational(q) == expected
 
 
 class TestQuadraticData:
@@ -954,6 +960,36 @@ def test_candidate_entry_forms_the_grid_and_band_of_its_key(dim, width, ratio):
     assert np.array_equal(band.T, np.array(list(_band_cells(spec, r))))
 
 
+@st.composite
+def band_keys(draw):
+    """A `_candidates` key with no eps: dim 1-4, a radius r, rational or an
+    integer up to 2**62, and a cell width r / ratio."""
+    dim = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        r = Fraction(draw(st.integers(1, 2**62)))
+    else:
+        r = draw(st.fractions(min_value=Fraction(1, 64), max_value=64, max_denominator=64))
+    ratio = draw(st.fractions(min_value=Fraction(1, 4), max_value=24, max_denominator=6))
+    return dim, r, r / ratio
+
+
+@settings(max_examples=60, deadline=None)
+@given(band_keys())
+@example((1, Fraction(2**62), Fraction(2**62, 3)))  # the two points of a 1-D sphere
+@example((4, Fraction(1), Fraction(1, 8)))  # the 20**4-cell grid of the Smith audit's pencil
+def test_every_band_is_nonempty_at_the_narrowest_index_dtype(key):
+    """Every grid of a `_candidates` entry contains its sphere, so the band
+    holds at least the cell of (r, 0, ..., 0), and its indices are stored
+    at the narrowest dtype that holds the longest axis's."""
+    dim, r, width = key
+    spec = _sphere_spec(dim, r, width)
+    assume(math.prod(spec.shape) <= MAX_GRID_CELLS)
+    _, band, succ = _candidates(dim, r, width, None)[:3]
+    assert band.shape[0] == dim and band.shape[1] >= 1
+    assert band.dtype == np.min_scalar_type(max(spec.shape) - 1)
+    assert succ.shape == band.shape and succ.dtype == np.min_scalar_type(band.shape[1])
+
+
 def test_top_cells_returns_a_private_array():
     r, w = Fraction(5, 4), Fraction(1, 4)
     _, first, _, copies = _sphere_cells((), 2, r, w)
@@ -1121,7 +1157,7 @@ def test_cap_with_wide_polynomial_matches_fraction_reference():
 def test_mixed_width_evaluators_in_one_build():
     """A Python-int evaluator and an int64 one share a build's int64 centers,
     and both bind: the box and the lift keep fewer cells than either alone."""
-    evals = _checked(_LARGE, [_WIDE_SADDLE, _UPPER])
+    evals = [_ScaledPoly(p, _LARGE) for p in (_WIDE_SADDLE, _UPPER)]
     assert [e.wide for e in evals] == [True, False]
     systems = ([_WIDE_SADDLE, _UPPER], [_WIDE_SADDLE], [_UPPER])
     assert [len(grid_complex(polys, _LARGE)) for polys in systems] == [142, 266, 231]
