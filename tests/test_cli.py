@@ -119,13 +119,13 @@ class TestUsageErrors:
         (("audit", "--name", "double-cover-products", "--k", "1", "--resolution", ""),
          "not a decimal-free rational string: ''"),
         (("audit", "--name", "mv-wedge", "--resolution", ""), "not a decimal-free rational string: ''"),
+        (("bounds", "--s", "0", "--k", "3"), "no valid (s, k, i) combinations in the requested ranges"),
         # `DeformationParams` parses --eps, then --delta, and then orders them.
         (("audit", "--name", "mv-wedge", "--eps", "0.1"), "not a decimal-free rational string: '0.1'"),
         (("audit", "--name", "mv-wedge", "--eps", "0.1", "--delta", "0.01"),
          "not a decimal-free rational string: '0.1'"),
         (("audit", "--name", "mv-wedge", "--eps", "1/20", "--delta", "1/10"),
          "need 0 < delta < eps, got delta=1/10, eps=1/20"),
-        (("bounds", "--s", "0", "--k", "3"), "no valid (s, k, i) combinations in the requested ranges"),
     ])
     def test_exits_two_with_error_line(self, capsys, argv, message):
         assert main(list(argv)) == 2
