@@ -122,7 +122,8 @@ def bound_betti(s: int, k: int, i: int) -> Fraction:
 
     Returns (1/2) * sum_{j=0}^{min(s, k-i)} C(s, j) * C(k+1, j) * 2**j as an
     exact rational; the half is kept unrounded.  The theorem holds for any
-    s >= 1 and 0 <= i <= k-1; s may exceed k.
+    s >= 1 and 0 <= i <= k-1; s may exceed k, as for a set cut down to a
+    box by one more inequality per axis.
     """
     if s < 1:
         raise ValueError(f"need s >= 1, got s={s}")

@@ -7,7 +7,10 @@ so never exits 1.  In an audit report a bound row's bound is the ints
 bound_num, bound_den and any other rational a "p/q" string, in CSV and
 JSON alike; the `bounds` and `ci` tables split a rational column into
 <name>_num and <name>_den in CSV and write "num/den" in JSON.  Outputs
-are byte-identical across reruns with the same flags and seed.  One
+are byte-identical across reruns with the same flags and seed.  `bounds`,
+`ci`, `--help` and usage errors load only `quadbetti.bounds`, never numpy;
+`verify` and `audit` import the grid engine when they run, and `audit
+--name` takes its choices from `AUDITS`, the one list of audit names.  One
 parser serves every `main` call of a process; help and usage errors are
 laid out at the terminal width read when they are written.
 """

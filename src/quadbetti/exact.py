@@ -17,7 +17,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "parse_rational",
-    "format_rational",
     "positive",
     "QuadraticPoly",
     "QuadraticForm",
@@ -54,10 +53,6 @@ def parse_rational(value) -> Fraction:
             raise ValueError(f"not a decimal-free rational string: {value!r}")
         return Fraction(s)
     raise TypeError(f"cannot parse rational from {type(value).__name__}")
-
-
-def format_rational(q: Fraction) -> str:
-    return str(Fraction(q))
 
 
 def positive(value, name: str) -> Fraction:
@@ -163,9 +158,6 @@ class QuadraticForm:
             raise ValueError("variable count must be >= 1")
         return cls(n=n, gram=_symmetric_matrix(gram, n))
 
-    def evaluate(self, point: Sequence) -> Fraction:
-        return self.as_poly().evaluate(point)
-
     def as_poly(self) -> QuadraticPoly:
         return QuadraticPoly(self.n, self.gram, _zeros(self.n), Fraction(0))
 
@@ -259,7 +251,7 @@ def _poly_text(p: Sequence[Fraction]) -> str:
     terms = [(m, c) for m, c in enumerate(p) if c][::-1]
     text = ""
     for m, c in terms:
-        coef = format_rational(abs(c)) if abs(c) != 1 or m == 0 else ""
+        coef = str(abs(c)) if abs(c) != 1 or m == 0 else ""
         power = "" if m == 0 else "t" if m == 1 else f"t^{m}"
         sign = ("-" if c < 0 else "") if not text else (" - " if c < 0 else " + ")
         text += sign + coef + ("*" if coef and power else "") + power
@@ -300,7 +292,7 @@ def check_smooth_pencil(a: QuadraticForm, b: QuadraticForm) -> None:
         g, h = h, poly_rem(g, h)
     if len(g) > 1:
         g = [c / g[-1] for c in g]
-        where = (f"the repeated root t = {format_rational(-g[0])}" if len(g) == 2
+        where = (f"the repeated root t = {-g[0]}" if len(g) == 2
                  else f"repeated roots, those of {_poly_text(g)}")
         raise ValueError(f"singular intersection rejected: det(A + tB) = {_poly_text(f)} "
                          f"has {where}")

@@ -6,6 +6,15 @@ every approximation-sourced mismatch is INCONCLUSIVE and comes with a
 refinement hint (finer grid, smaller eps or t).  Oracle Betti vectors
 are hardcoded with a provenance note and never computed by the code under
 audit.
+
+Every grid set an audit builds from a system is ranked by `_block_betti`.
+The module holds no grid: Smith and Alexander pass the unit sphere and
+width 1/8 to the builders, and the lift audits the radius-2/eps sphere and
+the lift's width.  It imports no numpy and no private name of another
+module, so it reaches grid cells only through the builders, and `cli` takes
+its exit code from `overall`.  Every report serializes through `to_dict`
+and names its CSV rows with `csv_table`, and each audit builds its report
+in one place.
 """
 
 from __future__ import annotations
@@ -21,7 +30,6 @@ from .exact import (
     QuadraticPoly,
     check_smooth_pencil,
     dehomogenize,
-    format_rational,
     homogenize,
     is_nonsingular_quadric,
     parse_rational,
@@ -180,7 +188,7 @@ def _jsonable(value):
     if isinstance(value, _Report):
         return value.to_dict()
     if isinstance(value, Fraction):
-        return format_rational(value)
+        return str(value)
     if isinstance(value, (tuple, list)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -250,7 +258,11 @@ def _block_betti(built: Tuple[CubicalComplex, int]) -> Tuple[int, ...]:
     `sphere_region_block` stands for: `copies` times the block's, so a mirror
     or antipodal copy is never closed or ranked.  The Smith and Alexander
     audits rank their whole sphere sets: Smith's odd-total guard needs both
-    antipodal halves, and the equator band straddles x_3 = 0."""
+    antipodal halves, and the equator band straddles x_3 = 0.  An undeformed
+    lift at the default resolution comes back as its polar cap, with 2
+    copies; a deformed lift, whose seeded family has linear terms, and a
+    coarse lift whose middle layers hold lift candidates come back whole,
+    with 1 copy."""
     block, copies = built
     return tuple(copies * b for b in betti(block))
 
@@ -273,7 +285,7 @@ def bound_audit(sc: Scenario, spec: Optional[GridSpec] = None) -> BoundAuditRepo
     else:
         vec = _block_betti(grid_block(sc.system, spec))
         fail = INCONCLUSIVE
-        params["resolution"] = format_rational(spec.resolution)
+        params["resolution"] = str(spec.resolution)
     rows = []
     for i in range(sc.k):
         bound = bound_betti(sc.s, sc.k, i)
@@ -321,7 +333,9 @@ def smith_audit(forms: Sequence[QuadraticForm], radius=1) -> SmithReport:
     subset of S^{n-1}, so H_{n-1}(Z; GF(2)) = 0 by Alexander duality.  A
     small radius gives that reading, since its large tau keeps the whole
     band of the sphere.  The verdict is then INCONCLUSIVE, from the vector
-    already ranked.
+    already ranked.  The report carries at most one note: an odd sphere
+    total, a top-degree reading or the bound exceeded, in that order, and
+    a note alone makes the verdict INCONCLUSIVE.
 
     The cells are those of the radius-r sphere at grid width r/8 and tau
     r/4: that grid is the unit one scaled by r, and both tests are
@@ -387,7 +401,9 @@ def smith_audit(forms: Sequence[QuadraticForm], radius=1) -> SmithReport:
 def _lift(sc: Scenario, eps: Fraction, resolution) -> Optional[Tuple[Fraction, List[QuadraticPoly]]]:
     """The cell width of a scenario's lift onto the radius-2/eps sphere,
     `resolution`, or r/32 = 1/(16 eps) when it is None, and its homogenized
-    system; or None when the scenario box leaves the radius-1/eps ball."""
+    system; or None when the scenario box leaves the radius-1/eps ball, and
+    the audit then reports INCONCLUSIVE with its lift fields at their
+    defaults (both reports take keyword arguments only)."""
     if sum(max(lo * lo, hi * hi) for lo, hi in sc.grid.box) > 1 / eps**2:
         return None
     width = 1 / (16 * eps) if resolution is None else positive(resolution, "resolution")
@@ -498,7 +514,7 @@ def deformation_audit(
         if not 0 <= t <= params.delta:
             raise ValueError(f"t={t} outside [0, delta={params.delta}]")
     if not any(ts):
-        raise ValueError(f"t values [{', '.join(map(format_rational, ts))}] hold no t in "
+        raise ValueError(f"t values [{', '.join(map(str, ts))}] hold no t in "
                          f"(0, delta={params.delta}], so the audit would compare nothing")
     lift = _lift(sc, params.eps, sphere_resolution)
     if lift is None:
@@ -510,7 +526,7 @@ def deformation_audit(
     ]
     reference = _block_betti(sphere_region_block(base_polys, params.eps, width, sc.k + 1))
     betti_by_t = {"0": reference}
-    betti_by_t.update((format_rational(t), _block_betti(sphere_region_block(
+    betti_by_t.update((str(t), _block_betti(sphere_region_block(
         [p.blend(h, t) for p, h in zip(base_polys, family)], params.eps, width, sc.k + 1))) for t in ts if t)
     constant = all(v == reference for v in betti_by_t.values())
     return DeformationReport(
@@ -547,7 +563,8 @@ def alexander_equator_audit() -> AlexanderReport:
     ranks, so reduced homology numbers stand in for reduced cohomology.
     The grid width is 1/8 and the equator band half-width tau is 1/4.  A
     Betti vector that no nonempty cubical subset of R^3 has, with b_0 = 0
-    or an entry past b_2, reads INCONCLUSIVE with a note naming it.
+    or an entry past b_2, reads INCONCLUSIVE with a note naming it, so an
+    engine fault never exits 2, the code for a usage error.
     """
     equator = QuadraticForm.make(3, [[0, 0, 0], [0, 0, 0], [0, 0, 1]])  # X3^2 vanishes on the equator plane
     subset, complement = sphere_zero_split([equator], 1, Fraction(1, 8), Fraction(1, 4))

@@ -64,14 +64,15 @@ Python ints.  Both entries then close through one core (`_close`).
 
 Betti numbers are computed over the two-element field: b_d equals
 (#d-cells) - rank(boundary_d) - rank(boundary_{d+1}), with the ranks by
-Gaussian elimination on int bitsets, one Python int per column.  Cell by
-cell, a dict maps each (d-1)-cell to its bit, 1 << row, finds the faces
-of the d-cells, checks face closure, and ORs the bits into each column
-face by face.  The run complex (below) finds its faces by binary
-searches of sorted runs and forms all its columns at once: 1 << row over
-an object array of the rows, OR-reduced along each column's faces.  The
-entries are Python ints, so no float enters and no shift past bit 63
-overflows.  The two ways share only the elimination.
+Gaussian elimination on int bitsets, one Python int per column
+(`exact.GF2Matrix`).  Cell by cell, a dict maps each (d-1)-cell to its
+bit, 1 << row, finds the faces of the d-cells, checks face closure, and
+ORs the bits into each column face by face.  The run complex (below)
+finds its faces by binary searches of sorted runs and forms all its
+columns at once: 1 << row over an object array of the rows, OR-reduced
+along each column's faces.  The entries are Python ints, so no float
+enters and no shift past bit 63 overflows.  The two ways share only the
+elimination.
 
 The boundary maps are ranked from the top dimension down, with clearing
 (C. Chen and M. Kerber, "Persistent homology computation with a twist",
@@ -276,7 +277,7 @@ class CubicalComplex:
     face is missing.
     """
 
-    __slots__ = ("ambient_dim", "_frame", "_first", "_last", "_len", "_counts", "_cells")
+    __slots__ = ("ambient_dim", "_frame", "_first", "_last", "_len", "_cells")
 
     def __init__(self, ambient_dim: int, cells: Iterable[Cube]):
         frame, flat = _encode(cells, int(ambient_dim))
@@ -289,9 +290,12 @@ class CubicalComplex:
         return self
 
     def _store(self, ambient_dim: int, frame: _Frame, first: np.ndarray, last: np.ndarray, n_cells: int) -> None:
-        """Keep the runs and the number of cells; the cells are counted by dimension and decoded on first use."""
+        """Keep the runs and the number of cells.
+
+        The cells are decoded on first use, and counted by dimension on each call.
+        """
         self.ambient_dim, self._frame, self._first, self._last = ambient_dim, frame, first, last
-        self._len, self._counts, self._cells = n_cells, None, None
+        self._len, self._cells = n_cells, None
 
     def _flat(self) -> np.ndarray:
         return np.fromiter(_cells(self._first, self._last), self._frame.dtype, len(self))
@@ -302,19 +306,17 @@ class CubicalComplex:
         The cells of a run even on the run axis have the dimension p of its
         first cell with the run axis, bit 0, masked off, and the odd ones p + 1.
         """
-        if self._counts is None:
-            first, last = self._first, self._last
-            # On an object frame the popcounts are Python ints.
-            p = self._frame.dims(first & -2).astype(np.intp)
-            odd = (((last + 1) >> 1) - (first >> 1)).astype(np.int64, copy=False)
-            counts = np.zeros(self.ambient_dim + 2, dtype=np.int64)
-            np.add.at(counts, p, (last - first + 1).astype(np.int64, copy=False) - odd)
-            np.add.at(counts, p + 1, odd)
-            counts = counts.tolist()
-            while counts and not counts[-1]:
-                counts.pop()
-            self._counts = counts
-        return self._counts
+        first, last = self._first, self._last
+        # On an object frame the popcounts are Python ints.
+        p = self._frame.dims(first & -2).astype(np.intp)
+        odd = (((last + 1) >> 1) - (first >> 1)).astype(np.int64, copy=False)
+        counts = np.zeros(self.ambient_dim + 2, dtype=np.int64)
+        np.add.at(counts, p, (last - first + 1).astype(np.int64, copy=False) - odd)
+        np.add.at(counts, p + 1, odd)
+        counts = counts.tolist()
+        while counts and not counts[-1]:
+            counts.pop()
+        return counts
 
     @property
     def cells(self) -> frozenset:

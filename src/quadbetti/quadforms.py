@@ -88,7 +88,8 @@ number of the lift and its Euler characteristic are twice the cap's.  No
 two kept cells are adjacent across the middle layers, so the adjacent
 pairs that pick the run axis halve, and the cap keeps the lift's run axis.
 Since (2) is decided per entry, a build decides the cap before it
-evaluates its own polynomials, once, on the cap's rows alone.
+evaluates its own polynomials, once, on the cap's rows alone, and a cap
+costs about half a lift in closure and ranking.
 
 A box grid folds the same way, read off its kept-cell mask alone, with no
 float and no look at the polynomials.  `grid_block` takes `grid_complex`'s
@@ -103,7 +104,10 @@ coordinates <= floor((m - 1) / 2) and the upper ones >= floor(m / 2) + 1,
 so the closures are disjoint; and the Betti numbers and Euler
 characteristic of a disjoint union add.  Each fold is tested on the mask
 the earlier ones left, which stays mirror-symmetric along every later axis,
-so by induction the box's vector is `copies` times the block's.  So both
+so by induction the box's vector is `copies` times the block's.  The
+test reads the mask alone: the products grids X_i (X_i - a) >= 0 on
+[-1, 2]^k at width 1/4 fold to one orthant block for every a in
+(7/8, 9/8], and a shell pays one middle-slab test per axis.  So both
 `grid_block` and `sphere_region_block` return (block, copies), and a caller
 ranks the block alone and multiplies its vector by copies.
 """
@@ -229,9 +233,9 @@ _INT64_SAFE = 2**62
 class GridSpec:
     """Axis-aligned rational box split into cells of one rational width.
 
-    Every box width must be an integer multiple of the resolution.  Cell
-    j on an axis covers [lo + j*h, lo + (j+1)*h]; the membership rule is
-    the center point.
+    A grid needs at least one axis, and every box width must be an integer
+    multiple of the resolution.  Cell j on an axis covers
+    [lo + j*h, lo + (j+1)*h]; the membership rule is the center point.
     """
 
     box: Tuple[Tuple[Fraction, Fraction], ...] = field(compare=False)

@@ -1,12 +1,15 @@
 """Unit tests for scenarios, audits and report serialization."""
 
 import dataclasses
+import importlib.util
 import inspect
 import itertools
 import json
+import sys
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,6 +195,26 @@ def test_perfbench_reads_the_exact_names_from_their_old_homes(monkeypatch):
         seen.clear()
         assert betti(cx) == vec
         assert seen
+
+
+def test_perfbench_names_resolve(monkeypatch):
+    """`perfbench/spans.py` wraps the names in `TARGETS` and `GF2Matrix.rank`
+    by `getattr`, and `perfbench/ops.py` imports by name: deleting or
+    renaming any of them breaks the traced benchmark run.  Both are loaded
+    by path, and no bytecode is written."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    modules = {}
+    for name in ("spans", "ops"):
+        spec = importlib.util.spec_from_file_location(
+            f"perfbench_{name}", Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py")
+        modules[name] = importlib.util.module_from_spec(spec)
+        # dataclasses look their module up in sys.modules.
+        monkeypatch.setitem(sys.modules, spec.name, modules[name])
+        spec.loader.exec_module(modules[name])
+    missing = [f"{module.__name__}.{fn_name}" for module, names in modules["spans"].TARGETS
+               for fn_name in names if not callable(getattr(module, fn_name, None))]
+    assert not missing, f"perfbench/spans.py wraps names that are gone: {missing}"
+    assert callable(homology.GF2Matrix.rank)
 
 
 class TestBoundAudit:

@@ -19,7 +19,6 @@ from quadbetti.exact import (
     check_smooth_pencil,
     dehomogenize,
     det,
-    format_rational,
     homogenize,
     is_nonsingular_quadric,
     parse_rational,
@@ -27,6 +26,7 @@ from quadbetti.exact import (
 )
 from quadbetti.harness import (
     CONE,
+    _jsonable,
     alexander_equator_audit,
     pad_betti,
     scenario_products,
@@ -97,15 +97,16 @@ class TestRationals:
             assert p == int(value) and type(p.numerator) is int and type(p.denominator) is int
 
     def test_format(self):
-        assert format_rational(Fraction(3, 4)) == "3/4"
-        assert format_rational(Fraction(-6)) == "-6"
+        assert _jsonable(Fraction(3, 4)) == "3/4"
+        assert _jsonable(Fraction(-6)) == "-6"
 
     @given(st.fractions())
     @example(Fraction(0))
     @example(Fraction(-1, 2**70))
     def test_format_writes_numerator_over_denominator(self, q):
+        # Reports write a rational as "p/q", or "p" when it is an integer.
         expected = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-        assert format_rational(q) == expected
+        assert _jsonable(q) == expected
 
 
 class TestQuadraticData:
@@ -117,7 +118,7 @@ class TestQuadraticData:
     def test_cross_term_convention(self):
         # gram [[0,1/2],[1/2,0]] represents x1*x2
         f = QuadraticForm.make(2, [[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
-        assert f.evaluate([3, 5]) == 15
+        assert f.as_poly().evaluate([3, 5]) == 15
 
     def test_symmetry_enforced(self):
         with pytest.raises(ValueError):
@@ -147,7 +148,7 @@ class TestHomogenize:
     def test_constant_lifts_to_square(self):
         p = QuadraticPoly.make(2, const=1)
         f = homogenize(p)
-        assert f.evaluate([0, 0, 1]) == 1
+        assert f.as_poly().evaluate([0, 0, 1]) == 1
         assert f.gram[2][2] == 1
 
     def test_dehomogenize_inverts(self):
@@ -161,7 +162,7 @@ class TestHomogenize:
         p = random_poly(rng, 3)
         f = homogenize(p)
         point = [Fraction(1, 3), Fraction(-2), Fraction(5, 7)]
-        assert f.evaluate(point + [Fraction(1)]) == p.evaluate(point)
+        assert f.as_poly().evaluate(point + [Fraction(1)]) == p.evaluate(point)
 
 
 class TestPDForms:
@@ -286,11 +287,15 @@ def rational_matrices(draw):
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(rational_matrices())
-def test_det_matches_sympy(rows):
-    sympy = pytest.importorskip("sympy")
-    want = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
-                         for row in rows]).det()
-    assert det(rows) == Fraction(int(want.p), int(want.q))
+def test_det_matches_the_leibniz_sum(rows):
+    # The sum over permutations, signed by their inversion count, shares no
+    # code with elimination; n <= 5 keeps it to at most 120 terms.
+    n = len(rows)
+    want = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        want += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(n))
+    assert det(rows) == want
 
 
 @st.composite
