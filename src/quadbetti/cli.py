@@ -180,7 +180,7 @@ def _cmd_bounds(args, out) -> int:
         _emit_table(args.format, out, ["s", "k", "simple", "total", "nonexact_exp_form"],
                     rows, rationals=("simple", "total"))
         return 0
-    given_i = _parse_range(args.i) if args.i else None
+    given_i = _parse_range(args.i) if args.i is not None else None
     _check_table_size(len(svals) * sum(max(k, 0) if given_i is None else len(given_i) for k in kvals))
     triples = [(s, k, i) for k in kvals for s in svals
                for i in (range(k) if given_i is None else given_i)
@@ -204,7 +204,7 @@ def _cmd_bounds(args, out) -> int:
 
 def _cmd_ci(args, out) -> int:
     kvals = _parse_range(args.k)
-    if args.degrees:
+    if args.degrees is not None:
         degrees = tuple(int(d) for d in args.degrees.split(","))
         j = len(degrees)
         if args.j is not None and int(args.j) != j:
@@ -337,7 +337,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         traceback.print_exc()
         return 4
     text = buffer.getvalue()
-    if args.output:
+    if args.output is not None:
         try:
             with open(args.output, "w") as fp:
                 fp.write(text)

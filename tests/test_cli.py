@@ -126,6 +126,10 @@ class TestUsageErrors:
          "not a decimal-free rational string: '0.1'"),
         (("audit", "--name", "mv-wedge", "--eps", "1/20", "--delta", "1/10"),
          "need 0 < delta < eps, got delta=1/10, eps=1/20"),
+        # An empty value is a value, not an absent flag.
+        (("bounds", "--s", "1", "--k", "3", "--i", ""), "invalid literal for int() with base 10: ''"),
+        (("ci", "--j", "2", "--k", "6", "--degrees", ""), "invalid literal for int() with base 10: ''"),
+        (("ci", "--j", "2", "--k", "6", "--output", ""), "[Errno 2] No such file or directory: ''"),
     ])
     def test_exits_two_with_error_line(self, capsys, argv, message):
         assert main(list(argv)) == 2
@@ -214,6 +218,17 @@ def test_per_process_caches_leave_output_unchanged(capsys):
                           timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
     assert outputs == [done.stdout, done.stdout]
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13), reason="recorded with the argparse layout of Python 3.10-3.12")
+def test_fresh_process_lays_out_help_at_its_terminal_width():
+    # The in-process replays reuse a built parser; this is the first parser of
+    # a new interpreter, laid out at the COLUMNS it was started with.
+    case = next(c for c in HELP_CASES if c["argv"] == ["audit", "--help"] and c["columns"] == 40)
+    src = str(Path(quadbetti.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "quadbetti", *case["argv"]], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src, "COLUMNS": "40"})
+    assert (done.returncode, done.stdout, done.stderr) == (case["code"], case["stdout"], case["stderr"])
 
 
 def test_python_dash_m_entry_point():
@@ -408,6 +423,7 @@ class TestRowWorkLimit:
     @pytest.mark.parametrize("argv, last_row", [
         (("bounds", "--s", "1", "--k", "100000000", "--i", "0"), "1,100000000,0,200000003,2"),
         (("ci", "--j", "1", "--k", "1000000"), "1,1000000,2,1000000"),
+        (("ci", "--j", "0", "--k", "100000000"), "0,100000000,,100000001"),
     ])
     def test_light_row_with_huge_k_runs(self, capsys, argv, last_row):
         code, out = run_cli(capsys, *argv)
@@ -501,8 +517,14 @@ def test_audit_and_verify_leave_numpy_random_unloaded():
 
 @pytest.mark.parametrize("argv, code", [(["bounds", "--s", "1:3", "--k", "6"], 0), (["ci", "--j", "2", "--k", "6"], 0),
                                         (["--help"], 0), (["audit", "--help"], 0),
-                                        (["audit", "--name", "bogus"], 2), (["bounds", "--k", "3"], 2)],
-                         ids=["bounds", "ci", "help", "audit-help", "audit-unknown-name", "bounds-without-s"])
+                                        (["audit", "--name", "bogus"], 2), (["bounds", "--k", "3"], 2),
+                                        (["bounds", "--s", "1:3", "--k", "6", "--aggregate"], 0),
+                                        (["bounds", "--s", "5", "--k", "3"], 0),
+                                        (["bounds", "--s", "1000000", "--k", "3", "--aggregate"], 0),
+                                        (["bounds", "--help"], 0), (["ci", "--help"], 0), (["verify", "--help"], 0)],
+                         ids=["bounds", "ci", "help", "audit-help", "audit-unknown-name", "bounds-without-s",
+                              "bounds-aggregate", "bounds-s-above-k", "bounds-aggregate-huge-s",
+                              "bounds-help", "ci-help", "verify-help"])
 def test_exact_commands_leave_numpy_unloaded(argv, code):
     # Neither the package root nor cli imports the grid engine or the report
     # dataclasses for these; help and the usage errors take the audit names

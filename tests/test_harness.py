@@ -399,23 +399,26 @@ class TestSmithAudit:
         assert (rep.projective_total, rep.bound) == (8, 2)
         assert rep.note == "grid estimate exceeds the bound; refine the grid or tau"
 
-    @pytest.mark.parametrize("forms, pinned", [
-        ([CONE], {5: (16, 0, 0, 0), 10**22: (0, 0, 0, 0)}),
-        ([diagonal_form(1, 1, -1, -1), diagonal_form(1, 2, -3, -4)], {1: (12, 8, 0, 0, 0), 2: (0,) * 5}),
+    @pytest.mark.parametrize("forms, pinned, passes", [
+        ([CONE], {5: (16, 0, 0, 0), 10**22: (0, 0, 0, 0)}, (1, Fraction(3, 2), 10**22)),
+        ([diagonal_form(1, 1, -1, -1), diagonal_form(1, 2, -3, -4)], {1: (12, 8, 0, 0, 0), 2: (0,) * 5}, ()),
     ], ids=["cone", "pencil"])
-    def test_unit_sphere_reads_every_radius(self, forms, pinned):
+    def test_unit_sphere_reads_every_radius(self, forms, pinned, passes):
         # Smith builds on the unit-sphere grid at tau 1/(4r).  The radius-r grid
         # at width r/8 and tau r/4 is that grid scaled by r, and the band test
-        # and |Q| <= tau are homogeneous, so it keeps the same cells.
-        n = forms[0].n
+        # and |Q| <= tau are homogeneous, so it keeps the same cells.  At 10^22
+        # every zero-set evaluator's bound passes 2^62, so it runs on Python ints.
         for r in (1, 2, Fraction(1, 2), Fraction(3, 2), 3, 5, 10**22):
             r = Fraction(r)
             reference = sphere_zero_complex(forms, r, r / 8, r / 4)
             unit = sphere_zero_complex(forms, 1, Fraction(1, 8), 1 / (4 * r))
             assert unit.cells == reference.cells, r
             vec = betti(reference)
-            assert smith_audit(forms, radius=r).sphere_betti == vec, r
+            rep = smith_audit(forms, radius=r)
+            assert rep.sphere_betti == vec, r
             assert pinned.get(r, vec) == vec, r
+            if r in passes:
+                assert rep.verdict == PASS, r
 
     @pytest.mark.parametrize("radius", [Fraction(1, 4), Fraction(1, 5)])
     def test_band_covering_the_sphere_is_inconclusive(self, radius):
@@ -447,10 +450,13 @@ class TestSmithAudit:
 
 class TestDoubleCover:
     def test_products1_doubles_exactly(self):
-        rep = double_cover_audit(scenario_products(1))
-        assert rep.verdict == PASS
-        assert rep.base_betti == (2, 0)
-        assert rep.lifted_betti == (4, 0, 0)
+        # At resolution 3/2 the lift's half-width r + 2w = 23 is no multiple of
+        # the width, so its grid snaps up to [-24, 24]^2.
+        for resolution in (None, Fraction(3, 2)):
+            rep = double_cover_audit(scenario_products(1), sphere_resolution=resolution)
+            assert rep.verdict == PASS, resolution
+            assert rep.base_betti == (2, 0)
+            assert rep.lifted_betti == (4, 0, 0)
 
     def test_empty_system_gives_two_caps(self):
         sc = Scenario(

@@ -195,15 +195,15 @@ _MODULES = {"harness": harness, "homology": homology, "exact": exact}
 # Each `cli.AUDITS` name -> how it is shown able to fail: ("ledger", defect,
 # row), a LEDGER defect that moves that verify row to VIOLATION; ("audit",
 # name), an audit that runs the same check on fabricated data and reads
-# VIOLATION; or ("roadmap", items), the open ROADMAP items that will add an
-# exact negative control, none yet for alexander-equator.
+# VIOLATION; or ("roadmap", items), the open ROADMAP items that will add one,
+# at least one item per name.
 NEGATIVE_CONTROLS = {
     "products-bounds": ("ledger", "bound-one-term-short", "bounds-products-k1"),
     "shell-bounds": ("ledger", "bound-one-term-short", "bounds-shell-k2"),
-    "smith-cone": ("roadmap", (9, 12)),
+    "smith-cone": ("roadmap", (9, 12, 25)),
     "double-cover-products": ("roadmap", (13,)),
     "deformation-products": ("roadmap", (10,)),
-    "alexander-equator": ("roadmap", ()),
+    "alexander-equator": ("roadmap", (22, 24)),
     "mv-wedge": ("audit", "mv-fabricated-violation"),
     "mv-disjoint": ("ledger", "top-betti-one-short", "mv-disjoint"),
     "mv-three": ("audit", "mv-fabricated-violation"),
@@ -259,4 +259,4 @@ def test_every_audit_has_a_negative_control_or_an_item(capsys):
         elif kind == "audit":
             assert main(["audit", "--name", ref[0]]) == 1
         else:
-            assert kind == "roadmap" and all(isinstance(item, int) for item in ref[0])
+            assert kind == "roadmap" and ref[0] and all(isinstance(item, int) for item in ref[0])
