@@ -207,7 +207,7 @@ def _cmd_ci(args, out) -> int:
     if args.degrees is not None:
         degrees = tuple(int(d) for d in args.degrees.split(","))
         j = len(degrees)
-        if args.j is not None and int(args.j) != j:
+        if args.j is not None and _parse_range(args.j) != [j]:
             raise ValueError(f"--j {args.j} disagrees with {j} degrees")
         jvals = [j]
     else:

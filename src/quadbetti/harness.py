@@ -1,8 +1,10 @@
 """Curated scenarios with known topology and the audits that check the bounds.
 
-Verdict vocabulary: VIOLATION is reserved for exact contradictions (an
-oracle Betti number exceeding an exact bound, which would mean a bug);
-every approximation-sourced mismatch is INCONCLUSIVE and comes with a
+Verdict vocabulary: VIOLATION is reserved for exact contradictions, which
+would mean a bug: an oracle Betti number exceeding an exact bound, or a
+Mayer-Vietoris check on exact cubical pieces whose union's b_i exceeds
+the sum over its pieces' intersections (`mv-fabricated-violation` reads
+it); every approximation-sourced mismatch is INCONCLUSIVE and comes with a
 refinement hint (finer grid, smaller eps or t).  Oracle Betti vectors
 are hardcoded with a provenance note and never computed by the code under
 audit.

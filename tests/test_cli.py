@@ -130,6 +130,7 @@ class TestUsageErrors:
         (("bounds", "--s", "1", "--k", "3", "--i", ""), "invalid literal for int() with base 10: ''"),
         (("ci", "--j", "2", "--k", "6", "--degrees", ""), "invalid literal for int() with base 10: ''"),
         (("ci", "--j", "2", "--k", "6", "--output", ""), "[Errno 2] No such file or directory: ''"),
+        (("ci", "--j", "1:3", "--k", "4", "--degrees", "2,2"), "--j 1:3 disagrees with 2 degrees"),
     ])
     def test_exits_two_with_error_line(self, capsys, argv, message):
         assert main(list(argv)) == 2

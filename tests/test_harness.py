@@ -14,8 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from test_homology import cells_of_dim, same_complex
+from test_mutants import b1_per_cell, inflated_b1, odd_sphere_total
 
-from quadbetti import cli, exact, harness, homology, quadforms
+from quadbetti import exact, harness, homology, quadforms
 from quadbetti.cli import main
 from quadbetti.harness import (
     INCONCLUSIVE,
@@ -49,41 +50,6 @@ from quadbetti.quadforms import (
 
 
 CONE = QuadraticForm.make(3, [[1, 0, 0], [0, 1, 0], [0, 0, -1]])
-
-
-# Named mutants: each takes the real `harness` global and returns the wrong one.
-
-
-def odd_sphere_total(real):
-    """An engine whose sphere vector breaks antipodal pairing."""
-    return lambda cx: (1, 0, 0, 0)
-
-
-def inflated_b1(real):
-    """An engine that adds 1 to every b_1."""
-    def inflated(cx):
-        vec = tuple(real(cx)) + (0, 0)
-        return vec[:1] + (vec[1] + 1,) + vec[2:]
-    return inflated
-
-
-def b1_per_cell(real):
-    """An engine that counts each 1-cycle once per cell of the complex, so the
-    b_1 of a Mayer-Vietoris union outgrows the sum over its smaller pieces."""
-    def scaled(cx):
-        vec = tuple(real(cx)) + (0, 0)
-        return vec[:1] + (vec[1] * len(cx),) + vec[2:]
-    return scaled
-
-
-def zero_bound(real):
-    """A per-degree bound of 0."""
-    return lambda s, k, i: Fraction(0)
-
-
-def huge_family(real):
-    """A deformation family a million times too large, so t = 1/1000 is no small step."""
-    return lambda n, seed: QuadraticForm.make(n, [[10**6 * a for a in row] for row in real(n, seed).gram])
 
 
 def diagonal_form(*diag):
@@ -671,85 +637,6 @@ class TestSuite:
         names = {r["name"] for r in results}
         assert "double-cover-products-k2" in names
         assert all(r["verdict"] == PASS for r in results)
-
-
-# Every `cli.AUDITS` name, driven off PASS through `quadbetti audit` at
-# the command line's defaults: audit name -> (the `harness` global the
-# mutant replaces, the mutant, the verdict the audit must give).  Where the
-# command line cannot reach an input that fails an audit, an engine mutant
-# stands in.  Two audits fail on their own default input and run unmutated:
-# mv-fabricated-violation, and deformation-products, whose default
-# t = 1/1000 lies past a sign change that moves the products-k2 Betti
-# vector (8, 0, 0, 0) to (2, 2, 0, 0).
-NEGATIVE_CONTROLS = {
-    "products-bounds": ("bound_betti", zero_bound, VIOLATION),
-    "shell-bounds": ("bound_betti", zero_bound, VIOLATION),
-    "smith-cone": ("betti", odd_sphere_total, INCONCLUSIVE),
-    "double-cover-products": ("betti", inflated_b1, INCONCLUSIVE),
-    "deformation-products": (None, None, INCONCLUSIVE),
-    "alexander-equator": ("betti", inflated_b1, INCONCLUSIVE),
-    "mv-wedge": ("betti", b1_per_cell, VIOLATION),
-    "mv-disjoint": ("betti", b1_per_cell, VIOLATION),
-    "mv-three": ("betti", b1_per_cell, VIOLATION),
-    "mv-fabricated-violation": (None, None, VIOLATION),
-}
-
-
-def test_every_audit_name_has_a_negative_control():
-    assert sorted(NEGATIVE_CONTROLS) == sorted(cli.AUDITS)
-
-
-@pytest.mark.parametrize("name", NEGATIVE_CONTROLS)
-def test_negative_control_drives_audit_off_pass(name, monkeypatch, capsys):
-    target, mutant, verdict = NEGATIVE_CONTROLS[name]
-    if mutant is not None:
-        monkeypatch.setattr(harness, target, mutant(getattr(harness, target)))
-    code = main(["audit", "--name", name, "--format", "json"])
-    doc = json.loads(capsys.readouterr().out)
-    assert doc.get("verdict", doc.get("overall")) == verdict
-    assert code == {VIOLATION: 1, INCONCLUSIVE: 3}[verdict]
-
-
-# Every row of `verify --full`, driven off PASS: row name -> (the `harness`
-# global the mutant replaces, the mutant, the verdict the row must read).
-# products-k1's lifted cell sets at t = 0 and t = 1/1000 are the same, so no
-# engine mutant moves its deformation row; an oversized family does.
-SUITE_CONTROLS = {
-    "bounds-products-k1": ("bound_betti", zero_bound, VIOLATION),
-    "bounds-products-k2": ("bound_betti", zero_bound, VIOLATION),
-    "bounds-products-k3": ("bound_betti", zero_bound, VIOLATION),
-    "grid-oracle-products-k2": ("betti", inflated_b1, INCONCLUSIVE),
-    "bounds-shell-k2": ("bound_betti", zero_bound, VIOLATION),
-    "grid-oracle-shell-k2": ("betti", inflated_b1, INCONCLUSIVE),
-    "smith-cone": ("betti", odd_sphere_total, INCONCLUSIVE),
-    "mv-wedge": ("betti", b1_per_cell, VIOLATION),
-    "mv-disjoint": ("betti", b1_per_cell, VIOLATION),
-    "mv-three-arcs": ("betti", b1_per_cell, VIOLATION),
-    "alexander-equator": ("betti", inflated_b1, INCONCLUSIVE),
-    "double-cover-products-k1": ("betti", inflated_b1, INCONCLUSIVE),
-    "deformation-products-k1": ("random_pd_form", huge_family, INCONCLUSIVE),
-    "grid-oracle-products-k3": ("betti", inflated_b1, INCONCLUSIVE),
-    "grid-oracle-products-k4": ("betti", inflated_b1, INCONCLUSIVE),
-    "bounds-shell-k3": ("bound_betti", zero_bound, VIOLATION),
-    "grid-oracle-shell-k3": ("betti", inflated_b1, INCONCLUSIVE),
-    "double-cover-products-k2": ("betti", inflated_b1, INCONCLUSIVE),
-    "double-cover-shell-k2": ("betti", inflated_b1, INCONCLUSIVE),
-    "deformation-shell-k2": ("random_pd_form", huge_family, INCONCLUSIVE),
-}
-
-
-def test_every_suite_row_has_a_negative_control():
-    assert [r["name"] for r in run_verification_suite(full=True)] == list(SUITE_CONTROLS)
-
-
-@pytest.mark.parametrize("mutant", list(dict.fromkeys(m for _, m, _ in SUITE_CONTROLS.values())),
-                         ids=lambda m: m.__name__)
-def test_suite_negative_controls_drive_rows_off_pass(mutant, monkeypatch):
-    rows = {name: (target, verdict) for name, (target, m, verdict) in SUITE_CONTROLS.items() if m is mutant}
-    (target,) = {target for target, _ in rows.values()}
-    monkeypatch.setattr(harness, target, mutant(getattr(harness, target)))
-    verdicts = {r["name"]: r["verdict"] for r in run_verification_suite(full=True)}
-    assert {name: verdicts[name] for name in rows} == {name: v for name, (_, v) in rows.items()}
 
 
 def test_suite_passes_the_seed_to_its_deformation_rows(monkeypatch):

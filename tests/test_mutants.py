@@ -7,15 +7,17 @@ row's verdict; every other row must stay PASS.  A non-defect row swaps in
 code that is slower but right, and the JSON output must stay byte for byte
 the recorded one.
 
-The rows cover the fold contract, where `grid_block` and
-`sphere_region_block` each return one block and its copies, and the audits
-rank the block and multiply its vector by the copies; the rank phase,
-where the run path assembles its boundary columns and `GF2Matrix` ranks
-them; the Betti vectors the audits read, the products oracle and the two
-bounds they compare with; and the Mayer-Vietoris check.  Blind-spot rows
-are defects that leave every row at PASS.  `NEGATIVE_CONTROLS` names, for
-every audit of `cli.AUDITS`, a control that reads VIOLATION or the open
-ROADMAP items that will add one.
+`LEDGER`'s 13 defects cover the fold contract (`grid_block` and
+`sphere_region_block` return one block and its copies, and the audits
+multiply the block's vector by the copies), the rank phase (the run path's
+boundary columns and `GF2Matrix.rank`), the Betti vectors the audits read,
+the products oracle, the two bounds and the Mayer-Vietoris check; blind-spot
+rows are defects that leave every row at PASS.  `CONTROLS` holds 5 coarse
+negative controls in the same shape, kept out of that count; with `LEDGER`
+they move every verify row off PASS.  `NEGATIVE_CONTROLS` names, for each
+`cli.AUDITS` name, the entry that drives `quadbetti audit` off PASS and how
+the audit can read VIOLATION.  A new verify row joins the moved rows of the
+entries that move it; a new audit name takes a `NEGATIVE_CONTROLS` row.
 """
 
 import collections
@@ -31,6 +33,7 @@ from conftest import run_boundary_by_faces
 
 from quadbetti import exact, harness, homology, quadforms
 from quadbetti.cli import AUDITS, main
+from quadbetti.exact import QuadraticForm
 from quadbetti.harness import INCONCLUSIVE, PASS, VIOLATION, overall, run_verification_suite
 
 VERIFY_FULL = ["verify", "--seed", "0", "--full", "--format", "json"]
@@ -139,10 +142,42 @@ def mv_always_pass(real):
     return lambda union_betti, piece_betti, i: PASS
 
 
+def odd_sphere_total(real):
+    """Every Betti vector a single point's, so a sphere's total is odd and antipodal pairing breaks."""
+    return lambda cx: (1, 0, 0, 0)
+
+
+def inflated_b1(real):
+    """Every b_1 one more."""
+    def mutant(cx):
+        vec = tuple(real(cx)) + (0, 0)
+        return vec[:1] + (vec[1] + 1,) + vec[2:]
+    return mutant
+
+
+def b1_per_cell(real):
+    """Every b_1 times the cell count, so a Mayer-Vietoris union's b_1 outgrows its pieces' sum."""
+    def mutant(cx):
+        vec = tuple(real(cx)) + (0, 0)
+        return vec[:1] + (vec[1] * len(cx),) + vec[2:]
+    return mutant
+
+
+def zero_bound(real):
+    """Every per-degree bound 0."""
+    return lambda s, k, i: Fraction(0)
+
+
+def huge_family(real):
+    """A deformation family a million times too large, so t = 1/1000 is no small step."""
+    return lambda n, seed: QuadraticForm.make(n, [[10**6 * a for a in row] for row in real(n, seed).gram])
+
+
 _GRID_ORACLE_ROWS = [f"grid-oracle-{name}" for name in
                      ("products-k2", "shell-k2", "products-k3", "products-k4", "shell-k3")]
 _LIFT_ROWS = ["double-cover-products-k1", "deformation-products-k1", "double-cover-products-k2",
               "double-cover-shell-k2", "deformation-shell-k2"]
+_BOUNDS_ROWS = [f"bounds-{name}" for name in ("products-k1", "products-k2", "products-k3", "shell-k2", "shell-k3")]
 
 # Ten rows: not grid-oracle-products-k4 or double-cover-products-k2.
 _RANK_ROWS = ["grid-oracle-products-k2", "grid-oracle-shell-k2", "smith-cone", "alexander-equator",
@@ -190,48 +225,77 @@ NON_DEFECTS = {
     "whole-sets-one-copy": {"harness.grid_block": whole_box, "harness.sphere_region_block": whole_lift},
     "run-columns-bit-by-bit": {"homology._run_boundary": run_columns_bit_by_bit},
 }
+# negative control -> LEDGER's shape, kept out of its count of defects.  These move the
+# four rows LEDGER leaves at PASS: bounds-products-k2, bounds-products-k3, mv-wedge, mv-three-arcs.
+CONTROLS = {
+    "bound-zero": ({"harness.bound_betti": zero_bound}, VIOLATION, dict.fromkeys(_BOUNDS_ROWS, VIOLATION)),
+    # alexander-equator compares two point vectors, which agree, and products-k3
+    # folds into copies of a point in R^3, whose vector is the mutant's.
+    "sphere-total-odd": ({"harness.betti": odd_sphere_total}, INCONCLUSIVE, dict.fromkeys(
+        set(_GRID_ROWS) - {"alexander-equator", "grid-oracle-products-k3"}, INCONCLUSIVE)),
+    "b1-one-more": ({"harness.betti": inflated_b1}, INCONCLUSIVE, dict.fromkeys(_GRID_ROWS, INCONCLUSIVE)),
+    # products-k1's lifted cell sets at t = 0 and t = 1/1000 are the same,
+    # so no engine mutant moves its deformation row; an oversized family does.
+    "b1-per-cell": ({"harness.betti": b1_per_cell}, VIOLATION,
+                    {**dict.fromkeys(set(_GRID_ROWS) - {"deformation-products-k1"}, INCONCLUSIVE),
+                     **dict.fromkeys(["mv-wedge", "mv-disjoint", "mv-three-arcs"], VIOLATION)}),
+    "family-times-a-million": ({"harness.random_pd_form": huge_family}, INCONCLUSIVE,
+                               dict.fromkeys(["deformation-products-k1", "deformation-shell-k2"], INCONCLUSIVE)),
+}
+_ENTRIES = {**LEDGER, **CONTROLS}
 _MODULES = {"harness": harness, "homology": homology, "exact": exact}
 
-# Each `cli.AUDITS` name -> how it is shown able to fail: ("ledger", defect,
-# row), a LEDGER defect that moves that verify row to VIOLATION; ("audit",
-# name), an audit that runs the same check on fabricated data and reads
-# VIOLATION; or ("roadmap", items), the open ROADMAP items that will add one,
-# at least one item per name.
+# Each `cli.AUDITS` name -> (the `_ENTRIES` entry that drives `quadbetti
+# audit --name` off PASS at the command line's defaults, or None where the
+# audit fails there unmutated; its verdict and exit code; how it is shown able
+# to read VIOLATION: ("ledger", defect, row), a LEDGER defect that moves that
+# verify row to VIOLATION; ("audit", name), an audit that runs the same check
+# on fabricated data; or ("roadmap", items), the open ROADMAP items that will
+# add one).  deformation-products fails at its default t = 1/1000, past a sign
+# change that moves the products-k2 vector (8, 0, 0, 0) to (2, 2, 0, 0).
 NEGATIVE_CONTROLS = {
-    "products-bounds": ("ledger", "bound-one-term-short", "bounds-products-k1"),
-    "shell-bounds": ("ledger", "bound-one-term-short", "bounds-shell-k2"),
-    "smith-cone": ("roadmap", (9, 12, 25)),
-    "double-cover-products": ("roadmap", (13,)),
-    "deformation-products": ("roadmap", (10,)),
-    "alexander-equator": ("roadmap", (22, 24)),
-    "mv-wedge": ("audit", "mv-fabricated-violation"),
-    "mv-disjoint": ("ledger", "top-betti-one-short", "mv-disjoint"),
-    "mv-three": ("audit", "mv-fabricated-violation"),
-    "mv-fabricated-violation": ("audit", "mv-fabricated-violation"),
+    "products-bounds": ("bound-zero", VIOLATION, 1, ("ledger", "bound-one-term-short", "bounds-products-k1")),
+    "shell-bounds": ("bound-zero", VIOLATION, 1, ("ledger", "bound-one-term-short", "bounds-shell-k2")),
+    "smith-cone": ("sphere-total-odd", INCONCLUSIVE, 3, ("roadmap", (9, 12, 25))),
+    "double-cover-products": ("b1-one-more", INCONCLUSIVE, 3, ("roadmap", (13,))),
+    "deformation-products": (None, INCONCLUSIVE, 3, ("roadmap", (10,))),
+    "alexander-equator": ("b1-one-more", INCONCLUSIVE, 3, ("roadmap", (22, 24))),
+    "mv-wedge": ("b1-per-cell", VIOLATION, 1, ("audit", "mv-fabricated-violation")),
+    "mv-disjoint": ("b1-per-cell", VIOLATION, 1, ("ledger", "top-betti-one-short", "mv-disjoint")),
+    "mv-three": ("b1-per-cell", VIOLATION, 1, ("audit", "mv-fabricated-violation")),
+    "mv-fabricated-violation": (None, VIOLATION, 1, ("audit", "mv-fabricated-violation")),
 }
 
 
 def _install(monkeypatch, replacements):
     """Install each replacement on the name it targets, counting the calls each one takes."""
     calls = collections.Counter()
+    def counting(target, fn):
+        def counted(*args, **kwargs):
+            calls[target] += 1
+            return fn(*args, **kwargs)
+        return counted
     for target, make in replacements.items():
         module, *path, name = target.split(".")
         owner = functools.reduce(getattr, path, _MODULES[module])
-        def counted(*args, _fn=make(getattr(owner, name)), _target=target):
-            calls[_target] += 1
-            return _fn(*args)
-        monkeypatch.setattr(owner, name, counted)
+        monkeypatch.setattr(owner, name, counting(target, make(getattr(owner, name))))
     return calls
 
 
-@pytest.mark.parametrize("name", LEDGER)
+@pytest.mark.parametrize("name", _ENTRIES)
 def test_defect_moves_its_rows(name, monkeypatch):
-    replacements, verdict, moved = LEDGER[name]
+    replacements, verdict, moved = _ENTRIES[name]
     calls = _install(monkeypatch, replacements)
     verdicts = {r["name"]: r["verdict"] for r in run_verification_suite(seed=0, full=True)}
     assert set(calls) == set(replacements)
     assert overall(list(verdicts.values())) == verdict
     assert {row: v for row, v in verdicts.items() if v != PASS} == moved
+
+
+def test_ledger_and_controls_move_every_verify_row():
+    assert not LEDGER.keys() & CONTROLS.keys()
+    rows = {r["name"] for r in json.loads(RECORDED)["results"]}
+    assert set().union(*(moved for _, _, moved in _ENTRIES.values())) == rows
 
 
 @pytest.mark.parametrize("name", NON_DEFECTS)
@@ -243,6 +307,14 @@ def test_non_defect_keeps_verify_full_byte_identical(name, monkeypatch, capsys):
     assert set(calls) == set(replacements)
 
 
+def test_install_forwards_keyword_arguments(monkeypatch, capsys):
+    """The suite calls `deformation_audit` with keywords, once per deformation row."""
+    calls = _install(monkeypatch, {"harness.deformation_audit": lambda real: real})
+    assert main(VERIFY_FULL) == 0
+    assert capsys.readouterr().out == RECORDED
+    assert calls == {"harness.deformation_audit": 2}
+
+
 def test_unclamped_rank_one_short_reads_a_verdict(monkeypatch, capsys):
     """An engine fault reads as a verdict, never as a usage error (exit 2)."""
     _install(monkeypatch, {"exact.GF2Matrix.rank": rank_one_short_unclamped})
@@ -252,7 +324,7 @@ def test_unclamped_rank_one_short_reads_a_verdict(monkeypatch, capsys):
 
 def test_every_audit_has_a_negative_control_or_an_item(capsys):
     assert set(NEGATIVE_CONTROLS) == set(AUDITS)
-    for kind, *ref in NEGATIVE_CONTROLS.values():
+    for *_, (kind, *ref) in NEGATIVE_CONTROLS.values():
         if kind == "ledger":
             defect, row = ref
             assert LEDGER[defect][2][row] == VIOLATION
@@ -260,3 +332,14 @@ def test_every_audit_has_a_negative_control_or_an_item(capsys):
             assert main(["audit", "--name", ref[0]]) == 1
         else:
             assert kind == "roadmap" and ref[0] and all(isinstance(item, int) for item in ref[0])
+
+
+@pytest.mark.parametrize("name", NEGATIVE_CONTROLS)
+def test_negative_control_drives_audit_off_pass(name, monkeypatch, capsys):
+    entry, verdict, code, _ = NEGATIVE_CONTROLS[name]
+    replacements = _ENTRIES[entry][0] if entry else {}
+    calls = _install(monkeypatch, replacements)
+    assert main(["audit", "--name", name, "--format", "json"]) == code
+    doc = json.loads(capsys.readouterr().out)
+    assert doc.get("verdict", doc.get("overall")) == verdict
+    assert set(calls) == set(replacements)
