@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from test_homology import cells_of_dim, same_complex
-from test_mutants import b1_per_cell, inflated_b1, odd_sphere_total
+from test_mutants import NEGATIVE_CONTROLS, b1_per_cell, inflated_b1, odd_sphere_total
 
-from quadbetti import exact, harness, homology, quadforms
+from quadbetti import cli, exact, harness, homology, quadforms
 from quadbetti.cli import main
 from quadbetti.harness import (
     INCONCLUSIVE,
@@ -666,6 +666,10 @@ def test_deformation_audit_sees_cell_changes_under_a_mutant(monkeypatch):
     assert deformation_audit(sc).verdict == INCONCLUSIVE
 
 
+def test_every_audit_name_has_a_negative_control():
+    assert sorted(NEGATIVE_CONTROLS) == sorted(cli.AUDITS)
+
+
 # The t values and family seeds of the sphere-lift benchmark's deformation ops.
 _MENU_T = tuple(Fraction(1, 4000) * n for n in range(1, 5))
 _MENU_SEEDS = range(8)
@@ -692,7 +696,6 @@ def test_undeformed_lifts_take_the_cap_and_deformed_lifts_do_not(monkeypatch):
         assert audit().verdict == PASS
         return calls[:]
 
-    calls.clear()
     run_verification_suite(full=True)
     # double-cover and deformation products-k1, double-cover products-k2 and
     # shell-k2, deformation shell-k2

@@ -32,7 +32,7 @@ import pytest
 from conftest import run_boundary_by_faces
 
 from quadbetti import exact, harness, homology, quadforms
-from quadbetti.cli import AUDITS, main
+from quadbetti.cli import main
 from quadbetti.exact import QuadraticForm
 from quadbetti.harness import INCONCLUSIVE, PASS, VIOLATION, overall, run_verification_suite
 
@@ -323,11 +323,10 @@ def test_unclamped_rank_one_short_reads_a_verdict(monkeypatch, capsys):
 
 
 def test_every_audit_has_a_negative_control_or_an_item(capsys):
-    assert set(NEGATIVE_CONTROLS) == set(AUDITS)
+    """Each row's VIOLATION reference holds; `test_harness` checks that the rows cover `cli.AUDITS`."""
     for *_, (kind, *ref) in NEGATIVE_CONTROLS.values():
         if kind == "ledger":
-            defect, row = ref
-            assert LEDGER[defect][2][row] == VIOLATION
+            assert LEDGER[ref[0]][2][ref[1]] == VIOLATION
         elif kind == "audit":
             assert main(["audit", "--name", ref[0]]) == 1
         else:
