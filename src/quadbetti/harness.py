@@ -348,29 +348,29 @@ def smith_audit(forms: Sequence[QuadraticForm], radius=1) -> SmithReport:
 
     The bound holds for smooth complete intersections only, so that
     hypothesis is checked exactly, with no float, before any grid work; a
-    ValueError is raised when it fails.  Every form must be nonsingular
-    (invertible Gram matrix), which for one form is the whole hypothesis.
-    Two forms A, B must also pass Segre's criterion: det(A + tB) has n
-    distinct roots (`exact.check_smooth_pencil`; M. Reid, *The complete
-    intersection of two or more quadrics*, PhD thesis, Cambridge 1972).
-    Codimension 3 and above is rejected, since no exact check is
-    implemented there.
+    ValueError is raised when it fails.  The codimension is checked first:
+    it is rejected above the projective dimension, and from 3 up, where no
+    exact check is implemented.  Then one exact test runs.  One form must be
+    nonsingular (invertible Gram matrix), which is the whole hypothesis.
+    Two forms A, B must be nonsingular and pass Segre's criterion: det(A + tB)
+    has n distinct roots (`exact.check_smooth_pencil`, which tests both; M.
+    Reid, *The complete intersection of two or more quadrics*, PhD thesis,
+    Cambridge 1972).
     """
     if not forms:
         raise ValueError("need at least one form")
     n = forms[0].n
-    for f in forms:
-        if not is_nonsingular_quadric(f):
-            raise ValueError("singular quadric rejected (Gram matrix not invertible)")
     codim = len(forms)
     proj_dim = n - 1
     if codim > proj_dim:
         raise ValueError(f"codimension {codim} exceeds projective dimension {proj_dim}")
-    if codim == 2:
-        check_smooth_pencil(*forms)
-    elif codim > 2:
+    if codim > 2:
         raise ValueError(f"codimension {codim} rejected: smoothness is checked exactly "
                          "only up to codimension 2")
+    if codim == 2:
+        check_smooth_pencil(*forms)
+    elif not is_nonsingular_quadric(forms[0]):
+        raise ValueError("singular quadric rejected (Gram matrix not invertible)")
     r = positive(radius, "radius")
     vec = betti(sphere_zero_complex(forms, 1, Fraction(1, 8), 1 / (4 * r)))
     total = sum(vec)

@@ -272,30 +272,28 @@ def _cells(first: np.ndarray, last: np.ndarray) -> Iterator[int]:
 class CubicalComplex:
     """Immutable set of elementary cubes sharing one ambient dimension.
 
+    A complex stores its ambient dimension, the frame of its flat cell
+    indices and the sorted first and last index of each run; its cells, its
+    cell count and its counts by dimension are computed from the runs on
+    each call.
+
     Construct through `close_under_faces` or `close_grid` to guarantee
     face-closure; the homology routines assume it, and `betti` raises when a
     face is missing.
     """
 
-    __slots__ = ("ambient_dim", "_frame", "_first", "_last", "_len", "_cells")
+    __slots__ = ("ambient_dim", "_frame", "_first", "_last")
 
     def __init__(self, ambient_dim: int, cells: Iterable[Cube]):
-        frame, flat = _encode(cells, int(ambient_dim))
-        self._store(int(ambient_dim), frame, *_merge(flat, flat), len(flat))
+        self.ambient_dim = int(ambient_dim)
+        self._frame, flat = _encode(cells, self.ambient_dim)
+        self._first, self._last = _merge(flat, flat)
 
     @classmethod
     def _from_runs(cls, ambient_dim: int, frame: _Frame, first: np.ndarray, last: np.ndarray) -> "CubicalComplex":
         self = cls.__new__(cls)
-        self._store(ambient_dim, frame, first, last, int(np.add.reduce(last - first)) + len(first))
-        return self
-
-    def _store(self, ambient_dim: int, frame: _Frame, first: np.ndarray, last: np.ndarray, n_cells: int) -> None:
-        """Keep the runs and the number of cells.
-
-        The cells are decoded on first use, and counted by dimension on each call.
-        """
         self.ambient_dim, self._frame, self._first, self._last = ambient_dim, frame, first, last
-        self._len, self._cells = n_cells, None
+        return self
 
     def _flat(self) -> np.ndarray:
         return np.fromiter(_cells(self._first, self._last), self._frame.dtype, len(self))
@@ -320,13 +318,11 @@ class CubicalComplex:
 
     @property
     def cells(self) -> frozenset:
-        """The cells as code tuples, decoded on first use."""
-        if self._cells is None:
-            self._cells = frozenset(self._frame.decode(self._flat()))
-        return self._cells
+        """The cells as code tuples, decoded from the runs on each read."""
+        return frozenset(self._frame.decode(self._flat()))
 
     def __len__(self):
-        return self._len
+        return int(np.add.reduce(self._last - self._first)) + len(self._first)
 
     def __repr__(self):
         return f"CubicalComplex(ambient_dim={self.ambient_dim}, n_cells={len(self)})"

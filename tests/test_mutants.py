@@ -236,6 +236,8 @@ CONTROLS = {
     "b1-one-more": ({"harness.betti": inflated_b1}, INCONCLUSIVE, dict.fromkeys(_GRID_ROWS, INCONCLUSIVE)),
     # products-k1's lifted cell sets at t = 0 and t = 1/1000 are the same,
     # so no engine mutant moves its deformation row; an oversized family does.
+    # shell-k2's cell sets at t = 0 and t = 1/1000 differ while their Betti
+    # vectors agree, so its row passes and this mutant drives it off PASS.
     "b1-per-cell": ({"harness.betti": b1_per_cell}, VIOLATION,
                     {**dict.fromkeys(set(_GRID_ROWS) - {"deformation-products-k1"}, INCONCLUSIVE),
                      **dict.fromkeys(["mv-wedge", "mv-disjoint", "mv-three-arcs"], VIOLATION)}),

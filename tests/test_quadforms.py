@@ -995,7 +995,7 @@ def test_every_band_is_nonempty_at_the_narrowest_index_dtype(key):
     assert succ.shape == band.shape and succ.dtype == np.min_scalar_type(band.shape[1])
 
 
-def test_top_cells_returns_a_private_array():
+def test_sphere_cells_and_band_tops_return_private_arrays():
     r, w = Fraction(5, 4), Fraction(1, 4)
     _, first, _, copies = _sphere_cells((), 2, r, w)
     # The band's (dim, n) rows at its dtype, one contiguous row per axis, in
